@@ -34,32 +34,27 @@ def _collapse_numeric(arr: np.ndarray) -> np.ndarray:
 
 def _collect(obj, shape, n, order):
     """Split an evaluator result (jets and/or numbers) into value/grad/hess arrays."""
-    out = np.empty(shape, dtype=object)
-    out[...] = np.asarray(obj, dtype=object).reshape(shape)
-    is_complex = False
-    for _, entry in np.ndenumerate(out):
-        v = jets.value_of(entry)
-        if isinstance(v, complex) or np.iscomplexobj(v):
-            is_complex = True
-            break
-        if isinstance(entry, jets.Jet) and np.iscomplexobj(entry.grad):
-            is_complex = True
-            break
-    dtype = complex if is_complex else float
-    val = np.zeros(shape, dtype=dtype)
-    d1 = np.zeros(shape + (n,), dtype=dtype)
-    d2 = np.zeros(shape + (n, n), dtype=dtype) if order == 2 else None
-    for idx, entry in np.ndenumerate(out):
+    vals, grads, hesses = [], [], []
+    zero_grad, zero_hess = np.zeros(n), np.zeros((n, n))
+    for entry in np.asarray(obj, dtype=object).reshape(shape).ravel().tolist():
         if isinstance(entry, jets.Jet):
-            val[idx] = entry.val
-            d1[idx] = entry.grad
+            vals.append(entry.val)
+            grads.append(entry.grad)
             if order == 2:
                 if entry.hess is None:
                     raise ValueError("order-2 jets requested but evaluator dropped the Hessian")
-                d2[idx] = entry.hess
+                hesses.append(entry.hess)
         else:
-            val[idx] = entry
-    return val, d1, d2
+            vals.append(entry)
+            grads.append(zero_grad)
+            if order == 2:
+                hesses.append(zero_hess)
+    # numpy promotes each stack to complex if any entry is complex
+    parts = [np.array(vals), np.array(grads)] + ([np.array(hesses)] if order == 2 else [])
+    dtype = complex if any(a.dtype.kind == "c" for a in parts) else float
+    val, d1, *d2 = [a.astype(dtype, copy=False).reshape(shape + (n,) * k)
+                    for k, a in enumerate(parts)]
+    return val, d1, (d2[0] if d2 else None)
 
 
 @dataclass

@@ -169,9 +169,11 @@ class GeneralizedMetric:
             return np.real(g), np.real(dg), (None if ddg is None else np.real(ddg))
         e, de, dde = self.vielbein.jets(p, order=order)
         eta = self.vielbein.signature.matrix
-        g = np.einsum("am,ab,bn->mn", e, eta, e)
-        dg = (np.einsum("amr,ab,bn->mnr", de, eta, e)
-              + np.einsum("am,ab,bnr->mnr", e, eta, de))
+        e_eta = e.T @ eta
+        g = e_eta @ e
+        # half[m, n, r] = E^a_m eta_ab d_r E^b_n; the other half is its (m, n) swap
+        half = (e_eta @ de.reshape(len(de), -1)).reshape(de.shape)
+        dg = half + half.transpose(1, 0, 2)
         ddg = None
         if order == 2:
             ddg = (np.einsum("amrs,ab,bn->mnrs", dde, eta, e)
@@ -250,21 +252,17 @@ class GeneralizedMetric:
 
 def _christoffel_from(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     # Gamma^m_ab = 1/2 g^{ml} (d_b g_la + d_a g_lb - d_l g_ab)
-    return 0.5 * np.einsum("ml,lab->mab", ginv, _symmetrized_dg(dg))
+    return 0.5 * (ginv @ _symmetrized_dg(dg).reshape(len(dg), -1)).reshape(dg.shape)
 
 
 def _symmetrized_dg(dg: np.ndarray) -> np.ndarray:
     # t[l, a, b] = d_b g_la + d_a g_lb - d_l g_ab
-    return (np.einsum("lab->lab", dg)
-            + np.einsum("lba->lab", dg)
-            - np.einsum("abl->lab", dg))
+    return dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
 
 
 def _symmetrized_ddg(ddg: np.ndarray) -> np.ndarray:
     # t[l, a, b, r] = d_r (d_b g_la + d_a g_lb - d_l g_ab)
-    return (np.einsum("labr->labr", ddg)
-            + np.einsum("lbar->labr", ddg)
-            - np.einsum("ablr->labr", ddg))
+    return ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(2, 0, 1, 3)
 
 
 def metric_from_vielbein(e: Vielbein) -> GeneralizedMetric:

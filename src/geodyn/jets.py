@@ -20,7 +20,6 @@ __all__ = [
     "Jet",
     "variables",
     "constant",
-    "value_of",
     "sin",
     "cos",
     "tan",
@@ -178,25 +177,14 @@ def _chain(x: Jet, f0, f1, f2):
 def variables(coords, order: int = 2) -> tuple:
     """Seed one jet per coordinate with unit gradient entries."""
     n = len(coords)
-    out = []
-    for i, xi in enumerate(coords):
-        g = np.zeros(n)
-        g[i] = 1.0
-        h = np.zeros((n, n)) if order == 2 else None
-        out.append(Jet(xi, g, h))
-    return tuple(out)
+    eye = np.eye(n)
+    return tuple(Jet(xi, eye[i], np.zeros((n, n)) if order == 2 else None)
+                 for i, xi in enumerate(coords))
 
 
 def constant(c, n: int, order: int = 2) -> Jet:
     h = np.zeros((n, n)) if order == 2 else None
     return Jet(c, np.zeros(n), h)
-
-
-def value_of(x):
-    """Value of a jet or plain number (array-safe for object arrays)."""
-    if isinstance(x, Jet):
-        return x.val
-    return x
 
 
 def _dispatch(x, real_fn, cplx_fn, f0f1f2):
@@ -210,10 +198,12 @@ def _dispatch(x, real_fn, cplx_fn, f0f1f2):
 
 def _c(fn):
     """Evaluate a cmath/math function on a possibly-complex scalar."""
+    real, cplx = getattr(math, fn), getattr(cmath, fn)
+
     def apply(v):
-        if isinstance(v, complex) or np.iscomplexobj(v):
-            return getattr(cmath, fn)(v)
-        return getattr(math, fn)(v)
+        if isinstance(v, float) or not (isinstance(v, complex) or np.iscomplexobj(v)):
+            return real(v)
+        return cplx(v)
     return apply
 
 

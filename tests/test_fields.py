@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geodyn.fields import ChartField, DUAL, FD, differentiate, scalar_field, constant_field
-from geodyn.jets import cosh, exp, sin
+from geodyn.jets import Jet, cosh, exp, sin
 from geodyn.tensors import DOWN, UP, COORD, FRAME, Point
 
 
@@ -103,3 +103,27 @@ def test_numeric_collapses_object_arrays():
     out = f.numeric((1.5,))
     assert out.dtype == float
     assert np.allclose(out, [1.5, 2.0])
+
+
+def test_collect_dtype_and_shape_rules():
+    p = Point((0.3, 1.1, -0.4))
+    # integer zeros next to real jets collapse to float64, with trailing derivative axes
+    real = ChartField(dim=3, shape=(2, 2), func=lambda c: [[c[0] * c[1], 0], [0, sin(c[2])]])
+    val, d1, d2 = real.jets(p, order=2)
+    assert val.dtype == d1.dtype == d2.dtype == np.float64
+    assert (val.shape, d1.shape, d2.shape) == ((2, 2), (2, 2, 3), (2, 2, 3, 3))
+    assert val[0, 1] == 0.0 and not d1[1, 0].any() and not d2[0, 1].any()
+    assert d1[0, 0].tolist() == [1.1, 0.3, 0.0]
+    # a complex constant entry makes every array complex
+    const = ChartField(dim=3, shape=(2,), func=lambda c: [c[0], 2.0 + 1.0j])
+    val, d1, d2 = const.jets(p, order=1)
+    assert val.dtype == d1.dtype == complex and d2 is None
+    assert val[1] == 2.0 + 1.0j and d1.shape == (2, 3)
+    # so does a jet whose value is real but whose gradient is complex
+    grad = ChartField(dim=3, shape=(), func=lambda c: Jet(c[1].val, 1.0j * c[1].grad))
+    val, d1, _ = grad.jets(p, order=1)
+    assert val.shape == () and val.dtype == complex and d1.tolist() == [0.0, 1.0j, 0.0]
+    # an order-2 request over a first-order jet is an error, not a silent zero
+    dropped = ChartField(dim=3, shape=(2,), func=lambda c: [c[0], Jet(c[1].val, c[1].grad)])
+    with pytest.raises(ValueError, match="dropped the Hessian"):
+        dropped.jets(p, order=2)

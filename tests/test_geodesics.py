@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geodyn.fields import ChartField
 from geodyn.geodesics import Trajectory, integrate_geodesic, velocity_norm
 from geodyn.library import polar, schwarzschild, sphere2
 from geodyn.tensors import Point
@@ -95,3 +96,66 @@ def test_trajectory_metadata():
     assert traj.meta["step_size"] == pytest.approx(0.1)
     assert traj.ts.shape == (11,)
     assert traj.xs.shape == (11, 2)
+
+
+def _reference_rk4(g, x0, v0, t_max, steps):
+    """Plain RK4 on the public Christoffel and norm calls, five passes a step."""
+    def rhs(x, v):
+        gam = g.christoffel(Point(tuple(x))).values
+        return v, -np.einsum("mab,a,b->m", gam, v, v)
+
+    h = t_max / steps
+    x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
+    xs, vs, norms = [x], [v], [velocity_norm(g, x, v)]
+    for _ in range(steps):
+        k1 = rhs(x, v)
+        k2 = rhs(x + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+        k3 = rhs(x + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+        k4 = rhs(x + h * k3[0], v + h * k3[1])
+        x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        xs.append(x)
+        vs.append(v)
+        norms.append(velocity_norm(g, x, v))
+    return np.array(xs), np.array(vs), np.array(norms)
+
+
+@pytest.mark.parametrize("frame, x0, v0, t_max, steps", [
+    (schwarzschild(mass=1.0), (0.0, 6.0, np.pi / 2, 0.0),
+     (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764), 5.0, 500),
+    (sphere2(), (np.pi / 2, 0.0), (0.4, 0.8), 3.0, 1500),
+])
+def test_integrator_matches_reference_rk4(frame, x0, v0, t_max, steps):
+    g = frame.metric()
+    traj = integrate_geodesic(g, x0, v0, t_max=t_max, steps=steps)
+    xs, vs, norms = _reference_rk4(g, x0, v0, t_max, steps)
+    assert traj.status == "ok"
+    assert np.abs(traj.xs - xs).max() <= 1e-12
+    assert np.abs(traj.vs - vs).max() <= 1e-12
+    assert np.abs(traj.norms - norms).max() <= 1e-12
+
+
+def test_singular_stop_is_pinned():
+    g = polar().metric()
+    traj = integrate_geodesic(g, (1.0, 0.0), (-1.0, 0.0), t_max=2.0, steps=200)
+    assert traj.status == "singular"
+    assert traj.message.startswith("determinant")
+    assert len(traj.ts) == 100
+
+
+def test_four_metric_passes_per_step(monkeypatch):
+    calls = []
+    jets = ChartField.jets
+
+    def counted(self, p, order=2):
+        calls.append(order)
+        return jets(self, p, order=order)
+
+    monkeypatch.setattr(ChartField, "jets", counted)
+    g = schwarzschild(mass=1.0).metric()
+    steps = 25
+    traj = integrate_geodesic(g, (0.0, 6.0, np.pi / 2, 0.0),
+                              (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764),
+                              t_max=0.25, steps=steps)
+    assert traj.status == "ok"
+    assert calls == [1] * (4 * steps + 1)

@@ -8,6 +8,7 @@ from geodyn.geometry import (
     CompatibilityResidual,
     CoordinateConditionError,
     GeneralizedMetric,
+    Vielbein,
     compatibility_residual,
     dirac_matrices,
     flat_gamma_matrices,
@@ -80,6 +81,29 @@ def test_christoffel_matches_finite_difference_route():
                - np.einsum("abl->lab", dg))
         gam_fd = 0.5 * np.einsum("ml,lab->mab", ginv, sym)
         assert np.abs(gam - gam_fd).max() < 1e-7
+
+
+def test_dense_frame_metric_jets_match_index_formulas():
+    # the matrix-product assembly agrees with the contractions it replaces
+    amp = 0.3 * np.random.default_rng(41).standard_normal((4, 4, 4))
+
+    def func(c):
+        return [[float(a == m) + sum(amp[a, m, r] * sin(c[r]) for r in range(4))
+                 for m in range(4)] for a in range(4)]
+
+    e = Vielbein(ChartField(dim=4, shape=(4, 4), func=func), MinkowskiSignature.lorentzian(4))
+    p = Point((0.3, -0.7, 1.1, 0.4))
+    ev, de, _ = e.jets(p, order=1)
+    eta = e.signature.matrix
+    g, dg, _ = e.metric().gamma_jets(p, order=1)
+    assert np.abs(g - np.einsum("am,ab,bn->mn", ev, eta, ev)).max() < 1e-14
+    dg_ref = (np.einsum("amr,ab,bn->mnr", de, eta, ev)
+              + np.einsum("am,ab,bnr->mnr", ev, eta, de))
+    assert np.abs(dg - dg_ref).max() < 1e-14
+    sym = (np.einsum("lab->lab", dg) + np.einsum("lba->lab", dg)
+           - np.einsum("abl->lab", dg))
+    gam_ref = 0.5 * np.einsum("ml,lab->mab", np.linalg.inv(g), sym)
+    assert np.abs(e.metric().christoffel(p).values - gam_ref).max() < 1e-13
 
 
 def test_riemann_identities_random_metric():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geodyn.scenarios import run_scenario
 from geodyn.triples import (
     AlgebraElement,
     FiniteTriple,
@@ -194,6 +195,23 @@ def test_sm_triple_claimed_axioms():
     # genuinely fails for generic inputs; the residual is report-only
     assert y.hermiticity_residual() > 1e-3
     assert rep.dirac_hermitian == y.hermiticity_residual()
+
+
+def test_sm_axioms_task_reports_unclaimed_fluctuated_hermiticity():
+    # D is Hermitian only for k_e = 0, so D + A + JAJ^-1 cannot be either;
+    # the residual is reported as unclaimed and stays out of the verdict
+    k_e = [[0.1, 0, 0], [0, 0.2, 0], [0, 0, 0.3]]
+    obj = {"schema": "geodyn-config-v1",
+           "chart": {"dimension": 2, "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
+           "frame": {"builtin": "flat", "parameters": {"dim": 2}},
+           "finite_triple": {"builtin": "sm-yukawa", "parameters": {"k_e": k_e}},
+           "tasks": [{"type": "axioms", "fluctuations": True}]}
+    res = run_scenario(obj).results[0]
+    assert res.status == "pass"
+    assert res.worst_residual == 0.0
+    rows = {name: (residual, claimed) for name, residual, claimed in res.rows}
+    assert rows["fluctuated_dirac_hermitian"] == (pytest.approx(0.3, abs=1e-15), False)
+    assert rows["unimodular_trace"][1] is True
 
 
 def test_sm_triple_hermitian_for_symmetric_quarks_without_leptons():
