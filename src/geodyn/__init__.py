@@ -21,10 +21,7 @@ from .geometry import (
     Vielbein,
     compatibility_residual,
     dirac_matrices,
-    metric_from_vielbein,
-    ricci_simplified,
     spin_connection,
-    volume_element,
 )
 from .geodesics import Trajectory, integrate_geodesic
 from .connection import (
@@ -74,8 +71,7 @@ __all__ = [
     "TensorValue", "contract", "raise_lower",
     "ChartField", "constant_field", "differentiate", "scalar_field",
     "CoordinateConditionError", "GeneralizedMetric", "Vielbein",
-    "compatibility_residual", "dirac_matrices", "metric_from_vielbein",
-    "ricci_simplified", "spin_connection", "volume_element",
+    "compatibility_residual", "dirac_matrices", "spin_connection",
     "Trajectory", "integrate_geodesic",
     "ConnectionConstants", "ConnectionForm", "HiggsField", "SMGaugeConfig",
     "assemble_connection", "curvature", "curvature_squared",

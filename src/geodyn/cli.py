@@ -8,8 +8,7 @@
 of a builtin scenario.  run writes report.txt plus one CSV per task into
 --out (default: the working directory); CSV files contain no timings and use
 17-significant-digit floats, so identical config and seed reproduce them
-byte for byte.  The GEODYN_THREADS environment variable sets the quadrature
-thread count.
+byte for byte.
 """
 
 from __future__ import annotations
@@ -68,9 +67,7 @@ def _cmd_run(args) -> int:
         for d in diags:
             print(d, file=sys.stderr)
         return 2
-    threads = max(1, int(os.environ.get("GEODYN_THREADS", "1") or "1"))
-    report = run_scenario(obj, name=name, seed=args.seed,
-                          grid_override=args.grid, workers=threads)
+    report = run_scenario(obj, name=name, seed=args.seed, grid_override=args.grid)
     os.makedirs(args.out, exist_ok=True)
     for result in report.results:
         path = os.path.join(args.out, result.csv_name)

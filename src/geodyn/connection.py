@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ChartField
-from .geometry import Vielbein, frame_geometry, sigma_matrices
+from .geometry import CurvatureTensors, Vielbein, frame_geometry, sigma_matrices
 from .tensors import COORD, DOWN, FRAME, Point, TensorValue, UP
 
 __all__ = [
@@ -323,9 +323,7 @@ class CurvatureForm:
         up = np.einsum("ma,nb,cab->cmn", self.gamma_inv, self.gamma_inv, comp)
         return float(np.real(np.einsum("cmn,cmn->", comp, up)))
 
-    def ricci_squared(self) -> float:
-        up = np.einsum("ma,nb,ab->mn", self.gamma_inv, self.gamma_inv, self.ricci)
-        return float(np.real(np.einsum("mn,mn->", self.ricci, up)))
+    ricci_squared = CurvatureTensors.ricci_squared
 
     def higgs_kinetic_scalar(self) -> float:
         """|DH|^2 = (1/2) Tr(D_m H (D_n H)^dagger) gamma^{mn}."""

@@ -4,6 +4,8 @@ A :class:`ChartField` wraps a pure evaluator ``func(coords) -> array`` whose
 scalar arithmetic must go through :mod:`geodyn.jets` functions so the same
 code path serves plain floats (values, finite differences) and jets (exact
 derivatives).  ``differentiate`` appends covariant coordinate indices.
+``ChartField.jets`` also takes an (N, dim) coordinate block, evaluated in one
+pass on block jets, and then puts the point axis first in its results.
 """
 
 from __future__ import annotations
@@ -32,10 +34,13 @@ def _collapse_numeric(arr: np.ndarray) -> np.ndarray:
     return np.array([v.real for v in flat], dtype=float).reshape(arr.shape)
 
 
-def _collect(obj, shape, n, order):
-    """Split an evaluator result (jets and/or numbers) into value/grad/hess arrays."""
+def _collect(obj, shape, n, order, pts=()):
+    """Split an evaluator result (jets and/or numbers) into value/grad/hess arrays.
+
+    ``pts == (N,)`` marks block jets: constants broadcast over the points.
+    """
     vals, grads, hesses = [], [], []
-    zero_grad, zero_hess = np.zeros(n), np.zeros((n, n))
+    zero_grad, zero_hess = np.zeros((n,) + pts), np.zeros((n, n) + pts)
     for entry in np.asarray(obj, dtype=object).reshape(shape).ravel().tolist():
         if isinstance(entry, jets.Jet):
             vals.append(entry.val)
@@ -49,10 +54,14 @@ def _collect(obj, shape, n, order):
             grads.append(zero_grad)
             if order == 2:
                 hesses.append(zero_hess)
+    if pts:
+        vals = [np.broadcast_to(v, pts) for v in vals]
     # numpy promotes each stack to complex if any entry is complex
     parts = [np.array(vals), np.array(grads)] + ([np.array(hesses)] if order == 2 else [])
     dtype = complex if any(a.dtype.kind == "c" for a in parts) else float
-    val, d1, *d2 = [a.astype(dtype, copy=False).reshape(shape + (n,) * k)
+    if pts:
+        parts = [np.moveaxis(a, -1, 0) for a in parts]
+    val, d1, *d2 = [a.astype(dtype, copy=False).reshape(pts + shape + (n,) * k)
                     for k, a in enumerate(parts)]
     return val, d1, (d2[0] if d2 else None)
 
@@ -117,21 +126,40 @@ class ChartField:
             raise ValueError(f"non-finite field value at {p.coords}")
         return TensorValue(arr, self.variance, self.kinds)
 
-    def jets(self, p: Point, order: int = 2):
+    def jets(self, p, order: int = 2):
         """Value, first and (optionally) second derivative arrays at p.
 
         Derivative indices trail the value indexes: ``d1[..., m] = d_m f``
-        and ``d2[..., m, n] = d_m d_n f``.
+        and ``d2[..., m, n] = d_m d_n f``.  For an (N, dim) block ``p`` the
+        point axis comes first, and ValueError names the first point whose
+        coordinates, value or derivatives are not finite.
         """
-        if p.dim != self.dim:
-            raise ValueError(f"point dimension {p.dim} != field dimension {self.dim}")
         if order not in (1, 2):
             raise ValueError("derivative order must be 1 or 2")
+        if isinstance(p, Point):
+            if p.dim != self.dim:
+                raise ValueError(f"point dimension {p.dim} != field dimension {self.dim}")
+            if self.derivative_mode == FD:
+                return self._fd_jets(p, order)
+            xs = jets.variables(p.coords, order=order)
+            return _collect(self.func(xs), self.shape, self.dim, order)
+        block = np.asarray(p, dtype=float)
+        if block.shape[1:] != (self.dim,):
+            raise ValueError(f"coordinate block of shape {block.shape}, expected (N, {self.dim})")
         if self.derivative_mode == FD:
-            return self._fd_jets(p, order)
-        xs = jets.variables(p.coords, order=order)
-        out = self.func(xs)
-        return _collect(out, self.shape, self.dim, order)
+            per_point = [self._fd_jets(Point(tuple(x)), order) for x in block]
+            return tuple(None if a[0] is None else np.stack(a) for a in zip(*per_point))
+        # NaN and inf are reported by point below instead of as numpy warnings
+        with np.errstate(all="ignore"):
+            res = _collect(self.func(jets.variables(tuple(block.T), order=order)),
+                           self.shape, self.dim, order, pts=block.shape[:1])
+        ok = np.isfinite(block).all(axis=1)
+        for a in res[:order + 1]:
+            ok &= np.isfinite(a).reshape(len(block), -1).all(axis=1)
+        if not ok.all():
+            raise ValueError("non-finite coordinates or field value at "
+                             f"{tuple(block[np.argmin(ok)].tolist())}")
+        return res
 
     def derivative(self, p: Point, order: int = 1, mode: str | None = None) -> TensorValue:
         mode = mode or self.derivative_mode

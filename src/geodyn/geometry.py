@@ -4,7 +4,10 @@ The metric gamma_mn = E^a_m E^b_n eta_ab is assembled from a frame field E
 (which may carry non-Riemannian content), and all curvature quantities are
 derived from gamma by the usual torsion-free formulas.  Derivatives come
 from order-2 jet evaluation of the underlying fields; every contraction
-afterwards is plain einsum on numeric arrays.
+afterwards is plain einsum or matmul on numeric arrays.
+
+The metric methods also take an (N, dim) coordinate block, which adds a
+leading point axis to every result, so each quantity has one formula.
 
 Index layout conventions used throughout:
 
@@ -47,13 +50,7 @@ __all__ = [
     "VolumeElement",
     "CompatibilityResidual",
     "CoordinateConditionError",
-    "metric_from_vielbein",
-    "christoffel",
-    "riemann",
-    "ricci_simplified",
-    "volume_element",
     "spin_connection",
-    "spin_connection_with_derivative",
     "flat_gamma_matrices",
     "sigma_matrices",
     "sigma_squared",
@@ -100,7 +97,7 @@ class Vielbein:
         """Inverse frame e^m_a, with the determinant guard."""
         return checked_inverse(self.value(p))
 
-    def jets(self, p: Point, order: int = 2):
+    def jets(self, p, order: int = 2):
         return self.field.jets(p, order=order)
 
     def metric(self) -> "GeneralizedMetric":
@@ -134,17 +131,22 @@ class CurvatureTensors:
     gamma_inv: np.ndarray
 
     def riemann_down(self) -> np.ndarray:
-        return np.einsum("rs,smnl->rmnl", self.gamma, self.riemann)
+        return np.einsum("...rs,...smnl->...rmnl", self.gamma, self.riemann)
 
-    def riemann_squared(self) -> float:
+    def riemann_squared(self):
+        """R_{rmnl} R^{rmnl}; a float at a point, an (N,) array over a block."""
+        gi = self.gamma_inv
         rd = self.riemann_down()
-        ru = np.einsum("am,bn,co,dp,mnop->abcd",
-                       self.gamma_inv, self.gamma_inv, self.gamma_inv, self.gamma_inv, rd)
-        return float(np.real(np.einsum("abcd,abcd->", rd, ru)))
+        # raise the four indices of R_{mnop} one at a time
+        ru = np.einsum("...mnop,...dp->...mnod", rd, gi)
+        ru = np.einsum("...mnod,...co->...mncd", ru, gi)
+        ru = np.einsum("...mncd,...bn->...mbcd", ru, gi)
+        ru = np.einsum("...mbcd,...am->...abcd", ru, gi)
+        return _unbatched(np.real(np.einsum("...abcd,...abcd->...", rd, ru)))
 
-    def ricci_squared(self) -> float:
-        up = np.einsum("am,bn,mn->ab", self.gamma_inv, self.gamma_inv, self.ricci)
-        return float(np.real(np.einsum("ab,ab->", self.ricci, up)))
+    def ricci_squared(self):
+        up = self.gamma_inv @ self.ricci @ self.gamma_inv.swapaxes(-1, -2)
+        return _unbatched(np.real(np.einsum("...ab,...ab->...", self.ricci, up)))
 
 
 class GeneralizedMetric:
@@ -162,29 +164,17 @@ class GeneralizedMetric:
 
     # -- raw jets ---------------------------------------------------------
 
-    def gamma_jets(self, p: Point, order: int = 2):
+    def gamma_jets(self, p, order: int = 2):
         """(gamma, dgamma, ddgamma) with derivative indices trailing."""
         if self.gamma_field is not None:
             g, dg, ddg = self.gamma_field.jets(p, order=order)
             return np.real(g), np.real(dg), (None if ddg is None else np.real(ddg))
         e, de, dde = self.vielbein.jets(p, order=order)
-        eta = self.vielbein.signature.matrix
-        e_eta = e.T @ eta
-        g = e_eta @ e
-        # half[m, n, r] = E^a_m eta_ab d_r E^b_n; the other half is its (m, n) swap
-        half = (e_eta @ de.reshape(len(de), -1)).reshape(de.shape)
-        dg = half + half.transpose(1, 0, 2)
-        ddg = None
-        if order == 2:
-            ddg = (np.einsum("amrs,ab,bn->mnrs", dde, eta, e)
-                   + np.einsum("amr,ab,bns->mnrs", de, eta, de)
-                   + np.einsum("ams,ab,bnr->mnrs", de, eta, de)
-                   + np.einsum("am,ab,bnrs->mnrs", e, eta, dde))
-        return g, dg, ddg
+        return _metric_jets(e, de, dde, self.vielbein.signature.matrix)
 
-    # -- point evaluations --------------------------------------------------
+    # -- point (or block) evaluations ----------------------------------------
 
-    def value(self, p: Point) -> np.ndarray:
+    def value(self, p) -> np.ndarray:
         g, _, _ = self.gamma_jets(p, order=1)
         return g
 
@@ -194,39 +184,27 @@ class GeneralizedMetric:
     def inverse(self, p: Point) -> np.ndarray:
         return checked_inverse(self.value(p))
 
-    def det(self, p: Point) -> float:
+    def det(self, p):
         return checked_det(self.value(p))
 
-    def volume_element(self, p: Point) -> VolumeElement:
+    def volume_element(self, p) -> VolumeElement:
         det = self.det(p)
-        mode = "lorentzian" if det < 0 else "euclidean"
-        return VolumeElement(value=float(np.sqrt(abs(det))), mode=mode, det=float(det))
+        mode = np.where(det < 0, "lorentzian", "euclidean")
+        return VolumeElement(value=_unbatched(np.sqrt(np.abs(det))), mode=_unbatched(mode),
+                             det=_unbatched(det))
 
-    def christoffel(self, p: Point) -> ChristoffelSymbols:
+    def christoffel(self, p) -> ChristoffelSymbols:
         g, dg, _ = self.gamma_jets(p, order=1)
         ginv = checked_inverse(g)
         gam = _christoffel_from(ginv, dg)
         return ChristoffelSymbols(point=p, values=gam, gamma=g, gamma_inv=ginv)
 
-    def christoffel_with_derivative(self, p: Point):
-        g, dg, ddg = self.gamma_jets(p, order=2)
-        ginv = checked_inverse(g)
-        gam = _christoffel_from(ginv, dg)
-        dginv = -np.einsum("ma,abr,bn->mnr", ginv, dg, ginv)
-        dgam = (0.5 * np.einsum("mlr,lab->mabr", dginv,
-                                _symmetrized_dg(dg))
-                + 0.5 * np.einsum("ml,labr->mabr", ginv,
-                                  _symmetrized_ddg(ddg)))
-        return g, ginv, gam, dgam
+    def christoffel_with_derivative(self, p):
+        return _christoffel_jets(*self.gamma_jets(p, order=2))
 
-    def curvature(self, p: Point) -> CurvatureTensors:
+    def curvature(self, p) -> CurvatureTensors:
         g, ginv, gam, dgam = self.christoffel_with_derivative(p)
-        riem = (np.einsum("rlmn->rmnl", dgam)
-                - np.einsum("rnml->rmnl", dgam)
-                + np.einsum("rns,slm->rmnl", gam, gam)
-                - np.einsum("rls,snm->rmnl", gam, gam))
-        ricci = np.einsum("rmrl->ml", riem)
-        scalar = float(np.real(np.einsum("ml,ml->", ginv, ricci)))
+        riem, ricci, scalar = _riemann_from(ginv, gam, dgam)
         return CurvatureTensors(point=p, riemann=riem, ricci=ricci, scalar=scalar,
                                 gamma=g, gamma_inv=ginv)
 
@@ -250,39 +228,65 @@ class GeneralizedMetric:
         return np.einsum("amna->mn", dgam) - np.einsum("bma,anb->mn", gam, gam)
 
 
+def _unbatched(x):
+    """A Python scalar for one point; the array itself for a block."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _metric_jets(e, de, dde, eta):
+    """gamma = E^T eta E and its first (and second) derivatives from frame jets."""
+    e_eta = e.swapaxes(-1, -2) @ eta
+    g = e_eta @ e
+    # half[m, n, r] = E^a_m eta_ab d_r E^b_n; the other half is its (m, n) swap
+    half = (e_eta @ de.reshape(de.shape[:-2] + (-1,))).reshape(de.shape)
+    dg = half + half.swapaxes(-3, -2)
+    ddg = None
+    if dde is not None:
+        # d_r d_s gamma_mn adds dd[m, n, r, s] = E^a_m eta_ab d_r d_s E^b_n and
+        # cross[m, n, r, s] = d_s E^a_m eta_ab d_r E^b_n to their (m, n) swaps
+        dd = np.einsum("...mb,...bnrs->...mnrs", e_eta, dde)
+        cross = np.einsum("...ams,...anr->...mnrs", de, np.einsum("ab,...bnr->...anr", eta, de))
+        ddg = dd.swapaxes(-4, -3) + cross.swapaxes(-2, -1) + cross + dd
+    return g, dg, ddg
+
+
 def _christoffel_from(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     # Gamma^m_ab = 1/2 g^{ml} (d_b g_la + d_a g_lb - d_l g_ab)
-    return 0.5 * (ginv @ _symmetrized_dg(dg).reshape(len(dg), -1)).reshape(dg.shape)
+    return 0.5 * (ginv @ _symmetrized_dg(dg).reshape(dg.shape[:-2] + (-1,))).reshape(dg.shape)
+
+
+def _christoffel_jets(g, dg, ddg):
+    """(gamma, gamma^-1, Gamma, dGamma) from the metric and its derivatives."""
+    ginv = checked_inverse(g)
+    gam = _christoffel_from(ginv, dg)
+    # d_r g^{mn} = -g^{ma} d_r g_ab g^{bn}
+    dginv = -np.einsum("...mbr,...bn->...mnr",
+                       np.einsum("...ma,...abr->...mbr", ginv, dg), ginv)
+    dgam = 0.5 * (np.einsum("...mlr,...lab->...mabr", dginv, _symmetrized_dg(dg))
+                  + np.einsum("...ml,...labr->...mabr", ginv, _symmetrized_ddg(ddg)))
+    return g, ginv, gam, dgam
+
+
+def _riemann_from(ginv, gam, dgam):
+    """Riemann R^r_{mnl}, Ricci R_ml and the scalar from the Christoffel jets."""
+    # R^r_mnl = d_n G^r_lm - d_l G^r_nm + G^r_ns G^s_lm - G^r_ls G^s_nm
+    # with gg[r, n, l, m] = G^r_ns G^s_lm
+    gg = np.einsum("...rns,...slm->...rnlm", gam, gam)
+    riem = (np.einsum("...rlmn->...rmnl", dgam) - np.einsum("...rnml->...rmnl", dgam)
+            + np.einsum("...rnlm->...rmnl", gg) - np.einsum("...rlnm->...rmnl", gg))
+    ricci = np.einsum("...rmrl->...ml", riem)
+    scalar = _unbatched(np.real(np.einsum("...ml,...ml->...", ginv, ricci)))
+    return riem, ricci, scalar
 
 
 def _symmetrized_dg(dg: np.ndarray) -> np.ndarray:
     # t[l, a, b] = d_b g_la + d_a g_lb - d_l g_ab
-    return dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1)
+    return dg + dg.swapaxes(-1, -2) - dg.swapaxes(-3, -1).swapaxes(-2, -1)
 
 
 def _symmetrized_ddg(ddg: np.ndarray) -> np.ndarray:
     # t[l, a, b, r] = d_r (d_b g_la + d_a g_lb - d_l g_ab)
-    return ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(2, 0, 1, 3)
-
-
-def metric_from_vielbein(e: Vielbein) -> GeneralizedMetric:
-    return e.metric()
-
-
-def christoffel(g: GeneralizedMetric, p: Point) -> ChristoffelSymbols:
-    return g.christoffel(p)
-
-
-def riemann(g: GeneralizedMetric, p: Point) -> CurvatureTensors:
-    return g.curvature(p)
-
-
-def ricci_simplified(g: GeneralizedMetric, p: Point, tol: float = 1e-10) -> np.ndarray:
-    return g.ricci_simplified(p, tol=tol)
-
-
-def volume_element(g: GeneralizedMetric, p: Point) -> VolumeElement:
-    return g.volume_element(p)
+    return ddg + ddg.swapaxes(-3, -2) - ddg.swapaxes(-4, -2).swapaxes(-3, -2)
 
 
 # -- spin connection ---------------------------------------------------------
@@ -331,16 +335,6 @@ def spin_connection(e: Vielbein, p: Point) -> SpinConnection:
                           antisymmetry_residual=anti)
 
 
-def spin_connection_with_derivative(e: Vielbein, p: Point):
-    """(omega, domega, frame curvature) from one order-2 jet pass.
-
-    Frame curvature: R^{ab}_{mn} = d_m omega^{ab}_n - d_n omega^{ab}_m
-    + omega^{ac}_m eta_cd omega^{db}_n - (m <-> n).
-    """
-    fg = frame_geometry(e, p)
-    return fg.omega, fg.domega, fg.frame_curvature
-
-
 @dataclass(frozen=True)
 class FrameGeometry:
     """Everything derivable from one order-2 jet pass over a vielbein."""
@@ -363,14 +357,8 @@ class FrameGeometry:
 def frame_geometry(e: Vielbein, p: Point) -> FrameGeometry:
     eta = e.signature.matrix
     e_val, de, dde = e.jets(p, order=2)
-    g = e.metric()
-    gm, ginv, gam, dgam = g.christoffel_with_derivative(p)
-    riem = (np.einsum("rlmn->rmnl", dgam)
-            - np.einsum("rnml->rmnl", dgam)
-            + np.einsum("rns,slm->rmnl", gam, gam)
-            - np.einsum("rls,snm->rmnl", gam, gam))
-    ricci = np.einsum("rmrl->ml", riem)
-    scalar = float(np.real(np.einsum("ml,ml->", ginv, ricci)))
+    gm, ginv, gam, dgam = _christoffel_jets(*_metric_jets(e_val, de, dde, eta))
+    riem, ricci, scalar = _riemann_from(ginv, gam, dgam)
     einv, eup, deinv, deup, omega = _spin_connection_arrays(e_val, de, gam, eta)
     ddeinv = -(np.einsum("mcs,crt,rb->mbts", deinv, de, einv)
                + np.einsum("mc,crts,rb->mbts", einv, dde, einv)

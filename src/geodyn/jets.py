@@ -6,6 +6,10 @@ on jet-valued coordinates yield exact first and second derivatives in a
 single pass; the finite-difference path in :mod:`geodyn.fields` serves as
 the independent cross-check.
 
+A block jet carries a trailing axis over N points (``val (N,)``, ``grad
+(n, N)``, ``hess (n, n, N)``); with that axis last the same arithmetic
+serves it, using numpy ufuncs where scalar jets call ``math``/``cmath``.
+
 Only smooth operations are provided.  ``abs`` is deliberately absent.
 """
 
@@ -98,8 +102,8 @@ class Jet:
             g = self.grad * other.val + self.val * other.grad
             h = None
             if self.hess is not None and other.hess is not None:
-                cross = np.outer(self.grad, other.grad)
-                h = self.hess * other.val + cross + cross.T + self.val * other.hess
+                cross = _outer(self.grad, other.grad)
+                h = self.hess * other.val + cross + cross.swapaxes(0, 1) + self.val * other.hess
             return Jet(self.val * other.val, g, h)
         h = None if self.hess is None else self.hess * other
         return Jet(self.val * other, self.grad * other, h)
@@ -112,8 +116,8 @@ class Jet:
             g = (self.grad - v * other.grad) / other.val
             h = None
             if self.hess is not None and other.hess is not None:
-                cross = np.outer(g, other.grad)
-                h = (self.hess - cross - cross.T - v * other.hess) / other.val
+                cross = _outer(g, other.grad)
+                h = (self.hess - cross - cross.swapaxes(0, 1) - v * other.hess) / other.val
             return Jet(v, g, h)
         inv = 1.0 / other
         h = None if self.hess is None else self.hess * inv
@@ -165,20 +169,28 @@ def _plain(x):
     return x.val if isinstance(x, Jet) else x
 
 
+def _outer(a, b):
+    # np.outer for scalar jets; keeps a trailing point axis for block jets
+    return a[:, None] * b[None, :]
+
+
 def _chain(x: Jet, f0, f1, f2):
     """Compose an outer scalar function with derivatives f1, f2 at x.val."""
     g = f1 * x.grad
     h = None
     if x.hess is not None:
-        h = f1 * x.hess + f2 * np.outer(x.grad, x.grad)
+        h = f1 * x.hess + f2 * _outer(x.grad, x.grad)
     return Jet(f0, g, h)
 
 
 def variables(coords, order: int = 2) -> tuple:
-    """Seed one jet per coordinate with unit gradient entries."""
+    """Seed one jet per coordinate (a number, or an (N,) array for block jets)."""
     n = len(coords)
-    eye = np.eye(n)
-    return tuple(Jet(xi, eye[i], np.zeros((n, n)) if order == 2 else None)
+    eye, pts = np.eye(n), ()
+    if isinstance(coords[0], np.ndarray):
+        pts = coords[0].shape
+        eye = np.repeat(eye[:, :, None], pts[0], axis=2)
+    return tuple(Jet(xi, eye[i], np.zeros((n, n) + pts) if order == 2 else None)
                  for i, xi in enumerate(coords))
 
 
@@ -187,40 +199,38 @@ def constant(c, n: int, order: int = 2) -> Jet:
     return Jet(c, np.zeros(n), h)
 
 
-def _dispatch(x, real_fn, cplx_fn, f0f1f2):
+def _dispatch(x, fn, f0f1f2):
     if isinstance(x, Jet):
         f0, f1, f2 = f0f1f2(x.val)
         return _chain(x, f0, f1, f2)
-    if isinstance(x, complex) or (isinstance(x, np.generic) and np.iscomplexobj(x)):
-        return cplx_fn(x)
-    return real_fn(x)
+    return fn(x)
 
 
-def _c(fn):
-    """Evaluate a cmath/math function on a possibly-complex scalar."""
+def _c(fn, ufunc):
+    """Evaluate a math/cmath function on a scalar, or its ufunc on an array."""
     real, cplx = getattr(math, fn), getattr(cmath, fn)
 
     def apply(v):
-        if isinstance(v, float) or not (isinstance(v, complex) or np.iscomplexobj(v)):
+        if isinstance(v, float):
             return real(v)
-        return cplx(v)
+        if isinstance(v, np.ndarray):
+            return ufunc(v)
+        return cplx(v) if isinstance(v, complex) or np.iscomplexobj(v) else real(v)
     return apply
 
 
-_sin, _cos, _tan = _c("sin"), _c("cos"), _c("tan")
-_exp, _log, _sqrt = _c("exp"), _c("log"), _c("sqrt")
-_sinh, _cosh, _tanh = _c("sinh"), _c("cosh"), _c("tanh")
-_atan = _c("atan")
+_sin, _cos, _tan = _c("sin", np.sin), _c("cos", np.cos), _c("tan", np.tan)
+_exp, _log, _sqrt = _c("exp", np.exp), _c("log", np.log), _c("sqrt", np.sqrt)
+_sinh, _cosh, _tanh = _c("sinh", np.sinh), _c("cosh", np.cosh), _c("tanh", np.tanh)
+_atan = _c("atan", np.arctan)
 
 
 def sin(x):
-    return _dispatch(x, math.sin, cmath.sin,
-                     lambda v: (_sin(v), _cos(v), -_sin(v)))
+    return _dispatch(x, _sin, lambda v: (_sin(v), _cos(v), -_sin(v)))
 
 
 def cos(x):
-    return _dispatch(x, math.cos, cmath.cos,
-                     lambda v: (_cos(v), -_sin(v), -_cos(v)))
+    return _dispatch(x, _cos, lambda v: (_cos(v), -_sin(v), -_cos(v)))
 
 
 def tan(x):
@@ -228,36 +238,33 @@ def tan(x):
         t = _tan(v)
         s = 1.0 + t * t
         return (t, s, 2.0 * t * s)
-    return _dispatch(x, math.tan, cmath.tan, derivs)
+    return _dispatch(x, _tan, derivs)
 
 
 def exp(x):
     def derivs(v):
         e = _exp(v)
         return (e, e, e)
-    return _dispatch(x, math.exp, cmath.exp, derivs)
+    return _dispatch(x, _exp, derivs)
 
 
 def log(x):
-    return _dispatch(x, math.log, cmath.log,
-                     lambda v: (_log(v), 1.0 / v, -1.0 / (v * v)))
+    return _dispatch(x, _log, lambda v: (_log(v), 1.0 / v, -1.0 / (v * v)))
 
 
 def sqrt(x):
     def derivs(v):
         s = _sqrt(v)
         return (s, 0.5 / s, -0.25 / (s * v))
-    return _dispatch(x, math.sqrt, cmath.sqrt, derivs)
+    return _dispatch(x, _sqrt, derivs)
 
 
 def sinh(x):
-    return _dispatch(x, math.sinh, cmath.sinh,
-                     lambda v: (_sinh(v), _cosh(v), _sinh(v)))
+    return _dispatch(x, _sinh, lambda v: (_sinh(v), _cosh(v), _sinh(v)))
 
 
 def cosh(x):
-    return _dispatch(x, math.cosh, cmath.cosh,
-                     lambda v: (_cosh(v), _sinh(v), _cosh(v)))
+    return _dispatch(x, _cosh, lambda v: (_cosh(v), _sinh(v), _cosh(v)))
 
 
 def tanh(x):
@@ -265,14 +272,14 @@ def tanh(x):
         t = _tanh(v)
         s = 1.0 - t * t
         return (t, s, -2.0 * t * s)
-    return _dispatch(x, math.tanh, cmath.tanh, derivs)
+    return _dispatch(x, _tanh, derivs)
 
 
 def arctan(x):
     def derivs(v):
         d = 1.0 / (1.0 + v * v)
         return (_atan(v), d, -2.0 * v * d * d)
-    return _dispatch(x, math.atan, cmath.atan, derivs)
+    return _dispatch(x, _atan, derivs)
 
 
 def conjugate(x):

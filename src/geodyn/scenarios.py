@@ -2,9 +2,8 @@
 
 A scenario is an ordinary configuration dict (schema geodyn-config-v1); the
 builtins below double as format documentation.  run_scenario executes every
-task in config order and returns a RunReport; tasks are independent and may
-run concurrently, but the report and the CSV artifacts are assembled in
-config order so outputs are deterministic.
+task in config order, in one thread, and returns a RunReport whose results
+and CSV artifacts follow that order, so outputs are deterministic.
 
 CSV artifacts carry no timings and format floats with 17 significant digits,
 so a rerun with the same config and seed is byte-identical.  Timings go to
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,6 +232,8 @@ def _run_axioms(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     if not t.first_order_claimed:
         rows.append(("first_order", report.first_order, False))
         summary["first_order_unclaimed_residual"] = report.first_order
+    if not t.dirac_hermitian_claimed:
+        rows.append(("dirac_hermitian", report.dirac_hermitian, False))
     if task.get("fluctuations", True) and t.k is not None:
         dim_omega, basis = fluctuation_space(t)
         summary["omega1_dimension"] = dim_omega
@@ -341,8 +341,7 @@ _RUNNERS = {
 
 
 def run_scenario(obj: dict, name: str = "custom", seed: int = 0,
-                 grid_override: int | None = None,
-                 workers: int = 1) -> RunReport:
+                 grid_override: int | None = None) -> RunReport:
     """Validate, build, run every task in config order."""
     diags = validate_config(obj)
     if diags:
@@ -369,12 +368,7 @@ def run_scenario(obj: dict, name: str = "custom", seed: int = 0,
                           summary=out.get("summary", {}),
                           duration=time.perf_counter() - t0)
 
-    items = list(enumerate(scn.tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(exec_task, items))
-    else:
-        results = [exec_task(it) for it in items]
+    results = [exec_task(it) for it in enumerate(scn.tasks)]
     return RunReport(name=name, seed=seed, results=results,
                      duration=time.perf_counter() - started)
 

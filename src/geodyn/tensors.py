@@ -9,7 +9,9 @@ caller explicitly requests a metric-free frame trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +56,7 @@ class Point:
 
     def __post_init__(self):
         vals = tuple(float(c) for c in self.coords)
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"non-finite coordinates: {vals}")
         if not 1 <= len(vals) <= MAX_DIM:
             raise ValueError(f"dimension {len(vals)} outside supported range 1..{MAX_DIM}")
@@ -100,9 +102,12 @@ class MinkowskiSignature:
     def dim(self) -> int:
         return len(self.signs)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return np.diag(np.array(self.signs, dtype=float))
+        # built once, as every metric jet pass reads it; shared, so read-only
+        eta = np.diag(np.array(self.signs, dtype=float))
+        eta.setflags(write=False)
+        return eta
 
     @property
     def is_euclidean(self) -> bool:
@@ -205,21 +210,26 @@ def raise_lower(t: TensorValue, i: int, metric: TensorValue, direction: str) -> 
     return TensorValue(data, tuple(var), t.kinds)
 
 
-def checked_det(m: np.ndarray, rel: float = 1e-13) -> float:
+def checked_det(m: np.ndarray, rel: float = 1e-13):
     """Determinant with the shared singularity policy.
 
     Raises :class:`SingularMetricError` when ``|det| < rel * scale**n``
-    where scale is the largest row norm; callers never see NaN.
+    where scale is the largest row norm; callers never see NaN.  ``m`` may
+    carry leading batch axes; the rule then holds per matrix and the error
+    names the first failing one in index order.
     """
     m = np.asarray(m)
-    n = m.shape[0]
+    n = m.shape[-1]
     det = np.linalg.det(m)
-    scale = max(np.sqrt((np.abs(m) ** 2).sum(axis=1)).max(), 1e-300)
+    scale = np.sqrt((np.abs(m) ** 2).sum(axis=-1)).max(axis=-1, initial=1e-300)
     # <= so an exactly zero matrix trips the guard even after the
     # threshold underflows to 0 with the 1e-300 scale floor
-    if abs(det) <= rel * scale ** n:
+    bad = abs(det) <= rel * scale ** n
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad.ravel()))
+        where = f" at batch index {i}" if bad.ndim else ""
         raise SingularMetricError(
-            f"determinant {det:.3e} below threshold {rel:.0e}*scale^{n}")
+            f"determinant {det.ravel()[i]:.3e} below threshold {rel:.0e}*scale^{n}{where}")
     return det
 
 

@@ -16,6 +16,7 @@ from geodyn.action import (
     field_equation_residual,
     gaussian_cutoff,
     heat_kernel_coefficients,
+    _integrate_many,
     integrate_scalar,
     make_cutoff,
     moments,
@@ -107,22 +108,22 @@ def test_grid_and_region_validation():
         Region(lo=(0.0,), hi=(1.0,), periodic=(True, False))
 
 
-def test_thread_pool_does_not_change_the_sum(monkeypatch):
-    region = Region(lo=(0.0, 0.0), hi=(1.0, 3.0))
+def test_batched_integral_equals_per_point_integral():
+    # the per-point adapter and a block density share one driver and one sum
+    region = Region(lo=(0.0, 0.0), hi=(1.0, 3.0), periodic=(False, True))
     grid = GridSpec((31, 17))
 
     def fn(c):
-        return np.sin(3.0 * c[0]) * np.exp(-c[1]) + c[0] * c[1]
+        return c[0] * c[0] * c[1] + 3.0 * c[0] - c[1] * c[1] * c[1]
 
-    monkeypatch.setenv("GEODYN_THREADS", "1")
-    v1, e1, _ = integrate_scalar(fn, region, grid)
-    monkeypatch.setenv("GEODYN_THREADS", "4")
-    v4, e4, _ = integrate_scalar(fn, region, grid)
-    assert v1 == v4
-    assert e1 == e4
-    monkeypatch.setenv("GEODYN_THREADS", "not-a-number")
-    v_bad, _, _ = integrate_scalar(fn, region, grid)
-    assert v_bad == v1
+    def density(block):
+        x, y = block[:, 0], block[:, 1]
+        return (x * x * y + 3.0 * x - y * y * y)[:, None]
+
+    value, err, meta = integrate_scalar(fn, region, grid)
+    fine, ferr, fmeta, vals = _integrate_many(density, region, grid)
+    assert value == fine[0] and err == ferr[0]
+    assert meta == fmeta and vals.shape == (31 * 17, 1)
 
 
 def test_flat_box_heat_kernel_closed_forms():

@@ -127,3 +127,10 @@ def test_collect_dtype_and_shape_rules():
     dropped = ChartField(dim=3, shape=(2,), func=lambda c: [c[0], Jet(c[1].val, c[1].grad)])
     with pytest.raises(ValueError, match="dropped the Hessian"):
         dropped.jets(p, order=2)
+    # a block puts the point axis first and broadcasts constant entries over it
+    block = np.array([p.coords, (1.0, 2.0, 3.0)])
+    val, d1, d2 = real.jets(block, order=2)
+    assert (val.shape, d1.shape, d2.shape) == ((2, 2, 2), (2, 2, 2, 3), (2, 2, 2, 3, 3))
+    assert val[:, 0, 1].tolist() == [0.0, 0.0] and d1[1, 0, 0].tolist() == [2.0, 1.0, 0.0]
+    val, d1, d2 = const.jets(block, order=1)
+    assert val.dtype == d1.dtype == complex and val[:, 1].tolist() == [2.0 + 1.0j] * 2

@@ -13,12 +13,10 @@ from geodyn.geometry import (
     dirac_matrices,
     flat_gamma_matrices,
     frame_geometry,
-    ricci_simplified,
     sigma_matrices,
     sigma_squared,
     solve_vielbein_along_line,
     spin_connection,
-    volume_element,
 )
 from geodyn.jets import cos, sin
 from geodyn.library import flat, polar, schwarzschild, sphere2
@@ -150,14 +148,14 @@ def test_ricci_simplified_matches_full_pipeline_in_unit_volume():
 
     g = GeneralizedMetric(2, gamma_field=ChartField(dim=2, shape=(2, 2), func=func))
     p = Point((0.4, -0.8))
-    simplified = ricci_simplified(g, p)
+    simplified = g.ricci_simplified(p)
     full = g.curvature(p).ricci
     assert np.abs(simplified - full).max() < 1e-10
 
 
 def test_ricci_simplified_guards():
     with pytest.raises(CoordinateConditionError):
-        ricci_simplified(sphere2().metric(), Point((0.7, 0.2)))
+        sphere2().metric().ricci_simplified(Point((0.7, 0.2)))
 
     # unit determinant at the point but varying: contracted symbols nonzero
     def func(coords):
@@ -169,7 +167,7 @@ def test_ricci_simplified_guards():
 
     g = GeneralizedMetric(2, gamma_field=ChartField(dim=2, shape=(2, 2), func=func))
     with pytest.raises(CoordinateConditionError):
-        ricci_simplified(g, Point((0.0, 0.0)))
+        g.ricci_simplified(Point((0.0, 0.0)))
 
 
 def test_generalized_metric_requires_one_backing():
@@ -202,12 +200,12 @@ def test_metric_field_route_matches_vielbein_route():
 
 def test_volume_elements():
     p = Point((0.8, 0.3))
-    v = volume_element(sphere2().metric(), p)
+    v = sphere2().metric().volume_element(p)
     assert v.mode == "euclidean"
     assert abs(v.value - np.sin(0.8)) < 1e-14
 
     q = Point((0.0, 5.0, 0.8, 0.3))
-    w = volume_element(schwarzschild().metric(), q)
+    w = schwarzschild().metric().volume_element(q)
     assert w.mode == "lorentzian"
     assert w.det < 0
     assert abs(w.value - 25.0 * np.sin(0.8)) < 1e-12

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geodyn.scenarios import run_scenario
+from geodyn.scenarios import format_csv, run_scenario
 from geodyn.triples import (
     AlgebraElement,
     FiniteTriple,
@@ -212,6 +212,11 @@ def test_sm_axioms_task_reports_unclaimed_fluctuated_hermiticity():
     rows = {name: (residual, claimed) for name, residual, claimed in res.rows}
     assert rows["fluctuated_dirac_hermitian"] == (pytest.approx(0.3, abs=1e-15), False)
     assert rows["unimodular_trace"][1] is True
+    # D's own Hermiticity residual gets an unclaimed row too
+    assert rows["dirac_hermitian"] == (pytest.approx(0.3, abs=1e-15), False)
+    csv_rows = [line.split(",") for line in format_csv(res).splitlines()]
+    row = next(r for r in csv_rows if r[0] == "dirac_hermitian")
+    assert float(row[1]) == pytest.approx(0.3, abs=1e-15) and row[2] == "false"
 
 
 def test_sm_triple_hermitian_for_symmetric_quarks_without_leptons():
