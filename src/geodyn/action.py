@@ -34,7 +34,7 @@ from .connection import (
 )
 from .fields import ChartField
 from .geometry import GeneralizedMetric, Vielbein, sigma_squared
-from .tensors import Point, SingularMetricError
+from .tensors import Point, SingularMetricError, checked_det
 
 __all__ = [
     "CutoffFunction",
@@ -339,16 +339,19 @@ def heat_kernel_coefficients(data: HeatKernelData, region: Region,
     sig_sq = data.resolved_sigma_sq() if data.aa_mode == "metric" else None
 
     def density(block):
-        vol = data.metric.volume_element(block).value
+        if data.aa_mode == "blocks":
+            vol = data.metric.volume_element(block).value
+            aa = np.array([curvature_squared(curvature(data.connection, Point(x)),
+                                             data.reparam).total for x in block.tolist()])
+        else:
+            # the curvature pass's gamma gives the volume; no second jet pass
+            ct = data.metric.curvature(block)
+            vol = np.sqrt(np.abs(checked_det(ct.gamma)))
+            aa = sig_sq * ct.riemann_squared()
         if data.e_term is not None:
             e_val, e_lap = _laplacian_of_scalar(data.metric, data.e_term, block)
         else:
             e_val, e_lap = 0.0, 0.0
-        if data.aa_mode == "blocks":
-            aa = np.array([curvature_squared(curvature(data.connection, Point(x)),
-                                             data.reparam).total for x in block.tolist()])
-        else:
-            aa = sig_sq * data.metric.curvature(block).riemann_squared()
         return np.stack([vol, e_val * vol,
                          (6.0 * e_val ** 2 + 2.0 * e_lap + aa) * vol], axis=-1)
 
@@ -770,7 +773,7 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
 
     def density(block):
         ct = gm.curvature(block)
-        vol_el = gm.volume_element(block).value
+        vol_el = np.sqrt(np.abs(checked_det(ct.gamma)))
         if connection is not None:
             rows = []
             for x in block.tolist():

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .action import CUTOFF_BUILTINS
-from .config import load_config, validate_config
+from .config import ConfigError, load_config, validate_config
 from .library import BUILTIN_FRAMES
 from .scenarios import BUILTIN_SCENARIOS, builtin_config, format_csv, run_scenario
 
@@ -58,16 +58,15 @@ def _resolve_config(arg: str):
 
 def _cmd_run(args) -> int:
     name, obj, diags = _resolve_config(args.config)
-    if obj is None:
-        for d in diags:
+    try:
+        if obj is None:
+            raise ConfigError(diags)
+        report = run_scenario(obj, name=name, seed=args.seed,
+                              grid_override=args.grid)
+    except ConfigError as e:
+        for d in e.diagnostics:
             print(d, file=sys.stderr)
         return 2
-    diags = diags + validate_config(obj)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return 2
-    report = run_scenario(obj, name=name, seed=args.seed, grid_override=args.grid)
     os.makedirs(args.out, exist_ok=True)
     for result in report.results:
         path = os.path.join(args.out, result.csv_name)

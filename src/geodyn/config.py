@@ -7,9 +7,13 @@ Field entries are expression strings over the chart coordinates (see
 exprs.py for the grammar); complex matrix entries are numbers or
 {"re": x, "im": y} objects.
 
-validate_config returns every problem it can find, not just the first; each
-diagnostic carries the config path of the offending entry.  build_scenario
-assumes a valid config and constructs the runtime objects.
+Checking a config and building it are one parse.  Each section parser checks
+the JSON shape of its entries, builds its runtime object (compiling each
+expression once), records the constructor's own ValueError, TypeError or
+KeyError as a diagnostic at the section's path, and moves on, so one pass
+reports every problem it can find.  validate_config returns those
+diagnostics; build_scenario returns the Scenario or raises ConfigError with
+all of them, so a config builds exactly when it validates.
 """
 
 from __future__ import annotations
@@ -21,18 +25,18 @@ import numpy as np
 
 from .action import CUTOFF_BUILTINS, CutoffFunction, GridSpec, Region
 from .connection import (ConnectionConstants, ConnectionForm, HiggsField,
-                         SMGaugeConfig, assemble_connection)
-from .exprs import (ExpressionError, compile_expression,
-                    default_coordinate_names)
+                         SMGaugeConfig, assemble_connection, checked_coupling)
+from .exprs import compile_expression, default_coordinate_names
 from .fields import ChartField
 from .geometry import Vielbein
 from .library import BUILTIN_FRAMES, diagonal_vielbein, make_builtin_frame
-from .tensors import MinkowskiSignature
+from .tensors import MAX_DIM, MinkowskiSignature
 from .triples import (FiniteTriple, YukawaData, build_sm_finite,
                       lepton_triple, two_point_triple)
 
 __all__ = [
     "SCHEMA_VERSION",
+    "ConfigError",
     "Diagnostic",
     "Scenario",
     "load_config",
@@ -65,9 +69,18 @@ class Diagnostic:
         return f"{self.path}: {self.message}"
 
 
+class ConfigError(ValueError):
+    """A config that does not build; ``diagnostics`` lists every problem."""
+
+    def __init__(self, diagnostics):
+        self.diagnostics = list(diagnostics)
+        super().__init__("invalid config:\n"
+                         + "\n".join(str(d) for d in self.diagnostics))
+
+
 @dataclass
 class Scenario:
-    """Runtime objects built from a validated configuration."""
+    """Runtime objects built from a valid configuration."""
 
     dim: int
     signature: MinkowskiSignature
@@ -99,7 +112,20 @@ def load_config(path: str):
     return obj, []
 
 
-# -- validation helpers -----------------------------------------------------------
+def validate_config(obj) -> list:
+    """Every problem one parse of obj finds; an empty list means it builds."""
+    return _parse(obj)[1]
+
+
+def build_scenario(obj) -> Scenario:
+    """The runtime objects of obj; raises ConfigError listing every problem."""
+    scenario, diags = _parse(obj)
+    if diags:
+        raise ConfigError(diags)
+    return scenario
+
+
+# -- entry helpers ----------------------------------------------------------------
 
 
 def _is_num(v) -> bool:
@@ -112,333 +138,419 @@ def _num_list(v, n=None) -> bool:
     return n is None or len(v) == n
 
 
-def _complex_entry_ok(v) -> bool:
-    if _is_num(v):
+def _built(diags, path, make, *args, **kwargs):
+    """make(*args, **kwargs), or None with its error as a diagnostic at path."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError, KeyError) as e:
+        # str() of a KeyError is the repr of its message
+        diags.append(Diagnostic(path, str(e.args[0] if isinstance(e, KeyError)
+                                          and e.args else e)))
+        return None
+
+
+def _known(diags, path, name, table) -> bool:
+    if isinstance(name, str) and name in table:
         return True
-    if isinstance(v, dict):
-        return set(v) <= {"re", "im"} and all(_is_num(x) for x in v.values())
+    diags.append(Diagnostic(path, f"unknown builtin {name!r}; known: "
+                                  f"{', '.join(sorted(table))}"))
     return False
 
 
-def _parse_complex(v) -> complex:
+def _complex(v):
+    """A number or {re, im} object as a complex; None for anything else."""
     if _is_num(v):
         return complex(v)
-    return complex(v.get("re", 0.0), v.get("im", 0.0))
+    if (isinstance(v, dict) and set(v) <= {"re", "im"}
+            and all(_is_num(x) for x in v.values())):
+        return complex(v.get("re", 0.0), v.get("im", 0.0))
+    return None
 
 
-def _parse_matrix(rows) -> np.ndarray:
-    return np.array([[_parse_complex(x) for x in row] for row in rows])
-
-
-def _check_matrix(diags, rows, path, shape=None):
+def _matrix(diags, rows, path, shape):
+    """Complex matrix of the required shape (None: any), or None."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         diags.append(Diagnostic(path, "must be a list of rows"))
-        return
+        return None
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         diags.append(Diagnostic(path, "rows have unequal lengths"))
-        return
-    for i, row in enumerate(rows):
+        return None
+    n = len(diags)
+    out = [[_complex(x) for x in row] for row in rows]
+    for i, row in enumerate(out):
         for j, entry in enumerate(row):
-            if not _complex_entry_ok(entry):
+            if entry is None:
                 diags.append(Diagnostic(f"{path}[{i}][{j}]",
                                         "entry must be a number or {re, im}"))
-    if shape is not None:
-        got = (len(rows), next(iter(widths)) if widths else 0)
-        if got != tuple(shape):
-            diags.append(Diagnostic(path, f"shape {got} != required {tuple(shape)}"))
+    got = (len(rows), next(iter(widths), 0))
+    if shape is not None and got != shape:
+        diags.append(Diagnostic(path, f"shape {got} != required {shape}"))
+    return np.array(out) if len(diags) == n else None
 
 
-def _check_expr(diags, source, coords, path):
-    try:
-        compile_expression(source, coords)
-    except ExpressionError as e:
-        diags.append(Diagnostic(path, str(e)))
+def _compiled(diags, sources, shape, coords, path):
+    """Object array of compiled expressions of the given shape, or None."""
+    if not isinstance(sources, list) or len(sources) != shape[0]:
+        what = (f"a list of {shape[0]} expressions" if len(shape) == 1
+                else f"{shape[0]} rows of {shape[1]} expressions")
+        diags.append(Diagnostic(path, f"must be {what}"))
+        return None
+    n = len(diags)
+    out = np.empty(shape, dtype=object)
+    for i, src in enumerate(sources):
+        if len(shape) == 1:
+            out[i] = _built(diags, f"{path}[{i}]", compile_expression, src, coords)
+        else:
+            out[i] = _compiled(diags, src, shape[1:], coords, f"{path}[{i}]")
+    return out if len(diags) == n else None
 
 
-def _check_expr_list(diags, values, n, coords, path):
-    if not isinstance(values, list) or len(values) != n:
-        diags.append(Diagnostic(path, f"must be a list of {n} expressions"))
-        return
-    for i, src in enumerate(values):
-        _check_expr(diags, src, coords, f"{path}[{i}]")
+def _expr_field(compiled) -> ChartField:
+    """ChartField whose entries are the compiled expressions (object dtype);
+    the last axis of every configured field runs over the chart dimension."""
+    shape = compiled.shape
+
+    def func(c):
+        out = np.empty(shape, dtype=object)
+        for idx in np.ndindex(*shape):
+            out[idx] = compiled[idx](c)
+        return out
+
+    return ChartField(dim=shape[-1], shape=shape, func=func)
 
 
-# -- validation -------------------------------------------------------------------
+# -- the parse --------------------------------------------------------------------
 
 
-def validate_config(obj) -> list:
-    """Exhaustive diagnostics; an empty list means the config is valid."""
-    diags: list = []
+def _parse(obj):
+    """(Scenario or None, diagnostics) from one pass over every section."""
     if not isinstance(obj, dict):
-        return [Diagnostic("<root>", "config must be a JSON object")]
+        return None, [Diagnostic("<root>", "config must be a JSON object")]
+    diags: list = []
     if obj.get("schema") != SCHEMA_VERSION:
         diags.append(Diagnostic("schema",
                                 f"must be {SCHEMA_VERSION!r}, got {obj.get('schema')!r}"))
-
     known = {"schema", "chart", "frame", "gauge", "higgs", "finite_triple",
              "cutoff", "constants", "tasks"}
     for key in sorted(set(obj) - known):
         diags.append(Diagnostic(key, "unknown section"))
 
-    dim, coords = _validate_chart(diags, obj.get("chart"))
-    _validate_frame(diags, obj.get("frame"), dim, coords)
-    has_gauge = _validate_gauge(diags, obj.get("gauge"), dim, coords)
-    has_higgs = _validate_higgs(diags, obj.get("higgs"), coords)
-    has_triple = _validate_triple(diags, obj.get("finite_triple"))
-    has_cutoff = _validate_cutoff(diags, obj.get("cutoff"))
-    _validate_constants(diags, obj.get("constants"))
-    _validate_tasks(diags, obj.get("tasks"), dim,
-                    has_gauge=has_gauge, has_higgs=has_higgs,
-                    has_triple=has_triple, has_cutoff=has_cutoff)
-    return diags
+    dim, coords, signature, region, grid = _parse_chart(diags, obj.get("chart"))
+    frame = _parse_frame(diags, obj.get("frame"), dim, coords, signature)
+    gauge = _parse_gauge(diags, obj.get("gauge"), dim, coords)
+    higgs, constants = _parse_higgs(diags, obj.get("higgs"), dim, coords)
+    triple = _parse_triple(diags, obj.get("finite_triple"))
+    cutoff = _parse_cutoff(diags, obj.get("cutoff"))
+    _check_constants(diags, obj.get("constants"))
+    has = {key: isinstance(obj.get(key), dict)
+           for key in ("gauge", "higgs", "finite_triple", "cutoff")}
+    _check_tasks(diags, obj.get("tasks"), dim, has_gauge=has["gauge"],
+                 has_higgs=has["higgs"], has_triple=has["finite_triple"],
+                 has_cutoff=has["cutoff"])
+    if diags:
+        return None, diags
+
+    connection = None
+    if has["gauge"] or has["higgs"]:
+        connection = assemble_connection(frame, gauge or SMGaugeConfig.zero(dim),
+                                         higgs or HiggsField.zero(dim), constants)
+    return Scenario(dim=dim, signature=signature, coordinates=coords,
+                    region=region, grid=grid, frame=frame,
+                    connection=connection, triple=triple, cutoff=cutoff,
+                    constants=dict(obj.get("constants", {})),
+                    tasks=list(obj["tasks"]), raw=obj), []
 
 
-def _validate_chart(diags, chart):
+def _parse_chart(diags, chart):
+    """(dim, coordinates, signature, region, grid); None marks a failed part."""
     if not isinstance(chart, dict):
         diags.append(Diagnostic("chart", "required section missing or not an object"))
-        return None, None
+        return None, None, None, None, None
     dim = chart.get("dimension")
-    if not isinstance(dim, int) or dim < 1 or dim > 8:
-        diags.append(Diagnostic("chart.dimension", "must be an integer in 1..8"))
+    if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+        diags.append(Diagnostic("chart.dimension",
+                                f"must be an integer in 1..{MAX_DIM}"))
         dim = None
     sig = chart.get("signature", "euclidean")
     if sig not in ("euclidean", "lorentzian"):
         diags.append(Diagnostic("chart.signature",
                                 "must be 'euclidean' or 'lorentzian'"))
-    coords = None
-    if dim is not None:
-        coords = chart.get("coordinates", list(default_coordinate_names(dim)))
-        if (not isinstance(coords, list) or len(coords) != dim
-                or not all(isinstance(c, str) and c.isidentifier() for c in coords)):
-            diags.append(Diagnostic("chart.coordinates",
-                                    f"must be {dim} identifier strings"))
-            coords = None
-        elif len(set(coords)) != dim:
-            diags.append(Diagnostic("chart.coordinates", "names must be distinct"))
-            coords = None
     box = chart.get("box")
     if not isinstance(box, dict) or "lo" not in box or "hi" not in box:
         diags.append(Diagnostic("chart.box", "must be an object with lo and hi"))
-    elif dim is not None:
+        box = None
+    if dim is None:
+        return None, None, None, None, None
+
+    signature = None
+    if sig in ("euclidean", "lorentzian"):
+        signature = (MinkowskiSignature.lorentzian(dim) if sig == "lorentzian"
+                     else MinkowskiSignature.euclidean(dim))
+    coords = chart.get("coordinates", list(default_coordinate_names(dim)))
+    if (not isinstance(coords, list) or len(coords) != dim
+            or not all(isinstance(c, str) and c.isidentifier() for c in coords)):
+        diags.append(Diagnostic("chart.coordinates",
+                                f"must be {dim} identifier strings"))
+        coords = None
+    elif len(set(coords)) != dim:
+        diags.append(Diagnostic("chart.coordinates", "names must be distinct"))
+        coords = None
+    periodic = chart.get("periodic", [False] * dim)
+    if (not isinstance(periodic, list) or len(periodic) != dim
+            or not all(isinstance(b, bool) for b in periodic)):
+        diags.append(Diagnostic("chart.periodic", f"must be {dim} booleans"))
+        periodic = []
+    region = None
+    if box is not None:
         for key in ("lo", "hi"):
             if not _num_list(box[key], dim):
-                diags.append(Diagnostic(f"chart.box.{key}",
-                                        f"must be {dim} numbers"))
-        if (_num_list(box.get("lo"), dim) and _num_list(box.get("hi"), dim)
-                and any(h <= l for l, h in zip(box["lo"], box["hi"]))):
-            diags.append(Diagnostic("chart.box", "each hi must exceed its lo"))
-    grid = chart.get("grid")
-    if dim is not None and grid is not None:
-        if (not isinstance(grid, list) or len(grid) != dim
-                or not all(isinstance(n, int) and n >= 2 for n in grid)):
-            diags.append(Diagnostic("chart.grid",
-                                    f"must be {dim} integers, each >= 2"))
-    periodic = chart.get("periodic")
-    if dim is not None and periodic is not None:
-        if (not isinstance(periodic, list) or len(periodic) != dim
-                or not all(isinstance(b, bool) for b in periodic)):
-            diags.append(Diagnostic("chart.periodic",
-                                    f"must be {dim} booleans"))
-    return dim, tuple(coords) if coords else None
+                diags.append(Diagnostic(f"chart.box.{key}", f"must be {dim} numbers"))
+        if _num_list(box["lo"], dim) and _num_list(box["hi"], dim):
+            region = _built(diags, "chart.box", Region, tuple(box["lo"]),
+                            tuple(box["hi"]), tuple(periodic))
+    grid = chart.get("grid", [5] * dim)
+    if (not isinstance(grid, list) or len(grid) != dim
+            or not all(isinstance(n, int) for n in grid)):
+        diags.append(Diagnostic("chart.grid", f"must be {dim} integers"))
+        grid = None
+    else:
+        grid = _built(diags, "chart.grid", GridSpec, tuple(grid))
+    return dim, None if coords is None else tuple(coords), signature, region, grid
 
 
-def _validate_frame(diags, frame, dim, coords):
+def _parse_frame(diags, frame, dim, coords, signature):
     if not isinstance(frame, dict):
         diags.append(Diagnostic("frame", "required section missing or not an object"))
-        return
+        return None
     kinds = [k for k in ("builtin", "diagonal", "matrix") if k in frame]
     if len(kinds) != 1:
         diags.append(Diagnostic("frame",
                                 "provide exactly one of builtin, diagonal, matrix"))
-        return
+        return None
     kind = kinds[0]
     if kind == "builtin":
-        name = frame["builtin"]
-        if name not in BUILTIN_FRAMES:
-            diags.append(Diagnostic("frame.builtin",
-                                    f"unknown builtin {name!r}; known: "
-                                    f"{', '.join(sorted(BUILTIN_FRAMES))}"))
-            return
-        params = frame.get("parameters", {})
-        defaults = BUILTIN_FRAMES[name][1]
-        for key in params:
-            if key not in defaults:
-                diags.append(Diagnostic(f"frame.parameters.{key}",
-                                        f"builtin {name!r} takes no such parameter"))
-        if dim is not None:
-            built_dim = _builtin_frame_dim(name, params)
-            if built_dim is not None and built_dim != dim:
-                diags.append(Diagnostic("frame.builtin",
-                                        f"frame dimension {built_dim} != "
-                                        f"chart dimension {dim}"))
-    elif coords is not None and dim is not None:
-        if kind == "diagonal":
-            _check_expr_list(diags, frame["diagonal"], dim, coords, "frame.diagonal")
-        else:
-            rows = frame["matrix"]
-            if not isinstance(rows, list) or len(rows) != dim:
-                diags.append(Diagnostic("frame.matrix",
-                                        f"must be {dim} rows of {dim} expressions"))
-            else:
-                for i, row in enumerate(rows):
-                    _check_expr_list(diags, row, dim, coords, f"frame.matrix[{i}]")
+        built = _parse_builtin_frame(diags, frame)
+        if built is not None and dim is not None and built.dim != dim:
+            diags.append(Diagnostic("frame.builtin", f"frame dimension {built.dim} "
+                                                     f"!= chart dimension {dim}"))
+            return None
+        return built
+    if coords is None:
+        return None
+    shape = (dim,) if kind == "diagonal" else (dim, dim)
+    entries = _compiled(diags, frame[kind], shape, coords, f"frame.{kind}")
+    if entries is None or signature is None:
+        return None
+    if kind == "diagonal":
+        return diagonal_vielbein(list(entries), signature, name="config-diagonal")
+    return Vielbein(field=_expr_field(entries), signature=signature)
 
 
-def _builtin_frame_dim(name: str, params: dict):
-    if name == "flat":
-        d = params.get("dim", BUILTIN_FRAMES["flat"][1]["dim"])
-        return d if isinstance(d, int) else None
-    return {"polar": 2, "sphere2": 2, "schwarzschild": 4,
-            "sphere2-cross-flat2": 4}.get(name)
+def _parse_builtin_frame(diags, frame):
+    name, params = frame["builtin"], frame.get("parameters", {})
+    if not _known(diags, "frame.builtin", name, BUILTIN_FRAMES):
+        return None
+    if not isinstance(params, dict):
+        diags.append(Diagnostic("frame.parameters", "must be an object"))
+        return None
+    unknown = [key for key in params if key not in BUILTIN_FRAMES[name][1]]
+    for key in unknown:
+        diags.append(Diagnostic(f"frame.parameters.{key}",
+                                f"builtin {name!r} takes no such parameter"))
+    if unknown:
+        return None
+    return _built(diags, "frame.parameters", make_builtin_frame, name, params)
 
 
-def _validate_gauge(diags, gauge, dim, coords) -> bool:
+_GAUGE_FIELDS = {"b": ("g1", ()), "w": ("g2", (3,)), "g": ("g3", (8,))}
+
+
+def _parse_gauge(diags, gauge, dim, coords):
     if gauge is None:
-        return False
+        return None
     if not isinstance(gauge, dict):
         diags.append(Diagnostic("gauge", "must be an object"))
-        return False
+        return None
+    n = len(diags)
     couplings = gauge.get("couplings", {})
     if not isinstance(couplings, dict):
         diags.append(Diagnostic("gauge.couplings", "must be an object"))
         couplings = {}
-    needed = {"b": "g1", "w": "g2", "g": "g3"}
-    present = [k for k in ("b", "w", "g") if k in gauge]
-    if not present:
+    if not any(fld in gauge for fld in _GAUGE_FIELDS):
         diags.append(Diagnostic("gauge", "needs at least one of b, w, g"))
-    for fld in present:
-        cname = needed[fld]
+    values = {}
+    for fld, (cname, _) in _GAUGE_FIELDS.items():
+        path = f"gauge.couplings.{cname}"
         if cname not in couplings:
-            diags.append(Diagnostic(f"gauge.couplings.{cname}",
-                                    f"required because gauge.{fld} is present"))
-        elif not (_is_num(couplings[cname]) and couplings[cname] > 0):
-            diags.append(Diagnostic(f"gauge.couplings.{cname}",
-                                    "must be a positive number"))
-    if coords is None or dim is None:
-        return True
-    if "b" in gauge:
-        _check_expr_list(diags, gauge["b"], dim, coords, "gauge.b")
-    for fld, rows_n in (("w", 3), ("g", 8)):
+            if fld in gauge:
+                diags.append(Diagnostic(path, f"required because gauge.{fld} is present"))
+        elif _is_num(couplings[cname]):
+            values[cname] = _built(diags, path, checked_coupling, cname, couplings[cname])
+        else:
+            diags.append(Diagnostic(path, "must be a number"))
+    if coords is None:
+        return None
+    zero = SMGaugeConfig.zero(dim)
+    fields = {}
+    for fld, (_, rows) in _GAUGE_FIELDS.items():
         if fld in gauge:
-            rows = gauge[fld]
-            if not isinstance(rows, list) or len(rows) != rows_n:
-                diags.append(Diagnostic(f"gauge.{fld}",
-                                        f"must be {rows_n} rows of {dim} expressions"))
-            else:
-                for i, row in enumerate(rows):
-                    _check_expr_list(diags, row, dim, coords, f"gauge.{fld}[{i}]")
-    return True
+            entries = _compiled(diags, gauge[fld], rows + (dim,), coords, f"gauge.{fld}")
+            fields[fld] = None if entries is None else _expr_field(entries)
+        else:
+            fields[fld] = getattr(zero, fld)
+    if len(diags) > n:
+        return None
+    return _built(diags, "gauge", SMGaugeConfig, **fields, **values)
 
 
-def _validate_higgs(diags, higgs, coords) -> bool:
+def _parse_higgs(diags, higgs, dim, coords):
+    """(HiggsField, ConnectionConstants); None marks a part that failed."""
     if higgs is None:
-        return False
+        return None, ConnectionConstants()
     if not isinstance(higgs, dict):
         diags.append(Diagnostic("higgs", "must be an object"))
-        return False
+        return None, None
+    n = len(diags)
+    xy = []
     for key in ("x", "y"):
         if key not in higgs:
             diags.append(Diagnostic(f"higgs.{key}", "component expression required"))
         elif coords is not None:
-            _check_expr(diags, higgs[key], coords, f"higgs.{key}")
-    for key in ("c", "alpha"):
-        if key in higgs and not _is_num(higgs[key]):
+            xy.append(_built(diags, f"higgs.{key}", compile_expression,
+                             higgs[key], coords))
+    c, alpha = higgs.get("c", 1.0), higgs.get("alpha", 1.0)
+    for key, value in (("c", c), ("alpha", alpha)):
+        if not _is_num(value):
             diags.append(Diagnostic(f"higgs.{key}", "must be a number"))
-    if "alpha" in higgs and _is_num(higgs["alpha"]) and higgs["alpha"] == 0:
-        diags.append(Diagnostic("higgs.alpha", "must be nonzero"))
-    return True
+    constants = None
+    if _is_num(alpha):
+        constants = _built(diags, "higgs.alpha", ConnectionConstants,
+                           alpha=float(alpha))
+    if len(diags) > n or coords is None:
+        return None, constants
+    return HiggsField.from_components(dim, *xy, c=float(c)), constants
 
 
-def _validate_triple(diags, trip) -> bool:
+def _parse_triple(diags, trip):
     if trip is None:
-        return False
+        return None
     if not isinstance(trip, dict):
         diags.append(Diagnostic("finite_triple", "must be an object"))
-        return False
+        return None
     if "builtin" in trip:
-        name = trip["builtin"]
-        if name not in TRIPLE_BUILTINS:
-            diags.append(Diagnostic("finite_triple.builtin",
-                                    f"unknown builtin {name!r}; known: "
-                                    f"{', '.join(TRIPLE_BUILTINS)}"))
-            return True
-        params = trip.get("parameters", {})
-        if name == "two-point":
-            if "m" in params and not _is_num(params["m"]):
-                diags.append(Diagnostic("finite_triple.parameters.m",
-                                        "must be a number"))
-        elif name == "lepton-sector":
-            if "k_e" in params:
-                _check_matrix(diags, params["k_e"],
-                              "finite_triple.parameters.k_e", shape=(3, 3))
-        else:
-            for key in ("k_u", "k_d", "k_e"):
-                if key in params:
-                    _check_matrix(diags, params[key],
-                                  f"finite_triple.parameters.{key}", shape=(3, 3))
-        return True
+        return _parse_builtin_triple(diags, trip)
+    n = len(diags)
     dim = trip.get("dim")
-    if not isinstance(dim, int) or dim < 1 or dim > 200:
+    if not isinstance(dim, int) or not 1 <= dim <= 200:
         diags.append(Diagnostic("finite_triple.dim", "must be an integer in 1..200"))
         dim = None
+    square = None if dim is None else (dim, dim)
     if "dirac" not in trip:
         diags.append(Diagnostic("finite_triple.dirac", "matrix required"))
-    elif dim is not None:
-        _check_matrix(diags, trip["dirac"], "finite_triple.dirac", shape=(dim, dim))
-    for key in ("grading", "real_structure"):
-        if key in trip and dim is not None:
-            _check_matrix(diags, trip[key], f"finite_triple.{key}", shape=(dim, dim))
+    mats = {key: _matrix(diags, trip[key], f"finite_triple.{key}", square)
+            for key in ("dirac", "grading", "real_structure") if key in trip}
     gens = trip.get("generators")
-    if gens is not None:
-        if not isinstance(gens, list) or not gens:
-            diags.append(Diagnostic("finite_triple.generators",
-                                    "must be a nonempty list of matrices"))
-        elif dim is not None:
-            for i, g in enumerate(gens):
-                _check_matrix(diags, g, f"finite_triple.generators[{i}]",
-                              shape=(dim, dim))
-    else:
+    if gens is None:
         diags.append(Diagnostic("finite_triple.generators",
                                 "required for inline triples"))
+    elif not isinstance(gens, list) or not gens:
+        diags.append(Diagnostic("finite_triple.generators",
+                                "must be a nonempty list of matrices"))
+    else:
+        gens = [_matrix(diags, g, f"finite_triple.generators[{i}]", square)
+                for i, g in enumerate(gens)]
     signs = trip.get("epsilon_signs", [1, 1, 1])
     if (not isinstance(signs, list) or len(signs) != 3
             or any(s not in (-1, 1) for s in signs)):
         diags.append(Diagnostic("finite_triple.epsilon_signs",
                                 "must be three entries from {-1, 1}"))
-    return True
+    if len(diags) > n:
+        return None
+    return _built(diags, "finite_triple", FiniteTriple, dim=dim,
+                  algebra_generators=tuple(gens), d=mats["dirac"],
+                  gamma=mats.get("grading"), k=mats.get("real_structure"),
+                  epsilon_signs=tuple(signs),
+                  first_order_claimed=bool(trip.get("first_order_claimed", True)),
+                  dirac_hermitian_claimed=bool(trip.get("dirac_hermitian_claimed",
+                                                        True)),
+                  label=trip.get("label", "inline"))
 
 
-def _validate_cutoff(diags, cut) -> bool:
+def _parse_builtin_triple(diags, trip):
+    name, params = trip["builtin"], trip.get("parameters", {})
+    if not _known(diags, "finite_triple.builtin", name, TRIPLE_BUILTINS):
+        return None
+    if not isinstance(params, dict):
+        diags.append(Diagnostic("finite_triple.parameters", "must be an object"))
+        return None
+    if name == "two-point":
+        m = params.get("m", 1.0)
+        if not _is_num(m):
+            diags.append(Diagnostic("finite_triple.parameters.m", "must be a number"))
+            return None
+        return _built(diags, "finite_triple", two_point_triple, m=float(m))
+    n = len(diags)
+    keys = ("k_e",) if name == "lepton-sector" else ("k_u", "k_d", "k_e")
+    mats = {key: _matrix(diags, params[key], f"finite_triple.parameters.{key}",
+                         (3, 3)) for key in keys if key in params}
+    if len(diags) > n:
+        return None
+    if name == "lepton-sector":
+        return _built(diags, "finite_triple", lepton_triple, **mats)
+    yukawa = {"k_u": np.eye(3), "k_d": np.eye(3), "k_e": np.zeros((3, 3)), **mats}
+    return _built(diags, "finite_triple",
+                  lambda: build_sm_finite(YukawaData(**yukawa)))
+
+
+def _parse_cutoff(diags, cut):
     if cut is None:
-        return False
+        return None
     if not isinstance(cut, dict):
         diags.append(Diagnostic("cutoff", "must be an object"))
-        return False
+        return None
     if ("builtin" in cut) == ("table" in cut):
         diags.append(Diagnostic("cutoff", "provide exactly one of builtin, table"))
-        return True
-    if "builtin" in cut and cut["builtin"] not in CUTOFF_BUILTINS:
-        diags.append(Diagnostic("cutoff.builtin",
-                                f"unknown builtin {cut['builtin']!r}; known: "
-                                f"{', '.join(sorted(CUTOFF_BUILTINS))}"))
-    if "table" in cut:
-        table = cut["table"]
-        ok = (isinstance(table, dict) and _num_list(table.get("u"))
-              and _num_list(table.get("f"))
-              and len(table["u"]) == len(table["f"]) >= 2)
-        if not ok:
-            diags.append(Diagnostic("cutoff.table",
-                                    "needs u and f number lists of equal "
-                                    "length >= 2"))
-        elif list(table["u"]) != sorted(table["u"]):
-            diags.append(Diagnostic("cutoff.table.u", "must be increasing"))
-    if "scale_sq" in cut and not (_is_num(cut["scale_sq"]) and cut["scale_sq"] > 0):
-        diags.append(Diagnostic("cutoff.scale_sq", "must be a positive number"))
-    return True
+        return None
+    if "builtin" in cut:
+        make = None
+        if _known(diags, "cutoff.builtin", cut["builtin"], CUTOFF_BUILTINS):
+            make = CUTOFF_BUILTINS[cut["builtin"]]
+    else:
+        make = _table_cutoff(diags, cut["table"])
+    lam_sq = cut.get("scale_sq", 1.0)
+    if not _is_num(lam_sq):
+        diags.append(Diagnostic("cutoff.scale_sq", "must be a number"))
+        return None
+    if make is None:
+        return None
+    return _built(diags, "cutoff.scale_sq", make, float(lam_sq))
 
 
-def _validate_constants(diags, consts):
+def _table_cutoff(diags, table):
+    """lam_sq -> CutoffFunction interpolating the table, or None."""
+    if not (isinstance(table, dict) and _num_list(table.get("u"))
+            and _num_list(table.get("f"))
+            and len(table["u"]) == len(table["f"]) >= 2):
+        diags.append(Diagnostic("cutoff.table",
+                                "needs u and f number lists of equal length >= 2"))
+        return None
+    if table["u"] != sorted(table["u"]):
+        diags.append(Diagnostic("cutoff.table.u", "must be increasing"))
+        return None
+    u = np.asarray(table["u"], dtype=float)
+    f = np.asarray(table["f"], dtype=float)
+
+    def make(lam_sq):
+        return CutoffFunction(name="table",
+                              func=lambda x: float(np.interp(x, u, f,
+                                                             left=f[0], right=0.0)),
+                              lam_sq=lam_sq, support=(float(u[0]), float(u[-1])))
+
+    return make
+
+
+def _check_constants(diags, consts):
     if consts is None:
         return
     if not isinstance(consts, dict):
@@ -454,7 +566,7 @@ def _validate_constants(diags, consts):
             diags.append(Diagnostic(f"constants.{key}", "must be nonzero"))
 
 
-def _validate_tasks(diags, tasks, dim, has_gauge, has_higgs, has_triple,
+def _check_tasks(diags, tasks, dim, has_gauge, has_higgs, has_triple,
                     has_cutoff):
     if not isinstance(tasks, list) or not tasks:
         diags.append(Diagnostic("tasks", "required nonempty list"))
@@ -511,142 +623,3 @@ def _validate_tasks(diags, tasks, dim, has_gauge, has_higgs, has_triple,
                                         "sm form needs gauge and higgs sections"))
         if ttype == "axioms" and not has_triple:
             diags.append(Diagnostic(path, "axioms task needs a finite_triple section"))
-
-
-# -- construction -----------------------------------------------------------------
-
-
-def _expr_field(sources, coords, shape):
-    """ChartField whose entries are compiled expressions (object dtype)."""
-    dim = len(coords)
-    flat_sources = np.array(sources, dtype=object).reshape(shape) if shape else sources
-    compiled = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        compiled[idx] = compile_expression(flat_sources[idx], coords)
-
-    def func(c):
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(*shape):
-            out[idx] = compiled[idx](c)
-        return out
-
-    return ChartField(dim=dim, shape=shape, func=func)
-
-
-def _build_frame(frame_cfg, dim, signature, coords) -> Vielbein:
-    if "builtin" in frame_cfg:
-        return make_builtin_frame(frame_cfg["builtin"],
-                                  frame_cfg.get("parameters", {}))
-    sig = (MinkowskiSignature.lorentzian(dim) if signature == "lorentzian"
-           else MinkowskiSignature.euclidean(dim))
-    if "diagonal" in frame_cfg:
-        entries = [compile_expression(src, coords) for src in frame_cfg["diagonal"]]
-        return diagonal_vielbein(entries, sig, name="config-diagonal")
-    field_ = _expr_field(frame_cfg["matrix"], coords, (dim, dim))
-    return Vielbein(field=field_, signature=sig)
-
-
-def _build_gauge(gauge_cfg, dim, coords) -> SMGaugeConfig:
-    couplings = gauge_cfg.get("couplings", {})
-    zero = SMGaugeConfig.zero(dim)
-
-    def expr_or_zero(key, shape, fallback):
-        if key in gauge_cfg:
-            return _expr_field(gauge_cfg[key], coords, shape)
-        return fallback
-
-    return SMGaugeConfig(
-        b=expr_or_zero("b", (dim,), zero.b),
-        w=expr_or_zero("w", (3, dim), zero.w),
-        g=expr_or_zero("g", (8, dim), zero.g),
-        g1=float(couplings.get("g1", 1.0)),
-        g2=float(couplings.get("g2", 1.0)),
-        g3=float(couplings.get("g3", 1.0)),
-    )
-
-
-def _build_higgs(higgs_cfg, dim, coords) -> HiggsField:
-    x_expr = compile_expression(higgs_cfg["x"], coords)
-    y_expr = compile_expression(higgs_cfg["y"], coords)
-    return HiggsField.from_components(dim, lambda c: x_expr(c),
-                                      lambda c: y_expr(c),
-                                      c=float(higgs_cfg.get("c", 1.0)))
-
-
-def _build_triple(trip_cfg) -> FiniteTriple:
-    if "builtin" in trip_cfg:
-        name = trip_cfg["builtin"]
-        params = trip_cfg.get("parameters", {})
-        if name == "two-point":
-            return two_point_triple(m=float(params.get("m", 1.0)))
-        if name == "lepton-sector":
-            k_e = (_parse_matrix(params["k_e"]) if "k_e" in params else None)
-            return lepton_triple(k_e=k_e)
-        yk = YukawaData(
-            k_u=_parse_matrix(params["k_u"]) if "k_u" in params else np.eye(3),
-            k_d=_parse_matrix(params["k_d"]) if "k_d" in params else np.eye(3),
-            k_e=_parse_matrix(params["k_e"]) if "k_e" in params else np.zeros((3, 3)),
-        )
-        return build_sm_finite(yk)
-    dim = trip_cfg["dim"]
-    d = _parse_matrix(trip_cfg["dirac"])
-    gamma = (_parse_matrix(trip_cfg["grading"])
-             if "grading" in trip_cfg else None)
-    k = (_parse_matrix(trip_cfg["real_structure"])
-         if "real_structure" in trip_cfg else None)
-    gens = [_parse_matrix(g) for g in trip_cfg["generators"]]
-    signs = tuple(trip_cfg.get("epsilon_signs", (1, 1, 1)))
-    return FiniteTriple(dim=dim, algebra_generators=tuple(gens), d=d,
-                        gamma=gamma, k=k, epsilon_signs=signs,
-                        first_order_claimed=bool(trip_cfg.get(
-                            "first_order_claimed", True)),
-                        dirac_hermitian_claimed=bool(trip_cfg.get(
-                            "dirac_hermitian_claimed", True)),
-                        label=trip_cfg.get("label", "inline"))
-
-
-def _build_cutoff(cut_cfg) -> CutoffFunction:
-    lam_sq = float(cut_cfg.get("scale_sq", 1.0))
-    if "builtin" in cut_cfg:
-        return CUTOFF_BUILTINS[cut_cfg["builtin"]](lam_sq)
-    table = cut_cfg["table"]
-    u = np.asarray(table["u"], dtype=float)
-    f = np.asarray(table["f"], dtype=float)
-    return CutoffFunction(name="table",
-                          func=lambda x: float(np.interp(x, u, f,
-                                                         left=f[0], right=0.0)),
-                          lam_sq=lam_sq, support=(float(u[0]), float(u[-1])))
-
-
-def build_scenario(obj: dict) -> Scenario:
-    """Construct runtime objects from a config that passed validate_config."""
-    chart = obj["chart"]
-    dim = chart["dimension"]
-    sig_name = chart.get("signature", "euclidean")
-    signature = (MinkowskiSignature.lorentzian(dim) if sig_name == "lorentzian"
-                 else MinkowskiSignature.euclidean(dim))
-    coords = tuple(chart.get("coordinates", default_coordinate_names(dim)))
-    region = Region(lo=tuple(chart["box"]["lo"]), hi=tuple(chart["box"]["hi"]),
-                    periodic=tuple(chart.get("periodic", (False,) * dim)))
-    grid = GridSpec(tuple(chart.get("grid", (5,) * dim)))
-
-    frame = _build_frame(obj["frame"], dim, sig_name, coords)
-
-    connection = None
-    if "gauge" in obj or "higgs" in obj:
-        gauge = (_build_gauge(obj["gauge"], dim, coords) if "gauge" in obj
-                 else SMGaugeConfig.zero(dim))
-        higgs = (_build_higgs(obj["higgs"], dim, coords) if "higgs" in obj
-                 else HiggsField.zero(dim))
-        alpha = float(obj.get("higgs", {}).get("alpha", 1.0))
-        connection = assemble_connection(frame, gauge, higgs,
-                                         ConnectionConstants(alpha=alpha))
-
-    triple = _build_triple(obj["finite_triple"]) if "finite_triple" in obj else None
-    cutoff = _build_cutoff(obj["cutoff"]) if "cutoff" in obj else None
-    constants = dict(obj.get("constants", {}))
-
-    return Scenario(dim=dim, signature=signature, coordinates=coords,
-                    region=region, grid=grid, frame=frame,
-                    connection=connection, triple=triple, cutoff=cutoff,
-                    constants=constants, tasks=list(obj["tasks"]), raw=obj)

@@ -40,6 +40,7 @@ __all__ = [
     "NormalizedLagrangian",
     "GaugeTraceReport",
     "assemble_connection",
+    "checked_coupling",
     "curvature",
     "curvature_of_potential",
     "transform_potential",
@@ -108,8 +109,8 @@ class SMGaugeConfig:
             raise ValueError("W potential must have shape (3, dim)")
         if self.g.shape != (8, n) or self.g.dim != n:
             raise ValueError("G potential must have shape (8, dim)")
-        if min(self.g1, self.g2, self.g3) <= 0:
-            raise ValueError("couplings must be positive")
+        for name in ("g1", "g2", "g3"):
+            checked_coupling(name, getattr(self, name))
 
     @property
     def dim(self) -> int:
@@ -134,6 +135,13 @@ class SMGaugeConfig:
         wv = np.asarray(self.w.numeric(p.coords), dtype=float)
         gv = np.asarray(self.g.numeric(p.coords), dtype=float)
         return _gauge_blocks(bv, wv, gv, self.g1, self.g2, self.g3)
+
+
+def checked_coupling(name: str, value) -> float:
+    """A gauge coupling as a float; couplings must be positive."""
+    if not value > 0:
+        raise ValueError(f"coupling {name} must be positive, got {value!r}")
+    return float(value)
 
 
 def _gauge_blocks(bv, wv, gv, g1, g2, g3) -> dict:
@@ -607,16 +615,11 @@ def lambda0_check(f: CurvatureForm, n_h: float = 1.0) -> dict:
     pot = f.higgs_potential
     rp = ReparamConstants(n_h=n_h)
     breakdown = curvature_squared(f, rp)
-    plain = {
-        "ricci_sq": f.constants.n_spinor / 4.0 * f.ricci_squared(),
-        "gauge_b": -(3.0 * f.couplings[0] ** 2 / 4.0) * f.component_square(f.b_f[None]),
-        "gauge_w": -(f.couplings[1] ** 2 / 4.0) * f.component_square(f.w_f),
-        "gauge_g": -(3.0 * f.couplings[2] ** 2 / 4.0) * f.component_square(f.g_f),
-        "higgs_kinetic": (eta / alpha ** 2) * f.higgs_kinetic_scalar(),
-    }
     nonpot = 0.0
     if n_h == 1.0:
-        nonpot = max(abs(breakdown.terms[k] - plain[k]) for k in plain)
+        plain = curvature_squared(f).terms
+        nonpot = max(abs(breakdown.terms[k] - plain[k]) for k in
+                     ("ricci_sq", "gauge_b", "gauge_w", "gauge_g", "higgs_kinetic"))
     lam0 = lambda0_constant(f.constants, c, n_h)
     # zero-field reference: pot -> -c^2 in both potential sectors
     plain_ref = (eta ** 2 / alpha ** 4) * c ** 4

@@ -21,6 +21,7 @@ Index layout conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -409,13 +410,20 @@ def flat_gamma_matrices(signature: MinkowskiSignature) -> np.ndarray:
     return np.array(out)
 
 
+@cache
 def sigma_matrices(signature: MinkowskiSignature) -> np.ndarray:
-    """sigma_ab = (i/2)[gamma_a, gamma_b] with frame indices lowered by eta."""
+    """sigma_ab = (i/2)[gamma_a, gamma_b] with frame indices lowered by eta.
+
+    Built once per signature, as every connection curvature reads it;
+    shared, so read-only.
+    """
     gup = flat_gamma_matrices(signature)
     signs = np.array(signature.signs, dtype=float)
     glow = np.einsum("a,aij->aij", signs, gup)
     comm = np.einsum("aij,bjk->abik", glow, glow) - np.einsum("bij,ajk->abik", glow, glow)
-    return 0.5j * comm
+    sig = 0.5j * comm
+    sig.setflags(write=False)
+    return sig
 
 
 def sigma_squared(signature: MinkowskiSignature) -> tuple:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fields import ChartField
 from .geometry import Vielbein
-from .tensors import MinkowskiSignature
+from .tensors import MAX_DIM, MinkowskiSignature
 
 __all__ = [
     "diagonal_vielbein",
@@ -45,6 +45,8 @@ def diagonal_vielbein(entries, signature: MinkowskiSignature, name: str = "") ->
 
 def flat(dim: int = 4, signature: str = "lorentzian") -> Vielbein:
     """Identity frame on R^dim with the requested flat signature."""
+    if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
     if signature == "lorentzian":
         sig = MinkowskiSignature.lorentzian(dim)
     elif signature == "euclidean":

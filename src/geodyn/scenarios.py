@@ -12,7 +12,6 @@ the human-readable report only.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -21,13 +20,13 @@ import numpy as np
 from .action import (FieldEquationInput, HeatKernelData,
                      field_equation_residual, heat_kernel_coefficients,
                      moments, riemannian_limit_action, spectral_action)
-from .config import Scenario, build_scenario, validate_config
+from .config import Scenario, build_scenario
 from .connection import (ConnectionConstants, HiggsField, SMGaugeConfig,
                          assemble_connection, curvature, gauge_square_report)
 from .fields import ChartField
 from .geodesics import integrate_geodesic
 from .geometry import GeneralizedMetric
-from .tensors import Point
+from .tensors import MAX_DIM, Point
 from .triples import (check_axioms, fluctuate, fluctuation_space,
                       inner_fluctuations, unimodular_projection)
 
@@ -342,13 +341,17 @@ _RUNNERS = {
 
 def run_scenario(obj: dict, name: str = "custom", seed: int = 0,
                  grid_override: int | None = None) -> RunReport:
-    """Validate, build, run every task in config order."""
-    diags = validate_config(obj)
-    if diags:
-        raise ValueError("invalid config:\n" + "\n".join(str(d) for d in diags))
-    if grid_override is not None:
-        obj = json.loads(json.dumps(obj))
-        obj["chart"]["grid"] = [int(grid_override)] * obj["chart"]["dimension"]
+    """Build the scenario, then run every task in config order.
+
+    grid_override sets the grid on every axis before the one parse, so a bad
+    value is reported with the other config problems: build_scenario raises
+    ConfigError listing all of them.
+    """
+    chart = obj.get("chart") if isinstance(obj, dict) else None
+    dim = chart.get("dimension") if isinstance(chart, dict) else None
+    # an invalid dimension is left for the parse to report
+    if grid_override is not None and isinstance(dim, int) and 1 <= dim <= MAX_DIM:
+        obj = {**obj, "chart": {**chart, "grid": [grid_override] * dim}}
     scn = build_scenario(obj)
     started = time.perf_counter()
 

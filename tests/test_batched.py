@@ -11,6 +11,7 @@ from geodyn.action import (GridSpec, HeatKernelData, Region, exponential_cutoff,
                            heat_kernel_coefficients, integrate_scalar, moments,
                            riemannian_limit_action)
 from geodyn.config import build_scenario
+from geodyn.fields import ChartField
 from geodyn.geometry import GeneralizedMetric, sigma_squared
 from geodyn.jets import (arctan, cos, cosh, exp, log, sin, sinh, sqrt, tan, tanh,
                          variables)
@@ -227,3 +228,29 @@ def test_riemannian_limit_evaluates_each_grid_point_once(monkeypatch):
     assert np.array_equal(rows[len(fine):], coarse)
     blocks = -(-len(fine) // action.BLOCK_POINTS) - (-len(coarse) // action.BLOCK_POINTS)
     assert len(seen) == blocks
+
+
+@pytest.mark.parametrize("which", ["heat-kernel", "riemannian-limit"])
+def test_metric_mode_densities_make_one_jet_pass_per_block(which, monkeypatch):
+    orders = []
+    original = ChartField.jets
+
+    def counted(self, p, order=2):
+        orders.append(order)
+        return original(self, p, order=order)
+
+    monkeypatch.setattr(ChartField, "jets", counted)
+    frame = make_builtin_frame("schwarzschild")
+    region = Region(lo=(0.0, 4.0, 0.6, 0.0), hi=(1.0, 9.0, 2.5, 2 * math.pi),
+                    periodic=(False, False, False, True))
+    grid = GridSpec((3, 5, 5, 6))
+    if which == "heat-kernel":
+        heat_kernel_coefficients(HeatKernelData(metric=frame.metric(), aa_mode="metric"),
+                                 region, grid)
+    else:
+        riemannian_limit_action(frame, region, grid, moments(exponential_cutoff()))
+    fine, _ = action._grid_points(region, grid)
+    coarse, _ = action._grid_points(region, grid.coarser())
+    blocks = -(-len(fine) // action.BLOCK_POINTS) - (-len(coarse) // action.BLOCK_POINTS)
+    # the volume comes from the curvature pass's gamma: no order-1 pass
+    assert orders == [2] * blocks

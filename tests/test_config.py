@@ -4,10 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from geodyn.cli import main
 from geodyn.config import (
     SCHEMA_VERSION,
+    ConfigError,
     Diagnostic,
+    Scenario,
     build_scenario,
     load_config,
     validate_config,
@@ -231,3 +236,104 @@ def test_build_scenario_with_expressions():
     assert scn.connection is not None
     assert scn.triple is not None and scn.triple.dim == 2
     assert scn.constants["f0"] == 4.0
+
+
+# -- constructor errors are diagnostics, and run exits 2 on them ------------------
+
+BUILD_ERRORS = {
+    "schwarzschild-negative-mass": (
+        {"frame": {"builtin": "schwarzschild", "parameters": {"mass": -1}}},
+        "frame.parameters"),
+    "flat-unknown-signature": (
+        {"frame": {"builtin": "flat", "parameters": {"signature": "bogus"}}},
+        "frame.parameters"),
+    "flat-float-dim": (
+        {"frame": {"builtin": "flat", "parameters": {"dim": 4.0}}},
+        "frame.parameters"),
+    "negative-alpha": ({"higgs": {"x": "0", "y": "0", "alpha": -1}}, "higgs.alpha"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_ERRORS))
+def test_constructor_errors_are_diagnostics(case, tmp_path, capsys):
+    sections, path = BUILD_ERRORS[case]
+    obj = builtin_config("flat-empty")
+    obj.update(sections)
+    assert path in _paths(validate_config(obj))
+    with pytest.raises(ConfigError) as err:
+        build_scenario(obj)
+    assert path in _paths(err.value.diagnostics)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    # in process, so an escaping exception would fail the test instead
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_override_below_two_is_a_diagnostic(tmp_path, capsys):
+    obj = builtin_config("flat-empty")
+    obj["chart"]["grid"] = [1, 1, 1, 1]
+    assert "chart.grid" in _paths(validate_config(obj))
+    assert main(["run", "flat-empty", "--grid", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("chart.grid: ")
+
+
+# -- validate and build are one parse ------------------------------------------------
+
+_WORDS = ["", "x0", "x1", "1/x0", "x0 +", "sin(x1)", "bogus", "flat", "sphere2",
+          "schwarzschild", "euclidean", "lorentzian", "gaussian", "two-point",
+          "sm-yukawa", "metric", "blocks", "geodesic"]
+_KEYS = ["re", "im", "lo", "hi", "builtin", "parameters", "x", "y", "u", "f",
+         "dim", "mass", "signature", "type"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats(-3.0, 3.0)
+    | st.sampled_from(_WORDS),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3)),
+    max_leaves=8)
+
+
+def _addresses(value, prefix=()):
+    """The key path of every entry nested inside a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    out = []
+    for key, item in items:
+        out.append(prefix + (key,))
+        out.extend(_addresses(item, prefix + (key,)))
+    return out
+
+
+@st.composite
+def _mutated_builtins(draw):
+    """A builtin config with one to three entries replaced or deleted."""
+    obj = builtin_config(draw(st.sampled_from(sorted(BUILTIN_SCENARIOS))))
+    for _ in range(draw(st.integers(1, 3))):
+        address = draw(st.sampled_from(_addresses(obj)))
+        owner = obj
+        for key in address[:-1]:
+            owner = owner[key]
+        if isinstance(owner, dict) and draw(st.booleans()):
+            del owner[address[-1]]
+        else:
+            owner[address[-1]] = draw(_JSON)
+    return obj
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_builtins())
+def test_validate_never_raises_and_agrees_with_build(obj):
+    diags = validate_config(obj)
+    if diags:
+        with pytest.raises(ConfigError) as err:
+            build_scenario(obj)
+        assert err.value.diagnostics == diags
+    else:
+        assert isinstance(build_scenario(obj), Scenario)

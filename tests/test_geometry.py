@@ -310,3 +310,15 @@ def test_line_solve_resubstitution_defect_small():
                                     e.signature, t_max=0.5, steps=1000)
     assert out.frames.shape == (1001, 2, 2)
     assert out.resubstitution < 1e-6
+
+
+def test_sigma_matrices_are_built_once_per_signature_and_read_only():
+    sig = sigma_matrices(MinkowskiSignature.lorentzian(4))
+    assert sigma_matrices(MinkowskiSignature.lorentzian(4)) is sig
+    assert sigma_matrices(MinkowskiSignature.euclidean(4)) is not sig
+    assert not sig.flags.writeable
+    with pytest.raises(ValueError):
+        sig[0, 1, 0, 0] = 1.0
+    # the cached array holds exactly what a fresh build gives
+    fresh = sigma_matrices.__wrapped__(MinkowskiSignature.lorentzian(4))
+    assert np.array_equal(sig, fresh)
