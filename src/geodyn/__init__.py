@@ -1,20 +1,8 @@
 """Vielbein-based geometry, gauge curvature scalars, finite spectral
 triples, and cutoff-expansion action evaluation on coordinate charts."""
 
-from .tensors import (
-    COORD,
-    DOWN,
-    FRAME,
-    UP,
-    MinkowskiSignature,
-    Point,
-    SingularMetricError,
-    TensorIndexError,
-    TensorValue,
-    contract,
-    raise_lower,
-)
-from .fields import ChartField, constant_field, differentiate, scalar_field
+from .tensors import MinkowskiSignature, Point, SingularMetricError
+from .fields import ChartField, constant_field, scalar_field
 from .geometry import (
     CoordinateConditionError,
     GeneralizedMetric,
@@ -50,7 +38,6 @@ from .action import (
     CutoffFunction,
     GridSpec,
     HeatKernelData,
-    LimitModeError,
     Moments,
     Region,
     field_equation_residual,
@@ -66,10 +53,8 @@ from .scenarios import BUILTIN_SCENARIOS, RunReport, builtin_config, run_scenari
 __version__ = "0.1.0"
 
 __all__ = [
-    "COORD", "DOWN", "FRAME", "UP",
-    "MinkowskiSignature", "Point", "SingularMetricError", "TensorIndexError",
-    "TensorValue", "contract", "raise_lower",
-    "ChartField", "constant_field", "differentiate", "scalar_field",
+    "MinkowskiSignature", "Point", "SingularMetricError",
+    "ChartField", "constant_field", "scalar_field",
     "CoordinateConditionError", "GeneralizedMetric", "Vielbein",
     "compatibility_residual", "dirac_matrices", "spin_connection",
     "Trajectory", "integrate_geodesic",
@@ -79,7 +64,7 @@ __all__ = [
     "FiniteTriple", "YukawaData", "build_sm_finite", "check_axioms",
     "fluctuate", "inner_fluctuations", "lepton_triple", "two_point_triple",
     "ActionReport", "CutoffFunction", "GridSpec", "HeatKernelData",
-    "LimitModeError", "Moments", "Region", "field_equation_residual",
+    "Moments", "Region", "field_equation_residual",
     "heat_kernel_coefficients", "make_cutoff", "moments",
     "riemannian_limit_action", "spectral_action", "unification_scale",
     "BUILTIN_SCENARIOS", "RunReport", "builtin_config", "run_scenario",

@@ -46,7 +46,6 @@ __all__ = [
     "ActionReport",
     "FieldEquationInput",
     "FieldEquationResidual",
-    "LimitModeError",
     "exponential_cutoff",
     "sharp_cutoff",
     "gaussian_cutoff",
@@ -63,10 +62,6 @@ __all__ = [
 ]
 
 PI2 = float(np.pi ** 2)
-
-
-class LimitModeError(RuntimeError):
-    """Raised when a Riemannian-limit computation is fed non-limit data."""
 
 
 # -- cutoff functions and moments ----------------------------------------------
@@ -720,41 +715,15 @@ def _divergence_integral(scalar_grid: np.ndarray, vol_grid: np.ndarray,
 
 def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
                             m: Moments, connection: ConnectionForm | None = None,
-                            reference_metric: ChartField | None = None,
-                            n_r: float = 1.0, n_h: float = 1.0,
-                            check_points: tuple = (), check_tol: float = 1e-8,
-                            metric_tol: float = 1e-12) -> ActionReport:
+                            n_r: float = 1.0, n_h: float = 1.0) -> ActionReport:
     """The expanded action when the connection is the Riemannian one.
 
     Terms: delta0 volume, Einstein-Hilbert with coefficient M2 L^2 / 64 pi^2,
     the SM sector in canonical normalization, the total-derivative term
     eta0 * int lap R, zeta0 * int R^2 and -beta0 * int (Ricci^2 + Riemann^2).
-
-    If a reference metric field is supplied, gamma and the curvature of the
-    frame are checked against the reference at the supplied sample points; a
-    disagreement means the supplied connection is not the Riemannian one for
-    that metric, which raises LimitModeError.
+    Comparing a frame with a reference metric is the limit-check task's job.
     """
     gm = frame.metric()
-    limit_checks = {"gamma_max": 0.0, "riemann_max": 0.0}
-    if reference_metric is not None:
-        ref = GeneralizedMetric(dim=frame.dim, gamma_field=reference_metric)
-        pts = check_points or (Point(tuple(0.5 * (l + h) for l, h in
-                                           zip(region.lo, region.hi))),)
-        for p in pts:
-            dg = float(np.abs(gm.value(p) - ref.value(p)).max())
-            dr = float(np.abs(gm.curvature(p).riemann - ref.curvature(p).riemann).max())
-            limit_checks["gamma_max"] = max(limit_checks["gamma_max"], dg)
-            limit_checks["riemann_max"] = max(limit_checks["riemann_max"], dr)
-        if limit_checks["gamma_max"] > metric_tol:
-            raise LimitModeError(
-                f"generalized metric differs from the reference by "
-                f"{limit_checks['gamma_max']:.3e}; not a Riemannian limit")
-        if limit_checks["riemann_max"] > check_tol:
-            raise LimitModeError(
-                f"curvature differs from the reference by "
-                f"{limit_checks['riemann_max']:.3e}; not a Riemannian limit")
-
     if connection is not None:
         consts = connection.constants
         higgs_c = connection.higgs.c
@@ -828,8 +797,7 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
              "finite differences; it telescopes to zero on periodic axes",
              "beta0/zeta0 = 1152/2880 = 0.4 exactly")
     consts_out = {"beta0": beta0, "eta0": eta0, "zeta0": zeta0,
-                  "delta0": delta0, "alpha0": alpha0, "eh_coeff": eh_coeff,
-                  **limit_checks}
+                  "delta0": delta0, "alpha0": alpha0, "eh_coeff": eh_coeff}
     return ActionReport(terms=terms, total=total, constants=consts_out,
                         quadrature={"errors": dict(zip(
                             ("vol", "scalar", "scalar_sq", "ricci_sq",

@@ -9,16 +9,22 @@ exprs.py for the grammar); complex matrix entries are numbers or
 
 Checking a config and building it are one parse.  Each section parser checks
 the JSON shape of its entries, builds its runtime object (compiling each
-expression once), records the constructor's own ValueError, TypeError or
-KeyError as a diagnostic at the section's path, and moves on, so one pass
-reports every problem it can find.  validate_config returns those
-diagnostics; build_scenario returns the Scenario or raises ConfigError with
-all of them, so a config builds exactly when it validates.
+expression once, the reference metric of a limit-check task included),
+records the constructor's own ValueError, TypeError or KeyError as a
+diagnostic at the section's path, and moves on, so one pass reports every
+problem it can find.  validate_config returns those diagnostics;
+build_scenario returns the Scenario or raises ConfigError with all of them,
+so a config builds exactly when it validates.  Numbers must be finite:
+json.loads also reads the literals NaN and Infinity, and the parse rejects
+them.  chart.signature, when given, must match a builtin frame's own
+signature; when omitted, the builtin frame's signature stands and expression
+frames are Euclidean.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +34,7 @@ from .connection import (ConnectionConstants, ConnectionForm, HiggsField,
                          SMGaugeConfig, assemble_connection, checked_coupling)
 from .exprs import compile_expression, default_coordinate_names
 from .fields import ChartField
-from .geometry import Vielbein
+from .geometry import GeneralizedMetric, Vielbein
 from .library import BUILTIN_FRAMES, diagonal_vielbein, make_builtin_frame
 from .tensors import MAX_DIM, MinkowskiSignature
 from .triples import (FiniteTriple, YukawaData, build_sm_finite,
@@ -80,10 +86,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class Scenario:
-    """Runtime objects built from a valid configuration."""
+    """Runtime objects built from a valid configuration.
+
+    ``tasks`` are the task objects in config order, except that a limit-check
+    task's ``reference`` holds its built GeneralizedMetric (None without one).
+    """
 
     dim: int
-    signature: MinkowskiSignature
     coordinates: tuple
     region: Region
     grid: GridSpec
@@ -129,7 +138,13 @@ def build_scenario(obj) -> Scenario:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number; json.loads also reads NaN and +-Infinity."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _num_list(v, n=None) -> bool:
@@ -245,9 +260,9 @@ def _parse(obj):
     _check_constants(diags, obj.get("constants"))
     has = {key: isinstance(obj.get(key), dict)
            for key in ("gauge", "higgs", "finite_triple", "cutoff")}
-    _check_tasks(diags, obj.get("tasks"), dim, has_gauge=has["gauge"],
-                 has_higgs=has["higgs"], has_triple=has["finite_triple"],
-                 has_cutoff=has["cutoff"])
+    tasks = _parse_tasks(diags, obj.get("tasks"), dim, coords,
+                         has_gauge=has["gauge"], has_higgs=has["higgs"],
+                         has_triple=has["finite_triple"], has_cutoff=has["cutoff"])
     if diags:
         return None, diags
 
@@ -255,15 +270,15 @@ def _parse(obj):
     if has["gauge"] or has["higgs"]:
         connection = assemble_connection(frame, gauge or SMGaugeConfig.zero(dim),
                                          higgs or HiggsField.zero(dim), constants)
-    return Scenario(dim=dim, signature=signature, coordinates=coords,
-                    region=region, grid=grid, frame=frame,
-                    connection=connection, triple=triple, cutoff=cutoff,
-                    constants=dict(obj.get("constants", {})),
-                    tasks=list(obj["tasks"]), raw=obj), []
+    return Scenario(dim=dim, coordinates=coords, region=region, grid=grid,
+                    frame=frame, connection=connection, triple=triple,
+                    cutoff=cutoff, constants=dict(obj.get("constants", {})),
+                    tasks=tasks, raw=obj), []
 
 
 def _parse_chart(diags, chart):
-    """(dim, coordinates, signature, region, grid); None marks a failed part."""
+    """(dim, coordinates, signature, region, grid); None marks a failed part
+    or, for the signature, one that is not stated."""
     if not isinstance(chart, dict):
         diags.append(Diagnostic("chart", "required section missing or not an object"))
         return None, None, None, None, None
@@ -272,8 +287,8 @@ def _parse_chart(diags, chart):
         diags.append(Diagnostic("chart.dimension",
                                 f"must be an integer in 1..{MAX_DIM}"))
         dim = None
-    sig = chart.get("signature", "euclidean")
-    if sig not in ("euclidean", "lorentzian"):
+    sig = chart.get("signature")
+    if "signature" in chart and sig not in ("euclidean", "lorentzian"):
         diags.append(Diagnostic("chart.signature",
                                 "must be 'euclidean' or 'lorentzian'"))
     box = chart.get("box")
@@ -284,9 +299,10 @@ def _parse_chart(diags, chart):
         return None, None, None, None, None
 
     signature = None
-    if sig in ("euclidean", "lorentzian"):
-        signature = (MinkowskiSignature.lorentzian(dim) if sig == "lorentzian"
-                     else MinkowskiSignature.euclidean(dim))
+    if sig == "lorentzian":
+        signature = MinkowskiSignature.lorentzian(dim)
+    elif sig == "euclidean":
+        signature = MinkowskiSignature.euclidean(dim)
     coords = chart.get("coordinates", list(default_coordinate_names(dim)))
     if (not isinstance(coords, list) or len(coords) != dim
             or not all(isinstance(c, str) and c.isidentifier() for c in coords)):
@@ -335,13 +351,20 @@ def _parse_frame(diags, frame, dim, coords, signature):
             diags.append(Diagnostic("frame.builtin", f"frame dimension {built.dim} "
                                                      f"!= chart dimension {dim}"))
             return None
+        if built is not None and signature not in (None, built.signature):
+            diags.append(Diagnostic("chart.signature",
+                                    f"signs {signature.signs} differ from the signs "
+                                    f"{built.signature.signs} of builtin frame "
+                                    f"{frame['builtin']!r}"))
+            return None
         return built
     if coords is None:
         return None
     shape = (dim,) if kind == "diagonal" else (dim, dim)
     entries = _compiled(diags, frame[kind], shape, coords, f"frame.{kind}")
-    if entries is None or signature is None:
+    if entries is None:
         return None
+    signature = signature or MinkowskiSignature.euclidean(dim)
     if kind == "diagonal":
         return diagonal_vielbein(list(entries), signature, name="config-diagonal")
     return Vielbein(field=_expr_field(entries), signature=signature)
@@ -566,11 +589,13 @@ def _check_constants(diags, consts):
             diags.append(Diagnostic(f"constants.{key}", "must be nonzero"))
 
 
-def _check_tasks(diags, tasks, dim, has_gauge, has_higgs, has_triple,
-                    has_cutoff):
+def _parse_tasks(diags, tasks, dim, coords, has_gauge, has_higgs, has_triple,
+                 has_cutoff):
+    """The task list with each limit-check reference built, or None."""
     if not isinstance(tasks, list) or not tasks:
         diags.append(Diagnostic("tasks", "required nonempty list"))
-        return
+        return None
+    built = []
     for i, task in enumerate(tasks):
         path = f"tasks[{i}]"
         if not isinstance(task, dict) or "type" not in task:
@@ -623,3 +648,25 @@ def _check_tasks(diags, tasks, dim, has_gauge, has_higgs, has_triple,
                                         "sm form needs gauge and higgs sections"))
         if ttype == "axioms" and not has_triple:
             diags.append(Diagnostic(path, "axioms task needs a finite_triple section"))
+        if ttype == "limit-check":
+            ref = None
+            if "reference" in task:
+                ref = _parse_reference(diags, task["reference"], coords,
+                                       f"{path}.reference")
+            task = {**task, "reference": ref}
+        built.append(task)
+    return built
+
+
+def _parse_reference(diags, ref, coords, path):
+    """The reference metric of a limit-check task, or None."""
+    if not isinstance(ref, dict) or "matrix" not in ref:
+        diags.append(Diagnostic(path, "must be an object with a matrix"))
+        return None
+    if coords is None:
+        return None
+    n = len(coords)
+    entries = _compiled(diags, ref["matrix"], (n, n), coords, f"{path}.matrix")
+    if entries is None:
+        return None
+    return GeneralizedMetric(dim=n, gamma_field=_expr_field(entries))

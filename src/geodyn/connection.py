@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import ChartField
 from .geometry import CurvatureTensors, Vielbein, frame_geometry, sigma_matrices
-from .tensors import COORD, DOWN, FRAME, Point, TensorValue, UP
+from .tensors import Point
 
 __all__ = [
     "PAULI",
@@ -257,23 +257,6 @@ class ConnectionForm:
         a = self.gauge_block(p)
         return float(np.abs(a + np.conj(np.einsum("mij->mji", a))).max())
 
-    def omega_block(self, p: Point) -> np.ndarray:
-        """Half the sigma-contracted spin connection, (n, s, s)."""
-        fg = frame_geometry(self.vielbein, p)
-        sig = sigma_matrices(self.vielbein.signature)
-        return 0.5 * np.einsum("abij,abm->mij", sig, fg.omega)
-
-    def higgs_block(self, p: Point) -> np.ndarray:
-        """Phi = [[i c I, H], [H^dagger, i c I]] scaled by 1/alpha."""
-        h = self.higgs.value(p)
-        c = self.higgs.c
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = 1.0j * c * np.eye(2)
-        out[2:, 2:] = 1.0j * c * np.eye(2)
-        out[:2, 2:] = h
-        out[2:, :2] = h.conj().T
-        return out / self.constants.alpha
-
 
 def assemble_connection(vielbein: Vielbein, sm: SMGaugeConfig, higgs: HiggsField,
                         constants: ConnectionConstants | None = None) -> ConnectionForm:
@@ -503,8 +486,10 @@ def curvature(a: ConnectionForm, p: Point) -> CurvatureForm:
 
 
 def higgs_covariant_derivative(sm: SMGaugeConfig, higgs: HiggsField,
-                               p: Point) -> TensorValue:
-    """D_m H = (d_m - (i g1/2) B_m - (i g2/2) sigma_a W^a_m) H, shape (n, 2, 2).
+                               p: Point) -> np.ndarray:
+    """D_m H = (d_m - (i g1/2) B_m - (i g2/2) sigma_a W^a_m) H as out[m, i, j].
+
+    m is the covariant chart index; (i, j) are the 2x2 quaternion slots of H.
 
     Deliberately written with explicit matrix products rather than one einsum
     so it stays an independent check against the curvature() evaluation.
@@ -520,7 +505,7 @@ def higgs_covariant_derivative(sm: SMGaugeConfig, higgs: HiggsField,
         out[m] = (np.asarray(hd, dtype=complex)[:, :, m]
                   - 0.5j * sm.g1 * bv[m] * hv
                   - 0.5j * sm.g2 * (wmat @ hv))
-    return TensorValue(out, (DOWN, UP, DOWN), (COORD, FRAME, FRAME))
+    return out
 
 
 # -- squared curvature and its reparametrizations -----------------------------

@@ -1,24 +1,27 @@
-"""Smooth tensor-valued fields over a chart.
+"""Smooth array-valued fields over a chart.
 
 A :class:`ChartField` wraps a pure evaluator ``func(coords) -> array`` whose
 scalar arithmetic must go through :mod:`geodyn.jets` functions so the same
 code path serves plain floats (values, finite differences) and jets (exact
-derivatives).  ``differentiate`` appends covariant coordinate indices.
-``ChartField.jets`` also takes an (N, dim) coordinate block, evaluated in one
-pass on block jets, and then puts the point axis first in its results.
+derivatives).  ``ChartField.jets`` returns the value and its coordinate
+derivatives as plain arrays, derivative indices trailing.  It also takes an
+(N, dim) coordinate block, evaluated in one pass on block jets, and then puts
+the point axis first in its results.  A field with ``derivative_mode="fd"``
+(``dataclasses.replace(field, derivative_mode=FD)``) gives the same arrays
+from central differences, the independent oracle for the jet route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import jets
-from .tensors import COORD, DOWN, Point, TensorValue
+from .tensors import Point
 
-__all__ = ["ChartField", "differentiate", "scalar_field", "constant_field"]
+__all__ = ["ChartField", "scalar_field", "constant_field"]
 
 DUAL = "dual"
 FD = "fd"
@@ -68,19 +71,17 @@ def _collect(obj, shape, n, order, pts=()):
 
 @dataclass
 class ChartField:
-    """Tensor-valued field on an n-dimensional chart.
+    """Array-valued field on an n-dimensional chart.
 
     Parameters
     ----------
     dim : int
         Chart dimension.
     shape : tuple
-        Shape of the tensor value (``()`` for scalars).
+        Shape of the value (``()`` for scalars).
     func : callable
         ``func(coords)`` with coords a tuple of scalars or jets; must return
         a nested structure of matching shape built from smooth operations.
-    variance, kinds : tuple
-        Index metadata for the produced :class:`TensorValue`.
     derivative_mode : str
         ``"dual"`` (default) or ``"fd"``.
     fd_step, fd_step2 : float
@@ -90,8 +91,6 @@ class ChartField:
     dim: int
     shape: tuple
     func: Callable
-    variance: tuple = ()
-    kinds: tuple = field(default=())
     derivative_mode: str = DUAL
     fd_step: float = 1e-5
     fd_step2: float = 1e-4
@@ -99,8 +98,6 @@ class ChartField:
 
     def __post_init__(self):
         self.shape = tuple(self.shape)
-        self.variance = tuple(self.variance) if self.variance else (DOWN,) * len(self.shape)
-        self.kinds = tuple(self.kinds) if self.kinds else (COORD,) * len(self.shape)
         if self.derivative_mode not in (DUAL, FD):
             raise ValueError(f"unknown derivative mode {self.derivative_mode!r}")
 
@@ -116,15 +113,6 @@ class ChartField:
     def numeric(self, coords) -> np.ndarray:
         """Evaluate at plain numeric coordinates, collapsing object arrays."""
         return _collapse_numeric(self.raw(coords))
-
-    def value(self, p: Point) -> TensorValue:
-        arr = self.raw(p.coords)
-        if np.iscomplexobj(arr):
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-                raise ValueError(f"non-finite field value at {p.coords}")
-        elif arr.size and not np.all(np.isfinite(arr.astype(float))):
-            raise ValueError(f"non-finite field value at {p.coords}")
-        return TensorValue(arr, self.variance, self.kinds)
 
     def jets(self, p, order: int = 2):
         """Value, first and (optionally) second derivative arrays at p.
@@ -160,15 +148,6 @@ class ChartField:
             raise ValueError("non-finite coordinates or field value at "
                              f"{tuple(block[np.argmin(ok)].tolist())}")
         return res
-
-    def derivative(self, p: Point, order: int = 1, mode: str | None = None) -> TensorValue:
-        mode = mode or self.derivative_mode
-        fld = self if mode == self.derivative_mode else replace(self, derivative_mode=mode)
-        _, d1, d2 = fld.jets(p, order=order)
-        data = d1 if order == 1 else d2
-        var = self.variance + (DOWN,) * order
-        kinds = self.kinds + (COORD,) * order
-        return TensorValue(data, var, kinds)
 
     # -- finite differences ------------------------------------------------
 
@@ -210,11 +189,6 @@ class ChartField:
             d1 = d1.real
             d2 = None if d2 is None else d2.real
         return np.asarray(f0), d1, d2
-
-
-def differentiate(f: ChartField, p: Point, order: int = 1) -> TensorValue:
-    """Derivative tensor of ``f`` at ``p`` with appended covariant indices."""
-    return f.derivative(p, order=order)
 
 
 def scalar_field(dim: int, func: Callable, **kw) -> ChartField:

@@ -26,18 +26,7 @@ from functools import cache
 import numpy as np
 
 from .fields import ChartField
-from .tensors import (
-    COORD,
-    DOWN,
-    FRAME,
-    UP,
-    MinkowskiSignature,
-    Point,
-    SingularMetricError,
-    TensorValue,
-    checked_det,
-    checked_inverse,
-)
+from .tensors import MinkowskiSignature, Point, checked_det, checked_inverse
 
 __all__ = [
     "Vielbein",
@@ -91,9 +80,6 @@ class Vielbein:
     def value(self, p: Point) -> np.ndarray:
         return np.asarray(self.field.raw(p.coords), dtype=float)
 
-    def tensor(self, p: Point) -> TensorValue:
-        return TensorValue(self.value(p), (UP, DOWN), (FRAME, COORD))
-
     def inverse(self, p: Point) -> np.ndarray:
         """Inverse frame e^m_a, with the determinant guard."""
         return checked_inverse(self.value(p))
@@ -111,11 +97,6 @@ class ChristoffelSymbols:
     values: np.ndarray  # Gamma[m, a, b]
     gamma: np.ndarray
     gamma_inv: np.ndarray
-
-    def tensor(self) -> TensorValue:
-        # Christoffel symbols are connection coefficients, not a tensor;
-        # the variance tags record only how indices contract.
-        return TensorValue(self.values, (UP, DOWN, DOWN))
 
     def contracted(self) -> np.ndarray:
         """Gamma^b_{ba}; vanishes exactly in unit-volume coordinates."""
@@ -178,9 +159,6 @@ class GeneralizedMetric:
     def value(self, p) -> np.ndarray:
         g, _, _ = self.gamma_jets(p, order=1)
         return g
-
-    def tensor(self, p: Point) -> TensorValue:
-        return TensorValue(self.value(p), (DOWN, DOWN), (COORD, COORD))
 
     def inverse(self, p: Point) -> np.ndarray:
         return checked_inverse(self.value(p))
@@ -496,10 +474,6 @@ class CompatibilityResidual:
     tetrad: np.ndarray
     projected_omega: np.ndarray
     projection_defect: float
-
-    @property
-    def display_max(self) -> float:
-        return float(np.abs(self.display).max())
 
     @property
     def tetrad_max(self) -> float:

@@ -61,10 +61,6 @@ class Jet:
     def order(self) -> int:
         return 1 if self.hess is None else 2
 
-    @property
-    def nvars(self) -> int:
-        return self.grad.shape[0]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Jet({self.val!r}, grad={self.grad!r}, order={self.order})"
 

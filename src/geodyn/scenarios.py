@@ -23,9 +23,7 @@ from .action import (FieldEquationInput, HeatKernelData,
 from .config import Scenario, build_scenario
 from .connection import (ConnectionConstants, HiggsField, SMGaugeConfig,
                          assemble_connection, curvature, gauge_square_report)
-from .fields import ChartField
 from .geodesics import integrate_geodesic
-from .geometry import GeneralizedMetric
 from .tensors import MAX_DIM, Point
 from .triples import (check_axioms, fluctuate, fluctuation_space,
                       inner_fluctuations, unimodular_projection)
@@ -261,22 +259,7 @@ def _run_limit_check(scn: Scenario, task: dict) -> dict:
     gm = scn.frame.metric()
     gamma_tol = float(task.get("gamma_tolerance", 1e-12))
     riemann_tol = float(task.get("tolerance", 1e-8))
-    ref = None
-    if "reference" in task:
-        from .exprs import compile_expression
-        exprs = [[compile_expression(src, scn.coordinates)
-                  for src in row] for row in task["reference"]["matrix"]]
-        n = scn.dim
-
-        def gfun(c):
-            out = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] = exprs[i][j](c)
-            return out
-
-        ref = GeneralizedMetric(dim=n, gamma_field=ChartField(
-            dim=n, shape=(n, n), func=gfun))
+    ref = task["reference"]  # built by the config parse, or None
     conn = scn.connection or assemble_connection(
         scn.frame, SMGaugeConfig.zero(scn.dim), HiggsField.zero(scn.dim, c=0.0),
         ConnectionConstants())

@@ -1,47 +1,29 @@
-"""Dense tensor values with explicit variance and index-kind tags.
+"""Chart points, frame signatures and guarded determinants and inverses.
 
-Tensors are plain row-major numpy arrays wrapped with per-index metadata:
-variance (+1 contravariant, -1 covariant) and kind (``coord`` for chart
-indices, ``frame`` for orthonormal-frame indices).  Contractions refuse to
-pair indices of unlike kind, and refuse same-variance pairs unless the
-caller explicitly requests a metric-free frame trace.
+Tensors in geodyn are plain numpy arrays; each producer documents its index
+layout (see geometry.py).  This module holds what they share: the
+:class:`Point` a field is evaluated at, the flat frame metric eta of a
+:class:`MinkowskiSignature`, and the one singularity policy behind every
+determinant and inverse of a metric or frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-COORD = "coord"
-FRAME = "frame"
-
-UP = 1
-DOWN = -1
-
 MAX_DIM = 8
 
 __all__ = [
-    "COORD",
-    "FRAME",
-    "UP",
-    "DOWN",
     "Point",
     "MinkowskiSignature",
-    "TensorValue",
-    "TensorIndexError",
     "SingularMetricError",
-    "contract",
-    "raise_lower",
     "checked_inverse",
     "checked_det",
 ]
-
-
-class TensorIndexError(ValueError):
-    """Contraction or raise/lower request violates index metadata."""
 
 
 class SingularMetricError(ArithmeticError):
@@ -108,106 +90,6 @@ class MinkowskiSignature:
         eta = np.diag(np.array(self.signs, dtype=float))
         eta.setflags(write=False)
         return eta
-
-    @property
-    def is_euclidean(self) -> bool:
-        return all(s == 1 for s in self.signs)
-
-
-@dataclass(frozen=True)
-class TensorValue:
-    """A dense tensor at a point, with variance and kind per index."""
-
-    data: np.ndarray
-    variance: tuple
-    kinds: tuple = field(default=())
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        var = tuple(int(v) for v in self.variance)
-        kinds = tuple(self.kinds) if self.kinds else (COORD,) * arr.ndim
-        if arr.ndim != len(var):
-            raise TensorIndexError(f"rank {arr.ndim} but {len(var)} variance entries")
-        if arr.ndim != len(kinds):
-            raise TensorIndexError(f"rank {arr.ndim} but {len(kinds)} kind entries")
-        if any(v not in (UP, DOWN) for v in var):
-            raise TensorIndexError(f"variance entries must be +-1, got {var}")
-        if any(k not in (COORD, FRAME) for k in kinds):
-            raise TensorIndexError(f"unknown index kind in {kinds}")
-        if any(d > MAX_DIM for d in arr.shape):
-            raise TensorIndexError(f"index dimension above {MAX_DIM}: shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite tensor entries")
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "variance", var)
-        object.__setattr__(self, "kinds", kinds)
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    @property
-    def dims(self) -> tuple:
-        return self.data.shape
-
-    def item(self):
-        return self.data.item()
-
-
-def contract(t: TensorValue, i: int, j: int, frame_trace: bool = False) -> TensorValue:
-    """Sum index pair (i, j); one index up and one down unless frame_trace.
-
-    The metric-free escape hatch is restricted to frame indices, where the
-    orthonormal frame makes a plain trace meaningful.
-    """
-    if i == j:
-        raise TensorIndexError("cannot contract an index with itself")
-    if not (0 <= i < t.rank and 0 <= j < t.rank):
-        raise TensorIndexError(f"index pair ({i}, {j}) out of range for rank {t.rank}")
-    if t.dims[i] != t.dims[j]:
-        raise TensorIndexError(f"dimension mismatch on ({i}, {j}): {t.dims[i]} vs {t.dims[j]}")
-    if t.kinds[i] != t.kinds[j]:
-        raise TensorIndexError(f"kind mismatch on ({i}, {j}): {t.kinds[i]} vs {t.kinds[j]}")
-    if t.variance[i] + t.variance[j] != 0:
-        if not (frame_trace and t.kinds[i] == FRAME):
-            raise TensorIndexError(
-                "contraction needs one contravariant and one covariant index "
-                "(pass frame_trace=True to trace a frame index pair)")
-    data = np.trace(t.data, axis1=i, axis2=j)
-    keep = [k for k in range(t.rank) if k not in (i, j)]
-    return TensorValue(data, tuple(t.variance[k] for k in keep),
-                       tuple(t.kinds[k] for k in keep))
-
-
-def raise_lower(t: TensorValue, i: int, metric: TensorValue, direction: str) -> TensorValue:
-    """Raise or lower index i with a symmetric rank-2 metric.
-
-    ``metric`` is the all-covariant metric tensor (gamma_mn or eta_ab); its
-    inverse is formed internally for raising, with the singularity guard.
-    """
-    if direction not in ("up", "down"):
-        raise TensorIndexError(f"direction must be 'up' or 'down', got {direction!r}")
-    if metric.rank != 2 or metric.dims[0] != metric.dims[1]:
-        raise TensorIndexError("metric must be square rank 2")
-    if not (0 <= i < t.rank):
-        raise TensorIndexError(f"index {i} out of range for rank {t.rank}")
-    if t.dims[i] != metric.dims[0]:
-        raise TensorIndexError("metric dimension does not match target index")
-    if metric.kinds[0] != t.kinds[i]:
-        raise TensorIndexError(f"metric kind {metric.kinds[0]} vs index kind {t.kinds[i]}")
-    g = np.asarray(metric.data)
-    if not np.allclose(g, g.T, rtol=0, atol=1e-12 * max(1.0, np.abs(g).max())):
-        raise TensorIndexError("metric must be symmetric")
-    want = DOWN if direction == "up" else UP
-    if t.variance[i] != want:
-        raise TensorIndexError(
-            f"index {i} has variance {t.variance[i]:+d}; cannot move {direction}")
-    mat = checked_inverse(g) if direction == "up" else g
-    data = np.tensordot(t.data, mat, axes=([i], [0]))
-    data = np.moveaxis(data, -1, i)
-    var = list(t.variance)
-    var[i] = -want
-    return TensorValue(data, tuple(var), t.kinds)
 
 
 def checked_det(m: np.ndarray, rel: float = 1e-13):

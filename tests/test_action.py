@@ -8,7 +8,6 @@ from geodyn.action import (
     FieldEquationInput,
     GridSpec,
     HeatKernelData,
-    LimitModeError,
     Moments,
     Region,
     derived_constants,
@@ -37,6 +36,7 @@ from geodyn.fields import ChartField, constant_field, scalar_field
 from geodyn.geometry import GeneralizedMetric, Vielbein
 from geodyn.jets import sin
 from geodyn.library import diagonal_vielbein, flat, sphere2
+from geodyn.scenarios import builtin_config, run_scenario
 from geodyn.tensors import MinkowskiSignature, Point
 
 PI = np.pi
@@ -348,34 +348,29 @@ def test_riemannian_limit_periodic_telescoping_and_gauss_bonnet():
     assert abs(report.constants["beta0"] / report.constants["zeta0"] - 0.4) < 1e-14
 
 
+def _sphere2_limit_check(matrix, points, **tolerances):
+    obj = builtin_config("sphere2")
+    obj["tasks"] = [{"type": "limit-check", "points": points,
+                     "reference": {"matrix": matrix}, "tolerance": 1e-8,
+                     "gamma_tolerance": 1e-12, **tolerances}]
+    return run_scenario(obj).results[0]
+
+
 def test_riemannian_limit_reference_checks():
-    frame = sphere2()
-    m = moments(exponential_cutoff())
-    flat_ref = ChartField(dim=2, shape=(2, 2), func=lambda c: np.eye(2))
-    with pytest.raises(LimitModeError):
-        riemannian_limit_action(frame, SPHERE_REGION, GridSpec((9, 6)), m,
-                                reference_metric=flat_ref,
-                                check_points=(Point((1.0, 1.0)),))
-    # loosening the metric check exposes the curvature branch
-    with pytest.raises(LimitModeError):
-        riemannian_limit_action(frame, SPHERE_REGION, GridSpec((9, 6)), m,
-                                reference_metric=flat_ref,
-                                check_points=(Point((1.0, 1.0)),),
-                                metric_tol=10.0)
+    # rows: theta, phi, gamma_vs_reference, riemann_vs_reference, spin route
+    flat_ref = [["1", "0"], ["0", "1"]]
+    res = _sphere2_limit_check(flat_ref, [[1.0, 1.0]])
+    assert res.status == "fail" and res.rows[0][2] > 1e-12
+    # loosening the metric check leaves the curvature residual to fail it
+    res = _sphere2_limit_check(flat_ref, [[1.0, 1.0]], gamma_tolerance=10.0)
+    assert res.status == "fail"
+    assert res.worst_residual == res.rows[0][3] > 1e-8
 
-    def sphere_ref(c):
-        out = np.empty((2, 2), dtype=object)
-        out[0, 0] = 1.0
-        out[1, 1] = sin(c[0]) ** 2
-        out[0, 1] = out[1, 0] = 0.0
-        return out
-
-    ok = riemannian_limit_action(
-        frame, SPHERE_REGION, GridSpec((21, 8)), m,
-        reference_metric=ChartField(dim=2, shape=(2, 2), func=sphere_ref),
-        check_points=(Point((0.9, 0.5)), Point((2.0, 3.0))))
-    assert ok.constants["gamma_max"] < 1e-12
-    assert ok.constants["riemann_max"] < 1e-8
+    ok = _sphere2_limit_check([["1", "0"], ["0", "sin(theta)^2"]],
+                              [[0.9, 0.5], [2.0, 3.0]])
+    assert ok.status == "pass"
+    assert max(row[2] for row in ok.rows) < 1e-12
+    assert max(row[3] for row in ok.rows) < 1e-8
 
 
 def test_unification_scale_closes_the_einstein_hilbert_match():

@@ -240,36 +240,96 @@ def test_build_scenario_with_expressions():
 
 # -- constructor errors are diagnostics, and run exits 2 on them ------------------
 
+
+def _flat_empty(**sections):
+    obj = builtin_config("flat-empty")
+    obj.update(sections)
+    return obj
+
+
+def _with_scale_sq(value):
+    obj = builtin_config("flat-empty")
+    obj["cutoff"]["scale_sq"] = value
+    return obj
+
+
+def _sphere2_reference(matrix):
+    obj = builtin_config("sphere2")
+    obj["tasks"][2]["reference"]["matrix"] = matrix
+    return obj
+
+
+# each of these once passed validate and then crashed or misran `geodyn run`
 BUILD_ERRORS = {
     "schwarzschild-negative-mass": (
-        {"frame": {"builtin": "schwarzschild", "parameters": {"mass": -1}}},
+        lambda: _flat_empty(frame={"builtin": "schwarzschild",
+                                   "parameters": {"mass": -1}}),
         "frame.parameters"),
     "flat-unknown-signature": (
-        {"frame": {"builtin": "flat", "parameters": {"signature": "bogus"}}},
+        lambda: _flat_empty(frame={"builtin": "flat",
+                                   "parameters": {"signature": "bogus"}}),
         "frame.parameters"),
     "flat-float-dim": (
-        {"frame": {"builtin": "flat", "parameters": {"dim": 4.0}}},
+        lambda: _flat_empty(frame={"builtin": "flat", "parameters": {"dim": 4.0}}),
         "frame.parameters"),
-    "negative-alpha": ({"higgs": {"x": "0", "y": "0", "alpha": -1}}, "higgs.alpha"),
+    "negative-alpha": (lambda: _flat_empty(higgs={"x": "0", "y": "0", "alpha": -1}),
+                       "higgs.alpha"),
+    "scale-sq-nan": (lambda: _with_scale_sq(float("nan")), "cutoff.scale_sq"),
+    "scale-sq-infinity": (lambda: _with_scale_sq(float("inf")), "cutoff.scale_sq"),
+    "scale-sq-beyond-float": (lambda: _with_scale_sq(10 ** 400), "cutoff.scale_sq"),
+    "limit-check-unknown-function": (
+        lambda: _sphere2_reference([["1", "0"], ["0", "bogus(theta)"]]),
+        "tasks[2].reference.matrix[1][1]"),
+    "limit-check-reference-1x1": (lambda: _sphere2_reference([["1"]]),
+                                  "tasks[2].reference.matrix"),
+    "limit-check-reference-not-an-object": (
+        lambda: {**builtin_config("sphere2"),
+                 "tasks": [{"type": "limit-check", "reference": None}]},
+        "tasks[0].reference"),
+    "chart-signature-differs-from-builtin-frame": (
+        lambda: {**builtin_config("sphere2"),
+                 "chart": {**builtin_config("sphere2")["chart"],
+                           "signature": "lorentzian"}},
+        "chart.signature"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BUILD_ERRORS))
 def test_constructor_errors_are_diagnostics(case, tmp_path, capsys):
-    sections, path = BUILD_ERRORS[case]
-    obj = builtin_config("flat-empty")
-    obj.update(sections)
+    make, path = BUILD_ERRORS[case]
+    obj = make()
     assert path in _paths(validate_config(obj))
     with pytest.raises(ConfigError) as err:
         build_scenario(obj)
     assert path in _paths(err.value.diagnostics)
 
     cfg = tmp_path / "cfg.json"
+    # json.dumps writes the NaN and Infinity literals that json.loads reads
     cfg.write_text(json.dumps(obj), encoding="utf-8")
     # in process, so an escaping exception would fail the test instead
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"{path}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_chart_signature_defaults_to_the_builtin_frame():
+    obj = builtin_config("flat-empty")
+    del obj["chart"]["signature"]
+    assert build_scenario(obj).frame.signature.signs == (-1, 1, 1, 1)
+    obj["frame"]["parameters"] = {"signature": "euclidean"}
+    assert build_scenario(obj).frame.signature.signs == (1, 1, 1, 1)
+    obj["chart"]["signature"] = "lorentzian"
+    assert "chart.signature" in _paths(validate_config(obj))
+
+
+def test_limit_check_reference_is_built_once_in_the_parse():
+    obj = builtin_config("sphere2")
+    obj["tasks"].append({"type": "limit-check"})
+    scn = build_scenario(obj)
+    gamma = scn.tasks[2]["reference"].value(Point((0.7, 0.3)))
+    assert abs(gamma[1, 1] - np.sin(0.7) ** 2) < 1e-15
+    assert scn.tasks[3]["reference"] is None
+    assert build_scenario(builtin_config("riemannian-limit")).tasks[0]["reference"].dim == 4
 
 
 def test_grid_override_below_two_is_a_diagnostic(tmp_path, capsys):

@@ -158,7 +158,7 @@ def test_field_strength_matches_brute_force_matrix_route():
 
     q_field = ChartField(dim=4, shape=(4, 2, 2), func=q_func, derivative_mode=FD)
     q_vals = q_field.numeric(p.coords)
-    dq = q_field.derivative(p, order=1).data
+    _, dq, _ = q_field.jets(p, order=1)
     f_direct = curvature_of_potential(q_vals, dq)
     f = curvature(form, p)
     assert np.abs(f_direct - f.q_f).max() < 1e-7
@@ -260,7 +260,7 @@ def test_higgs_covariant_derivative_routes_agree():
     for _ in range(3):
         p = Point(tuple(rng.uniform(-1.0, 1.0, size=4)))
         f = curvature(form, p)
-        dh = higgs_covariant_derivative(sm, higgs, p).data
+        dh = higgs_covariant_derivative(sm, higgs, p)
         assert np.abs(dh - f.higgs_kinetic).max() < 1e-12
 
 

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from geodyn.tensors import (COORD, DOWN, FRAME, UP, MinkowskiSignature, Point,
-                            SingularMetricError, TensorIndexError, TensorValue,
-                            checked_det, checked_inverse, contract,
-                            raise_lower)
+from geodyn.tensors import (MinkowskiSignature, Point, SingularMetricError,
+                            checked_det, checked_inverse)
 
 
 def test_point_is_hashable_and_ordered():
@@ -22,58 +20,9 @@ def test_signature_matrices():
     assert np.array_equal(euc.matrix, np.eye(3))
 
 
-def test_contract_matches_einsum():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = rng.standard_normal((3, 3, 3))
-        t = TensorValue(a, (UP, DOWN, DOWN), (COORD, COORD, COORD))
-        out = contract(t, 0, 1)
-        assert np.allclose(out.data, np.einsum("aab->b", a))
-        assert out.variance == (DOWN,)
-
-
-def test_contract_rejects_same_variance():
-    a = np.zeros((2, 2))
-    t = TensorValue(a, (UP, UP), (COORD, COORD))
-    with pytest.raises(TensorIndexError):
-        contract(t, 0, 1)
-
-
-def test_euclidean_raise_is_identity():
-    # identity metric: raising changes the flag, not the components
-    rng = np.random.default_rng(7)
-    v = TensorValue(rng.standard_normal(4), (DOWN,), (COORD,))
-    g = TensorValue(np.eye(4), (DOWN, DOWN), (COORD, COORD))
-    up = raise_lower(v, 0, g, "up")
-    assert np.allclose(up.data, v.data)
-    assert up.variance == (UP,)
-
-
-def test_raise_then_lower_roundtrip():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        m = rng.standard_normal((3, 3))
-        m = m @ m.T + 3.0 * np.eye(3)
-        g = TensorValue(m, (DOWN, DOWN), (COORD, COORD))
-        v = TensorValue(rng.standard_normal(3), (DOWN,), (COORD,))
-        up = raise_lower(v, 0, g, "up")
-        back = raise_lower(up, 0, g, "down")
-        assert np.allclose(back.data, v.data, atol=1e-12)
-
-
 def test_checked_det_and_inverse_guard():
     with pytest.raises(SingularMetricError):
         checked_det(np.zeros((2, 2)))
     with pytest.raises(SingularMetricError):
         checked_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert abs(checked_det(2.0 * np.eye(2)) - 4.0) < 1e-15
-
-
-def test_tensor_value_validates_shape_and_finiteness():
-    with pytest.raises(TensorIndexError):
-        TensorValue(np.zeros((2, 3)), (UP,), (COORD,))
-    with pytest.raises(ValueError):
-        TensorValue(np.array([np.nan]), (UP,), (COORD,))
-    # complex data is allowed when finite
-    t = TensorValue(np.array([1.0 + 1.0j]), (UP,), (FRAME,))
-    assert t.data.dtype.kind == "c"
