@@ -9,9 +9,13 @@ three in one table so the mapping stays auditable.
 Region integrals use trapezoidal quadrature on uniform grids; periodic axes
 use equal weights over [lo, hi).  The error estimate comes from recomputing
 at roughly half resolution and scaling the difference by the trapezoid
-order.  Densities are evaluated on blocks of BLOCK_POINTS grid points at a
-time: a density takes an (N, dim) coordinate block and returns one row of
-values per point, so the geometry runs as one vectorised jet pass per block.
+order; when every coarse axis point is also a fine one (odd points on open
+axes, even on periodic ones, as the coordinates compare), the coarse values
+are read from the fine grid instead of evaluated again.  Densities are
+evaluated on blocks of BLOCK_POINTS grid points at a time: a density takes
+an (N, dim) coordinate block and returns one row of values per point, so the
+geometry, the gauge fields and the Higgs field each run as one vectorised
+jet pass per block.
 The weighted sum then runs over the whole grid in index order, so a fixed
 grid always reproduces identical bits.
 """
@@ -25,7 +29,6 @@ from scipy import integrate as _scipy_integrate
 
 from .connection import (
     ConnectionForm,
-    CurvatureForm,
     ReparamConstants,
     curvature,
     curvature_squared,
@@ -34,7 +37,7 @@ from .connection import (
 )
 from .fields import ChartField
 from .geometry import GeneralizedMetric, Vielbein, sigma_squared
-from .tensors import Point, SingularMetricError, checked_det
+from .tensors import Point, checked_det
 
 __all__ = [
     "CutoffFunction",
@@ -238,18 +241,41 @@ def _grid_eval(density, region: Region, grid: GridSpec) -> tuple:
     return values, weights
 
 
+def _subgrid_rows(region: Region, grid: GridSpec, coarse: GridSpec):
+    """Fine-grid row of each coarse-grid point, in index order, or None.
+
+    None unless every coarse axis point equals a fine axis point exactly;
+    the comparison is of the coordinates themselves, so rounding decides.
+    """
+    index = []
+    for i in range(region.dim):
+        f, c = (_axis_rule(region.lo[i], region.hi[i], n, region.periodic[i])[0]
+                for n in (grid.shape[i], coarse.shape[i]))
+        hits = c[:, None] == f
+        if not hits.any(axis=1).all():
+            return None
+        index.append(hits.argmax(axis=1))
+    return np.ravel_multi_index(np.meshgrid(*index, indexing="ij"), grid.shape).ravel()
+
+
 def _integrate_many(density, region: Region, grid: GridSpec) -> tuple:
     """Trapezoid integrals of a vector density with error estimates.
 
     ``density(block (N, dim)) -> (N, k)``.  Returns (value (k,),
     error_estimate (k,), meta, fine-grid values (P, k)).  The estimate
     recomputes the integral at roughly half resolution; for the second-order
-    trapezoid rule |I - I_fine| is about |I_fine - I_coarse| / 3.
+    trapezoid rule |I - I_fine| is about |I_fine - I_coarse| / 3.  When the
+    coarse grid is a subset of the fine one, its values are the fine-grid
+    values at those points; otherwise the density is evaluated on it.
     """
     vals, wts = _grid_eval(density, region, grid)
     fine = wts @ vals
     coarse_grid = grid.coarser()
-    cvals, cwts = _grid_eval(density, region, coarse_grid)
+    rows = _subgrid_rows(region, grid, coarse_grid)
+    if rows is None:
+        cvals, cwts = _grid_eval(density, region, coarse_grid)
+    else:
+        cvals, cwts = vals[rows], _grid_points(region, coarse_grid)[1]
     coarse = cwts @ cvals
     err = np.abs(fine - coarse) / 3.0
     meta = {"grid": grid.shape, "coarse_grid": coarse_grid.shape,
@@ -275,7 +301,9 @@ class HeatKernelData:
     the assembled connection blockwise (gravity, gauge, Higgs, with the
     reparametrization constants), "metric" uses sigma^2 times the squared
     Riemann tensor of the generalized metric, which is the form the compact
-    universal action assumes.
+    universal action assumes.  In blocks mode the volume comes from the
+    connection's own frame, which should be the one metric is built from;
+    metric then serves only the E term.
     """
 
     metric: GeneralizedMetric
@@ -335,14 +363,13 @@ def heat_kernel_coefficients(data: HeatKernelData, region: Region,
 
     def density(block):
         if data.aa_mode == "blocks":
-            vol = data.metric.volume_element(block).value
-            aa = np.array([curvature_squared(curvature(data.connection, Point(x)),
-                                             data.reparam).total for x in block.tolist()])
+            ct = curvature(data.connection, block)
+            aa = curvature_squared(ct, data.reparam).total
         else:
-            # the curvature pass's gamma gives the volume; no second jet pass
             ct = data.metric.curvature(block)
-            vol = np.sqrt(np.abs(checked_det(ct.gamma)))
             aa = sig_sq * ct.riemann_squared()
+        # the curvature pass's gamma gives the volume; no second jet pass
+        vol = np.sqrt(np.abs(checked_det(ct.gamma)))
         if data.e_term is not None:
             e_val, e_lap = _laplacian_of_scalar(data.metric, data.e_term, block)
         else:
@@ -634,7 +661,7 @@ def _sm_field_equation(inp: FieldEquationInput, p: Point, fd_step: float) -> dic
         up = np.einsum("ab,cnb->cna", ginv, comp)
         return -0.5 * np.einsum("cma,cna->mn", comp, up)
 
-    n_gauge = (gauge_n(f.b_f[None]) + gauge_n(f.w_f) + gauge_n(f.g_f))
+    n_gauge = (gauge_n(f.b_components) + gauge_n(f.w_f) + gauge_n(f.g_f))
     higgs_t = kappa_sq * f.higgs_kinetic_tensor()
     n_mn = n_grav + n_gauge + higgs_t
 
@@ -645,7 +672,7 @@ def _sm_field_equation(inp: FieldEquationInput, p: Point, fd_step: float) -> dic
 
     # finite-difference oracle with frozen covariant blocks
     ricci_d = ricci.copy()
-    comps = [f.b_f[None].copy(), f.w_f.copy(), f.g_f.copy()]
+    comps = [f.b_components.copy(), f.w_f.copy(), f.g_f.copy()]
     kin = f.higgs_kinetic_tensor().copy()
     const_part = (norm.terms["higgs_potential"] + norm.terms["delta0"])
 
@@ -721,6 +748,8 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
     Terms: delta0 volume, Einstein-Hilbert with coefficient M2 L^2 / 64 pi^2,
     the SM sector in canonical normalization, the total-derivative term
     eta0 * int lap R, zeta0 * int R^2 and -beta0 * int (Ricci^2 + Riemann^2).
+    A connection, if given, should live on frame: the volume and curvature
+    terms come from frame, the gauge and Higgs sectors from the connection.
     Comparing a frame with a reference metric is the limit-check task's job.
     """
     gm = frame.metric()
@@ -742,34 +771,24 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
 
     def density(block):
         ct = gm.curvature(block)
-        vol_el = np.sqrt(np.abs(checked_det(ct.gamma)))
+        vol = np.sqrt(np.abs(checked_det(ct.gamma)))
+        gauge = higgs = 0.0
         if connection is not None:
-            rows = []
-            for x in block.tolist():
-                f = curvature(connection, Point(x))
-                norm = sm_lagrangian_normalized(f, f0=m.m0, f4=m.m4, lam_sq=m.lam_sq,
-                                                n_r=n_r, n_h=n_h)
-                gauge = (norm.terms["gauge_b"] + norm.terms["gauge_w"]
-                         + norm.terms["gauge_g"])
-                higgs = norm.terms["higgs_kinetic"] + norm.terms["higgs_potential"]
-                rows.append((1.0 / np.sqrt(abs(np.linalg.det(f.gamma_inv))),
-                             f.ricci_squared(), gauge, higgs))
-            vol, ricci_sq, gauge, higgs = np.array(rows).T
-        else:
-            vol, ricci_sq = vol_el, ct.ricci_squared()
-            gauge = higgs = 0.0
+            norm = sm_lagrangian_normalized(curvature(connection, block), f0=m.m0, f4=m.m4,
+                                            lam_sq=m.lam_sq, n_r=n_r, n_h=n_h)
+            gauge = norm.terms["gauge_b"] + norm.terms["gauge_w"] + norm.terms["gauge_g"]
+            higgs = norm.terms["higgs_kinetic"] + norm.terms["higgs_potential"]
         scalar = ct.scalar
         # the last columns carry the grids of the total-derivative term
         return np.column_stack([
             vol,
             scalar * vol,
             scalar ** 2 * vol,
-            ricci_sq * vol,
+            ct.ricci_squared() * vol,
             ct.riemann_squared() * vol,
             gauge * vol,
             higgs * vol,
             scalar,
-            vol_el,
             ct.gamma_inv.reshape(len(block), -1),
         ])
 
@@ -779,8 +798,8 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
 
     shape = grid.shape
     lap_r_integral = _divergence_integral(
-        vals[:, 7].reshape(shape), vals[:, 8].reshape(shape),
-        vals[:, 9:].reshape(shape + (region.dim, region.dim)), region, grid)
+        vals[:, 7].reshape(shape), vals[:, 0].reshape(shape),
+        vals[:, 8:].reshape(shape + (region.dim, region.dim)), region, grid)
 
     terms = {
         "delta0_volume": (delta0, vol_i, delta0 * vol_i),

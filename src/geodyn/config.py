@@ -63,6 +63,18 @@ TASK_TYPES = (
     "trace-oracle",
 )
 
+# the numeric entries each task's runner reads; each one given must be a
+# finite number, and a field of an object entry (orbit) must be given
+_TASK_NUMBERS = {
+    "curvature-at-points": ("tolerance", "expected_scalar"),
+    "geodesic": ("tolerance", "orbit_tolerance", "orbit.mass", "orbit.radius"),
+    "action": ("tolerance", "sigma_sq"),
+    "field-equations": ("tolerance", "kappa0", "tau0"),
+    "axioms": ("tolerance",),
+    "limit-check": ("tolerance", "gamma_tolerance"),
+    "trace-oracle": ("tolerance",),
+}
+
 TRIPLE_BUILTINS = ("two-point", "lepton-sector", "sm-yukawa")
 
 
@@ -607,6 +619,7 @@ def _parse_tasks(diags, tasks, dim, coords, has_gauge, has_higgs, has_triple,
                                     f"unknown type {ttype!r}; known: "
                                     f"{', '.join(TASK_TYPES)}"))
             continue
+        _check_task_numbers(diags, task, path)
         if ttype in ("curvature-at-points", "field-equations", "limit-check",
                      "trace-oracle"):
             pts = task.get("points")
@@ -624,12 +637,19 @@ def _parse_tasks(diags, tasks, dim, coords, has_gauge, has_higgs, has_triple,
                 if not (dim is None or _num_list(task.get(key), dim)):
                     diags.append(Diagnostic(f"{path}.{key}",
                                             f"must be {dim} numbers"))
-            steps = task.get("steps", 1000)
-            if not isinstance(steps, int) or steps < 1:
-                diags.append(Diagnostic(f"{path}.steps", "must be a positive integer"))
+            for key in ("steps", "csv_samples"):
+                count = task.get(key, 1)
+                if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                    diags.append(Diagnostic(f"{path}.{key}", "must be a positive integer"))
             if "step_size" in task and not (_is_num(task["step_size"])
                                             and task["step_size"] > 0):
                 diags.append(Diagnostic(f"{path}.step_size", "must be positive"))
+            orbit = task.get("orbit", {})
+            if not isinstance(orbit, dict):
+                diags.append(Diagnostic(f"{path}.orbit",
+                                        "must be an object with mass and radius"))
+            elif _is_num(orbit.get("radius")) and orbit["radius"] <= 0:
+                diags.append(Diagnostic(f"{path}.orbit.radius", "must be positive"))
         if ttype == "action":
             if not has_cutoff:
                 diags.append(Diagnostic(path, "action task needs a cutoff section"))
@@ -656,6 +676,18 @@ def _parse_tasks(diags, tasks, dim, coords, has_gauge, has_higgs, has_triple,
             task = {**task, "reference": ref}
         built.append(task)
     return built
+
+
+def _check_task_numbers(diags, task, path):
+    for key in _TASK_NUMBERS[task["type"]]:
+        head, _, leaf = key.partition(".")
+        value = task.get(head)
+        if leaf and isinstance(value, dict):
+            value = value.get(leaf)  # the fields of an object entry are required
+        elif leaf or head not in task:
+            continue
+        if not _is_num(value):
+            diags.append(Diagnostic(f"{path}.{key}", "must be a number"))
 
 
 def _parse_reference(diags, ref, coords, path):

@@ -14,6 +14,11 @@ so the assembled 6x6 gauge block is traceless by construction.  Component
 field strengths are kept algebraically consistent with the matrix curvature
 of each block (the V block's gluon field strength carries the orientation
 of -V', i.e. the structure-constant term enters with a minus sign).
+
+``curvature`` also takes an (N, dim) coordinate block, which adds a leading
+point axis to every result, so a quadrature density makes one jet pass per
+field per block.  Its independent self-checks are ``curvature_checks``, which
+tests and the limit-check task run, not every quadrature point.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ChartField
-from .geometry import CurvatureTensors, Vielbein, frame_geometry, sigma_matrices
+from .geometry import (CurvatureTensors, Vielbein, _unbatched, frame_geometry,
+                       sigma_matrices)
 from .tensors import Point
 
 __all__ = [
@@ -42,6 +48,7 @@ __all__ = [
     "assemble_connection",
     "checked_coupling",
     "curvature",
+    "curvature_checks",
     "curvature_of_potential",
     "transform_potential",
     "bianchi_residual",
@@ -272,16 +279,16 @@ def assemble_connection(vielbein: Vielbein, sm: SMGaugeConfig, higgs: HiggsField
 class CurvatureForm:
     """All blocks of F = dA + A^A at a point, plus the metric data needed to
     square them.  Two-form blocks are stored [m, n, ...] antisymmetric in
-    (m, n); component field strengths are stored [a, m, n]."""
+    (m, n); component field strengths are stored [a, m, n].  Evaluated on an
+    (N, dim) block, every array gains a leading point axis, higgs_potential
+    and the scalar methods give (N,) arrays, and point is the block."""
 
-    point: Point
+    point: Point | np.ndarray
     gamma: np.ndarray
     gamma_inv: np.ndarray
     ricci: np.ndarray
     riemann: np.ndarray
     grav: np.ndarray            # (n, n, s, s): 1/2 sigma_ab Rf^{ab}_{mn}
-    frame_check: float          # |Rf - E e R| conversion residual
-    route_check: float          # component vs matrix field-strength residual
     b_f: np.ndarray             # (n, n) abelian field strength
     w_f: np.ndarray             # (3, n, n)
     g_f: np.ndarray             # (8, n, n), V-block orientation
@@ -296,38 +303,46 @@ class CurvatureForm:
     couplings: tuple            # (g1, g2, g3)
     constants: ConnectionConstants = field(default_factory=ConnectionConstants)
 
+    @property
+    def b_components(self) -> np.ndarray:
+        """b_f with a one-entry component axis, laid out like w_f and g_f."""
+        return self.b_f[..., None, :, :]
+
     def antisymmetry_residual(self) -> float:
         worst = 0.0
         for blk in (self.grav, self.gauge_full):
-            worst = max(worst, float(np.abs(blk + np.einsum("mn...->nm...", blk)).max()))
-        for comp in (self.b_f[None], self.w_f, self.g_f):
-            worst = max(worst, float(np.abs(comp + np.einsum("amn->anm", comp)).max()))
+            worst = max(worst, float(np.abs(blk + blk.swapaxes(-4, -3)).max()))
+        for comp in (self.b_components, self.w_f, self.g_f):
+            worst = max(worst, float(np.abs(comp + comp.swapaxes(-1, -2)).max()))
         return worst
 
     def square_scalar(self, two_form: np.ndarray) -> complex:
         """tr(F_mn F^mn) for a matrix two-form stored [m, n, i, j]."""
-        up = np.einsum("ma,nb,abij->mnij", self.gamma_inv, self.gamma_inv, two_form)
-        return complex(np.einsum("mnij,mnji->", two_form, up))
+        up = np.einsum("...nb,...mbij->...mnij", self.gamma_inv,
+                       np.einsum("...ma,...abij->...mbij", self.gamma_inv, two_form))
+        return _unbatched(np.einsum("...mnij,...mnji->...", two_form, up))
 
     def component_square(self, comp: np.ndarray) -> float:
         """sum_a F^a_mn F^{a mn} for component field strengths [a, m, n]."""
-        up = np.einsum("ma,nb,cab->cmn", self.gamma_inv, self.gamma_inv, comp)
-        return float(np.real(np.einsum("cmn,cmn->", comp, up)))
+        up = np.einsum("...nb,...cmb->...cmn", self.gamma_inv,
+                       np.einsum("...ma,...cab->...cmb", self.gamma_inv, comp))
+        return _unbatched(np.real(np.einsum("...cmn,...cmn->...", comp, up)))
 
     ricci_squared = CurvatureTensors.ricci_squared
 
     def higgs_kinetic_scalar(self) -> float:
         """|DH|^2 = (1/2) Tr(D_m H (D_n H)^dagger) gamma^{mn}."""
-        tr = 0.5 * np.einsum("mij,nij->mn", self.higgs_kinetic,
-                             np.conj(self.higgs_kinetic))
-        return float(np.real(np.einsum("mn,mn->", self.gamma_inv, tr)))
+        return _unbatched(np.real(np.einsum("...mn,...mn->...", self.gamma_inv,
+                                            self._higgs_kinetic_trace())))
 
     def higgs_kinetic_tensor(self) -> np.ndarray:
         """(1/2) Re Tr(D_m H (D_n H)^dagger); the real part is the (m, n)
         symmetrization since swapping m and n conjugates the trace."""
-        tr = 0.5 * np.einsum("mij,nij->mn", self.higgs_kinetic,
-                             np.conj(self.higgs_kinetic))
-        return np.real(tr)
+        return np.real(self._higgs_kinetic_trace())
+
+    def _higgs_kinetic_trace(self) -> np.ndarray:
+        return 0.5 * np.einsum("...mij,...nij->...mn", self.higgs_kinetic,
+                               np.conj(self.higgs_kinetic))
 
 
 def curvature_of_potential(a_vals: np.ndarray, a_d1: np.ndarray) -> np.ndarray:
@@ -393,72 +408,56 @@ def _real_components(arr: np.ndarray, what: str) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-def curvature(a: ConnectionForm, p: Point) -> CurvatureForm:
+def _gauge_jets(sm: SMGaugeConfig, p) -> tuple:
+    """(value, derivative) of B, W and G at p, checked real."""
+    return tuple((_real_components(v, f"{name} components"),
+                  _real_components(d, f"{name} derivatives"))
+                 for name, (v, d, _) in zip("BWG", sm.component_jets(p, order=1)))
+
+
+def curvature(a: ConnectionForm, p) -> CurvatureForm:
     """Evaluate every block of F = dA + A^A at p.
 
-    The gravity block is half the sigma-contracted frame curvature; the
-    residual of that tensor against the coordinate Riemann tensor pushed to
-    frame indices is reported as frame_check.  The su(2) and su(3) blocks are
-    computed twice, from component field strengths and from the matrix
-    potential via curvature_of_potential; route_check is the worst
-    disagreement between the two.
+    ``p`` is a Point or an (N, dim) block: one order-2 frame jet pass and one
+    order-1 pass each over B, W, G and H.  The gravity block is half the
+    sigma-contracted frame curvature.
     """
     e = a.vielbein
     n = a.dim
     fg = frame_geometry(e, p)
     sig = sigma_matrices(e.signature)
-    eta = e.signature.matrix
+    # grav[m, n] = 1/2 sigma_ab Rf^{ab}_{mn}, one matrix product over the (a, b) pairs
+    rf = fg.frame_curvature.reshape(fg.frame_curvature.shape[:-4] + (n * n, n * n))
+    grav = (0.5 * (rf.swapaxes(-1, -2) @ sig.reshape(n * n, -1))).reshape(
+        rf.shape[:-2] + (n, n) + sig.shape[-2:])
 
-    grav = 0.5 * np.einsum("abij,abmn->mnij", sig, fg.frame_curvature.astype(complex))
-    eup = np.linalg.inv(fg.e) @ eta
-    rf_ref = np.einsum("ar,sb,rsmn->abmn", fg.e, eup, fg.riemann)
-    frame_check = float(np.abs(fg.frame_curvature - rf_ref).max())
-
-    (bv, bd, _), (wv, wd, _), (gv, gd, _) = a.sm.component_jets(p, order=1)
-    bv = _real_components(bv, "B components")
-    bd = _real_components(bd, "B derivatives")
-    wv = _real_components(wv, "W components")
-    wd = _real_components(wd, "W derivatives")
-    gv = _real_components(gv, "G components")
-    gd = _real_components(gd, "G derivatives")
+    (bv, bd), (wv, wd), (gv, gd) = _gauge_jets(a.sm, p)
     g1, g2, g3 = a.sm.g1, a.sm.g2, a.sm.g3
 
     # component field strengths; bd[m, s] = d_s B_m etc.
-    b_f = bd.T - bd
-    w_f = (np.einsum("ans->asn", wd) - wd
-           + g2 * np.einsum("abc,bm,cn->amn", _EPS3, wv, wv))
-    g_f = (np.einsum("ans->asn", gd) - gd
-           - g3 * np.einsum("abc,bm,cn->amn", _F_SU3, gv, gv))
+    b_f = bd.swapaxes(-1, -2) - bd
+    w_f = wd.swapaxes(-1, -2) - wd + g2 * _structure_product(_EPS3, wv)
+    g_f = gd.swapaxes(-1, -2) - gd - g3 * _structure_product(_F_SU3, gv)
 
-    eye3 = np.eye(3, dtype=complex)
     lam_f = 0.5j * g1 * b_f.astype(complex)
-    q_f = -0.5j * g2 * np.einsum("aij,amn->mnij", PAULI, w_f.astype(complex))
-    v_f = (0.5j * g3 * np.einsum("aij,amn->mnij", GELL_MANN, g_f.astype(complex))
-           - np.einsum("mn,ij->mnij", lam_f / 3.0, eye3))
+    q_f = -0.5j * g2 * np.einsum("aij,...amn->...mnij", PAULI, w_f.astype(complex))
+    v_f = (0.5j * g3 * np.einsum("aij,...amn->...mnij", GELL_MANN, g_f.astype(complex))
+           - (lam_f / 3.0)[..., None, None] * np.eye(3))
 
-    # dual route: matrix potentials differentiated directly
-    blocks = _gauge_blocks(bv, wv, gv, g1, g2, g3)
-    dq = -0.5j * g2 * np.einsum("aij,ams->mijs", PAULI, wd)
-    dvprime = -0.5j * g3 * np.einsum("aij,ams->mijs", GELL_MANN, gd)
-    dlam = 0.5j * g1 * bd
-    dv = -dvprime - np.einsum("ms,ij->mijs", dlam / 3.0, eye3)
-    q_direct = curvature_of_potential(blocks["q"], dq)
-    v_direct = curvature_of_potential(blocks["v"], dv)
-    route_check = max(float(np.abs(q_direct - q_f).max()),
-                      float(np.abs(v_direct - v_f).max()))
-
-    gauge_full = np.zeros((n, n, 6, 6), dtype=complex)
-    gauge_full[:, :, 0, 0] = lam_f
-    gauge_full[:, :, 1:3, 1:3] = q_f
-    gauge_full[:, :, 3:6, 3:6] = v_f
+    gauge_full = np.zeros(lam_f.shape + (6, 6), dtype=complex)
+    gauge_full[..., 0, 0] = lam_f
+    gauge_full[..., 1:3, 1:3] = q_f
+    gauge_full[..., 3:6, 3:6] = v_f
 
     hv, hd, _ = a.higgs.h.jets(p, order=1)
     hv = np.asarray(hv, dtype=complex)
-    dh = np.einsum("ijm->mij", np.asarray(hd, dtype=complex))
-    dh = dh - 0.5j * g1 * np.einsum("m,ij->mij", bv, hv)
-    dh = dh - 0.5j * g2 * np.einsum("aij,am,jk->mik", PAULI, wv, hv)
+    dh = np.moveaxis(np.asarray(hd, dtype=complex), -1, -3)
+    dh = dh - 0.5j * g1 * bv[..., None, None] * hv[..., None, :, :]
+    wmat = np.einsum("aij,...am->...mij", PAULI, wv)
+    dh = dh - 0.5j * g2 * (wmat @ hv[..., None, :, :])
 
-    pot = a.higgs.norm_squared(p) - a.higgs.c ** 2
+    # |H|^2 = Tr(H^dagger H) / 2
+    pot = np.real(np.einsum("...ij,...ij->...", hv.conj(), hv)) / 2.0 - a.higgs.c ** 2
 
     return CurvatureForm(
         point=p,
@@ -467,8 +466,6 @@ def curvature(a: ConnectionForm, p: Point) -> CurvatureForm:
         ricci=fg.ricci,
         riemann=fg.riemann,
         grav=grav,
-        frame_check=frame_check,
-        route_check=route_check,
         b_f=b_f,
         w_f=w_f,
         g_f=g_f,
@@ -478,11 +475,43 @@ def curvature(a: ConnectionForm, p: Point) -> CurvatureForm:
         gauge_full=gauge_full,
         higgs_kinetic=dh,
         higgs_value=hv,
-        higgs_potential=pot,
+        higgs_potential=_unbatched(pot),
         higgs_c=a.higgs.c,
         couplings=(g1, g2, g3),
         constants=a.constants,
     )
+
+
+def _structure_product(f_abc: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """f_abc v^b_m v^c_n as [..., a, m, n]."""
+    return np.einsum("...acm,...cn->...amn", np.einsum("abc,...bm->...acm", f_abc, v), v)
+
+
+def curvature_checks(a: ConnectionForm, p: Point) -> tuple:
+    """(frame_check, route_check): independent routes to curvature(a, p).
+
+    frame_check: frame curvature against the coordinate Riemann tensor pushed
+    to frame indices.  route_check: the su(2) and su(3) blocks of curvature
+    against curvature_of_potential of the matrix potentials.
+    """
+    fg = frame_geometry(a.vielbein, p)
+    eup = np.linalg.inv(fg.e) @ a.vielbein.signature.matrix
+    rf_ref = np.einsum("ar,sb,rsmn->abmn", fg.e, eup, fg.riemann)
+    frame_check = float(np.abs(fg.frame_curvature - rf_ref).max())
+
+    f = curvature(a, p)
+    (bv, bd), (wv, wd), (gv, gd) = _gauge_jets(a.sm, p)
+    g1, g2, g3 = f.couplings
+    blocks = _gauge_blocks(bv, wv, gv, g1, g2, g3)
+    dq = -0.5j * g2 * np.einsum("aij,ams->mijs", PAULI, wd)
+    dvprime = -0.5j * g3 * np.einsum("aij,ams->mijs", GELL_MANN, gd)
+    dlam = 0.5j * g1 * bd
+    dv = -dvprime - np.einsum("ms,ij->mijs", dlam / 3.0, np.eye(3, dtype=complex))
+    q_direct = curvature_of_potential(blocks["q"], dq)
+    v_direct = curvature_of_potential(blocks["v"], dv)
+    route_check = max(float(np.abs(q_direct - f.q_f).max()),
+                      float(np.abs(v_direct - f.v_f).max()))
+    return frame_check, route_check
 
 
 def higgs_covariant_derivative(sm: SMGaugeConfig, higgs: HiggsField,
@@ -529,9 +558,10 @@ class ReparamConstants:
 
 @dataclass
 class LagrangianBreakdown:
-    """Named scalar terms of a Lagrangian density at a point."""
+    """Named scalar terms of a Lagrangian density at a point, or (N,) arrays
+    of them over a coordinate block."""
 
-    point: Point
+    point: Point | np.ndarray
     terms: dict
     total: float
     constants: dict = field(default_factory=dict)
@@ -541,6 +571,12 @@ class LagrangianBreakdown:
 
     def sum_residual(self) -> float:
         return abs(self.total - sum(self.terms.values()))
+
+
+def _total(terms: dict):
+    """The sum of the terms: a float at a point, an (N,) array over a block."""
+    total = sum(terms.values())
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def lambda0_constant(constants: ConnectionConstants, c: float,
@@ -570,7 +606,7 @@ def curvature_squared(f: CurvatureForm,
     pot = f.higgs_potential
     terms = {
         "ricci_sq": consts.n_spinor / (4.0 * rp.n_r ** 2) * f.ricci_squared(),
-        "gauge_b": -(3.0 * g1 ** 2 / (4.0 * rp.n_b ** 2)) * f.component_square(f.b_f[None]),
+        "gauge_b": -(3.0 * g1 ** 2 / (4.0 * rp.n_b ** 2)) * f.component_square(f.b_components),
         "gauge_w": -(g2 ** 2 / (4.0 * rp.n_w ** 2)) * f.component_square(f.w_f),
         "gauge_g": -(3.0 * g3 ** 2 / (4.0 * rp.n_g ** 2)) * f.component_square(f.g_f),
         "higgs_kinetic": (eta / (alpha ** 2 * rp.n_h ** 2)) * f.higgs_kinetic_scalar(),
@@ -578,7 +614,7 @@ def curvature_squared(f: CurvatureForm,
         "lambda0": lambda0_constant(consts, f.higgs_c, rp.n_h),
     }
     return LagrangianBreakdown(point=f.point, terms=terms,
-                               total=float(sum(terms.values())),
+                               total=_total(terms),
                                constants={"eta": eta, "alpha": alpha,
                                           "n_spinor": consts.n_spinor})
 
@@ -662,13 +698,13 @@ def gauge_square_report(f: CurvatureForm,
     """
     g1, g2, g3 = f.couplings
     raws = []
-    for blk in (f.lam_f[:, :, None, None], f.q_f, f.v_f):
+    for blk in (f.lam_f[..., None, None], f.q_f, f.v_f):
         val = f.square_scalar(blk)
         raws.append(val)
     imag_worst = max(abs(v.imag) for v in raws)
     raw_lambda, raw_q, raw_v = (float(v.real) for v in raws)
     s_lambda, s_q, s_v = (-0.5 * v for v in (raw_lambda, raw_q, raw_v))
-    b_sq = f.component_square(f.b_f[None])
+    b_sq = f.component_square(f.b_components)
     w_sq = f.component_square(f.w_f)
     g_sq = f.component_square(f.g_f)
     su3_mat = np.einsum("aij,amn->mnij", GELL_MANN, f.g_f.astype(complex))
@@ -708,9 +744,10 @@ def gauge_square_report(f: CurvatureForm,
 
 @dataclass
 class NormalizedLagrangian:
-    """The canonically normalized SM-sector Lagrangian density at a point."""
+    """The canonically normalized SM-sector Lagrangian density at a point, or
+    over a coordinate block like LagrangianBreakdown."""
 
-    point: Point
+    point: Point | np.ndarray
     terms: dict
     total: float
     constants: dict
@@ -757,7 +794,7 @@ def sm_lagrangian_normalized(f: CurvatureForm, f0: float, f4: float = 0.0,
 
     terms = {
         "ricci_sq": alpha0 * f.ricci_squared(),
-        "gauge_b": -0.25 * f.component_square(f.b_f[None]),
+        "gauge_b": -0.25 * f.component_square(f.b_components),
         "gauge_w": -0.25 * f.component_square(f.w_f),
         "gauge_g": -0.25 * f.component_square(f.g_f),
         "higgs_kinetic": kappa_sq * f.higgs_kinetic_scalar(),
@@ -771,7 +808,7 @@ def sm_lagrangian_normalized(f: CurvatureForm, f0: float, f4: float = 0.0,
     }
     subs = {"n_r": n_r, "n_h": n_h, "f0": f0, "f4": f4, "lam_sq": lam_sq}
     out = NormalizedLagrangian(point=f.point, terms=terms,
-                               total=float(sum(terms.values())),
+                               total=_total(terms),
                                constants=consts, substitutions=subs)
     # consistency with the unnormalized breakdown under the substitution map
     rp = ReparamConstants(n_r=n_r, n_b=float(np.sqrt(n_b_sq)),

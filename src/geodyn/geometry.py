@@ -281,13 +281,19 @@ class SpinConnection:
 
 
 def _spin_connection_arrays(e_val, de, gam, eta):
+    """(einv, eup, e^-1 dE, deinv, deup, u, omega), leading batch axes allowed.
+
+    omega^{ab}_m = e^a_n (deup + u)^{nb}_m with u[n, b, m] = e^{lb} Gamma^n_{lm}.
+    """
     einv = checked_inverse(e_val)
     eup = einv @ eta  # e^{m b} = e^m_c eta^{cb}; eta is its own inverse
-    deinv = -np.einsum("mc,crs,rb->mbs", einv, de, einv)
-    deup = np.einsum("mbs,bc->mcs", deinv, eta)
-    omega = (np.einsum("an,nbm->abm", e_val, deup)
-             + np.einsum("an,lb,nlm->abm", e_val, eup, gam))
-    return einv, eup, deinv, deup, omega
+    # einv_de[m, r, s] = e^m_c d_s E^c_r
+    einv_de = (einv @ de.reshape(de.shape[:-2] + (-1,))).reshape(de.shape)
+    deinv = -np.einsum("...mrs,...rb->...mbs", einv_de, einv)
+    deup = np.einsum("...mbs,bc->...mcs", deinv, eta)
+    u = np.einsum("...lb,...nlm->...nbm", eup, gam)
+    omega = np.einsum("...an,...nbm->...abm", e_val, deup + u)
+    return einv, eup, einv_de, deinv, deup, u, omega
 
 
 def spin_connection(e: Vielbein, p: Point) -> SpinConnection:
@@ -301,7 +307,7 @@ def spin_connection(e: Vielbein, p: Point) -> SpinConnection:
     e_val, de, _ = e.jets(p, order=1)
     g = e.metric()
     gam = g.christoffel(p).values
-    _, _, _, _, omega = _spin_connection_arrays(e_val, de, gam, eta)
+    omega = _spin_connection_arrays(e_val, de, gam, eta)[-1]
     anti = float(np.abs(omega + np.einsum("abm->bam", omega)).max())
     # tetrad postulate residual
     cov = de - np.einsum("lmn,al->amn", gam, e_val)
@@ -333,25 +339,33 @@ class FrameGeometry:
     volume: float
 
 
-def frame_geometry(e: Vielbein, p: Point) -> FrameGeometry:
+def frame_geometry(e: Vielbein, p) -> FrameGeometry:
+    """Metric, curvature and frame connection from one order-2 pass over E.
+
+    ``p`` is a Point or an (N, dim) block; a block adds a leading point axis
+    to every array, and ``scalar`` and ``volume`` become (N,) arrays.
+    """
     eta = e.signature.matrix
     e_val, de, dde = e.jets(p, order=2)
     gm, ginv, gam, dgam = _christoffel_jets(*_metric_jets(e_val, de, dde, eta))
     riem, ricci, scalar = _riemann_from(ginv, gam, dgam)
-    einv, eup, deinv, deup, omega = _spin_connection_arrays(e_val, de, gam, eta)
-    ddeinv = -(np.einsum("mcs,crt,rb->mbts", deinv, de, einv)
-               + np.einsum("mc,crts,rb->mbts", einv, dde, einv)
-               + np.einsum("mc,crt,rbs->mbts", einv, de, deinv))
-    ddeup = np.einsum("mbts,bc->mcts", ddeinv, eta)
-    domega = (np.einsum("ans,nbm->abms", de, deup)
-              + np.einsum("an,nbms->abms", e_val, ddeup)
-              + np.einsum("ans,lb,nlm->abms", de, eup, gam)
-              + np.einsum("an,lbs,nlm->abms", e_val, deup, gam)
-              + np.einsum("an,lb,nlms->abms", e_val, eup, dgam))
-    quad = np.einsum("acm,cd,dbn->abmn", omega, eta, omega)
-    frame_curv = (np.einsum("abnm->abmn", domega) - domega
-                  + quad - np.einsum("abmn->abnm", quad))
-    vol = float(np.sqrt(abs(np.linalg.det(gm))))
+    einv, eup, einv_de, deinv, deup, u, omega = _spin_connection_arrays(e_val, de, gam, eta)
+    # d_s d_t e^m_b = -(d_s e^m_c d_t E^c_r + e^m_c d_s d_t E^c_r) e^r_b
+    #                 - e^m_c d_t E^c_r d_s e^r_b
+    ddeinv = -(np.einsum("...mrts,...rb->...mbts",
+                         np.einsum("...mcs,...crt->...mrts", deinv, de)
+                         + np.einsum("...mc,...crts->...mrts", einv, dde), einv)
+               + np.einsum("...mrt,...rbs->...mbts", einv_de, deinv))
+    ddeup = np.einsum("...mbts,bc->...mcts", ddeinv, eta)
+    # d_s omega^{ab}_m = d_s E^a_n (deup + u)^{nb}_m + E^a_n d_s (deup + u)^{nb}_m
+    du = (np.einsum("...lbs,...nlm->...nbms", deup, gam)
+          + np.einsum("...lb,...nlms->...nbms", eup, dgam))
+    domega = (np.einsum("...ans,...nbm->...abms", de, deup + u)
+              + np.einsum("...an,...nbms->...abms", e_val, ddeup + du))
+    quad = np.einsum("...adm,...dbn->...abmn", np.einsum("...acm,cd->...adm", omega, eta),
+                     omega)
+    frame_curv = (domega.swapaxes(-1, -2) - domega + quad - quad.swapaxes(-1, -2))
+    vol = _unbatched(np.sqrt(np.abs(checked_det(gm))))
     return FrameGeometry(point=p, e=e_val, gamma=gm, gamma_inv=ginv,
                          christoffel=gam, dchristoffel=dgam, riemann=riem,
                          ricci=ricci, scalar=scalar, omega=omega, domega=domega,

@@ -22,7 +22,8 @@ from .action import (FieldEquationInput, HeatKernelData,
                      moments, riemannian_limit_action, spectral_action)
 from .config import Scenario, build_scenario
 from .connection import (ConnectionConstants, HiggsField, SMGaugeConfig,
-                         assemble_connection, curvature, gauge_square_report)
+                         assemble_connection, curvature, curvature_checks,
+                         gauge_square_report)
 from .geodesics import integrate_geodesic
 from .tensors import MAX_DIM, Point
 from .triples import (check_axioms, fluctuate, fluctuation_space,
@@ -265,8 +266,7 @@ def _run_limit_check(scn: Scenario, task: dict) -> dict:
         ConnectionConstants())
     rows, worst = [], 0.0
     for p in _default_points(scn, task):
-        f = curvature(conn, p)
-        spin_route = f.frame_check
+        spin_route, _ = curvature_checks(conn, p)
         g_res, r_res = 0.0, 0.0
         if ref is not None:
             g_res = float(np.abs(gm.value(p) - ref.value(p)).max())

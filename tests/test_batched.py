@@ -11,12 +11,16 @@ from geodyn.action import (GridSpec, HeatKernelData, Region, exponential_cutoff,
                            heat_kernel_coefficients, integrate_scalar, moments,
                            riemannian_limit_action)
 from geodyn.config import build_scenario
+from geodyn.connection import (assemble_connection, curvature, curvature_squared,
+                               sm_lagrangian_normalized)
 from geodyn.fields import ChartField
 from geodyn.geometry import GeneralizedMetric, sigma_squared
 from geodyn.jets import (arctan, cos, cosh, exp, log, sin, sinh, sqrt, tan, tanh,
                          variables)
-from geodyn.library import make_builtin_frame
+from geodyn.library import flat, make_builtin_frame
+from geodyn.scenarios import builtin_config, run_scenario
 from geodyn.tensors import Point, SingularMetricError
+from test_connection import _random_higgs, _random_sm
 
 
 def _assert_rel(a, b, rtol):
@@ -206,7 +210,24 @@ def test_quadrature_box_reaching_the_horizon_raises(r_lo):
                                 moments(exponential_cutoff()))
 
 
-def test_riemannian_limit_evaluates_each_grid_point_once(monkeypatch):
+SCHWARZSCHILD_BOX = Region(lo=(0.0, 4.0, 0.6, 0.0), hi=(1.0, 9.0, 2.5, 2 * math.pi),
+                           periodic=(False, False, False, True))
+# every coarse axis point of (3, 5, 5, 6) is a fine one, so the coarse values
+# come from the fine grid; the periodic 5 -> 3 axis of (3, 5, 5, 5) is not a
+# subset, so that coarse grid is evaluated again
+SUBSET_GRID, OFF_GRID = (3, 5, 5, 6), (3, 5, 5, 5)
+
+
+def _evaluated_rows(grid, subset):
+    """The grid points a quadrature evaluates, in order, and its block count."""
+    fine, _ = action._grid_points(SCHWARZSCHILD_BOX, grid)
+    grids = [fine] if subset else [fine, action._grid_points(SCHWARZSCHILD_BOX,
+                                                             grid.coarser())[0]]
+    return (np.concatenate(grids),
+            sum(-(-len(g) // action.BLOCK_POINTS) for g in grids))
+
+
+def _check_curvature_rows(monkeypatch, shape, subset):
     seen = []
     original = GeneralizedMetric.curvature
 
@@ -215,23 +236,15 @@ def test_riemannian_limit_evaluates_each_grid_point_once(monkeypatch):
         return original(self, p)
 
     monkeypatch.setattr(GeneralizedMetric, "curvature", counting)
-    region = Region(lo=(0.0, 4.0, 0.6, 0.0), hi=(1.0, 9.0, 2.5, 2 * math.pi),
-                    periodic=(False, False, False, True))
-    grid = GridSpec((3, 5, 5, 6))
-    riemannian_limit_action(make_builtin_frame("schwarzschild"), region, grid,
+    grid = GridSpec(shape)
+    riemannian_limit_action(make_builtin_frame("schwarzschild"), SCHWARZSCHILD_BOX, grid,
                             moments(exponential_cutoff()))
-    fine, _ = action._grid_points(region, grid)
-    coarse, _ = action._grid_points(region, grid.coarser())
-    rows = np.concatenate(seen)
-    assert len(rows) == len(fine) + len(coarse)
-    assert np.array_equal(rows[:len(fine)], fine)
-    assert np.array_equal(rows[len(fine):], coarse)
-    blocks = -(-len(fine) // action.BLOCK_POINTS) - (-len(coarse) // action.BLOCK_POINTS)
+    rows, blocks = _evaluated_rows(grid, subset)
+    assert np.array_equal(np.concatenate(seen), rows)
     assert len(seen) == blocks
 
 
-@pytest.mark.parametrize("which", ["heat-kernel", "riemannian-limit"])
-def test_metric_mode_densities_make_one_jet_pass_per_block(which, monkeypatch):
+def _check_jet_orders(monkeypatch, which, shape, subset):
     orders = []
     original = ChartField.jets
 
@@ -241,16 +254,162 @@ def test_metric_mode_densities_make_one_jet_pass_per_block(which, monkeypatch):
 
     monkeypatch.setattr(ChartField, "jets", counted)
     frame = make_builtin_frame("schwarzschild")
-    region = Region(lo=(0.0, 4.0, 0.6, 0.0), hi=(1.0, 9.0, 2.5, 2 * math.pi),
-                    periodic=(False, False, False, True))
-    grid = GridSpec((3, 5, 5, 6))
+    grid = GridSpec(shape)
     if which == "heat-kernel":
         heat_kernel_coefficients(HeatKernelData(metric=frame.metric(), aa_mode="metric"),
-                                 region, grid)
+                                 SCHWARZSCHILD_BOX, grid)
     else:
-        riemannian_limit_action(frame, region, grid, moments(exponential_cutoff()))
-    fine, _ = action._grid_points(region, grid)
-    coarse, _ = action._grid_points(region, grid.coarser())
-    blocks = -(-len(fine) // action.BLOCK_POINTS) - (-len(coarse) // action.BLOCK_POINTS)
+        riemannian_limit_action(frame, SCHWARZSCHILD_BOX, grid, moments(exponential_cutoff()))
     # the volume comes from the curvature pass's gamma: no order-1 pass
-    assert orders == [2] * blocks
+    assert orders == [2] * _evaluated_rows(grid, subset)[1]
+
+
+def test_riemannian_limit_evaluates_each_grid_point_once(monkeypatch):
+    _check_curvature_rows(monkeypatch, SUBSET_GRID, subset=True)
+
+
+@pytest.mark.parametrize("which", ["heat-kernel", "riemannian-limit"])
+def test_metric_mode_densities_make_one_jet_pass_per_block(which, monkeypatch):
+    _check_jet_orders(monkeypatch, which, SUBSET_GRID, subset=True)
+
+
+@pytest.mark.parametrize("which", ["points", "heat-kernel", "riemannian-limit"])
+def test_coarse_grid_off_the_fine_grid_is_evaluated_again(which, monkeypatch):
+    if which == "points":
+        _check_curvature_rows(monkeypatch, OFF_GRID, subset=False)
+    else:
+        _check_jet_orders(monkeypatch, which, OFF_GRID, subset=False)
+
+
+# -- gauge path --------------------------------------------------------------
+
+# the expression frame of the gauge-sm benchmark workload at perturbation 0.1
+GAUGE_SM_FRAME = {"diagonal": ["1 + 0.1*x", "1 + 0.1*t*y", "1 + 0.1*z^2", "1 + 0.1*x*y"]}
+UNIT_BOX = Region(lo=(0.0,) * 4, hi=(1.0,) * 4)
+
+
+def _sm_connection(frame=None):
+    obj = builtin_config("sm-trace-check")
+    if frame is not None:
+        obj["frame"] = frame
+    return build_scenario(obj).connection
+
+
+def _connection(name):
+    if name == "random":
+        rng = np.random.default_rng(61)
+        return assemble_connection(flat(4), _random_sm(rng), _random_higgs(rng))
+    return _sm_connection(GAUGE_SM_FRAME if name == "gauge-sm-frame" else None)
+
+
+CURVATURE_ARRAYS = ("gamma", "gamma_inv", "ricci", "riemann", "grav", "b_f", "w_f", "g_f",
+                    "lam_f", "q_f", "v_f", "gauge_full", "higgs_kinetic", "higgs_value",
+                    "higgs_potential")
+
+
+def _curvature_scalars(f):
+    norm = sm_lagrangian_normalized(f, f0=2.0, f4=0.5, lam_sq=1.5, n_r=1.2, n_h=0.8)
+    out = {"ricci_squared": f.ricci_squared(),
+           "higgs_kinetic_scalar": f.higgs_kinetic_scalar(),
+           "b_square": f.component_square(f.b_components),
+           "w_square": f.component_square(f.w_f),
+           "q_square": f.square_scalar(f.q_f),
+           "curvature_squared": curvature_squared(f).total,
+           "sm_lagrangian": norm.total,
+           "substitution_residual": norm.constants["substitution_residual"]}
+    out.update({f"term {k}": v for k, v in norm.terms.items()})
+    return out
+
+
+@pytest.mark.parametrize("name", ["sm-trace-check", "gauge-sm-frame", "random"])
+def test_block_connection_curvature_matches_point_loop(name):
+    conn = _connection(name)
+    block = np.random.default_rng(13).uniform(0.0, 1.0, size=(action.BLOCK_POINTS, 4))
+    f = curvature(conn, block)
+    scalars = _curvature_scalars(f)
+    assert f.riemann.shape == (action.BLOCK_POINTS, 4, 4, 4, 4)
+    assert f.higgs_potential.shape == scalars["sm_lagrangian"].shape == (action.BLOCK_POINTS,)
+    for i, x in enumerate(block):
+        ref = curvature(conn, Point(tuple(x)))
+        for key in CURVATURE_ARRAYS:
+            _assert_rel(getattr(f, key)[i], getattr(ref, key), 1e-13)
+        ref_scalars = _curvature_scalars(ref)
+        for key, want in ref_scalars.items():
+            if key != "substitution_residual":
+                _assert_rel(np.broadcast_to(scalars[key], (len(block),))[i], want, 1e-13)
+    # a point keeps its Python scalars
+    assert isinstance(ref.higgs_potential, float)
+    assert isinstance(ref_scalars["sm_lagrangian"], float)
+    assert f.antisymmetry_residual() < 1e-11
+    assert float(np.max(scalars["substitution_residual"])) < 1e-12
+
+
+def test_blocks_densities_match_per_point_quadrature():
+    conn = _sm_connection(GAUGE_SM_FRAME)
+    grid = GridSpec((2, 3, 5, 4))
+    m = moments(exponential_cutoff())
+
+    def at(c):
+        f = curvature(conn, Point(c))
+        norm = sm_lagrangian_normalized(f, f0=m.m0, f4=m.m4, lam_sq=m.lam_sq)
+        return f, norm, np.sqrt(abs(np.linalg.det(f.gamma)))
+
+    def aa(c):
+        f, _, vol = at(c)
+        return curvature_squared(f).total * vol
+
+    def sector(names):
+        def density(c):
+            _, norm, vol = at(c)
+            return sum(norm.terms[k] for k in names) * vol
+        return density
+
+    out = heat_kernel_coefficients(HeatKernelData(metric=conn.vielbein.metric(),
+                                                  connection=conn), UNIT_BOX, grid)
+    a4, a4_err, _ = integrate_scalar(aa, UNIT_BOX, grid)
+    _assert_rel(out.a4, a4 / (192.0 * math.pi ** 2), 1e-13)
+    _assert_rel(out.errors["a4"], a4_err / (192.0 * math.pi ** 2), 1e-13)
+    rep = riemannian_limit_action(conn.vielbein, UNIT_BOX, grid, m, connection=conn)
+    for term, names in (("gauge_sector", ("gauge_b", "gauge_w", "gauge_g")),
+                        ("higgs_sector", ("higgs_kinetic", "higgs_potential"))):
+        want, _, _ = integrate_scalar(sector(names), UNIT_BOX, grid)
+        _assert_rel(rep.terms[term][1], want, 1e-13)
+
+
+@pytest.mark.parametrize("which", ["heat-kernel", "riemannian-limit"])
+def test_blocks_density_makes_five_jet_passes_per_block(which, monkeypatch):
+    orders = []
+    original = ChartField.jets
+
+    def counted(self, p, order=2):
+        orders.append(order)
+        return original(self, p, order=order)
+
+    conn = _sm_connection(GAUGE_SM_FRAME)
+    monkeypatch.setattr(ChartField, "jets", counted)
+    # the coarse (2, 2, 3, 3) grid is a subset: four fine blocks and no more
+    grid = GridSpec((3, 3, 5, 5))
+    if which == "heat-kernel":
+        heat_kernel_coefficients(HeatKernelData(metric=conn.vielbein.metric(),
+                                                connection=conn), UNIT_BOX, grid)
+        per_block = [2, 1, 1, 1, 1]     # frame; B, W, G; Higgs
+    else:
+        riemannian_limit_action(conn.vielbein, UNIT_BOX, grid,
+                                moments(exponential_cutoff()), connection=conn)
+        per_block = [2, 2, 1, 1, 1, 1]  # metric curvature, then the connection's passes
+    assert orders == per_block * 4
+
+
+def test_gauge_action_integrals_hold_their_recorded_values():
+    obj = builtin_config("sm-trace-check")
+    obj["chart"]["grid"] = [2, 3, 3, 3]
+    obj["cutoff"] = {"builtin": "exponential", "scale_sq": 1.0}
+    obj["tasks"] = [{"type": "action", "form": "spectral", "aa_mode": "blocks"},
+                    {"type": "action", "form": "riemannian-limit"}]
+    blocks, limit = (dict((row[0], row[2]) for row in r.rows)
+                     for r in run_scenario(obj).results)
+    # recorded from the per-point evaluation the block path replaced
+    for got, want in ((blocks["a4_curvature"], 0.0020931224745011421),
+                      (limit["gauge_sector"], 0.03061413526330322),
+                      (limit["higgs_sector"], -0.00070576421955596391)):
+        assert abs(got - want) <= 1e-12 * abs(want)

@@ -259,6 +259,12 @@ def _sphere2_reference(matrix):
     return obj
 
 
+def _with_task_entry(name, index, **entries):
+    obj = builtin_config(name)
+    obj["tasks"][index].update(entries)
+    return obj
+
+
 # each of these once passed validate and then crashed or misran `geodyn run`
 BUILD_ERRORS = {
     "schwarzschild-negative-mass": (
@@ -286,6 +292,25 @@ BUILD_ERRORS = {
         lambda: {**builtin_config("sphere2"),
                  "tasks": [{"type": "limit-check", "reference": None}]},
         "tasks[0].reference"),
+    "tolerance-not-a-number": (lambda: _with_task_entry("sm-trace-check", 0,
+                                                        tolerance="abc"),
+                               "tasks[0].tolerance"),
+    "sigma-sq-not-a-number": (
+        lambda: _flat_empty(tasks=[{"type": "action", "form": "spectral",
+                                    "sigma_sq": "x"}]),
+        "tasks[0].sigma_sq"),
+    "orbit-radius-missing": (lambda: _with_task_entry("schwarzschild-geodesic", 1,
+                                                      orbit={"mass": 1.0}),
+                             "tasks[1].orbit.radius"),
+    "orbit-radius-zero": (lambda: _with_task_entry("schwarzschild-geodesic", 1,
+                                                   orbit={"mass": 1.0, "radius": 0}),
+                          "tasks[1].orbit.radius"),
+    "csv-samples-zero": (lambda: _with_task_entry("schwarzschild-geodesic", 1,
+                                                  csv_samples=0),
+                         "tasks[1].csv_samples"),
+    "orbit-not-an-object": (lambda: _with_task_entry("schwarzschild-geodesic", 1,
+                                                     orbit=[1.0, 6.0]),
+                            "tasks[1].orbit"),
     "chart-signature-differs-from-builtin-frame": (
         lambda: {**builtin_config("sphere2"),
                  "chart": {**builtin_config("sphere2")["chart"],
@@ -346,7 +371,19 @@ _WORDS = ["", "x0", "x1", "1/x0", "x0 +", "sin(x1)", "bogus", "flat", "sphere2",
           "schwarzschild", "euclidean", "lorentzian", "gaussian", "two-point",
           "sm-yukawa", "metric", "blocks", "geodesic"]
 _KEYS = ["re", "im", "lo", "hi", "builtin", "parameters", "x", "y", "u", "f",
-         "dim", "mass", "signature", "type"]
+         "dim", "mass", "signature", "type", "radius"]
+# the numeric entries each task type reads, and values that are not numbers
+_NUMERIC_TASK_ENTRIES = {
+    "curvature-at-points": ["tolerance", "expected_scalar"],
+    "geodesic": ["tolerance", "orbit_tolerance", "orbit"],
+    "action": ["tolerance", "sigma_sq"],
+    "field-equations": ["tolerance", "kappa0", "tau0"],
+    "axioms": ["tolerance"],
+    "limit-check": ["tolerance", "gamma_tolerance"],
+    "trace-oracle": ["tolerance"],
+}
+_NON_NUMBERS = st.sampled_from(["abc", "1e-6", None, True, [1.0], {"mass": "x"},
+                                {"mass": 1.0, "radius": "6"}, {"radius": 0}])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.floats(-3.0, 3.0)
     | st.sampled_from(_WORDS),
@@ -372,7 +409,8 @@ def _addresses(value, prefix=()):
 
 @st.composite
 def _mutated_builtins(draw):
-    """A builtin config with one to three entries replaced or deleted."""
+    """A builtin config with one to three entries replaced or deleted, and
+    perhaps a numeric task entry set to a non-number."""
     obj = builtin_config(draw(st.sampled_from(sorted(BUILTIN_SCENARIOS))))
     for _ in range(draw(st.integers(1, 3))):
         address = draw(st.sampled_from(_addresses(obj)))
@@ -383,6 +421,12 @@ def _mutated_builtins(draw):
             del owner[address[-1]]
         else:
             owner[address[-1]] = draw(_JSON)
+    tasks = obj.get("tasks")
+    if isinstance(tasks, list) and tasks and draw(st.booleans()):
+        task = tasks[draw(st.integers(0, len(tasks) - 1))]
+        if isinstance(task, dict):
+            keys = sorted({k for ks in _NUMERIC_TASK_ENTRIES.values() for k in ks})
+            task[draw(st.sampled_from(keys))] = draw(_NON_NUMBERS)
     return obj
 
 
@@ -397,3 +441,14 @@ def test_validate_never_raises_and_agrees_with_build(obj):
         assert err.value.diagnostics == diags
     else:
         assert isinstance(build_scenario(obj), Scenario)
+
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BUILTIN_SCENARIOS)), st.data())
+def test_non_numeric_task_entries_are_diagnostics(name, data):
+    obj = builtin_config(name)
+    i = data.draw(st.integers(0, len(obj["tasks"]) - 1))
+    key = data.draw(st.sampled_from(_NUMERIC_TASK_ENTRIES[obj["tasks"][i]["type"]]))
+    obj["tasks"][i][key] = data.draw(_NON_NUMBERS)
+    assert any(path.startswith(f"tasks[{i}].{key}") for path in _paths(validate_config(obj)))

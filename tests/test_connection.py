@@ -13,6 +13,7 @@ from geodyn.connection import (
     assemble_connection,
     bianchi_residual,
     curvature,
+    curvature_checks,
     curvature_of_potential,
     curvature_squared,
     gauge_square_report,
@@ -102,8 +103,9 @@ def test_curvature_internal_consistency_checks():
         p = Point(tuple(rng.uniform(-1.0, 1.0, size=4)))
         f = curvature(form, p)
         assert f.antisymmetry_residual() < 1e-11
-        assert f.route_check < 1e-10
-        assert f.frame_check < 1e-10
+        frame_check, route_check = curvature_checks(form, p)
+        assert route_check < 1e-10
+        assert frame_check < 1e-10
 
 
 def test_constant_abelian_potential_is_flat():
