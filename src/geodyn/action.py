@@ -608,8 +608,12 @@ def field_equation_residual(inp: FieldEquationInput, p: Point,
         return 1.0 / np.sqrt(abs(d))
 
     def rr_of(minv: np.ndarray) -> float:
-        return float(np.einsum("ma,nb,rc,ld,mnrl,abcd->", minv, minv, minv,
-                               minv, rd, rd))
+        # raise the four indices of R_{mnrl} with minv one at a time
+        ru = np.einsum("mnrl,ld->mnrd", rd, minv)
+        ru = np.einsum("mnrd,rc->mncd", ru, minv)
+        ru = np.einsum("mncd,nb->mbcd", ru, minv)
+        ru = np.einsum("mbcd,ma->abcd", ru, minv)
+        return float(np.einsum("abcd,abcd->", ru, rd))
 
     vol0 = vol_of(ginv)
     fd_rr = _fd_variation(lambda m: rr_of(m) * vol0, ginv, fd_step) / vol0

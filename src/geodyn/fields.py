@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
+from .jets import Jet
 from .tensors import Point
 
 __all__ = ["ChartField", "scalar_field", "constant_field"]
@@ -41,31 +42,35 @@ def _collect(obj, shape, n, order, pts=()):
     """Split an evaluator result (jets and/or numbers) into value/grad/hess arrays.
 
     ``pts == (N,)`` marks block jets: constants broadcast over the points.
+    The derivative arrays start as zeros and only the jet entries'
+    gradients and Hessians are written into them, by index.
     """
-    vals, grads, hesses = [], [], []
-    zero_grad, zero_hess = np.zeros((n,) + pts), np.zeros((n, n) + pts)
-    for entry in np.asarray(obj, dtype=object).reshape(shape).ravel().tolist():
-        if isinstance(entry, jets.Jet):
-            vals.append(entry.val)
-            grads.append(entry.grad)
-            if order == 2:
-                if entry.hess is None:
-                    raise ValueError("order-2 jets requested but evaluator dropped the Hessian")
-                hesses.append(entry.hess)
-        else:
-            vals.append(entry)
-            grads.append(zero_grad)
-            if order == 2:
-                hesses.append(zero_hess)
+    entries = np.asarray(obj, dtype=object).reshape(shape).ravel().tolist()
+    idx, found = [], []
+    for i, e in enumerate(entries):
+        if isinstance(e, Jet):
+            idx.append(i)
+            found.append(e)
+            entries[i] = e.val
+    if order == 2 and any(e.hess is None for e in found):
+        raise ValueError("order-2 jets requested but evaluator dropped the Hessian")
     if pts:
-        vals = [np.broadcast_to(v, pts) for v in vals]
-    # numpy promotes each stack to complex if any entry is complex
-    parts = [np.array(vals), np.array(grads)] + ([np.array(hesses)] if order == 2 else [])
-    dtype = complex if any(a.dtype.kind == "c" for a in parts) else float
+        entries = [np.broadcast_to(v, pts) for v in entries]
+    # numpy promotes the values to complex if any entry is complex; a complex
+    # derivative of any jet makes every array complex too
+    val = np.array(entries)
+    derivs = [[e.grad for e in found]] + ([[e.hess for e in found]] if order == 2 else [])
+    complex_derivs = any(a.dtype.kind == "c" for part in derivs for a in part)
+    dtype = complex if complex_derivs or val.dtype.kind == "c" else float
+    parts = [val.astype(dtype, copy=False)]
+    for k, part in enumerate(derivs, start=1):
+        full = np.zeros((len(entries),) + (n,) * k + pts, dtype)
+        for i, d in zip(idx, part):
+            full[i] = d
+        parts.append(full)
     if pts:
         parts = [np.moveaxis(a, -1, 0) for a in parts]
-    val, d1, *d2 = [a.astype(dtype, copy=False).reshape(pts + shape + (n,) * k)
-                    for k, a in enumerate(parts)]
+    val, d1, *d2 = [a.reshape(pts + shape + (n,) * k) for k, a in enumerate(parts)]
     return val, d1, (d2[0] if d2 else None)
 
 

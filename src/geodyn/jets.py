@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .tensors import _identity
+
 __all__ = [
     "Jet",
     "variables",
@@ -47,15 +49,16 @@ class Jet:
     """Truncated Taylor expansion (value, gradient, optional Hessian).
 
     ``hess is None`` marks a first-order jet; second-order bookkeeping is
-    then skipped entirely, which matters in integrator inner loops.
+    then skipped entirely, which matters in integrator inner loops.  ``grad``
+    and ``hess`` must be numpy arrays; they are stored as given.
     """
 
     __slots__ = ("val", "grad", "hess")
 
     def __init__(self, val, grad, hess=None):
         self.val = val
-        self.grad = np.asarray(grad)
-        self.hess = None if hess is None else np.asarray(hess)
+        self.grad = grad
+        self.hess = hess
 
     @property
     def order(self) -> int:
@@ -182,7 +185,7 @@ def _chain(x: Jet, f0, f1, f2):
 def variables(coords, order: int = 2) -> tuple:
     """Seed one jet per coordinate (a number, or an (N,) array for block jets)."""
     n = len(coords)
-    eye, pts = np.eye(n), ()
+    eye, pts = _identity(n), ()
     if isinstance(coords[0], np.ndarray):
         pts = coords[0].shape
         eye = np.repeat(eye[:, :, None], pts[0], axis=2)

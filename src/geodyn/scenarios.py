@@ -131,7 +131,9 @@ def _run_geodesic(scn: Scenario, task: dict) -> dict:
     worst = traj.norm_drift
     summary = {"status": traj.status, "norm_drift": traj.norm_drift,
                "steps": steps}
-    if "orbit" in task:
+    if traj.status != "ok":
+        summary["message"] = traj.message
+    if "orbit" in task and len(traj.ts) > 1:
         mass = float(task["orbit"]["mass"])
         radius = float(task["orbit"]["radius"])
         omega_sq_ref = mass / radius ** 3
@@ -148,7 +150,7 @@ def _run_geodesic(scn: Scenario, task: dict) -> dict:
             for i in range(0, len(traj.ts), stride)]
     cols = ("step", "t") + tuple(scn.coordinates) + ("velocity_norm",)
     if traj.status != "ok":
-        worst = max(worst, np.inf)
+        worst = np.inf
     return {"columns": cols, "rows": rows, "worst": worst, "tolerance": tol,
             "summary": summary}
 

@@ -92,3 +92,30 @@ def test_custom_config_runs_from_file(tmp_path, capsys):
     header = body.splitlines()[0]
     assert header.startswith("x0,x1") and "ricci_scalar" in header
     assert len(body.splitlines()) == 3
+
+
+def _geodesic_config(tmp_path, diagonal, start):
+    obj = {
+        "schema": SCHEMA_VERSION,
+        "chart": {"dimension": 2, "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+        "frame": {"diagonal": diagonal},
+        "tasks": [{"type": "geodesic", "start": start, "velocity": [0.1, 0.0],
+                   "steps": 10, "step_size": 0.01}],
+    }
+    cfg = tmp_path / "geodesic.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    return str(cfg)
+
+
+def test_geodesic_failures_are_task_failures_not_tracebacks(tmp_path, capsys):
+    cases = [(["1/x0", "1"], [0.0, 0.0], "message: float division by zero"),
+             (["x0^0.5", "1"], [-0.5, 0.0], "message: complex metric value at (-0.5, 0.0)")]
+    for diagonal, start, reason in cases:
+        out_dir = tmp_path / "out"
+        code, out, _ = _run(["run", _geodesic_config(tmp_path, diagonal, start),
+                             "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert "[geodesic] fail" in out and "status: singular" in out
+        assert reason in out
+        rows = (out_dir / "00-geodesic.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1].endswith(",nan")

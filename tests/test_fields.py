@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from geodyn.fields import ChartField, DUAL, FD, scalar_field, constant_field
-from geodyn.jets import Jet, cosh, exp, sin
+from geodyn.fields import ChartField, DUAL, FD, _collect, scalar_field, constant_field
+from geodyn.jets import Jet, cosh, exp, sin, variables
+from geodyn.library import BUILTIN_FRAMES, make_builtin_frame
 from geodyn.tensors import Point
 
 
@@ -125,3 +126,54 @@ def test_collect_dtype_and_shape_rules():
     assert val[:, 0, 1].tolist() == [0.0, 0.0] and d1[1, 0, 0].tolist() == [2.0, 1.0, 0.0]
     val, d1, d2 = const.jets(block, order=1)
     assert val.dtype == d1.dtype == complex and val[:, 1].tolist() == [2.0 + 1.0j] * 2
+
+
+def _oracle_collect(obj, shape, n, order, pts=()):
+    """The former _collect: a zero gradient (and Hessian) stacked per constant."""
+    vals, grads, hesses = [], [], []
+    zero_grad, zero_hess = np.zeros((n,) + pts), np.zeros((n, n) + pts)
+    for entry in np.asarray(obj, dtype=object).reshape(shape).ravel().tolist():
+        if isinstance(entry, Jet):
+            vals.append(entry.val)
+            grads.append(entry.grad)
+            if order == 2:
+                hesses.append(entry.hess)
+        else:
+            vals.append(entry)
+            grads.append(zero_grad)
+            if order == 2:
+                hesses.append(zero_hess)
+    if pts:
+        vals = [np.broadcast_to(v, pts) for v in vals]
+    parts = [np.array(vals), np.array(grads)] + ([np.array(hesses)] if order == 2 else [])
+    dtype = complex if any(a.dtype.kind == "c" for a in parts) else float
+    if pts:
+        parts = [np.moveaxis(a, -1, 0) for a in parts]
+    val, d1, *d2 = [a.astype(dtype, copy=False).reshape(pts + shape + (n,) * k)
+                    for k, a in enumerate(parts)]
+    return val, d1, (d2[0] if d2 else None)
+
+
+def _collect_cases():
+    for name in sorted(BUILTIN_FRAMES):
+        yield name, make_builtin_frame(name).field
+    yield "complex", ChartField(dim=2, shape=(2, 2), func=lambda c: [
+        [c[0] * (1.0 + 2.0j), 0], [sin(c[1]), 3.0]])
+    yield "complex-constant", ChartField(dim=2, shape=(2,), func=lambda c: [c[0], 0.5j])
+
+
+@pytest.mark.parametrize("name, field", list(_collect_cases()))
+@pytest.mark.parametrize("order", [1, 2])
+def test_collect_matches_the_stacking_oracle(name, field, order):
+    p = (0.7, 3.1, 1.2, 0.4)[:field.dim]
+    block = np.array([p, tuple(x + 0.01 for x in p), tuple(x - 0.02 for x in p)])
+    for coords, pts in ((p, ()), (tuple(block.T), (3,))):
+        obj = field.func(variables(coords, order=order))
+        got = _collect(obj, field.shape, field.dim, order, pts=pts)
+        ref = _oracle_collect(obj, field.shape, field.dim, order, pts=pts)
+        for a, b in zip(got, ref):
+            if b is None:
+                assert a is None
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, pts)
+            assert np.array_equal(a, b), (name, pts)

@@ -5,8 +5,8 @@ import pytest
 
 from geodyn.fields import ChartField
 from geodyn.geodesics import Trajectory, integrate_geodesic, velocity_norm
-from geodyn.library import polar, schwarzschild, sphere2
-from geodyn.tensors import Point
+from geodyn.library import diagonal_vielbein, polar, schwarzschild, sphere2
+from geodyn.tensors import MinkowskiSignature, Point
 
 
 def test_equator_is_a_great_circle():
@@ -159,3 +159,57 @@ def test_four_metric_passes_per_step(monkeypatch):
                               t_max=0.25, steps=steps)
     assert traj.status == "ok"
     assert calls == [1] * (4 * steps + 1)
+
+
+def test_no_determinant_call_inside_the_loop(monkeypatch):
+    # the guard's determinant comes from the inverse's own LU factorisation
+    calls = []
+    det = np.linalg.det
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return det(m)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    g = schwarzschild(mass=1.0).metric()
+    traj = integrate_geodesic(g, (0.0, 6.0, np.pi / 2, 0.0),
+                              (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764),
+                              t_max=0.25, steps=25)
+    assert traj.status == "ok"
+    assert calls == []
+
+
+def _frame_2d(f0):
+    return diagonal_vielbein([f0, lambda c: 1.0], MinkowskiSignature.euclidean(2))
+
+
+def test_arithmetic_error_at_the_start_stops_the_run():
+    g = _frame_2d(lambda c: 1.0 / c[0]).metric()
+    traj = integrate_geodesic(g, (0.0, 0.0), (1.0, 0.0), t_max=0.1, steps=10)
+    assert traj.status == "singular"
+    assert "division by zero" in traj.message
+    assert traj.xs.tolist() == [[0.0, 0.0]] and np.isnan(traj.norms[0])
+
+
+def test_arithmetic_error_inside_the_run_stops_it():
+    # a flat metric whose frame still divides by x: with h = 1/8 the straight
+    # line from x = 1/2 is exact and its fourth step's last stage hits x = 0
+    g = _frame_2d(lambda c: 1.0 + 0.0 * (1.0 / c[0])).metric()
+    traj = integrate_geodesic(g, (0.5, 0.0), (-1.0, 0.0), t_max=1.0, steps=8)
+    assert traj.status == "singular"
+    assert "division by zero" in traj.message
+    assert traj.xs[:, 0].tolist() == [0.5, 0.375, 0.25, 0.125]
+
+
+def test_complex_frame_value_stops_the_run():
+    g = _frame_2d(lambda c: c[0] ** 0.5).metric()
+    traj = integrate_geodesic(g, (-0.5, 0.0), (0.1, 0.0), t_max=0.1, steps=10)
+    assert traj.status == "singular"
+    assert traj.message == "complex metric value at (-0.5, 0.0)"
+    assert len(traj.ts) == 1
+
+    # a run that leaves the real domain stops at the first complex stage
+    traj = integrate_geodesic(g, (0.05, 0.0), (-1.0, 0.0), t_max=0.2, steps=20)
+    assert traj.status == "singular"
+    assert traj.message.startswith("complex metric value at (-")
+    assert traj.xs.dtype == float and (traj.xs[:, 0] > 0.0).all()
