@@ -8,7 +8,8 @@
 of a builtin scenario.  run writes report.txt plus one CSV per task into
 --out (default: the working directory); CSV files contain no timings and use
 17-significant-digit floats, so identical config and seed reproduce them
-byte for byte.
+byte for byte.  A task whose evaluation raised an arithmetic or value error
+fails with the reason in report.txt and writes no CSV.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def _cmd_run(args) -> int:
         return 2
     os.makedirs(args.out, exist_ok=True)
     for result in report.results:
+        if not result.columns:  # the task's evaluation raised; see run_scenario
+            continue
         path = os.path.join(args.out, result.csv_name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_csv(result))

@@ -19,13 +19,20 @@ json.loads also reads the literals NaN and Infinity, and the parse rejects
 them.  chart.signature, when given, must match a builtin frame's own
 signature; when omitted, the builtin frame's signature stands and expression
 frames are Euclidean.
+
+The entries of each task type, and the constants, are stated once, in one
+table each: name, kind and default.  The parse checks every given entry
+against its table and converts it, fills in the defaults, and reports an
+entry or constant the table lacks as a diagnostic.  So the tasks of a built
+Scenario arrive complete and typed, and the runners only index into them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from .exprs import compile_expression, default_coordinate_names
 from .fields import ChartField
 from .geometry import GeneralizedMetric, Vielbein
 from .library import BUILTIN_FRAMES, diagonal_vielbein, make_builtin_frame
-from .tensors import MAX_DIM, MinkowskiSignature
+from .tensors import MAX_DIM, MinkowskiSignature, Point
 from .triples import (FiniteTriple, YukawaData, build_sm_finite,
                       lepton_triple, two_point_triple)
 
@@ -52,28 +59,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "geodyn-config-v1"
-
-TASK_TYPES = (
-    "curvature-at-points",
-    "geodesic",
-    "action",
-    "field-equations",
-    "axioms",
-    "limit-check",
-    "trace-oracle",
-)
-
-# the numeric entries each task's runner reads; each one given must be a
-# finite number, and a field of an object entry (orbit) must be given
-_TASK_NUMBERS = {
-    "curvature-at-points": ("tolerance", "expected_scalar"),
-    "geodesic": ("tolerance", "orbit_tolerance", "orbit.mass", "orbit.radius"),
-    "action": ("tolerance", "sigma_sq"),
-    "field-equations": ("tolerance", "kappa0", "tau0"),
-    "axioms": ("tolerance",),
-    "limit-check": ("tolerance", "gamma_tolerance"),
-    "trace-oracle": ("tolerance",),
-}
 
 TRIPLE_BUILTINS = ("two-point", "lepton-sector", "sm-yukawa")
 
@@ -100,8 +85,12 @@ class ConfigError(ValueError):
 class Scenario:
     """Runtime objects built from a valid configuration.
 
-    ``tasks`` are the task objects in config order, except that a limit-check
-    task's ``reference`` holds its built GeneralizedMetric (None without one).
+    ``tasks`` are dicts in config order, each holding its ``type`` and every
+    entry of its type's table: given values converted (numbers to float,
+    points to Points, a limit-check ``reference`` to its built
+    GeneralizedMetric), missing ones at their defaults.  ``constants`` holds
+    ``n_r``, ``n_h`` and ``f0`` as floats, defaults filled in.  Unknown task
+    entries and constants are diagnostics, so neither holds anything else.
     """
 
     dim: int
@@ -114,7 +103,6 @@ class Scenario:
     cutoff: CutoffFunction | None
     constants: dict
     tasks: list
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def load_config(path: str):
@@ -266,26 +254,23 @@ def _parse(obj):
     dim, coords, signature, region, grid = _parse_chart(diags, obj.get("chart"))
     frame = _parse_frame(diags, obj.get("frame"), dim, coords, signature)
     gauge = _parse_gauge(diags, obj.get("gauge"), dim, coords)
-    higgs, constants = _parse_higgs(diags, obj.get("higgs"), dim, coords)
+    higgs, connection_constants = _parse_higgs(diags, obj.get("higgs"), dim, coords)
     triple = _parse_triple(diags, obj.get("finite_triple"))
     cutoff = _parse_cutoff(diags, obj.get("cutoff"))
-    _check_constants(diags, obj.get("constants"))
-    has = {key: isinstance(obj.get(key), dict)
-           for key in ("gauge", "higgs", "finite_triple", "cutoff")}
-    tasks = _parse_tasks(diags, obj.get("tasks"), dim, coords,
-                         has_gauge=has["gauge"], has_higgs=has["higgs"],
-                         has_triple=has["finite_triple"], has_cutoff=has["cutoff"])
+    constants = _parse_constants(diags, obj.get("constants"))
+    has = {key for key, value in obj.items() if isinstance(value, dict)}
+    tasks = _parse_tasks(diags, obj.get("tasks"), _Chart(dim, coords, region), has)
     if diags:
         return None, diags
 
     connection = None
-    if has["gauge"] or has["higgs"]:
+    if has & {"gauge", "higgs"}:
         connection = assemble_connection(frame, gauge or SMGaugeConfig.zero(dim),
-                                         higgs or HiggsField.zero(dim), constants)
+                                         higgs or HiggsField.zero(dim),
+                                         connection_constants)
     return Scenario(dim=dim, coordinates=coords, region=region, grid=grid,
                     frame=frame, connection=connection, triple=triple,
-                    cutoff=cutoff, constants=dict(obj.get("constants", {})),
-                    tasks=tasks, raw=obj), []
+                    cutoff=cutoff, constants=constants, tasks=tasks), []
 
 
 def _parse_chart(diags, chart):
@@ -454,17 +439,13 @@ def _parse_higgs(diags, higgs, dim, coords):
         elif coords is not None:
             xy.append(_built(diags, f"higgs.{key}", compile_expression,
                              higgs[key], coords))
-    c, alpha = higgs.get("c", 1.0), higgs.get("alpha", 1.0)
-    for key, value in (("c", c), ("alpha", alpha)):
-        if not _is_num(value):
-            diags.append(Diagnostic(f"higgs.{key}", "must be a number"))
-    constants = None
-    if _is_num(alpha):
-        constants = _built(diags, "higgs.alpha", ConnectionConstants,
-                           alpha=float(alpha))
+    c, alpha = (_number(diags, f"higgs.{key}", higgs.get(key, 1.0), None)
+                for key in ("c", "alpha"))
+    constants = (None if alpha is None
+                 else _built(diags, "higgs.alpha", ConnectionConstants, alpha=alpha))
     if len(diags) > n or coords is None:
         return None, constants
-    return HiggsField.from_components(dim, *xy, c=float(c)), constants
+    return HiggsField.from_components(dim, *xy, c=c), constants
 
 
 def _parse_triple(diags, trip):
@@ -520,11 +501,8 @@ def _parse_builtin_triple(diags, trip):
         diags.append(Diagnostic("finite_triple.parameters", "must be an object"))
         return None
     if name == "two-point":
-        m = params.get("m", 1.0)
-        if not _is_num(m):
-            diags.append(Diagnostic("finite_triple.parameters.m", "must be a number"))
-            return None
-        return _built(diags, "finite_triple", two_point_triple, m=float(m))
+        m = _number(diags, "finite_triple.parameters.m", params.get("m", 1.0), None)
+        return None if m is None else _built(diags, "finite_triple", two_point_triple, m=m)
     n = len(diags)
     keys = ("k_e",) if name == "lepton-sector" else ("k_u", "k_d", "k_e")
     mats = {key: _matrix(diags, params[key], f"finite_triple.parameters.{key}",
@@ -553,13 +531,10 @@ def _parse_cutoff(diags, cut):
             make = CUTOFF_BUILTINS[cut["builtin"]]
     else:
         make = _table_cutoff(diags, cut["table"])
-    lam_sq = cut.get("scale_sq", 1.0)
-    if not _is_num(lam_sq):
-        diags.append(Diagnostic("cutoff.scale_sq", "must be a number"))
+    lam_sq = _number(diags, "cutoff.scale_sq", cut.get("scale_sq", 1.0), None)
+    if make is None or lam_sq is None:
         return None
-    if make is None:
-        return None
-    return _built(diags, "cutoff.scale_sq", make, float(lam_sq))
+    return _built(diags, "cutoff.scale_sq", make, lam_sq)
 
 
 def _table_cutoff(diags, table):
@@ -585,25 +560,178 @@ def _table_cutoff(diags, table):
     return make
 
 
-def _check_constants(diags, consts):
-    if consts is None:
-        return
-    if not isinstance(consts, dict):
+# -- task entries and constants ----------------------------------------------------
+#
+# A kind converts one given entry, or records a diagnostic at path (and what it
+# then returns is never used: a config with a diagnostic builds no Scenario).
+
+
+class _Chart(NamedTuple):
+    dim: int | None
+    coords: tuple | None
+    region: Region | None
+
+
+_REQUIRED = object()  # the default of an entry that must be given
+
+
+def _kind(test, message, convert):
+    """The kind of the values that pass test, converted by convert."""
+    def check(diags, path, value, chart):
+        if test(value):
+            return convert(value)
+        diags.append(Diagnostic(path, message))
+    return check
+
+
+_number = _kind(_is_num, "must be a number", float)
+_positive = _kind(lambda v: _is_num(v) and v > 0, "must be a positive number", float)
+_nonzero = _kind(lambda v: _is_num(v) and v != 0, "must be a nonzero number", float)
+_count = _kind(lambda v: type(v) is int and v >= 1, "must be a positive integer", int)
+_boolean = _kind(lambda v: type(v) is bool, "must be true or false", bool)
+_text = _kind(lambda v: isinstance(v, str), "must be a string", str)
+
+
+def _choice(*options):
+    return _kind(lambda v: isinstance(v, str) and v in options,
+                 f"must be {' or '.join(map(repr, options))}", str)
+
+
+def _vector(diags, path, value, chart):
+    """dim numbers, as a tuple of floats."""
+    if chart.dim is None:
+        return None
+    if _num_list(value, chart.dim):
+        return tuple(float(x) for x in value)
+    diags.append(Diagnostic(path, f"must be {chart.dim} numbers"))
+
+
+def _points(diags, path, value, chart):
+    if not isinstance(value, list) or not value:
+        diags.append(Diagnostic(path, "must be a nonempty list of points"))
+        return None
+    coords = [_vector(diags, f"{path}[{j}]", p, chart) for j, p in enumerate(value)]
+    return None if None in coords else tuple(map(Point, coords))
+
+
+def _box_midpoint(chart):
+    """The points of a task that gives none: the midpoint of the chart box."""
+    if chart.region is None:
+        return None
+    lo, hi = chart.region.lo, chart.region.hi
+    return (Point(tuple(0.5 * (l + h) for l, h in zip(lo, hi))),)
+
+
+def _orbit(diags, path, value, chart):
+    if not isinstance(value, dict):
+        diags.append(Diagnostic(path, "must be an object with mass and radius"))
+        return None
+    return _entries(diags, path, value, _ORBIT_ENTRIES, chart,
+                    "orbit takes no such entry")
+
+
+def _reference(diags, path, value, chart):
+    """The reference metric of a limit-check task."""
+    if not isinstance(value, dict) or "matrix" not in value:
+        diags.append(Diagnostic(path, "must be an object with a matrix"))
+        return None
+    if chart.coords is None:
+        return None
+    n = len(chart.coords)
+    entries = _compiled(diags, value["matrix"], (n, n), chart.coords, f"{path}.matrix")
+    if entries is None:
+        return None
+    return GeneralizedMetric(dim=n, gamma_field=_expr_field(entries))
+
+
+_ORBIT_ENTRIES = {"mass": (_number, _REQUIRED), "radius": (_positive, _REQUIRED)}
+
+_POINTS = (_points, _box_midpoint)
+
+# task type -> entry -> (kind, default); a callable default is computed from
+# the chart
+_TASK_ENTRIES = {
+    "curvature-at-points": {
+        "tolerance": (_number, 1e-6),
+        "points": _POINTS,
+        "expected_scalar": (_number, None),
+        "expect_vacuum": (_boolean, False),
+    },
+    "geodesic": {
+        "tolerance": (_number, 1e-6),
+        "start": (_vector, _REQUIRED),
+        "velocity": (_vector, _REQUIRED),
+        "steps": (_count, 1000),
+        "step_size": (_positive, 0.01),
+        "csv_samples": (_count, 100),
+        "orbit": (_orbit, None),
+        "orbit_tolerance": (_number, 1e-4),
+    },
+    "action": {
+        "tolerance": (_number, 1e-10),
+        "form": (_choice("spectral", "riemannian-limit"), "spectral"),
+        "aa_mode": (_choice("metric", "blocks"), "metric"),
+        "sigma_sq": (_number, None),
+        "expect_only": (_text, None),  # the name of the one term expected nonzero
+    },
+    "field-equations": {
+        "tolerance": (_number, 1e-6),
+        "points": _POINTS,
+        "sm": (_boolean, False),
+        "kappa0": (_number, 1.0),
+        "tau0": (_number, 0.0),
+        "expect_zero_residual": (_boolean, False),
+    },
+    "axioms": {
+        "tolerance": (_number, 1e-12),
+        "fluctuations": (_boolean, True),
+    },
+    "limit-check": {
+        "tolerance": (_number, 1e-8),
+        "gamma_tolerance": (_number, 1e-12),
+        "points": _POINTS,
+        "reference": (_reference, None),
+    },
+    "trace-oracle": {
+        "tolerance": (_number, 1e-12),
+        "points": _POINTS,
+    },
+}
+
+TASK_TYPES = tuple(_TASK_ENTRIES)
+
+# the constants the task runners read
+_CONSTANTS = {"n_r": (_nonzero, 1.0), "n_h": (_nonzero, 1.0), "f0": (_number, 1.0)}
+
+
+def _entries(diags, path, given, table, chart, unknown):
+    """The entries of the given object checked against table: each given one
+    converted by its kind, each missing one set to its default, and each one
+    the table lacks a diagnostic whose message starts with unknown."""
+    for key in given:
+        if key not in table:
+            diags.append(Diagnostic(f"{path}.{key}", f"{unknown}; known: "
+                                                     f"{', '.join(sorted(table))}"))
+    out = {}
+    for key, (kind, default) in table.items():
+        if key in given:
+            out[key] = kind(diags, f"{path}.{key}", given[key], chart)
+        elif default is _REQUIRED:
+            diags.append(Diagnostic(f"{path}.{key}", "required entry missing"))
+        else:
+            out[key] = default(chart) if callable(default) else default
+    return out
+
+
+def _parse_constants(diags, consts):
+    if consts is not None and not isinstance(consts, dict):
         diags.append(Diagnostic("constants", "must be an object"))
-        return
-    allowed = {"n_r", "n_b", "n_w", "n_g", "n_h", "f0", "f4"}
-    for key, val in consts.items():
-        if key not in allowed:
-            diags.append(Diagnostic(f"constants.{key}", "unknown constant"))
-        elif not _is_num(val):
-            diags.append(Diagnostic(f"constants.{key}", "must be a number"))
-        elif key.startswith("n_") and val == 0:
-            diags.append(Diagnostic(f"constants.{key}", "must be nonzero"))
+        return None
+    return _entries(diags, "constants", consts or {}, _CONSTANTS, None, "unknown constant")
 
 
-def _parse_tasks(diags, tasks, dim, coords, has_gauge, has_higgs, has_triple,
-                 has_cutoff):
-    """The task list with each limit-check reference built, or None."""
+def _parse_tasks(diags, tasks, chart, has):
+    """The task list, each task a complete dict of converted entries, or None."""
     if not isinstance(tasks, list) or not tasks:
         diags.append(Diagnostic("tasks", "required nonempty list"))
         return None
@@ -619,86 +747,26 @@ def _parse_tasks(diags, tasks, dim, coords, has_gauge, has_higgs, has_triple,
                                     f"unknown type {ttype!r}; known: "
                                     f"{', '.join(TASK_TYPES)}"))
             continue
-        _check_task_numbers(diags, task, path)
-        if ttype in ("curvature-at-points", "field-equations", "limit-check",
-                     "trace-oracle"):
-            pts = task.get("points")
-            if pts is not None:
-                if not isinstance(pts, list) or not pts:
-                    diags.append(Diagnostic(f"{path}.points",
-                                            "must be a nonempty list of points"))
-                elif dim is not None:
-                    for j, p in enumerate(pts):
-                        if not _num_list(p, dim):
-                            diags.append(Diagnostic(f"{path}.points[{j}]",
-                                                    f"must be {dim} numbers"))
-        if ttype == "geodesic":
-            for key in ("start", "velocity"):
-                if not (dim is None or _num_list(task.get(key), dim)):
-                    diags.append(Diagnostic(f"{path}.{key}",
-                                            f"must be {dim} numbers"))
-            for key in ("steps", "csv_samples"):
-                count = task.get(key, 1)
-                if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                    diags.append(Diagnostic(f"{path}.{key}", "must be a positive integer"))
-            if "step_size" in task and not (_is_num(task["step_size"])
-                                            and task["step_size"] > 0):
-                diags.append(Diagnostic(f"{path}.step_size", "must be positive"))
-            orbit = task.get("orbit", {})
-            if not isinstance(orbit, dict):
-                diags.append(Diagnostic(f"{path}.orbit",
-                                        "must be an object with mass and radius"))
-            elif _is_num(orbit.get("radius")) and orbit["radius"] <= 0:
-                diags.append(Diagnostic(f"{path}.orbit.radius", "must be positive"))
-        if ttype == "action":
-            if not has_cutoff:
-                diags.append(Diagnostic(path, "action task needs a cutoff section"))
-            mode = task.get("aa_mode", "metric")
-            if mode not in ("metric", "blocks"):
-                diags.append(Diagnostic(f"{path}.aa_mode",
-                                        "must be 'metric' or 'blocks'"))
-            elif mode == "blocks" and not (has_gauge and has_higgs):
-                diags.append(Diagnostic(path,
-                                        "blocks mode needs gauge and higgs sections"))
-        if ttype == "trace-oracle" and not has_gauge:
-            diags.append(Diagnostic(path, "trace-oracle task needs a gauge section"))
-        if ttype == "field-equations" and "sm" in task and task["sm"]:
-            if not (has_gauge and has_higgs):
-                diags.append(Diagnostic(path,
-                                        "sm form needs gauge and higgs sections"))
-        if ttype == "axioms" and not has_triple:
-            diags.append(Diagnostic(path, "axioms task needs a finite_triple section"))
-        if ttype == "limit-check":
-            ref = None
-            if "reference" in task:
-                ref = _parse_reference(diags, task["reference"], coords,
-                                       f"{path}.reference")
-            task = {**task, "reference": ref}
+        unknown = f"task type {ttype!r} takes no such entry"
+        given = {key: value for key, value in task.items() if key != "type"}
+        task = {"type": ttype, **_entries(diags, path, given, _TASK_ENTRIES[ttype],
+                                          chart, unknown)}
+        diags.extend(Diagnostic(path, message) for message in _needs(task, has))
         built.append(task)
     return built
 
 
-def _check_task_numbers(diags, task, path):
-    for key in _TASK_NUMBERS[task["type"]]:
-        head, _, leaf = key.partition(".")
-        value = task.get(head)
-        if leaf and isinstance(value, dict):
-            value = value.get(leaf)  # the fields of an object entry are required
-        elif leaf or head not in task:
-            continue
-        if not _is_num(value):
-            diags.append(Diagnostic(f"{path}.{key}", "must be a number"))
-
-
-def _parse_reference(diags, ref, coords, path):
-    """The reference metric of a limit-check task, or None."""
-    if not isinstance(ref, dict) or "matrix" not in ref:
-        diags.append(Diagnostic(path, "must be an object with a matrix"))
-        return None
-    if coords is None:
-        return None
-    n = len(coords)
-    entries = _compiled(diags, ref["matrix"], (n, n), coords, f"{path}.matrix")
-    if entries is None:
-        return None
-    return GeneralizedMetric(dim=n, gamma_field=_expr_field(entries))
+def _needs(task, has):
+    """The message of each section rule the task breaks; has is the set of
+    the config's sections."""
+    ttype, sm = task["type"], {"gauge", "higgs"}
+    if ttype == "action" and "cutoff" not in has:
+        yield "action task needs a cutoff section"
+    if ttype == "action" and task["aa_mode"] == "blocks" and not sm <= has:
+        yield "blocks mode needs gauge and higgs sections"
+    if ttype == "trace-oracle" and "gauge" not in has:
+        yield "trace-oracle task needs a gauge section"
+    if ttype == "field-equations" and task["sm"] and not sm <= has:
+        yield "sm form needs gauge and higgs sections"
+    if ttype == "axioms" and "finite_triple" not in has:
+        yield "axioms task needs a finite_triple section"

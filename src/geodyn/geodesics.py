@@ -65,11 +65,7 @@ def integrate_geodesic(g: GeneralizedMetric, x0, v0, t_max: float,
         raise ValueError(f"state vectors must have shape ({dim},)")
 
     def metric_jets(xc: np.ndarray) -> tuple:
-        p = Point(tuple(xc.tolist()))
-        gj = g.gamma_jets(p, order=1)
-        if gj[0].dtype.kind == "c":
-            raise ValueError(f"complex metric value at {p.coords}")
-        return gj
+        return g.gamma_jets(Point(tuple(xc.tolist())), order=1)
 
     def accel(gj: tuple, vc: np.ndarray) -> np.ndarray:
         gam = _christoffel_from(checked_inverse(gj[0]), gj[1])

@@ -149,10 +149,9 @@ class GeneralizedMetric:
     def gamma_jets(self, p, order: int = 2):
         """(gamma, dgamma, ddgamma) with derivative indices trailing."""
         if self.gamma_field is not None:
-            g, dg, ddg = self.gamma_field.jets(p, order=order)
-            return np.real(g), np.real(dg), (None if ddg is None else np.real(ddg))
+            return _real_metric(p, self.gamma_field.jets(p, order=order))
         e, de, dde = self.vielbein.jets(p, order=order)
-        return _metric_jets(e, de, dde, self.vielbein.signature.matrix)
+        return _real_metric(p, _metric_jets(e, de, dde, self.vielbein.signature.matrix))
 
     # -- point (or block) evaluations ----------------------------------------
 
@@ -212,6 +211,16 @@ def _unbatched(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
+def _real_metric(p, jets):
+    """The metric jets at p, a Point or an (N, dim) block; ValueError if they
+    are complex (the jets share one dtype), naming the first complex point."""
+    if jets[0].dtype.kind != "c":
+        return jets
+    pts = [p.coords] if isinstance(p, Point) else np.asarray(p, dtype=float).tolist()
+    bad = np.iscomplex(jets[0]).reshape(len(pts), -1).any(axis=1)
+    raise ValueError(f"complex metric value at {tuple(pts[np.argmax(bad)])}")
+
+
 def _metric_jets(e, de, dde, eta):
     """gamma = E^T eta E and its first (and second) derivatives from frame jets."""
     e_eta = e.swapaxes(-1, -2) @ eta
@@ -254,7 +263,7 @@ def _riemann_from(ginv, gam, dgam):
     riem = (np.einsum("...rlmn->...rmnl", dgam) - np.einsum("...rnml->...rmnl", dgam)
             + np.einsum("...rnlm->...rmnl", gg) - np.einsum("...rlnm->...rmnl", gg))
     ricci = np.einsum("...rmrl->...ml", riem)
-    scalar = _unbatched(np.real(np.einsum("...ml,...ml->...", ginv, ricci)))
+    scalar = _unbatched(np.einsum("...ml,...ml->...", ginv, ricci))
     return riem, ricci, scalar
 
 
@@ -347,7 +356,7 @@ def frame_geometry(e: Vielbein, p) -> FrameGeometry:
     """
     eta = e.signature.matrix
     e_val, de, dde = e.jets(p, order=2)
-    gm, ginv, gam, dgam = _christoffel_jets(*_metric_jets(e_val, de, dde, eta))
+    gm, ginv, gam, dgam = _christoffel_jets(*_real_metric(p, _metric_jets(e_val, de, dde, eta)))
     riem, ricci, scalar = _riemann_from(ginv, gam, dgam)
     einv, eup, einv_de, deinv, deup, u, omega = _spin_connection_arrays(e_val, de, gam, eta)
     # d_s d_t e^m_b = -(d_s e^m_c d_t E^c_r + e^m_c d_s d_t E^c_r) e^r_b

@@ -25,7 +25,7 @@ from .connection import (ConnectionConstants, HiggsField, SMGaugeConfig,
                          assemble_connection, curvature, curvature_checks,
                          gauge_square_report)
 from .geodesics import integrate_geodesic
-from .tensors import MAX_DIM, Point
+from .tensors import MAX_DIM
 from .triples import (check_axioms, fluctuate, fluctuation_space,
                       inner_fluctuations, unimodular_projection)
 
@@ -93,23 +93,15 @@ def format_csv(result: TaskResult) -> str:
 # -- task implementations ---------------------------------------------------------
 
 
-def _default_points(scn: Scenario, task: dict) -> list:
-    if task.get("points"):
-        return [Point(tuple(p)) for p in task["points"]]
-    mid = tuple(0.5 * (l + h) for l, h in zip(scn.region.lo, scn.region.hi))
-    return [Point(mid)]
-
-
-def _run_curvature(scn: Scenario, task: dict) -> dict:
+def _run_curvature(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     gm = scn.frame.metric()
-    tol = float(task.get("tolerance", 1e-6))
-    expected = task.get("expected_scalar")
+    expected = task["expected_scalar"]
     rows, worst = [], 0.0
-    for p in _default_points(scn, task):
+    for p in task["points"]:
         ct = gm.curvature(p)
         ricci_max = float(np.abs(ct.ricci).max())
         res = abs(ct.scalar - expected) if expected is not None else 0.0
-        if task.get("expect_vacuum"):
+        if task["expect_vacuum"]:
             res = max(res, ricci_max)
         worst = max(worst, res)
         rows.append(tuple(p.coords) + (ct.scalar, ricci_max,
@@ -117,90 +109,77 @@ def _run_curvature(scn: Scenario, task: dict) -> dict:
                                        res))
     cols = tuple(scn.coordinates) + ("ricci_scalar", "ricci_max_abs",
                                      "expected_scalar", "residual")
-    return {"columns": cols, "rows": rows, "worst": worst, "tolerance": tol,
+    return {"columns": cols, "rows": rows, "worst": worst,
             "summary": {"points": len(rows)}}
 
 
-def _run_geodesic(scn: Scenario, task: dict) -> dict:
+def _run_geodesic(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     gm = scn.frame.metric()
-    steps = int(task.get("steps", 1000))
-    h = float(task.get("step_size", 0.01))
+    steps, h, orbit = task["steps"], task["step_size"], task["orbit"]
     traj = integrate_geodesic(gm, task["start"], task["velocity"],
                               t_max=steps * h, steps=steps)
-    tol = float(task.get("tolerance", 1e-6))
     worst = traj.norm_drift
     summary = {"status": traj.status, "norm_drift": traj.norm_drift,
                "steps": steps}
     if traj.status != "ok":
         summary["message"] = traj.message
-    if "orbit" in task and len(traj.ts) > 1:
-        mass = float(task["orbit"]["mass"])
-        radius = float(task["orbit"]["radius"])
-        omega_sq_ref = mass / radius ** 3
+    if orbit is not None and len(traj.ts) > 1:
+        omega_sq_ref = orbit["mass"] / orbit["radius"] ** 3
         dt = traj.xs[-1, 0] - traj.xs[0, 0]
         dphi = traj.xs[-1, 3] - traj.xs[0, 3]
         omega_sq = (dphi / dt) ** 2
         orbit_res = abs(omega_sq - omega_sq_ref) / omega_sq_ref
-        worst = max(worst, orbit_res * tol / float(task.get(
-            "orbit_tolerance", 1e-4)))
+        worst = max(worst, orbit_res * task["tolerance"] / task["orbit_tolerance"])
         summary.update({"omega_sq": omega_sq, "omega_sq_ref": omega_sq_ref,
                         "orbit_rel_residual": orbit_res})
-    stride = max(1, steps // int(task.get("csv_samples", 100)))
+    stride = max(1, steps // task["csv_samples"])
     rows = [(i, traj.ts[i]) + tuple(traj.xs[i]) + (traj.norms[i],)
             for i in range(0, len(traj.ts), stride)]
     cols = ("step", "t") + tuple(scn.coordinates) + ("velocity_norm",)
     if traj.status != "ok":
         worst = np.inf
-    return {"columns": cols, "rows": rows, "worst": worst, "tolerance": tol,
-            "summary": summary}
+    return {"columns": cols, "rows": rows, "worst": worst, "summary": summary}
 
 
-def _run_action(scn: Scenario, task: dict) -> dict:
+def _run_action(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     m = moments(scn.cutoff)
-    tol = float(task.get("tolerance", 1e-10))
-    form = task.get("form", "spectral")
     consts = scn.constants
-    if form == "riemannian-limit":
+    if task["form"] == "riemannian-limit":
         rep = riemannian_limit_action(
             scn.frame, scn.region, scn.grid, m, connection=scn.connection,
-            n_r=float(consts.get("n_r", 1.0)), n_h=float(consts.get("n_h", 1.0)))
+            n_r=consts["n_r"], n_h=consts["n_h"])
     else:
         data = HeatKernelData(metric=scn.frame.metric(),
                               connection=scn.connection,
-                              aa_mode=task.get("aa_mode", "metric"),
-                              sigma_sq=task.get("sigma_sq"))
+                              aa_mode=task["aa_mode"], sigma_sq=task["sigma_sq"])
         coeffs = heat_kernel_coefficients(data, scn.region, scn.grid)
         rep = spectral_action(
-            m, coeffs, sigma_sq=task.get("sigma_sq"),
+            m, coeffs, sigma_sq=task["sigma_sq"],
             connection_constants=(scn.connection.constants
                                   if scn.connection else None),
             higgs_c=(scn.connection.higgs.c if scn.connection else None))
     worst = rep.sum_residual()
     summary = {"total": rep.total, **{k: v for k, v in rep.constants.items()}}
-    if "expect_only" in task:
-        keep = task["expect_only"]
+    keep = task["expect_only"]
+    if keep is not None:
         stray = max((abs(v[2]) for k, v in rep.terms.items() if k != keep),
                     default=0.0)
         worst = max(worst, stray)
         summary["largest_unexpected_term"] = stray
     rows = [(name,) + tuple(rep.terms[name]) for name in sorted(rep.terms)]
     return {"columns": ("term", "coefficient", "integral", "value"),
-            "rows": rows, "worst": worst, "tolerance": tol, "summary": summary}
+            "rows": rows, "worst": worst, "summary": summary}
 
 
-def _run_field_equations(scn: Scenario, task: dict) -> dict:
-    tol = float(task.get("tolerance", 1e-6))
+def _run_field_equations(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     consts = scn.constants
     inp = FieldEquationInput(
         metric=scn.frame.metric(),
-        connection=scn.connection if task.get("sm") else None,
-        kappa0=float(task.get("kappa0", 1.0)),
-        tau0=float(task.get("tau0", 0.0)),
-        f0=float(consts.get("f0", 1.0)),
-        n_r=float(consts.get("n_r", 1.0)),
-        n_h=float(consts.get("n_h", 1.0)))
+        connection=scn.connection if task["sm"] else None,
+        kappa0=task["kappa0"], tau0=task["tau0"],
+        f0=consts["f0"], n_r=consts["n_r"], n_h=consts["n_h"])
     rows, worst = [], 0.0
-    for p in _default_points(scn, task):
+    for p in task["points"]:
         res = field_equation_residual(inp, p)
         fd_var = res.fd_report["full_vs_variational"]
         fd_rr = res.fd_report["rr_frozen_vol"]
@@ -215,15 +194,14 @@ def _run_field_equations(scn: Scenario, task: dict) -> dict:
         "fd_rr_frozen_vol", "fd_full_vs_variational", "fd_full_vs_display",
         "residual_variational_max", "residual_display_max",
         "symmetry_residual", "sm_fd_residual")
-    if task.get("expect_zero_residual"):
+    if task["expect_zero_residual"]:
         worst = max(worst, max(max(r[-4], r[-3]) for r in rows))
-    return {"columns": cols, "rows": rows, "worst": worst, "tolerance": tol,
+    return {"columns": cols, "rows": rows, "worst": worst,
             "summary": {"points": len(rows), "sm": bool(res.sm)}}
 
 
 def _run_axioms(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     t = scn.triple
-    tol = float(task.get("tolerance", 1e-12))
     report = check_axioms(t)
     rows = [(name, res, True) for name, res in report.residual_items()]
     worst = report.worst()
@@ -234,7 +212,7 @@ def _run_axioms(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
         summary["first_order_unclaimed_residual"] = report.first_order
     if not t.dirac_hermitian_claimed:
         rows.append(("dirac_hermitian", report.dirac_hermitian, False))
-    if task.get("fluctuations", True) and t.k is not None:
+    if task["fluctuations"] and t.k is not None:
         dim_omega, basis = fluctuation_space(t)
         summary["omega1_dimension"] = dim_omega
         if t.dim in (2,):
@@ -255,19 +233,18 @@ def _run_axioms(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
         rows.append(("unimodular_trace", trace_res, True))
         worst = max(worst, trace_res, herm if t.dirac_hermitian_claimed else 0.0)
     return {"columns": ("axiom", "residual", "claimed"), "rows": rows,
-            "worst": worst, "tolerance": tol, "summary": summary}
+            "worst": worst, "summary": summary}
 
 
-def _run_limit_check(scn: Scenario, task: dict) -> dict:
+def _run_limit_check(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     gm = scn.frame.metric()
-    gamma_tol = float(task.get("gamma_tolerance", 1e-12))
-    riemann_tol = float(task.get("tolerance", 1e-8))
-    ref = task["reference"]  # built by the config parse, or None
+    gamma_tol, riemann_tol = task["gamma_tolerance"], task["tolerance"]
+    ref = task["reference"]
     conn = scn.connection or assemble_connection(
         scn.frame, SMGaugeConfig.zero(scn.dim), HiggsField.zero(scn.dim, c=0.0),
         ConnectionConstants())
     rows, worst = [], 0.0
-    for p in _default_points(scn, task):
+    for p in task["points"]:
         spin_route, _ = curvature_checks(conn, p)
         g_res, r_res = 0.0, 0.0
         if ref is not None:
@@ -283,16 +260,14 @@ def _run_limit_check(scn: Scenario, task: dict) -> dict:
                                      "riemann_vs_reference",
                                      "spin_route_residual")
     return {"columns": cols, "rows": rows, "worst": worst,
-            "tolerance": riemann_tol,
             "summary": {"points": len(rows),
                         "gamma_tolerance": gamma_tol}}
 
 
-def _run_trace_oracle(scn: Scenario, task: dict) -> dict:
-    tol = float(task.get("tolerance", 1e-12))
+def _run_trace_oracle(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     rows, worst = [], 0.0
     display_worst = 0.0
-    for p in _default_points(scn, task):
+    for p in task["points"]:
         f = curvature(scn.connection, p)
         rep = gauge_square_report(f)
         worst = max(worst, rep.q_identity_residual, rep.trace_max)
@@ -307,7 +282,7 @@ def _run_trace_oracle(scn: Scenario, task: dict) -> dict:
         "q_trace_scalar", "w_component_square", "q_identity_residual",
         "v_trace_scalar", "v_display_residual", "weighted_total",
         "display_total", "display_residual", "unimodular_trace_max")
-    return {"columns": cols, "rows": rows, "worst": worst, "tolerance": tol,
+    return {"columns": cols, "rows": rows, "worst": worst,
             "summary": {"display_agreement_max": display_worst,
                         "verdict": ("display matches the brute-force traces"
                                     if display_worst < 1e-8 else
@@ -319,6 +294,7 @@ _RUNNERS = {
     "geodesic": _run_geodesic,
     "action": _run_action,
     "field-equations": _run_field_equations,
+    "axioms": _run_axioms,
     "limit-check": _run_limit_check,
     "trace-oracle": _run_trace_oracle,
 }
@@ -327,6 +303,10 @@ _RUNNERS = {
 def run_scenario(obj: dict, name: str = "custom", seed: int = 0,
                  grid_override: int | None = None) -> RunReport:
     """Build the scenario, then run every task in config order.
+
+    A task whose runner raises ArithmeticError or ValueError fails with an
+    infinite worst residual, the error's text as its summary's ``message``,
+    and no columns or rows, so no CSV is written for it.
 
     grid_override sets the grid on every axis before the one parse, so a bad
     value is reported with the other config problems: build_scenario raises
@@ -344,16 +324,18 @@ def run_scenario(obj: dict, name: str = "custom", seed: int = 0,
         idx, task = item
         t0 = time.perf_counter()
         rng = np.random.default_rng(seed + idx)
-        if task["type"] == "axioms":
-            out = _run_axioms(scn, task, rng)
-        else:
-            out = _RUNNERS[task["type"]](scn, task)
-        status = "pass" if out["worst"] <= out["tolerance"] else "fail"
+        try:
+            out = _RUNNERS[task["type"]](scn, task, rng)
+        except (ArithmeticError, ValueError) as exc:  # SingularMetricError included
+            # a failed evaluation fails its task, with no table to write
+            out = {"columns": (), "rows": [], "worst": np.inf,
+                   "summary": {"message": str(exc)}}
+        status = "pass" if out["worst"] <= task["tolerance"] else "fail"
         return TaskResult(index=idx, task_type=task["type"], status=status,
-                          tolerance=out["tolerance"],
+                          tolerance=task["tolerance"],
                           worst_residual=float(out["worst"]),
                           columns=out["columns"], rows=out["rows"],
-                          summary=out.get("summary", {}),
+                          summary=out["summary"],
                           duration=time.perf_counter() - t0)
 
     results = [exec_task(it) for it in enumerate(scn.tasks)]

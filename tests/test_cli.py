@@ -119,3 +119,44 @@ def test_geodesic_failures_are_task_failures_not_tracebacks(tmp_path, capsys):
         assert reason in out
         rows = (out_dir / "00-geodesic.csv").read_text(encoding="utf-8").splitlines()
         assert rows[1].endswith(",nan")
+
+
+def _curvature_config(tmp_path, name, diagonal, point):
+    obj = {
+        "schema": SCHEMA_VERSION,
+        "chart": {"dimension": 2, "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+        "frame": {"diagonal": diagonal},
+        "tasks": [{"type": "curvature-at-points", "points": [point]}],
+    }
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    return str(cfg)
+
+
+def _complex_reference_config(tmp_path):
+    from geodyn.scenarios import builtin_config
+    obj = builtin_config("sphere2")
+    obj["tasks"][2]["reference"]["matrix"][1][1] = "sin(theta)^2 + (0 - 1)^0.5"
+    cfg = tmp_path / "reference.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    return str(cfg)
+
+
+def test_evaluation_errors_are_task_failures_not_tracebacks(tmp_path, capsys):
+    cases = [
+        (_curvature_config(tmp_path, "complex", ["x0^0.5 + 1", "x0"], [-0.5, 0.3]),
+         "00-curvature-at-points.csv", "message: complex metric value at (-0.5, 0.3)"),
+        (_curvature_config(tmp_path, "reciprocal", ["1/x0", "1"], [0.0, 0.3]),
+         "00-curvature-at-points.csv", "message: float division by zero"),
+        (_complex_reference_config(tmp_path),
+         "02-limit-check.csv", "message: complex metric value at (0.7, 0.3)"),
+    ]
+    for cfg, failed_csv, reason in cases:
+        out_dir = tmp_path / "out"
+        code, _, _ = _run(["run", cfg, "--out", str(out_dir)], capsys)
+        assert code == 1
+        report = (out_dir / "report.txt").read_text(encoding="utf-8")
+        assert reason in report and "worst residual inf" in report
+        assert not (out_dir / failed_csv).exists()
+        for name in os.listdir(out_dir):
+            os.remove(out_dir / name)

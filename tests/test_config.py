@@ -1,6 +1,8 @@
 """Config schema validation diagnostics and scenario construction."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +318,19 @@ BUILD_ERRORS = {
                  "chart": {**builtin_config("sphere2")["chart"],
                            "signature": "lorentzian"}},
         "chart.signature"),
+    "form-misspelt": (lambda: _with_task_entry("flat-empty", 1, form="riemanian-limit"),
+                      "tasks[1].form"),
+    "tolerance-misspelt": (lambda: _with_task_entry("sphere2", 0, tolerence=1e-30),
+                           "tasks[0].tolerence"),
+    "fluctuations-a-string": (lambda: _with_task_entry("two-point-axioms", 0,
+                                                       fluctuations="false"),
+                              "tasks[0].fluctuations"),
+    "expect-vacuum-a-string": (lambda: _with_task_entry("flat-empty", 0,
+                                                        expect_vacuum="no"),
+                               "tasks[0].expect_vacuum"),
+    **{f"constant-{name}-unread": (lambda name=name: _flat_empty(constants={name: 3.0}),
+                                   f"constants.{name}")
+       for name in ("n_b", "n_w", "n_g", "f4")},
 }
 
 
@@ -357,6 +372,53 @@ def test_limit_check_reference_is_built_once_in_the_parse():
     assert build_scenario(builtin_config("riemannian-limit")).tasks[0]["reference"].dim == 4
 
 
+def test_every_task_entry_and_constant_has_its_default():
+    obj = _minimal(gauge={"couplings": {"g1": 0.5}, "b": ["x0", "0"]},
+                   higgs={"x": "0", "y": "0"},
+                   finite_triple={"builtin": "two-point"},
+                   cutoff={"builtin": "exponential"},
+                   tasks=[{"type": "curvature-at-points"},
+                          {"type": "geodesic", "start": [0.5, 0.5], "velocity": [1, 0]},
+                          {"type": "action"}, {"type": "field-equations"},
+                          {"type": "axioms"}, {"type": "limit-check"},
+                          {"type": "trace-oracle"}])
+    scn = build_scenario(obj)
+    mid = (Point((0.5, 0.5)),)
+    assert scn.tasks == [
+        {"type": "curvature-at-points", "tolerance": 1e-6, "points": mid,
+         "expected_scalar": None, "expect_vacuum": False},
+        {"type": "geodesic", "tolerance": 1e-6, "start": (0.5, 0.5),
+         "velocity": (1.0, 0.0), "steps": 1000, "step_size": 0.01,
+         "csv_samples": 100, "orbit": None, "orbit_tolerance": 1e-4},
+        {"type": "action", "tolerance": 1e-10, "form": "spectral",
+         "aa_mode": "metric", "sigma_sq": None, "expect_only": None},
+        {"type": "field-equations", "tolerance": 1e-6, "points": mid, "sm": False,
+         "kappa0": 1.0, "tau0": 0.0, "expect_zero_residual": False},
+        {"type": "axioms", "tolerance": 1e-12, "fluctuations": True},
+        {"type": "limit-check", "tolerance": 1e-8, "gamma_tolerance": 1e-12,
+         "points": mid, "reference": None},
+        {"type": "trace-oracle", "tolerance": 1e-12, "points": mid},
+    ]
+    assert scn.constants == {"n_r": 1.0, "n_h": 1.0, "f0": 1.0}
+    assert all(type(v) is float for v in scn.tasks[1]["start"] + scn.tasks[1]["velocity"])
+
+
+def test_benchmark_workload_configs_validate():
+    # the benchmark's configs must never become diagnostics
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bad = {}
+    for name, (_, variants) in workloads.WORKLOADS.items():
+        for size in workloads.SIZES:
+            for seed in range(variants):
+                diags = validate_config(workloads.generate(name, seed, size))
+                if diags:
+                    bad[f"{name}/{seed}/{size}"] = [str(d) for d in diags]
+    assert bad == {}
+
+
 def test_grid_override_below_two_is_a_diagnostic(tmp_path, capsys):
     obj = builtin_config("flat-empty")
     obj["chart"]["grid"] = [1, 1, 1, 1]
@@ -384,6 +446,22 @@ _NUMERIC_TASK_ENTRIES = {
 }
 _NON_NUMBERS = st.sampled_from(["abc", "1e-6", None, True, [1.0], {"mass": "x"},
                                 {"mass": 1.0, "radius": "6"}, {"radius": 0}])
+# the boolean and choice entries each task type reads, values of the wrong
+# kind for them, and misspellings of entry names
+_FLAG_TASK_ENTRIES = {
+    "curvature-at-points": ["expect_vacuum"],
+    "geodesic": [],
+    "action": ["form", "aa_mode"],
+    "field-equations": ["sm", "expect_zero_residual"],
+    "axioms": ["fluctuations"],
+    "limit-check": [],
+    "trace-oracle": [],
+}
+_WRONG_KINDS = st.sampled_from(["false", "no", "true", 0, 1, None, 1.0, ["blocks"],
+                                "riemanian-limit", "Metric", "spectral "])
+_MISSPELT = st.sampled_from(["tolerence", "point", "orbit_tolerence", "fluctuation",
+                             "expect_vaccum", "aa-mode", "gama_tolerance", "Form",
+                             "sigma", "step", "csv_sample", "expected-scalar"])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.floats(-3.0, 3.0)
     | st.sampled_from(_WORDS),
@@ -425,8 +503,13 @@ def _mutated_builtins(draw):
     if isinstance(tasks, list) and tasks and draw(st.booleans()):
         task = tasks[draw(st.integers(0, len(tasks) - 1))]
         if isinstance(task, dict):
-            keys = sorted({k for ks in _NUMERIC_TASK_ENTRIES.values() for k in ks})
-            task[draw(st.sampled_from(keys))] = draw(_NON_NUMBERS)
+            pool = draw(st.sampled_from([_NUMERIC_TASK_ENTRIES, _FLAG_TASK_ENTRIES, None]))
+            if pool is None:
+                task[draw(_MISSPELT)] = draw(_JSON)
+            else:
+                values = _NON_NUMBERS if pool is _NUMERIC_TASK_ENTRIES else _WRONG_KINDS
+                task[draw(st.sampled_from(sorted({k for ks in pool.values()
+                                                  for k in ks})))] = draw(values)
     return obj
 
 
@@ -452,3 +535,18 @@ def test_non_numeric_task_entries_are_diagnostics(name, data):
     key = data.draw(st.sampled_from(_NUMERIC_TASK_ENTRIES[obj["tasks"][i]["type"]]))
     obj["tasks"][i][key] = data.draw(_NON_NUMBERS)
     assert any(path.startswith(f"tasks[{i}].{key}") for path in _paths(validate_config(obj)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BUILTIN_SCENARIOS)), st.data())
+def test_misspelt_and_wrong_kind_task_entries_are_diagnostics(name, data):
+    obj = builtin_config(name)
+    i = data.draw(st.integers(0, len(obj["tasks"]) - 1))
+    flags = _FLAG_TASK_ENTRIES[obj["tasks"][i]["type"]]
+    if flags and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(flags))
+        obj["tasks"][i][key] = data.draw(_WRONG_KINDS)
+    else:
+        key = data.draw(_MISSPELT)
+        obj["tasks"][i][key] = 1e-6
+    assert f"tasks[{i}].{key}" in _paths(validate_config(obj))

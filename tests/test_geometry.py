@@ -200,6 +200,22 @@ def test_metric_field_route_matches_vielbein_route():
         assert abs(c1.scalar - c2.scalar) < 1e-11
 
 
+def test_complex_metric_values_are_errors_on_every_route():
+    # (x0 + 0j)^(1/2) has a nonzero imaginary part where x0 < 0
+    def func(c):
+        return [[(c[0] + 0j) ** 0.5 + 1.0, 0.0], [0.0, 1.0]]
+
+    field = ChartField(dim=2, shape=(2, 2), func=func)
+    e = Vielbein(field, MinkowskiSignature.euclidean(2))
+    message = r"complex metric value at \(-0\.5, 0\.3\)"
+    for p in (Point((-0.5, 0.3)), np.array([[0.5, 0.3], [-0.5, 0.3]])):
+        for g in (e.metric(), GeneralizedMetric(2, gamma_field=field)):
+            with pytest.raises(ValueError, match=message):
+                g.curvature(p)
+        with pytest.raises(ValueError, match=message):
+            frame_geometry(e, p)
+
+
 def test_volume_elements():
     p = Point((0.8, 0.3))
     v = sphere2().metric().volume_element(p)
