@@ -19,7 +19,7 @@ import os
 import sys
 
 from .action import CUTOFF_BUILTINS
-from .config import ConfigError, load_config, validate_config
+from .config import BUILTIN_TRIPLES, ConfigError, load_config, validate_config
 from .library import BUILTIN_FRAMES
 from .scenarios import BUILTIN_SCENARIOS, builtin_config, format_csv, run_scenario
 
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate", help="check a config, print diagnostics")
     val_p.add_argument("config", help="config file path or builtin scenario name")
 
-    sub.add_parser("list-builtins", help="list scenarios, frames, cutoffs")
+    sub.add_parser("list-builtins", help="list scenarios, frames, cutoffs, triples")
     return parser
 
 
@@ -95,15 +95,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list_builtins() -> int:
-    print("scenarios:")
-    for name in sorted(BUILTIN_SCENARIOS):
-        print(f"  {name}")
-    print("frames:")
-    for name in sorted(BUILTIN_FRAMES):
-        print(f"  {name}")
-    print("cutoffs:")
-    for name in sorted(CUTOFF_BUILTINS):
-        print(f"  {name}")
+    for title, names in (("scenarios", BUILTIN_SCENARIOS), ("frames", BUILTIN_FRAMES),
+                         ("cutoffs", CUTOFF_BUILTINS),
+                         ("finite triples", BUILTIN_TRIPLES)):
+        print(f"{title}:")
+        for name in sorted(names):
+            print(f"  {name}")
     return 0
 
 

@@ -7,24 +7,20 @@ Field entries are expression strings over the chart coordinates (see
 exprs.py for the grammar); complex matrix entries are numbers or
 {"re": x, "im": y} objects.
 
-Checking a config and building it are one parse.  Each section parser checks
-the JSON shape of its entries, builds its runtime object (compiling each
-expression once, the reference metric of a limit-check task included),
-records the constructor's own ValueError, TypeError or KeyError as a
-diagnostic at the section's path, and moves on, so one pass reports every
-problem it can find.  validate_config returns those diagnostics;
-build_scenario returns the Scenario or raises ConfigError with all of them,
-so a config builds exactly when it validates.  Numbers must be finite:
-json.loads also reads the literals NaN and Infinity, and the parse rejects
-them.  chart.signature, when given, must match a builtin frame's own
-signature; when omitted, the builtin frame's signature stands and expression
-frames are Euclidean.
-
-The entries of each task type, and the constants, are stated once, in one
-table each: name, kind and default.  The parse checks every given entry
-against its table and converts it, fills in the defaults, and reports an
-entry or constant the table lacks as a diagnostic.  So the tasks of a built
-Scenario arrive complete and typed, and the runners only index into them.
+Checking a config and building it are one parse.  Every section, every
+object inside one, the parameters of each builtin and each task type state
+their entries once, in one table each: name, kind and default.  The parse
+checks each given entry against its table and converts it (compiling each
+expression once), fills in the defaults, reports an entry the table lacks
+as a diagnostic that lists the known ones, records a constructor's own
+ValueError, TypeError or KeyError as a diagnostic at the section's path, and
+moves on, so one pass reports every problem it can find.  validate_config
+returns those diagnostics; build_scenario returns the Scenario or raises
+ConfigError with all of them, so a config builds exactly when it validates.
+Numbers must be finite (json.loads also reads NaN and Infinity), and the
+grid points and geodesic steps are capped.  chart.signature, when given,
+must match a builtin frame's own signature; when omitted, the builtin
+frame's signature stands and expression frames are Euclidean.
 """
 
 from __future__ import annotations
@@ -38,11 +34,11 @@ import numpy as np
 
 from .action import CUTOFF_BUILTINS, CutoffFunction, GridSpec, Region
 from .connection import (ConnectionConstants, ConnectionForm, HiggsField,
-                         SMGaugeConfig, assemble_connection, checked_coupling)
+                         SMGaugeConfig, assemble_connection)
 from .exprs import compile_expression, default_coordinate_names
 from .fields import ChartField
 from .geometry import GeneralizedMetric, Vielbein
-from .library import BUILTIN_FRAMES, diagonal_vielbein, make_builtin_frame
+from .library import BUILTIN_FRAMES, diagonal_vielbein
 from .tensors import MAX_DIM, MinkowskiSignature, Point
 from .triples import (FiniteTriple, YukawaData, build_sm_finite,
                       lepton_triple, two_point_triple)
@@ -56,11 +52,22 @@ __all__ = [
     "validate_config",
     "build_scenario",
     "TASK_TYPES",
+    "BUILTIN_TRIPLES",
+    "MAX_GRID_POINTS",
+    "MAX_GEODESIC_STEPS",
 ]
 
 SCHEMA_VERSION = "geodyn-config-v1"
 
-TRIPLE_BUILTINS = ("two-point", "lepton-sector", "sm-yukawa")
+# The action quadrature keeps one row of 8 + dim^2 floats per grid point
+# (riemannian_limit_action's density), about 190 MB at 10^6 points in four
+# dimensions; the builtins and benchmark workloads use at most 2 187.
+MAX_GRID_POINTS = 10 ** 6
+
+# integrate_geodesic keeps every step's state, about 0.5 kB a step in four
+# dimensions (a traced 2 000-step Schwarzschild run), so 0.5 GB and minutes
+# of stepping at 10^6 steps; the builtins and workloads take at most 10 000.
+MAX_GEODESIC_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -147,12 +154,6 @@ def _is_num(v) -> bool:
         return False
 
 
-def _num_list(v, n=None) -> bool:
-    if not isinstance(v, list) or not all(_is_num(x) for x in v):
-        return False
-    return n is None or len(v) == n
-
-
 def _built(diags, path, make, *args, **kwargs):
     """make(*args, **kwargs), or None with its error as a diagnostic at path."""
     try:
@@ -162,14 +163,6 @@ def _built(diags, path, make, *args, **kwargs):
         diags.append(Diagnostic(path, str(e.args[0] if isinstance(e, KeyError)
                                           and e.args else e)))
         return None
-
-
-def _known(diags, path, name, table) -> bool:
-    if isinstance(name, str) and name in table:
-        return True
-    diags.append(Diagnostic(path, f"unknown builtin {name!r}; known: "
-                                  f"{', '.join(sorted(table))}"))
-    return False
 
 
 def _complex(v):
@@ -182,42 +175,19 @@ def _complex(v):
     return None
 
 
-def _matrix(diags, rows, path, shape):
-    """Complex matrix of the required shape (None: any), or None."""
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        diags.append(Diagnostic(path, "must be a list of rows"))
-        return None
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        diags.append(Diagnostic(path, "rows have unequal lengths"))
-        return None
-    n = len(diags)
-    out = [[_complex(x) for x in row] for row in rows]
-    for i, row in enumerate(out):
-        for j, entry in enumerate(row):
-            if entry is None:
-                diags.append(Diagnostic(f"{path}[{i}][{j}]",
-                                        "entry must be a number or {re, im}"))
-    got = (len(rows), next(iter(widths), 0))
-    if shape is not None and got != shape:
-        diags.append(Diagnostic(path, f"shape {got} != required {shape}"))
-    return np.array(out) if len(diags) == n else None
-
-
 def _compiled(diags, sources, shape, coords, path):
-    """Object array of compiled expressions of the given shape, or None."""
+    """The compiled expression, or the object array of them of the given
+    shape, or None."""
+    if not shape:
+        return _built(diags, path, compile_expression, sources, coords)
     if not isinstance(sources, list) or len(sources) != shape[0]:
-        what = (f"a list of {shape[0]} expressions" if len(shape) == 1
-                else f"{shape[0]} rows of {shape[1]} expressions")
-        diags.append(Diagnostic(path, f"must be {what}"))
+        what = "expressions" if len(shape) == 1 else f"rows of {shape[1]} expressions"
+        diags.append(Diagnostic(path, f"must be a list of {shape[0]} {what}"))
         return None
     n = len(diags)
     out = np.empty(shape, dtype=object)
     for i, src in enumerate(sources):
-        if len(shape) == 1:
-            out[i] = _built(diags, f"{path}[{i}]", compile_expression, src, coords)
-        else:
-            out[i] = _compiled(diags, src, shape[1:], coords, f"{path}[{i}]")
+        out[i] = _compiled(diags, src, shape[1:], coords, f"{path}[{i}]")
     return out if len(diags) == n else None
 
 
@@ -233,6 +203,180 @@ def _expr_field(compiled) -> ChartField:
         return out
 
     return ChartField(dim=shape[-1], shape=shape, func=func)
+
+
+# -- kinds ------------------------------------------------------------------------
+#
+# A kind converts one given entry, or records a diagnostic at path and returns
+# None (a config with a diagnostic builds no Scenario).  Its last argument is
+# the context below.  A kind that needs a part of the context that failed to
+# build returns None quietly: that part's own diagnostic already stands.
+
+
+class _Context(NamedTuple):
+    """What a kind reads besides its value: the size of the "dim" axes (the
+    chart dimension, or an inline triple's Hilbert dimension), the chart's
+    coordinate names, and its region; None marks a part that did not build."""
+
+    dim: int | None = None
+    coords: tuple | None = None
+    region: Region | None = None
+
+
+_REQUIRED = object()  # the default of an entry that must be given
+
+
+def _kind(test, message, convert):
+    """The kind of the values that pass test, converted by convert."""
+    def check(diags, path, value, ctx):
+        if test(value):
+            return convert(value)
+        diags.append(Diagnostic(path, message))
+    return check
+
+
+_number = _kind(_is_num, "must be a number", float)
+_positive = _kind(lambda v: _is_num(v) and v > 0, "must be a positive number", float)
+_nonzero = _kind(lambda v: _is_num(v) and v != 0, "must be a nonzero number", float)
+_count = _kind(lambda v: type(v) is int and v >= 1, "must be a positive integer", int)
+_boolean = _kind(lambda v: type(v) is bool, "must be true or false", bool)
+_text = _kind(lambda v: isinstance(v, str), "must be a string", str)
+# an object whose table depends on a sibling entry; its section checks it
+_mapping = _kind(lambda v: isinstance(v, dict), "must be an object", dict)
+_numbers = _kind(lambda v: isinstance(v, list) and all(map(_is_num, v)),
+                 "must be a list of numbers", lambda v: tuple(map(float, v)))
+_entry = _kind(lambda v: _complex(v) is not None, "entry must be a number or {re, im}",
+               _complex)
+_signs = _kind(lambda v: (isinstance(v, list) and len(v) == 3
+                          and all(_is_num(s) and s in (-1, 1) for s in v)),
+               "must be three entries from {-1, 1}", tuple)
+
+
+def _integer(lo, hi):
+    return _kind(lambda v: type(v) is int and lo <= v <= hi,
+                 f"must be an integer in {lo}..{hi}", int)
+
+
+def _choice(*options):
+    return _kind(lambda v: isinstance(v, str) and v in options,
+                 f"must be {' or '.join(map(repr, options))}", str)
+
+
+def _per_axis(test, what, convert=tuple):
+    """The kind of a list of dim values that pass test, converted by convert."""
+    def check(diags, path, value, ctx):
+        if ctx.dim is None:
+            return None
+        if isinstance(value, list) and len(value) == ctx.dim and all(map(test, value)):
+            return convert(value)
+        diags.append(Diagnostic(path, f"must be {ctx.dim} {what}"))
+    return check
+
+
+_vector = _per_axis(_is_num, "numbers", lambda v: tuple(map(float, v)))
+_point = _per_axis(_is_num, "numbers", lambda v: Point(tuple(map(float, v))))
+
+
+def _list_of(item, what):
+    """The kind of a nonempty list of item values, as a tuple."""
+    def check(diags, path, value, ctx):
+        if not isinstance(value, list) or not value:
+            diags.append(Diagnostic(path, f"must be a nonempty list of {what}"))
+            return None
+        return tuple(item(diags, f"{path}[{j}]", v, ctx) for j, v in enumerate(value))
+    return check
+
+
+def _shape(axes, ctx):
+    """axes with each "dim" replaced by the context's size; None: unknown."""
+    if "dim" in axes and ctx.dim is None:
+        return None
+    return tuple(ctx.dim if axis == "dim" else axis for axis in axes)
+
+
+def _complex_matrix(*axes):
+    """The kind of a complex matrix of the given axes (unknown: any shape)."""
+    def check(diags, path, rows, ctx):
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            diags.append(Diagnostic(path, "must be a list of rows"))
+            return None
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
+            diags.append(Diagnostic(path, "rows have unequal lengths"))
+            return None
+        n = len(diags)
+        out = [[_entry(diags, f"{path}[{i}][{j}]", x, ctx) for j, x in enumerate(row)]
+               for i, row in enumerate(rows)]
+        got, shape = (len(rows), next(iter(widths), 0)), _shape(axes, ctx)
+        if shape is not None and got != shape:
+            diags.append(Diagnostic(path, f"shape {got} != required {shape}"))
+        return np.array(out) if len(diags) == n else None
+    return check
+
+
+def _exprs(*axes):
+    """The kind of an expression over the chart coordinates (no axes) or an
+    array of them, compiled."""
+    def check(diags, path, value, ctx):
+        if ctx.coords is None:
+            return None
+        return _compiled(diags, value, _shape(axes, ctx), ctx.coords, path)
+    return check
+
+
+def _object(table, unknown="no such entry"):
+    """The kind of an object whose entries table states: the dict _entries
+    gives, or None if any entry fails."""
+    required = [key for key, (_, default) in table.items() if default is _REQUIRED]
+    message = "must be an object" + (f" with {', '.join(required)}" if required else "")
+
+    def check(diags, path, value, ctx):
+        if not isinstance(value, dict):
+            diags.append(Diagnostic(path, message))
+            return None
+        n = len(diags)
+        entries = _entries(diags, path, value, table, ctx, unknown)
+        return entries if len(diags) == n else None
+    return check
+
+
+def _entries(diags, path, given, table, ctx, unknown="no such entry"):
+    """The entries of the given object checked against table: each given one
+    converted by its kind, each missing one set to its default (a callable
+    default is computed from the context), and each one the table lacks a
+    diagnostic whose message starts with unknown.  Every key of table is in
+    the result; a required entry that is missing is None, as is one whose
+    kind failed."""
+    for key in given:
+        if key not in table:
+            diags.append(Diagnostic(f"{path}.{key}", f"{unknown}; known: "
+                                                     f"{', '.join(sorted(table))}"))
+    out = {}
+    for key, (kind, default) in table.items():
+        if key in given:
+            out[key] = kind(diags, f"{path}.{key}", given[key], ctx)
+        elif default is _REQUIRED:
+            diags.append(Diagnostic(f"{path}.{key}", "required entry missing"))
+            out[key] = None
+        else:
+            out[key] = default(ctx) if callable(default) else default
+    return out
+
+
+def _from_builtin(diags, path, given, registry, ctx, unknown):
+    """What the builtin a section names makes from its parameters, each
+    checked against the builtin's own table, or None.  registry maps each
+    builtin name to (factory, parameter table)."""
+    entries = _object({"builtin": (_choice(*registry), _REQUIRED),
+                       "parameters": (_mapping, {})}, unknown)(diags, path, given, ctx)
+    if entries is None:
+        return None
+    name = entries["builtin"]
+    factory, table = registry[name]
+    params = _object(table, f"builtin {name!r} takes no such parameter")(
+        diags, f"{path}.parameters", entries["parameters"], ctx)
+    return None if params is None else _built(diags, f"{path}.parameters", factory,
+                                              **params)
 
 
 # -- the parse --------------------------------------------------------------------
@@ -251,102 +395,113 @@ def _parse(obj):
     for key in sorted(set(obj) - known):
         diags.append(Diagnostic(key, "unknown section"))
 
-    dim, coords, signature, region, grid = _parse_chart(diags, obj.get("chart"))
-    frame = _parse_frame(diags, obj.get("frame"), dim, coords, signature)
-    gauge = _parse_gauge(diags, obj.get("gauge"), dim, coords)
-    higgs, connection_constants = _parse_higgs(diags, obj.get("higgs"), dim, coords)
+    chart, signature, grid = _parse_chart(diags, obj.get("chart"))
+    frame = _parse_frame(diags, obj.get("frame"), chart, signature)
+    gauge = _parse_gauge(diags, obj.get("gauge"), chart)
+    higgs, connection_constants = _parse_higgs(diags, obj.get("higgs"), chart)
     triple = _parse_triple(diags, obj.get("finite_triple"))
     cutoff = _parse_cutoff(diags, obj.get("cutoff"))
-    constants = _parse_constants(diags, obj.get("constants"))
+    consts = obj.get("constants")
+    constants = _object(_CONSTANTS, "unknown constant")(
+        diags, "constants", {} if consts is None else consts, _Context())
     has = {key for key, value in obj.items() if isinstance(value, dict)}
-    tasks = _parse_tasks(diags, obj.get("tasks"), _Chart(dim, coords, region), has)
+    tasks = _parse_tasks(diags, obj.get("tasks"), chart, has)
     if diags:
         return None, diags
 
     connection = None
     if has & {"gauge", "higgs"}:
-        connection = assemble_connection(frame, gauge or SMGaugeConfig.zero(dim),
-                                         higgs or HiggsField.zero(dim),
+        connection = assemble_connection(frame, gauge or SMGaugeConfig.zero(chart.dim),
+                                         higgs or HiggsField.zero(chart.dim),
                                          connection_constants)
-    return Scenario(dim=dim, coordinates=coords, region=region, grid=grid,
-                    frame=frame, connection=connection, triple=triple,
+    return Scenario(dim=chart.dim, coordinates=chart.coords, region=chart.region,
+                    grid=grid, frame=frame, connection=connection, triple=triple,
                     cutoff=cutoff, constants=constants, tasks=tasks), []
 
 
+def _grid(diags, path, value, ctx):
+    """dim integers, as a GridSpec of at most MAX_GRID_POINTS points."""
+    shape = _per_axis(lambda n: type(n) is int, "integers")(diags, path, value, ctx)
+    grid = None if shape is None else _built(diags, path, GridSpec, shape)
+    if grid is not None and math.prod(grid.shape) > MAX_GRID_POINTS:
+        diags.append(Diagnostic(path, f"{math.prod(grid.shape)} points exceed "
+                                      f"the cap of {MAX_GRID_POINTS}"))
+    return grid
+
+
+_DIMENSION = _integer(1, MAX_DIM)
+_BOX_ENTRIES = {"lo": (_vector, _REQUIRED), "hi": (_vector, _REQUIRED)}
+# the defaults read the dimension; without a valid one the chart builds nothing
+_CHART_ENTRIES = {
+    "dimension": (_DIMENSION, _REQUIRED),
+    "signature": (_choice("euclidean", "lorentzian"), None),
+    "coordinates": (_per_axis(lambda c: isinstance(c, str) and c.isidentifier(),
+                              "identifier strings"),
+                    lambda ctx: default_coordinate_names(ctx.dim or 0)),
+    "periodic": (_per_axis(lambda b: type(b) is bool, "booleans"), ()),
+    "box": (_object(_BOX_ENTRIES), _REQUIRED),
+    "grid": (_grid, lambda ctx: GridSpec((5,) * (ctx.dim or 0))),
+}
+
+
 def _parse_chart(diags, chart):
-    """(dim, coordinates, signature, region, grid); None marks a failed part
-    or, for the signature, one that is not stated."""
+    """(context, signature, grid); None marks a failed part or, for the
+    signature, one that is not stated."""
     if not isinstance(chart, dict):
         diags.append(Diagnostic("chart", "required section missing or not an object"))
-        return None, None, None, None, None
-    dim = chart.get("dimension")
-    if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
-        diags.append(Diagnostic("chart.dimension",
-                                f"must be an integer in 1..{MAX_DIM}"))
-        dim = None
-    sig = chart.get("signature")
-    if "signature" in chart and sig not in ("euclidean", "lorentzian"):
-        diags.append(Diagnostic("chart.signature",
-                                "must be 'euclidean' or 'lorentzian'"))
-    box = chart.get("box")
-    if not isinstance(box, dict) or "lo" not in box or "hi" not in box:
-        diags.append(Diagnostic("chart.box", "must be an object with lo and hi"))
-        box = None
+        return _Context(), None, None
+    # the other entries' shapes read the dimension, so it is read first,
+    # quietly: the table's own pass reports it
+    dim = _DIMENSION([], "", chart.get("dimension"), None)
+    entries = _entries(diags, "chart", chart, _CHART_ENTRIES, _Context(dim))
     if dim is None:
-        return None, None, None, None, None
-
-    signature = None
-    if sig == "lorentzian":
-        signature = MinkowskiSignature.lorentzian(dim)
-    elif sig == "euclidean":
-        signature = MinkowskiSignature.euclidean(dim)
-    coords = chart.get("coordinates", list(default_coordinate_names(dim)))
-    if (not isinstance(coords, list) or len(coords) != dim
-            or not all(isinstance(c, str) and c.isidentifier() for c in coords)):
-        diags.append(Diagnostic("chart.coordinates",
-                                f"must be {dim} identifier strings"))
-        coords = None
-    elif len(set(coords)) != dim:
+        return _Context(), None, None
+    coords = entries["coordinates"]
+    if coords is not None and len(set(coords)) != dim:
         diags.append(Diagnostic("chart.coordinates", "names must be distinct"))
         coords = None
-    periodic = chart.get("periodic", [False] * dim)
-    if (not isinstance(periodic, list) or len(periodic) != dim
-            or not all(isinstance(b, bool) for b in periodic)):
-        diags.append(Diagnostic("chart.periodic", f"must be {dim} booleans"))
-        periodic = []
+    box, periodic = entries["box"], entries["periodic"]
     region = None
-    if box is not None:
-        for key in ("lo", "hi"):
-            if not _num_list(box[key], dim):
-                diags.append(Diagnostic(f"chart.box.{key}", f"must be {dim} numbers"))
-        if _num_list(box["lo"], dim) and _num_list(box["hi"], dim):
-            region = _built(diags, "chart.box", Region, tuple(box["lo"]),
-                            tuple(box["hi"]), tuple(periodic))
-    grid = chart.get("grid", [5] * dim)
-    if (not isinstance(grid, list) or len(grid) != dim
-            or not all(isinstance(n, int) for n in grid)):
-        diags.append(Diagnostic("chart.grid", f"must be {dim} integers"))
-        grid = None
-    else:
-        grid = _built(diags, "chart.grid", GridSpec, tuple(grid))
-    return dim, None if coords is None else tuple(coords), signature, region, grid
+    if box is not None and periodic is not None:
+        region = _built(diags, "chart.box", Region, box["lo"], box["hi"], periodic)
+    sig = entries["signature"]
+    # the choice names the MinkowskiSignature constructor
+    signature = None if sig is None else getattr(MinkowskiSignature, sig)(dim)
+    return _Context(dim, coords, region), signature, entries["grid"]
 
 
-def _parse_frame(diags, frame, dim, coords, signature):
+# a builtin frame parameter's kind follows its default: a number or a string,
+# passed on as given, for the factory judges its value
+_GIVEN_NUMBER = _kind(_is_num, "must be a number", lambda v: v)
+_BUILTIN_FRAMES = {
+    name: (factory, {key: (_text if isinstance(default, str) else _GIVEN_NUMBER, default)
+                     for key, default in defaults.items()})
+    for name, (factory, defaults) in BUILTIN_FRAMES.items()
+}
+
+# the expression frames' tables; a builtin frame's is _from_builtin's
+_FRAME_ENTRIES = {
+    "diagonal": {"diagonal": (_exprs("dim"), _REQUIRED)},
+    "matrix": {"matrix": (_exprs("dim", "dim"), _REQUIRED)},
+}
+
+
+def _parse_frame(diags, frame, chart, signature):
     if not isinstance(frame, dict):
         diags.append(Diagnostic("frame", "required section missing or not an object"))
         return None
-    kinds = [k for k in ("builtin", "diagonal", "matrix") if k in frame]
-    if len(kinds) != 1:
+    forms = [k for k in ("builtin", *_FRAME_ENTRIES) if k in frame]
+    if len(forms) != 1:
         diags.append(Diagnostic("frame",
                                 "provide exactly one of builtin, diagonal, matrix"))
         return None
-    kind = kinds[0]
-    if kind == "builtin":
-        built = _parse_builtin_frame(diags, frame)
-        if built is not None and dim is not None and built.dim != dim:
+    form = forms[0]
+    unknown = f"a {form} frame takes no such entry"
+    if form == "builtin":
+        built = _from_builtin(diags, "frame", frame, _BUILTIN_FRAMES, chart, unknown)
+        if built is not None and chart.dim is not None and built.dim != chart.dim:
             diags.append(Diagnostic("frame.builtin", f"frame dimension {built.dim} "
-                                                     f"!= chart dimension {dim}"))
+                                                     f"!= chart dimension {chart.dim}"))
             return None
         if built is not None and signature not in (None, built.signature):
             diags.append(Diagnostic("chart.signature",
@@ -355,97 +510,94 @@ def _parse_frame(diags, frame, dim, coords, signature):
                                     f"{frame['builtin']!r}"))
             return None
         return built
-    if coords is None:
+    entries = _object(_FRAME_ENTRIES[form], unknown)(diags, "frame", frame, chart)
+    if entries is None or chart.coords is None:
         return None
-    shape = (dim,) if kind == "diagonal" else (dim, dim)
-    entries = _compiled(diags, frame[kind], shape, coords, f"frame.{kind}")
-    if entries is None:
-        return None
-    signature = signature or MinkowskiSignature.euclidean(dim)
-    if kind == "diagonal":
-        return diagonal_vielbein(list(entries), signature, name="config-diagonal")
-    return Vielbein(field=_expr_field(entries), signature=signature)
+    signature = signature or MinkowskiSignature.euclidean(chart.dim)
+    if form == "diagonal":
+        return diagonal_vielbein(list(entries[form]), signature, name="config-diagonal")
+    return Vielbein(field=_expr_field(entries[form]), signature=signature)
 
 
-def _parse_builtin_frame(diags, frame):
-    name, params = frame["builtin"], frame.get("parameters", {})
-    if not _known(diags, "frame.builtin", name, BUILTIN_FRAMES):
-        return None
-    if not isinstance(params, dict):
-        diags.append(Diagnostic("frame.parameters", "must be an object"))
-        return None
-    unknown = [key for key in params if key not in BUILTIN_FRAMES[name][1]]
-    for key in unknown:
-        diags.append(Diagnostic(f"frame.parameters.{key}",
-                                f"builtin {name!r} takes no such parameter"))
-    if unknown:
-        return None
-    return _built(diags, "frame.parameters", make_builtin_frame, name, params)
+_GAUGE_ENTRIES = {
+    "b": (_exprs("dim"), None),
+    "w": (_exprs(3, "dim"), None),
+    "g": (_exprs(8, "dim"), None),
+    "couplings": (_mapping, {}),  # its table depends on the fields given
+}
+_COUPLING_OF = {"b": "g1", "w": "g2", "g": "g3"}
 
 
-_GAUGE_FIELDS = {"b": ("g1", ()), "w": ("g2", (3,)), "g": ("g3", (8,))}
-
-
-def _parse_gauge(diags, gauge, dim, coords):
+def _parse_gauge(diags, gauge, chart):
     if gauge is None:
         return None
-    if not isinstance(gauge, dict):
-        diags.append(Diagnostic("gauge", "must be an object"))
+    entries = _object(_GAUGE_ENTRIES)(diags, "gauge", gauge, chart)
+    if entries is None:
         return None
-    n = len(diags)
-    couplings = gauge.get("couplings", {})
-    if not isinstance(couplings, dict):
-        diags.append(Diagnostic("gauge.couplings", "must be an object"))
-        couplings = {}
-    if not any(fld in gauge for fld in _GAUGE_FIELDS):
+    # the coupling of a given field must be given too
+    couplings = _object({cname: (_positive, _REQUIRED if fld in gauge else 1.0)
+                         for fld, cname in _COUPLING_OF.items()})(
+        diags, "gauge.couplings", entries["couplings"], chart)
+    if not any(fld in gauge for fld in _COUPLING_OF):
         diags.append(Diagnostic("gauge", "needs at least one of b, w, g"))
-    values = {}
-    for fld, (cname, _) in _GAUGE_FIELDS.items():
-        path = f"gauge.couplings.{cname}"
-        if cname not in couplings:
-            if fld in gauge:
-                diags.append(Diagnostic(path, f"required because gauge.{fld} is present"))
-        elif _is_num(couplings[cname]):
-            values[cname] = _built(diags, path, checked_coupling, cname, couplings[cname])
-        else:
-            diags.append(Diagnostic(path, "must be a number"))
-    if coords is None:
         return None
-    zero = SMGaugeConfig.zero(dim)
-    fields = {}
-    for fld, (_, rows) in _GAUGE_FIELDS.items():
-        if fld in gauge:
-            entries = _compiled(diags, gauge[fld], rows + (dim,), coords, f"gauge.{fld}")
-            fields[fld] = None if entries is None else _expr_field(entries)
-        else:
-            fields[fld] = getattr(zero, fld)
-    if len(diags) > n:
+    if couplings is None or chart.coords is None:
         return None
-    return _built(diags, "gauge", SMGaugeConfig, **fields, **values)
+    zero = SMGaugeConfig.zero(chart.dim)
+    fields = {fld: getattr(zero, fld) if entries[fld] is None else _expr_field(entries[fld])
+              for fld in _COUPLING_OF}
+    return _built(diags, "gauge", SMGaugeConfig, **fields, **couplings)
 
 
-def _parse_higgs(diags, higgs, dim, coords):
+_HIGGS_ENTRIES = {
+    "x": (_exprs(), _REQUIRED),
+    "y": (_exprs(), _REQUIRED),
+    "c": (_number, 1.0),
+    "alpha": (_positive, 1.0),
+}
+
+
+def _parse_higgs(diags, higgs, chart):
     """(HiggsField, ConnectionConstants); None marks a part that failed."""
     if higgs is None:
         return None, ConnectionConstants()
-    if not isinstance(higgs, dict):
-        diags.append(Diagnostic("higgs", "must be an object"))
+    entries = _object(_HIGGS_ENTRIES)(diags, "higgs", higgs, chart)
+    if entries is None or chart.coords is None:
         return None, None
-    n = len(diags)
-    xy = []
-    for key in ("x", "y"):
-        if key not in higgs:
-            diags.append(Diagnostic(f"higgs.{key}", "component expression required"))
-        elif coords is not None:
-            xy.append(_built(diags, f"higgs.{key}", compile_expression,
-                             higgs[key], coords))
-    c, alpha = (_number(diags, f"higgs.{key}", higgs.get(key, 1.0), None)
-                for key in ("c", "alpha"))
-    constants = (None if alpha is None
-                 else _built(diags, "higgs.alpha", ConnectionConstants, alpha=alpha))
-    if len(diags) > n or coords is None:
-        return None, constants
-    return HiggsField.from_components(dim, *xy, c=c), constants
+    return (HiggsField.from_components(chart.dim, entries["x"], entries["y"],
+                                       c=entries["c"]),
+            ConnectionConstants(alpha=entries["alpha"]))
+
+
+def _sm_yukawa(k_u, k_d, k_e):
+    return build_sm_finite(YukawaData(k_u=k_u, k_d=k_d, k_e=k_e))
+
+
+_YUKAWA = _complex_matrix(3, 3)
+
+# builtin triple -> (factory, parameter table)
+BUILTIN_TRIPLES = {
+    "two-point": (two_point_triple, {"m": (_number, 1.0)}),
+    "lepton-sector": (lepton_triple, {"k_e": (_YUKAWA, np.eye(3))}),
+    "sm-yukawa": (_sm_yukawa, {"k_u": (_YUKAWA, np.eye(3)),
+                               "k_d": (_YUKAWA, np.eye(3)),
+                               "k_e": (_YUKAWA, np.zeros((3, 3)))}),
+}
+
+_TRIPLE_DIM = _integer(1, 200)
+_SQUARE = _complex_matrix("dim", "dim")
+# the "dim" axes of an inline triple's matrices are its own dim entry
+_INLINE_TRIPLE_ENTRIES = {
+    "dim": (_TRIPLE_DIM, _REQUIRED),
+    "dirac": (_SQUARE, _REQUIRED),
+    "grading": (_SQUARE, None),
+    "real_structure": (_SQUARE, None),
+    "generators": (_list_of(_SQUARE, "matrices"), _REQUIRED),
+    "epsilon_signs": (_signs, (1, 1, 1)),
+    "first_order_claimed": (_boolean, True),
+    "dirac_hermitian_claimed": (_boolean, True),
+    "label": (_text, "inline"),
+}
 
 
 def _parse_triple(diags, trip):
@@ -455,201 +607,88 @@ def _parse_triple(diags, trip):
         diags.append(Diagnostic("finite_triple", "must be an object"))
         return None
     if "builtin" in trip:
-        return _parse_builtin_triple(diags, trip)
-    n = len(diags)
-    dim = trip.get("dim")
-    if not isinstance(dim, int) or not 1 <= dim <= 200:
-        diags.append(Diagnostic("finite_triple.dim", "must be an integer in 1..200"))
-        dim = None
-    square = None if dim is None else (dim, dim)
-    if "dirac" not in trip:
-        diags.append(Diagnostic("finite_triple.dirac", "matrix required"))
-    mats = {key: _matrix(diags, trip[key], f"finite_triple.{key}", square)
-            for key in ("dirac", "grading", "real_structure") if key in trip}
-    gens = trip.get("generators")
-    if gens is None:
-        diags.append(Diagnostic("finite_triple.generators",
-                                "required for inline triples"))
-    elif not isinstance(gens, list) or not gens:
-        diags.append(Diagnostic("finite_triple.generators",
-                                "must be a nonempty list of matrices"))
-    else:
-        gens = [_matrix(diags, g, f"finite_triple.generators[{i}]", square)
-                for i, g in enumerate(gens)]
-    signs = trip.get("epsilon_signs", [1, 1, 1])
-    if (not isinstance(signs, list) or len(signs) != 3
-            or any(s not in (-1, 1) for s in signs)):
-        diags.append(Diagnostic("finite_triple.epsilon_signs",
-                                "must be three entries from {-1, 1}"))
-    if len(diags) > n:
+        return _from_builtin(diags, "finite_triple", trip, BUILTIN_TRIPLES, _Context(),
+                             "a builtin triple takes no such entry")
+    # read first, quietly, as the chart reads its dimension
+    dim = _TRIPLE_DIM([], "", trip.get("dim"), None)
+    entries = _object(_INLINE_TRIPLE_ENTRIES)(diags, "finite_triple", trip, _Context(dim))
+    if entries is None:
         return None
     return _built(diags, "finite_triple", FiniteTriple, dim=dim,
-                  algebra_generators=tuple(gens), d=mats["dirac"],
-                  gamma=mats.get("grading"), k=mats.get("real_structure"),
-                  epsilon_signs=tuple(signs),
-                  first_order_claimed=bool(trip.get("first_order_claimed", True)),
-                  dirac_hermitian_claimed=bool(trip.get("dirac_hermitian_claimed",
-                                                        True)),
-                  label=trip.get("label", "inline"))
+                  algebra_generators=entries["generators"], d=entries["dirac"],
+                  gamma=entries["grading"], k=entries["real_structure"],
+                  epsilon_signs=entries["epsilon_signs"],
+                  first_order_claimed=entries["first_order_claimed"],
+                  dirac_hermitian_claimed=entries["dirac_hermitian_claimed"],
+                  label=entries["label"])
 
 
-def _parse_builtin_triple(diags, trip):
-    name, params = trip["builtin"], trip.get("parameters", {})
-    if not _known(diags, "finite_triple.builtin", name, TRIPLE_BUILTINS):
-        return None
-    if not isinstance(params, dict):
-        diags.append(Diagnostic("finite_triple.parameters", "must be an object"))
-        return None
-    if name == "two-point":
-        m = _number(diags, "finite_triple.parameters.m", params.get("m", 1.0), None)
-        return None if m is None else _built(diags, "finite_triple", two_point_triple, m=m)
-    n = len(diags)
-    keys = ("k_e",) if name == "lepton-sector" else ("k_u", "k_d", "k_e")
-    mats = {key: _matrix(diags, params[key], f"finite_triple.parameters.{key}",
-                         (3, 3)) for key in keys if key in params}
-    if len(diags) > n:
-        return None
-    if name == "lepton-sector":
-        return _built(diags, "finite_triple", lepton_triple, **mats)
-    yukawa = {"k_u": np.eye(3), "k_d": np.eye(3), "k_e": np.zeros((3, 3)), **mats}
-    return _built(diags, "finite_triple",
-                  lambda: build_sm_finite(YukawaData(**yukawa)))
+_CUTOFF_TABLE_ENTRIES = {"u": (_numbers, _REQUIRED), "f": (_numbers, _REQUIRED)}
+# a cutoff gives exactly one of builtin and table
+_CUTOFF_ENTRIES = {
+    "builtin": (_choice(*CUTOFF_BUILTINS), None),
+    "table": (_object(_CUTOFF_TABLE_ENTRIES), None),
+    "scale_sq": (_positive, 1.0),
+}
 
 
 def _parse_cutoff(diags, cut):
     if cut is None:
         return None
-    if not isinstance(cut, dict):
-        diags.append(Diagnostic("cutoff", "must be an object"))
+    entries = _object(_CUTOFF_ENTRIES)(diags, "cutoff", cut, _Context())
+    if entries is None:
         return None
     if ("builtin" in cut) == ("table" in cut):
         diags.append(Diagnostic("cutoff", "provide exactly one of builtin, table"))
         return None
     if "builtin" in cut:
-        make = None
-        if _known(diags, "cutoff.builtin", cut["builtin"], CUTOFF_BUILTINS):
-            make = CUTOFF_BUILTINS[cut["builtin"]]
-    else:
-        make = _table_cutoff(diags, cut["table"])
-    lam_sq = _number(diags, "cutoff.scale_sq", cut.get("scale_sq", 1.0), None)
-    if make is None or lam_sq is None:
-        return None
-    return _built(diags, "cutoff.scale_sq", make, lam_sq)
+        return CUTOFF_BUILTINS[entries["builtin"]](entries["scale_sq"])
+    return _table_cutoff(diags, entries["table"], entries["scale_sq"])
 
 
-def _table_cutoff(diags, table):
-    """lam_sq -> CutoffFunction interpolating the table, or None."""
-    if not (isinstance(table, dict) and _num_list(table.get("u"))
-            and _num_list(table.get("f"))
-            and len(table["u"]) == len(table["f"]) >= 2):
+def _table_cutoff(diags, table, lam_sq):
+    """The CutoffFunction interpolating the table, or None."""
+    if not len(table["u"]) == len(table["f"]) >= 2:
         diags.append(Diagnostic("cutoff.table",
                                 "needs u and f number lists of equal length >= 2"))
         return None
-    if table["u"] != sorted(table["u"]):
+    if list(table["u"]) != sorted(table["u"]):
         diags.append(Diagnostic("cutoff.table.u", "must be increasing"))
         return None
-    u = np.asarray(table["u"], dtype=float)
-    f = np.asarray(table["f"], dtype=float)
-
-    def make(lam_sq):
-        return CutoffFunction(name="table",
-                              func=lambda x: float(np.interp(x, u, f,
-                                                             left=f[0], right=0.0)),
-                              lam_sq=lam_sq, support=(float(u[0]), float(u[-1])))
-
-    return make
+    u, f = np.asarray(table["u"]), np.asarray(table["f"])
+    return CutoffFunction(name="table",
+                          func=lambda x: float(np.interp(x, u, f, left=f[0], right=0.0)),
+                          lam_sq=lam_sq, support=(float(u[0]), float(u[-1])))
 
 
 # -- task entries and constants ----------------------------------------------------
-#
-# A kind converts one given entry, or records a diagnostic at path (and what it
-# then returns is never used: a config with a diagnostic builds no Scenario).
 
 
-class _Chart(NamedTuple):
-    dim: int | None
-    coords: tuple | None
-    region: Region | None
-
-
-_REQUIRED = object()  # the default of an entry that must be given
-
-
-def _kind(test, message, convert):
-    """The kind of the values that pass test, converted by convert."""
-    def check(diags, path, value, chart):
-        if test(value):
-            return convert(value)
-        diags.append(Diagnostic(path, message))
-    return check
-
-
-_number = _kind(_is_num, "must be a number", float)
-_positive = _kind(lambda v: _is_num(v) and v > 0, "must be a positive number", float)
-_nonzero = _kind(lambda v: _is_num(v) and v != 0, "must be a nonzero number", float)
-_count = _kind(lambda v: type(v) is int and v >= 1, "must be a positive integer", int)
-_boolean = _kind(lambda v: type(v) is bool, "must be true or false", bool)
-_text = _kind(lambda v: isinstance(v, str), "must be a string", str)
-
-
-def _choice(*options):
-    return _kind(lambda v: isinstance(v, str) and v in options,
-                 f"must be {' or '.join(map(repr, options))}", str)
-
-
-def _vector(diags, path, value, chart):
-    """dim numbers, as a tuple of floats."""
-    if chart.dim is None:
-        return None
-    if _num_list(value, chart.dim):
-        return tuple(float(x) for x in value)
-    diags.append(Diagnostic(path, f"must be {chart.dim} numbers"))
-
-
-def _points(diags, path, value, chart):
-    if not isinstance(value, list) or not value:
-        diags.append(Diagnostic(path, "must be a nonempty list of points"))
-        return None
-    coords = [_vector(diags, f"{path}[{j}]", p, chart) for j, p in enumerate(value)]
-    return None if None in coords else tuple(map(Point, coords))
-
-
-def _box_midpoint(chart):
+def _box_midpoint(ctx):
     """The points of a task that gives none: the midpoint of the chart box."""
-    if chart.region is None:
+    if ctx.region is None:
         return None
-    lo, hi = chart.region.lo, chart.region.hi
+    lo, hi = ctx.region.lo, ctx.region.hi
     return (Point(tuple(0.5 * (l + h) for l, h in zip(lo, hi))),)
 
 
-def _orbit(diags, path, value, chart):
-    if not isinstance(value, dict):
-        diags.append(Diagnostic(path, "must be an object with mass and radius"))
-        return None
-    return _entries(diags, path, value, _ORBIT_ENTRIES, chart,
-                    "orbit takes no such entry")
+_REFERENCE_ENTRIES = {"matrix": (_exprs("dim", "dim"), _REQUIRED)}
 
 
-def _reference(diags, path, value, chart):
+def _reference(diags, path, value, ctx):
     """The reference metric of a limit-check task."""
-    if not isinstance(value, dict) or "matrix" not in value:
-        diags.append(Diagnostic(path, "must be an object with a matrix"))
+    entries = _object(_REFERENCE_ENTRIES)(diags, path, value, ctx)
+    if entries is None or entries["matrix"] is None:  # None too without a chart
         return None
-    if chart.coords is None:
-        return None
-    n = len(chart.coords)
-    entries = _compiled(diags, value["matrix"], (n, n), chart.coords, f"{path}.matrix")
-    if entries is None:
-        return None
-    return GeneralizedMetric(dim=n, gamma_field=_expr_field(entries))
+    matrix = entries["matrix"]
+    return GeneralizedMetric(dim=len(matrix), gamma_field=_expr_field(matrix))
 
 
 _ORBIT_ENTRIES = {"mass": (_number, _REQUIRED), "radius": (_positive, _REQUIRED)}
 
-_POINTS = (_points, _box_midpoint)
+_POINTS = (_list_of(_point, "points"), _box_midpoint)
 
-# task type -> entry -> (kind, default); a callable default is computed from
-# the chart
+# task type -> entry -> (kind, default)
 _TASK_ENTRIES = {
     "curvature-at-points": {
         "tolerance": (_number, 1e-6),
@@ -661,10 +700,10 @@ _TASK_ENTRIES = {
         "tolerance": (_number, 1e-6),
         "start": (_vector, _REQUIRED),
         "velocity": (_vector, _REQUIRED),
-        "steps": (_count, 1000),
+        "steps": (_integer(1, MAX_GEODESIC_STEPS), 1000),
         "step_size": (_positive, 0.01),
         "csv_samples": (_count, 100),
-        "orbit": (_orbit, None),
+        "orbit": (_object(_ORBIT_ENTRIES, "orbit takes no such entry"), None),
         "orbit_tolerance": (_number, 1e-4),
     },
     "action": {
@@ -702,32 +741,6 @@ TASK_TYPES = tuple(_TASK_ENTRIES)
 
 # the constants the task runners read
 _CONSTANTS = {"n_r": (_nonzero, 1.0), "n_h": (_nonzero, 1.0), "f0": (_number, 1.0)}
-
-
-def _entries(diags, path, given, table, chart, unknown):
-    """The entries of the given object checked against table: each given one
-    converted by its kind, each missing one set to its default, and each one
-    the table lacks a diagnostic whose message starts with unknown."""
-    for key in given:
-        if key not in table:
-            diags.append(Diagnostic(f"{path}.{key}", f"{unknown}; known: "
-                                                     f"{', '.join(sorted(table))}"))
-    out = {}
-    for key, (kind, default) in table.items():
-        if key in given:
-            out[key] = kind(diags, f"{path}.{key}", given[key], chart)
-        elif default is _REQUIRED:
-            diags.append(Diagnostic(f"{path}.{key}", "required entry missing"))
-        else:
-            out[key] = default(chart) if callable(default) else default
-    return out
-
-
-def _parse_constants(diags, consts):
-    if consts is not None and not isinstance(consts, dict):
-        diags.append(Diagnostic("constants", "must be an object"))
-        return None
-    return _entries(diags, "constants", consts or {}, _CONSTANTS, None, "unknown constant")
 
 
 def _parse_tasks(diags, tasks, chart, has):

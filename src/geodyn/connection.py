@@ -46,7 +46,6 @@ __all__ = [
     "NormalizedLagrangian",
     "GaugeTraceReport",
     "assemble_connection",
-    "checked_coupling",
     "curvature",
     "curvature_checks",
     "curvature_of_potential",
@@ -117,7 +116,9 @@ class SMGaugeConfig:
         if self.g.shape != (8, n) or self.g.dim != n:
             raise ValueError("G potential must have shape (8, dim)")
         for name in ("g1", "g2", "g3"):
-            checked_coupling(name, getattr(self, name))
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"coupling {name} must be positive, got {value!r}")
 
     @property
     def dim(self) -> int:
@@ -130,25 +131,12 @@ class SMGaugeConfig:
                    g=ChartField(dim=dim, shape=(8, dim), func=lambda c: np.zeros((8, dim))),
                    g1=g1, g2=g2, g3=g3)
 
-    def component_jets(self, p: Point, order: int = 1):
-        bv, bd, bdd = self.b.jets(p, order=order)
-        wv, wd, wdd = self.w.jets(p, order=order)
-        gv, gd, gdd = self.g.jets(p, order=order)
-        return (bv, bd, bdd), (wv, wd, wdd), (gv, gd, gdd)
-
     def blocks(self, p: Point) -> dict:
         """Pointwise matrix blocks of the assembled gauge connection."""
         bv = np.asarray(self.b.numeric(p.coords), dtype=float)
         wv = np.asarray(self.w.numeric(p.coords), dtype=float)
         gv = np.asarray(self.g.numeric(p.coords), dtype=float)
         return _gauge_blocks(bv, wv, gv, self.g1, self.g2, self.g3)
-
-
-def checked_coupling(name: str, value) -> float:
-    """A gauge coupling as a float; couplings must be positive."""
-    if not value > 0:
-        raise ValueError(f"coupling {name} must be positive, got {value!r}")
-    return float(value)
 
 
 def _gauge_blocks(bv, wv, gv, g1, g2, g3) -> dict:
@@ -412,7 +400,8 @@ def _gauge_jets(sm: SMGaugeConfig, p) -> tuple:
     """(value, derivative) of B, W and G at p, checked real."""
     return tuple((_real_components(v, f"{name} components"),
                   _real_components(d, f"{name} derivatives"))
-                 for name, (v, d, _) in zip("BWG", sm.component_jets(p, order=1)))
+                 for name, (v, d, _) in zip("BWG", (f.jets(p, order=1)
+                                                    for f in (sm.b, sm.w, sm.g))))
 
 
 def curvature(a: ConnectionForm, p) -> CurvatureForm:

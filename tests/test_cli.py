@@ -19,6 +19,7 @@ def test_list_builtins(capsys):
     assert "scenarios:" in out and "frames:" in out and "cutoffs:" in out
     assert "schwarzschild-geodesic" in out
     assert "exponential" in out
+    assert "finite triples:" in out and "sm-yukawa" in out
 
 
 def test_validate_builtin_and_bad_file(tmp_path, capsys):

@@ -2,15 +2,19 @@
 
 import importlib.util
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from geodyn.cli import main
 from geodyn.config import (
+    MAX_GEODESIC_STEPS,
+    MAX_GRID_POINTS,
     SCHEMA_VERSION,
     ConfigError,
     Diagnostic,
@@ -267,7 +271,25 @@ def _with_task_entry(name, index, **entries):
     return obj
 
 
+def _with_section_entry(name, section, **entries):
+    obj = builtin_config(name)
+    obj[section].update(entries)
+    return obj
+
+
+def _inline_two_point(**entries):
+    """two-point-axioms with its triple written out inline."""
+    obj = builtin_config("two-point-axioms")
+    obj["finite_triple"] = {"dim": 2, "dirac": [[0, 1.3], [1.3, 0]],
+                            "grading": [[1, 0], [0, -1]],
+                            "real_structure": [[0, 1], [1, 0]],
+                            "generators": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                            "epsilon_signs": [1, 1, -1], **entries}
+    return obj
+
+
 # each of these once passed validate and then crashed or misran `geodyn run`
+# (chart-dimension-a-boolean crashed validate itself)
 BUILD_ERRORS = {
     "schwarzschild-negative-mass": (
         lambda: _flat_empty(frame={"builtin": "schwarzschild",
@@ -331,6 +353,52 @@ BUILD_ERRORS = {
     **{f"constant-{name}-unread": (lambda name=name: _flat_empty(constants={name: 3.0}),
                                    f"constants.{name}")
        for name in ("n_b", "n_w", "n_g", "f4")},
+    "cutoff-scale-for-scale-sq": (
+        lambda: _flat_empty(cutoff={"builtin": "exponential", "scale": 4.0}),
+        "cutoff.scale"),
+    "chart-grids-misspelt": (
+        lambda: _with_section_entry("flat-empty", "chart", grids=[9, 9, 9, 9]),
+        "chart.grids"),
+    "chart-periodic-misspelt": (
+        lambda: _with_section_entry("flat-empty", "chart", periodc=[True] * 4),
+        "chart.periodc"),
+    "frame-parameters-misspelt": (
+        lambda: _flat_empty(frame={"builtin": "flat",
+                                   "paramters": {"signature": "euclidean"}}),
+        "frame.paramters"),
+    "parameters-of-a-diagonal-frame": (
+        lambda: _flat_empty(frame={"diagonal": ["1"] * 4, "parameters": {"radius": 2.0}}),
+        "frame.parameters"),
+    "gauge-field-capitalised": (
+        lambda: _flat_empty(gauge={"b": ["0"] * 4, "B": ["x0"] * 4,
+                                   "couplings": {"g1": 1.0}}),
+        "gauge.B"),
+    "gauge-coupling-g4": (
+        lambda: _flat_empty(gauge={"b": ["0"] * 4, "couplings": {"g1": 1.0, "g4": 2.0}}),
+        "gauge.couplings.g4"),
+    "higgs-alpha-misspelt": (
+        lambda: _flat_empty(higgs={"x": "0", "y": "0", "alpah": 2.0}),
+        "higgs.alpah"),
+    "two-point-mass-for-m": (
+        lambda: _with_section_entry("two-point-axioms", "finite_triple",
+                                    parameters={"mass": 2.0}),
+        "finite_triple.parameters.mass"),
+    "builtin-triple-dim": (
+        lambda: _with_section_entry("two-point-axioms", "finite_triple", dim=2),
+        "finite_triple.dim"),
+    "inline-first-order-claimed-a-string": (
+        lambda: _inline_two_point(first_order_claimed="false"),
+        "finite_triple.first_order_claimed"),
+    "inline-label-a-number": (lambda: _inline_two_point(label=5), "finite_triple.label"),
+    "sphere2-radius-a-boolean": (
+        lambda: _with_section_entry("sphere2", "frame", parameters={"radius": True}),
+        "frame.parameters.radius"),
+    "chart-dimension-a-boolean": (
+        lambda: {"schema": SCHEMA_VERSION,
+                 "chart": {"dimension": True, "box": {"lo": [0.0], "hi": [1.0]}},
+                 "frame": {"diagonal": ["1"]},
+                 "tasks": [{"type": "curvature-at-points"}]},
+        "chart.dimension"),
 }
 
 
@@ -427,6 +495,22 @@ def test_grid_override_below_two_is_a_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("chart.grid: ")
 
 
+def test_size_caps_are_diagnostics():
+    # parsed only: a config over a cap is never run
+    obj = _with_section_entry("flat-empty", "chart", grid=[10 ** 5] * 4)
+    assert "chart.grid" in _paths(validate_config(obj))
+    obj["chart"]["grid"] = [10, 100, 100, 10]
+    assert math.prod(obj["chart"]["grid"]) == MAX_GRID_POINTS
+    assert validate_config(obj) == []
+
+    obj = _with_task_entry("schwarzschild-geodesic", 1, steps=10 ** 12)
+    with pytest.raises(ConfigError) as err:
+        build_scenario(obj)
+    assert "tasks[1].steps" in _paths(err.value.diagnostics)
+    obj["tasks"][1]["steps"] = MAX_GEODESIC_STEPS
+    assert validate_config(obj) == []
+
+
 # -- validate and build are one parse ------------------------------------------------
 
 _WORDS = ["", "x0", "x1", "1/x0", "x0 +", "sin(x1)", "bogus", "flat", "sphere2",
@@ -485,16 +569,35 @@ def _addresses(value, prefix=()):
     return out
 
 
+def _owner(obj, address):
+    """The dict or list that holds the entry at address."""
+    for key in address[:-1]:
+        obj = obj[key]
+    return obj
+
+
+# tokens of expression strings over the builtins' coordinate names
+_TOKENS = ["x0", "x1", "t", "r", "theta", "phi", "x", "y", "z", "0", "1", "2.5",
+           "1e308", "+", "-", "*", "/", "^", "**", "(", ")", "sin(", "sqrt(", "log(",
+           "exp(", "arctan(", "pi", " ", "bogus(", ",", ".", "e"]
+_EXPRESSIONS = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=8).map("".join)
+
+
+def _is_expression_entry(obj, address):
+    """A string in the frame, gauge or Higgs section or a limit-check reference."""
+    return ((address[0] in ("frame", "gauge", "higgs") or "reference" in address)
+            and isinstance(_owner(obj, address)[address[-1]], str))
+
+
 @st.composite
 def _mutated_builtins(draw):
-    """A builtin config with one to three entries replaced or deleted, and
-    perhaps a numeric task entry set to a non-number."""
+    """A builtin config with one to three entries replaced or deleted,
+    perhaps a numeric task entry set to a non-number, and perhaps an
+    expression entry or the whole frame made of random expressions."""
     obj = builtin_config(draw(st.sampled_from(sorted(BUILTIN_SCENARIOS))))
     for _ in range(draw(st.integers(1, 3))):
         address = draw(st.sampled_from(_addresses(obj)))
-        owner = obj
-        for key in address[:-1]:
-            owner = owner[key]
+        owner = _owner(obj, address)
         if isinstance(owner, dict) and draw(st.booleans()):
             del owner[address[-1]]
         else:
@@ -510,6 +613,16 @@ def _mutated_builtins(draw):
                 values = _NON_NUMBERS if pool is _NUMERIC_TASK_ENTRIES else _WRONG_KINDS
                 task[draw(st.sampled_from(sorted({k for ks in pool.values()
                                                   for k in ks})))] = draw(values)
+    where = draw(st.sampled_from([None, "entry", "frame"]))
+    expressions = [a for a in _addresses(obj) if _is_expression_entry(obj, a)]
+    if where == "entry" and expressions:
+        address = draw(st.sampled_from(expressions))
+        _owner(obj, address)[address[-1]] = draw(_EXPRESSIONS)
+    elif where == "frame":
+        chart = obj.get("chart")
+        dim = chart.get("dimension") if isinstance(chart, dict) else None
+        size = dim if type(dim) is int and 1 <= dim <= 8 else 2
+        obj["frame"] = {"diagonal": [draw(_EXPRESSIONS) for _ in range(size)]}
     return obj
 
 
@@ -550,3 +663,77 @@ def test_misspelt_and_wrong_kind_task_entries_are_diagnostics(name, data):
         key = data.draw(_MISSPELT)
         obj["tasks"][i][key] = 1e-6
     assert f"tasks[{i}].{key}" in _paths(validate_config(obj))
+
+
+def _well_formed(coords):
+    """Expressions that compile over coords, but may evaluate to anything."""
+    atoms = st.sampled_from(list(coords) + ["0", "1", "2.5", "pi", "1e308"])
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join).map("({})".format),
+        st.tuples(st.sampled_from(["sin", "sqrt", "log", "exp", "arctan"]), inner)
+        .map("{0[0]}({0[1]})".format)), max_leaves=4)
+
+
+@st.composite
+def _runnable_builtins(draw):
+    """A builtin config without its geodesic tasks (thousands of steps each,
+    for no new path), with one expression entry or the whole frame made of
+    well-formed random expressions."""
+    obj = builtin_config(draw(st.sampled_from(sorted(BUILTIN_SCENARIOS))))
+    obj["tasks"] = [t for t in obj["tasks"] if t["type"] != "geodesic"]
+    dim = obj["chart"]["dimension"]
+    expressions = _well_formed(obj["chart"].get("coordinates",
+                                                [f"x{i}" for i in range(dim)]))
+    where = [a for a in _addresses(obj) if _is_expression_entry(obj, a)
+             and a[:2] != ("frame", "builtin")]
+    if where and draw(st.booleans()):
+        address = draw(st.sampled_from(where))
+        _owner(obj, address)[address[-1]] = draw(expressions)
+    else:
+        obj["frame"] = {"diagonal": [draw(expressions) for _ in range(dim)]}
+    return obj
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_runnable_builtins())
+def test_run_of_random_expressions_ends_in_an_exit_code(obj):
+    assert validate_config(obj) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(obj), encoding="utf-8")
+        # in process, so an escaping exception fails the test
+        assert main(["run", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)
+
+
+def _every_section():
+    """A config that validates, with every section object and, in each, every
+    entry its table takes (the cutoff gives its table, not a builtin)."""
+    obj = builtin_config("sm-trace-check")
+    obj["chart"]["periodic"] = [False] * 4
+    obj["frame"] = {"builtin": "flat",
+                    "parameters": {"dim": 4, "signature": "lorentzian"}}
+    obj["finite_triple"] = {"builtin": "two-point", "parameters": {"m": 1.3}}
+    obj["cutoff"] = {"table": {"u": [0.0, 1.0], "f": [1.0, 0.0]}, "scale_sq": 1.0}
+    obj["constants"] = {"n_r": 1.0, "n_h": 1.0, "f0": 1.0}
+    return obj
+
+
+_SECTION_OBJECTS = [("chart",), ("chart", "box"), ("frame",), ("frame", "parameters"),
+                    ("gauge",), ("gauge", "couplings"), ("higgs",), ("finite_triple",),
+                    ("finite_triple", "parameters"), ("cutoff",), ("cutoff", "table"),
+                    ("constants",)]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.sampled_from(_SECTION_OBJECTS), st.data())
+def test_misspelt_section_entries_are_diagnostics(address, data):
+    obj = _every_section()
+    assert validate_config(obj) == []
+    owner = _owner(obj, address)[address[-1]]
+    known = data.draw(st.sampled_from(sorted(owner)))
+    key = data.draw(st.sampled_from([known.capitalize(), known + "_", known[:-1],
+                                     known + known[-1]]))
+    # every entry the table takes is present, so key is one it lacks
+    assume(key not in owner)
+    owner[key] = owner[known]
+    assert ".".join(address + (key,)) in _paths(validate_config(obj))
