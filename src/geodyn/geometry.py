@@ -151,7 +151,7 @@ class GeneralizedMetric:
         if self.gamma_field is not None:
             return _real_metric(p, self.gamma_field.jets(p, order=order))
         e, de, dde = self.vielbein.jets(p, order=order)
-        return _real_metric(p, _metric_jets(e, de, dde, self.vielbein.signature.matrix))
+        return _frame_metric(p, e, de, dde, self.vielbein.signature.matrix)
 
     # -- point (or block) evaluations ----------------------------------------
 
@@ -221,6 +221,23 @@ def _real_metric(p, jets):
     raise ValueError(f"complex metric value at {tuple(pts[np.argmax(bad)])}")
 
 
+def _frame_metric(p, e, de, dde, eta):
+    """_metric_jets at p, a Point or an (N, dim) block, under _real_metric's
+    check; ValueError names the first point whose metric jets overflow."""
+    try:
+        jets = _flagged_metric_jets(e, de, dde, eta)
+    except FloatingPointError:
+        # numpy flags an overflow (or an inf frame entry times 0) at no cost;
+        # only then are the points searched for the first non-finite one
+        jets = _quiet_metric_jets(e, de, dde, eta)
+        n = 1 if isinstance(p, Point) else len(p)
+        finite = np.logical_and.reduce([np.isfinite(a).reshape(n, -1).all(axis=1)
+                                        for a in jets if a is not None])
+        pts = [p.coords] if isinstance(p, Point) else np.asarray(p, dtype=float).tolist()
+        raise ValueError(f"non-finite metric value at {tuple(pts[np.argmin(finite)])}") from None
+    return _real_metric(p, jets)
+
+
 def _metric_jets(e, de, dde, eta):
     """gamma = E^T eta E and its first (and second) derivatives from frame jets."""
     e_eta = e.swapaxes(-1, -2) @ eta
@@ -236,6 +253,12 @@ def _metric_jets(e, de, dde, eta):
         cross = np.einsum("...ams,...anr->...mnrs", de, np.einsum("ab,...bnr->...anr", eta, de))
         ddg = dd.swapaxes(-4, -3) + cross.swapaxes(-2, -1) + cross + dd
     return g, dg, ddg
+
+
+# the first raises FloatingPointError where numpy would warn of an overflow;
+# the second leaves inf and NaN in place for the search by point
+_flagged_metric_jets = np.errstate(over="raise", invalid="raise")(_metric_jets)
+_quiet_metric_jets = np.errstate(all="ignore")(_metric_jets)
 
 
 def _christoffel_from(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -356,7 +379,7 @@ def frame_geometry(e: Vielbein, p) -> FrameGeometry:
     """
     eta = e.signature.matrix
     e_val, de, dde = e.jets(p, order=2)
-    gm, ginv, gam, dgam = _christoffel_jets(*_real_metric(p, _metric_jets(e_val, de, dde, eta)))
+    gm, ginv, gam, dgam = _christoffel_jets(*_frame_metric(p, e_val, de, dde, eta))
     riem, ricci, scalar = _riemann_from(ginv, gam, dgam)
     einv, eup, einv_de, deinv, deup, u, omega = _spin_connection_arrays(e_val, de, gam, eta)
     # d_s d_t e^m_b = -(d_s e^m_c d_t E^c_r + e^m_c d_s d_t E^c_r) e^r_b

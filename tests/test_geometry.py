@@ -216,6 +216,21 @@ def test_complex_metric_values_are_errors_on_every_route():
             frame_geometry(e, p)
 
 
+def test_overflowing_metric_values_are_errors_on_frame_routes():
+    # finite frame jets whose squares pass the float range where x0 != 0
+    def func(c):
+        return [[1.0 + 1e200 * c[0] ** 2, 0.0], [0.0, 1.0]]
+
+    e = Vielbein(ChartField(dim=2, shape=(2, 2), func=func), MinkowskiSignature.euclidean(2))
+    message = r"non-finite metric value at \(0\.5, 0\.3\)"
+    for p in (Point((0.5, 0.3)), np.array([[0.0, 0.3], [0.5, 0.3]])):
+        with pytest.raises(ValueError, match=message):
+            e.metric().curvature(p)
+        with pytest.raises(ValueError, match=message):
+            frame_geometry(e, p)
+    assert e.metric().curvature(Point((0.0, 0.3))).scalar == 0.0
+
+
 def test_volume_elements():
     p = Point((0.8, 0.3))
     v = sphere2().metric().volume_element(p)
