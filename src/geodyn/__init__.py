@@ -13,7 +13,6 @@ from .geometry import (
 )
 from .geodesics import Trajectory, integrate_geodesic
 from .connection import (
-    ConnectionConstants,
     ConnectionForm,
     HiggsField,
     SMGaugeConfig,
@@ -42,7 +41,6 @@ from .action import (
     Region,
     field_equation_residual,
     heat_kernel_coefficients,
-    make_cutoff,
     moments,
     riemannian_limit_action,
     spectral_action,
@@ -58,14 +56,14 @@ __all__ = [
     "CoordinateConditionError", "GeneralizedMetric", "Vielbein",
     "compatibility_residual", "dirac_matrices", "spin_connection",
     "Trajectory", "integrate_geodesic",
-    "ConnectionConstants", "ConnectionForm", "HiggsField", "SMGaugeConfig",
+    "ConnectionForm", "HiggsField", "SMGaugeConfig",
     "assemble_connection", "curvature", "curvature_squared",
     "gauge_square_report", "sm_lagrangian_normalized",
     "FiniteTriple", "YukawaData", "build_sm_finite", "check_axioms",
     "fluctuate", "inner_fluctuations", "lepton_triple", "two_point_triple",
     "ActionReport", "CutoffFunction", "GridSpec", "HeatKernelData",
     "Moments", "Region", "field_equation_residual",
-    "heat_kernel_coefficients", "make_cutoff", "moments",
+    "heat_kernel_coefficients", "moments",
     "riemannian_limit_action", "spectral_action", "unification_scale",
     "BUILTIN_SCENARIOS", "RunReport", "builtin_config", "run_scenario",
     "__version__",

@@ -28,6 +28,7 @@ import numpy as np
 from scipy import integrate as _scipy_integrate
 
 from .connection import (
+    ETA,
     ConnectionForm,
     ReparamConstants,
     curvature,
@@ -52,7 +53,6 @@ __all__ = [
     "exponential_cutoff",
     "sharp_cutoff",
     "gaussian_cutoff",
-    "make_cutoff",
     "CUTOFF_BUILTINS",
     "moments",
     "integrate_scalar",
@@ -110,12 +110,6 @@ CUTOFF_BUILTINS = {
 }
 
 
-def make_cutoff(name: str, lam_sq: float = 1.0) -> CutoffFunction:
-    if name not in CUTOFF_BUILTINS:
-        raise KeyError(f"unknown cutoff '{name}'; builtins: {sorted(CUTOFF_BUILTINS)}")
-    return CUTOFF_BUILTINS[name](lam_sq)
-
-
 @dataclass(frozen=True)
 class Moments:
     """The three cutoff moments used by the truncated action.
@@ -127,8 +121,6 @@ class Moments:
     m2: float
     m0: float
     lam_sq: float = 1.0
-    m4_err: float = 0.0
-    m2_err: float = 0.0
 
     def __post_init__(self):
         vals = (self.m4, self.m2, self.m0, self.lam_sq)
@@ -136,7 +128,11 @@ class Moments:
             raise ValueError("moments must be finite")
 
 
-def moments(f: CutoffFunction, rel_tol: float = 1e-8) -> Moments:
+# the largest relative error scipy's quad may report for a moment
+MOMENT_REL_TOL = 1e-8
+
+
+def moments(f: CutoffFunction) -> Moments:
     """First moment, zeroth moment and value at zero of the cutoff."""
     lo, hi = f.support if f.support is not None else (0.0, np.inf)
     m4, e4 = _scipy_integrate.quad(lambda u: f(u) * u, lo, hi)
@@ -144,12 +140,11 @@ def moments(f: CutoffFunction, rel_tol: float = 1e-8) -> Moments:
     for val, err, label in ((m4, e4, "first"), (m2, e2, "zeroth")):
         if not np.isfinite(val):
             raise ValueError(f"{label} moment diverges")
-        if abs(val) > 0 and err / abs(val) > rel_tol:
+        if abs(val) > 0 and err / abs(val) > MOMENT_REL_TOL:
             raise ValueError(f"{label} moment quadrature error {err:.2e} "
-                             f"exceeds relative tolerance {rel_tol:.1e}")
+                             f"exceeds relative tolerance {MOMENT_REL_TOL:.1e}")
     m0 = f(0.0)
-    return Moments(m4=float(m4), m2=float(m2), m0=float(m0), lam_sq=f.lam_sq,
-                   m4_err=float(e4), m2_err=float(e2))
+    return Moments(m4=float(m4), m2=float(m2), m0=float(m0), lam_sq=f.lam_sq)
 
 
 # -- region quadrature ----------------------------------------------------------
@@ -298,7 +293,7 @@ class HeatKernelData:
     """What the squared operator is made of on the sampled region.
 
     aa_mode picks how the curvature-squared scalar is formed: "blocks" squares
-    the assembled connection blockwise (gravity, gauge, Higgs, with the
+    the assembled connection blockwise (gravity, gauge, Higgs, with unit
     reparametrization constants), "metric" uses sigma^2 times the squared
     Riemann tensor of the generalized metric, which is the form the compact
     universal action assumes.  In blocks mode the volume comes from the
@@ -310,7 +305,6 @@ class HeatKernelData:
     connection: ConnectionForm | None = None
     e_term: ChartField | None = None
     aa_mode: str = "blocks"
-    reparam: ReparamConstants | None = None
     sigma_sq: float | None = None
 
     def __post_init__(self):
@@ -364,7 +358,7 @@ def heat_kernel_coefficients(data: HeatKernelData, region: Region,
     def density(block):
         if data.aa_mode == "blocks":
             ct = curvature(data.connection, block)
-            aa = curvature_squared(ct, data.reparam).total
+            aa = curvature_squared(ct).total
         else:
             ct = data.metric.curvature(block)
             aa = sig_sq * ct.riemann_squared()
@@ -394,7 +388,8 @@ class ActionReport:
     """Per-term breakdown of an assembled action.
 
     terms maps name -> (coefficient, integral, value) with value the product;
-    total is the exact sum of the values.
+    total is the exact sum of the values.  quadrature["errors"] maps a term
+    to the Richardson estimate of its integral's quadrature error.
     """
 
     terms: dict
@@ -434,9 +429,13 @@ class ActionReport:
 
 
 def derived_constants(m: Moments, sigma_sq: float | None = None,
-                      connection_constants=None, higgs_c: float | None = None,
+                      alpha: float | None = None, higgs_c: float | None = None,
                       reparam: ReparamConstants | None = None) -> dict:
-    """Every named constant of the action, mapped onto the three moments."""
+    """Every named constant of the action, mapped onto the three moments.
+
+    alpha and higgs_c are the connection's Higgs scale and vacuum constant;
+    without both, lambda0 is 0 and z is absent.
+    """
     rp = reparam or ReparamConstants()
     out = {
         "tau0": m.m4 * m.lam_sq ** 2 / (16.0 * PI2),
@@ -449,10 +448,9 @@ def derived_constants(m: Moments, sigma_sq: float | None = None,
     if sigma_sq:
         out["kappa0"] = 96.0 * PI2 / (sigma_sq * m.m0)
     lam0 = 0.0
-    if connection_constants is not None and higgs_c is not None:
-        lam0 = lambda0_constant(connection_constants, higgs_c, rp.n_h)
-        kappa_sq = (connection_constants.eta * m.m0
-                    / (192.0 * PI2 * connection_constants.alpha ** 2 * rp.n_h ** 2))
+    if alpha is not None and higgs_c is not None:
+        lam0 = lambda0_constant(alpha, higgs_c, rp.n_h)
+        kappa_sq = ETA * m.m0 / (192.0 * PI2 * alpha ** 2 * rp.n_h ** 2)
         out["z"] = float(np.sqrt(kappa_sq)) * higgs_c
     out["lambda0"] = lam0
     out["delta0"] = (12.0 * m.m4 * m.lam_sq ** 2 + m.m0 * lam0) / (192.0 * PI2)
@@ -460,9 +458,8 @@ def derived_constants(m: Moments, sigma_sq: float | None = None,
 
 
 def spectral_action(m: Moments, coeffs: HeatKernelCoefficients,
-                    sigma_sq: float | None = None, connection_constants=None,
-                    higgs_c: float | None = None,
-                    reparam: ReparamConstants | None = None) -> ActionReport:
+                    sigma_sq: float | None = None, alpha: float | None = None,
+                    higgs_c: float | None = None) -> ActionReport:
     """Three-term truncated action M4 L^4 a0 + M2 L^2 a2 + M0 a4."""
     lam_sq = m.lam_sq
     terms = {
@@ -471,9 +468,7 @@ def spectral_action(m: Moments, coeffs: HeatKernelCoefficients,
         "a4_curvature": (m.m0, coeffs.a4, m.m0 * coeffs.a4),
     }
     total = float(sum(v[2] for v in terms.values()))
-    consts = derived_constants(m, sigma_sq=sigma_sq,
-                               connection_constants=connection_constants,
-                               higgs_c=higgs_c, reparam=reparam)
+    consts = derived_constants(m, sigma_sq=sigma_sq, alpha=alpha, higgs_c=higgs_c)
     table = (
         ("term", "moment", "value", "scale power"),
         ("a0_volume", "M4 (first moment)", m.m4, "L^4"),
@@ -484,7 +479,10 @@ def spectral_action(m: Moments, coeffs: HeatKernelCoefficients,
              "the heat kernel expansion, whatever the moments are called",)
     return ActionReport(terms=terms, total=total, constants=consts,
                         moment_table=table,
-                        quadrature={"errors": coeffs.errors, **coeffs.meta},
+                        quadrature={"errors": {
+                            "a0_volume": coeffs.errors["a0"],
+                            "a2_endomorphism": coeffs.errors["a2"],
+                            "a4_curvature": coeffs.errors["a4"]}, **coeffs.meta},
                         notes=notes)
 
 
@@ -548,12 +546,16 @@ def _stress_at(inp: FieldEquationInput, p: Point, n: int) -> np.ndarray:
     return t
 
 
-def _fd_directional(dens, m0: np.ndarray, direction: np.ndarray,
-                    step: float) -> float:
-    return (dens(m0 + step * direction) - dens(m0 - step * direction)) / (2 * step)
+# the central-difference step of the field-equation oracle
+FD_STEP = 1e-6
 
 
-def _fd_variation(dens, ginv: np.ndarray, step: float = 1e-6) -> np.ndarray:
+def _fd_directional(dens, m0: np.ndarray, direction: np.ndarray) -> float:
+    return ((dens(m0 + FD_STEP * direction) - dens(m0 - FD_STEP * direction))
+            / (2 * FD_STEP))
+
+
+def _fd_variation(dens, ginv: np.ndarray) -> np.ndarray:
     """delta dens / delta g^{mu nu} by symmetric finite differences.
 
     Off-diagonal directions perturb the symmetric pair, so the directional
@@ -566,13 +568,12 @@ def _fd_variation(dens, ginv: np.ndarray, step: float = 1e-6) -> np.ndarray:
             direction = np.zeros((n, n))
             direction[mu, nu] = 1.0
             direction[nu, mu] = 1.0
-            d = _fd_directional(dens, ginv, direction, step)
+            d = _fd_directional(dens, ginv, direction)
             out[mu, nu] = out[nu, mu] = d / (2.0 if mu != nu else 1.0)
     return out
 
 
-def field_equation_residual(inp: FieldEquationInput, p: Point,
-                            fd_step: float = 1e-6) -> FieldEquationResidual:
+def field_equation_residual(inp: FieldEquationInput, p: Point) -> FieldEquationResidual:
     """Hamilton's-principle residuals at p, with a finite-difference oracle.
 
     The general form uses the squared-Riemann Lagrangian: the quoted
@@ -616,9 +617,9 @@ def field_equation_residual(inp: FieldEquationInput, p: Point,
         return float(np.einsum("abcd,abcd->", ru, rd))
 
     vol0 = vol_of(ginv)
-    fd_rr = _fd_variation(lambda m: rr_of(m) * vol0, ginv, fd_step) / vol0
-    fd_vol = _fd_variation(lambda m: rr * vol_of(m), ginv, fd_step) / vol0
-    fd_full = _fd_variation(lambda m: rr_of(m) * vol_of(m), ginv, fd_step) / vol0
+    fd_rr = _fd_variation(lambda m: rr_of(m) * vol0, ginv) / vol0
+    fd_vol = _fd_variation(lambda m: rr * vol_of(m), ginv) / vol0
+    fd_full = _fd_variation(lambda m: rr_of(m) * vol_of(m), ginv) / vol0
     fd_report = {
         "rr_frozen_vol": float(np.abs(fd_rr - four_rr).max()),
         "vol_frozen_rr": float(np.abs(fd_vol + 0.5 * gamma * rr).max()),
@@ -632,7 +633,7 @@ def field_equation_residual(inp: FieldEquationInput, p: Point,
 
     sm = None
     if inp.connection is not None:
-        sm = _sm_field_equation(inp, p, fd_step)
+        sm = _sm_field_equation(inp, p)
 
     return FieldEquationResidual(
         point=p,
@@ -647,7 +648,7 @@ def field_equation_residual(inp: FieldEquationInput, p: Point,
     )
 
 
-def _sm_field_equation(inp: FieldEquationInput, p: Point, fd_step: float) -> dict:
+def _sm_field_equation(inp: FieldEquationInput, p: Point) -> dict:
     """N_mn - (1/2) gamma_mn L_B = (1/2) T_mn with the canonical SM sector."""
     f = curvature(inp.connection, p)
     norm = sm_lagrangian_normalized(f, f0=inp.f0, n_r=inp.n_r, n_h=inp.n_h)
@@ -693,7 +694,7 @@ def _sm_field_equation(inp: FieldEquationInput, p: Point, fd_step: float) -> dic
         return (lag_of(minv) + kin_term + const_part) * vol
 
     vol0 = 1.0 / np.sqrt(abs(np.linalg.det(ginv)))
-    fd = _fd_variation(dens, ginv, fd_step) / vol0
+    fd = _fd_variation(dens, ginv) / vol0
     fd_res = float(np.abs(fd - (n_mn - 0.5 * gamma * lag)).max())
 
     return {
@@ -757,14 +758,9 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
     Comparing a frame with a reference metric is the limit-check task's job.
     """
     gm = frame.metric()
-    if connection is not None:
-        consts = connection.constants
-        higgs_c = connection.higgs.c
-    else:
-        consts = None
-        higgs_c = None
-
-    dconsts = derived_constants(m, connection_constants=consts, higgs_c=higgs_c,
+    alpha, higgs_c = ((connection.alpha, connection.higgs.c) if connection is not None
+                      else (None, None))
+    dconsts = derived_constants(m, alpha=alpha, higgs_c=higgs_c,
                                 reparam=ReparamConstants(n_r=n_r, n_h=n_h))
     alpha0 = dconsts["alpha0"]
     beta0 = dconsts["beta0"]
@@ -798,7 +794,7 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
 
     fine, err, meta, vals = _integrate_many(density, region, grid)
     vol_i, r_i, r2_i, ric2_i, riem2_i, gauge_i, higgs_i = fine[:7]
-    err = err[:7]
+    e_vol, e_r, e_r2, e_ric2, e_riem2, e_gauge, e_higgs = err[:7].tolist()
 
     shape = grid.shape
     lap_r_integral = _divergence_integral(
@@ -821,12 +817,12 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
              "beta0/zeta0 = 1152/2880 = 0.4 exactly")
     consts_out = {"beta0": beta0, "eta0": eta0, "zeta0": zeta0,
                   "delta0": delta0, "alpha0": alpha0, "eh_coeff": eh_coeff}
+    # lap_scalar's integral comes from grid finite differences, with no estimate
+    errors = {"delta0_volume": e_vol, "einstein_hilbert": e_r, "ricci_sq": e_ric2,
+              "gauge_sector": e_gauge, "higgs_sector": e_higgs, "scalar_sq": e_r2,
+              "ricci_riemann_sq": e_ric2 + e_riem2}
     return ActionReport(terms=terms, total=total, constants=consts_out,
-                        quadrature={"errors": dict(zip(
-                            ("vol", "scalar", "scalar_sq", "ricci_sq",
-                             "riemann_sq", "gauge", "higgs"), err.tolist())),
-                            **meta},
-                        notes=notes)
+                        quadrature={"errors": errors, **meta}, notes=notes)
 
 
 def unification_scale(m: Moments, c: float = 1.0) -> float:

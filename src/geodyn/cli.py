@@ -89,7 +89,7 @@ def _cmd_validate(args) -> int:
         for d in diags:
             print(d)
         print(f"{len(diags)} problem(s) found")
-        return 1
+        return 2
     print(f"{name}: valid, 0 diagnostics")
     return 0
 

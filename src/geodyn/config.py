@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .action import CUTOFF_BUILTINS, CutoffFunction, GridSpec, Region
-from .connection import (ConnectionConstants, ConnectionForm, HiggsField,
-                         SMGaugeConfig, assemble_connection)
+from .connection import (ConnectionForm, HiggsField, SMGaugeConfig,
+                         assemble_connection)
 from .exprs import compile_expression, default_coordinate_names
 from .fields import ChartField
 from .geometry import GeneralizedMetric, Vielbein
@@ -398,7 +398,7 @@ def _parse(obj):
     chart, signature, grid = _parse_chart(diags, obj.get("chart"))
     frame = _parse_frame(diags, obj.get("frame"), chart, signature)
     gauge = _parse_gauge(diags, obj.get("gauge"), chart)
-    higgs, connection_constants = _parse_higgs(diags, obj.get("higgs"), chart)
+    higgs, alpha = _parse_higgs(diags, obj.get("higgs"), chart)
     triple = _parse_triple(diags, obj.get("finite_triple"))
     cutoff = _parse_cutoff(diags, obj.get("cutoff"))
     consts = obj.get("constants")
@@ -412,8 +412,7 @@ def _parse(obj):
     connection = None
     if has & {"gauge", "higgs"}:
         connection = assemble_connection(frame, gauge or SMGaugeConfig.zero(chart.dim),
-                                         higgs or HiggsField.zero(chart.dim),
-                                         connection_constants)
+                                         higgs or HiggsField.zero(chart.dim), alpha)
     return Scenario(dim=chart.dim, coordinates=chart.coords, region=chart.region,
                     grid=grid, frame=frame, connection=connection, triple=triple,
                     cutoff=cutoff, constants=constants, tasks=tasks), []
@@ -515,7 +514,7 @@ def _parse_frame(diags, frame, chart, signature):
         return None
     signature = signature or MinkowskiSignature.euclidean(chart.dim)
     if form == "diagonal":
-        return diagonal_vielbein(list(entries[form]), signature, name="config-diagonal")
+        return diagonal_vielbein(list(entries[form]), signature)
     return Vielbein(field=_expr_field(entries[form]), signature=signature)
 
 
@@ -558,15 +557,15 @@ _HIGGS_ENTRIES = {
 
 
 def _parse_higgs(diags, higgs, chart):
-    """(HiggsField, ConnectionConstants); None marks a part that failed."""
+    """(HiggsField, Higgs scale alpha); None marks a part that failed."""
     if higgs is None:
-        return None, ConnectionConstants()
+        return None, 1.0
     entries = _object(_HIGGS_ENTRIES)(diags, "higgs", higgs, chart)
     if entries is None or chart.coords is None:
         return None, None
     return (HiggsField.from_components(chart.dim, entries["x"], entries["y"],
                                        c=entries["c"]),
-            ConnectionConstants(alpha=entries["alpha"]))
+            entries["alpha"])
 
 
 def _sm_yukawa(k_u, k_d, k_e):

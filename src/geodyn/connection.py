@@ -19,11 +19,16 @@ of -V', i.e. the structure-constant term enters with a minus sign).
 point axis to every result, so a quadrature density makes one jet pass per
 field per block.  Its independent self-checks are ``curvature_checks``, which
 tests and the limit-check task run, not every quadrature point.
+
+The Higgs block's scale alpha (``ConnectionForm.alpha``) is the connection's
+one settable constant.  The paper fixes the rest: the Higgs coupling matrix
+chi = sigma_1, which enters only through ETA = Tr(chi^dagger chi) = 2, and the
+size N_SPINOR = 4 of the gravity block's spinor leg.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +43,15 @@ __all__ = [
     "su3_structure_constants",
     "SMGaugeConfig",
     "HiggsField",
-    "ConnectionConstants",
+    "ETA",
+    "N_SPINOR",
     "ConnectionForm",
     "CurvatureForm",
     "ReparamConstants",
     "LagrangianBreakdown",
     "NormalizedLagrangian",
     "GaugeTraceReport",
+    "SECTOR_MULTIPLICITIES",
     "assemble_connection",
     "curvature",
     "curvature_checks",
@@ -188,7 +195,7 @@ class HiggsField:
             out[1, 1] = conjugate(x)
             return out
 
-        return cls(h=ChartField(dim=dim, shape=(2, 2), func=func, name="higgs"), c=c)
+        return cls(h=ChartField(dim=dim, shape=(2, 2), func=func), c=c)
 
     def value(self, p: Point) -> np.ndarray:
         return np.asarray(self.h.numeric(p.coords), dtype=complex)
@@ -202,41 +209,26 @@ class HiggsField:
         return float(np.real(np.trace(h.conj().T @ h)) / 2.0)
 
 
-@dataclass(frozen=True)
-class ConnectionConstants:
-    """alpha scales the Higgs block; N and D are the identity-factor sizes of
-    the gravity and gauge tensor legs; chi is the fixed Higgs coupling matrix."""
-
-    alpha: float = 1.0
-    n_spinor: int = 4
-    d_gauge: int = 1
-    chi: np.ndarray = field(default_factory=lambda: PAULI[0].copy())
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.n_spinor < 1 or self.d_gauge < 1:
-            raise ValueError("identity-factor sizes must be positive integers")
-
-    @property
-    def eta(self) -> float:
-        """<chi, chi> = Tr(chi^dagger chi)."""
-        return float(np.real(np.trace(self.chi.conj().T @ self.chi)))
+ETA = 2.0          # <chi, chi> = Tr(chi^dagger chi) for chi = sigma_1
+N_SPINOR = 4       # identity-factor size of the gravity block's spinor leg
 
 
 @dataclass
 class ConnectionForm:
-    """Generalized covariant derivative: gravity + gauge + Higgs blocks."""
+    """Generalized covariant derivative: gravity + gauge + Higgs blocks,
+    with alpha the scale of the Higgs block."""
 
     vielbein: Vielbein
     sm: SMGaugeConfig
     higgs: HiggsField
-    constants: ConnectionConstants = field(default_factory=ConnectionConstants)
+    alpha: float
 
     def __post_init__(self):
         n = self.vielbein.dim
         if self.sm.dim != n or self.higgs.dim != n:
             raise ValueError("all fields must share the chart dimension")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
 
     @property
     def dim(self) -> int:
@@ -254,10 +246,8 @@ class ConnectionForm:
 
 
 def assemble_connection(vielbein: Vielbein, sm: SMGaugeConfig, higgs: HiggsField,
-                        constants: ConnectionConstants | None = None) -> ConnectionForm:
-    form = ConnectionForm(vielbein=vielbein, sm=sm, higgs=higgs,
-                          constants=constants or ConnectionConstants())
-    return form
+                        alpha: float = 1.0) -> ConnectionForm:
+    return ConnectionForm(vielbein=vielbein, sm=sm, higgs=higgs, alpha=alpha)
 
 
 # -- curvature ---------------------------------------------------------------
@@ -289,7 +279,7 @@ class CurvatureForm:
     higgs_potential: float      # |H|^2 - c^2
     higgs_c: float              # vacuum constant c
     couplings: tuple            # (g1, g2, g3)
-    constants: ConnectionConstants = field(default_factory=ConnectionConstants)
+    alpha: float                # the connection's Higgs scale
 
     @property
     def b_components(self) -> np.ndarray:
@@ -467,7 +457,7 @@ def curvature(a: ConnectionForm, p) -> CurvatureForm:
         higgs_potential=_unbatched(pot),
         higgs_c=a.higgs.c,
         couplings=(g1, g2, g3),
-        constants=a.constants,
+        alpha=a.alpha,
     )
 
 
@@ -553,7 +543,6 @@ class LagrangianBreakdown:
     point: Point | np.ndarray
     terms: dict
     total: float
-    constants: dict = field(default_factory=dict)
 
     def term(self, name: str) -> float:
         return self.terms[name]
@@ -568,19 +557,16 @@ def _total(terms: dict):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def lambda0_constant(constants: ConnectionConstants, c: float,
-                     n_h: float = 1.0) -> float:
+def lambda0_constant(alpha: float, c: float, n_h: float = 1.0) -> float:
     """The constant shift (eta^2/alpha^4)(1 + 1/n_h^4) c^4."""
-    eta = constants.eta
-    alpha = constants.alpha
-    return (eta ** 2 / alpha ** 4) * (1.0 + 1.0 / n_h ** 4) * c ** 4
+    return (ETA ** 2 / alpha ** 4) * (1.0 + 1.0 / n_h ** 4) * c ** 4
 
 
 def curvature_squared(f: CurvatureForm,
                       reparam: ReparamConstants | None = None) -> LagrangianBreakdown:
     """Scalar terms of the reparametrized squared curvature at f.point.
 
-    Terms: Ricci^2 with coefficient n_spinor/(4 n_r^2); gauge terms
+    Terms: Ricci^2 with coefficient N_SPINOR/(4 n_r^2); gauge terms
     -(3 g1^2/4 n_b^2) B^2, -(g2^2/4 n_w^2) W^2, -(3 g3^2/4 n_g^2) G^2;
     Higgs kinetic (eta/alpha^2 n_h^2)|DH|^2; Higgs potential
     -(eta^2/alpha^4 n_h^4)(|H|^2 - c^2)^2; and the constant lambda0 that
@@ -589,23 +575,19 @@ def curvature_squared(f: CurvatureForm,
     """
     rp = reparam or ReparamConstants()
     g1, g2, g3 = f.couplings
-    consts = f.constants
-    eta = consts.eta
-    alpha = consts.alpha
+    eta = ETA
+    alpha = f.alpha
     pot = f.higgs_potential
     terms = {
-        "ricci_sq": consts.n_spinor / (4.0 * rp.n_r ** 2) * f.ricci_squared(),
+        "ricci_sq": N_SPINOR / (4.0 * rp.n_r ** 2) * f.ricci_squared(),
         "gauge_b": -(3.0 * g1 ** 2 / (4.0 * rp.n_b ** 2)) * f.component_square(f.b_components),
         "gauge_w": -(g2 ** 2 / (4.0 * rp.n_w ** 2)) * f.component_square(f.w_f),
         "gauge_g": -(3.0 * g3 ** 2 / (4.0 * rp.n_g ** 2)) * f.component_square(f.g_f),
         "higgs_kinetic": (eta / (alpha ** 2 * rp.n_h ** 2)) * f.higgs_kinetic_scalar(),
         "higgs_potential": -(eta ** 2 / (alpha ** 4 * rp.n_h ** 4)) * pot ** 2,
-        "lambda0": lambda0_constant(consts, f.higgs_c, rp.n_h),
+        "lambda0": lambda0_constant(alpha, f.higgs_c, rp.n_h),
     }
-    return LagrangianBreakdown(point=f.point, terms=terms,
-                               total=_total(terms),
-                               constants={"eta": eta, "alpha": alpha,
-                                          "n_spinor": consts.n_spinor})
+    return LagrangianBreakdown(point=f.point, terms=terms, total=_total(terms))
 
 
 def lambda0_check(f: CurvatureForm, n_h: float = 1.0) -> dict:
@@ -619,8 +601,8 @@ def lambda0_check(f: CurvatureForm, n_h: float = 1.0) -> dict:
     caller can see exactly where the constant does and does not absorb the
     discrepancy.
     """
-    eta = f.constants.eta
-    alpha = f.constants.alpha
+    eta = ETA
+    alpha = f.alpha
     c = f.higgs_c
     pot = f.higgs_potential
     rp = ReparamConstants(n_h=n_h)
@@ -630,7 +612,7 @@ def lambda0_check(f: CurvatureForm, n_h: float = 1.0) -> dict:
         plain = curvature_squared(f).terms
         nonpot = max(abs(breakdown.terms[k] - plain[k]) for k in
                      ("ricci_sq", "gauge_b", "gauge_w", "gauge_g", "higgs_kinetic"))
-    lam0 = lambda0_constant(f.constants, c, n_h)
+    lam0 = lambda0_constant(alpha, c, n_h)
     # zero-field reference: pot -> -c^2 in both potential sectors
     plain_ref = (eta ** 2 / alpha ** 4) * c ** 4
     repar_ref = -(eta ** 2 / (alpha ** 4 * n_h ** 4)) * c ** 4 + lam0
@@ -667,23 +649,27 @@ class GaugeTraceReport:
     q_identity_residual: float
     v_display_residual: float   # vs -(g3^2/4) su3_matrix_sq - (g1^2/12) b_sq
     v_component_residual: float  # vs -(g3^2/2) g_sq - (g1^2/12) b_sq
-    multiplicities: tuple
     weighted_total: float
     display_total: float        # (3/4)g1^2 B^2 + (1/4)g2^2 W^2 + (3/4)g3^2 G^2
     display_residual: float
     trace_max: float            # max |tr gauge_full_mn|
     trace_imag_max: float
-    notes: tuple
 
 
-def gauge_square_report(f: CurvatureForm,
-                        multiplicities: tuple = (5.0, 1.0, 3.0)) -> GaugeTraceReport:
+# weights of the (lambda, q, v) sectors in the combined total: the unique
+# choice reproducing the display coefficients (3/4, 1/4, 3/4)
+SECTOR_MULTIPLICITIES = (5.0, 1.0, 3.0)
+
+
+def gauge_square_report(f: CurvatureForm) -> GaugeTraceReport:
     """Evaluate every gauge-sector trace identity by brute force.
 
     The scalar map is s(F) = -tr(F_mn F^mn)/2, which is positive for
-    anti-Hermitian F with Euclidean index raising.  multiplicities weights
-    (lambda, q, v) sectors in the combined total; the default (5, 1, 3) is
-    the unique choice reproducing the display coefficients (3/4, 1/4, 3/4).
+    anti-Hermitian F with Euclidean index raising; the Gell-Mann matrices
+    are normalised by Tr(T_a T_b) = 2 delta_ab.  With A = T_a G^a,
+    tr_3(V V^up) = -(g3^2/4) tr_3(A A^up) - (g1^2/12) B^2, and
+    tr_3(A A^up) = 2 sum_a G^a G^a, so the gluon coefficient is g3^2/2 per
+    unit component square.
     """
     g1, g2, g3 = f.couplings
     raws = []
@@ -698,16 +684,10 @@ def gauge_square_report(f: CurvatureForm,
     g_sq = f.component_square(f.g_f)
     su3_mat = np.einsum("aij,amn->mnij", GELL_MANN, f.g_f.astype(complex))
     su3_matrix_sq = float(np.real(f.square_scalar(su3_mat)))
-    m_l, m_q, m_v = multiplicities
+    m_l, m_q, m_v = SECTOR_MULTIPLICITIES
     weighted = m_l * s_lambda + m_q * s_q + m_v * s_v
     display = 0.75 * g1 ** 2 * b_sq + 0.25 * g2 ** 2 * w_sq + 0.75 * g3 ** 2 * g_sq
     trace = np.einsum("mnii->mn", f.gauge_full)
-    notes = (
-        "s(F) = -tr(F F^up)/2; Gell-Mann normalization Tr(T_a T_b) = 2 delta_ab",
-        "tr_3(V V^up) = -(g3^2/4) tr_3(A A^up) - (g1^2/12) B^2 with A = T_a G^a",
-        "component form uses tr_3(A A^up) = 2 sum_a G^a G^a, so the gluon"
-        " coefficient is g3^2/2 per unit component square",
-    )
     return GaugeTraceReport(
         raw_lambda=raw_lambda, raw_q=raw_q, raw_v=raw_v,
         s_lambda=s_lambda, s_q=s_q, s_v=s_v,
@@ -718,13 +698,11 @@ def gauge_square_report(f: CurvatureForm,
                                         - (g1 ** 2 / 12.0) * b_sq)),
         v_component_residual=abs(raw_v - (-(g3 ** 2 / 2.0) * g_sq
                                           - (g1 ** 2 / 12.0) * b_sq)),
-        multiplicities=tuple(multiplicities),
         weighted_total=weighted,
         display_total=display,
         display_residual=abs(weighted - display),
         trace_max=float(np.abs(trace).max()),
         trace_imag_max=imag_worst,
-        notes=notes,
     )
 
 
@@ -740,7 +718,6 @@ class NormalizedLagrangian:
     terms: dict
     total: float
     constants: dict
-    substitutions: dict
 
     def term(self, name: str) -> float:
         return self.terms[name]
@@ -767,16 +744,16 @@ def sm_lagrangian_normalized(f: CurvatureForm, f0: float, f4: float = 0.0,
     if f0 < 0:
         raise ValueError("the quartic moment f0 must be positive")
     g1, g2, g3 = f.couplings
-    eta = f.constants.eta
-    alpha = f.constants.alpha
+    eta = ETA
+    alpha = f.alpha
     pi2 = np.pi ** 2
     n_b_sq = f0 * g1 ** 2 / (64.0 * pi2)
     n_w_sq = f0 * g2 ** 2 / (192.0 * pi2)
     n_g_sq = f0 * g3 ** 2 / (64.0 * pi2)
     kappa_sq = eta * f0 / (192.0 * pi2 * alpha ** 2 * n_h ** 2)
     mu0 = 192.0 * pi2 / f0
-    alpha0 = f.constants.n_spinor * f0 / (768.0 * pi2 * n_r ** 2)
-    lam0 = lambda0_constant(f.constants, f.higgs_c, n_h)
+    alpha0 = N_SPINOR * f0 / (768.0 * pi2 * n_r ** 2)
+    lam0 = lambda0_constant(alpha, f.higgs_c, n_h)
     delta0 = (12.0 * f4 * lam_sq ** 2 + f0 * lam0) / (192.0 * pi2)
     z_sq = kappa_sq * f.higgs_c ** 2
     h_norm_sq = kappa_sq * (f.higgs_potential + f.higgs_c ** 2)
@@ -795,10 +772,8 @@ def sm_lagrangian_normalized(f: CurvatureForm, f0: float, f4: float = 0.0,
         "kappa": float(np.sqrt(kappa_sq)), "z": float(np.sqrt(z_sq)),
         "n_b_sq": n_b_sq, "n_w_sq": n_w_sq, "n_g_sq": n_g_sq,
     }
-    subs = {"n_r": n_r, "n_h": n_h, "f0": f0, "f4": f4, "lam_sq": lam_sq}
     out = NormalizedLagrangian(point=f.point, terms=terms,
-                               total=_total(terms),
-                               constants=consts, substitutions=subs)
+                               total=_total(terms), constants=consts)
     # consistency with the unnormalized breakdown under the substitution map
     rp = ReparamConstants(n_r=n_r, n_b=float(np.sqrt(n_b_sq)),
                           n_w=float(np.sqrt(n_w_sq)), n_g=float(np.sqrt(n_g_sq)),

@@ -8,7 +8,8 @@ derivatives as plain arrays, derivative indices trailing.  It also takes an
 (N, dim) coordinate block, evaluated in one pass on block jets, and then puts
 the point axis first in its results.  A field with ``derivative_mode="fd"``
 (``dataclasses.replace(field, derivative_mode=FD)``) gives the same arrays
-from central differences, the independent oracle for the jet route.
+from central differences, the independent oracle for the jet route, with
+relative steps FD_STEP for first and FD_STEP2 for second derivatives.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = ["ChartField", "scalar_field", "constant_field"]
 
 DUAL = "dual"
 FD = "fd"
+FD_STEP = 1e-5
+FD_STEP2 = 1e-4
 
 
 def _collapse_numeric(arr: np.ndarray) -> np.ndarray:
@@ -89,17 +92,12 @@ class ChartField:
         a nested structure of matching shape built from smooth operations.
     derivative_mode : str
         ``"dual"`` (default) or ``"fd"``.
-    fd_step, fd_step2 : float
-        Relative central-difference steps for first and second derivatives.
     """
 
     dim: int
     shape: tuple
     func: Callable
     derivative_mode: str = DUAL
-    fd_step: float = 1e-5
-    fd_step2: float = 1e-4
-    name: str = ""
 
     def __post_init__(self):
         self.shape = tuple(self.shape)
@@ -164,7 +162,7 @@ class ChartField:
         # object arrays would defeat the iscomplexobj test below and drop
         # imaginary parts, so collapse to a numeric dtype up front
         f0 = self.numeric(p.coords)
-        h1 = self._steps(p, self.fd_step)
+        h1 = self._steps(p, FD_STEP)
 
         def ev(q: Point) -> np.ndarray:
             return _collapse_numeric(self.raw(q.coords))
@@ -176,7 +174,7 @@ class ChartField:
             d1[..., i] = (fp - fm) / (2.0 * h1[i])
         d2 = None
         if order == 2:
-            h2 = self._steps(p, self.fd_step2)
+            h2 = self._steps(p, FD_STEP2)
             d2 = np.zeros(self.shape + (n, n), dtype=complex)
             for i in range(n):
                 fp = ev(p.shifted(i, +h2[i]))

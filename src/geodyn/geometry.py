@@ -54,6 +54,10 @@ class CoordinateConditionError(RuntimeError):
     """A coordinate-condition precondition failed at the evaluation point."""
 
 
+# how far ricci_simplified lets its coordinate conditions miss
+COORDINATE_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class VolumeElement:
     value: float
@@ -186,23 +190,23 @@ class GeneralizedMetric:
         return CurvatureTensors(point=p, riemann=riem, ricci=ricci, scalar=scalar,
                                 gamma=g, gamma_inv=ginv)
 
-    def ricci_simplified(self, p: Point, tol: float = 1e-10) -> np.ndarray:
+    def ricci_simplified(self, p: Point) -> np.ndarray:
         """Ricci tensor in unit-volume coordinates.
 
         Valid only where sqrt|det gamma| = 1 and the contracted Christoffel
-        symbols vanish; under those conditions it agrees with the full
-        curvature pipeline.
+        symbols vanish, each within COORDINATE_TOL; under those conditions
+        it agrees with the full curvature pipeline.
         """
         g, ginv, gam, dgam = self.christoffel_with_derivative(p)
         vol = np.sqrt(abs(np.linalg.det(g)))
-        if abs(vol - 1.0) > tol:
+        if abs(vol - 1.0) > COORDINATE_TOL:
             raise CoordinateConditionError(
-                f"sqrt|det gamma| = {vol:.12g} is not 1 within {tol:g}")
+                f"sqrt|det gamma| = {vol:.12g} is not 1 within {COORDINATE_TOL:g}")
         contracted = np.einsum("bba->a", gam)
         worst = float(np.abs(contracted).max())
-        if worst > tol:
-            raise CoordinateConditionError(
-                f"contracted Christoffel max |Gamma^b_ba| = {worst:.3e} exceeds {tol:g}")
+        if worst > COORDINATE_TOL:
+            raise CoordinateConditionError(f"contracted Christoffel max |Gamma^b_ba| = "
+                                           f"{worst:.3e} exceeds {COORDINATE_TOL:g}")
         return np.einsum("amna->mn", dgam) - np.einsum("bma,anb->mn", gam, gam)
 
 
@@ -361,7 +365,6 @@ class FrameGeometry:
     gamma: np.ndarray
     gamma_inv: np.ndarray
     christoffel: np.ndarray
-    dchristoffel: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
@@ -399,7 +402,7 @@ def frame_geometry(e: Vielbein, p) -> FrameGeometry:
     frame_curv = (domega.swapaxes(-1, -2) - domega + quad - quad.swapaxes(-1, -2))
     vol = _unbatched(np.sqrt(np.abs(checked_det(gm))))
     return FrameGeometry(point=p, e=e_val, gamma=gm, gamma_inv=ginv,
-                         christoffel=gam, dchristoffel=dgam, riemann=riem,
+                         christoffel=gam, riemann=riem,
                          ricci=ricci, scalar=scalar, omega=omega, domega=domega,
                          frame_curvature=frame_curv, volume=vol)
 
@@ -469,7 +472,6 @@ def sigma_squared(signature: MinkowskiSignature) -> tuple:
 class DiracMatrices:
     point: Point
     gammas: np.ndarray        # Gamma^m = E^m_a gamma^a
-    flat_gammas: np.ndarray
     gamma_metric: np.ndarray  # gamma^{mn} at the point
 
     def anticommutator_residuals(self) -> dict:
@@ -498,7 +500,7 @@ def dirac_matrices(e: Vielbein, p: Point) -> DiracMatrices:
     gam = np.einsum("ma,aij->mij", einv, flat)
     eta = e.signature.matrix  # self-inverse for diagonal +-1 entries
     g_up = np.einsum("ma,ab,nb->mn", einv, eta, einv)
-    return DiracMatrices(point=p, gammas=gam, flat_gammas=flat, gamma_metric=g_up)
+    return DiracMatrices(point=p, gammas=gam, gamma_metric=g_up)
 
 
 # -- compatibility between a vielbein and a matrix connection ----------------
@@ -518,7 +520,6 @@ class CompatibilityResidual:
     point: Point
     display: np.ndarray
     tetrad: np.ndarray
-    projected_omega: np.ndarray
     projection_defect: float
 
     @property
@@ -583,7 +584,7 @@ def compatibility_residual(e: Vielbein, a_field: ChartField, p: Point) -> Compat
     mixed = np.einsum("abn,bc->acn", w, eta)
     tetrad = cov + np.real_if_close(np.einsum("acn,cm->amn", mixed, e_val))
     return CompatibilityResidual(point=p, display=display, tetrad=np.asarray(tetrad),
-                                 projected_omega=w, projection_defect=defect)
+                                 projection_defect=defect)
 
 
 @dataclass(frozen=True)

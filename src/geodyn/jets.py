@@ -25,7 +25,6 @@ from .tensors import _identity
 __all__ = [
     "Jet",
     "variables",
-    "constant",
     "sin",
     "cos",
     "tan",
@@ -38,11 +37,9 @@ __all__ = [
     "arctan",
     "conjugate",
     "PI",
-    "EULER_E",
 ]
 
 PI = math.pi
-EULER_E = math.e
 
 
 class Jet:
@@ -191,11 +188,6 @@ def variables(coords, order: int = 2) -> tuple:
         eye = np.repeat(eye[:, :, None], pts[0], axis=2)
     return tuple(Jet(xi, eye[i], np.zeros((n, n) + pts) if order == 2 else None)
                  for i, xi in enumerate(coords))
-
-
-def constant(c, n: int, order: int = 2) -> Jet:
-    h = np.zeros((n, n)) if order == 2 else None
-    return Jet(c, np.zeros(n), h)
 
 
 def _dispatch(x, fn, f0f1f2):

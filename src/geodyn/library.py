@@ -23,11 +23,10 @@ __all__ = [
     "schwarzschild",
     "sphere2_cross_flat2",
     "BUILTIN_FRAMES",
-    "make_builtin_frame",
 ]
 
 
-def diagonal_vielbein(entries, signature: MinkowskiSignature, name: str = "") -> Vielbein:
+def diagonal_vielbein(entries, signature: MinkowskiSignature) -> Vielbein:
     """Vielbein with E = diag(entries(x)); each entry is a callable of the coords."""
     n = signature.dim
     if len(entries) != n:
@@ -39,7 +38,7 @@ def diagonal_vielbein(entries, signature: MinkowskiSignature, name: str = "") ->
             out[i, i] = f(coords)
         return out
 
-    field = ChartField(dim=n, shape=(n, n), func=func, name=name or "diagonal")
+    field = ChartField(dim=n, shape=(n, n), func=func)
     return Vielbein(field=field, signature=signature)
 
 
@@ -58,14 +57,14 @@ def flat(dim: int = 4, signature: str = "lorentzian") -> Vielbein:
     def func(coords):
         return eye
 
-    return Vielbein(field=ChartField(dim=dim, shape=(dim, dim), func=func, name="flat"),
+    return Vielbein(field=ChartField(dim=dim, shape=(dim, dim), func=func),
                     signature=sig)
 
 
 def polar() -> Vielbein:
     """Plane in polar coordinates (r, phi): E = diag(1, r)."""
     return diagonal_vielbein([lambda c: 1.0, lambda c: c[0]],
-                             MinkowskiSignature.euclidean(2), name="polar")
+                             MinkowskiSignature.euclidean(2))
 
 
 def sphere2(radius: float = 1.0) -> Vielbein:
@@ -75,7 +74,7 @@ def sphere2(radius: float = 1.0) -> Vielbein:
     from .jets import sin
     return diagonal_vielbein(
         [lambda c: radius, lambda c: radius * sin(c[0])],
-        MinkowskiSignature.euclidean(2), name="sphere2")
+        MinkowskiSignature.euclidean(2))
 
 
 def schwarzschild(mass: float = 1.0) -> Vielbein:
@@ -92,7 +91,7 @@ def schwarzschild(mass: float = 1.0) -> Vielbein:
 
     return diagonal_vielbein(
         [f_t, f_r, lambda c: c[1], lambda c: c[1] * sin(c[2])],
-        MinkowskiSignature.lorentzian(4), name="schwarzschild")
+        MinkowskiSignature.lorentzian(4))
 
 
 def sphere2_cross_flat2(radius: float = 1.0) -> Vielbein:
@@ -103,7 +102,7 @@ def sphere2_cross_flat2(radius: float = 1.0) -> Vielbein:
     return diagonal_vielbein(
         [lambda c: radius, lambda c: radius * sin(c[0]),
          lambda c: 1.0, lambda c: 1.0],
-        MinkowskiSignature.euclidean(4), name="sphere2_cross_flat2")
+        MinkowskiSignature.euclidean(4))
 
 
 BUILTIN_FRAMES = {
@@ -113,16 +112,3 @@ BUILTIN_FRAMES = {
     "schwarzschild": (schwarzschild, {"mass": 1.0}),
     "sphere2-cross-flat2": (sphere2_cross_flat2, {"radius": 1.0}),
 }
-
-
-def make_builtin_frame(name: str, params: dict | None = None) -> Vielbein:
-    if name not in BUILTIN_FRAMES:
-        known = ", ".join(sorted(BUILTIN_FRAMES))
-        raise KeyError(f"unknown builtin frame {name!r} (known: {known})")
-    factory, defaults = BUILTIN_FRAMES[name]
-    kwargs = dict(defaults)
-    for key, value in (params or {}).items():
-        if key not in defaults:
-            raise KeyError(f"builtin frame {name!r} takes no parameter {key!r}")
-        kwargs[key] = value
-    return factory(**kwargs)

@@ -21,9 +21,8 @@ from .action import (FieldEquationInput, HeatKernelData,
                      field_equation_residual, heat_kernel_coefficients,
                      moments, riemannian_limit_action, spectral_action)
 from .config import Scenario, build_scenario
-from .connection import (ConnectionConstants, HiggsField, SMGaugeConfig,
-                         assemble_connection, curvature, curvature_checks,
-                         gauge_square_report)
+from .connection import (HiggsField, SMGaugeConfig, assemble_connection,
+                         curvature, curvature_checks, gauge_square_report)
 from .geodesics import integrate_geodesic
 from .tensors import MAX_DIM
 from .triples import (check_axioms, fluctuate, fluctuation_space,
@@ -155,11 +154,12 @@ def _run_action(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
         coeffs = heat_kernel_coefficients(data, scn.region, scn.grid)
         rep = spectral_action(
             m, coeffs, sigma_sq=task["sigma_sq"],
-            connection_constants=(scn.connection.constants
-                                  if scn.connection else None),
-            higgs_c=(scn.connection.higgs.c if scn.connection else None))
+            alpha=scn.connection.alpha if scn.connection else None,
+            higgs_c=scn.connection.higgs.c if scn.connection else None)
     worst = rep.sum_residual()
-    summary = {"total": rep.total, **{k: v for k, v in rep.constants.items()}}
+    summary = {"total": rep.total, **rep.constants,
+               **{f"quadrature_error_{term}": err
+                  for term, err in rep.quadrature["errors"].items()}}
     keep = task["expect_only"]
     if keep is not None:
         stray = max((abs(v[2]) for k, v in rep.terms.items() if k != keep),
@@ -241,8 +241,7 @@ def _run_limit_check(scn: Scenario, task: dict, rng: np.random.Generator) -> dic
     gamma_tol, riemann_tol = task["gamma_tolerance"], task["tolerance"]
     ref = task["reference"]
     conn = scn.connection or assemble_connection(
-        scn.frame, SMGaugeConfig.zero(scn.dim), HiggsField.zero(scn.dim, c=0.0),
-        ConnectionConstants())
+        scn.frame, SMGaugeConfig.zero(scn.dim), HiggsField.zero(scn.dim, c=0.0))
     rows, worst = [], 0.0
     for p in task["points"]:
         spin_route, _ = curvature_checks(conn, p)

@@ -94,33 +94,70 @@ class MinkowskiSignature:
         return eta
 
 
-def _raise_if_singular(det, scale, n: int, rel: float) -> None:
+# the determinant of a matrix scaled to unit largest row norm must exceed this
+SINGULAR_REL = 1e-13
+
+
+def _singular(scaled, n: int, where: str = "") -> SingularMetricError:
+    return SingularMetricError(f"determinant {scaled:.3e}*scale^{n} below threshold "
+                               f"{SINGULAR_REL:.0e}*scale^{n}{where}")
+
+
+def _non_finite(m: np.ndarray, where: str = "") -> ValueError:
+    what = ("NaN or inf entry" if not np.isfinite(m).all()
+            else "row norm above the float range")
+    return ValueError(f"matrix has a {what}{where}")
+
+
+def _guard(m: np.ndarray):
     """The singularity policy behind every checked determinant and inverse.
 
-    Raises :class:`SingularMetricError` when ``|det| <= rel * scale**n``,
-    where scale is the largest row norm of the n x n matrix, floored at
-    1e-300.  With leading batch axes the rule holds per matrix and the error
-    names the first failing one in index order.
+    With scale the largest row norm of an n x n matrix, floored at 1e-300,
+    :class:`SingularMetricError` is raised when ``|det(m / scale)| <=
+    SINGULAR_REL``.  Hadamard's inequality bounds that determinant by 1, and
+    it is formed in logs, so the test neither overflows nor underflows
+    whatever the size of the entries.  A NaN or inf entry, or a row norm
+    beyond the float range, raises ValueError first.  With leading batch
+    axes the rule holds per matrix and the error names the first failing
+    one in index order.  Returns ``det(m)``, or None where a determinant
+    leaves the float range.
     """
-    # <= so an exactly zero matrix trips the guard even after the
-    # threshold underflows to 0 with the 1e-300 scale floor
-    bad = abs(det) <= rel * scale ** n
-    if np.count_nonzero(bad):
+    a = np.abs(m)
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(np.einsum("...ij,...ij->...i", a, a).max(axis=-1))
+    if not np.isfinite(scale).all():  # squares overflowed, or an entry is NaN or inf
+        scale = np.hypot.reduce(a, axis=-1).max(axis=-1)
+        bad = ~np.isfinite(scale)
+        if bad.any():
+            i = int(np.argmax(np.ravel(bad)))
+            where = f" at batch index {i}" if np.ndim(bad) else ""
+            raise _non_finite(m.reshape((-1,) + m.shape[-2:])[i], where)
+    n = m.shape[-1]
+    with np.errstate(over="ignore", divide="ignore"):
+        det = np.linalg.det(m)
+        logdet = np.log(np.abs(det))
+    in_range = np.isfinite(logdet).all()
+    if not in_range:  # a det is 0 or left the float range
+        logdet = np.linalg.slogdet(m)[1]
+    log_scaled = logdet - n * np.log(np.maximum(scale, 1e-300))
+    bad = log_scaled <= math.log(SINGULAR_REL)
+    if bad.any():
         i = int(np.argmax(np.ravel(bad)))
         where = f" at batch index {i}" if np.ndim(bad) else ""
-        raise SingularMetricError(
-            f"determinant {np.ravel(det)[i]:.3e} below threshold {rel:.0e}*scale^{n}{where}")
+        sign = np.ravel(np.linalg.slogdet(m)[0])[i]
+        raise _singular(sign * math.exp(np.ravel(log_scaled)[i]), n, where)
+    return det if in_range else None
 
 
-def checked_det(m: np.ndarray, rel: float = 1e-13):
+def checked_det(m: np.ndarray):
     """Determinant under the shared singularity policy; callers never see NaN.
 
-    ``m`` may carry leading batch axes.
+    ``m`` may carry leading batch axes.  A determinant that passes the guard
+    but overflows, or underflows to 0, raises ArithmeticError.
     """
-    m = np.asarray(m)
-    det = np.linalg.det(m)
-    scale = np.sqrt((np.abs(m) ** 2).sum(axis=-1)).max(axis=-1, initial=1e-300)
-    _raise_if_singular(det, scale, m.shape[-1], rel)
+    det = _guard(np.asarray(m))
+    if det is None:
+        raise ArithmeticError("determinant outside the float range")
     return det
 
 
@@ -132,30 +169,33 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def checked_inverse(m: np.ndarray, rel: float = 1e-13) -> np.ndarray:
+def checked_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse under the same singularity policy as :func:`checked_det`.
 
     A single matrix costs one LAPACK ``gesv`` factorisation: it returns the
-    inverse, and the diagonal and pivots of its LU give the determinant the
-    guard tests.  An exactly singular factorisation (``info > 0``) raises as
-    well.  A batch of matrices goes through numpy's batched ``det`` and
-    ``inv``, as numpy has no batched LU.
+    inverse, and the diagonal of its LU over the scale gives the scaled
+    determinant the guard tests (an exactly zero pivot makes it 0).  A batch
+    of matrices goes through numpy's batched ``det`` and ``inv``, as numpy
+    has no batched LU.
     """
     m = np.asarray(m)
     if m.ndim != 2:
-        checked_det(m, rel)
+        _guard(m)
         return np.linalg.inv(m)
     n = m.shape[0]
+    # the row norms in Python floats, cheaper than numpy on one small matrix;
+    # hypot overflows only when the norm itself does
+    norms = [math.hypot(*row) for row in np.abs(m).tolist()]
+    if not all(map(math.isfinite, norms)):
+        raise _non_finite(m)
+    scale = max(1e-300, *norms)
     # the complex routine for complex input, so no imaginary part is cast away
     gesv = lapack.zgesv if m.dtype.kind == "c" else lapack.dgesv
     lu, piv, inv, info = gesv(m, _identity(n))
-    if info > 0:  # an exactly zero pivot: the determinant is 0 whatever the scale
-        raise SingularMetricError(f"determinant {0.0:.3e} below threshold {rel:.0e}*scale^{n}")
-    # det = sign of the row permutation times the product of U's diagonal
-    swaps = sum(map(operator.ne, piv.tolist(), range(n)))
-    det = (-1) ** swaps * math.prod(lu.diagonal().tolist())
-    # checked_det's largest row norm, in Python floats: on one small matrix
-    # this is a third of the numpy expression's cost
-    scale = max(1e-300, *(math.hypot(*row) for row in np.abs(m).tolist()))
-    _raise_if_singular(det, scale, n, rel)
+    scaled = math.prod([d / scale for d in lu.diagonal().tolist()])
+    if abs(scaled) <= SINGULAR_REL:
+        # the sign of the row permutation, for the message only; + 0.0 makes
+        # an exact zero unsigned, as slogdet's sign 0 does in the batch path
+        swaps = sum(map(operator.ne, piv.tolist(), range(n)))
+        raise _singular((-1) ** swaps * scaled + 0.0, n)
     return inv

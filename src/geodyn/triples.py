@@ -117,9 +117,6 @@ class AxiomReport:
     def worst(self) -> float:
         return max((v for _, v in self.residual_items()), default=0.0)
 
-    def all_passed(self, tol: float = 1e-12) -> bool:
-        return self.worst() <= tol
-
 
 def _max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
@@ -269,7 +266,11 @@ def inner_fluctuations(t: FiniteTriple, pairs) -> FluctuationElement:
     return FluctuationElement(pairs=pairs, a=acc)
 
 
-def fluctuation_space(t: FiniteTriple, rcond: float = 1e-10):
+# singular values below this fraction of the largest do not count to the span
+SPAN_RCOND = 1e-10
+
+
+def fluctuation_space(t: FiniteTriple):
     """Span of {a_i [D, b_j]} over the generator list.
 
     Returns (dimension, orthonormal basis) with basis rows the vectorized
@@ -285,7 +286,7 @@ def fluctuation_space(t: FiniteTriple, rcond: float = 1e-10):
     if not np.abs(mat).max():
         return 0, np.zeros((0, t.dim * t.dim), dtype=complex)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = s > rcond * s[0]
+    keep = s > SPAN_RCOND * s[0]
     return int(keep.sum()), vh[keep]
 
 

@@ -25,7 +25,6 @@ from geodyn.action import (
 from geodyn.cli import main as cli_main
 from geodyn.connection import (
     PAULI,
-    ConnectionConstants,
     HiggsField,
     SMGaugeConfig,
     assemble_connection,
@@ -67,8 +66,7 @@ def _verdict(num: int, label: str, body) -> None:
 
 def _zero_connection(frame, dim):
     return assemble_connection(frame, SMGaugeConfig.zero(dim),
-                               HiggsField.zero(dim, c=0.0),
-                               ConnectionConstants())
+                               HiggsField.zero(dim, c=0.0))
 
 
 def _random_sm_connection(rng):

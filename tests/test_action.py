@@ -17,7 +17,6 @@ from geodyn.action import (
     heat_kernel_coefficients,
     _integrate_many,
     integrate_scalar,
-    make_cutoff,
     moments,
     riemannian_limit_action,
     sharp_cutoff,
@@ -65,8 +64,6 @@ def test_cutoff_moments_closed_forms():
 
 
 def test_cutoff_construction_guards():
-    with pytest.raises(KeyError):
-        make_cutoff("lorentzian-window")
     with pytest.raises(ValueError):
         CutoffFunction(name="x", func=lambda u: 1.0, lam_sq=0.0)
 
@@ -319,7 +316,7 @@ def _bumpy_torus_frame():
     # ds^2 = dx^2 + g(x)^2 dy^2 on the unit torus; curved but fully periodic
     return diagonal_vielbein(
         [lambda c: 1.0, lambda c: 1.0 + 0.2 * sin(2.0 * PI * c[0])],
-        MinkowskiSignature.euclidean(2), name="bumpy-torus")
+        MinkowskiSignature.euclidean(2))
 
 
 def test_riemannian_limit_flat_torus_keeps_only_the_volume_term():
@@ -346,6 +343,32 @@ def test_riemannian_limit_periodic_telescoping_and_gauss_bonnet():
     assert abs(report.terms["einstein_hilbert"][1]) < 1e-10
     assert report.term_value("scalar_sq") > 0.0
     assert abs(report.constants["beta0"] / report.constants["zeta0"] - 0.4) < 1e-14
+
+
+def test_action_reports_carry_each_terms_quadrature_error():
+    # the Richardson estimate of a term's integral is |I_fine - I_coarse| / 3
+    m = moments(exponential_cutoff())
+    grid = GridSpec((17, 8))
+    fine = riemannian_limit_action(sphere2(), SPHERE_REGION, grid, m)
+    coarse = riemannian_limit_action(sphere2(), SPHERE_REGION, grid.coarser(), m)
+    errors = fine.quadrature["errors"]
+    assert set(errors) == set(fine.terms) - {"lap_scalar"}
+    for term in ("delta0_volume", "einstein_hilbert", "ricci_sq", "scalar_sq"):
+        expected = abs(fine.terms[term][1] - coarse.terms[term][1]) / 3.0
+        assert expected > 1e-6
+        assert abs(errors[term] - expected) <= 1e-10 * expected
+    # the sum of the two parts' estimates bounds the combined term's
+    combined = abs(fine.terms["ricci_riemann_sq"][1]
+                   - coarse.terms["ricci_riemann_sq"][1]) / 3.0
+    assert errors["ricci_riemann_sq"] >= combined * (1.0 - 1e-10)
+
+    coeffs = heat_kernel_coefficients(HeatKernelData(metric=sphere2().metric(),
+                                                     aa_mode="metric"),
+                                      SPHERE_REGION, grid)
+    report = spectral_action(m, coeffs, sigma_sq=2.0)
+    assert report.quadrature["errors"] == {
+        "a0_volume": coeffs.errors["a0"], "a2_endomorphism": coeffs.errors["a2"],
+        "a4_curvature": coeffs.errors["a4"]}
 
 
 def _sphere2_limit_check(matrix, points, **tolerances):

@@ -1,6 +1,8 @@
 """The public names the package exports and the benchmark tracer wraps."""
 
+import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import geodyn
@@ -16,7 +18,12 @@ def _tracer_module():
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in geodyn.__all__ if not hasattr(geodyn, name)]
+    # the package and every module in it, so no deleted name stays exported
+    modules = [geodyn] + [importlib.import_module(f"geodyn.{info.name}")
+                          for info in pkgutil.iter_modules(geodyn.__path__)]
+    assert len(modules) > 10
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
 
 

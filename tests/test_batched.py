@@ -17,7 +17,7 @@ from geodyn.fields import ChartField
 from geodyn.geometry import GeneralizedMetric, sigma_squared
 from geodyn.jets import (arctan, cos, cosh, exp, log, sin, sinh, sqrt, tan, tanh,
                          variables)
-from geodyn.library import flat, make_builtin_frame
+from geodyn.library import BUILTIN_FRAMES, flat, polar, schwarzschild
 from geodyn.scenarios import builtin_config, run_scenario
 from geodyn.tensors import Point, SingularMetricError
 from test_connection import _random_higgs, _random_sm
@@ -87,7 +87,7 @@ def _expression_frame(frame: dict, dim: int, signature: str):
 
 
 def _frames():
-    out = {name: make_builtin_frame(name) for name in
+    out = {name: BUILTIN_FRAMES[name][0]() for name in
            ("flat", "polar", "sphere2", "schwarzschild", "sphere2-cross-flat2")}
     out["expr-diagonal"] = _expression_frame(
         {"diagonal": ["1 + 0.1*x0^2", "exp(0.2*x1)", "1 + 0.3*sin(x0*x2)"]},
@@ -152,7 +152,7 @@ def test_fd_mode_block_loops_over_points():
 
 
 def test_block_rejects_nonfinite_coordinates_and_values():
-    field = make_builtin_frame("schwarzschild").field
+    field = schwarzschild().field
     block = np.array([[0.0, 5.0, 1.0, 0.0], [0.0, np.nan, 1.0, 0.0]])
     with pytest.raises(ValueError, match="non-finite coordinates or field value at \\(0\\.0, nan"):
         field.jets(block)
@@ -165,7 +165,7 @@ def test_block_rejects_nonfinite_coordinates_and_values():
 
 
 def test_block_singular_metric_names_first_failing_point():
-    g = make_builtin_frame("polar").metric()
+    g = polar().metric()
     block = np.array([[1.0, 0.1], [0.5, 0.2], [0.0, 0.3], [0.0, 0.4]])
     with pytest.raises(SingularMetricError, match="at batch index 2"):
         g.curvature(block)
@@ -177,7 +177,7 @@ def test_block_singular_metric_names_first_failing_point():
 
 
 def test_heat_kernel_block_density_matches_per_point_quadrature():
-    frame = make_builtin_frame("schwarzschild")
+    frame = schwarzschild()
     g = frame.metric()
     region = Region(lo=(0.0, 4.0, 0.6, 0.0), hi=(1.0, 9.0, 2.5, 2 * math.pi),
                     periodic=(False, False, False, True))
@@ -200,13 +200,13 @@ def test_heat_kernel_block_density_matches_per_point_quadrature():
 
 @pytest.mark.parametrize("r_lo", [1.5, 2.0])
 def test_quadrature_box_reaching_the_horizon_raises(r_lo):
-    g = make_builtin_frame("schwarzschild").metric()
+    g = schwarzschild().metric()
     region = Region(lo=(0.0, r_lo, 0.6, 0.0), hi=(1.0, 5.0, 2.5, 1.0))
     grid = GridSpec((2, 5, 3, 3))
     with pytest.raises((ValueError, SingularMetricError), match=r"at \(0\.0, [12]\.[05]"):
         heat_kernel_coefficients(HeatKernelData(metric=g, aa_mode="metric"), region, grid)
     with pytest.raises((ValueError, SingularMetricError)):
-        riemannian_limit_action(make_builtin_frame("schwarzschild"), region, grid,
+        riemannian_limit_action(schwarzschild(), region, grid,
                                 moments(exponential_cutoff()))
 
 
@@ -237,7 +237,7 @@ def _check_curvature_rows(monkeypatch, shape, subset):
 
     monkeypatch.setattr(GeneralizedMetric, "curvature", counting)
     grid = GridSpec(shape)
-    riemannian_limit_action(make_builtin_frame("schwarzschild"), SCHWARZSCHILD_BOX, grid,
+    riemannian_limit_action(schwarzschild(), SCHWARZSCHILD_BOX, grid,
                             moments(exponential_cutoff()))
     rows, blocks = _evaluated_rows(grid, subset)
     assert np.array_equal(np.concatenate(seen), rows)
@@ -253,7 +253,7 @@ def _check_jet_orders(monkeypatch, which, shape, subset):
         return original(self, p, order=order)
 
     monkeypatch.setattr(ChartField, "jets", counted)
-    frame = make_builtin_frame("schwarzschild")
+    frame = schwarzschild()
     grid = GridSpec(shape)
     if which == "heat-kernel":
         heat_kernel_coefficients(HeatKernelData(metric=frame.metric(), aa_mode="metric"),

@@ -30,11 +30,11 @@ def test_validate_builtin_and_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "nope"}), encoding="utf-8")
     code, out, _ = _run(["validate", str(bad)], capsys)
-    assert code == 1
+    assert code == 2
     assert "schema" in out and "problem(s) found" in out
 
     code, out, _ = _run(["validate", str(tmp_path / "missing.json")], capsys)
-    assert code == 1
+    assert code == 2
 
 
 def test_run_writes_report_and_csv(tmp_path, capsys):
@@ -48,6 +48,9 @@ def test_run_writes_report_and_csv(tmp_path, capsys):
     report = (out_dir / "report.txt").read_text(encoding="utf-8")
     assert "pass" in report
     assert "fail" not in report.replace("passed/failed", "")
+    # the action task's summary carries each term's quadrature error estimate
+    assert "    quadrature_error_delta0_volume: " in report
+    assert "quadrature_error_lap_scalar" not in report
     assert "PASS" in out or "pass" in out
 
 
@@ -134,13 +137,16 @@ def _curvature_config(tmp_path, name, diagonal, point):
     return str(cfg)
 
 
-def _complex_reference_config(tmp_path):
+def _reference_config(tmp_path, name, entry):
     from geodyn.scenarios import builtin_config
     obj = builtin_config("sphere2")
-    obj["tasks"][2]["reference"]["matrix"][1][1] = "sin(theta)^2 + (0 - 1)^0.5"
-    cfg = tmp_path / "reference.json"
+    obj["tasks"][2]["reference"]["matrix"][1][1] = entry
+    cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(obj), encoding="utf-8")
     return str(cfg)
+
+
+NAN = "(1e308*1e308 - 1e308*1e308)"  # inf - inf
 
 
 def test_evaluation_errors_are_task_failures_not_tracebacks(tmp_path, capsys):
@@ -149,8 +155,13 @@ def test_evaluation_errors_are_task_failures_not_tracebacks(tmp_path, capsys):
          "00-curvature-at-points.csv", "message: complex metric value at (-0.5, 0.3)"),
         (_curvature_config(tmp_path, "reciprocal", ["1/x0", "1"], [0.0, 0.3]),
          "00-curvature-at-points.csv", "message: float division by zero"),
-        (_complex_reference_config(tmp_path),
+        (_reference_config(tmp_path, "complex-reference", "sin(theta)^2 + (0 - 1)^0.5"),
          "02-limit-check.csv", "message: complex metric value at (0.7, 0.3)"),
+        # a NaN metric entry used to pass the singularity guard unnoticed
+        (_curvature_config(tmp_path, "nan", ["1", f"1 + {NAN}"], [0.5, 0.3]),
+         "00-curvature-at-points.csv", "message: matrix has a NaN or inf entry"),
+        (_reference_config(tmp_path, "nan-reference", f"sin(theta)^2 + {NAN}"),
+         "02-limit-check.csv", "message: matrix has a NaN or inf entry"),
     ]
     for cfg, failed_csv, reason in cases:
         out_dir = tmp_path / "out"

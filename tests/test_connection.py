@@ -6,7 +6,6 @@ import pytest
 from geodyn.connection import (
     GELL_MANN,
     PAULI,
-    ConnectionConstants,
     HiggsField,
     ReparamConstants,
     SMGaugeConfig,
@@ -332,6 +331,8 @@ def test_normalized_lagrangian_constants_and_substitution():
 def test_validation_of_inputs():
     with pytest.raises(ValueError):
         ReparamConstants(n_w=0.0)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        assemble_connection(flat(4), SMGaugeConfig.zero(4), HiggsField.zero(4), alpha=0.0)
     with pytest.raises(ValueError):
         SMGaugeConfig.zero(4, g2=-1.0)
     with pytest.raises(ValueError):

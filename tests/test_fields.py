@@ -5,7 +5,7 @@ import pytest
 
 from geodyn.fields import ChartField, DUAL, FD, _collect, scalar_field, constant_field
 from geodyn.jets import Jet, cosh, exp, sin, variables
-from geodyn.library import BUILTIN_FRAMES, make_builtin_frame
+from geodyn.library import BUILTIN_FRAMES
 from geodyn.tensors import Point
 
 
@@ -156,7 +156,7 @@ def _oracle_collect(obj, shape, n, order, pts=()):
 
 def _collect_cases():
     for name in sorted(BUILTIN_FRAMES):
-        yield name, make_builtin_frame(name).field
+        yield name, BUILTIN_FRAMES[name][0]().field
     yield "complex", ChartField(dim=2, shape=(2, 2), func=lambda c: [
         [c[0] * (1.0 + 2.0j), 0], [sin(c[1]), 3.0]])
     yield "complex-constant", ChartField(dim=2, shape=(2,), func=lambda c: [c[0], 0.5j])

@@ -32,13 +32,13 @@ def test_checked_det_and_inverse_guard():
 # -- the single-matrix LU path against the det-then-inv path it replaced -----
 
 
-def _oracle_checked_inverse(m, rel=1e-13):
+def _oracle_checked_inverse(m):
     """The former checked_inverse: numpy det for the guard, then numpy inv."""
     m = np.asarray(m)
     n = m.shape[-1]
     det = np.linalg.det(m)
     scale = np.sqrt((np.abs(m) ** 2).sum(axis=-1)).max(axis=-1, initial=1e-300)
-    if np.count_nonzero(abs(det) <= rel * scale ** n):
+    if np.count_nonzero(abs(det) <= 1e-13 * scale ** n):
         raise SingularMetricError("determinant below threshold")
     return np.linalg.inv(m)
 
@@ -112,7 +112,7 @@ def test_point_and_batch_paths_give_the_same_verdicts():
         point = _verdict(checked_inverse, m)
         assert point.split(" ")[0] == expected, name
         assert _verdict(_oracle_checked_inverse, m).split(" ")[0] == expected, name
-        # the LU determinant in the message, sign included, is numpy's to 4 digits
+        # the scaled LU determinant in the message, sign included, is numpy's to 4 digits
         assert _verdict(checked_det, m) == point, name
         assert _verdict(checked_inverse, m[None]) == (
             point if point == "ok" else point + " at batch index 0"), name
@@ -122,6 +122,28 @@ def test_exactly_singular_factorisation_is_reported_like_the_guard():
     for m in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])):
         with pytest.raises(SingularMetricError, match=r"^determinant .* below threshold"):
             checked_inverse(m)
+
+
+def test_guard_is_scale_free_up_to_the_float_range():
+    # finite metrics whose determinant overflows (1e640) or underflows
+    healthy = np.diag([-1.0, 2.0, 3.0, 4.0]) + 0.1 * np.ones((4, 4))
+    for scale in (1e160, 1e-160):
+        m = scale * healthy
+        for inv in (checked_inverse(m), checked_inverse(np.stack([m, m]))[1]):
+            assert np.allclose(inv @ m, np.eye(4), rtol=0.0, atol=1e-12)
+        with pytest.raises(ArithmeticError, match="determinant outside the float range"):
+            checked_det(m)
+
+
+def test_nan_and_inf_entries_are_rejected_with_a_reason():
+    for bad in (np.nan, np.inf, -np.inf):
+        # below the diagonal a NaN leaves LU's diagonal finite
+        m = np.array([[1.0, 0.0], [bad, 1.0]])
+        for fn in (checked_inverse, checked_det):
+            with pytest.raises(ValueError, match=r"^matrix has a NaN or inf entry$"):
+                fn(m)
+        with pytest.raises(ValueError, match="NaN or inf entry at batch index 1"):
+            checked_inverse(np.stack([np.eye(2), m]))
 
 
 def test_batch_error_names_the_first_failing_matrix():
