@@ -3,8 +3,8 @@
 The truncated action is M4 L^4 a0 + M2 L^2 a2 + M0 a4 with L^2 the energy
 scale.  Moment names are fixed by the pairing, not by any label: M4 is the
 first moment of the cutoff (it multiplies the volume term), M2 the zeroth
-moment, M0 the value at zero.  Every derived constant is produced from these
-three in one table so the mapping stays auditable.
+moment, M0 the value at zero; all three are exact.  Every derived constant is
+produced from these three in one table so the mapping stays auditable.
 
 Region integrals use trapezoidal quadrature on uniform grids; periodic axes
 use equal weights over [lo, hi).  The error estimate comes from recomputing
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 from .connection import (
     ETA,
@@ -72,12 +71,13 @@ PI2 = float(np.pi ** 2)
 
 @dataclass(frozen=True)
 class CutoffFunction:
-    """A nonnegative cutoff profile f on [0, inf) plus the energy scale L^2."""
+    """A nonnegative cutoff profile f on [0, inf), its exact moments
+    m4_m2 = (int u f du, int f du) over [0, inf), and the energy scale L^2."""
 
     name: str
     func: object
+    m4_m2: tuple
     lam_sq: float = 1.0
-    support: tuple | None = None    # finite integration window, if any
 
     def __post_init__(self):
         if self.lam_sq <= 0:
@@ -89,18 +89,18 @@ class CutoffFunction:
 
 def exponential_cutoff(lam_sq: float = 1.0) -> CutoffFunction:
     return CutoffFunction(name="exponential", func=lambda u: np.exp(-u),
-                          lam_sq=lam_sq)
+                          m4_m2=(1.0, 1.0), lam_sq=lam_sq)
 
 
 def sharp_cutoff(lam_sq: float = 1.0) -> CutoffFunction:
     return CutoffFunction(name="sharp-cutoff",
                           func=lambda u: 1.0 if u <= 1.0 else 0.0,
-                          lam_sq=lam_sq, support=(0.0, 1.0))
+                          m4_m2=(0.5, 1.0), lam_sq=lam_sq)
 
 
 def gaussian_cutoff(lam_sq: float = 1.0) -> CutoffFunction:
     return CutoffFunction(name="gaussian", func=lambda u: np.exp(-u * u),
-                          lam_sq=lam_sq)
+                          m4_m2=(0.5, float(np.sqrt(np.pi)) / 2.0), lam_sq=lam_sq)
 
 
 CUTOFF_BUILTINS = {
@@ -128,23 +128,9 @@ class Moments:
             raise ValueError("moments must be finite")
 
 
-# the largest relative error scipy's quad may report for a moment
-MOMENT_REL_TOL = 1e-8
-
-
 def moments(f: CutoffFunction) -> Moments:
     """First moment, zeroth moment and value at zero of the cutoff."""
-    lo, hi = f.support if f.support is not None else (0.0, np.inf)
-    m4, e4 = _scipy_integrate.quad(lambda u: f(u) * u, lo, hi)
-    m2, e2 = _scipy_integrate.quad(f, lo, hi)
-    for val, err, label in ((m4, e4, "first"), (m2, e2, "zeroth")):
-        if not np.isfinite(val):
-            raise ValueError(f"{label} moment diverges")
-        if abs(val) > 0 and err / abs(val) > MOMENT_REL_TOL:
-            raise ValueError(f"{label} moment quadrature error {err:.2e} "
-                             f"exceeds relative tolerance {MOMENT_REL_TOL:.1e}")
-    m0 = f(0.0)
-    return Moments(m4=float(m4), m2=float(m2), m0=float(m0), lam_sq=f.lam_sq)
+    return Moments(*f.m4_m2, m0=f(0.0), lam_sq=f.lam_sq)
 
 
 # -- region quadrature ----------------------------------------------------------

@@ -651,13 +651,19 @@ def _table_cutoff(diags, table, lam_sq):
         diags.append(Diagnostic("cutoff.table",
                                 "needs u and f number lists of equal length >= 2"))
         return None
-    if list(table["u"]) != sorted(table["u"]):
-        diags.append(Diagnostic("cutoff.table.u", "must be increasing"))
+    u, f = table["u"], table["f"]
+    if list(u) != sorted(u) or u[0] < 0:
+        diags.append(Diagnostic("cutoff.table.u", "must be increasing, from u[0] >= 0"))
         return None
-    u, f = np.asarray(table["u"]), np.asarray(table["f"])
+    # f[0] on [0, u[0]), linear between knots, 0 past u[-1]: exact segment sums
+    knots = list(zip((0.0,) + u, f[:1] + f))
+    m4 = m2 = 0.0
+    for (u0, f0), (u1, f1) in zip(knots, knots[1:]):
+        m4 += (u1 - u0) * (u0 * (2 * f0 + f1) + u1 * (f0 + 2 * f1)) / 6
+        m2 += (u1 - u0) * (f0 + f1) / 2
     return CutoffFunction(name="table",
                           func=lambda x: float(np.interp(x, u, f, left=f[0], right=0.0)),
-                          lam_sq=lam_sq, support=(float(u[0]), float(u[-1])))
+                          m4_m2=(m4, m2), lam_sq=lam_sq)
 
 
 # -- task entries and constants ----------------------------------------------------

@@ -12,6 +12,7 @@ the human-readable report only.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -92,6 +93,11 @@ def format_csv(result: TaskResult) -> str:
 # -- task implementations ---------------------------------------------------------
 
 
+def _worst(*values) -> float:
+    """The largest residual, NaN if any is NaN (Python's max can drop a NaN)."""
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 def _run_curvature(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     gm = scn.frame.metric()
     expected = task["expected_scalar"]
@@ -101,8 +107,8 @@ def _run_curvature(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
         ricci_max = float(np.abs(ct.ricci).max())
         res = abs(ct.scalar - expected) if expected is not None else 0.0
         if task["expect_vacuum"]:
-            res = max(res, ricci_max)
-        worst = max(worst, res)
+            res = _worst(res, ricci_max)
+        worst = _worst(worst, res)
         rows.append(tuple(p.coords) + (ct.scalar, ricci_max,
                                        expected if expected is not None else "",
                                        res))
@@ -128,7 +134,7 @@ def _run_geodesic(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
         dphi = traj.xs[-1, 3] - traj.xs[0, 3]
         omega_sq = (dphi / dt) ** 2
         orbit_res = abs(omega_sq - omega_sq_ref) / omega_sq_ref
-        worst = max(worst, orbit_res * task["tolerance"] / task["orbit_tolerance"])
+        worst = _worst(worst, orbit_res * task["tolerance"] / task["orbit_tolerance"])
         summary.update({"omega_sq": omega_sq, "omega_sq_ref": omega_sq_ref,
                         "orbit_rel_residual": orbit_res})
     stride = max(1, steps // task["csv_samples"])
@@ -162,9 +168,8 @@ def _run_action(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
                   for term, err in rep.quadrature["errors"].items()}}
     keep = task["expect_only"]
     if keep is not None:
-        stray = max((abs(v[2]) for k, v in rep.terms.items() if k != keep),
-                    default=0.0)
-        worst = max(worst, stray)
+        stray = _worst(*(abs(v[2]) for k, v in rep.terms.items() if k != keep))
+        worst = _worst(worst, stray)
         summary["largest_unexpected_term"] = stray
     rows = [(name,) + tuple(rep.terms[name]) for name in sorted(rep.terms)]
     return {"columns": ("term", "coefficient", "integral", "value"),
@@ -184,7 +189,7 @@ def _run_field_equations(scn: Scenario, task: dict, rng: np.random.Generator) ->
         fd_var = res.fd_report["full_vs_variational"]
         fd_rr = res.fd_report["rr_frozen_vol"]
         sm_fd = res.sm["fd_vs_algebraic"] if res.sm else 0.0
-        worst = max(worst, fd_var, fd_rr, sm_fd, res.symmetry_residual)
+        worst = _worst(worst, fd_var, fd_rr, sm_fd, res.symmetry_residual)
         rows.append(tuple(p.coords) + (
             fd_rr, fd_var, res.fd_report["full_vs_display"],
             float(np.abs(res.residual_variational).max()),
@@ -195,7 +200,7 @@ def _run_field_equations(scn: Scenario, task: dict, rng: np.random.Generator) ->
         "residual_variational_max", "residual_display_max",
         "symmetry_residual", "sm_fd_residual")
     if task["expect_zero_residual"]:
-        worst = max(worst, max(max(r[-4], r[-3]) for r in rows))
+        worst = _worst(worst, *(v for r in rows for v in (r[-4], r[-3])))
     return {"columns": cols, "rows": rows, "worst": worst,
             "summary": {"points": len(rows), "sm": bool(res.sm)}}
 
@@ -204,7 +209,7 @@ def _run_axioms(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     t = scn.triple
     report = check_axioms(t)
     rows = [(name, res, True) for name, res in report.residual_items()]
-    worst = report.worst()
+    worst = _worst(*(v for _, v in report.residual_items()))
     summary = {"label": t.label, "dim": t.dim,
                "first_order_claimed": t.first_order_claimed}
     if not t.first_order_claimed:
@@ -231,7 +236,7 @@ def _run_axioms(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
         proj = unimodular_projection(fl.hermitian())
         trace_res = abs(complex(np.trace(proj.matrix())))
         rows.append(("unimodular_trace", trace_res, True))
-        worst = max(worst, trace_res, herm if t.dirac_hermitian_claimed else 0.0)
+        worst = _worst(worst, trace_res, herm if t.dirac_hermitian_claimed else 0.0)
     return {"columns": ("axiom", "residual", "claimed"), "rows": rows,
             "worst": worst, "summary": summary}
 
@@ -252,8 +257,8 @@ def _run_limit_check(scn: Scenario, task: dict, rng: np.random.Generator) -> dic
                                  - ref.curvature(p).riemann).max())
         # gamma comparison has its own tighter tolerance; scale it onto the
         # shared residual axis so one pass/fail threshold covers the task
-        worst = max(worst, spin_route, r_res,
-                    g_res * (riemann_tol / gamma_tol))
+        worst = _worst(worst, spin_route, r_res,
+                       g_res * (riemann_tol / gamma_tol))
         rows.append(tuple(p.coords) + (g_res, r_res, spin_route))
     cols = tuple(scn.coordinates) + ("gamma_vs_reference",
                                      "riemann_vs_reference",
@@ -269,9 +274,9 @@ def _run_trace_oracle(scn: Scenario, task: dict, rng: np.random.Generator) -> di
     for p in task["points"]:
         f = curvature(scn.connection, p)
         rep = gauge_square_report(f)
-        worst = max(worst, rep.q_identity_residual, rep.trace_max)
-        display_worst = max(display_worst, rep.v_display_residual,
-                            rep.display_residual)
+        worst = _worst(worst, rep.q_identity_residual, rep.trace_max)
+        display_worst = _worst(display_worst, rep.v_display_residual,
+                               rep.display_residual)
         rows.append(tuple(p.coords) + (
             float(np.real(rep.s_q)), rep.w_sq, rep.q_identity_residual,
             float(np.real(rep.raw_v)), rep.v_display_residual,

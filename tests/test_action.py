@@ -24,6 +24,7 @@ from geodyn.action import (
     unification_scale,
     universal_action_form,
 )
+from geodyn.config import build_scenario
 from geodyn.connection import (
     HiggsField,
     SMGaugeConfig,
@@ -47,25 +48,54 @@ SPHERE_VOL = 4.0 * PI * np.cos(0.2)
 
 def test_cutoff_moments_closed_forms():
     exp_m = moments(exponential_cutoff())
-    assert abs(exp_m.m4 - 1.0) < 1e-12
-    assert abs(exp_m.m2 - 1.0) < 1e-12
+    assert exp_m.m4 == 1.0
+    assert exp_m.m2 == 1.0
     assert exp_m.m0 == 1.0
 
     sharp = moments(sharp_cutoff())
-    assert abs(sharp.m4 - 0.5) < 1e-13
-    assert abs(sharp.m2 - 1.0) < 1e-13
+    assert sharp.m4 == 0.5
+    assert sharp.m2 == 1.0
     assert sharp.m0 == 1.0
 
     gauss = moments(gaussian_cutoff(lam_sq=3.0))
-    assert abs(gauss.m4 - 0.5) < 1e-12
-    assert abs(gauss.m2 - np.sqrt(PI) / 2.0) < 1e-12
+    assert gauss.m4 == 0.5
+    assert gauss.m2 == np.sqrt(PI) / 2.0
     assert gauss.m0 == 1.0
     assert gauss.lam_sq == 3.0
 
 
+def _table_moments(u, f):
+    obj = builtin_config("flat-empty")
+    obj["cutoff"] = {"table": {"u": u, "f": f}}
+    return moments(build_scenario(obj).cutoff)
+
+
+def test_table_cutoff_moments_count_the_flat_start():
+    # the profile is f[0] on [0, u[0]): 1 on [0, 0.5), then 2(1 - u) to u = 1
+    m = _table_moments([0.5, 1.0], [1.0, 0.0])
+    assert m.m2 == 0.75
+    assert abs(m.m4 - 7.0 / 24.0) < 1e-15
+    assert m.m0 == 1.0
+
+
+def test_table_cutoff_moments_match_trapezoid_of_the_interpolant():
+    u = np.linspace(0.0, 40.0, 4001)
+    f = np.exp(-u)
+    m = _table_moments(u.tolist(), f.tolist())
+    assert abs(m.m2 - np.trapezoid(f, u)) < 1e-13
+    # u f(u) is quadratic on each segment, where the Richardson step from the
+    # trapezoid on the knots to the one on the halved grid (Simpson) is exact
+    half = np.linspace(0.0, 40.0, 8001)
+    coarse = np.trapezoid(u * f, u)
+    fine = np.trapezoid(half * np.interp(half, u, f), half)
+    assert abs(m.m4 - (4.0 * fine - coarse) / 3.0) < 1e-13
+    # and the interpolant is within O(h^2) of exp(-u)'s moments (1, 1)
+    assert abs(m.m2 - 1.0) < 1e-5 and abs(m.m4 - 1.0) < 1e-5
+
+
 def test_cutoff_construction_guards():
     with pytest.raises(ValueError):
-        CutoffFunction(name="x", func=lambda u: 1.0, lam_sq=0.0)
+        CutoffFunction(name="x", func=lambda u: 1.0, m4_m2=(1.0, 1.0), lam_sq=0.0)
 
 
 def test_integrate_scalar_exact_for_linear():

@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import geodyn
 from geodyn.cli import main
 from geodyn.config import SCHEMA_VERSION
 
@@ -172,3 +175,33 @@ def test_evaluation_errors_are_task_failures_not_tracebacks(tmp_path, capsys):
         assert not (out_dir / failed_csv).exists()
         for name in os.listdir(out_dir):
             os.remove(out_dir / name)
+
+
+def test_nan_residual_fails_its_task(tmp_path, capsys):
+    # a NaN gauge entry reaches only the Higgs covariant derivative, which no
+    # matrix guard sees; the NaN residual it leaves must not fold away as a pass
+    from geodyn.scenarios import builtin_config
+    obj = builtin_config("sm-trace-check")
+    obj["gauge"]["b"][0] = f"0.3*x + {NAN}"
+    cfg = tmp_path / "nan-gauge.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    assert _run(["validate", str(cfg)], capsys)[0] == 0
+    out_dir = tmp_path / "out"
+    code, _, _ = _run(["run", str(cfg), "--out", str(out_dir)], capsys)
+    assert code == 1
+    report = (out_dir / "report.txt").read_text(encoding="utf-8")
+    assert "[field-equations] fail: worst residual nan" in report
+
+
+def test_run_loads_no_quadrature_module(tmp_path):
+    # cutoff moments are closed forms: flat-empty's action task reads them
+    # without scipy.integrate, whose import alone costs a third of start-up
+    script = ("import sys\n"
+              "from geodyn.cli import main\n"
+              f"assert main(['run', 'flat-empty', '--out', {str(tmp_path)!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+    src = os.path.dirname(os.path.dirname(geodyn.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -174,6 +174,10 @@ def test_cutoff_diagnostics():
     obj = _minimal(cutoff={"table": {"u": [1.0, 0.5], "f": [1.0, 0.0]}})
     assert "cutoff.table.u" in _paths(validate_config(obj))
 
+    # the profile lives on [0, inf); a table reaching below 0 is no profile
+    obj = _minimal(cutoff={"table": {"u": [-1.0, 1.0], "f": [1.0, 0.0]}})
+    assert "cutoff.table.u" in _paths(validate_config(obj))
+
     obj = _minimal(cutoff={"builtin": "gaussian", "scale_sq": -2.0})
     assert "cutoff.scale_sq" in _paths(validate_config(obj))
 
