@@ -655,12 +655,19 @@ def _table_cutoff(diags, table, lam_sq):
     if list(u) != sorted(u) or u[0] < 0:
         diags.append(Diagnostic("cutoff.table.u", "must be increasing, from u[0] >= 0"))
         return None
+    if min(f) < 0:
+        diags.append(Diagnostic("cutoff.table.f", "must be nonnegative, as a cutoff profile is"))
+        return None
     # f[0] on [0, u[0]), linear between knots, 0 past u[-1]: exact segment sums
     knots = list(zip((0.0,) + u, f[:1] + f))
     m4 = m2 = 0.0
     for (u0, f0), (u1, f1) in zip(knots, knots[1:]):
         m4 += (u1 - u0) * (u0 * (2 * f0 + f1) + u1 * (f0 + 2 * f1)) / 6
         m2 += (u1 - u0) * (f0 + f1) / 2
+    if not (math.isfinite(m4) and math.isfinite(m2)):
+        diags.append(Diagnostic("cutoff.table", f"moments M4 = {m4}, M2 = {m2} "
+                                                "are not finite floats"))
+        return None
     return CutoffFunction(name="table",
                           func=lambda x: float(np.interp(x, u, f, left=f[0], right=0.0)),
                           m4_m2=(m4, m2), lam_sq=lam_sq)

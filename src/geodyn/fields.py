@@ -77,6 +77,29 @@ def _collect(obj, shape, n, order, pts=()):
     return val, d1, (d2[0] if d2 else None)
 
 
+def _real_entries(obj, m: int, n: int):
+    """(val, grad, None) of a rank-1 evaluator result at one point, order 1.
+
+    The m entries' values and gradients are written straight into float
+    arrays, the arrays _collect would build.  None when the result is not m
+    entries or an entry is complex, for _collect to handle.
+    """
+    if not isinstance(obj, (list, tuple, np.ndarray)) or len(obj) != m:
+        return None
+    vals, grad = [], np.zeros((m, n))
+    for i, e in enumerate(obj):
+        if isinstance(e, Jet):
+            if e.grad.dtype.kind == "c":
+                return None
+            grad[i] = e.grad
+            e = e.val
+        vals.append(e)
+    val = np.array(vals)
+    if val.shape != (m,) or val.dtype.kind not in "biuf":
+        return None
+    return val.astype(float, copy=False), grad, None
+
+
 @dataclass
 class ChartField:
     """Array-valued field on an n-dimensional chart.
@@ -132,8 +155,12 @@ class ChartField:
                 raise ValueError(f"point dimension {p.dim} != field dimension {self.dim}")
             if self.derivative_mode == FD:
                 return self._fd_jets(p, order)
-            xs = jets.variables(p.coords, order=order)
-            return _collect(self.func(xs), self.shape, self.dim, order)
+            obj = self.func(jets.variables(p.coords, order=order))
+            if order == 1 and len(self.shape) == 1:
+                res = _real_entries(obj, self.shape[0], self.dim)
+                if res is not None:
+                    return res
+            return _collect(obj, self.shape, self.dim, order)
         block = np.asarray(p, dtype=float)
         if block.shape[1:] != (self.dim,):
             raise ValueError(f"coordinate block of shape {block.shape}, expected (N, {self.dim})")

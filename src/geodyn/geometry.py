@@ -67,29 +67,46 @@ class VolumeElement:
 
 @dataclass
 class Vielbein:
-    """Frame field E^a_m together with the flat frame metric eta."""
+    """Frame field E^a_m together with the flat frame metric eta.
+
+    A field of shape (n,) is a diagonal frame, E = diag(field), stored as
+    its n entries; ``value`` and ``jets`` hand out the full (..., n, n)
+    matrices either way.
+    """
 
     field: ChartField
     signature: MinkowskiSignature
 
     def __post_init__(self):
         n = self.signature.dim
-        if self.field.shape != (n, n):
-            raise ValueError(f"vielbein field shape {self.field.shape} != ({n}, {n})")
+        if self.field.shape not in ((n,), (n, n)):
+            raise ValueError(f"vielbein field shape {self.field.shape} is neither "
+                             f"({n},) nor ({n}, {n})")
 
     @property
     def dim(self) -> int:
         return self.signature.dim
 
+    @property
+    def diagonal(self) -> bool:
+        return self.field.shape == (self.dim,)
+
     def value(self, p: Point) -> np.ndarray:
-        return np.asarray(self.field.raw(p.coords), dtype=float)
+        e = self.field.raw(p.coords)
+        if self.diagonal:
+            # object entries, so a complex one fails the float conversion
+            e = _on_diagonal(np.asarray(e, dtype=object), 0)
+        return np.asarray(e, dtype=float)
 
     def inverse(self, p: Point) -> np.ndarray:
         """Inverse frame e^m_a, with the determinant guard."""
         return checked_inverse(self.value(p))
 
     def jets(self, p, order: int = 2):
-        return self.field.jets(p, order=order)
+        res = self.field.jets(p, order=order)
+        if not self.diagonal:
+            return res
+        return tuple(None if a is None else _on_diagonal(a, k) for k, a in enumerate(res))
 
     def metric(self) -> "GeneralizedMetric":
         return GeneralizedMetric(dim=self.dim, vielbein=self)
@@ -208,6 +225,16 @@ class GeneralizedMetric:
             raise CoordinateConditionError(f"contracted Christoffel max |Gamma^b_ba| = "
                                            f"{worst:.3e} exceeds {COORDINATE_TOL:g}")
         return np.einsum("amna->mn", dgam) - np.einsum("bma,anb->mn", gam, gam)
+
+
+def _on_diagonal(d: np.ndarray, k: int) -> np.ndarray:
+    """The (..., n, n, <k derivative axes>) array whose diagonal holds the
+    entries d[..., m, <k axes>] of a diagonal frame, with zeros elsewhere."""
+    lead, n = d.ndim - k - 1, d.shape[-k - 1]
+    full = np.zeros(d.shape[:lead] + (n, n) + d.shape[lead + 1:], d.dtype)
+    i = np.arange(n)
+    full[(Ellipsis, i, i) + (slice(None),) * k] = d
+    return full
 
 
 def _unbatched(x):

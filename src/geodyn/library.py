@@ -7,10 +7,6 @@ and their keyword parameters.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .fields import ChartField
 from .geometry import Vielbein
 from .tensors import MAX_DIM, MinkowskiSignature
@@ -27,19 +23,21 @@ __all__ = [
 
 
 def diagonal_vielbein(entries, signature: MinkowskiSignature) -> Vielbein:
-    """Vielbein with E = diag(entries(x)); each entry is a callable of the coords."""
+    """Vielbein with E = diag(entries(x)); each entry is a callable of the coords.
+
+    The frame is stored as its diagonal: a shape-(n,) field whose evaluator
+    returns the n entries, which the geodesic stage reads directly and
+    ``Vielbein.value``/``jets`` expand to the n x n matrix.
+    """
     n = signature.dim
     if len(entries) != n:
         raise ValueError(f"need {n} diagonal entries, got {len(entries)}")
+    entries = tuple(entries)
 
     def func(coords):
-        out = np.zeros((n, n), dtype=object)
-        for i, f in enumerate(entries):
-            out[i, i] = f(coords)
-        return out
+        return [f(coords) for f in entries]
 
-    field = ChartField(dim=n, shape=(n, n), func=func)
-    return Vielbein(field=field, signature=signature)
+    return Vielbein(field=ChartField(dim=n, shape=(n,), func=func), signature=signature)
 
 
 def flat(dim: int = 4, signature: str = "lorentzian") -> Vielbein:
@@ -52,13 +50,7 @@ def flat(dim: int = 4, signature: str = "lorentzian") -> Vielbein:
         sig = MinkowskiSignature.euclidean(dim)
     else:
         raise ValueError(f"unknown signature {signature!r}")
-    eye = np.eye(dim)
-
-    def func(coords):
-        return eye
-
-    return Vielbein(field=ChartField(dim=dim, shape=(dim, dim), func=func),
-                    signature=sig)
+    return diagonal_vielbein([lambda c: 1.0] * dim, sig)
 
 
 def polar() -> Vielbein:

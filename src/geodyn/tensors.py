@@ -10,12 +10,10 @@ determinant and inverse of a metric or frame.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 MAX_DIM = 8
 
@@ -172,30 +170,10 @@ def _identity(n: int) -> np.ndarray:
 def checked_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse under the same singularity policy as :func:`checked_det`.
 
-    A single matrix costs one LAPACK ``gesv`` factorisation: it returns the
-    inverse, and the diagonal of its LU over the scale gives the scaled
-    determinant the guard tests (an exactly zero pivot makes it 0).  A batch
-    of matrices goes through numpy's batched ``det`` and ``inv``, as numpy
-    has no batched LU.
+    The guard, then numpy's ``inv``, for one matrix or a batch alike.  A
+    diagonal frame's geodesic stage applies the same rule to its metric's
+    diagonal without forming the matrix (geodesics.py).
     """
     m = np.asarray(m)
-    if m.ndim != 2:
-        _guard(m)
-        return np.linalg.inv(m)
-    n = m.shape[0]
-    # the row norms in Python floats, cheaper than numpy on one small matrix;
-    # hypot overflows only when the norm itself does
-    norms = [math.hypot(*row) for row in np.abs(m).tolist()]
-    if not all(map(math.isfinite, norms)):
-        raise _non_finite(m)
-    scale = max(1e-300, *norms)
-    # the complex routine for complex input, so no imaginary part is cast away
-    gesv = lapack.zgesv if m.dtype.kind == "c" else lapack.dgesv
-    lu, piv, inv, info = gesv(m, _identity(n))
-    scaled = math.prod([d / scale for d in lu.diagonal().tolist()])
-    if abs(scaled) <= SINGULAR_REL:
-        # the sign of the row permutation, for the message only; + 0.0 makes
-        # an exact zero unsigned, as slogdet's sign 0 does in the batch path
-        swaps = sum(map(operator.ne, piv.tolist(), range(n)))
-        raise _singular((-1) ** swaps * scaled + 0.0, n)
-    return inv
+    _guard(m)
+    return np.linalg.inv(m)

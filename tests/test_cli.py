@@ -194,12 +194,16 @@ def test_nan_residual_fails_its_task(tmp_path, capsys):
 
 
 def test_run_loads_no_quadrature_module(tmp_path):
-    # cutoff moments are closed forms: flat-empty's action task reads them
-    # without scipy.integrate, whose import alone costs a third of start-up
+    # cutoff moments are closed forms and a diagonal frame's geodesic stage
+    # inverts no matrix, so no builtin run imports any scipy module, whose
+    # import alone would cost most of start-up
     script = ("import sys\n"
               "from geodyn.cli import main\n"
-              f"assert main(['run', 'flat-empty', '--out', {str(tmp_path)!r}]) == 0\n"
-              "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+              "from geodyn.scenarios import BUILTIN_SCENARIOS\n"
+              "for name in BUILTIN_SCENARIOS:\n"
+              f"    out = {str(tmp_path)!r} + '/' + name\n"
+              "    assert main(['run', name, '--out', out]) == 0, name\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     src = os.path.dirname(os.path.dirname(geodyn.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env,

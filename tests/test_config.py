@@ -178,8 +178,20 @@ def test_cutoff_diagnostics():
     obj = _minimal(cutoff={"table": {"u": [-1.0, 1.0], "f": [1.0, 0.0]}})
     assert "cutoff.table.u" in _paths(validate_config(obj))
 
+    # a cutoff profile is nonnegative
+    obj = _minimal(cutoff={"table": {"u": [0.0, 1.0], "f": [-1.0, 0.0]}})
+    assert "cutoff.table.f" in _paths(validate_config(obj))
+
     obj = _minimal(cutoff={"builtin": "gaussian", "scale_sq": -2.0})
     assert "cutoff.scale_sq" in _paths(validate_config(obj))
+
+
+def test_overflowing_table_moments_are_a_diagnostic():
+    # every entry is a finite float, but M4 ~ 1e600 and M2 ~ 1e400 are not
+    obj = _minimal(cutoff={"table": {"u": [0.0, 1e200], "f": [1e200, 1e200]}})
+    diags = validate_config(obj)
+    assert [d.path for d in diags] == ["cutoff.table"]
+    assert "not finite" in diags[0].message
 
 
 def test_task_diagnostics():

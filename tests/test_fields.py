@@ -177,3 +177,32 @@ def test_collect_matches_the_stacking_oracle(name, field, order):
                 continue
             assert a.dtype == b.dtype and a.shape == b.shape, (name, pts)
             assert np.array_equal(a, b), (name, pts)
+
+
+def _rank1_cases():
+    yield from ((name, f) for name, f in _collect_cases() if len(f.shape) == 1)
+    yield "ints-and-constants", ChartField(dim=2, shape=(3,), func=lambda c: [1, c[0], 0.5])
+    yield "numpy-entries", ChartField(dim=2, shape=(2,),
+                                      func=lambda c: np.array([c[1] * c[0], 2.0], dtype=object))
+    yield "complex-value", ChartField(dim=2, shape=(2,), func=lambda c: [(c[0] - 1.0) ** 0.5, 1.0])
+    yield "complex-gradient", ChartField(dim=2, shape=(2,),
+                                         func=lambda c: [Jet(c[0].val, 1j * c[0].grad), c[1]])
+
+
+@pytest.mark.parametrize("name, field", list(_rank1_cases()))
+def test_rank1_point_jets_match_collect(name, field):
+    # order 1 at a Point fills val and grad from the entries, bypassing
+    # _collect for real entries; complex ones still take _collect's route
+    p = (0.7, 3.1, 1.2, 0.4)[:field.dim]
+    got = field.jets(Point(p), order=1)
+    ref = _collect(field.func(variables(p, order=1)), field.shape, field.dim, 1)
+    assert got[2] is None and ref[2] is None
+    for a, b in zip(got[:2], ref[:2]):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_rank1_point_jets_reject_a_wrong_entry_count():
+    field = ChartField(dim=2, shape=(2,), func=lambda c: [c[0], c[1], 1.0])
+    with pytest.raises(ValueError):
+        field.jets(Point((0.1, 0.2)), order=1)

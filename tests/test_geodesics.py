@@ -1,5 +1,7 @@
 """Geodesic integrator behavior on known solutions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from geodyn.fields import ChartField
 from geodyn.geodesics import Trajectory, integrate_geodesic, velocity_norm
 from geodyn.library import diagonal_vielbein, polar, schwarzschild, sphere2
 from geodyn.tensors import MinkowskiSignature, Point
+from test_geometry import diagonal_frames, matrix_twin
 
 
 def test_equator_is_a_great_circle():
@@ -162,15 +165,18 @@ def test_four_metric_passes_per_step(monkeypatch):
 
 
 def test_no_determinant_call_inside_the_loop(monkeypatch):
-    # the guard's determinant comes from the inverse's own LU factorisation
+    # a diagonal frame's stage guards with the scaled product of its metric's
+    # diagonal and inverts it entry by entry, so no matrix routine runs
     calls = []
-    det = np.linalg.det
 
-    def counted(m):
-        calls.append(np.shape(m))
-        return det(m)
+    def counting(fn):
+        def counted(m):
+            calls.append(np.shape(m))
+            return fn(m)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "det", counted)
+    monkeypatch.setattr(np.linalg, "det", counting(np.linalg.det))
+    monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
     g = schwarzschild(mass=1.0).metric()
     traj = integrate_geodesic(g, (0.0, 6.0, np.pi / 2, 0.0),
                               (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764),
@@ -213,3 +219,55 @@ def test_complex_frame_value_stops_the_run():
     assert traj.status == "singular"
     assert traj.message.startswith("complex metric value at (-")
     assert traj.xs.dtype == float and (traj.xs[:, 0] > 0.0).all()
+
+
+# -- the diagonal-frame stage against the general stage ------------------------
+
+
+STARTS = {
+    "flat": ((0.0, 1.0, -2.0, 0.5), (1.0, 0.0, -0.3, 0.0), 1.0, 40),
+    "polar": ((1.0, 0.0), (-1.0, 0.0), 2.0, 200),           # ends singular at r = 0
+    "sphere2": ((np.pi / 2, 0.0), (0.4, 0.8), 3.0, 200),
+    "schwarzschild": ((0.0, 6.0, np.pi / 2, 0.0),
+                      (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764), 20.0, 400),
+    "sphere2-cross-flat2": ((1.0, 0.0, 0.0, 0.0), (0.3, 0.4, 0.0, -0.2), 5.0, 200),
+    "expr-diagonal": ((0.3, 0.2, 0.0), (1.0, 0.1, 0.0), 2.0, 200),
+}
+
+
+def _bits(traj):
+    return (traj.status, traj.message, traj.ts.tobytes(), traj.xs.tobytes(),
+            traj.vs.tobytes(), traj.norms.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(STARTS))
+def test_diagonal_stage_matches_the_general_stage(name):
+    frame = diagonal_frames()[name]
+    x0, v0, t_max, steps = STARTS[name]
+    fast = integrate_geodesic(frame.metric(), x0, v0, t_max=t_max, steps=steps)
+    general = integrate_geodesic(matrix_twin(frame).metric(), x0, v0,
+                                 t_max=t_max, steps=steps)
+    assert _bits(fast) == _bits(general)
+    assert fast.status == ("singular" if name == "polar" else "ok")
+
+
+def _big(c):
+    return 1e150 * (1.0 + c[0] * c[0])
+
+
+@pytest.mark.parametrize("entries, x0, v0", [
+    ((lambda c: 1e200 * c[0], lambda c: 1.0), (1.0, 0.0), (1.0, 0.0)),  # e^2 overflows
+    ((lambda c: 1e308 * c[0] * c[0], lambda c: 1.0), (0.5, 0.0), (1.0, 0.0)),  # e finite
+    ((lambda c: 1e308 * c[0] * c[0], lambda c: 1.0), (1.0, 0.0), (1.0, 0.0)),  # grad e not
+    ((_big, _big), (0.0, 0.0), (10.0, 0.0)),  # a later stage overflows
+])
+def test_overflowing_diagonal_metric_stops_the_run_without_a_warning(entries, x0, v0):
+    frame = diagonal_vielbein(list(entries), MinkowskiSignature.euclidean(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_geodesic(frame.metric(), x0, v0, t_max=10.0, steps=20)
+        general = integrate_geodesic(matrix_twin(frame).metric(), x0, v0,
+                                     t_max=10.0, steps=20)
+    assert traj.status == "singular"
+    assert traj.message.startswith("non-finite metric value at (")
+    assert _bits(traj) == _bits(general)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from geodyn.config import build_scenario
 from geodyn.fields import ChartField, FD
 from geodyn.geometry import (
     CompatibilityResidual,
@@ -21,7 +22,7 @@ from geodyn.geometry import (
     spin_connection,
 )
 from geodyn.jets import cos, sin
-from geodyn.library import flat, polar, schwarzschild, sphere2
+from geodyn.library import BUILTIN_FRAMES, flat, polar, schwarzschild, sphere2
 from geodyn.tensors import MinkowskiSignature, Point
 
 
@@ -355,3 +356,69 @@ def test_sigma_matrices_are_built_once_per_signature_and_read_only():
     # the cached array holds exactly what a fresh build gives
     fresh = sigma_matrices.__wrapped__(MinkowskiSignature.lorentzian(4))
     assert np.array_equal(sig, fresh)
+
+
+# -- diagonal frames: stored as n entries, expanded to the n x n matrix -------
+
+
+def matrix_twin(frame: Vielbein) -> Vielbein:
+    """The same frame as an n x n field with its entries on the diagonal of an
+    object matrix, which is how diagonal frames were once stored."""
+    n, field = frame.dim, frame.field
+
+    def func(c):
+        out = np.zeros((n, n), dtype=object)
+        for i, entry in enumerate(field.func(c)):
+            out[i, i] = entry
+        return out
+
+    return Vielbein(ChartField(dim=field.dim, shape=(n, n), func=func), frame.signature)
+
+
+def diagonal_frames() -> dict:
+    out = {name: make() for name, (make, _) in BUILTIN_FRAMES.items()}
+    out["expr-diagonal"] = build_scenario({
+        "schema": "geodyn-config-v1",
+        "chart": {"dimension": 3, "signature": "lorentzian",
+                  "box": {"lo": [0.0] * 3, "hi": [1.0] * 3}},
+        "frame": {"diagonal": ["1 + 0.1*x0^2", "exp(0.2*x1)", "-1 - 0.3*sin(x0*x2)"]},
+        "tasks": [{"type": "curvature-at-points", "points": [[0.5] * 3]}],
+    }).frame
+    return out
+
+
+def _same_bits(got, want):
+    # dtype, shape and bytes, so the sign of every zero counts too
+    if want is None:
+        return got is None
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(diagonal_frames()))
+def test_diagonal_frame_expands_to_the_object_matrix_evaluation(name):
+    frame = diagonal_frames()[name]
+    assert frame.diagonal and frame.field.shape == (frame.dim,)
+    twin = matrix_twin(frame)
+    assert not twin.diagonal
+    p = (0.7, 3.1, 1.2, 0.4)[:frame.dim]
+    block = np.array([p, tuple(x + 0.01 for x in p), tuple(x - 0.02 for x in p)])
+    assert _same_bits(frame.value(Point(p)), twin.value(Point(p)))
+    for where in (Point(p), block):
+        for order in (1, 2):
+            got, want = frame.jets(where, order=order), twin.jets(where, order=order)
+            assert all(_same_bits(a, b) for a, b in zip(got, want)), (where, order)
+
+
+def test_diagonal_frame_value_rejects_a_complex_entry_as_the_matrix_did():
+    frame = Vielbein(ChartField(dim=2, shape=(2,), func=lambda c: [1.0, 2.0j]),
+                     MinkowskiSignature.euclidean(2))
+    for e in (frame, matrix_twin(frame)):
+        with pytest.raises(TypeError):
+            e.value(Point((0.1, 0.2)))
+
+
+def test_vielbein_field_must_be_the_diagonal_or_the_matrix():
+    sig = MinkowskiSignature.euclidean(2)
+    for shape in ((3,), (2, 3), (2, 2, 2)):
+        with pytest.raises(ValueError, match="vielbein field shape"):
+            Vielbein(ChartField(dim=2, shape=shape, func=lambda c: 0), sig)

@@ -29,7 +29,7 @@ def test_checked_det_and_inverse_guard():
     assert abs(checked_det(2.0 * np.eye(2)) - 4.0) < 1e-15
 
 
-# -- the single-matrix LU path against the det-then-inv path it replaced -----
+# -- checked_inverse against the det-then-inv oracle ---------------------------
 
 
 def _oracle_checked_inverse(m):
@@ -71,8 +71,7 @@ def test_single_inverse_is_bit_equal_to_numpy():
 
 
 def test_single_inverse_of_larger_charts_matches_numpy_closely():
-    # two LAPACK builds may block an LU of order 6..8 differently, so the
-    # last bits may move there; the values still agree to rounding
+    # past the guard the inverse is numpy's, on the largest charts too
     rng = np.random.default_rng(12)
     for n in (6, 7, 8):
         for c in (False, True):
@@ -112,7 +111,7 @@ def test_point_and_batch_paths_give_the_same_verdicts():
         point = _verdict(checked_inverse, m)
         assert point.split(" ")[0] == expected, name
         assert _verdict(_oracle_checked_inverse, m).split(" ")[0] == expected, name
-        # the scaled LU determinant in the message, sign included, is numpy's to 4 digits
+        # one guard serves both, so the message, sign included, is checked_det's
         assert _verdict(checked_det, m) == point, name
         assert _verdict(checked_inverse, m[None]) == (
             point if point == "ok" else point + " at batch index 0"), name
