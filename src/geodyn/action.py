@@ -282,7 +282,8 @@ class HeatKernelData:
     the assembled connection blockwise (gravity, gauge, Higgs, with unit
     reparametrization constants), "metric" uses sigma^2 times the squared
     Riemann tensor of the generalized metric, which is the form the compact
-    universal action assumes.  In blocks mode the volume comes from the
+    universal action assumes; sigma^2 = n(n-1) follows from the frame's
+    signature.  In blocks mode the volume comes from the
     connection's own frame, which should be the one metric is built from;
     metric then serves only the E term.
     """
@@ -291,7 +292,6 @@ class HeatKernelData:
     connection: ConnectionForm | None = None
     e_term: ChartField | None = None
     aa_mode: str = "blocks"
-    sigma_sq: float | None = None
 
     def __post_init__(self):
         if self.aa_mode not in ("blocks", "metric"):
@@ -299,14 +299,11 @@ class HeatKernelData:
         if self.aa_mode == "blocks" and self.connection is None:
             raise ValueError("blocks mode needs an assembled connection")
 
-    def resolved_sigma_sq(self) -> float:
-        if self.sigma_sq is not None:
-            return float(self.sigma_sq)
-        sig = (self.connection.vielbein.signature if self.connection is not None
-               else getattr(self.metric.vielbein, "signature", None))
-        if sig is None:
-            raise ValueError("sigma_sq not supplied and no vielbein to infer it from")
-        return sigma_squared(sig)[0]
+    def sigma_sq(self) -> float:
+        e = self.connection.vielbein if self.connection is not None else self.metric.vielbein
+        if e is None:
+            raise ValueError("sigma^2 needs a vielbein to take the signature from")
+        return sigma_squared(e.signature)[0]
 
 
 @dataclass
@@ -339,7 +336,7 @@ def heat_kernel_coefficients(data: HeatKernelData, region: Region,
     a0 = (1/16 pi^2) int vol; a2 = (1/16 pi^2) int E vol;
     a4 = (1/192 pi^2) int (6 E^2 + 2 lap E + AA) vol.
     """
-    sig_sq = data.resolved_sigma_sq() if data.aa_mode == "metric" else None
+    sig_sq = data.sigma_sq() if data.aa_mode == "metric" else None
 
     def density(block):
         if data.aa_mode == "blocks":

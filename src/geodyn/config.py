@@ -722,7 +722,6 @@ _TASK_ENTRIES = {
         "tolerance": (_number, 1e-10),
         "form": (_choice("spectral", "riemannian-limit"), "spectral"),
         "aa_mode": (_choice("metric", "blocks"), "metric"),
-        "sigma_sq": (_number, None),
         "expect_only": (_text, None),  # the name of the one term expected nonzero
     },
     "field-equations": {

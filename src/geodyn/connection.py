@@ -15,10 +15,16 @@ field strengths are kept algebraically consistent with the matrix curvature
 of each block (the V block's gluon field strength carries the orientation
 of -V', i.e. the structure-constant term enters with a minus sign).
 
+``curvature`` evaluates what the squared curvature reads: the metric
+curvature of the vielbein (gamma, its inverse, Ricci, Riemann), the component
+field strengths of the gauge block and the Higgs data.  The square reads the
+gravity block only through the Ricci tensor, so that block is not assembled;
+the gauge block's matrix two-forms are derived from the components when read.
 ``curvature`` also takes an (N, dim) coordinate block, which adds a leading
 point axis to every result, so a quadrature density makes one jet pass per
-field per block.  Its independent self-checks are ``curvature_checks``, which
-tests and the limit-check task run, not every quadrature point.
+field per block.  Its independent self-check is ``gauge_route_check``; the
+frame's own check is ``geometry.frame_curvature_check``.  Tests and the
+limit-check task run them, not every quadrature point.
 
 The Higgs block's scale alpha (``ConnectionForm.alpha``) is the connection's
 one settable constant.  The paper fixes the rest: the Higgs coupling matrix
@@ -29,12 +35,12 @@ size N_SPINOR = 4 of the gravity block's spinor leg.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fields import ChartField
-from .geometry import (CurvatureTensors, Vielbein, _unbatched, frame_geometry,
-                       sigma_matrices)
+from .geometry import CurvatureTensors, Vielbein, _unbatched
 from .tensors import Point
 
 __all__ = [
@@ -54,7 +60,7 @@ __all__ = [
     "SECTOR_MULTIPLICITIES",
     "assemble_connection",
     "curvature",
-    "curvature_checks",
+    "gauge_route_check",
     "curvature_of_potential",
     "transform_potential",
     "bianchi_residual",
@@ -143,20 +149,22 @@ class SMGaugeConfig:
         bv = np.asarray(self.b.numeric(p.coords), dtype=float)
         wv = np.asarray(self.w.numeric(p.coords), dtype=float)
         gv = np.asarray(self.g.numeric(p.coords), dtype=float)
-        return _gauge_blocks(bv, wv, gv, self.g1, self.g2, self.g3)
+        return _gauge_blocks(bv, wv.T, gv.T, self.g1, self.g2, self.g3)
 
 
-def _gauge_blocks(bv, wv, gv, g1, g2, g3) -> dict:
-    n = bv.shape[0]
-    lam = 0.5j * g1 * bv                                   # scalar per m
-    q = -0.5j * g2 * np.einsum("aij,am->mij", PAULI, wv)
-    vprime = -0.5j * g3 * np.einsum("aij,am->mij", GELL_MANN, gv)
-    v = -vprime - np.einsum("m,ij->mij", lam / 3.0, np.eye(3, dtype=complex))
-    full = np.zeros((n, 6, 6), dtype=complex)
-    full[:, 0, 0] = lam
-    full[:, 1:3, 1:3] = q
-    full[:, 3:6, 3:6] = v
-    return {"lam": lam, "q": q, "vprime": vprime, "v": v, "full": full}
+def _gauge_blocks(b, w, g, g1, g2, g3) -> dict:
+    """The blocks of diag(Lambda, Q, V) from the components b[...], w[..., a]
+    and g[..., a], component axis last: [m] on the potentials, [..., m, n] on
+    the field strengths.  Each block gains trailing matrix axes."""
+    lam = 0.5j * g1 * b
+    q = -0.5j * g2 * np.einsum("aij,...a->...ij", PAULI, w)
+    v = (0.5j * g3 * np.einsum("aij,...a->...ij", GELL_MANN, g)
+         - (lam / 3.0)[..., None, None] * np.eye(3))
+    full = np.zeros(lam.shape + (6, 6), dtype=complex)
+    full[..., 0, 0] = lam
+    full[..., 1:3, 1:3] = q
+    full[..., 3:6, 3:6] = v
+    return {"lam": lam, "q": q, "v": v, "full": full}
 
 
 @dataclass
@@ -253,27 +261,20 @@ def assemble_connection(vielbein: Vielbein, sm: SMGaugeConfig, higgs: HiggsField
 # -- curvature ---------------------------------------------------------------
 
 
-@dataclass
-class CurvatureForm:
-    """All blocks of F = dA + A^A at a point, plus the metric data needed to
-    square them.  Two-form blocks are stored [m, n, ...] antisymmetric in
-    (m, n); component field strengths are stored [a, m, n].  Evaluated on an
-    (N, dim) block, every array gains a leading point axis, higgs_potential
-    and the scalar methods give (N,) arrays, and point is the block."""
+@dataclass(frozen=True)
+class CurvatureForm(CurvatureTensors):
+    """F = dA + A^A at a point as its square reads it: the metric curvature
+    of the vielbein (the CurvatureTensors fields), the component field
+    strengths of the gauge block, stored [a, m, n] antisymmetric in (m, n),
+    and the Higgs data.  The gauge block's matrix two-forms, stored
+    [m, n, i, j], are derived from the components when first read.  Evaluated
+    on an (N, dim) block, every array gains a leading point axis,
+    higgs_potential and the scalar methods give (N,) arrays, and point is the
+    block."""
 
-    point: Point | np.ndarray
-    gamma: np.ndarray
-    gamma_inv: np.ndarray
-    ricci: np.ndarray
-    riemann: np.ndarray
-    grav: np.ndarray            # (n, n, s, s): 1/2 sigma_ab Rf^{ab}_{mn}
     b_f: np.ndarray             # (n, n) abelian field strength
     w_f: np.ndarray             # (3, n, n)
     g_f: np.ndarray             # (8, n, n), V-block orientation
-    lam_f: np.ndarray           # (n, n) complex
-    q_f: np.ndarray             # (n, n, 2, 2)
-    v_f: np.ndarray             # (n, n, 3, 3)
-    gauge_full: np.ndarray      # (n, n, 6, 6)
     higgs_kinetic: np.ndarray   # (n, 2, 2): D_m H
     higgs_value: np.ndarray     # (2, 2)
     higgs_potential: float      # |H|^2 - c^2
@@ -281,15 +282,23 @@ class CurvatureForm:
     couplings: tuple            # (g1, g2, g3)
     alpha: float                # the connection's Higgs scale
 
+    @cached_property
+    def _gauge_forms(self) -> dict:
+        return _gauge_blocks(self.b_f, np.moveaxis(self.w_f, -3, -1),
+                             np.moveaxis(self.g_f, -3, -1), *self.couplings)
+
+    lam_f = property(lambda self: self._gauge_forms["lam"])        # (n, n) complex
+    q_f = property(lambda self: self._gauge_forms["q"])            # (n, n, 2, 2)
+    v_f = property(lambda self: self._gauge_forms["v"])            # (n, n, 3, 3)
+    gauge_full = property(lambda self: self._gauge_forms["full"])  # (n, n, 6, 6)
+
     @property
     def b_components(self) -> np.ndarray:
         """b_f with a one-entry component axis, laid out like w_f and g_f."""
         return self.b_f[..., None, :, :]
 
     def antisymmetry_residual(self) -> float:
-        worst = 0.0
-        for blk in (self.grav, self.gauge_full):
-            worst = max(worst, float(np.abs(blk + blk.swapaxes(-4, -3)).max()))
+        worst = float(np.abs(self.gauge_full + self.gauge_full.swapaxes(-4, -3)).max())
         for comp in (self.b_components, self.w_f, self.g_f):
             worst = max(worst, float(np.abs(comp + comp.swapaxes(-1, -2)).max()))
         return worst
@@ -305,8 +314,6 @@ class CurvatureForm:
         up = np.einsum("...nb,...cmb->...cmn", self.gamma_inv,
                        np.einsum("...ma,...cab->...cmb", self.gamma_inv, comp))
         return _unbatched(np.real(np.einsum("...cmn,...cmn->...", comp, up)))
-
-    ricci_squared = CurvatureTensors.ricci_squared
 
     def higgs_kinetic_scalar(self) -> float:
         """|DH|^2 = (1/2) Tr(D_m H (D_n H)^dagger) gamma^{mn}."""
@@ -395,21 +402,13 @@ def _gauge_jets(sm: SMGaugeConfig, p) -> tuple:
 
 
 def curvature(a: ConnectionForm, p) -> CurvatureForm:
-    """Evaluate every block of F = dA + A^A at p.
+    """Evaluate F = dA + A^A at p as its square reads it.
 
-    ``p`` is a Point or an (N, dim) block: one order-2 frame jet pass and one
-    order-1 pass each over B, W, G and H.  The gravity block is half the
-    sigma-contracted frame curvature.
+    ``p`` is a Point or an (N, dim) block: one order-2 jet pass over the
+    frame for the metric curvature and one order-1 pass each over B, W, G
+    and H.
     """
-    e = a.vielbein
-    n = a.dim
-    fg = frame_geometry(e, p)
-    sig = sigma_matrices(e.signature)
-    # grav[m, n] = 1/2 sigma_ab Rf^{ab}_{mn}, one matrix product over the (a, b) pairs
-    rf = fg.frame_curvature.reshape(fg.frame_curvature.shape[:-4] + (n * n, n * n))
-    grav = (0.5 * (rf.swapaxes(-1, -2) @ sig.reshape(n * n, -1))).reshape(
-        rf.shape[:-2] + (n, n) + sig.shape[-2:])
-
+    ct = a.vielbein.metric().curvature(p)
     (bv, bd), (wv, wd), (gv, gd) = _gauge_jets(a.sm, p)
     g1, g2, g3 = a.sm.g1, a.sm.g2, a.sm.g3
 
@@ -417,16 +416,6 @@ def curvature(a: ConnectionForm, p) -> CurvatureForm:
     b_f = bd.swapaxes(-1, -2) - bd
     w_f = wd.swapaxes(-1, -2) - wd + g2 * _structure_product(_EPS3, wv)
     g_f = gd.swapaxes(-1, -2) - gd - g3 * _structure_product(_F_SU3, gv)
-
-    lam_f = 0.5j * g1 * b_f.astype(complex)
-    q_f = -0.5j * g2 * np.einsum("aij,...amn->...mnij", PAULI, w_f.astype(complex))
-    v_f = (0.5j * g3 * np.einsum("aij,...amn->...mnij", GELL_MANN, g_f.astype(complex))
-           - (lam_f / 3.0)[..., None, None] * np.eye(3))
-
-    gauge_full = np.zeros(lam_f.shape + (6, 6), dtype=complex)
-    gauge_full[..., 0, 0] = lam_f
-    gauge_full[..., 1:3, 1:3] = q_f
-    gauge_full[..., 3:6, 3:6] = v_f
 
     hv, hd, _ = a.higgs.h.jets(p, order=1)
     hv = np.asarray(hv, dtype=complex)
@@ -439,19 +428,10 @@ def curvature(a: ConnectionForm, p) -> CurvatureForm:
     pot = np.real(np.einsum("...ij,...ij->...", hv.conj(), hv)) / 2.0 - a.higgs.c ** 2
 
     return CurvatureForm(
-        point=p,
-        gamma=fg.gamma,
-        gamma_inv=fg.gamma_inv,
-        ricci=fg.ricci,
-        riemann=fg.riemann,
-        grav=grav,
+        **vars(ct),
         b_f=b_f,
         w_f=w_f,
         g_f=g_f,
-        lam_f=lam_f,
-        q_f=q_f,
-        v_f=v_f,
-        gauge_full=gauge_full,
         higgs_kinetic=dh,
         higgs_value=hv,
         higgs_potential=_unbatched(pot),
@@ -466,31 +446,19 @@ def _structure_product(f_abc: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...acm,...cn->...amn", np.einsum("abc,...bm->...acm", f_abc, v), v)
 
 
-def curvature_checks(a: ConnectionForm, p: Point) -> tuple:
-    """(frame_check, route_check): independent routes to curvature(a, p).
-
-    frame_check: frame curvature against the coordinate Riemann tensor pushed
-    to frame indices.  route_check: the su(2) and su(3) blocks of curvature
-    against curvature_of_potential of the matrix potentials.
-    """
-    fg = frame_geometry(a.vielbein, p)
-    eup = np.linalg.inv(fg.e) @ a.vielbein.signature.matrix
-    rf_ref = np.einsum("ar,sb,rsmn->abmn", fg.e, eup, fg.riemann)
-    frame_check = float(np.abs(fg.frame_curvature - rf_ref).max())
-
+def gauge_route_check(a: ConnectionForm, p: Point) -> float:
+    """The su(2) and su(3) blocks of curvature(a, p), built from the
+    structure constants, against curvature_of_potential of the matrix
+    potentials, built from the commutator."""
     f = curvature(a, p)
     (bv, bd), (wv, wd), (gv, gd) = _gauge_jets(a.sm, p)
-    g1, g2, g3 = f.couplings
-    blocks = _gauge_blocks(bv, wv, gv, g1, g2, g3)
-    dq = -0.5j * g2 * np.einsum("aij,ams->mijs", PAULI, wd)
-    dvprime = -0.5j * g3 * np.einsum("aij,ams->mijs", GELL_MANN, gd)
-    dlam = 0.5j * g1 * bd
-    dv = -dvprime - np.einsum("ms,ij->mijs", dlam / 3.0, np.eye(3, dtype=complex))
-    q_direct = curvature_of_potential(blocks["q"], dq)
-    v_direct = curvature_of_potential(blocks["v"], dv)
-    route_check = max(float(np.abs(q_direct - f.q_f).max()),
-                      float(np.abs(v_direct - f.v_f).max()))
-    return frame_check, route_check
+    pot = _gauge_blocks(bv, wv.T, gv.T, *f.couplings)
+    # the map is linear, so it also takes d_s A_m to the matrices, [m, s, i, j]
+    dpot = _gauge_blocks(bd, np.moveaxis(wd, 0, -1), np.moveaxis(gd, 0, -1),
+                         *f.couplings)
+    return max(float(np.abs(curvature_of_potential(pot[k], np.moveaxis(dpot[k], 1, -1))
+                            - form).max())
+               for k, form in (("q", f.q_f), ("v", f.v_f)))
 
 
 def higgs_covariant_derivative(sm: SMGaugeConfig, higgs: HiggsField,

@@ -15,12 +15,15 @@ evaluate on plain numbers and on jet values alike, so configured fields get
 exact derivatives for free.
 
 Parsing reuses the Python grammar through ast with a strict whitelist; any
-node outside the grammar above is rejected with a position.
+node outside the grammar above is rejected with a position, and so is any
+coordinate-free subexpression that is not a finite number (``1e999``,
+``1/0``, ``1e308*1e308``).
 """
 
 from __future__ import annotations
 
 import ast
+import cmath
 from dataclasses import dataclass
 
 from . import jets as _jets
@@ -112,14 +115,33 @@ def _where(node: ast.AST, source: str) -> str:
     return f" at offset {col} in {source!r}" if col is not None else f" in {source!r}"
 
 
+def _constant(node: ast.AST, source: str, fn, *args):
+    """fn(*args), the value of a node whose arguments are free of coordinates
+    (None if one is not); ExpressionError at its offset unless it is finite."""
+    if None in args:
+        return None
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError) as e:
+        raise ExpressionError(f"constant cannot be evaluated ({e}){_where(node, source)}") from None
+    if not cmath.isfinite(value):
+        raise ExpressionError(f"constant evaluates to {value}{_where(node, source)}")
+    return value
+
+
 def _validate(node: ast.AST, coords: tuple, source: str):
+    """Check node against the grammar; return its value if it is free of
+    coordinates, else None.  Literals are taken as floats, so a huge integer
+    power overflows at once instead of being computed."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ExpressionError(f"non-numeric literal{_where(node, source)}")
-        return
+        return _constant(node, source, float, node.value)
     if isinstance(node, ast.Name):
-        if node.id in coords or node.id in CONSTANTS:
-            return
+        if node.id in coords:
+            return None
+        if node.id in CONSTANTS:
+            return CONSTANTS[node.id]
         if node.id in FUNCTIONS:
             raise ExpressionError(
                 f"function '{node.id}' used without arguments{_where(node, source)}")
@@ -128,23 +150,23 @@ def _validate(node: ast.AST, coords: tuple, source: str):
         if type(node.op) not in _BINOPS:
             raise ExpressionError(
                 f"operator {type(node.op).__name__} not allowed{_where(node, source)}")
-        _validate(node.left, coords, source)
-        _validate(node.right, coords, source)
-        return
+        return _constant(node, source, _BINOPS[type(node.op)],
+                         _validate(node.left, coords, source),
+                         _validate(node.right, coords, source))
     if isinstance(node, ast.UnaryOp):
         if type(node.op) not in _UNARYOPS:
             raise ExpressionError(
                 f"operator {type(node.op).__name__} not allowed{_where(node, source)}")
-        _validate(node.operand, coords, source)
-        return
+        return _constant(node, source, _UNARYOPS[type(node.op)],
+                         _validate(node.operand, coords, source))
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in FUNCTIONS:
             raise ExpressionError(f"unknown function{_where(node, source)}")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError(
                 f"'{node.func.id}' takes exactly one argument{_where(node, source)}")
-        _validate(node.args[0], coords, source)
-        return
+        return _constant(node, source, FUNCTIONS[node.func.id],
+                         _validate(node.args[0], coords, source))
     raise ExpressionError(
         f"{type(node).__name__} not part of the expression grammar{_where(node, source)}")
 

@@ -36,6 +36,7 @@ __all__ = [
     "SpinConnection",
     "FrameGeometry",
     "frame_geometry",
+    "frame_curvature_check",
     "DiracMatrices",
     "VolumeElement",
     "CompatibilityResidual",
@@ -398,14 +399,13 @@ class FrameGeometry:
     omega: np.ndarray
     domega: np.ndarray
     frame_curvature: np.ndarray
-    volume: float
 
 
 def frame_geometry(e: Vielbein, p) -> FrameGeometry:
     """Metric, curvature and frame connection from one order-2 pass over E.
 
     ``p`` is a Point or an (N, dim) block; a block adds a leading point axis
-    to every array, and ``scalar`` and ``volume`` become (N,) arrays.
+    to every array, and ``scalar`` becomes an (N,) array.
     """
     eta = e.signature.matrix
     e_val, de, dde = e.jets(p, order=2)
@@ -427,11 +427,19 @@ def frame_geometry(e: Vielbein, p) -> FrameGeometry:
     quad = np.einsum("...adm,...dbn->...abmn", np.einsum("...acm,cd->...adm", omega, eta),
                      omega)
     frame_curv = (domega.swapaxes(-1, -2) - domega + quad - quad.swapaxes(-1, -2))
-    vol = _unbatched(np.sqrt(np.abs(checked_det(gm))))
     return FrameGeometry(point=p, e=e_val, gamma=gm, gamma_inv=ginv,
                          christoffel=gam, riemann=riem,
                          ricci=ricci, scalar=scalar, omega=omega, domega=domega,
-                         frame_curvature=frame_curv, volume=vol)
+                         frame_curvature=frame_curv)
+
+
+def frame_curvature_check(e: Vielbein, p: Point) -> float:
+    """Max |frame curvature - Riemann tensor pushed to frame indices| at p:
+    the frame connection's route to the curvature against the metric's."""
+    fg = frame_geometry(e, p)
+    eup = np.linalg.inv(fg.e) @ e.signature.matrix
+    rf_ref = np.einsum("ar,sb,rsmn->abmn", fg.e, eup, fg.riemann)
+    return float(np.abs(fg.frame_curvature - rf_ref).max())
 
 
 # -- Dirac matrices ----------------------------------------------------------

@@ -22,9 +22,9 @@ from .action import (FieldEquationInput, HeatKernelData,
                      field_equation_residual, heat_kernel_coefficients,
                      moments, riemannian_limit_action, spectral_action)
 from .config import Scenario, build_scenario
-from .connection import (HiggsField, SMGaugeConfig, assemble_connection,
-                         curvature, curvature_checks, gauge_square_report)
+from .connection import curvature, gauge_square_report
 from .geodesics import integrate_geodesic
+from .geometry import frame_curvature_check
 from .tensors import MAX_DIM
 from .triples import (check_axioms, fluctuate, fluctuation_space,
                       inner_fluctuations, unimodular_projection)
@@ -155,11 +155,10 @@ def _run_action(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
             n_r=consts["n_r"], n_h=consts["n_h"])
     else:
         data = HeatKernelData(metric=scn.frame.metric(),
-                              connection=scn.connection,
-                              aa_mode=task["aa_mode"], sigma_sq=task["sigma_sq"])
+                              connection=scn.connection, aa_mode=task["aa_mode"])
         coeffs = heat_kernel_coefficients(data, scn.region, scn.grid)
         rep = spectral_action(
-            m, coeffs, sigma_sq=task["sigma_sq"],
+            m, coeffs, sigma_sq=data.sigma_sq() if data.aa_mode == "metric" else None,
             alpha=scn.connection.alpha if scn.connection else None,
             higgs_c=scn.connection.higgs.c if scn.connection else None)
     worst = rep.sum_residual()
@@ -245,11 +244,9 @@ def _run_limit_check(scn: Scenario, task: dict, rng: np.random.Generator) -> dic
     gm = scn.frame.metric()
     gamma_tol, riemann_tol = task["gamma_tolerance"], task["tolerance"]
     ref = task["reference"]
-    conn = scn.connection or assemble_connection(
-        scn.frame, SMGaugeConfig.zero(scn.dim), HiggsField.zero(scn.dim, c=0.0))
     rows, worst = [], 0.0
     for p in task["points"]:
-        spin_route, _ = curvature_checks(conn, p)
+        spin_route = frame_curvature_check(scn.frame, p)
         g_res, r_res = 0.0, 0.0
         if ref is not None:
             g_res = float(np.abs(gm.value(p) - ref.value(p)).max())

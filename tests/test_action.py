@@ -409,6 +409,16 @@ def _sphere2_limit_check(matrix, points, **tolerances):
     return run_scenario(obj).results[0]
 
 
+def test_spectral_task_takes_sigma_squared_from_the_signature():
+    # sigma^2 = n(n-1) = 2 on sphere2; a metric-mode report lists its kappa0
+    obj = builtin_config("sphere2")
+    obj["tasks"] = [{"type": "action", "form": "spectral", "aa_mode": "metric"}]
+    res = run_scenario(obj).results[0]
+    m0 = moments(exponential_cutoff()).m0
+    assert res.status == "pass"
+    assert res.summary["kappa0"] == 96.0 * PI ** 2 / (2.0 * m0)
+
+
 def test_riemannian_limit_reference_checks():
     # rows: theta, phi, gamma_vs_reference, riemann_vs_reference, spin route
     flat_ref = [["1", "0"], ["0", "1"]]

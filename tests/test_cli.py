@@ -149,7 +149,10 @@ def _reference_config(tmp_path, name, entry):
     return str(cfg)
 
 
-NAN = "(1e308*1e308 - 1e308*1e308)"  # inf - inf
+def _nan(coord):
+    # inf - inf at run time; through a coordinate, as a constant NaN is a
+    # parse-time diagnostic.  coord^0 keeps the derivatives at 0.
+    return f"({coord}^0*1e308*1e308 - {coord}^0*1e308*1e308)"
 
 
 def test_evaluation_errors_are_task_failures_not_tracebacks(tmp_path, capsys):
@@ -161,9 +164,9 @@ def test_evaluation_errors_are_task_failures_not_tracebacks(tmp_path, capsys):
         (_reference_config(tmp_path, "complex-reference", "sin(theta)^2 + (0 - 1)^0.5"),
          "02-limit-check.csv", "message: complex metric value at (0.7, 0.3)"),
         # a NaN metric entry used to pass the singularity guard unnoticed
-        (_curvature_config(tmp_path, "nan", ["1", f"1 + {NAN}"], [0.5, 0.3]),
+        (_curvature_config(tmp_path, "nan", ["1", f"1 + {_nan('x0')}"], [0.5, 0.3]),
          "00-curvature-at-points.csv", "message: matrix has a NaN or inf entry"),
-        (_reference_config(tmp_path, "nan-reference", f"sin(theta)^2 + {NAN}"),
+        (_reference_config(tmp_path, "nan-reference", f"sin(theta)^2 + {_nan('theta')}"),
          "02-limit-check.csv", "message: matrix has a NaN or inf entry"),
     ]
     for cfg, failed_csv, reason in cases:
@@ -182,7 +185,7 @@ def test_nan_residual_fails_its_task(tmp_path, capsys):
     # matrix guard sees; the NaN residual it leaves must not fold away as a pass
     from geodyn.scenarios import builtin_config
     obj = builtin_config("sm-trace-check")
-    obj["gauge"]["b"][0] = f"0.3*x + {NAN}"
+    obj["gauge"]["b"][0] = f"0.3*x + {_nan('x')}"
     cfg = tmp_path / "nan-gauge.json"
     cfg.write_text(json.dumps(obj), encoding="utf-8")
     assert _run(["validate", str(cfg)], capsys)[0] == 0

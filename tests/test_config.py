@@ -23,6 +23,7 @@ from geodyn.config import (
     load_config,
     validate_config,
 )
+from geodyn.exprs import ExpressionError, compile_expression
 from geodyn.scenarios import BUILTIN_SCENARIOS, builtin_config
 from geodyn.tensors import Point
 
@@ -114,6 +115,20 @@ def test_frame_diagnostics():
     obj["frame"] = {"diagonal": ["1", "x0 +"]}
     got = validate_config(obj)
     assert any(d.path.startswith("frame.diagonal") for d in got)
+
+
+@pytest.mark.parametrize("entry, offset", [("1 + 1e999*x0", 4),
+                                           ("1 + (1e308*1e308 - 1e308*1e308)*x0", 5)])
+def test_non_finite_constant_is_a_diagnostic(entry, offset, tmp_path, capsys):
+    # each once validated, then failed the run with "matrix has a NaN or inf entry"
+    obj = _minimal(frame={"diagonal": [entry, "1"]})
+    diags = validate_config(obj)
+    assert [d.path for d in diags] == ["frame.diagonal[0]"]
+    assert f"evaluates to inf at offset {offset}" in diags[0].message
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("frame.diagonal[0]: ")
 
 
 def test_gauge_diagnostics():
@@ -475,7 +490,7 @@ def test_every_task_entry_and_constant_has_its_default():
          "velocity": (1.0, 0.0), "steps": 1000, "step_size": 0.01,
          "csv_samples": 100, "orbit": None, "orbit_tolerance": 1e-4},
         {"type": "action", "tolerance": 1e-10, "form": "spectral",
-         "aa_mode": "metric", "sigma_sq": None, "expect_only": None},
+         "aa_mode": "metric", "expect_only": None},
         {"type": "field-equations", "tolerance": 1e-6, "points": mid, "sm": False,
          "kappa0": 1.0, "tau0": 0.0, "expect_zero_residual": False},
         {"type": "axioms", "tolerance": 1e-12, "fluctuations": True},
@@ -538,7 +553,7 @@ _KEYS = ["re", "im", "lo", "hi", "builtin", "parameters", "x", "y", "u", "f",
 _NUMERIC_TASK_ENTRIES = {
     "curvature-at-points": ["tolerance", "expected_scalar"],
     "geodesic": ["tolerance", "orbit_tolerance", "orbit"],
-    "action": ["tolerance", "sigma_sq"],
+    "action": ["tolerance"],
     "field-equations": ["tolerance", "kappa0", "tau0"],
     "axioms": ["tolerance"],
     "limit-check": ["tolerance", "gamma_tolerance"],
@@ -681,13 +696,23 @@ def test_misspelt_and_wrong_kind_task_entries_are_diagnostics(name, data):
     assert f"tasks[{i}].{key}" in _paths(validate_config(obj))
 
 
+def _compiles(source, coords):
+    try:
+        compile_expression(source, coords)
+    except ExpressionError:
+        return False
+    return True
+
+
 def _well_formed(coords):
-    """Expressions that compile over coords, but may evaluate to anything."""
+    """Expressions that compile over coords, but may evaluate to anything;
+    compiling drops those with a non-finite coordinate-free part, as (0 / 0)."""
     atoms = st.sampled_from(list(coords) + ["0", "1", "2.5", "pi", "1e308"])
     return st.recursive(atoms, lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join).map("({})".format),
         st.tuples(st.sampled_from(["sin", "sqrt", "log", "exp", "arctan"]), inner)
-        .map("{0[0]}({0[1]})".format)), max_leaves=4)
+        .map("{0[0]}({0[1]})".format)), max_leaves=4).filter(
+            lambda source: _compiles(source, coords))
 
 
 @st.composite

@@ -12,9 +12,9 @@ from geodyn.connection import (
     assemble_connection,
     bianchi_residual,
     curvature,
-    curvature_checks,
     curvature_of_potential,
     curvature_squared,
+    gauge_route_check,
     gauge_square_report,
     higgs_covariant_derivative,
     lambda0_check,
@@ -23,6 +23,7 @@ from geodyn.connection import (
     transform_potential,
 )
 from geodyn.fields import ChartField, FD
+from geodyn.geometry import frame_curvature_check
 from geodyn.jets import cos, sin
 from geodyn.library import flat
 from geodyn.tensors import Point
@@ -102,9 +103,8 @@ def test_curvature_internal_consistency_checks():
         p = Point(tuple(rng.uniform(-1.0, 1.0, size=4)))
         f = curvature(form, p)
         assert f.antisymmetry_residual() < 1e-11
-        frame_check, route_check = curvature_checks(form, p)
-        assert route_check < 1e-10
-        assert frame_check < 1e-10
+        assert gauge_route_check(form, p) < 1e-10
+        assert frame_curvature_check(form.vielbein, p) < 1e-10
 
 
 def test_constant_abelian_potential_is_flat():

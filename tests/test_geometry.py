@@ -295,6 +295,8 @@ def test_frame_curvature_matches_riemann():
     eup = einv @ eta
     expected = np.einsum("ar,sb,rsmn->abmn", fg.e, eup, fg.riemann)
     assert np.abs(fg.frame_curvature - expected).max() < 1e-10
+    # antisymmetric in the two-form pair (m, n) by construction, bit for bit
+    assert np.array_equal(fg.frame_curvature, -fg.frame_curvature.swapaxes(-1, -2))
 
 
 def _induced_connection_field(e):
