@@ -29,14 +29,17 @@ import numpy as np
 from .connection import (
     ETA,
     ConnectionForm,
+    CurvatureForm,
     ReparamConstants,
     curvature,
     curvature_squared,
+    field_strength_square,
+    higgs_kinetic_square,
     lambda0_constant,
     sm_lagrangian_normalized,
 )
 from .fields import ChartField
-from .geometry import GeneralizedMetric, Vielbein, sigma_squared
+from .geometry import GeneralizedMetric, Vielbein, ricci_square, riemann_square, sigma_squared
 from .tensors import Point, checked_det
 
 __all__ = [
@@ -378,37 +381,13 @@ class ActionReport:
     terms: dict
     total: float
     constants: dict = field(default_factory=dict)
-    moment_table: tuple = ()
     quadrature: dict = field(default_factory=dict)
-    notes: tuple = ()
 
     def term_value(self, name: str) -> float:
         return self.terms[name][2]
 
     def sum_residual(self) -> float:
         return abs(self.total - sum(v[2] for v in self.terms.values()))
-
-    def csv_rows(self) -> list:
-        rows = ["name,coefficient,integral,value"]
-        for name in sorted(self.terms):
-            c, i, v = self.terms[name]
-            rows.append(",".join([name] + ["%.17g" % x for x in (c, i, v)]))
-        return rows
-
-    def to_text(self) -> str:
-        lines = ["action terms:"]
-        for name in sorted(self.terms):
-            c, i, v = self.terms[name]
-            lines.append(f"  {name}: coefficient={c:.12g} integral={i:.12g} "
-                         f"value={v:.12g}")
-        lines.append(f"total: {self.total:.12g}")
-        if self.moment_table:
-            lines.append("moment mapping:")
-            for row in self.moment_table:
-                lines.append("  " + " | ".join(str(x) for x in row))
-        for note in self.notes:
-            lines.append("note: " + note)
-        return "\n".join(lines)
 
 
 def derived_constants(m: Moments, sigma_sq: float | None = None,
@@ -452,21 +431,11 @@ def spectral_action(m: Moments, coeffs: HeatKernelCoefficients,
     }
     total = float(sum(v[2] for v in terms.values()))
     consts = derived_constants(m, sigma_sq=sigma_sq, alpha=alpha, higgs_c=higgs_c)
-    table = (
-        ("term", "moment", "value", "scale power"),
-        ("a0_volume", "M4 (first moment)", m.m4, "L^4"),
-        ("a2_endomorphism", "M2 (zeroth moment)", m.m2, "L^2"),
-        ("a4_curvature", "M0 (value at 0)", m.m0, "L^0"),
-    )
-    notes = ("volume term carries the highest moment; the pairing is fixed by "
-             "the heat kernel expansion, whatever the moments are called",)
     return ActionReport(terms=terms, total=total, constants=consts,
-                        moment_table=table,
                         quadrature={"errors": {
                             "a0_volume": coeffs.errors["a0"],
                             "a2_endomorphism": coeffs.errors["a2"],
-                            "a4_curvature": coeffs.errors["a4"]}, **coeffs.meta},
-                        notes=notes)
+                            "a4_curvature": coeffs.errors["a4"]}, **coeffs.meta})
 
 
 def universal_action_form(report: ActionReport, m: Moments,
@@ -495,7 +464,11 @@ def universal_action_form(report: ActionReport, m: Moments,
 
 @dataclass
 class FieldEquationInput:
-    """Geometry, optional SM sector, stress tensor and constants at a point."""
+    """Geometry, optional SM sector, stress tensor and constants at a point.
+
+    With a connection, metric must be the metric of the connection's own
+    vielbein, so one curvature pass serves both sectors.
+    """
 
     metric: GeneralizedMetric
     connection: ConnectionForm | None = None
@@ -505,6 +478,11 @@ class FieldEquationInput:
     f0: float = 1.0
     n_r: float = 1.0
     n_h: float = 1.0
+
+    def __post_init__(self):
+        if (self.connection is not None
+                and self.metric.vielbein is not self.connection.vielbein):
+            raise ValueError("the metric must come from the connection's vielbein")
 
 
 @dataclass
@@ -533,26 +511,27 @@ def _stress_at(inp: FieldEquationInput, p: Point, n: int) -> np.ndarray:
 FD_STEP = 1e-6
 
 
-def _fd_directional(dens, m0: np.ndarray, direction: np.ndarray) -> float:
-    return ((dens(m0 + FD_STEP * direction) - dens(m0 - FD_STEP * direction))
-            / (2 * FD_STEP))
+def _volume_of_inverse(minv: np.ndarray):
+    """sqrt|det gamma| = 1/sqrt|det gamma^-1|, leading batch axes allowed."""
+    return 1.0 / np.sqrt(np.abs(np.linalg.det(minv)))
 
 
 def _fd_variation(dens, ginv: np.ndarray) -> np.ndarray:
     """delta dens / delta g^{mu nu} by symmetric finite differences.
 
-    Off-diagonal directions perturb the symmetric pair, so the directional
-    derivative equals twice the (mu, nu) component.
+    ``dens`` takes a stack of inverse metrics [..., n, n] and returns one
+    value per metric; every + and - perturbation goes to it in one call.
+    Off-diagonal directions perturb the symmetric pair, so their difference
+    quotient is twice the (mu, nu) component.
     """
     n = ginv.shape[0]
+    mu, nu = np.triu_indices(n)
+    k = np.arange(len(mu))
+    directions = np.zeros((len(mu), n, n))
+    directions[k, mu, nu] = directions[k, nu, mu] = 1.0
+    plus, minus = dens(np.stack([ginv + FD_STEP * directions, ginv - FD_STEP * directions]))
     out = np.zeros((n, n))
-    for mu in range(n):
-        for nu in range(mu, n):
-            direction = np.zeros((n, n))
-            direction[mu, nu] = 1.0
-            direction[nu, mu] = 1.0
-            d = _fd_directional(dens, ginv, direction)
-            out[mu, nu] = out[nu, mu] = d / (2.0 if mu != nu else 1.0)
+    out[mu, nu] = out[nu, mu] = (plus - minus) / (2 * FD_STEP) / np.where(mu == nu, 1.0, 2.0)
     return out
 
 
@@ -568,56 +547,41 @@ def field_equation_residual(inp: FieldEquationInput, p: Point) -> FieldEquationR
     The finite-difference oracle perturbs the inverse metric while holding
     every all-covariant curvature component frozen, which isolates exactly
     the algebraic part of the variation the displayed equations contain; the
-    derivative-of-curvature terms are outside its scope by construction.
+    derivative-of-curvature terms are outside its scope by construction.  Its
+    densities are the curvature objects' own squares (riemann_square and the
+    connection's) taken with the perturbed inverse metric.  With a
+    connection, one curvature(connection, p) pass serves both sectors.
     """
-    ct = inp.metric.curvature(p)
-    n = ct.gamma.shape[0]
-    gamma = ct.gamma
-    ginv = ct.gamma_inv
+    ct = (curvature(inp.connection, p) if inp.connection is not None
+          else inp.metric.curvature(p))
+    gamma, ginv = ct.gamma, ct.gamma_inv
+    n = gamma.shape[0]
     rd = ct.riemann_down()           # R_{mu nu rho la}, all covariant
     rr = ct.riemann_squared()
 
     # 4 R_mu^{s r l} R_{nu s r l}
-    r_mu = np.einsum("sa,rb,lc,msrl,nabc->mn", ginv, ginv, ginv, rd, rd)
-    four_rr = 4.0 * r_mu
+    four_rr = 4.0 * np.einsum("sa,rb,lc,msrl,nabc->mn", ginv, ginv, ginv, rd, rd)
     lhs_display = four_rr + 0.5 * gamma * rr
     lhs_variational = four_rr - 0.5 * gamma * rr
     t_mn = _stress_at(inp, p, n)
     rhs = inp.kappa0 * t_mn - gamma * inp.kappa0 * inp.tau0
 
-    det_sign = np.sign(np.linalg.det(gamma))
-
-    def vol_of(minv: np.ndarray) -> float:
-        d = np.linalg.det(minv)
-        return 1.0 / np.sqrt(abs(d))
-
-    def rr_of(minv: np.ndarray) -> float:
-        # raise the four indices of R_{mnrl} with minv one at a time
-        ru = np.einsum("mnrl,ld->mnrd", rd, minv)
-        ru = np.einsum("mnrd,rc->mncd", ru, minv)
-        ru = np.einsum("mncd,nb->mbcd", ru, minv)
-        ru = np.einsum("mbcd,ma->abcd", ru, minv)
-        return float(np.einsum("abcd,abcd->", ru, rd))
-
-    vol0 = vol_of(ginv)
-    fd_rr = _fd_variation(lambda m: rr_of(m) * vol0, ginv) / vol0
-    fd_vol = _fd_variation(lambda m: rr * vol_of(m), ginv) / vol0
-    fd_full = _fd_variation(lambda m: rr_of(m) * vol_of(m), ginv) / vol0
+    vol0 = _volume_of_inverse(ginv)
+    fd_rr = _fd_variation(lambda m: riemann_square(rd, m) * vol0, ginv) / vol0
+    fd_vol = _fd_variation(lambda m: rr * _volume_of_inverse(m), ginv) / vol0
+    fd_full = _fd_variation(lambda m: riemann_square(rd, m) * _volume_of_inverse(m),
+                            ginv) / vol0
     fd_report = {
         "rr_frozen_vol": float(np.abs(fd_rr - four_rr).max()),
         "vol_frozen_rr": float(np.abs(fd_vol + 0.5 * gamma * rr).max()),
         "full_vs_variational": float(np.abs(fd_full - lhs_variational).max()),
         "full_vs_display": float(np.abs(fd_full - lhs_display).max()),
-        "det_sign": float(det_sign),
+        "det_sign": float(np.sign(np.linalg.det(gamma))),
         "note": "covariant curvature components frozen; algebraic part only",
     }
 
     sym = float(np.abs(lhs_display - lhs_display.T).max())
-
-    sm = None
-    if inp.connection is not None:
-        sm = _sm_field_equation(inp, p)
-
+    sm = _sm_field_equation(inp, ct, t_mn) if inp.connection is not None else None
     return FieldEquationResidual(
         point=p,
         lhs_display=lhs_display,
@@ -631,17 +595,14 @@ def field_equation_residual(inp: FieldEquationInput, p: Point) -> FieldEquationR
     )
 
 
-def _sm_field_equation(inp: FieldEquationInput, p: Point) -> dict:
-    """N_mn - (1/2) gamma_mn L_B = (1/2) T_mn with the canonical SM sector."""
-    f = curvature(inp.connection, p)
+def _sm_field_equation(inp: FieldEquationInput, f: CurvatureForm, t_mn: np.ndarray) -> dict:
+    """N_mn - (1/2) gamma_mn L_B = (1/2) T_mn with the canonical SM sector,
+    at the point of f."""
     norm = sm_lagrangian_normalized(f, f0=inp.f0, n_r=inp.n_r, n_h=inp.n_h)
-    gamma = f.gamma
-    ginv = f.gamma_inv
-    n = gamma.shape[0]
+    gamma, ginv, ricci = f.gamma, f.gamma_inv, f.ricci
     alpha0 = norm.constants["alpha0"]
-    kappa_sq = norm.constants["kappa"] ** 2
+    kappa_sq = norm.constants["kappa_sq"]
 
-    ricci = f.ricci
     n_grav = 2.0 * alpha0 * np.einsum("ma,na->mn",
                                       np.einsum("ab,mb->ma", ginv, ricci), ricci)
 
@@ -649,36 +610,27 @@ def _sm_field_equation(inp: FieldEquationInput, p: Point) -> dict:
         up = np.einsum("ab,cnb->cna", ginv, comp)
         return -0.5 * np.einsum("cma,cna->mn", comp, up)
 
-    n_gauge = (gauge_n(f.b_components) + gauge_n(f.w_f) + gauge_n(f.g_f))
-    higgs_t = kappa_sq * f.higgs_kinetic_tensor()
-    n_mn = n_grav + n_gauge + higgs_t
-
+    comps = (f.b_components, f.w_f, f.g_f)
+    kin = f.higgs_kinetic_trace()
+    # Re kin is the (m, n) symmetrization: swapping m and n conjugates kin
+    n_mn = n_grav + sum(gauge_n(comp) for comp in comps) + kappa_sq * np.real(kin)
     lag = norm.total
     lhs = n_mn - 0.5 * gamma * lag
-    t_mn = _stress_at(inp, p, n)
     rhs = 0.5 * t_mn
 
-    # finite-difference oracle with frozen covariant blocks
-    ricci_d = ricci.copy()
-    comps = [f.b_components.copy(), f.w_f.copy(), f.g_f.copy()]
-    kin = f.higgs_kinetic_tensor().copy()
-    const_part = (norm.terms["higgs_potential"] + norm.terms["delta0"])
+    # finite-difference oracle: the terms of norm with the covariant blocks
+    # frozen, squared with the perturbed inverse metric
+    const_part = norm.terms["higgs_potential"] + norm.terms["delta0"]
 
-    def lag_of(minv: np.ndarray) -> float:
-        val = alpha0 * np.einsum("ma,nb,mn,ab->", minv, minv, ricci_d, ricci_d)
+    def dens(minv: np.ndarray):
+        val = alpha0 * ricci_square(ricci, minv)
         for comp in comps:
-            val -= 0.25 * np.einsum("ma,nb,cmn,cab->", minv, minv, comp, comp)
-        return float(val)
+            val = val - 0.25 * field_strength_square(comp, minv)
+        val = val + kappa_sq * higgs_kinetic_square(kin, minv) + const_part
+        return val * _volume_of_inverse(minv)
 
-    def dens(minv: np.ndarray) -> float:
-        d = np.linalg.det(minv)
-        vol = 1.0 / np.sqrt(abs(d))
-        kin_term = kappa_sq * np.einsum("mn,mn->", minv, kin)
-        return (lag_of(minv) + kin_term + const_part) * vol
-
-    vol0 = 1.0 / np.sqrt(abs(np.linalg.det(ginv)))
-    fd = _fd_variation(dens, ginv) / vol0
-    fd_res = float(np.abs(fd - (n_mn - 0.5 * gamma * lag)).max())
+    fd = _fd_variation(dens, ginv) / _volume_of_inverse(ginv)
+    fd_res = float(np.abs(fd - lhs).max())
 
     return {
         "n_mn": n_mn,
@@ -795,9 +747,6 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
         "ricci_riemann_sq": (-beta0, ric2_i + riem2_i, -beta0 * (ric2_i + riem2_i)),
     }
     total = float(sum(v[2] for v in terms.values()))
-    notes = ("total-derivative term integrates d_m(vol g^{mn} d_n R) from grid "
-             "finite differences; it telescopes to zero on periodic axes",
-             "beta0/zeta0 = 1152/2880 = 0.4 exactly")
     consts_out = {"beta0": beta0, "eta0": eta0, "zeta0": zeta0,
                   "delta0": delta0, "alpha0": alpha0, "eh_coeff": eh_coeff}
     # lap_scalar's integral comes from grid finite differences, with no estimate
@@ -805,7 +754,7 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
               "gauge_sector": e_gauge, "higgs_sector": e_higgs, "scalar_sq": e_r2,
               "ricci_riemann_sq": e_ric2 + e_riem2}
     return ActionReport(terms=terms, total=total, constants=consts_out,
-                        quadrature={"errors": errors, **meta}, notes=notes)
+                        quadrature={"errors": errors, **meta})
 
 
 def unification_scale(m: Moments, c: float = 1.0) -> float:

@@ -65,6 +65,8 @@ __all__ = [
     "transform_potential",
     "bianchi_residual",
     "curvature_squared",
+    "field_strength_square",
+    "higgs_kinetic_square",
     "lambda0_constant",
     "lambda0_check",
     "gauge_square_report",
@@ -311,23 +313,29 @@ class CurvatureForm(CurvatureTensors):
 
     def component_square(self, comp: np.ndarray) -> float:
         """sum_a F^a_mn F^{a mn} for component field strengths [a, m, n]."""
-        up = np.einsum("...nb,...cmb->...cmn", self.gamma_inv,
-                       np.einsum("...ma,...cab->...cmb", self.gamma_inv, comp))
-        return _unbatched(np.real(np.einsum("...cmn,...cmn->...", comp, up)))
+        return field_strength_square(comp, self.gamma_inv)
 
     def higgs_kinetic_scalar(self) -> float:
         """|DH|^2 = (1/2) Tr(D_m H (D_n H)^dagger) gamma^{mn}."""
-        return _unbatched(np.real(np.einsum("...mn,...mn->...", self.gamma_inv,
-                                            self._higgs_kinetic_trace())))
+        return higgs_kinetic_square(self.higgs_kinetic_trace(), self.gamma_inv)
 
-    def higgs_kinetic_tensor(self) -> np.ndarray:
-        """(1/2) Re Tr(D_m H (D_n H)^dagger); the real part is the (m, n)
-        symmetrization since swapping m and n conjugates the trace."""
-        return np.real(self._higgs_kinetic_trace())
-
-    def _higgs_kinetic_trace(self) -> np.ndarray:
+    def higgs_kinetic_trace(self) -> np.ndarray:
+        """(1/2) Tr(D_m H (D_n H)^dagger), Hermitian in (m, n)."""
         return 0.5 * np.einsum("...mij,...nij->...mn", self.higgs_kinetic,
                                np.conj(self.higgs_kinetic))
+
+
+def field_strength_square(comp: np.ndarray, ginv: np.ndarray):
+    """sum_a F^a_mn F^{a mn} of components [..., a, m, n] raised by ginv,
+    batched as geometry.riemann_square."""
+    up = np.einsum("...nb,...cmb->...cmn", ginv,
+                   np.einsum("...ma,...cab->...cmb", ginv, comp))
+    return _unbatched(np.real(np.einsum("...cmn,...cmn->...", comp, up)))
+
+
+def higgs_kinetic_square(kin: np.ndarray, ginv: np.ndarray):
+    """|DH|^2 = Re kin_mn g^{mn} of the kinetic trace kin, batched alike."""
+    return _unbatched(np.real(np.einsum("...mn,...mn->...", ginv, kin)))
 
 
 def curvature_of_potential(a_vals: np.ndarray, a_d1: np.ndarray) -> np.ndarray:
@@ -640,10 +648,7 @@ def gauge_square_report(f: CurvatureForm) -> GaugeTraceReport:
     unit component square.
     """
     g1, g2, g3 = f.couplings
-    raws = []
-    for blk in (f.lam_f[..., None, None], f.q_f, f.v_f):
-        val = f.square_scalar(blk)
-        raws.append(val)
+    raws = [f.square_scalar(blk) for blk in (f.lam_f[..., None, None], f.q_f, f.v_f)]
     imag_worst = max(abs(v.imag) for v in raws)
     raw_lambda, raw_q, raw_v = (float(v.real) for v in raws)
     s_lambda, s_q, s_v = (-0.5 * v for v in (raw_lambda, raw_q, raw_v))
@@ -737,7 +742,7 @@ def sm_lagrangian_normalized(f: CurvatureForm, f0: float, f4: float = 0.0,
     }
     consts = {
         "alpha0": alpha0, "mu0": mu0, "delta0": delta0, "lambda0": lam0,
-        "kappa": float(np.sqrt(kappa_sq)), "z": float(np.sqrt(z_sq)),
+        "kappa_sq": kappa_sq, "z": float(np.sqrt(z_sq)),
         "n_b_sq": n_b_sq, "n_w_sq": n_w_sq, "n_g_sq": n_g_sq,
     }
     out = NormalizedLagrangian(point=f.point, terms=terms,

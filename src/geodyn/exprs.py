@@ -105,14 +105,29 @@ def compile_expression(source: str, coordinates) -> CompiledExpression:
     try:
         tree = ast.parse(rewritten, mode="eval")
     except SyntaxError as e:
-        raise ExpressionError(f"syntax error at offset {e.offset}: {source!r}") from None
+        # a 1-based offset in characters; none means the end of the input
+        line, col = (e.lineno, e.offset - 1) if e.offset else (1, len(rewritten))
+        raise ExpressionError(f"syntax error at offset {_source_offset(source, line, col)}: "
+                              f"{source!r}") from None
     _validate(tree.body, coords, source)
     return CompiledExpression(source=source, coordinates=coords, _tree=tree)
 
 
+def _source_offset(source: str, line: int, col: int) -> int:
+    """The 0-based offset in source of character col of line `line` (from 1)
+    of the parsed text, in which each "^" became "**"."""
+    col += sum(len(text) + 1 for text in source.replace("^", "**").split("\n")[:line - 1])
+    origin = [i for i, ch in enumerate(source) for _ in range(1 + (ch == "^"))]
+    return origin[col] if col < len(origin) else len(source)
+
+
 def _where(node: ast.AST, source: str) -> str:
-    col = getattr(node, "col_offset", None)
-    return f" at offset {col} in {source!r}" if col is not None else f" in {source!r}"
+    if not hasattr(node, "col_offset"):
+        return f" in {source!r}"
+    # col_offset counts the UTF-8 bytes of its line of the parsed text
+    text = source.replace("^", "**").split("\n")[node.lineno - 1]
+    col = len(text.encode()[:node.col_offset].decode())
+    return f" at offset {_source_offset(source, node.lineno, col)} in {source!r}"
 
 
 def _constant(node: ast.AST, source: str, fn, *args):

@@ -33,6 +33,8 @@ __all__ = [
     "GeneralizedMetric",
     "ChristoffelSymbols",
     "CurvatureTensors",
+    "riemann_square",
+    "ricci_square",
     "SpinConnection",
     "FrameGeometry",
     "frame_geometry",
@@ -139,18 +141,27 @@ class CurvatureTensors:
 
     def riemann_squared(self):
         """R_{rmnl} R^{rmnl}; a float at a point, an (N,) array over a block."""
-        gi = self.gamma_inv
-        rd = self.riemann_down()
-        # raise the four indices of R_{mnop} one at a time
-        ru = np.einsum("...mnop,...dp->...mnod", rd, gi)
-        ru = np.einsum("...mnod,...co->...mncd", ru, gi)
-        ru = np.einsum("...mncd,...bn->...mbcd", ru, gi)
-        ru = np.einsum("...mbcd,...am->...abcd", ru, gi)
-        return _unbatched(np.real(np.einsum("...abcd,...abcd->...", rd, ru)))
+        return riemann_square(self.riemann_down(), self.gamma_inv)
 
     def ricci_squared(self):
-        up = self.gamma_inv @ self.ricci @ self.gamma_inv.swapaxes(-1, -2)
-        return _unbatched(np.real(np.einsum("...ab,...ab->...", self.ricci, up)))
+        return ricci_square(self.ricci, self.gamma_inv)
+
+
+def riemann_square(rd: np.ndarray, ginv: np.ndarray):
+    """R_{rmnl} R^{rmnl} of the covariant rd raised by ginv: a float at a
+    point, an array when either argument has leading batch axes."""
+    # raise the four indices of R_{mnop} one at a time
+    ru = np.einsum("...mnop,...dp->...mnod", rd, ginv)
+    ru = np.einsum("...mnod,...co->...mncd", ru, ginv)
+    ru = np.einsum("...mncd,...bn->...mbcd", ru, ginv)
+    ru = np.einsum("...mbcd,...am->...abcd", ru, ginv)
+    return _unbatched(np.real(np.einsum("...abcd,...abcd->...", rd, ru)))
+
+
+def ricci_square(ricci: np.ndarray, ginv: np.ndarray):
+    """R_{ml} R^{ml} of the covariant ricci raised by ginv, batched alike."""
+    up = ginv @ ricci @ ginv.swapaxes(-1, -2)
+    return _unbatched(np.real(np.einsum("...ab,...ab->...", ricci, up)))
 
 
 class GeneralizedMetric:

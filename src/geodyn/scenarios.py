@@ -290,6 +290,12 @@ def _run_trace_oracle(scn: Scenario, task: dict, rng: np.random.Generator) -> di
                                     "display disagrees; trusting the traces")}}
 
 
+def _non_finite_column(columns: tuple, rows: list):
+    """The column of the first non-finite number in the rows, or None."""
+    return next((name for row in rows for name, value in zip(columns, row)
+                 if isinstance(value, float) and not math.isfinite(value)), None)
+
+
 _RUNNERS = {
     "curvature-at-points": _run_curvature,
     "geodesic": _run_geodesic,
@@ -307,7 +313,9 @@ def run_scenario(obj: dict, name: str = "custom", seed: int = 0,
 
     A task whose runner raises ArithmeticError or ValueError fails with an
     infinite worst residual, the error's text as its summary's ``message``,
-    and no columns or rows, so no CSV is written for it.
+    and no columns or rows, so no CSV is written for it.  Runners run with
+    numpy's floating-point warnings off; a task whose rows hold a non-finite
+    number fails, and its ``message`` names the column.
 
     grid_override sets the grid on every axis before the one parse, so a bad
     value is reported with the other config problems: build_scenario raises
@@ -326,12 +334,20 @@ def run_scenario(obj: dict, name: str = "custom", seed: int = 0,
         t0 = time.perf_counter()
         rng = np.random.default_rng(seed + idx)
         try:
-            out = _RUNNERS[task["type"]](scn, task, rng)
+            # an overflow leaves inf or NaN, which the runner's checks or the
+            # row check below turn into a failure with a reason, not a warning
+            with np.errstate(all="ignore"):
+                out = _RUNNERS[task["type"]](scn, task, rng)
         except (ArithmeticError, ValueError) as exc:  # SingularMetricError included
             # a failed evaluation fails its task, with no table to write
             out = {"columns": (), "rows": [], "worst": np.inf,
                    "summary": {"message": str(exc)}}
-        status = "pass" if out["worst"] <= task["tolerance"] else "fail"
+        column = _non_finite_column(out["columns"], out["rows"])
+        if column is not None:
+            note = f"non-finite value in column {column!r}"
+            reason = out["summary"].get("message")
+            out["summary"]["message"] = f"{reason}; {note}" if reason else note
+        status = "pass" if out["worst"] <= task["tolerance"] and column is None else "fail"
         return TaskResult(index=idx, task_type=task["type"], status=status,
                           tolerance=task["tolerance"],
                           worst_residual=float(out["worst"]),

@@ -149,10 +149,10 @@ def check_axioms(t: FiniteTriple) -> AxiomReport:
             j_g = _max_abs(k @ np.conj(t.gamma) - eps_pp * t.gamma @ k)
         order_zero = 0.0
         first_order = 0.0
+        opposites = [t.conjugate_by_j(b) for b in t.algebra_generators]
         for a in t.algebra_generators:
             da = d @ a - a @ d
-            for b in t.algebra_generators:
-                bo = t.conjugate_by_j(b)
+            for bo in opposites:
                 order_zero = max(order_zero, _max_abs(a @ bo - bo @ a))
                 first_order = max(first_order, _max_abs(da @ bo - bo @ da))
     bound = max((float(np.linalg.norm(d @ a - a @ d, 2))

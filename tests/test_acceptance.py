@@ -409,9 +409,9 @@ def test_criterion_09_field_equation_variation():
         assert rep["vol_frozen_rr"] < 1e-6
         assert rep["full_vs_variational"] < 1e-6
 
+        conn = _random_sm_connection(rng)
         sm_out = field_equation_residual(
-            FieldEquationInput(metric=flat(4).metric(),
-                               connection=_random_sm_connection(rng), f0=5.0),
+            FieldEquationInput(metric=conn.vielbein.metric(), connection=conn, f0=5.0),
             Point((0.2, -0.3, 0.4, 0.1)))
         assert sm_out.sm["fd_vs_algebraic"] < 1e-6
 

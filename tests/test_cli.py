@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import geodyn
 from geodyn.cli import main
@@ -194,6 +195,30 @@ def test_nan_residual_fails_its_task(tmp_path, capsys):
     assert code == 1
     report = (out_dir / "report.txt").read_text(encoding="utf-8")
     assert "[field-equations] fail: worst residual nan" in report
+    assert "message: non-finite value in column 'sm_fd_residual'" in report
+
+
+def test_overflowing_frame_fails_each_point_task_without_a_warning(tmp_path, capsys):
+    # 1e300*x0^3 overflows at x0 = 1e5: each point runner fails with the
+    # reason, and no numpy warning escapes, even one that is made an error
+    types = ("curvature-at-points", "limit-check", "field-equations")
+    obj = {
+        "schema": SCHEMA_VERSION,
+        "chart": {"dimension": 2, "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+        "frame": {"diagonal": ["1 + 1e300*x0*x0*x0", "1"]},
+        "tasks": [{"type": t, "points": [[1e5, 0.5]]} for t in types],
+    }
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = _run(["run", str(cfg), "--out", str(out_dir)], capsys)
+    assert code == 1
+    report = (out_dir / "report.txt").read_text(encoding="utf-8")
+    for i, t in enumerate(types):
+        assert f"task {i} [{t}] fail: worst residual inf" in report
+    assert report.count("message: non-finite metric value at (100000.0, 0.5)") == 3
 
 
 def test_run_loads_no_quadrature_module(tmp_path):

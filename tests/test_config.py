@@ -743,7 +743,15 @@ def test_run_of_random_expressions_ends_in_an_exit_code(obj):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(obj), encoding="utf-8")
         # in process, so an escaping exception fails the test
-        assert main(["run", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)
+        out = Path(tmp) / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) in (0, 1, 2)
+        # a written CSV with a non-finite number belongs to a failed task
+        for csv in sorted(out.glob("*.csv")):
+            cells = {c for line in csv.read_text().splitlines()[1:] for c in line.split(",")}
+            if cells & {"nan", "inf", "-inf"}:
+                index, _, task_type = csv.stem.partition("-")
+                report = (out / "report.txt").read_text(encoding="utf-8")
+                assert f"task {int(index)} [{task_type}] fail" in report
 
 
 def _every_section():

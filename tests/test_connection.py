@@ -14,18 +14,20 @@ from geodyn.connection import (
     curvature,
     curvature_of_potential,
     curvature_squared,
+    field_strength_square,
     gauge_route_check,
     gauge_square_report,
     higgs_covariant_derivative,
+    higgs_kinetic_square,
     lambda0_check,
     sm_lagrangian_normalized,
     su3_structure_constants,
     transform_potential,
 )
 from geodyn.fields import ChartField, FD
-from geodyn.geometry import frame_curvature_check
+from geodyn.geometry import frame_curvature_check, ricci_square, riemann_square
 from geodyn.jets import cos, sin
-from geodyn.library import flat
+from geodyn.library import flat, sphere2_cross_flat2
 from geodyn.tensors import Point
 
 
@@ -353,3 +355,30 @@ def test_curvature_squared_uses_reparam_constants():
     halved = curvature_squared(f, ReparamConstants(n_w=2.0))
     assert abs(halved.term("gauge_w") - base.term("gauge_w") / 4.0) < 1e-12
     assert base.sum_residual() < 1e-12
+
+
+@pytest.mark.parametrize("where", [Point((1.1, 0.4, 0.2, -0.3)),
+                                   np.array([[1.1, 0.4, 0.2, -0.3], [0.7, 2.0, -0.5, 0.1]])])
+def test_shared_squares_are_the_curvature_methods(where):
+    rng = np.random.default_rng(11)
+    conn = assemble_connection(sphere2_cross_flat2(), _random_sm(rng), _random_higgs(rng))
+    f = curvature(conn, where)
+    gi = f.gamma_inv
+    pairs = [(riemann_square(f.riemann_down(), gi), f.riemann_squared()),
+             (ricci_square(f.ricci, gi), f.ricci_squared()),
+             (higgs_kinetic_square(f.higgs_kinetic_trace(), gi), f.higgs_kinetic_scalar())]
+    pairs += [(field_strength_square(comp, gi), f.component_square(comp))
+              for comp in (f.b_components, f.w_f, f.g_f)]
+    for shared, method in pairs:
+        assert np.array_equal(shared, method)
+    assert np.all(np.abs(pairs[1][1]) > 0.1)   # the frame is curved
+    # a stack of inverse metrics broadcasts: doubling g^{mn} scales a square
+    # by 2 per inverse metric it carries
+    stack = np.stack([gi, 2.0 * gi])
+    for square, tensor, power in ((riemann_square, f.riemann_down(), 4),
+                                  (ricci_square, f.ricci, 2),
+                                  (field_strength_square, f.w_f, 2),
+                                  (higgs_kinetic_square, f.higgs_kinetic_trace(), 1)):
+        one = square(tensor, gi)
+        np.testing.assert_allclose(square(tensor, stack), [one, 2.0 ** power * one],
+                                   rtol=1e-14, atol=0.0)

@@ -69,6 +69,24 @@ def test_rejections_carry_positions():
         compile_expression(3.0, ("x",))
 
 
+@pytest.mark.parametrize("source, offset", [
+    ("x0^2 + q", 7),        # each "^" before the fault used to add one
+    ("x0^2^2 + q", 9),
+    ("x0^2 + 1e999", 7),
+    ("(x0^2", 0),           # the unclosed "(", not Python's 1-based column
+    ("x0^2 + * 3", 7),
+    ("x0 ^ ^ 2", 5),        # inside the rewritten "**"
+    ("x0^2 +", 6),          # at the end of the input
+    ("θ^2 + q", 6),         # the parser counts bytes, the offset characters
+    ("(x0^2 +\n q)", 9),    # the parser counts from the start of the line
+    ("x0^2 +\n 1", 6),
+])
+def test_error_offsets_index_the_source_from_zero(source, offset):
+    coords = ("θ",) if source.startswith("θ") else ("x0",)
+    with pytest.raises(ExpressionError, match=f"offset {offset}[:, ]"):
+        compile_expression(source, coords)
+
+
 def test_default_coordinate_names():
     assert default_coordinate_names(3) == ("x0", "x1", "x2")
     e = compile_expression("x0 + 2*x2", default_coordinate_names(3))
