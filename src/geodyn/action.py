@@ -4,7 +4,9 @@ The truncated action is M4 L^4 a0 + M2 L^2 a2 + M0 a4 with L^2 the energy
 scale.  Moment names are fixed by the pairing, not by any label: M4 is the
 first moment of the cutoff (it multiplies the volume term), M2 the zeroth
 moment, M0 the value at zero; all three are exact.  Every derived constant is
-produced from these three in one table so the mapping stays auditable.
+formed once, from these three, in derived_constants, whose normalized-form
+entries are connection.sm_constants (the SM normalization reads the same
+function), so the mapping stays auditable.
 
 Region integrals use trapezoidal quadrature on uniform grids; periodic axes
 use equal weights over [lo, hi).  The error estimate comes from recomputing
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import (
-    ETA,
+    PI2,
     ConnectionForm,
     CurvatureForm,
     ReparamConstants,
@@ -35,7 +37,7 @@ from .connection import (
     curvature_squared,
     field_strength_square,
     higgs_kinetic_square,
-    lambda0_constant,
+    sm_constants,
     sm_lagrangian_normalized,
 )
 from .fields import ChartField
@@ -65,9 +67,6 @@ __all__ = [
     "riemannian_limit_action",
     "unification_scale",
 ]
-
-PI2 = float(np.pi ** 2)
-
 
 # -- cutoff functions and moments ----------------------------------------------
 
@@ -183,16 +182,18 @@ class GridSpec:
 
 
 def _axis_rule(lo: float, hi: float, n: int, periodic: bool):
-    if periodic:
-        h = (hi - lo) / n
-        pts = lo + h * np.arange(n)
-        wts = np.full(n, h)
-    else:
-        h = (hi - lo) / (n - 1)
-        pts = lo + h * np.arange(n)
-        wts = np.full(n, h)
+    """(points, trapezoid weights, step) of one axis."""
+    h = (hi - lo) / (n if periodic else n - 1)
+    wts = np.full(n, h)
+    if not periodic:
         wts[0] = wts[-1] = h / 2.0
-    return pts, wts
+    return lo + h * np.arange(n), wts, h
+
+
+def _axes(region: Region, grid: GridSpec) -> list:
+    """The _axis_rule of every axis of the grid."""
+    return [_axis_rule(region.lo[i], region.hi[i], grid.shape[i], region.periodic[i])
+            for i in range(region.dim)]
 
 
 # Points per density evaluation: larger blocks cut per-pass Python overhead
@@ -202,8 +203,7 @@ BLOCK_POINTS = 64
 
 def _grid_points(region: Region, grid: GridSpec) -> tuple:
     """(coords (P, dim), weights (P,)) in index order (C order over the axes)."""
-    axes = [_axis_rule(region.lo[i], region.hi[i], grid.shape[i],
-                       region.periodic[i]) for i in range(region.dim)]
+    axes = _axes(region, grid)
     mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)
     wmesh = np.meshgrid(*[a[1] for a in axes], indexing="ij")
@@ -232,9 +232,7 @@ def _subgrid_rows(region: Region, grid: GridSpec, coarse: GridSpec):
     the comparison is of the coordinates themselves, so rounding decides.
     """
     index = []
-    for i in range(region.dim):
-        f, c = (_axis_rule(region.lo[i], region.hi[i], n, region.periodic[i])[0]
-                for n in (grid.shape[i], coarse.shape[i]))
+    for (f, _, _), (c, _, _) in zip(_axes(region, grid), _axes(region, coarse)):
         hits = c[:, None] == f
         if not hits.any(axis=1).all():
             return None
@@ -277,6 +275,12 @@ def integrate_scalar(fn, region: Region, grid: GridSpec) -> tuple:
 # -- heat kernel coefficients ----------------------------------------------------
 
 
+def _check_frame(frame: Vielbein | None, connection: ConnectionForm | None) -> None:
+    """ValueError unless a connection, if given, is built on frame."""
+    if connection is not None and frame is not connection.vielbein:
+        raise ValueError("the metric must come from the connection's vielbein")
+
+
 @dataclass
 class HeatKernelData:
     """What the squared operator is made of on the sampled region.
@@ -285,10 +289,10 @@ class HeatKernelData:
     the assembled connection blockwise (gravity, gauge, Higgs, with unit
     reparametrization constants), "metric" uses sigma^2 times the squared
     Riemann tensor of the generalized metric, which is the form the compact
-    universal action assumes; sigma^2 = n(n-1) follows from the frame's
-    signature.  In blocks mode the volume comes from the
-    connection's own frame, which should be the one metric is built from;
-    metric then serves only the E term.
+    universal action assumes; sigma^2 = n(n-1) follows from the signature of
+    metric's vielbein.  A connection must be built on that vielbein (else
+    ValueError); in blocks mode its curvature pass gives the volume and
+    metric serves only the E term.
     """
 
     metric: GeneralizedMetric
@@ -301,12 +305,12 @@ class HeatKernelData:
             raise ValueError("aa_mode must be 'blocks' or 'metric'")
         if self.aa_mode == "blocks" and self.connection is None:
             raise ValueError("blocks mode needs an assembled connection")
+        _check_frame(self.metric.vielbein, self.connection)
 
     def sigma_sq(self) -> float:
-        e = self.connection.vielbein if self.connection is not None else self.metric.vielbein
-        if e is None:
+        if self.metric.vielbein is None:
             raise ValueError("sigma^2 needs a vielbein to take the signature from")
-        return sigma_squared(e.signature)[0]
+        return sigma_squared(self.metric.vielbein.signature)[0]
 
 
 @dataclass
@@ -395,27 +399,18 @@ def derived_constants(m: Moments, sigma_sq: float | None = None,
                       reparam: ReparamConstants | None = None) -> dict:
     """Every named constant of the action, mapped onto the three moments.
 
-    alpha and higgs_c are the connection's Higgs scale and vacuum constant;
-    without both, lambda0 is 0 and z is absent.
+    The normalized-form constants (tau0, alpha0, mu0, kappa_sq, z, lambda0,
+    delta0) are connection.sm_constants; alpha and higgs_c are the
+    connection's Higgs scale and vacuum constant, and without them lambda0 is
+    0 and kappa_sq and z are absent.  kappa0 needs sigma_sq; like mu0 it is
+    inf when the cutoff vanishes at zero.
     """
     rp = reparam or ReparamConstants()
-    out = {
-        "tau0": m.m4 * m.lam_sq ** 2 / (16.0 * PI2),
-        "alpha0": m.m0 / (192.0 * PI2 * rp.n_r ** 2),
-        "mu0": (192.0 * PI2 / m.m0) if m.m0 != 0 else np.inf,
-        "beta0": m.m0 / (2880.0 * PI2),
-        "eta0": m.m0 / (480.0 * PI2),
-        "zeta0": m.m0 / (1152.0 * PI2),
-    }
+    out = sm_constants(m.m0, m.m4, m.lam_sq, rp.n_r, rp.n_h, alpha, higgs_c)
+    out.update(beta0=m.m0 / (2880.0 * PI2), eta0=m.m0 / (480.0 * PI2),
+               zeta0=m.m0 / (1152.0 * PI2))
     if sigma_sq:
-        out["kappa0"] = 96.0 * PI2 / (sigma_sq * m.m0)
-    lam0 = 0.0
-    if alpha is not None and higgs_c is not None:
-        lam0 = lambda0_constant(alpha, higgs_c, rp.n_h)
-        kappa_sq = ETA * m.m0 / (192.0 * PI2 * alpha ** 2 * rp.n_h ** 2)
-        out["z"] = float(np.sqrt(kappa_sq)) * higgs_c
-    out["lambda0"] = lam0
-    out["delta0"] = (12.0 * m.m4 * m.lam_sq ** 2 + m.m0 * lam0) / (192.0 * PI2)
+        out["kappa0"] = 96.0 * PI2 / (sigma_sq * m.m0) if m.m0 != 0 else np.inf
     return out
 
 
@@ -443,13 +438,14 @@ def universal_action_form(report: ActionReport, m: Moments,
                           sigma_sq: float) -> dict:
     """Compact form tau0 * vol + (1/2 kappa0) * int R.R.
 
-    Consistent with the three-term total when a2 = 0 and the a4 scalar is the
-    metric-mode sigma^2 R.R density.
+    tau0 and kappa0 are read from derived_constants.  Consistent with the
+    three-term total when a2 = 0 and the a4 scalar is the metric-mode
+    sigma^2 R.R density.
     """
     if sigma_sq == 0:
         raise ValueError("sigma_sq must be nonzero")
-    tau0 = m.m4 * m.lam_sq ** 2 / (16.0 * PI2)
-    kappa0 = 96.0 * PI2 / (sigma_sq * m.m0)
+    consts = derived_constants(m, sigma_sq=sigma_sq)
+    tau0, kappa0 = consts["tau0"], consts["kappa0"]
     compact = tau0 * vol_integral + riemann_sq_integral / (2.0 * kappa0)
     return {
         "tau0": tau0,
@@ -480,9 +476,7 @@ class FieldEquationInput:
     n_h: float = 1.0
 
     def __post_init__(self):
-        if (self.connection is not None
-                and self.metric.vielbein is not self.connection.vielbein):
-            raise ValueError("the metric must come from the connection's vielbein")
+        _check_frame(self.metric.vielbein, self.connection)
 
 
 @dataclass
@@ -656,13 +650,7 @@ def _divergence_integral(scalar_grid: np.ndarray, vol_grid: np.ndarray,
     roundoff.
     """
     dim = region.dim
-    steps = []
-    for i in range(dim):
-        n = grid.shape[i]
-        if region.periodic[i]:
-            steps.append((region.hi[i] - region.lo[i]) / n)
-        else:
-            steps.append((region.hi[i] - region.lo[i]) / (n - 1))
+    steps = [h for _, _, h in _axes(region, grid)]
 
     def axis_gradient(arr, axis):
         h = steps[axis]
@@ -688,10 +676,12 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
     Terms: delta0 volume, Einstein-Hilbert with coefficient M2 L^2 / 64 pi^2,
     the SM sector in canonical normalization, the total-derivative term
     eta0 * int lap R, zeta0 * int R^2 and -beta0 * int (Ricci^2 + Riemann^2).
-    A connection, if given, should live on frame: the volume and curvature
-    terms come from frame, the gauge and Higgs sectors from the connection.
-    Comparing a frame with a reference metric is the limit-check task's job.
+    A connection, if given, must be built on frame (else ValueError): its one
+    curvature pass per block gives the volume and curvature terms, as frame's
+    own would, and the gauge and Higgs sectors.  Comparing a frame with a
+    reference metric is the limit-check task's job.
     """
+    _check_frame(frame, connection)
     gm = frame.metric()
     alpha, higgs_c = ((connection.alpha, connection.higgs.c) if connection is not None
                       else (None, None))
@@ -701,15 +691,15 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
     beta0 = dconsts["beta0"]
     eta0 = dconsts["eta0"]
     zeta0 = dconsts["zeta0"]
-    delta0 = dconsts.get("delta0", 0.0)
+    delta0 = dconsts["delta0"]
     eh_coeff = m.m2 * m.lam_sq / (64.0 * PI2)
 
     def density(block):
-        ct = gm.curvature(block)
+        ct = curvature(connection, block) if connection is not None else gm.curvature(block)
         vol = np.sqrt(np.abs(checked_det(ct.gamma)))
         gauge = higgs = 0.0
         if connection is not None:
-            norm = sm_lagrangian_normalized(curvature(connection, block), f0=m.m0, f4=m.m4,
+            norm = sm_lagrangian_normalized(ct, f0=m.m0, f4=m.m4,
                                             lam_sq=m.lam_sq, n_r=n_r, n_h=n_h)
             gauge = norm.terms["gauge_b"] + norm.terms["gauge_w"] + norm.terms["gauge_g"]
             higgs = norm.terms["higgs_kinetic"] + norm.terms["higgs_potential"]

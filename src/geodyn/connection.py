@@ -34,7 +34,7 @@ size N_SPINOR = 4 of the gravity block's spinor leg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +55,6 @@ __all__ = [
     "CurvatureForm",
     "ReparamConstants",
     "LagrangianBreakdown",
-    "NormalizedLagrangian",
     "GaugeTraceReport",
     "SECTOR_MULTIPLICITIES",
     "assemble_connection",
@@ -71,6 +70,7 @@ __all__ = [
     "lambda0_check",
     "gauge_square_report",
     "higgs_covariant_derivative",
+    "sm_constants",
     "sm_lagrangian_normalized",
 ]
 
@@ -219,6 +219,7 @@ class HiggsField:
         return float(np.real(np.trace(h.conj().T @ h)) / 2.0)
 
 
+PI2 = float(np.pi ** 2)
 ETA = 2.0          # <chi, chi> = Tr(chi^dagger chi) for chi = sigma_1
 N_SPINOR = 4       # identity-factor size of the gravity block's spinor leg
 
@@ -514,14 +515,12 @@ class ReparamConstants:
 @dataclass
 class LagrangianBreakdown:
     """Named scalar terms of a Lagrangian density at a point, or (N,) arrays
-    of them over a coordinate block."""
+    of them over a coordinate block, with the constants that scale them."""
 
     point: Point | np.ndarray
     terms: dict
     total: float
-
-    def term(self, name: str) -> float:
-        return self.terms[name]
+    constants: dict = field(default_factory=dict)
 
     def sum_residual(self) -> float:
         return abs(self.total - sum(self.terms.values()))
@@ -682,76 +681,78 @@ def gauge_square_report(f: CurvatureForm) -> GaugeTraceReport:
 # -- normalized Standard Model form -------------------------------------------
 
 
-@dataclass
-class NormalizedLagrangian:
-    """The canonically normalized SM-sector Lagrangian density at a point, or
-    over a coordinate block like LagrangianBreakdown."""
+def sm_constants(f0: float, f4: float, lam_sq: float, n_r: float, n_h: float,
+                 alpha: float | None, c: float | None) -> dict:
+    """The constants of the normalized form, from the cutoff's value at zero
+    f0 and first moment f4, the energy scale lam_sq, n_r, n_h and the Higgs
+    block's alpha and c; the one place each is formed.
 
-    point: Point | np.ndarray
-    terms: dict
-    total: float
-    constants: dict
-
-    def term(self, name: str) -> float:
-        return self.terms[name]
+    tau0 = f4 lam_sq^2/(16 pi^2), alpha0 = N_SPINOR f0/(768 pi^2 n_r^2),
+    mu0 = 192 pi^2/f0 (inf at f0 = 0), kappa^2 = eta f0/(192 pi^2 alpha^2
+    n_h^2), z = kappa c, lambda0 = lambda0_constant(alpha, c, n_h) and
+    delta0 = (12 f4 lam_sq^2 + f0 lambda0)/(192 pi^2).  Without a Higgs block
+    (alpha or c None) lambda0 is 0 and kappa_sq and z are absent.
+    """
+    out = {"tau0": f4 * lam_sq ** 2 / (16.0 * PI2),
+           "alpha0": N_SPINOR * f0 / (768.0 * PI2 * n_r ** 2),
+           "mu0": 192.0 * PI2 / f0 if f0 != 0 else np.inf}
+    lam0 = 0.0
+    if alpha is not None and c is not None:
+        lam0 = lambda0_constant(alpha, c, n_h)
+        out["kappa_sq"] = ETA * f0 / (192.0 * PI2 * alpha ** 2 * n_h ** 2)
+        out["z"] = float(np.sqrt(out["kappa_sq"])) * c
+    out["lambda0"] = lam0
+    out["delta0"] = (12.0 * f4 * lam_sq ** 2 + f0 * lam0) / (192.0 * PI2)
+    return out
 
 
 def sm_lagrangian_normalized(f: CurvatureForm, f0: float, f4: float = 0.0,
                              lam_sq: float = 0.0, n_r: float = 1.0,
-                             n_h: float = 1.0) -> NormalizedLagrangian:
+                             n_h: float = 1.0) -> LagrangianBreakdown:
     """Rescale the squared-curvature SM sector to canonical normalization.
 
     The gauge reparametrization constants are fixed by
     3 f0 g1^2/(768 pi^2 N_B^2) = f0 g2^2/(768 pi^2 N_W^2)
-    = 3 f0 g3^2/(768 pi^2 N_G^2) = 1/4, the Higgs is rescaled by kappa with
-    kappa^2 = eta f0/(192 pi^2 alpha^2 n_h^2), and the output density is
+    = 3 f0 g3^2/(768 pi^2 N_G^2) = 1/4, the Higgs is rescaled by kappa, and
+    the output density is
 
         alpha0 R.R - (1/4)B^2 - (1/4)W^2 - (1/4)G^2 + |D H'|^2
         - mu0 (|H'|^2 - z^2)^2 + delta0
 
-    with mu0 = 192 pi^2/f0.  f4 and lam_sq feed the cosmological constant
-    delta0 = (12 f4 lam_sq^2 + f0 lambda0)/(192 pi^2); they default to zero.
+    with the constants of sm_constants.  f4 and lam_sq feed the cosmological
+    constant delta0; they default to zero.
     """
     if f0 == 0:
         raise ValueError("the quartic moment f0 must be nonzero")
     if f0 < 0:
         raise ValueError("the quartic moment f0 must be positive")
     g1, g2, g3 = f.couplings
-    eta = ETA
-    alpha = f.alpha
-    pi2 = np.pi ** 2
-    n_b_sq = f0 * g1 ** 2 / (64.0 * pi2)
-    n_w_sq = f0 * g2 ** 2 / (192.0 * pi2)
-    n_g_sq = f0 * g3 ** 2 / (64.0 * pi2)
-    kappa_sq = eta * f0 / (192.0 * pi2 * alpha ** 2 * n_h ** 2)
-    mu0 = 192.0 * pi2 / f0
-    alpha0 = N_SPINOR * f0 / (768.0 * pi2 * n_r ** 2)
-    lam0 = lambda0_constant(alpha, f.higgs_c, n_h)
-    delta0 = (12.0 * f4 * lam_sq ** 2 + f0 * lam0) / (192.0 * pi2)
-    z_sq = kappa_sq * f.higgs_c ** 2
-    h_norm_sq = kappa_sq * (f.higgs_potential + f.higgs_c ** 2)
+    consts = sm_constants(f0, f4, lam_sq, n_r, n_h, f.alpha, f.higgs_c)
+    kappa_sq = consts["kappa_sq"]
+    # |H'|^2 - z^2 with |H'|^2 = kappa^2 |H|^2 and z^2 = kappa^2 c^2
+    c_sq = f.higgs_c ** 2
+    shifted = kappa_sq * (f.higgs_potential + c_sq) - kappa_sq * c_sq
 
     terms = {
-        "ricci_sq": alpha0 * f.ricci_squared(),
+        "ricci_sq": consts["alpha0"] * f.ricci_squared(),
         "gauge_b": -0.25 * f.component_square(f.b_components),
         "gauge_w": -0.25 * f.component_square(f.w_f),
         "gauge_g": -0.25 * f.component_square(f.g_f),
         "higgs_kinetic": kappa_sq * f.higgs_kinetic_scalar(),
-        "higgs_potential": -mu0 * (h_norm_sq - z_sq) ** 2,
-        "delta0": delta0,
+        "higgs_potential": -consts["mu0"] * shifted ** 2,
+        "delta0": consts["delta0"],
     }
-    consts = {
-        "alpha0": alpha0, "mu0": mu0, "delta0": delta0, "lambda0": lam0,
-        "kappa_sq": kappa_sq, "z": float(np.sqrt(z_sq)),
-        "n_b_sq": n_b_sq, "n_w_sq": n_w_sq, "n_g_sq": n_g_sq,
-    }
-    out = NormalizedLagrangian(point=f.point, terms=terms,
-                               total=_total(terms), constants=consts)
+    n_b_sq = f0 * g1 ** 2 / (64.0 * PI2)
+    n_w_sq = f0 * g2 ** 2 / (192.0 * PI2)
+    n_g_sq = f0 * g3 ** 2 / (64.0 * PI2)
+    consts.update(n_b_sq=n_b_sq, n_w_sq=n_w_sq, n_g_sq=n_g_sq)
+    out = LagrangianBreakdown(point=f.point, terms=terms, total=_total(terms),
+                              constants=consts)
     # consistency with the unnormalized breakdown under the substitution map
     rp = ReparamConstants(n_r=n_r, n_b=float(np.sqrt(n_b_sq)),
                           n_w=float(np.sqrt(n_w_sq)), n_g=float(np.sqrt(n_g_sq)),
                           n_h=n_h)
     base = curvature_squared(f, rp)
-    expected = f0 / (192.0 * pi2) * base.total + f4 * lam_sq ** 2 / (16.0 * pi2)
-    out.constants["substitution_residual"] = abs(out.total - expected)
+    expected = f0 / (192.0 * PI2) * base.total + consts["tau0"]
+    consts["substitution_residual"] = abs(out.total - expected)
     return out

@@ -6,10 +6,10 @@ code path serves plain floats (values, finite differences) and jets (exact
 derivatives).  ``ChartField.jets`` returns the value and its coordinate
 derivatives as plain arrays, derivative indices trailing.  It also takes an
 (N, dim) coordinate block, evaluated in one pass on block jets, and then puts
-the point axis first in its results.  A field with ``derivative_mode="fd"``
-(``dataclasses.replace(field, derivative_mode=FD)``) gives the same arrays
-from central differences, the independent oracle for the jet route, with
-relative steps FD_STEP for first and FD_STEP2 for second derivatives.
+the point axis first in its results.  ``fd_jets(field, p, order)`` gives the
+same arrays at a Point from central differences, the independent oracle for
+the jet route, with relative steps FD_STEP for first and FD_STEP2 for second
+derivatives.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from . import jets
 from .jets import Jet
 from .tensors import Point
 
-__all__ = ["ChartField", "scalar_field", "constant_field"]
+__all__ = ["ChartField", "scalar_field", "constant_field", "fd_jets"]
 
-DUAL = "dual"
-FD = "fd"
 FD_STEP = 1e-5
 FD_STEP2 = 1e-4
 
@@ -113,19 +111,14 @@ class ChartField:
     func : callable
         ``func(coords)`` with coords a tuple of scalars or jets; must return
         a nested structure of matching shape built from smooth operations.
-    derivative_mode : str
-        ``"dual"`` (default) or ``"fd"``.
     """
 
     dim: int
     shape: tuple
     func: Callable
-    derivative_mode: str = DUAL
 
     def __post_init__(self):
         self.shape = tuple(self.shape)
-        if self.derivative_mode not in (DUAL, FD):
-            raise ValueError(f"unknown derivative mode {self.derivative_mode!r}")
 
     # -- evaluation -------------------------------------------------------
 
@@ -153,8 +146,6 @@ class ChartField:
         if isinstance(p, Point):
             if p.dim != self.dim:
                 raise ValueError(f"point dimension {p.dim} != field dimension {self.dim}")
-            if self.derivative_mode == FD:
-                return self._fd_jets(p, order)
             obj = self.func(jets.variables(p.coords, order=order))
             if order == 1 and len(self.shape) == 1:
                 res = _real_entries(obj, self.shape[0], self.dim)
@@ -164,9 +155,6 @@ class ChartField:
         block = np.asarray(p, dtype=float)
         if block.shape[1:] != (self.dim,):
             raise ValueError(f"coordinate block of shape {block.shape}, expected (N, {self.dim})")
-        if self.derivative_mode == FD:
-            per_point = [self._fd_jets(Point(tuple(x)), order) for x in block]
-            return tuple(None if a[0] is None else np.stack(a) for a in zip(*per_point))
         # NaN and inf are reported by point below instead of as numpy warnings
         with np.errstate(all="ignore"):
             res = _collect(self.func(jets.variables(tuple(block.T), order=order)),
@@ -179,52 +167,54 @@ class ChartField:
                              f"{tuple(block[np.argmin(ok)].tolist())}")
         return res
 
-    # -- finite differences ------------------------------------------------
 
-    def _steps(self, p: Point, step: float) -> np.ndarray:
-        return step * np.maximum(1.0, np.abs(p.array()))
+def fd_jets(field: ChartField, p: Point, order: int):
+    """ChartField.jets(p, order) at a Point by central differences.
 
-    def _fd_jets(self, p: Point, order: int):
-        n = self.dim
-        # object arrays would defeat the iscomplexobj test below and drop
-        # imaginary parts, so collapse to a numeric dtype up front
-        f0 = self.numeric(p.coords)
-        h1 = self._steps(p, FD_STEP)
+    Steps are FD_STEP (first derivatives) and FD_STEP2 (second) times
+    max(1, |x_i|) per axis.
+    """
+    n = field.dim
+    # object arrays would defeat the iscomplexobj test below and drop
+    # imaginary parts, so collapse to a numeric dtype up front
+    f0 = field.numeric(p.coords)
+    scale = np.maximum(1.0, np.abs(p.array()))
+    h1 = FD_STEP * scale
 
-        def ev(q: Point) -> np.ndarray:
-            return _collapse_numeric(self.raw(q.coords))
+    def ev(q: Point) -> np.ndarray:
+        return field.numeric(q.coords)
 
-        d1 = np.zeros(self.shape + (n,), dtype=complex)
+    d1 = np.zeros(field.shape + (n,), dtype=complex)
+    for i in range(n):
+        fp = ev(p.shifted(i, +h1[i]))
+        fm = ev(p.shifted(i, -h1[i]))
+        d1[..., i] = (fp - fm) / (2.0 * h1[i])
+    d2 = None
+    if order == 2:
+        h2 = FD_STEP2 * scale
+        d2 = np.zeros(field.shape + (n, n), dtype=complex)
         for i in range(n):
-            fp = ev(p.shifted(i, +h1[i]))
-            fm = ev(p.shifted(i, -h1[i]))
-            d1[..., i] = (fp - fm) / (2.0 * h1[i])
-        d2 = None
-        if order == 2:
-            h2 = self._steps(p, FD_STEP2)
-            d2 = np.zeros(self.shape + (n, n), dtype=complex)
-            for i in range(n):
-                fp = ev(p.shifted(i, +h2[i]))
-                fm = ev(p.shifted(i, -h2[i]))
-                d2[..., i, i] = (fp - 2.0 * f0 + fm) / (h2[i] * h2[i])
-                for j in range(i + 1, n):
-                    fpp = ev(p.shifted(i, +h2[i]).shifted(j, +h2[j]))
-                    fpm = ev(p.shifted(i, +h2[i]).shifted(j, -h2[j]))
-                    fmp = ev(p.shifted(i, -h2[i]).shifted(j, +h2[j]))
-                    fmm = ev(p.shifted(i, -h2[i]).shifted(j, -h2[j]))
-                    mixed = (fpp - fpm - fmp + fmm) / (4.0 * h2[i] * h2[j])
-                    d2[..., i, j] = mixed
-                    d2[..., j, i] = mixed
-        if not np.iscomplexobj(f0):
-            d1 = d1.real
-            d2 = None if d2 is None else d2.real
-        return np.asarray(f0), d1, d2
+            fp = ev(p.shifted(i, +h2[i]))
+            fm = ev(p.shifted(i, -h2[i]))
+            d2[..., i, i] = (fp - 2.0 * f0 + fm) / (h2[i] * h2[i])
+            for j in range(i + 1, n):
+                fpp = ev(p.shifted(i, +h2[i]).shifted(j, +h2[j]))
+                fpm = ev(p.shifted(i, +h2[i]).shifted(j, -h2[j]))
+                fmp = ev(p.shifted(i, -h2[i]).shifted(j, +h2[j]))
+                fmm = ev(p.shifted(i, -h2[i]).shifted(j, -h2[j]))
+                mixed = (fpp - fpm - fmp + fmm) / (4.0 * h2[i] * h2[j])
+                d2[..., i, j] = mixed
+                d2[..., j, i] = mixed
+    if not np.iscomplexobj(f0):
+        d1 = d1.real
+        d2 = None if d2 is None else d2.real
+    return np.asarray(f0), d1, d2
 
 
-def scalar_field(dim: int, func: Callable, **kw) -> ChartField:
-    return ChartField(dim=dim, shape=(), func=lambda c: func(*c), **kw)
+def scalar_field(dim: int, func: Callable) -> ChartField:
+    return ChartField(dim=dim, shape=(), func=lambda c: func(*c))
 
 
-def constant_field(dim: int, value, **kw) -> ChartField:
+def constant_field(dim: int, value) -> ChartField:
     arr = np.asarray(value)
-    return ChartField(dim=dim, shape=arr.shape, func=lambda c: arr, **kw)
+    return ChartField(dim=dim, shape=arr.shape, func=lambda c: arr)

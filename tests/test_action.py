@@ -28,10 +28,12 @@ from geodyn.action import (
 from geodyn.config import build_scenario
 from geodyn.connection import (
     HiggsField,
+    ReparamConstants,
     SMGaugeConfig,
     assemble_connection,
     curvature,
     curvature_squared,
+    sm_lagrangian_normalized,
 )
 from geodyn.fields import ChartField, constant_field, scalar_field
 from geodyn.geometry import GeneralizedMetric, Vielbein, riemann_square
@@ -197,7 +199,7 @@ def test_blocks_mode_constant_abelian_field_strength():
                        g1=g1)
     conn = assemble_connection(flat(4), sm, HiggsField.zero(4, c=0.0))
     region = Region(lo=(0.0,) * 4, hi=(1.0,) * 4)
-    out = heat_kernel_coefficients(HeatKernelData(metric=flat(4).metric(),
+    out = heat_kernel_coefficients(HeatKernelData(metric=conn.vielbein.metric(),
                                                   connection=conn),
                                    region, GridSpec((4,) * 4))
     # lorentzian raising: B_mn B^mn = -2 f01^2, so AA = +(3/2) g1^2 f01^2
@@ -254,6 +256,39 @@ def test_derived_constants_table():
     # no SM sector: the volume constant keeps only the moment part
     assert abs(out["delta0"] - 12.0 * 2.5 ** 2 / (192.0 * PI ** 2)) < 1e-15
     assert out["lambda0"] == 0.0
+
+
+def test_cutoff_vanishing_at_zero_makes_the_inverse_constants_infinite():
+    # f(0) = 0: mu0 and kappa0 divide by it and are inf; the action is finite
+    obj = builtin_config("flat-empty")
+    obj["cutoff"] = {"table": {"u": [0, 1, 2], "f": [0, 1, 0]}}
+    obj["tasks"] = [{"type": "action", "form": "spectral", "aa_mode": "metric"}]
+    result = run_scenario(obj).results[0]
+    assert result.status == "pass", result.summary
+    assert result.summary["mu0"] == result.summary["kappa0"] == np.inf
+    assert np.isfinite(result.summary["total"]) and result.summary["total"] > 0
+    # the compact form follows the table: 1/kappa0 = 0 drops the R.R term
+    m = Moments(m4=1.0, m2=1.0, m0=0.0)
+    coeffs = heat_kernel_coefficients(HeatKernelData(metric=flat(4).metric(), aa_mode="metric"),
+                                      Region(lo=(0.0,) * 4, hi=(1.0,) * 4), GridSpec((3,) * 4))
+    out = universal_action_form(spectral_action(m, coeffs, sigma_sq=12.0), m, 1.0, 5.0,
+                                sigma_sq=12.0)
+    assert out["kappa0"] == np.inf
+    assert out["compact_total"] == out["tau0"]
+
+
+def test_derived_constants_and_the_sm_normalization_share_one_table():
+    f0, f4, lam_sq, n_r, n_h = 7.0, 0.3, 2.0, 1.2, 0.9
+    conn = _random_sm_setup(np.random.default_rng(139))
+    table = derived_constants(Moments(m4=f4, m2=1.0, m0=f0, lam_sq=lam_sq),
+                              alpha=conn.alpha, higgs_c=conn.higgs.c,
+                              reparam=ReparamConstants(n_r=n_r, n_h=n_h))
+    norm = sm_lagrangian_normalized(curvature(conn, Point((0.2, -0.3, 0.4, 0.1))), f0=f0,
+                                    f4=f4, lam_sq=lam_sq, n_r=n_r, n_h=n_h).constants
+    shared = set(table) & set(norm)
+    assert shared == {"tau0", "alpha0", "mu0", "kappa_sq", "z", "lambda0", "delta0"}
+    assert {k: table[k] for k in shared} == {k: norm[k] for k in shared}
+    assert table["lambda0"] != 0.0 and table["z"] != 0.0
 
 
 def test_flat_field_equation_is_exact():
@@ -360,6 +395,17 @@ def test_sm_field_equation_point_makes_one_frame_pass(monkeypatch):
     assert out.sm is not None
     # one pass serves the gravity part and the SM part
     assert len(calls) == 1
+
+
+def test_action_inputs_reject_a_connection_of_another_frame():
+    conn = _random_sm_setup(np.random.default_rng(139))
+    other = flat(4)
+    for aa_mode in ("blocks", "metric"):
+        with pytest.raises(ValueError, match="connection's vielbein"):
+            HeatKernelData(metric=other.metric(), connection=conn, aa_mode=aa_mode)
+    with pytest.raises(ValueError, match="connection's vielbein"):
+        riemannian_limit_action(other, Region(lo=(0.0,) * 4, hi=(1.0,) * 4), GridSpec((2,) * 4),
+                                moments(exponential_cutoff()), connection=conn)
 
 
 def test_fd_variation_makes_one_density_call_with_the_loops_bits():

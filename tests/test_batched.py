@@ -1,7 +1,6 @@
 """Block evaluation: one vectorised jet pass over N points against the per-point path."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,18 +136,6 @@ def test_block_geometry_matches_point_loop(name):
         _assert_rel(vol.det[i], ref_vol.det, 1e-13)
         assert vol.mode[i] == ref_vol.mode
     assert isinstance(ref.scalar, float) and isinstance(ref_vol.mode, str)
-
-
-def test_fd_mode_block_loops_over_points():
-    fd = replace(_frames()["expr-matrix"].field, derivative_mode="fd")
-    block = np.random.default_rng(3).uniform(0.0, 1.0, size=(4, 3))
-    val, d1, d2 = fd.jets(block, order=2)
-    assert d2.shape == (4, 3, 3, 3, 3)
-    for i, x in enumerate(block):
-        ref = fd.jets(Point(tuple(x)), order=2)
-        for got, want in zip((val, d1, d2), ref):
-            assert np.array_equal(got[i], want)
-    assert fd.jets(block, order=1)[2] is None
 
 
 def test_block_rejects_nonfinite_coordinates_and_values():
@@ -396,12 +383,24 @@ def test_blocks_density_makes_five_jet_passes_per_block(which, monkeypatch):
     if which == "heat-kernel":
         heat_kernel_coefficients(HeatKernelData(metric=conn.vielbein.metric(),
                                                 connection=conn), UNIT_BOX, grid)
-        per_block = [2, 1, 1, 1, 1]     # frame; B, W, G; Higgs
     else:
         riemannian_limit_action(conn.vielbein, UNIT_BOX, grid,
                                 moments(exponential_cutoff()), connection=conn)
-        per_block = [2, 2, 1, 1, 1, 1]  # metric curvature, then the connection's passes
-    assert orders == per_block * 4
+    # one curvature(connection, block) pass: frame; B, W, G; Higgs
+    assert orders == [2, 1, 1, 1, 1] * 4
+
+
+def test_limit_gravity_terms_are_the_frames_own_with_a_connection():
+    conn = _sm_connection(GAUGE_SM_FRAME)
+    args = (conn.vielbein, UNIT_BOX, GridSpec((3, 3, 3, 3)), moments(exponential_cutoff()))
+    with_conn = riemannian_limit_action(*args, connection=conn)
+    alone = riemannian_limit_action(*args)
+    gravity = ("delta0_volume", "einstein_hilbert", "ricci_sq", "lap_scalar", "scalar_sq",
+               "ricci_riemann_sq")
+    # the connection's curvature pass gives the frame's integrals bit for bit;
+    # only delta0's coefficient gains the connection's lambda0
+    assert [with_conn.terms[t][1] for t in gravity] == [alone.terms[t][1] for t in gravity]
+    assert [with_conn.terms[t] for t in gravity[1:]] == [alone.terms[t] for t in gravity[1:]]
 
 
 def test_gauge_action_integrals_hold_their_recorded_values():

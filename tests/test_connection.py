@@ -24,7 +24,7 @@ from geodyn.connection import (
     su3_structure_constants,
     transform_potential,
 )
-from geodyn.fields import ChartField, FD
+from geodyn.fields import ChartField, fd_jets
 from geodyn.geometry import frame_curvature_check, ricci_square, riemann_square
 from geodyn.jets import cos, sin
 from geodyn.library import flat, sphere2_cross_flat2
@@ -159,9 +159,9 @@ def test_field_strength_matches_brute_force_matrix_route():
                     out[m, i, j] = mat[i, j]
         return out
 
-    q_field = ChartField(dim=4, shape=(4, 2, 2), func=q_func, derivative_mode=FD)
+    q_field = ChartField(dim=4, shape=(4, 2, 2), func=q_func)
     q_vals = q_field.numeric(p.coords)
-    _, dq, _ = q_field.jets(p, order=1)
+    _, dq, _ = fd_jets(q_field, p, 1)
     f_direct = curvature_of_potential(q_vals, dq)
     f = curvature(form, p)
     assert np.abs(f_direct - f.q_f).max() < 1e-7
@@ -326,7 +326,7 @@ def test_normalized_lagrangian_constants_and_substitution():
     assert abs(out.constants["delta0"]
                - (12.0 * f4 * lam_sq ** 2 + f0 * lam0) / (192.0 * pi2)) < 1e-15
     # canonical gauge normalization: exactly -1/4 of each component square
-    assert abs(out.term("gauge_w") + 0.25 * f.component_square(f.w_f)) < 1e-12
+    assert abs(out.terms["gauge_w"] + 0.25 * f.component_square(f.w_f)) < 1e-12
     assert out.constants["substitution_residual"] < 1e-10
 
 
@@ -353,7 +353,7 @@ def test_curvature_squared_uses_reparam_constants():
     f = curvature(form, Point((0.5, -0.2, 0.1, 0.4)))
     base = curvature_squared(f)
     halved = curvature_squared(f, ReparamConstants(n_w=2.0))
-    assert abs(halved.term("gauge_w") - base.term("gauge_w") / 4.0) < 1e-12
+    assert abs(halved.terms["gauge_w"] - base.terms["gauge_w"] / 4.0) < 1e-12
     assert base.sum_residual() < 1e-12
 
 

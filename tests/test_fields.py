@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geodyn.fields import ChartField, DUAL, FD, _collect, scalar_field, constant_field
+from geodyn.fields import ChartField, _collect, constant_field, fd_jets, scalar_field
 from geodyn.jets import Jet, cosh, exp, sin, variables
 from geodyn.library import BUILTIN_FRAMES
 from geodyn.tensors import Point
@@ -37,10 +37,9 @@ def test_dual_and_fd_routes_agree():
             return m
 
         dual = ChartField(dim=3, shape=(2, 2), func=entry)
-        fd = ChartField(dim=3, shape=(2, 2), func=entry, derivative_mode=FD)
         p = Point(tuple(rng.uniform(-0.5, 0.5, size=3)))
         _, d1a, d2a = dual.jets(p, order=2)
-        _, d1b, d2b = fd.jets(p, order=2)
+        _, d1b, d2b = fd_jets(dual, p, 2)
         assert np.max(np.abs(d1a - d1b)) < 1e-8
         assert np.max(np.abs(d2a - d2b)) < 1e-5
 
@@ -76,11 +75,6 @@ def test_nonfinite_value_rejected():
     f = scalar_field(1, lambda x: 1.0 / x)
     with pytest.raises(ValueError, match="non-finite"):
         f.jets(np.array([[0.0]]), order=1)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        ChartField(dim=1, shape=(), func=lambda c: c[0], derivative_mode="spectral")
 
 
 def test_point_dim_mismatch_rejected():
