@@ -4,12 +4,13 @@ A :class:`ChartField` wraps a pure evaluator ``func(coords) -> array`` whose
 scalar arithmetic must go through :mod:`geodyn.jets` functions so the same
 code path serves plain floats (values, finite differences) and jets (exact
 derivatives).  ``ChartField.jets`` returns the value and its coordinate
-derivatives as plain arrays, derivative indices trailing.  It also takes an
-(N, dim) coordinate block, evaluated in one pass on block jets, and then puts
-the point axis first in its results.  ``fd_jets(field, p, order)`` gives the
-same arrays at a Point from central differences, the independent oracle for
-the jet route, with relative steps FD_STEP for first and FD_STEP2 for second
-derivatives.
+derivatives as plain arrays, derivative indices trailing.  At a Point the
+evaluator runs on point jets (tuple gradients of Python floats) for order 1
+and on numpy-gradient jets for order 2.  It also takes an (N, dim) block,
+evaluated in one pass on block jets, and then puts the point axis first in
+its results.  ``fd_jets(field, p, order)`` gives the same arrays at a Point
+from central differences, the independent oracle for the jet route, with
+relative steps FD_STEP for first and FD_STEP2 for second derivatives.
 """
 
 from __future__ import annotations
@@ -42,11 +43,19 @@ def _collapse_numeric(arr: np.ndarray) -> np.ndarray:
 def _collect(obj, shape, n, order, pts=()):
     """Split an evaluator result (jets and/or numbers) into value/grad/hess arrays.
 
-    ``pts == (N,)`` marks block jets: constants broadcast over the points.
-    The derivative arrays start as zeros and only the jet entries'
-    gradients and Hessians are written into them, by index.
+    At order 1 at a point the values, and the point jets' tuple gradients
+    with a zero row per constant, are stacked.  Otherwise ``pts == (N,)``
+    marks block jets, whose constants broadcast over the points, and only
+    the jet entries' derivatives are written, by index, into zero arrays.
     """
     entries = np.asarray(obj, dtype=object).reshape(shape).ravel().tolist()
+    if order == 1 and not pts:
+        val = np.array([e.val if isinstance(e, Jet) else e for e in entries])
+        d1 = np.array([e.grad if isinstance(e, Jet) else (0.0,) * n for e in entries])
+        # numpy makes either stack complex if one entry is; then both are
+        dtype = complex if "c" in (val.dtype.kind, d1.dtype.kind) else float
+        return (val.astype(dtype, copy=False).reshape(shape),
+                d1.astype(dtype, copy=False).reshape(shape + (n,)), None)
     idx, found = [], []
     for i, e in enumerate(entries):
         if isinstance(e, Jet):
@@ -73,29 +82,6 @@ def _collect(obj, shape, n, order, pts=()):
         parts = [np.moveaxis(a, -1, 0) for a in parts]
     val, d1, *d2 = [a.reshape(pts + shape + (n,) * k) for k, a in enumerate(parts)]
     return val, d1, (d2[0] if d2 else None)
-
-
-def _real_entries(obj, m: int, n: int):
-    """(val, grad, None) of a rank-1 evaluator result at one point, order 1.
-
-    The m entries' values and gradients are written straight into float
-    arrays, the arrays _collect would build.  None when the result is not m
-    entries or an entry is complex, for _collect to handle.
-    """
-    if not isinstance(obj, (list, tuple, np.ndarray)) or len(obj) != m:
-        return None
-    vals, grad = [], np.zeros((m, n))
-    for i, e in enumerate(obj):
-        if isinstance(e, Jet):
-            if e.grad.dtype.kind == "c":
-                return None
-            grad[i] = e.grad
-            e = e.val
-        vals.append(e)
-    val = np.array(vals)
-    if val.shape != (m,) or val.dtype.kind not in "biuf":
-        return None
-    return val.astype(float, copy=False), grad, None
 
 
 @dataclass
@@ -146,12 +132,8 @@ class ChartField:
         if isinstance(p, Point):
             if p.dim != self.dim:
                 raise ValueError(f"point dimension {p.dim} != field dimension {self.dim}")
-            obj = self.func(jets.variables(p.coords, order=order))
-            if order == 1 and len(self.shape) == 1:
-                res = _real_entries(obj, self.shape[0], self.dim)
-                if res is not None:
-                    return res
-            return _collect(obj, self.shape, self.dim, order)
+            return _collect(self.func(jets.variables(p.coords, order=order)),
+                            self.shape, self.dim, order)
         block = np.asarray(p, dtype=float)
         if block.shape[1:] != (self.dim,):
             raise ValueError(f"coordinate block of shape {block.shape}, expected (N, {self.dim})")

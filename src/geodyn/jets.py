@@ -10,6 +10,11 @@ A block jet carries a trailing axis over N points (``val (N,)``, ``grad
 (n, N)``, ``hess (n, n, N)``); with that axis last the same arithmetic
 serves it, using numpy ufuncs where scalar jets call ``math``/``cmath``.
 
+A point jet (order 1 at one point) holds a tuple gradient of Python numbers
+and applies Jet's rules to it entry by entry, in the same order, so a real
+gradient has the numpy one's bits.  Its complex products and quotients
+follow Python, which can differ from numpy in the last bit.
+
 Only smooth operations are provided.  ``abs`` is deliberately absent.
 """
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,9 +51,9 @@ PI = math.pi
 class Jet:
     """Truncated Taylor expansion (value, gradient, optional Hessian).
 
-    ``hess is None`` marks a first-order jet; second-order bookkeeping is
-    then skipped entirely, which matters in integrator inner loops.  ``grad``
-    and ``hess`` must be numpy arrays; they are stored as given.
+    ``hess is None`` marks a first-order jet, whose second-order bookkeeping
+    is skipped.  ``grad`` and ``hess`` are numpy arrays, stored as given; a
+    point jet's ``grad`` is a tuple of Python numbers and its ``hess`` None.
     """
 
     __slots__ = ("val", "grad", "hess")
@@ -121,7 +127,7 @@ class Jet:
 
     def __rtruediv__(self, other):
         v = self.val
-        return _chain(self, other / v, -other / (v * v), 2.0 * other / (v * v * v))
+        return self._chain(other / v, -other / (v * v), 2.0 * other / (v * v * v))
 
     def __pow__(self, k):
         if isinstance(k, Jet):
@@ -132,7 +138,7 @@ class Jet:
         if k == 1:
             return self
         v = self.val
-        return _chain(self, v ** k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2))
+        return self._chain(v ** k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2))
 
     def __rpow__(self, base):
         return exp(self * math.log(base))
@@ -160,6 +166,73 @@ class Jet:
         h = None if self.hess is None else np.conjugate(self.hess)
         return Jet(np.conjugate(self.val), np.conjugate(self.grad), h)
 
+    def _chain(self, f0, f1, f2):
+        """Compose an outer scalar function with derivatives f1, f2 at val."""
+        g = f1 * self.grad
+        h = None
+        if self.hess is not None:
+            h = f1 * self.hess + f2 * _outer(self.grad, self.grad)
+        return Jet(f0, g, h)
+
+
+class _PointJet(Jet):
+    """Order-1 jet at one point: Jet's rules on a tuple gradient, entry by entry."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return _point(self.val + other.val,
+                          tuple([a + b for a, b in zip(self.grad, other.grad)]))
+        return _point(self.val + other, self.grad)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)  # x - y is x + (-y) to the bit
+
+    def __rsub__(self, other):
+        return _point(other - self.val, tuple([-a for a in self.grad]))
+
+    def __neg__(self):
+        return _point(-self.val, tuple([-a for a in self.grad]))
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            sv, ov = self.val, other.val
+            return _point(sv * ov, tuple([a * ov + sv * b
+                                          for a, b in zip(self.grad, other.grad)]))
+        return _point(self.val * other, tuple([a * other for a in self.grad]))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            ov = other.val
+            v = self.val / ov
+            return _point(v, tuple([(a - v * b) / ov for a, b in zip(self.grad, other.grad)]))
+        inv = 1.0 / other
+        return _point(self.val * inv, tuple([a * inv for a in self.grad]))
+
+    def __pow__(self, k):
+        if k == 0:
+            return _point(self.val ** 0, tuple([0j if isinstance(a, complex) else 0.0
+                                                for a in self.grad]))
+        return Jet.__pow__(self, k)
+
+    def conjugate(self):
+        return _point(self.val.conjugate(), tuple([a.conjugate() for a in self.grad]))
+
+    def _chain(self, f0, f1, f2):
+        return _point(f0, tuple([f1 * a for a in self.grad]))
+
+
+def _point(val, grad):
+    # _PointJet(val, grad) without the __init__ call, for the inner loops
+    j = object.__new__(_PointJet)
+    j.val, j.grad, j.hess = val, grad, None
+    return j
+
 
 def _plain(x):
     return x.val if isinstance(x, Jet) else x
@@ -170,18 +243,16 @@ def _outer(a, b):
     return a[:, None] * b[None, :]
 
 
-def _chain(x: Jet, f0, f1, f2):
-    """Compose an outer scalar function with derivatives f1, f2 at x.val."""
-    g = f1 * x.grad
-    h = None
-    if x.hess is not None:
-        h = f1 * x.hess + f2 * _outer(x.grad, x.grad)
-    return Jet(f0, g, h)
+@lru_cache(maxsize=None)
+def _unit_rows(n: int) -> tuple:
+    return tuple(map(tuple, _identity(n).tolist()))
 
 
 def variables(coords, order: int = 2) -> tuple:
-    """Seed one jet per coordinate (a number, or an (N,) array for block jets)."""
+    """Seed one jet per coordinate: a number (a point jet at order 1) or an (N,) array."""
     n = len(coords)
+    if order == 1 and not isinstance(coords[0], np.ndarray):
+        return tuple([_point(xi, row) for xi, row in zip(coords, _unit_rows(n))])
     eye, pts = _identity(n), ()
     if isinstance(coords[0], np.ndarray):
         pts = coords[0].shape
@@ -193,7 +264,7 @@ def variables(coords, order: int = 2) -> tuple:
 def _dispatch(x, fn, f0f1f2):
     if isinstance(x, Jet):
         f0, f1, f2 = f0f1f2(x.val)
-        return _chain(x, f0, f1, f2)
+        return x._chain(f0, f1, f2)
     return fn(x)
 
 

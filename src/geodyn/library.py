@@ -75,15 +75,13 @@ def schwarzschild(mass: float = 1.0) -> Vielbein:
         raise ValueError("mass must be positive")
     from .jets import sin, sqrt
 
-    def f_t(c):
-        return sqrt(1.0 - 2.0 * mass / c[1])
+    def func(c):
+        # sqrt(1 - 2m/r) once for the t and r entries
+        f = sqrt(1.0 - 2.0 * mass / c[1])
+        return [f, 1.0 / f, c[1], c[1] * sin(c[2])]
 
-    def f_r(c):
-        return 1.0 / sqrt(1.0 - 2.0 * mass / c[1])
-
-    return diagonal_vielbein(
-        [f_t, f_r, lambda c: c[1], lambda c: c[1] * sin(c[2])],
-        MinkowskiSignature.lorentzian(4))
+    return Vielbein(field=ChartField(dim=4, shape=(4,), func=func),
+                    signature=MinkowskiSignature.lorentzian(4))
 
 
 def sphere2_cross_flat2(radius: float = 1.0) -> Vielbein:

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
+from geodyn.exprs import FUNCTION_NAMES, compile_expression
 from geodyn.fields import ChartField, _collect, constant_field, fd_jets, scalar_field
 from geodyn.jets import Jet, cosh, exp, sin, variables
 from geodyn.library import BUILTIN_FRAMES
 from geodyn.tensors import Point
+
+
+def _times_i(jet):
+    """jet with its gradient times 1j, of the jet's own kind: a point jet's
+    tuple gradient or a numpy one."""
+    g = jet.grad
+    return type(jet)(jet.val, tuple(1j * d for d in g) if isinstance(g, tuple) else 1j * g)
 
 
 def test_scalar_closed_form_derivatives():
@@ -106,11 +114,12 @@ def test_collect_dtype_and_shape_rules():
     assert val.dtype == d1.dtype == complex and d2 is None
     assert val[1] == 2.0 + 1.0j and d1.shape == (2, 3)
     # so does a jet whose value is real but whose gradient is complex
-    grad = ChartField(dim=3, shape=(), func=lambda c: Jet(c[1].val, 1.0j * c[1].grad))
+    grad = ChartField(dim=3, shape=(), func=lambda c: _times_i(c[1]))
     val, d1, _ = grad.jets(p, order=1)
     assert val.shape == () and val.dtype == complex and d1.tolist() == [0.0, 1.0j, 0.0]
     # an order-2 request over a first-order jet is an error, not a silent zero
-    dropped = ChartField(dim=3, shape=(2,), func=lambda c: [c[0], Jet(c[1].val, c[1].grad)])
+    dropped = ChartField(dim=3, shape=(2,),
+                         func=lambda c: [c[0], type(c[1])(c[1].val, c[1].grad)])
     with pytest.raises(ValueError, match="dropped the Hessian"):
         dropped.jets(p, order=2)
     # a block puts the point axis first and broadcasts constant entries over it
@@ -180,16 +189,16 @@ def _rank1_cases():
                                       func=lambda c: np.array([c[1] * c[0], 2.0], dtype=object))
     yield "complex-value", ChartField(dim=2, shape=(2,), func=lambda c: [(c[0] - 1.0) ** 0.5, 1.0])
     yield "complex-gradient", ChartField(dim=2, shape=(2,),
-                                         func=lambda c: [Jet(c[0].val, 1j * c[0].grad), c[1]])
+                                         func=lambda c: [_times_i(c[0]), c[1]])
 
 
 @pytest.mark.parametrize("name, field", list(_rank1_cases()))
 def test_rank1_point_jets_match_collect(name, field):
-    # order 1 at a Point fills val and grad from the entries, bypassing
-    # _collect for real entries; complex ones still take _collect's route
+    # order 1 at a Point runs on point jets, whose gradients are tuples;
+    # the stacking oracle builds the same arrays from those tuples
     p = (0.7, 3.1, 1.2, 0.4)[:field.dim]
     got = field.jets(Point(p), order=1)
-    ref = _collect(field.func(variables(p, order=1)), field.shape, field.dim, 1)
+    ref = _oracle_collect(field.func(variables(p, order=1)), field.shape, field.dim, 1)
     assert got[2] is None and ref[2] is None
     for a, b in zip(got[:2], ref[:2]):
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -200,3 +209,40 @@ def test_rank1_point_jets_reject_a_wrong_entry_count():
     field = ChartField(dim=2, shape=(2,), func=lambda c: [c[0], c[1], 1.0])
     with pytest.raises(ValueError):
         field.jets(Point((0.1, 0.2)), order=1)
+
+
+# every function of the expression language, the operators and their
+# special cases (x^0, x^1, Jet**Jet, number**Jet), integer and constant-only
+# entries, and quotients and products of jets whose gradients overlap
+EXPRESSIONS = (
+    [f"{fn}(0.3*x + 0.1*y*z)" for fn in FUNCTION_NAMES]
+    + ["-x", "1 - x", "x/y", "2/(x*y)", "x^0", "x^1", "x^y", "2^x", "3*x^2 - 2*y + 1",
+       "y - z/4", "2*pi", "7", "(x*y)^0.5 + sqrt(z)/(1 + y^2)",
+       "(x + y)/(x*y + z)", "(x*y - z)^2/(1 + x*z) - exp(-y*z)"])
+
+
+def _expression_field(sources):
+    exprs = [compile_expression(src, ("x", "y", "z")) for src in sources]
+    return ChartField(dim=3, shape=(len(exprs),), func=lambda c: [e(c) for e in exprs])
+
+
+def _point_route_cases():
+    for name in sorted(BUILTIN_FRAMES):
+        yield name, BUILTIN_FRAMES[name][0]().field
+    yield "expressions", _expression_field(EXPRESSIONS)
+    yield "complex-value", _expression_field(["(x - 1)^0.5", "x*y"])
+
+
+@pytest.mark.parametrize("name, field", list(_point_route_cases()))
+def test_point_jets_match_the_order2_route(name, field):
+    # order 1 at a Point runs on float point jets; order 2 keeps numpy
+    # gradients, and its value and first derivative must be the same bits
+    p = Point((0.7, 3.1, 1.2, 0.4)[:field.dim])
+    got = field.jets(p, order=1)
+    want = field.jets(p, order=2)
+    assert got[2] is None
+    if name == "complex-value":
+        assert got[0].dtype == complex
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name

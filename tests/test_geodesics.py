@@ -21,7 +21,7 @@ def test_equator_is_a_great_circle():
     assert np.abs(traj.xs[:, 0] - np.pi / 2).max() < 1e-12
     assert np.abs(traj.xs[:, 1] - traj.ts).max() < 1e-12
     assert traj.norm_drift < 1e-12
-    assert traj.final_point.coords[1] == pytest.approx(2.0 * np.pi, abs=1e-12)
+    assert traj.xs[-1, 1] == pytest.approx(2.0 * np.pi, abs=1e-12)
 
 
 def test_tilted_great_circle_conserves_norm_and_clairaut():
@@ -234,16 +234,26 @@ STARTS = {
     "expr-diagonal": ((0.3, 0.2, 0.0), (1.0, 0.1, 0.0), 2.0, 200),
 }
 
+# starts whose velocity components are all nonzero, so that every Christoffel
+# term enters the sum and its order is tested: name -> (frame, start)
+ALL_TERMS = {
+    "schwarzschild-off-equator": ("schwarzschild", ((0.0, 7.0, 1.1, 0.3),
+                                                    (1.3, 0.05, 0.02, 0.07), 20.0, 400)),
+    "sphere2-cross-flat2-all-terms": ("sphere2-cross-flat2", ((1.0, 0.2, -0.5, 0.3),
+                                                              (0.3, 0.4, 0.25, -0.2), 5.0, 200)),
+}
+
 
 def _bits(traj):
     return (traj.status, traj.message, traj.ts.tobytes(), traj.xs.tobytes(),
             traj.vs.tobytes(), traj.norms.tobytes())
 
 
-@pytest.mark.parametrize("name", sorted(STARTS))
+@pytest.mark.parametrize("name", sorted(STARTS) + sorted(ALL_TERMS))
 def test_diagonal_stage_matches_the_general_stage(name):
-    frame = diagonal_frames()[name]
-    x0, v0, t_max, steps = STARTS[name]
+    frame_name, start = ALL_TERMS.get(name, (name, STARTS.get(name)))
+    frame = diagonal_frames()[frame_name]
+    x0, v0, t_max, steps = start
     fast = integrate_geodesic(frame.metric(), x0, v0, t_max=t_max, steps=steps)
     general = integrate_geodesic(matrix_twin(frame).metric(), x0, v0,
                                  t_max=t_max, steps=steps)
@@ -271,3 +281,17 @@ def test_overflowing_diagonal_metric_stops_the_run_without_a_warning(entries, x0
     assert traj.status == "singular"
     assert traj.message.startswith("non-finite metric value at (")
     assert _bits(traj) == _bits(general)
+
+
+def test_overflowing_acceleration_stops_both_stages_alike():
+    # the metric and its derivatives are finite, but (p + p) - p in the
+    # Christoffel symbols overflows, where the general stage's zero terms
+    # turn inf into NaN and the diagonal stage's would not
+    frame = diagonal_vielbein([lambda c: 0.9e154 * c[0]] * 3, MinkowskiSignature.euclidean(3))
+    x0, v0 = (1.0, 0.0, 0.0), (1.0, 0.5, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = integrate_geodesic(frame.metric(), x0, v0, t_max=1.0, steps=10)
+        general = integrate_geodesic(matrix_twin(frame).metric(), x0, v0, t_max=1.0, steps=10)
+    assert fast.status == "singular" and fast.message == "non-finite acceleration"
+    assert _bits(fast) == _bits(general)
