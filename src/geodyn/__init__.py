@@ -4,7 +4,6 @@ triples, and cutoff-expansion action evaluation on coordinate charts."""
 from .tensors import MinkowskiSignature, Point, SingularMetricError
 from .fields import ChartField, constant_field, scalar_field
 from .geometry import (
-    CoordinateConditionError,
     GeneralizedMetric,
     Vielbein,
     compatibility_residual,
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MinkowskiSignature", "Point", "SingularMetricError",
     "ChartField", "constant_field", "scalar_field",
-    "CoordinateConditionError", "GeneralizedMetric", "Vielbein",
+    "GeneralizedMetric", "Vielbein",
     "compatibility_residual", "dirac_matrices", "spin_connection",
     "Trajectory", "integrate_geodesic",
     "ConnectionForm", "HiggsField", "SMGaugeConfig",

@@ -62,7 +62,6 @@ __all__ = [
     "integrate_scalar",
     "heat_kernel_coefficients",
     "spectral_action",
-    "universal_action_form",
     "field_equation_residual",
     "riemannian_limit_action",
     "unification_scale",
@@ -387,9 +386,6 @@ class ActionReport:
     constants: dict = field(default_factory=dict)
     quadrature: dict = field(default_factory=dict)
 
-    def term_value(self, name: str) -> float:
-        return self.terms[name][2]
-
     def sum_residual(self) -> float:
         return abs(self.total - sum(v[2] for v in self.terms.values()))
 
@@ -431,28 +427,6 @@ def spectral_action(m: Moments, coeffs: HeatKernelCoefficients,
                             "a0_volume": coeffs.errors["a0"],
                             "a2_endomorphism": coeffs.errors["a2"],
                             "a4_curvature": coeffs.errors["a4"]}, **coeffs.meta})
-
-
-def universal_action_form(report: ActionReport, m: Moments,
-                          vol_integral: float, riemann_sq_integral: float,
-                          sigma_sq: float) -> dict:
-    """Compact form tau0 * vol + (1/2 kappa0) * int R.R.
-
-    tau0 and kappa0 are read from derived_constants.  Consistent with the
-    three-term total when a2 = 0 and the a4 scalar is the metric-mode
-    sigma^2 R.R density.
-    """
-    if sigma_sq == 0:
-        raise ValueError("sigma_sq must be nonzero")
-    consts = derived_constants(m, sigma_sq=sigma_sq)
-    tau0, kappa0 = consts["tau0"], consts["kappa0"]
-    compact = tau0 * vol_integral + riemann_sq_integral / (2.0 * kappa0)
-    return {
-        "tau0": tau0,
-        "kappa0": kappa0,
-        "compact_total": compact,
-        "residual_vs_total": abs(compact - report.total),
-    }
 
 
 # -- field equations ---------------------------------------------------------------

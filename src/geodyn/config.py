@@ -696,7 +696,17 @@ def _reference(diags, path, value, ctx):
     return GeneralizedMetric(dim=len(matrix), gamma_field=_expr_field(matrix))
 
 
-_ORBIT_ENTRIES = {"mass": (_number, _REQUIRED), "radius": (_positive, _REQUIRED)}
+_ORBIT_ENTRIES = {"mass": (_positive, _REQUIRED), "radius": (_positive, _REQUIRED)}
+
+
+def _orbit(diags, path, value, ctx):
+    """The circular-orbit check of a geodesic task, which reads t and phi as
+    the first and last of four chart coordinates."""
+    if ctx.dim not in (None, 4):
+        diags.append(Diagnostic(path, f"needs a 4-dimensional (t, r, theta, phi) "
+                                      f"chart, not a {ctx.dim}-dimensional one"))
+        return None
+    return _object(_ORBIT_ENTRIES, "orbit takes no such entry")(diags, path, value, ctx)
 
 _POINTS = (_list_of(_point, "points"), _box_midpoint)
 
@@ -715,8 +725,8 @@ _TASK_ENTRIES = {
         "steps": (_integer(1, MAX_GEODESIC_STEPS), 1000),
         "step_size": (_positive, 0.01),
         "csv_samples": (_count, 100),
-        "orbit": (_object(_ORBIT_ENTRIES, "orbit takes no such entry"), None),
-        "orbit_tolerance": (_number, 1e-4),
+        "orbit": (_orbit, None),
+        "orbit_tolerance": (_positive, 1e-4),
     },
     "action": {
         "tolerance": (_number, 1e-10),
@@ -738,7 +748,7 @@ _TASK_ENTRIES = {
     },
     "limit-check": {
         "tolerance": (_number, 1e-8),
-        "gamma_tolerance": (_number, 1e-12),
+        "gamma_tolerance": (_positive, 1e-12),
         "points": _POINTS,
         "reference": (_reference, None),
     },

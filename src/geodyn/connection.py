@@ -67,7 +67,6 @@ __all__ = [
     "field_strength_square",
     "higgs_kinetic_square",
     "lambda0_constant",
-    "lambda0_check",
     "gauge_square_report",
     "higgs_covariant_derivative",
     "sm_constants",
@@ -146,13 +145,6 @@ class SMGaugeConfig:
                    g=ChartField(dim=dim, shape=(8, dim), func=lambda c: np.zeros((8, dim))),
                    g1=g1, g2=g2, g3=g3)
 
-    def blocks(self, p: Point) -> dict:
-        """Pointwise matrix blocks of the assembled gauge connection."""
-        bv = np.asarray(self.b.numeric(p.coords), dtype=float)
-        wv = np.asarray(self.w.numeric(p.coords), dtype=float)
-        gv = np.asarray(self.g.numeric(p.coords), dtype=float)
-        return _gauge_blocks(bv, wv.T, gv.T, self.g1, self.g2, self.g3)
-
 
 def _gauge_blocks(b, w, g, g1, g2, g3) -> dict:
     """The blocks of diag(Lambda, Q, V) from the components b[...], w[..., a]
@@ -207,17 +199,6 @@ class HiggsField:
 
         return cls(h=ChartField(dim=dim, shape=(2, 2), func=func), c=c)
 
-    def value(self, p: Point) -> np.ndarray:
-        return np.asarray(self.h.numeric(p.coords), dtype=complex)
-
-    def quaternion_residual(self, p: Point) -> float:
-        h = self.value(p)
-        return float(max(abs(h[1, 0] + np.conj(h[0, 1])), abs(h[1, 1] - np.conj(h[0, 0]))))
-
-    def norm_squared(self, p: Point) -> float:
-        h = self.value(p)
-        return float(np.real(np.trace(h.conj().T @ h)) / 2.0)
-
 
 PI2 = float(np.pi ** 2)
 ETA = 2.0          # <chi, chi> = Tr(chi^dagger chi) for chi = sigma_1
@@ -244,16 +225,6 @@ class ConnectionForm:
     @property
     def dim(self) -> int:
         return self.vielbein.dim
-
-    def gauge_block(self, p: Point) -> np.ndarray:
-        return self.sm.blocks(p)["full"]
-
-    def gauge_trace_max(self, p: Point) -> float:
-        return float(np.abs(np.einsum("mii->m", self.gauge_block(p))).max())
-
-    def anti_hermiticity_residual(self, p: Point) -> float:
-        a = self.gauge_block(p)
-        return float(np.abs(a + np.conj(np.einsum("mij->mji", a))).max())
 
 
 def assemble_connection(vielbein: Vielbein, sm: SMGaugeConfig, higgs: HiggsField,
@@ -563,44 +534,6 @@ def curvature_squared(f: CurvatureForm,
         "lambda0": lambda0_constant(alpha, f.higgs_c, rp.n_h),
     }
     return LagrangianBreakdown(point=f.point, terms=terms, total=_total(terms))
-
-
-def lambda0_check(f: CurvatureForm, n_h: float = 1.0) -> dict:
-    """Compare the reparametrized form against the plain squared curvature.
-
-    The plain form carries +(eta^2/alpha^4)(|H|^2 - c^2)^2; the reparametrized
-    form carries the opposite-signed potential plus the constant lambda0.  The
-    two agree term by term away from the potential, and agree on the potential
-    sector at the zero-field reference H = 0.  Pointwise with H != 0 the
-    potential sectors differ; the returned dict reports both residuals so the
-    caller can see exactly where the constant does and does not absorb the
-    discrepancy.
-    """
-    eta = ETA
-    alpha = f.alpha
-    c = f.higgs_c
-    pot = f.higgs_potential
-    rp = ReparamConstants(n_h=n_h)
-    breakdown = curvature_squared(f, rp)
-    nonpot = 0.0
-    if n_h == 1.0:
-        plain = curvature_squared(f).terms
-        nonpot = max(abs(breakdown.terms[k] - plain[k]) for k in
-                     ("ricci_sq", "gauge_b", "gauge_w", "gauge_g", "higgs_kinetic"))
-    lam0 = lambda0_constant(alpha, c, n_h)
-    # zero-field reference: pot -> -c^2 in both potential sectors
-    plain_ref = (eta ** 2 / alpha ** 4) * c ** 4
-    repar_ref = -(eta ** 2 / (alpha ** 4 * n_h ** 4)) * c ** 4 + lam0
-    pointwise_pot_gap = abs((eta ** 2 / alpha ** 4) * pot ** 2
-                            - (breakdown.terms["higgs_potential"]
-                               + breakdown.terms["lambda0"]))
-    return {
-        "lambda0": lam0,
-        "nonpotential_max_diff": nonpot,
-        "reference_residual": abs(plain_ref - repar_ref),
-        "pointwise_potential_gap": pointwise_pot_gap,
-        "potential_sign_flipped": True,
-    }
 
 
 # -- trace oracle over the U(1) + SU(2) + U(3) block ---------------------------

@@ -83,13 +83,6 @@ class CompiledExpression:
         env = dict(zip(self.coordinates, coords))
         return _eval(self._tree.body, env, self.source)
 
-    def free_names(self) -> tuple:
-        used = set()
-        for node in ast.walk(self._tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-        return tuple(sorted(used & set(self.coordinates)))
-
 
 def compile_expression(source: str, coordinates) -> CompiledExpression:
     """Parse and validate; raises ExpressionError with a character offset."""

@@ -42,23 +42,13 @@ __all__ = [
     "DiracMatrices",
     "VolumeElement",
     "CompatibilityResidual",
-    "CoordinateConditionError",
     "spin_connection",
     "flat_gamma_matrices",
     "sigma_matrices",
     "sigma_squared",
     "dirac_matrices",
     "compatibility_residual",
-    "solve_vielbein_along_line",
 ]
-
-
-class CoordinateConditionError(RuntimeError):
-    """A coordinate-condition precondition failed at the evaluation point."""
-
-
-# how far ricci_simplified lets its coordinate conditions miss
-COORDINATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -121,10 +111,6 @@ class ChristoffelSymbols:
     values: np.ndarray  # Gamma[m, a, b]
     gamma: np.ndarray
     gamma_inv: np.ndarray
-
-    def contracted(self) -> np.ndarray:
-        """Gamma^b_{ba}; vanishes exactly in unit-volume coordinates."""
-        return np.einsum("bba->a", self.values)
 
 
 @dataclass(frozen=True)
@@ -218,25 +204,6 @@ class GeneralizedMetric:
         riem, ricci, scalar = _riemann_from(ginv, gam, dgam)
         return CurvatureTensors(point=p, riemann=riem, ricci=ricci, scalar=scalar,
                                 gamma=g, gamma_inv=ginv)
-
-    def ricci_simplified(self, p: Point) -> np.ndarray:
-        """Ricci tensor in unit-volume coordinates.
-
-        Valid only where sqrt|det gamma| = 1 and the contracted Christoffel
-        symbols vanish, each within COORDINATE_TOL; under those conditions
-        it agrees with the full curvature pipeline.
-        """
-        g, ginv, gam, dgam = self.christoffel_with_derivative(p)
-        vol = np.sqrt(abs(np.linalg.det(g)))
-        if abs(vol - 1.0) > COORDINATE_TOL:
-            raise CoordinateConditionError(
-                f"sqrt|det gamma| = {vol:.12g} is not 1 within {COORDINATE_TOL:g}")
-        contracted = np.einsum("bba->a", gam)
-        worst = float(np.abs(contracted).max())
-        if worst > COORDINATE_TOL:
-            raise CoordinateConditionError(f"contracted Christoffel max |Gamma^b_ba| = "
-                                           f"{worst:.3e} exceeds {COORDINATE_TOL:g}")
-        return np.einsum("amna->mn", dgam) - np.einsum("bma,anb->mn", gam, gam)
 
 
 def _on_diagonal(d: np.ndarray, k: int) -> np.ndarray:
@@ -520,24 +487,6 @@ class DiracMatrices:
     gammas: np.ndarray        # Gamma^m = E^m_a gamma^a
     gamma_metric: np.ndarray  # gamma^{mn} at the point
 
-    def anticommutator_residuals(self) -> dict:
-        """Max residuals against both normalizations of the Clifford relation.
-
-        ``doubled`` checks {Gamma^m, Gamma^n} = 2 gamma^{mn} I (the relation
-        the construction satisfies); ``plain`` checks the same with the
-        factor 2 dropped, reported for comparison.
-        """
-        s = self.gammas.shape[-1]
-        eye = np.eye(s)
-        anti = (np.einsum("mij,njk->mnik", self.gammas, self.gammas)
-                + np.einsum("nij,mjk->mnik", self.gammas, self.gammas))
-        doubled = anti - 2.0 * np.einsum("mn,ik->mnik", self.gamma_metric, eye)
-        plain = anti - np.einsum("mn,ik->mnik", self.gamma_metric, eye)
-        return {
-            "doubled": float(np.abs(doubled).max()),
-            "plain": float(np.abs(plain).max()),
-        }
-
 
 def dirac_matrices(e: Vielbein, p: Point) -> DiracMatrices:
     """Curved-space Dirac matrices Gamma^m = E^m_a gamma^a."""
@@ -567,10 +516,6 @@ class CompatibilityResidual:
     display: np.ndarray
     tetrad: np.ndarray
     projection_defect: float
-
-    @property
-    def tetrad_max(self) -> float:
-        return float(np.abs(self.tetrad).max())
 
 
 def _sigma_basis_matrix(sig: np.ndarray) -> np.ndarray:
@@ -631,57 +576,3 @@ def compatibility_residual(e: Vielbein, a_field: ChartField, p: Point) -> Compat
     tetrad = cov + np.real_if_close(np.einsum("acn,cm->amn", mixed, e_val))
     return CompatibilityResidual(point=p, display=display, tetrad=np.asarray(tetrad),
                                  projection_defect=defect)
-
-
-@dataclass(frozen=True)
-class LineSolveResult:
-    ts: np.ndarray
-    frames: np.ndarray         # E samples along the line, shape (len(ts), n, n)
-    resubstitution: float      # max FD-vs-right-hand-side defect (interior points)
-
-
-def solve_vielbein_along_line(a_field: ChartField, e0: np.ndarray, x0: Point,
-                              direction, signature: MinkowskiSignature,
-                              t_max: float, steps: int) -> LineSolveResult:
-    """Integrate the frame transport sigma_ab (d_t E)^a_m = eta_bc (A.d) E^c_m.
-
-    The compatibility condition only constrains the sigma-contracted part of
-    the directional derivative, so the velocity is recovered per step by
-    least squares on the free (b, i, j) slots.  Integration is classical RK4
-    along the straight line x0 + t*direction; the re-substitution defect of
-    the solved samples under an independent central-difference time
-    derivative is reported.
-    """
-    n = signature.dim
-    sig = sigma_matrices(signature)
-    eta = signature.matrix.astype(complex)
-    d = np.asarray(direction, dtype=float)
-    # rows (b, i, j), columns a: maps a velocity v^a to sigma_ab v^a
-    design = np.transpose(sig, (1, 2, 3, 0)).reshape(-1, n)
-
-    def rhs(t: float, e_mat: np.ndarray) -> np.ndarray:
-        coords = tuple(np.asarray(x0.coords, dtype=float) + t * d)
-        a_val = np.asarray(a_field.raw(coords), dtype=complex)
-        a_dir = np.einsum("n,nij->ij", d, a_val)
-        target = np.einsum("bc,ij,cm->bijm", eta, a_dir, e_mat.astype(complex))
-        v, *_ = np.linalg.lstsq(design, target.reshape(-1, n), rcond=None)
-        return np.real(v)
-
-    ts = np.linspace(0.0, t_max, steps + 1)
-    h = t_max / steps
-    frames = np.zeros((steps + 1, n, n))
-    e_cur = np.array(e0, dtype=float)
-    frames[0] = e_cur
-    for k in range(steps):
-        t = ts[k]
-        k1 = rhs(t, e_cur)
-        k2 = rhs(t + 0.5 * h, e_cur + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, e_cur + 0.5 * h * k2)
-        k4 = rhs(t + h, e_cur + h * k3)
-        e_cur = e_cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        frames[k + 1] = e_cur
-    defect = 0.0
-    for k in range(1, steps):
-        fd = (frames[k + 1] - frames[k - 1]) / (2.0 * h)
-        defect = max(defect, float(np.abs(fd - rhs(ts[k], frames[k])).max()))
-    return LineSolveResult(ts=ts, frames=frames, resubstitution=defect)

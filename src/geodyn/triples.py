@@ -11,23 +11,20 @@ J M J^-1 = K conj(M) K^dagger, independent of eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "FiniteTriple",
     "AxiomReport",
-    "AlgebraElement",
     "YukawaData",
     "FluctuationElement",
     "check_axioms",
     "inner_fluctuations",
     "fluctuation_space",
-    "span_residual",
     "fluctuate",
     "unimodular_projection",
-    "split_u3",
     "build_sm_finite",
     "two_point_triple",
     "lepton_triple",
@@ -174,62 +171,6 @@ def check_axioms(t: FiniteTriple) -> AxiomReport:
     )
 
 
-# -- algebra elements of C + H + M3(C) ----------------------------------------
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """An element (lambda, q, m) of C + H + M3(C).
-
-    q must be a quaternion in the 2x2 complex form [[x, y], [-y*, x*]].  The
-    canonical block representation acts on C^6 = C + C^2 + C^3.
-    """
-
-    lam: complex
-    q: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self):
-        q = _as_matrix(self.q, "quaternion part")
-        m = _as_matrix(self.m, "M3 part")
-        if q.shape != (2, 2):
-            raise ValueError("quaternion part must be 2x2")
-        if m.shape != (3, 3):
-            raise ValueError("matrix part must be 3x3")
-        if self.quaternion_residual_of(q) > 1e-12:
-            raise ValueError("q is not of the quaternion form [[x, y], [-y*, x*]]")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "m", m)
-
-    @staticmethod
-    def quaternion_residual_of(q: np.ndarray) -> float:
-        return float(max(abs(q[1, 0] + np.conj(q[0, 1])),
-                         abs(q[1, 1] - np.conj(q[0, 0]))))
-
-    def block_rep(self) -> np.ndarray:
-        out = np.zeros((6, 6), dtype=complex)
-        out[0, 0] = self.lam
-        out[1:3, 1:3] = self.q
-        out[3:6, 3:6] = self.m
-        return out
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.lam * other.lam, self.q @ other.q,
-                              self.m @ other.m)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.lam + other.lam, self.q + other.q,
-                              self.m + other.m)
-
-    @classmethod
-    def random(cls, rng) -> "AlgebraElement":
-        x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
-        q = np.array([[x, y], [-np.conj(y), np.conj(x)]])
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lam = complex(rng.normal() + 1j * rng.normal())
-        return cls(lam, q, m)
-
-
 # -- inner fluctuations --------------------------------------------------------
 
 
@@ -290,27 +231,16 @@ def fluctuation_space(t: FiniteTriple):
     return int(keep.sum()), vh[keep]
 
 
-def span_residual(basis: np.ndarray, m: np.ndarray) -> float:
-    """Distance of m from the row span of an orthonormal basis."""
-    v = m.ravel()
-    if basis.shape[0] == 0:
-        return float(np.linalg.norm(v))
-    proj = basis.conj() @ v
-    return float(np.linalg.norm(v - basis.T @ proj))
-
-
-def fluctuate(t: FiniteTriple, a: FluctuationElement,
-              hermitian_projection: bool = True) -> FiniteTriple:
+def fluctuate(t: FiniteTriple, a: FluctuationElement) -> FiniteTriple:
     """Perturbed triple with D' = D + A + J A J^-1.
 
-    The Hermitian projection (on by default) replaces A by (A + A^dagger)/2
-    before fluctuating, which keeps D' Hermitian.  The first-order and
-    grading residuals of the result are available via check_axioms.
+    A is first replaced by its Hermitian part (A + A^dagger)/2, which keeps
+    D' Hermitian.  The first-order and grading residuals of the result are
+    available via check_axioms.
     """
     if t.k is None:
         raise ValueError("fluctuation needs a real structure J")
-    elem = a.hermitian() if hermitian_projection else a
-    mat = elem.matrix()
+    mat = a.hermitian().matrix()
     d_new = t.d + mat + t.conjugate_by_j(mat)
     return t.with_dirac(d_new)
 
@@ -322,19 +252,6 @@ def unimodular_projection(a: FluctuationElement) -> FluctuationElement:
     shifted = mat - (np.trace(mat) / dim) * np.eye(dim)
     return FluctuationElement(pairs=a.pairs, a=shifted,
                               hermitian_projected=a.hermitian_projected)
-
-
-def split_u3(v: np.ndarray) -> tuple:
-    """Split a u(3) block as V = -V' - (1/3) Lambda I with V' traceless.
-
-    Returns (lam, vprime) where lam = -Tr(V).
-    """
-    v = _as_matrix(v, "V")
-    if v.shape != (3, 3):
-        raise ValueError("V must be 3x3")
-    lam = -complex(np.trace(v))
-    vprime = -v - (lam / 3.0) * np.eye(3)
-    return lam, vprime
 
 
 # -- built-in triples ----------------------------------------------------------
@@ -447,14 +364,6 @@ class YukawaData:
         out[:45, :45] = y
         out[45:, 45:] = np.conj(y)
         return out
-
-    def hermiticity_residual(self) -> float:
-        d = self.d_y()
-        return _max_abs(d - d.conj().T)
-
-    def sector_dimensions(self) -> dict:
-        return {"quark_block": 12, "quark_with_color": 36, "lepton_block": 9,
-                "particle_total": 45, "hilbert": 90}
 
 
 def _chirality_pattern_45() -> np.ndarray:

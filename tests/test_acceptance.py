@@ -365,9 +365,9 @@ def test_criterion_08_spectral_action():
                              coeffs, sigma_sq=12.0)
         r2 = spectral_action(moments(exponential_cutoff(lam_sq=2.0)),
                              coeffs, sigma_sq=12.0)
-        assert r2.term_value("a0_volume") == 4.0 * r1.term_value("a0_volume")
-        assert r2.term_value("a2_endomorphism") == 2.0 * r1.term_value("a2_endomorphism")
-        assert r2.term_value("a4_curvature") == r1.term_value("a4_curvature")
+        assert r2.terms["a0_volume"][2] == 4.0 * r1.terms["a0_volume"][2]
+        assert r2.terms["a2_endomorphism"][2] == 2.0 * r1.terms["a2_endomorphism"][2]
+        assert r2.terms["a4_curvature"][2] == r1.terms["a4_curvature"][2]
 
         # grid doubling stays within the Richardson estimate
         gm = sphere2().metric()

@@ -23,7 +23,6 @@ from geodyn.action import (
     sharp_cutoff,
     spectral_action,
     unification_scale,
-    universal_action_form,
 )
 from geodyn.config import build_scenario
 from geodyn.connection import (
@@ -223,7 +222,7 @@ def test_spectral_action_flat_total_and_scaling():
     # term homogeneity in the energy scale: powers 2, 1, 0 in lam_sq
     m2x = moments(exponential_cutoff(lam_sq=4.0))
     r2 = spectral_action(m2x, coeffs, sigma_sq=12.0)
-    assert abs(r2.term_value("a0_volume") - 4.0 * report.term_value("a0_volume")) < 1e-15
+    assert abs(r2.terms["a0_volume"][2] - 4.0 * report.terms["a0_volume"][2]) < 1e-15
     assert r2.terms["a2_endomorphism"][0] == 2.0 * report.terms["a2_endomorphism"][0]
     assert r2.terms["a4_curvature"][0] == report.terms["a4_curvature"][0]
 
@@ -241,9 +240,11 @@ def test_universal_form_matches_three_term_total_on_sphere():
         lambda c: (lambda ct: ct.riemann_squared()
                    * g.volume_element(Point(c)).value)(g.curvature(Point(c))),
         SPHERE_REGION, grid)
-    out = universal_action_form(report, m, vol_i, rr_i, sigma_sq=2.0)
-    assert abs(out["kappa0"] - 96.0 * PI ** 2 / (2.0 * m.m0)) < 1e-12
-    assert out["residual_vs_total"] < 1e-14 * max(1.0, abs(report.total))
+    # the compact form tau0 * vol + int R.R / (2 kappa0), constants from the table
+    consts = derived_constants(m, sigma_sq=2.0)
+    assert abs(consts["kappa0"] - 96.0 * PI ** 2 / (2.0 * m.m0)) < 1e-12
+    compact = consts["tau0"] * vol_i + rr_i / (2.0 * consts["kappa0"])
+    assert abs(compact - report.total) < 1e-14 * max(1.0, abs(report.total))
 
 
 def test_derived_constants_table():
@@ -268,13 +269,9 @@ def test_cutoff_vanishing_at_zero_makes_the_inverse_constants_infinite():
     assert result.summary["mu0"] == result.summary["kappa0"] == np.inf
     assert np.isfinite(result.summary["total"]) and result.summary["total"] > 0
     # the compact form follows the table: 1/kappa0 = 0 drops the R.R term
-    m = Moments(m4=1.0, m2=1.0, m0=0.0)
-    coeffs = heat_kernel_coefficients(HeatKernelData(metric=flat(4).metric(), aa_mode="metric"),
-                                      Region(lo=(0.0,) * 4, hi=(1.0,) * 4), GridSpec((3,) * 4))
-    out = universal_action_form(spectral_action(m, coeffs, sigma_sq=12.0), m, 1.0, 5.0,
-                                sigma_sq=12.0)
-    assert out["kappa0"] == np.inf
-    assert out["compact_total"] == out["tau0"]
+    consts = derived_constants(Moments(m4=1.0, m2=1.0, m0=0.0), sigma_sq=12.0)
+    assert consts["kappa0"] == np.inf
+    assert consts["tau0"] * 1.0 + 5.0 / (2.0 * consts["kappa0"]) == consts["tau0"]
 
 
 def test_derived_constants_and_the_sm_normalization_share_one_table():
@@ -441,10 +438,10 @@ def test_riemannian_limit_flat_torus_keeps_only_the_volume_term():
     m = moments(exponential_cutoff())
     report = riemannian_limit_action(frame, region, GridSpec((8, 8)), m)
     delta0 = 12.0 / (192.0 * PI ** 2)
-    assert abs(report.term_value("delta0_volume") - delta0) < 1e-15
+    assert abs(report.terms["delta0_volume"][2] - delta0) < 1e-15
     for name in ("einstein_hilbert", "ricci_sq", "lap_scalar", "scalar_sq",
                  "ricci_riemann_sq", "gauge_sector", "higgs_sector"):
-        assert abs(report.term_value(name)) < 1e-12
+        assert abs(report.terms[name][2]) < 1e-12
     assert abs(report.total - delta0) < 1e-12
 
 
@@ -455,9 +452,9 @@ def test_riemannian_limit_periodic_telescoping_and_gauss_bonnet():
     report = riemannian_limit_action(frame, region, GridSpec((48, 4)), m)
     # total derivative telescopes on the torus; int R vol vanishes as well
     # because the scalar density is a second derivative of a periodic function
-    assert abs(report.term_value("lap_scalar")) < 1e-9
+    assert abs(report.terms["lap_scalar"][2]) < 1e-9
     assert abs(report.terms["einstein_hilbert"][1]) < 1e-10
-    assert report.term_value("scalar_sq") > 0.0
+    assert report.terms["scalar_sq"][2] > 0.0
     assert abs(report.constants["beta0"] / report.constants["zeta0"] - 0.4) < 1e-14
 
 

@@ -24,7 +24,7 @@ from geodyn.config import (
     validate_config,
 )
 from geodyn.exprs import ExpressionError, compile_expression
-from geodyn.scenarios import BUILTIN_SCENARIOS, builtin_config
+from geodyn.scenarios import BUILTIN_SCENARIOS, builtin_config, run_scenario
 from geodyn.tensors import Point
 
 
@@ -319,6 +319,26 @@ def _inline_two_point(**entries):
     return obj
 
 
+def _short_orbit(**entries):
+    """200 steps of the builtin orbit with u^phi = 0.3: not a circular orbit."""
+    obj = builtin_config("schwarzschild-geodesic")
+    task = {**obj["tasks"][1], "steps": 200, **entries}
+    task["velocity"] = task["velocity"][:3] + [0.3]
+    obj["tasks"] = [task]
+    return obj
+
+
+def _flat2_limit_check(gamma_tolerance):
+    """A Euclidean flat frame against the reference metric 2I: wrong gamma."""
+    return {"schema": SCHEMA_VERSION,
+            "chart": {"dimension": 2, "signature": "euclidean",
+                      "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
+            "frame": {"builtin": "flat", "parameters": {"dim": 2, "signature": "euclidean"}},
+            "tasks": [{"type": "limit-check",
+                       "reference": {"matrix": [["2", "0"], ["0", "2"]]},
+                       "gamma_tolerance": gamma_tolerance}]}
+
+
 # each of these once passed validate and then crashed or misran `geodyn run`
 # (chart-dimension-a-boolean crashed validate itself)
 BUILD_ERRORS = {
@@ -365,6 +385,21 @@ BUILD_ERRORS = {
                          "tasks[1].csv_samples"),
     "orbit-not-an-object": (lambda: _with_task_entry("schwarzschild-geodesic", 1,
                                                      orbit=[1.0, 6.0]),
+                            "tasks[1].orbit"),
+    # a negative mass or tolerance flipped the sign of the scaled residual, so
+    # these wrong orbits and metrics passed; zero divided by zero at run time
+    "orbit-mass-negative": (lambda: _short_orbit(orbit={"mass": -1.0, "radius": 6.0}),
+                            "tasks[0].orbit.mass"),
+    "orbit-tolerance-negative": (lambda: _short_orbit(orbit_tolerance=-1e-4),
+                                 "tasks[0].orbit_tolerance"),
+    "orbit-tolerance-zero": (lambda: _short_orbit(orbit_tolerance=0),
+                             "tasks[0].orbit_tolerance"),
+    "gamma-tolerance-negative": (lambda: _flat2_limit_check(-1e-12),
+                                 "tasks[0].gamma_tolerance"),
+    "gamma-tolerance-zero": (lambda: _flat2_limit_check(0), "tasks[0].gamma_tolerance"),
+    # the orbit reads t and phi as coordinates 0 and 3 (an IndexError in 2-D)
+    "orbit-on-a-2d-chart": (lambda: _with_task_entry("sphere2", 1,
+                                                     orbit={"mass": 1.0, "radius": 6.0}),
                             "tasks[1].orbit"),
     "chart-signature-differs-from-builtin-frame": (
         lambda: {**builtin_config("sphere2"),
@@ -446,9 +481,22 @@ def test_constructor_errors_are_diagnostics(case, tmp_path, capsys):
     # json.dumps writes the NaN and Infinity literals that json.loads reads
     cfg.write_text(json.dumps(obj), encoding="utf-8")
     # in process, so an escaping exception would fail the test instead
+    assert main(["validate", str(cfg)]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert any(line.startswith(f"{path}: ") for line in printed)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"{path}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_the_wrong_orbit_and_metric_fail_at_positive_tolerances():
+    # the configs whose negative tolerances BUILD_ERRORS rejects
+    result = run_scenario(_short_orbit()).results[0]
+    assert result.status == "fail"
+    assert abs(result.summary["orbit_rel_residual"] - 7.79) < 0.01
+    result = run_scenario(_flat2_limit_check(1e-12)).results[0]
+    assert result.status == "fail"
+    assert result.rows[0][2] == 1.0  # gamma_vs_reference
 
 
 def test_chart_signature_defaults_to_the_builtin_frame():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from geodyn.connection import (
+    ETA,
     GELL_MANN,
     PAULI,
     HiggsField,
     ReparamConstants,
     SMGaugeConfig,
+    _gauge_blocks,
     assemble_connection,
     bianchi_residual,
     curvature,
@@ -19,7 +21,6 @@ from geodyn.connection import (
     gauge_square_report,
     higgs_covariant_derivative,
     higgs_kinetic_square,
-    lambda0_check,
     sm_lagrangian_normalized,
     su3_structure_constants,
     transform_potential,
@@ -91,11 +92,14 @@ def test_gell_mann_normalization():
 
 def test_gauge_block_traceless_and_antihermitian():
     rng = np.random.default_rng(51)
-    form = assemble_connection(flat(4), _random_sm(rng), HiggsField.zero(4))
+    sm = _random_sm(rng)
     for _ in range(5):
         p = Point(tuple(rng.uniform(-1.0, 1.0, size=4)))
-        assert form.gauge_trace_max(p) < 1e-12
-        assert form.anti_hermiticity_residual(p) < 1e-12
+        b, w, g = (np.asarray(fld.numeric(p.coords), dtype=float)
+                   for fld in (sm.b, sm.w, sm.g))
+        a = _gauge_blocks(b, w.T, g.T, sm.g1, sm.g2, sm.g3)["full"]
+        assert np.abs(np.einsum("mii->m", a)).max() < 1e-12
+        assert np.abs(a + np.conj(np.einsum("mij->mji", a))).max() < 1e-12
 
 
 def test_curvature_internal_consistency_checks():
@@ -270,25 +274,30 @@ def test_higgs_covariant_derivative_routes_agree():
 def test_higgs_quaternion_structure():
     h = HiggsField.from_components(2, lambda c: 0.3 + 0.1j + c[0],
                                    lambda c: 0.2j * c[1], c=1.2)
-    p = Point((0.5, 0.7))
-    assert h.quaternion_residual(p) < 1e-15
+    hv = np.asarray(h.h.numeric((0.5, 0.7)), dtype=complex)
+    assert max(abs(hv[1, 0] + np.conj(hv[0, 1])), abs(hv[1, 1] - np.conj(hv[0, 0]))) < 1e-15
     x = 0.3 + 0.1j + 0.5
     y = 0.2j * 0.7
-    assert abs(h.norm_squared(p) - (abs(x) ** 2 + abs(y) ** 2)) < 1e-14
+    norm_sq = np.real(np.trace(hv.conj().T @ hv)) / 2.0
+    assert abs(norm_sq - (abs(x) ** 2 + abs(y) ** 2)) < 1e-14
 
 
 def test_lambda0_restores_zero_field_reference():
+    # the plain square carries +(eta^2/alpha^4)(|H|^2 - c^2)^2; the
+    # reparametrized one flips that sign and adds lambda0, which restores the
+    # plain value at the zero-field reference H = 0
     rng = np.random.default_rng(73)
     form = assemble_connection(flat(4), _random_sm(rng), HiggsField.zero(4, c=0.9))
     f = curvature(form, Point((0.1, 0.2, 0.3, 0.4)))
-    chk = lambda0_check(f)
-    assert chk["reference_residual"] < 1e-14
-    assert chk["nonpotential_max_diff"] < 1e-12
-    assert chk["potential_sign_flipped"] is True
+    terms = curvature_squared(f).terms
+    plain = (ETA ** 2 / f.alpha ** 4) * f.higgs_potential ** 2
+    assert abs(terms["higgs_potential"] + terms["lambda0"] - plain) < 1e-14
     # with H away from the vacuum reference the gap is real, not an error
     form2 = assemble_connection(flat(4), _random_sm(rng), _random_higgs(rng))
     f2 = curvature(form2, Point((0.8, 0.1, -0.2, 0.5)))
-    assert lambda0_check(f2)["pointwise_potential_gap"] > 1e-6
+    terms2 = curvature_squared(f2).terms
+    plain2 = (ETA ** 2 / f2.alpha ** 4) * f2.higgs_potential ** 2
+    assert abs(terms2["higgs_potential"] + terms2["lambda0"] - plain2) > 1e-6
 
 
 def test_gauge_square_report_identities():
