@@ -15,7 +15,6 @@ from .connection import (
     ConnectionForm,
     HiggsField,
     SMGaugeConfig,
-    assemble_connection,
     curvature,
     curvature_squared,
     gauge_square_report,
@@ -56,7 +55,7 @@ __all__ = [
     "compatibility_residual", "dirac_matrices", "spin_connection",
     "Trajectory", "integrate_geodesic",
     "ConnectionForm", "HiggsField", "SMGaugeConfig",
-    "assemble_connection", "curvature", "curvature_squared",
+    "curvature", "curvature_squared",
     "gauge_square_report", "sm_lagrangian_normalized",
     "FiniteTriple", "YukawaData", "build_sm_finite", "check_axioms",
     "fluctuate", "inner_fluctuations", "lepton_triple", "two_point_triple",

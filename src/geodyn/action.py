@@ -72,11 +72,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CutoffFunction:
-    """A nonnegative cutoff profile f on [0, inf), its exact moments
-    m4_m2 = (int u f du, int f du) over [0, inf), and the energy scale L^2."""
+    """A nonnegative cutoff profile f on [0, inf) as the truncated action
+    reads it: its value f0 = f(0), its exact moments m4_m2 = (int u f du,
+    int f du) over [0, inf), and the energy scale L^2."""
 
-    name: str
-    func: object
+    f0: float
     m4_m2: tuple
     lam_sq: float = 1.0
 
@@ -84,24 +84,20 @@ class CutoffFunction:
         if self.lam_sq <= 0:
             raise ValueError("energy scale must be positive")
 
-    def __call__(self, u: float) -> float:
-        return float(self.func(u))
-
 
 def exponential_cutoff(lam_sq: float = 1.0) -> CutoffFunction:
-    return CutoffFunction(name="exponential", func=lambda u: np.exp(-u),
-                          m4_m2=(1.0, 1.0), lam_sq=lam_sq)
+    """f(u) = exp(-u)."""
+    return CutoffFunction(f0=1.0, m4_m2=(1.0, 1.0), lam_sq=lam_sq)
 
 
 def sharp_cutoff(lam_sq: float = 1.0) -> CutoffFunction:
-    return CutoffFunction(name="sharp-cutoff",
-                          func=lambda u: 1.0 if u <= 1.0 else 0.0,
-                          m4_m2=(0.5, 1.0), lam_sq=lam_sq)
+    """f(u) = 1 for u <= 1, else 0."""
+    return CutoffFunction(f0=1.0, m4_m2=(0.5, 1.0), lam_sq=lam_sq)
 
 
 def gaussian_cutoff(lam_sq: float = 1.0) -> CutoffFunction:
-    return CutoffFunction(name="gaussian", func=lambda u: np.exp(-u * u),
-                          m4_m2=(0.5, float(np.sqrt(np.pi)) / 2.0), lam_sq=lam_sq)
+    """f(u) = exp(-u^2)."""
+    return CutoffFunction(f0=1.0, m4_m2=(0.5, float(np.sqrt(np.pi)) / 2.0), lam_sq=lam_sq)
 
 
 CUTOFF_BUILTINS = {
@@ -131,7 +127,7 @@ class Moments:
 
 def moments(f: CutoffFunction) -> Moments:
     """First moment, zeroth moment and value at zero of the cutoff."""
-    return Moments(*f.m4_m2, m0=f(0.0), lam_sq=f.lam_sq)
+    return Moments(*f.m4_m2, m0=f.f0, lam_sq=f.lam_sq)
 
 
 # -- region quadrature ----------------------------------------------------------

@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .action import CUTOFF_BUILTINS, CutoffFunction, GridSpec, Region
-from .connection import (ConnectionForm, HiggsField, SMGaugeConfig,
-                         assemble_connection)
+from .connection import ConnectionForm, HiggsField, SMGaugeConfig
 from .exprs import compile_expression, default_coordinate_names
 from .fields import ChartField
 from .geometry import GeneralizedMetric, Vielbein
@@ -411,8 +410,8 @@ def _parse(obj):
 
     connection = None
     if has & {"gauge", "higgs"}:
-        connection = assemble_connection(frame, gauge or SMGaugeConfig.zero(chart.dim),
-                                         higgs or HiggsField.zero(chart.dim), alpha)
+        connection = ConnectionForm(frame, gauge or SMGaugeConfig.zero(chart.dim),
+                                    higgs or HiggsField.zero(chart.dim), alpha)
     return Scenario(dim=chart.dim, coordinates=chart.coords, region=chart.region,
                     grid=grid, frame=frame, connection=connection, triple=triple,
                     cutoff=cutoff, constants=constants, tasks=tasks), []
@@ -646,7 +645,7 @@ def _parse_cutoff(diags, cut):
 
 
 def _table_cutoff(diags, table, lam_sq):
-    """The CutoffFunction interpolating the table, or None."""
+    """The CutoffFunction of the piecewise-linear table, or None."""
     if not len(table["u"]) == len(table["f"]) >= 2:
         diags.append(Diagnostic("cutoff.table",
                                 "needs u and f number lists of equal length >= 2"))
@@ -668,9 +667,8 @@ def _table_cutoff(diags, table, lam_sq):
         diags.append(Diagnostic("cutoff.table", f"moments M4 = {m4}, M2 = {m2} "
                                                 "are not finite floats"))
         return None
-    return CutoffFunction(name="table",
-                          func=lambda x: float(np.interp(x, u, f, left=f[0], right=0.0)),
-                          m4_m2=(m4, m2), lam_sq=lam_sq)
+    # f(0) is the value right of 0, so of the last knot at u = 0 if any
+    return CutoffFunction(f0=float(np.interp(0.0, u, f)), m4_m2=(m4, m2), lam_sq=lam_sq)
 
 
 # -- task entries and constants ----------------------------------------------------

@@ -57,7 +57,6 @@ __all__ = [
     "LagrangianBreakdown",
     "GaugeTraceReport",
     "SECTOR_MULTIPLICITIES",
-    "assemble_connection",
     "curvature",
     "gauge_route_check",
     "curvature_of_potential",
@@ -213,7 +212,7 @@ class ConnectionForm:
     vielbein: Vielbein
     sm: SMGaugeConfig
     higgs: HiggsField
-    alpha: float
+    alpha: float = 1.0
 
     def __post_init__(self):
         n = self.vielbein.dim
@@ -221,15 +220,6 @@ class ConnectionForm:
             raise ValueError("all fields must share the chart dimension")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.vielbein.dim
-
-
-def assemble_connection(vielbein: Vielbein, sm: SMGaugeConfig, higgs: HiggsField,
-                        alpha: float = 1.0) -> ConnectionForm:
-    return ConnectionForm(vielbein=vielbein, sm=sm, higgs=higgs, alpha=alpha)
 
 
 # -- curvature ---------------------------------------------------------------
@@ -270,12 +260,6 @@ class CurvatureForm(CurvatureTensors):
     def b_components(self) -> np.ndarray:
         """b_f with a one-entry component axis, laid out like w_f and g_f."""
         return self.b_f[..., None, :, :]
-
-    def antisymmetry_residual(self) -> float:
-        worst = float(np.abs(self.gauge_full + self.gauge_full.swapaxes(-4, -3)).max())
-        for comp in (self.b_components, self.w_f, self.g_f):
-            worst = max(worst, float(np.abs(comp + comp.swapaxes(-1, -2)).max()))
-        return worst
 
     def square_scalar(self, two_form: np.ndarray) -> complex:
         """tr(F_mn F^mn) for a matrix two-form stored [m, n, i, j]."""
@@ -492,9 +476,6 @@ class LagrangianBreakdown:
     terms: dict
     total: float
     constants: dict = field(default_factory=dict)
-
-    def sum_residual(self) -> float:
-        return abs(self.total - sum(self.terms.values()))
 
 
 def _total(terms: dict):

@@ -17,7 +17,9 @@ exact derivatives for free.
 Parsing reuses the Python grammar through ast with a strict whitelist; any
 node outside the grammar above is rejected with a position, and so is any
 coordinate-free subexpression that is not a finite number (``1e999``,
-``1/0``, ``1e308*1e308``).
+``1/0``, ``1e308*1e308``).  The validated tree is compiled once and
+evaluated by Python with no builtins in reach: only the coordinates, the
+functions and pi.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import ast
 import cmath
 from dataclasses import dataclass
+from types import CodeType
 
 from . import jets as _jets
 
@@ -52,6 +55,9 @@ FUNCTION_NAMES = tuple(sorted(FUNCTIONS))
 
 CONSTANTS = {"pi": _jets.PI}
 
+# the names a compiled expression can see besides its coordinates
+_GLOBALS = {"__builtins__": {}, **FUNCTIONS, **CONSTANTS}
+
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -73,15 +79,14 @@ class CompiledExpression:
 
     source: str
     coordinates: tuple
-    _tree: ast.expression
+    _code: CodeType
 
     def __call__(self, coords):
         if len(coords) != len(self.coordinates):
             raise ExpressionError(
                 f"expression over {self.coordinates} called with "
                 f"{len(coords)} coordinates")
-        env = dict(zip(self.coordinates, coords))
-        return _eval(self._tree.body, env, self.source)
+        return eval(self._code, _GLOBALS, dict(zip(self.coordinates, coords)))
 
 
 def compile_expression(source: str, coordinates) -> CompiledExpression:
@@ -103,7 +108,8 @@ def compile_expression(source: str, coordinates) -> CompiledExpression:
         raise ExpressionError(f"syntax error at offset {_source_offset(source, line, col)}: "
                               f"{source!r}") from None
     _validate(tree.body, coords, source)
-    return CompiledExpression(source=source, coordinates=coords, _tree=tree)
+    return CompiledExpression(source=source, coordinates=coords,
+                              _code=compile(tree, "<expression>", "eval"))
 
 
 def _source_offset(source: str, line: int, col: int) -> int:
@@ -178,19 +184,3 @@ def _validate(node: ast.AST, coords: tuple, source: str):
     raise ExpressionError(
         f"{type(node).__name__} not part of the expression grammar{_where(node, source)}")
 
-
-def _eval(node: ast.AST, env: dict, source: str):
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        if node.id in env:
-            return env[node.id]
-        return CONSTANTS[node.id]
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_eval(node.left, env, source),
-                                      _eval(node.right, env, source))
-    if isinstance(node, ast.UnaryOp):
-        return _UNARYOPS[type(node.op)](_eval(node.operand, env, source))
-    if isinstance(node, ast.Call):
-        return FUNCTIONS[node.func.id](_eval(node.args[0], env, source))
-    raise ExpressionError(f"unexpected node {type(node).__name__} in {source!r}")

@@ -91,10 +91,6 @@ class Vielbein:
             e = _on_diagonal(np.asarray(e, dtype=object), 0)
         return np.asarray(e, dtype=float)
 
-    def inverse(self, p: Point) -> np.ndarray:
-        """Inverse frame e^m_a, with the determinant guard."""
-        return checked_inverse(self.value(p))
-
     def jets(self, p, order: int = 2):
         res = self.field.jets(p, order=order)
         if not self.diagonal:
@@ -177,9 +173,6 @@ class GeneralizedMetric:
     def value(self, p) -> np.ndarray:
         g, _, _ = self.gamma_jets(p, order=1)
         return g
-
-    def inverse(self, p: Point) -> np.ndarray:
-        return checked_inverse(self.value(p))
 
     def det(self, p):
         return checked_det(self.value(p))
@@ -368,6 +361,7 @@ class FrameGeometry:
 
     point: Point
     e: np.ndarray
+    e_inv: np.ndarray
     gamma: np.ndarray
     gamma_inv: np.ndarray
     christoffel: np.ndarray
@@ -405,7 +399,7 @@ def frame_geometry(e: Vielbein, p) -> FrameGeometry:
     quad = np.einsum("...adm,...dbn->...abmn", np.einsum("...acm,cd->...adm", omega, eta),
                      omega)
     frame_curv = (domega.swapaxes(-1, -2) - domega + quad - quad.swapaxes(-1, -2))
-    return FrameGeometry(point=p, e=e_val, gamma=gm, gamma_inv=ginv,
+    return FrameGeometry(point=p, e=e_val, e_inv=einv, gamma=gm, gamma_inv=ginv,
                          christoffel=gam, riemann=riem,
                          ricci=ricci, scalar=scalar, omega=omega, domega=domega,
                          frame_curvature=frame_curv)
@@ -415,7 +409,7 @@ def frame_curvature_check(e: Vielbein, p: Point) -> float:
     """Max |frame curvature - Riemann tensor pushed to frame indices| at p:
     the frame connection's route to the curvature against the metric's."""
     fg = frame_geometry(e, p)
-    eup = np.linalg.inv(fg.e) @ e.signature.matrix
+    eup = fg.e_inv @ e.signature.matrix
     rf_ref = np.einsum("ar,sb,rsmn->abmn", fg.e, eup, fg.riemann)
     return float(np.abs(fg.frame_curvature - rf_ref).max())
 
@@ -491,7 +485,7 @@ class DiracMatrices:
 def dirac_matrices(e: Vielbein, p: Point) -> DiracMatrices:
     """Curved-space Dirac matrices Gamma^m = E^m_a gamma^a."""
     flat = flat_gamma_matrices(e.signature)
-    einv = e.inverse(p)
+    einv = checked_inverse(e.value(p))
     gam = np.einsum("ma,aij->mij", einv, flat)
     eta = e.signature.matrix  # self-inverse for diagonal +-1 entries
     g_up = np.einsum("ma,ab,nb->mn", einv, eta, einv)

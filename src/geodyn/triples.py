@@ -19,11 +19,11 @@ __all__ = [
     "FiniteTriple",
     "AxiomReport",
     "YukawaData",
-    "FluctuationElement",
     "check_axioms",
     "inner_fluctuations",
     "fluctuation_space",
     "fluctuate",
+    "hermitian_part",
     "unimodular_projection",
     "build_sm_finite",
     "two_point_triple",
@@ -78,9 +78,6 @@ class FiniteTriple:
             raise ValueError("triple has no real structure")
         return self.k @ np.conj(m) @ self.k.conj().T
 
-    def with_dirac(self, d_new: np.ndarray) -> "FiniteTriple":
-        return replace(self, d=d_new)
-
 
 @dataclass
 class AxiomReport:
@@ -110,9 +107,6 @@ class AxiomReport:
             if name == "dirac_hermitian" and not self.dirac_hermitian_claimed:
                 continue
             yield name, val
-
-    def worst(self) -> float:
-        return max((v for _, v in self.residual_items()), default=0.0)
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -174,37 +168,16 @@ def check_axioms(t: FiniteTriple) -> AxiomReport:
 # -- inner fluctuations --------------------------------------------------------
 
 
-@dataclass
-class FluctuationElement:
-    """A gauge potential A = sum_i a_i [D, b_i] on a finite triple."""
-
-    pairs: tuple
-    a: np.ndarray
-    hermitian_projected: bool = False
-
-    def matrix(self) -> np.ndarray:
-        return self.a
-
-    def hermitian(self) -> "FluctuationElement":
-        if self.hermitian_projected:
-            return self
-        return FluctuationElement(pairs=self.pairs,
-                                  a=0.5 * (self.a + self.a.conj().T),
-                                  hermitian_projected=True)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.a))
-
-
-def inner_fluctuations(t: FiniteTriple, pairs) -> FluctuationElement:
-    """A = sum_i a_i [D, b_i] for a list of matrix pairs (a_i, b_i)."""
+def inner_fluctuations(t: FiniteTriple, pairs) -> np.ndarray:
+    """The gauge potential A = sum_i a_i [D, b_i] for a list of matrix pairs
+    (a_i, b_i)."""
     pairs = tuple((_as_matrix(a, "a_i"), _as_matrix(b, "b_i")) for a, b in pairs)
     if not pairs:
         raise ValueError("at least one (a, b) pair required")
     acc = np.zeros((t.dim, t.dim), dtype=complex)
     for a, b in pairs:
         acc += a @ (t.d @ b - b @ t.d)
-    return FluctuationElement(pairs=pairs, a=acc)
+    return acc
 
 
 # singular values below this fraction of the largest do not count to the span
@@ -231,7 +204,12 @@ def fluctuation_space(t: FiniteTriple):
     return int(keep.sum()), vh[keep]
 
 
-def fluctuate(t: FiniteTriple, a: FluctuationElement) -> FiniteTriple:
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dagger)/2."""
+    return 0.5 * (a + a.conj().T)
+
+
+def fluctuate(t: FiniteTriple, a: np.ndarray) -> FiniteTriple:
     """Perturbed triple with D' = D + A + J A J^-1.
 
     A is first replaced by its Hermitian part (A + A^dagger)/2, which keeps
@@ -240,18 +218,14 @@ def fluctuate(t: FiniteTriple, a: FluctuationElement) -> FiniteTriple:
     """
     if t.k is None:
         raise ValueError("fluctuation needs a real structure J")
-    mat = a.hermitian().matrix()
-    d_new = t.d + mat + t.conjugate_by_j(mat)
-    return t.with_dirac(d_new)
+    mat = hermitian_part(a)
+    return replace(t, d=t.d + mat + t.conjugate_by_j(mat))
 
 
-def unimodular_projection(a: FluctuationElement) -> FluctuationElement:
+def unimodular_projection(a: np.ndarray) -> np.ndarray:
     """Remove the trace part: A -> A - (Tr A / dim) I."""
-    mat = a.matrix()
-    dim = mat.shape[0]
-    shifted = mat - (np.trace(mat) / dim) * np.eye(dim)
-    return FluctuationElement(pairs=a.pairs, a=shifted,
-                              hermitian_projected=a.hermitian_projected)
+    dim = a.shape[0]
+    return a - (np.trace(a) / dim) * np.eye(dim)
 
 
 # -- built-in triples ----------------------------------------------------------

@@ -26,10 +26,10 @@ from geodyn.action import (
 )
 from geodyn.config import build_scenario
 from geodyn.connection import (
+    ConnectionForm,
     HiggsField,
     ReparamConstants,
     SMGaugeConfig,
-    assemble_connection,
     curvature,
     curvature_squared,
     sm_lagrangian_normalized,
@@ -78,6 +78,8 @@ def test_table_cutoff_moments_count_the_flat_start():
     assert m.m2 == 0.75
     assert abs(m.m4 - 7.0 / 24.0) < 1e-15
     assert m.m0 == 1.0
+    # a step at u = 0: f(0) is the value right of it, that of the last knot there
+    assert _table_moments([0.0, 0.0, 1.0], [2.0, 1.0, 0.0]).m0 == 1.0
 
 
 def test_table_cutoff_moments_match_trapezoid_of_the_interpolant():
@@ -97,7 +99,7 @@ def test_table_cutoff_moments_match_trapezoid_of_the_interpolant():
 
 def test_cutoff_construction_guards():
     with pytest.raises(ValueError):
-        CutoffFunction(name="x", func=lambda u: 1.0, m4_m2=(1.0, 1.0), lam_sq=0.0)
+        CutoffFunction(f0=1.0, m4_m2=(1.0, 1.0), lam_sq=0.0)
 
 
 def test_integrate_scalar_exact_for_linear():
@@ -196,7 +198,7 @@ def test_blocks_mode_constant_abelian_field_strength():
                        g=ChartField(dim=4, shape=(8, 4),
                                     func=lambda c: np.zeros((8, 4))),
                        g1=g1)
-    conn = assemble_connection(flat(4), sm, HiggsField.zero(4, c=0.0))
+    conn = ConnectionForm(flat(4), sm, HiggsField.zero(4, c=0.0))
     region = Region(lo=(0.0,) * 4, hi=(1.0,) * 4)
     out = heat_kernel_coefficients(HeatKernelData(metric=conn.vielbein.metric(),
                                                   connection=conn),
@@ -349,7 +351,7 @@ def _random_sm_setup(rng):
                        g1=0.8, g2=1.1, g3=1.3)
     higgs = HiggsField.from_components(
         dim, lambda c: 0.4 + 0.1 * c[0], lambda c: 0.2 * c[1], c=0.9)
-    return assemble_connection(flat(4), sm, higgs)
+    return ConnectionForm(flat(4), sm, higgs)
 
 
 def test_sm_field_equation_matches_its_fd_oracle():

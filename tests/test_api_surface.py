@@ -54,21 +54,27 @@ def test_tracer_installs_and_uninstalls_against_the_package():
 
 def test_every_definition_is_named_in_the_package_or_kept_on_purpose():
     # a function, class or method that no code in the package names is dead
-    # surface, unless it is exported, a reference oracle or traced
-    defined, named = {}, set()
+    # surface, unless it is exported, a reference oracle or traced.  A method
+    # is named only through an attribute (".name"): a local variable or a
+    # parameter of the same name does not keep it alive
+    defined, named, attributes = [], set(), set()
     for path in sorted(Path(geodyn.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(item): f"{node.name}." for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                where = f"{path.name}:{node.lineno} {owner.get(id(node), '')}{node.name}"
+                defined.append((node.name, where, id(node) in owner))
             elif isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-    assert ORACLES <= set(defined)
+                attributes.add(node.attr)
+    assert ORACLES <= {name for name, _, _ in defined}
     traced = {name.rpartition(".")[2] for names in _tracer_module().FUNCTIONS.values()
               for name in names}
-    kept = named | set(geodyn.__all__) | ORACLES | traced
-    unreached = sorted(f"{where} {name}" for name, where in defined.items()
-                       if name not in kept
+    kept = set(geodyn.__all__) | ORACLES | traced
+    unreached = sorted(where for name, where, method in defined
+                       if name not in (attributes if method else named | attributes) | kept
                        and not (name.startswith("__") and name.endswith("__")))
     assert unreached == []

@@ -237,3 +237,32 @@ def test_run_loads_no_quadrature_module(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_zero_task_tolerance_keeps_each_own_tolerance(tmp_path, capsys):
+    # the orbit and gamma residuals are held to their own tolerances; scaled
+    # by tolerance / own tolerance onto the task's, a tolerance of 0 erased them
+    from geodyn.scenarios import builtin_config
+    orbit = builtin_config("schwarzschild-geodesic")
+    orbit["tasks"] = [{**orbit["tasks"][1], "steps": 200, "tolerance": 0.0,
+                       "orbit": {"mass": 2.0, "radius": 6.0}}]
+    limit = {
+        "schema": SCHEMA_VERSION,
+        "chart": {"dimension": 2, "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
+        "frame": {"builtin": "flat",
+                  "parameters": {"dim": 2, "signature": "euclidean"}},
+        "tasks": [{"type": "limit-check", "tolerance": 0.0,
+                   "reference": {"matrix": [["2", "0"], ["0", "2"]]}}],
+    }
+    cases = [(orbit, "task 0 [geodesic] fail: worst residual inf",
+              "message: orbit_rel_residual 5.000e-01 misses orbit_tolerance 1.0e-04"),
+             (limit, "task 0 [limit-check] fail: worst residual inf",
+              "message: gamma_vs_reference 1.000e+00 misses gamma_tolerance 1.0e-12")]
+    for i, (obj, verdict, reason) in enumerate(cases):
+        cfg = tmp_path / f"zero-tolerance-{i}.json"
+        cfg.write_text(json.dumps(obj), encoding="utf-8")
+        out_dir = tmp_path / f"out-{i}"
+        code, _, _ = _run(["run", str(cfg), "--out", str(out_dir)], capsys)
+        assert code == 1
+        report = (out_dir / "report.txt").read_text(encoding="utf-8")
+        assert verdict in report and reason in report

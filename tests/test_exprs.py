@@ -1,9 +1,15 @@
 """Expression grammar: acceptance, rejection with offsets, jet evaluation."""
 
+import ast
+
 import numpy as np
 import pytest
 
 from geodyn.exprs import (
+    _BINOPS,
+    _UNARYOPS,
+    CONSTANTS,
+    FUNCTIONS,
     CompiledExpression,
     ExpressionError,
     FUNCTION_NAMES,
@@ -11,7 +17,9 @@ from geodyn.exprs import (
     default_coordinate_names,
 )
 from geodyn.fields import scalar_field
+from geodyn.jets import Jet, variables
 from geodyn.tensors import Point
+from test_fields import EXPRESSIONS
 
 
 def test_arithmetic_and_power_precedence():
@@ -57,6 +65,12 @@ def test_rejections_carry_positions():
         "x < y",               # comparisons are out of grammar
         "lambda x: x",
         "x @ y",
+        "x.real",              # attributes reach the objects behind the names
+        "(1).__class__",
+        "sin(x=1)",            # keyword and starred calls
+        "sin(*x)",
+        "'x'",                 # strings are not numbers
+        "(y := 1)",
     ]
     for src in cases:
         with pytest.raises(ExpressionError):
@@ -92,3 +106,54 @@ def test_default_coordinate_names():
     e = compile_expression("x0 + 2*x2", default_coordinate_names(3))
     assert isinstance(e, CompiledExpression)
     assert e((1.0, 10.0, 4.0)) == 9.0
+
+
+def _tree_walk(node, env):
+    """A node-by-node evaluator of the parsed tree, independent of Python's
+    compiler: the reference the compiled expressions are held to."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return env[node.id] if node.id in env else CONSTANTS[node.id]
+    if isinstance(node, ast.BinOp):
+        return _BINOPS[type(node.op)](_tree_walk(node.left, env), _tree_walk(node.right, env))
+    if isinstance(node, ast.UnaryOp):
+        return _UNARYOPS[type(node.op)](_tree_walk(node.operand, env))
+    if isinstance(node, ast.Call):
+        return FUNCTIONS[node.func.id](_tree_walk(node.args[0], env))
+    raise AssertionError(f"unexpected node {type(node).__name__}")
+
+
+def _bits(value):
+    """The type and the bytes of a number, an array, or each part of a jet."""
+    if isinstance(value, Jet):
+        return type(value).__name__, _bits(value.val), _bits(value.grad), _bits(value.hess)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if value is None:
+        return None
+    arr = np.asarray(value)
+    return type(value).__name__, arr.dtype.str, arr.shape, arr.tobytes()
+
+
+_COORDS = ("x", "y", "z")
+_POINT = (0.7, 3.1, 1.2)
+_BLOCK = np.array([[0.7, 3.1, 1.2], [0.4, 0.9, 2.5], [1.6, 0.2, 0.3]])
+# plain floats, order-1 point jets, order-2 jets and jets over a 3-point block
+_ROUTES = {
+    "float": _POINT,
+    "point-jet": variables(_POINT, order=1),
+    "order-2": variables(_POINT, order=2),
+    "block": variables(tuple(_BLOCK.T), order=2),
+}
+
+
+@pytest.mark.parametrize("source", EXPRESSIONS + ["+x", "x^2^0.5"])
+def test_compiled_expressions_match_the_tree_walker(source):
+    compiled = compile_expression(source, _COORDS)
+    tree = ast.parse(source.replace("^", "**"), mode="eval")
+    for route, args in _ROUTES.items():
+        want = _tree_walk(tree.body, dict(zip(_COORDS, args)))
+        assert _bits(compiled(args)) == _bits(want), route
+    # the code reads no name but the coordinates, the functions and pi
+    assert set(compiled._code.co_names) <= set(_COORDS) | set(FUNCTION_NAMES) | {"pi"}
