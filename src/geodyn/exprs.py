@@ -148,7 +148,8 @@ def _validate(node: ast.AST, coords: tuple, source: str):
     coordinates, else None.  Literals are taken as floats, so a huge integer
     power overflows at once instead of being computed."""
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        # a bool is an int, but True and False are not NUMBERs
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ExpressionError(f"non-numeric literal{_where(node, source)}")
         return _constant(node, source, float, node.value)
     if isinstance(node, ast.Name):

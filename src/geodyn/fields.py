@@ -8,13 +8,17 @@ derivatives as plain arrays, derivative indices trailing.  At a Point the
 evaluator runs on point jets (tuple gradients of Python floats) for order 1
 and on numpy-gradient jets for order 2.  It also takes an (N, dim) block,
 evaluated in one pass on block jets, and then puts the point axis first in
-its results.  ``fd_jets(field, p, order)`` gives the same arrays at a Point
-from central differences, the independent oracle for the jet route, with
-relative steps FD_STEP for first and FD_STEP2 for second derivatives.
+its results.  ``_point_jets`` reads an order-1 result at one point into
+flat values and gradient rows; ``ChartField.jets`` stacks them into arrays
+and the diagonal geodesic stage reads them as floats.  ``fd_jets(field, p,
+order)`` gives the same arrays at a Point from central differences, the
+independent oracle for the jet route, with relative steps FD_STEP for first
+and FD_STEP2 for second derivatives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,22 +44,45 @@ def _collapse_numeric(arr: np.ndarray) -> np.ndarray:
     return np.array([v.real for v in flat], dtype=float).reshape(arr.shape)
 
 
+def _point_jets(obj, shape, n):
+    """Flat values and gradient rows of an order-1 evaluator result at a point.
+
+    A point jet gives its value and tuple gradient, a constant its value and
+    a zero row.  A flat list of the field's size is read as it is; any other
+    result is flattened by numpy, so a wrong entry count raises ValueError.
+    """
+    entries = obj
+    if type(obj) is not list or len(obj) != math.prod(shape):
+        entries = np.asarray(obj, dtype=object).reshape(shape).ravel().tolist()
+    vals, rows, zero = [], [], (0.0,) * n
+    for e in entries:
+        if isinstance(e, Jet):
+            vals.append(e.val)
+            rows.append(e.grad)
+        elif entries is obj and isinstance(e, (list, tuple, np.ndarray)):
+            return _point_jets(np.asarray(obj, dtype=object), shape, n)  # nested
+        else:
+            vals.append(e)
+            rows.append(zero)
+    return vals, rows
+
+
 def _collect(obj, shape, n, order, pts=()):
     """Split an evaluator result (jets and/or numbers) into value/grad/hess arrays.
 
-    At order 1 at a point the values, and the point jets' tuple gradients
-    with a zero row per constant, are stacked.  Otherwise ``pts == (N,)``
-    marks block jets, whose constants broadcast over the points, and only
-    the jet entries' derivatives are written, by index, into zero arrays.
+    At order 1 at a point the values and gradient rows of ``_point_jets``
+    are stacked.  Otherwise ``pts == (N,)`` marks block jets, whose
+    constants broadcast over the points, and only the jet entries'
+    derivatives are written, by index, into zero arrays.
     """
-    entries = np.asarray(obj, dtype=object).reshape(shape).ravel().tolist()
     if order == 1 and not pts:
-        val = np.array([e.val if isinstance(e, Jet) else e for e in entries])
-        d1 = np.array([e.grad if isinstance(e, Jet) else (0.0,) * n for e in entries])
+        vals, rows = _point_jets(obj, shape, n)
+        val, d1 = np.array(vals), np.array(rows)
         # numpy makes either stack complex if one entry is; then both are
         dtype = complex if "c" in (val.dtype.kind, d1.dtype.kind) else float
         return (val.astype(dtype, copy=False).reshape(shape),
                 d1.astype(dtype, copy=False).reshape(shape + (n,)), None)
+    entries = np.asarray(obj, dtype=object).reshape(shape).ravel().tolist()
     idx, found = [], []
     for i, e in enumerate(entries):
         if isinstance(e, Jet):

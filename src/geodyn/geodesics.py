@@ -4,27 +4,34 @@ Classical fixed-step RK4 on the first-order system (x, v) with
 a^m = -Gamma^m_ab v^a v^b, the state held as lists of floats.  A stage is
 one order-1 jet pass, then the Christoffel symbols from the metric's
 inverse.  On a diagonal frame (every library frame and every ``diagonal``
-config frame) a stage runs on Python floats alone: point jets of the n frame
-entries, gamma_m = eta_m e_m^2, the guard, 1/gamma_m and the Christoffel
-terms a diagonal metric can make nonzero.  Any other frame, and a metric
-given as a gamma field, takes the general stage (``checked_inverse``,
-einsum); both give the same trajectory bit for bit.  A step costs four
-stages: the pass at the accepted point gives its velocity norm and the next
-k1.  On the Schwarzschild frame a step takes 130-160 us of CPU on a 2-vCPU
-x86-64 Linux VM (the numpy-jet stage: 190-270 us), so 1e4 steps take ~1.4 s.
+config frame) a stage runs on Python floats alone: the frame's evaluator on
+point jets, whose values and tuple gradients (``fields._point_jets``) become
+gamma_m = eta_m e_m^2 and its gradient with no array in between, then the
+guard, 1/gamma_m and the Christoffel terms a diagonal metric can make
+nonzero.  Any other frame, and a metric given as a gamma field, takes the
+general stage (``checked_inverse``, einsum); both give the same trajectory
+bit for bit.  A step costs four stages: the pass at the accepted point gives
+its velocity norm and the next k1.  On the Schwarzschild frame a step takes
+103-116 us of CPU on a 2-vCPU x86-64 Linux VM (134-145 us when each pass
+went through ``ChartField.jets``), so 1e4 steps take ~1.1 s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
+from . import jets
+from .fields import _point_jets
 from .geometry import GeneralizedMetric, Vielbein, _christoffel_from
 from .tensors import SINGULAR_REL, Point, _singular, checked_inverse
 
 __all__ = ["Trajectory", "integrate_geodesic", "velocity_norm"]
+
+_FLOAT = {float}
 
 
 @dataclass
@@ -73,13 +80,19 @@ def _general_stage(g: GeneralizedMetric) -> tuple:
 def _diagonal_stage(frame: Vielbein) -> tuple:
     """(metric_jets, accel, norm) for a diagonal frame, in Python floats.
 
+    A metric pass checks the stage point, runs the frame's evaluator on
+    point jets and reads the entries into the float lists gamma_m and
+    d_r gamma_m, with ChartField.jets's checks and messages: a complex value
+    or gradient stops the stage, and ints and numpy scalars become floats as
+    its stacking makes them.
+
     The guard is checked_inverse's rule on a diagonal matrix.  Of the general
     stage's sum only the n(3n-2) terms a diagonal metric can make nonzero are
     formed, with its operations: t = (d_b g_ma + d_a g_mb) - d_m g_ab with
     exact zeros in place, then 0.5 (g^mm t) v^a v^b summed over (a, b) in
     einsum's C order.  The rest add exact zeros to a finite result.
     """
-    field, n = frame.field, frame.dim
+    func, shape, n = frame.field.func, frame.field.shape, frame.dim
     signs = frame.signature.signs
     # per m: (a, b) and t's three d_r g_la, dgm[l * n + r] or the zero dgm[-1]
     def at(l, a, r):
@@ -89,16 +102,20 @@ def _diagonal_stage(frame: Vielbein) -> tuple:
              for m in range(n)]
 
     def metric_jets(xc: list) -> tuple:
-        p = Point(tuple(xc))
-        e, de, _ = field.jets(p, order=1)
-        if e.dtype.kind == "c":
-            raise ValueError(f"complex metric value at {p.coords}")
-        el = e.tolist()
-        gm = [x * s * x + 0.0 for x, s in zip(el, signs)]
-        dgm = [2.0 * (x * s * y) for x, s, row in zip(el, signs, de.tolist()) for y in row]
+        if not all(map(math.isfinite, xc)):
+            raise ValueError(f"non-finite coordinates: {tuple(xc)}")
+        vals, rows = _point_jets(func(jets.variables(xc, order=1)), shape, n)
+        nums = [*vals, *chain.from_iterable(rows)]
+        if set(map(type, nums)) != _FLOAT:
+            # math.isfinite would take a numpy complex64 for its real part
+            if any(map(np.iscomplexobj, nums)):
+                raise ValueError(f"complex metric value at {tuple(xc)}")
+            vals, rows = [float(x) for x in vals], [[float(y) for y in r] for r in rows]
+        gm = [x * s * x + 0.0 for x, s in zip(vals, signs)]
+        dgm = [2.0 * (x * s * y) for x, s, row in zip(vals, signs, rows) for y in row]
         # a float overflow gives inf without an error, so this test reports it
         if not all(map(math.isfinite, gm + dgm)):
-            raise ValueError(f"non-finite metric value at {p.coords}")
+            raise ValueError(f"non-finite metric value at {tuple(xc)}")
         return gm, dgm + [0.0]
 
     def accel(gj: tuple, vc: list) -> list:

@@ -459,6 +459,10 @@ BUILD_ERRORS = {
     "sphere2-radius-a-boolean": (
         lambda: _with_section_entry("sphere2", "frame", parameters={"radius": True}),
         "frame.parameters.radius"),
+    # a bool is an int to Python, but not a NUMBER of the expression grammar
+    "diagonal-entry-true": (
+        lambda: {**builtin_config("sphere2"), "frame": {"diagonal": ["True", "sin(theta)"]}},
+        "frame.diagonal[0]"),
     "chart-dimension-a-boolean": (
         lambda: {"schema": SCHEMA_VERSION,
                  "chart": {"dimension": True, "box": {"lo": [0.0], "hi": [1.0]}},

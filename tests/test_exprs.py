@@ -71,12 +71,17 @@ def test_rejections_carry_positions():
         "sin(*x)",
         "'x'",                 # strings are not numbers
         "(y := 1)",
+        "True + x",            # bools are ints to Python, not NUMBERs
+        "False",
+        "x * True",
     ]
     for src in cases:
         with pytest.raises(ExpressionError):
             compile_expression(src, ("x", "y"))
     with pytest.raises(ExpressionError, match="offset"):
         compile_expression("x + ", ("x",))
+    with pytest.raises(ExpressionError, match="non-numeric literal at offset 4"):
+        compile_expression("x + True", ("x",))
     with pytest.raises(ExpressionError, match="shadow"):
         compile_expression("sin", ("sin", "y"))
     with pytest.raises(ExpressionError):

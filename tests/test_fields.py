@@ -190,6 +190,13 @@ def _rank1_cases():
     yield "complex-value", ChartField(dim=2, shape=(2,), func=lambda c: [(c[0] - 1.0) ** 0.5, 1.0])
     yield "complex-gradient", ChartField(dim=2, shape=(2,),
                                          func=lambda c: [_times_i(c[0]), c[1]])
+    # numpy complex scalars: complex128 is a Python complex, complex64 is not
+    yield "numpy-complex128", ChartField(dim=2, shape=(2,),
+                                         func=lambda c: [c[0] * np.complex128(1.0), c[1]])
+    yield "numpy-complex64", ChartField(dim=2, shape=(2,),
+                                        func=lambda c: [c[0], np.complex64(0.5)])
+    # a (2, 1) nesting that numpy reshapes to the field's (2,)
+    yield "nested-entries", ChartField(dim=2, shape=(2,), func=lambda c: [[c[0] * c[1]], (1.0,)])
 
 
 @pytest.mark.parametrize("name, field", list(_rank1_cases()))
@@ -231,18 +238,40 @@ def _point_route_cases():
         yield name, BUILTIN_FRAMES[name][0]().field
     yield "expressions", _expression_field(EXPRESSIONS)
     yield "complex-value", _expression_field(["(x - 1)^0.5", "x*y"])
+    # at (0.7, 3.1, 1.2) both roots are imaginary, so these multiply and
+    # divide complex point jets by complex point jets
+    yield from COMPLEX_BY_COMPLEX.items()
+
+
+COMPLEX_BY_COMPLEX = {
+    "complex-times-complex": _expression_field(
+        ["(x - 1)^0.5 * (y - 4)^0.5", "(x - 1)^0.5 * (x*z - 2)^0.5 + y"]),
+    "complex-over-complex": _expression_field(
+        ["(x - 1)^0.5 / (y - 4)^0.5", "(y - 4)^0.5 / ((x - 1)^0.5 * z)"]),
+}
+
+# CPython's complex product and quotient and numpy's may differ in the last
+# bit, and a derivative of a product or quotient sums a few such roundings:
+# each entry agrees within this many ulps of the larger of the two moduli
+# (a part that cancels to ~1e-33 next to a real part ~1 may differ in all bits)
+COMPLEX_ULPS = 4
 
 
 @pytest.mark.parametrize("name, field", list(_point_route_cases()))
 def test_point_jets_match_the_order2_route(name, field):
     # order 1 at a Point runs on float point jets; order 2 keeps numpy
     # gradients, and its value and first derivative must be the same bits
+    # except for complex products and quotients, which follow CPython
     p = Point((0.7, 3.1, 1.2, 0.4)[:field.dim])
     got = field.jets(p, order=1)
     want = field.jets(p, order=2)
     assert got[2] is None
-    if name == "complex-value":
+    if name.startswith("complex"):
         assert got[0].dtype == complex
     for a, b in zip(got[:2], want[:2]):
         assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
+        if name not in COMPLEX_BY_COMPLEX:
+            assert a.tobytes() == b.tobytes(), name
+            continue
+        ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        assert (np.abs(a - b) <= COMPLEX_ULPS * ulp).all(), (name, a - b, ulp)

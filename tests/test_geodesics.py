@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from geodyn.fields import ChartField
-from geodyn.geodesics import Trajectory, integrate_geodesic, velocity_norm
-from geodyn.library import diagonal_vielbein, polar, schwarzschild, sphere2
+from geodyn.geodesics import Trajectory, _diagonal_stage, integrate_geodesic, velocity_norm
+from geodyn.geometry import Vielbein
+from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, polar, schwarzschild, sphere2
 from geodyn.tensors import MinkowskiSignature, Point
+from test_fields import _point_route_cases, _rank1_cases
 from test_geometry import diagonal_frames, matrix_twin
 
 
@@ -147,21 +149,26 @@ def test_singular_stop_is_pinned():
 
 
 def test_four_metric_passes_per_step(monkeypatch):
-    calls = []
-    jets = ChartField.jets
+    # a pass runs the frame's evaluator once, on point jets, and reads its
+    # entries directly: ChartField.jets is not called at all
+    jets_calls, orders = [], []
+    monkeypatch.setattr(ChartField, "jets",
+                        lambda self, p, order=2: jets_calls.append(order))
+    frame = schwarzschild(mass=1.0)
+    func = frame.field.func
 
-    def counted(self, p, order=2):
-        calls.append(order)
-        return jets(self, p, order=order)
+    def counted(coords):
+        orders.append(coords[0].order)
+        return func(coords)
 
-    monkeypatch.setattr(ChartField, "jets", counted)
-    g = schwarzschild(mass=1.0).metric()
+    frame.field.func = counted
     steps = 25
-    traj = integrate_geodesic(g, (0.0, 6.0, np.pi / 2, 0.0),
+    traj = integrate_geodesic(frame.metric(), (0.0, 6.0, np.pi / 2, 0.0),
                               (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764),
                               t_max=0.25, steps=steps)
     assert traj.status == "ok"
-    assert calls == [1] * (4 * steps + 1)
+    assert orders == [1] * (4 * steps + 1)
+    assert jets_calls == []
 
 
 def test_no_determinant_call_inside_the_loop(monkeypatch):
@@ -294,4 +301,82 @@ def test_overflowing_acceleration_stops_both_stages_alike():
         fast = integrate_geodesic(frame.metric(), x0, v0, t_max=1.0, steps=10)
         general = integrate_geodesic(matrix_twin(frame).metric(), x0, v0, t_max=1.0, steps=10)
     assert fast.status == "singular" and fast.message == "non-finite acceleration"
+    assert _bits(fast) == _bits(general)
+
+
+# -- one metric pass of the diagonal stage against the ChartField.jets route --
+
+
+def _jets_route_pass(field, signs, xc):
+    """The diagonal stage's former pass: ChartField.jets at a Point, then
+    gamma_m = eta_m e_m^2 and its gradient from the arrays' lists."""
+    p = Point(tuple(xc))
+    e, de, _ = field.jets(p, order=1)
+    if e.dtype.kind == "c":
+        raise ValueError(f"complex metric value at {p.coords}")
+    el = e.tolist()
+    gm = [x * s * x + 0.0 for x, s in zip(el, signs)]
+    dgm = [2.0 * (x * s * y) for x, s, row in zip(el, signs, de.tolist()) for y in row]
+    if not all(map(np.isfinite, gm + dgm)):
+        raise ValueError(f"non-finite metric value at {p.coords}")
+    return gm, dgm + [0.0]
+
+
+def _diagonal_windows(field):
+    """Diagonal frames of a rank-1 field: the field itself if it has one entry
+    per coordinate, else frames of n consecutive entries (cyclically) that
+    between them hold every entry."""
+    n, k = field.dim, field.shape[0]
+    if k == n:
+        yield field
+        return
+    for start in range(0, k, n):
+        window = [(start + j) % k for j in range(n)]
+        yield ChartField(dim=n, shape=(n,),
+                         func=lambda c, w=window: [field.func(c)[i] for i in w])
+
+
+# the builtin frames are in both lists; they run once, as rank1 cases
+_PASS_CASES = {**{f"rank1-{name}": field for name, field in _rank1_cases()},
+               **{f"route-{name}": field for name, field in _point_route_cases()
+                  if name not in BUILTIN_FRAMES}}
+
+
+@pytest.mark.parametrize("name", sorted(_PASS_CASES))
+def test_diagonal_pass_matches_the_chart_field_route(name):
+    # int and constant entries, numpy object-array returns and every
+    # expression function give the same floats; complex values, complex
+    # gradients and numpy complex scalars the same complex-value error
+    for field in _diagonal_windows(_PASS_CASES[name]):
+        n = field.dim
+        frame = Vielbein(field, MinkowskiSignature.lorentzian(n))
+        metric_jets = _diagonal_stage(frame)[0]
+        xc = [0.7, 3.1, 1.2, 0.4][:n]
+        if "complex" not in name:
+            got, want = metric_jets(xc), _jets_route_pass(field, frame.signature.signs, xc)
+            assert all(type(x) is float for part in got for x in part), name
+            assert [list(map(float.hex, part)) for part in got] == \
+                [list(map(float.hex, part)) for part in want], name
+            continue
+        with pytest.raises(ValueError) as want:
+            _jets_route_pass(field, frame.signature.signs, xc)
+        with pytest.raises(ValueError) as got:
+            metric_jets(xc)
+        assert str(got.value) == str(want.value), name
+        assert str(want.value).startswith("complex metric value at ("), name
+
+
+@pytest.mark.parametrize("x0, v0, at", [((1.0, 0.0), (1e308, 0.0), "(inf, 0.0)"),
+                                        ((-1.0, 2.0), (-1e308, 1e308), "(-inf, inf)")])
+def test_non_finite_stage_point_stops_the_run(x0, v0, at):
+    # the start is finite, but the second stage's point x + (h/2) v is not
+    frame = _frame_2d(lambda c: 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = integrate_geodesic(frame.metric(), x0, v0, t_max=10.0, steps=1)
+        general = integrate_geodesic(matrix_twin(frame).metric(), x0, v0,
+                                     t_max=10.0, steps=1)
+    assert fast.status == "singular"
+    assert fast.message == f"non-finite coordinates: {at}"
+    assert len(fast.ts) == 1
     assert _bits(fast) == _bits(general)
