@@ -382,9 +382,6 @@ class ActionReport:
     constants: dict = field(default_factory=dict)
     quadrature: dict = field(default_factory=dict)
 
-    def sum_residual(self) -> float:
-        return abs(self.total - sum(v[2] for v in self.terms.values()))
-
 
 def derived_constants(m: Moments, sigma_sq: float | None = None,
                       alpha: float | None = None, higgs_c: float | None = None,

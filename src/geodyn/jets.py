@@ -63,12 +63,8 @@ class Jet:
         self.grad = grad
         self.hess = hess
 
-    @property
-    def order(self) -> int:
-        return 1 if self.hess is None else 2
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Jet({self.val!r}, grad={self.grad!r}, order={self.order})"
+        return f"Jet({self.val!r}, grad={self.grad!r}, hess={self.hess!r})"
 
     # -- ring operations ------------------------------------------------
 
@@ -142,19 +138,6 @@ class Jet:
 
     def __rpow__(self, base):
         return exp(self * math.log(base))
-
-    # Comparisons act on values so field code may branch on coordinates.
-    def __lt__(self, other):
-        return self.val < _plain(other)
-
-    def __le__(self, other):
-        return self.val <= _plain(other)
-
-    def __gt__(self, other):
-        return self.val > _plain(other)
-
-    def __ge__(self, other):
-        return self.val >= _plain(other)
 
     def __float__(self):
         raise TypeError("Jet cannot be silently demoted to float; use .val")
@@ -232,10 +215,6 @@ def _point(val, grad):
     j = object.__new__(_PointJet)
     j.val, j.grad, j.hess = val, grad, None
     return j
-
-
-def _plain(x):
-    return x.val if isinstance(x, Jet) else x
 
 
 def _outer(a, b):

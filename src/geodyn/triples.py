@@ -81,7 +81,7 @@ class FiniteTriple:
 
 @dataclass
 class AxiomReport:
-    """Residuals of the defining identities; None marks unclaimed structure."""
+    """Residuals of the defining identities; None marks absent structure."""
 
     dirac_hermitian: float
     grading_hermitian: float | None
@@ -95,18 +95,19 @@ class AxiomReport:
     first_order: float | None
     first_order_claimed: bool
     dirac_hermitian_claimed: bool
-    commutator_bound: float
+
+    def items(self):
+        """(name, residual, claimed) for every identity measured, in field order."""
+        claimed = {"first_order": self.first_order_claimed,
+                   "dirac_hermitian": self.dirac_hermitian_claimed}
+        for name, val in self.__dict__.items():
+            if name.endswith("_claimed") or val is None:
+                continue
+            yield name, val, claimed.get(name, True)
 
     def residual_items(self):
-        skip = {"commutator_bound", "first_order_claimed", "dirac_hermitian_claimed"}
-        for name, val in self.__dict__.items():
-            if name in skip or val is None:
-                continue
-            if name == "first_order" and not self.first_order_claimed:
-                continue
-            if name == "dirac_hermitian" and not self.dirac_hermitian_claimed:
-                continue
-            yield name, val
+        """(name, residual) for the claimed identities."""
+        return ((name, val) for name, val, claimed in self.items() if claimed)
 
 
 def _max_abs(m: np.ndarray) -> float:
@@ -114,10 +115,9 @@ def _max_abs(m: np.ndarray) -> float:
 
 
 def check_axioms(t: FiniteTriple) -> AxiomReport:
-    """Measure every claimed identity of the triple.
+    """Measure every identity whose structure the triple has.
 
-    Boundedness of [D, a] is automatic in finite dimension; the report carries
-    the largest spectral norm over the generators instead.
+    Boundedness of [D, a] is automatic in finite dimension and not measured.
     """
     d = t.d
     eye = np.eye(t.dim)
@@ -146,8 +146,6 @@ def check_axioms(t: FiniteTriple) -> AxiomReport:
             for bo in opposites:
                 order_zero = max(order_zero, _max_abs(a @ bo - bo @ a))
                 first_order = max(first_order, _max_abs(da @ bo - bo @ da))
-    bound = max((float(np.linalg.norm(d @ a - a @ d, 2))
-                 for a in t.algebra_generators), default=0.0)
     return AxiomReport(
         dirac_hermitian=dirac_h,
         grading_hermitian=g_h,
@@ -161,7 +159,6 @@ def check_axioms(t: FiniteTriple) -> AxiomReport:
         first_order=first_order,
         first_order_claimed=t.first_order_claimed,
         dirac_hermitian_claimed=t.dirac_hermitian_claimed,
-        commutator_bound=bound,
     )
 
 
@@ -247,36 +244,48 @@ def two_point_triple(m: complex = 1.0) -> FiniteTriple:
                         label="two-point")
 
 
+def _sector_block(y: np.ndarray) -> np.ndarray:
+    """[[0, Y], [Y^dagger, 0]], Hermitian for every Y."""
+    m, n = y.shape
+    return np.block([[np.zeros((m, m)), y], [y.conj().T, np.zeros((n, n))]])
+
+
+def _doubled_triple(s: np.ndarray, chirality, slots, label: str) -> FiniteTriple:
+    """The real triple on H + conj(H) built from a particle block S on H.
+
+    D = S + conj(S), the grading is the chirality signs on both halves, and
+    J swaps the halves and conjugates, with sign table (1, 1, 1).  The
+    algebra is spanned by the projectors on the given slots of the particle
+    half plus the scalar projector on the conjugate half; J b J^-1 is then
+    scalar wherever [D, a] lives, so the order-zero and first-order
+    conditions hold exactly.
+    """
+    n = s.shape[0]
+    z = np.zeros((n, n))
+    d = np.block([[s, z], [z, np.conj(s)]])
+    gamma = np.diag(np.concatenate([chirality, chirality])).astype(complex)
+    k = np.block([[z, np.eye(n)], [np.eye(n), z]]).astype(complex)
+    gens = []
+    for idx in [*slots, np.arange(n, 2 * n)]:
+        p = np.zeros((2 * n, 2 * n), dtype=complex)
+        p[idx, idx] = 1.0
+        gens.append(p)
+    return FiniteTriple(dim=2 * n, algebra_generators=tuple(gens), d=d, gamma=gamma,
+                        k=k, epsilon_signs=(1, 1, 1), label=label)
+
+
 def lepton_triple(k_e: np.ndarray | None = None) -> FiniteTriple:
     """A lepton-sector triple on C^12 = (a, b, abar, bbar) with 3 generations.
 
-    D couples a <-> b through k_e and the conjugate blocks through its
-    conjugate.  The algebra is spanned by the two chiral projectors on the
-    particle half plus the scalar projector on the conjugate half; elements
-    act as (x, y) on the particle slots and as a single scalar z on all
-    conjugate slots.  With that representation the conjugate action J b J^-1
-    is scalar wherever [D, a] lives, so the order-zero and first-order
-    conditions hold exactly.
+    D couples a <-> b through k_e, grading +1 on a and -1 on b; the algebra
+    acts as (x, y) on the particle slots and as a single scalar z on all
+    conjugate slots (see _doubled_triple).
     """
     ke = np.eye(3, dtype=complex) if k_e is None else _as_matrix(k_e, "k_e")
     if ke.shape != (3, 3):
         raise ValueError("k_e must be 3x3")
-    z = np.zeros((3, 3), dtype=complex)
-    top = np.block([[z, ke], [ke.conj().T, z]])
-    d = np.block([[top, np.zeros((6, 6))], [np.zeros((6, 6)), np.conj(top)]])
-    gamma = np.diag([1.0] * 3 + [-1.0] * 3 + [1.0] * 3 + [-1.0] * 3).astype(complex)
-    k = np.block([[np.zeros((6, 6)), np.eye(6)], [np.eye(6), np.zeros((6, 6))]]).astype(complex)
-    gens = []
-    for i in range(2):
-        p = np.zeros((12, 12), dtype=complex)
-        p[3 * i:3 * i + 3, 3 * i:3 * i + 3] = np.eye(3)
-        gens.append(p)
-    anti = np.zeros((12, 12), dtype=complex)
-    anti[6:, 6:] = np.eye(6)
-    gens.append(anti)
-    return FiniteTriple(dim=12, algebra_generators=tuple(gens), d=d, gamma=gamma,
-                        k=k, epsilon_signs=(1, 1, 1), first_order_claimed=True,
-                        label="lepton")
+    return _doubled_triple(_sector_block(ke), np.repeat([1.0, -1.0], 3),
+                           (np.arange(3), np.arange(3, 6)), "lepton")
 
 
 # -- Standard Model Yukawa sector ----------------------------------------------
@@ -291,8 +300,9 @@ class YukawaData:
     """Yukawa matrices in generation space and their assembled blocks.
 
     Basis order: quark sector (Q_L doublet x 3 generations, d_R, u_R) with
-    color multiplicity 3, then lepton sector (l_L doublet x 3, e_R).  The
-    total Dirac matrix doubles everything with the conjugate block.
+    color multiplicity 3, then lepton sector (l_L doublet x 3, e_R).  Each
+    sector block is [[0, Y], [Y^dagger, 0]] with Y the left-to-right Yukawa
+    coupling, so it is Hermitian for every input.
     """
 
     k_u: np.ndarray
@@ -308,19 +318,12 @@ class YukawaData:
 
     def y_quark(self) -> np.ndarray:
         """12x12 block on (Q_L(6), d_R(3), u_R(3))."""
-        out = np.zeros((12, 12), dtype=complex)
-        out[0:6, 6:9] = np.kron(E_DOWN[:, None], self.k_d)
-        out[0:6, 9:12] = np.kron(E_UP[:, None], self.k_u)
-        out[6:9, 0:6] = np.kron(E_DOWN[None, :], np.conj(self.k_d))
-        out[9:12, 0:6] = np.kron(E_UP[None, :], np.conj(self.k_u))
-        return out
+        return _sector_block(np.hstack([np.kron(E_DOWN[:, None], self.k_d),
+                                        np.kron(E_UP[:, None], self.k_u)]))
 
     def y_lepton(self) -> np.ndarray:
         """9x9 block on (l_L(6), e_R(3))."""
-        out = np.zeros((9, 9), dtype=complex)
-        out[0:6, 6:9] = np.kron(E_DOWN[:, None], self.k_e)
-        out[6:9, 0:6] = np.kron(E_UP[None, :], np.conj(self.k_e))
-        return out
+        return _sector_block(np.kron(E_DOWN[:, None], self.k_e))
 
     def y_total(self) -> np.ndarray:
         """45x45: color-tripled quark block direct-summed with the leptons."""
@@ -331,58 +334,21 @@ class YukawaData:
         out[36:, 36:] = yl
         return out
 
-    def d_y(self) -> np.ndarray:
-        """90x90 Yukawa Dirac matrix [[Y, 0], [0, conj(Y)]]."""
-        y = self.y_total()
-        out = np.zeros((90, 90), dtype=complex)
-        out[:45, :45] = y
-        out[45:, 45:] = np.conj(y)
-        return out
-
-
-def _chirality_pattern_45() -> np.ndarray:
-    """-1 on left-handed slots, +1 on right-handed slots, colored then leptons."""
-    quark12 = np.array([-1.0] * 6 + [1.0] * 6)
-    colored = np.repeat(quark12, 3)
-    lepton = np.array([-1.0] * 6 + [1.0] * 3)
-    return np.concatenate([colored, lepton])
-
 
 def build_sm_finite(yukawa: YukawaData) -> FiniteTriple:
     """Assemble the 90-dimensional Yukawa-sector triple.
 
-    The grading is -1 on left-handed and +1 on right-handed slots, repeated
-    on the conjugate half; J swaps the two halves and conjugates, with sign
-    table (1, 1, 1).  The algebra representation on this space is not
-    forced by the axioms, so the generator list is the diagonal
-    sector-projector algebra: chiral sectors on the particle half plus the
-    scalar projector on the conjugate half.  Every claimed identity is
-    then exact.
-    Hermiticity of D depends on the Yukawa inputs and is reported, not
-    asserted: the quark block is Hermitian iff k_u and k_d are symmetric,
-    while the lepton block pairs the down-slot embedding of k_e with the
-    up-slot embedding of its conjugate and so is Hermitian only for k_e = 0.
+    The particle block is YukawaData.y_total; the grading is -1 on
+    left-handed and +1 on right-handed slots.  The algebra representation on
+    this space is not forced by the axioms, so the generator list is the
+    diagonal sector-projector algebra: the quark and lepton chiral sectors
+    on the particle half plus the scalar projector on the conjugate half
+    (see _doubled_triple).  D is Hermitian for every Yukawa input, and every
+    identity is claimed.
     """
-    d = yukawa.d_y()
-    chir = _chirality_pattern_45()
-    gamma = np.diag(np.concatenate([chir, chir])).astype(complex)
-    k = np.zeros((90, 90), dtype=complex)
-    k[:45, 45:] = np.eye(45)
-    k[45:, :45] = np.eye(45)
-    gens = []
-    slots = {
-        "quark_left": np.arange(36)[np.repeat([True] * 6 + [False] * 6, 3)],
-        "quark_right": np.arange(36)[np.repeat([False] * 6 + [True] * 6, 3)],
-        "lepton_left": 36 + np.arange(6),
-        "lepton_right": 42 + np.arange(3),
-    }
-    for idx in slots.values():
-        p = np.zeros((90, 90), dtype=complex)
-        p[idx, idx] = 1.0
-        gens.append(p)
-    anti = np.zeros((90, 90), dtype=complex)
-    anti[45:, 45:] = np.eye(45)
-    gens.append(anti)
-    return FiniteTriple(dim=90, algebra_generators=tuple(gens), d=d, gamma=gamma,
-                        k=k, epsilon_signs=(1, 1, 1), first_order_claimed=True,
-                        dirac_hermitian_claimed=False, label="sm-yukawa")
+    quark_left = np.repeat([True] * 6 + [False] * 6, 3)
+    lepton_left = np.array([True] * 6 + [False] * 3)
+    chirality = np.where(np.concatenate([quark_left, lepton_left]), -1.0, 1.0)
+    slots = (np.flatnonzero(quark_left), np.flatnonzero(~quark_left),
+             36 + np.flatnonzero(lepton_left), 36 + np.flatnonzero(~lepton_left))
+    return _doubled_triple(yukawa.y_total(), chirality, slots, "sm-yukawa")

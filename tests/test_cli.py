@@ -102,6 +102,29 @@ def test_custom_config_runs_from_file(tmp_path, capsys):
     assert len(body.splitlines()) == 3
 
 
+def test_unclaimed_first_order_without_real_structure_runs(tmp_path, capsys):
+    # no J means no first-order residual at all; leaving first_order unclaimed
+    # must not add a row for the residual that was never measured
+    obj = {
+        "schema": SCHEMA_VERSION,
+        "chart": {"dimension": 2, "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
+        "frame": {"builtin": "flat", "parameters": {"dim": 2}},
+        "finite_triple": {"dim": 2, "dirac": [[0, 1], [1, 0]],
+                          "generators": [[[1, 0], [0, 0]]],
+                          "first_order_claimed": False},
+        "tasks": [{"type": "axioms", "fluctuations": False}],
+    }
+    cfg = tmp_path / "no-j.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _, err = _run(["run", str(cfg), "--out", str(out_dir)], capsys)
+    assert code == 0 and "Traceback" not in err
+    rows = [line.split(",") for line in
+            (out_dir / "00-axioms.csv").read_text(encoding="utf-8").splitlines()]
+    assert rows == [["axiom", "residual", "claimed"],
+                    ["dirac_hermitian", "0", "true"]]
+
+
 def _geodesic_config(tmp_path, diagonal, start):
     obj = {
         "schema": SCHEMA_VERSION,

@@ -32,7 +32,6 @@ def test_two_point_claimed_axioms_are_exact():
     assert rep.first_order_claimed is False
     # the first-order defect is exactly |m|; reported, never asserted to zero
     assert abs(rep.first_order - 1.3) < 1e-14
-    assert abs(rep.commutator_bound - 1.3) < 1e-14
 
 
 def test_two_point_with_complex_mass():
@@ -154,9 +153,16 @@ def test_yukawa_block_placement():
     assert np.abs(q[3:6, 6:9] - k_d).max() < 1e-14
     assert np.abs(q[0:3, 9:12] - k_u).max() < 1e-14
     assert np.abs(q[0:3, 6:9]).max() == 0.0
+    # the lower-left blocks are the adjoints, on the same doublet slots
+    assert np.array_equal(q[6:9, 3:6], k_d.conj().T)
+    assert np.array_equal(q[9:12, 0:3], k_u.conj().T)
+    assert np.abs(q[6:9, 0:3]).max() == 0.0
+    assert np.abs(q[9:12, 3:6]).max() == 0.0
     lep = y.y_lepton()
     assert np.abs(lep[3:6, 6:9] - k_e).max() < 1e-14
-    assert np.abs(lep[6:9, 0:3] - np.conj(k_e)).max() < 1e-14
+    assert np.abs(lep[0:3, 6:9]).max() == 0.0
+    assert np.array_equal(lep[6:9, 3:6], k_e.conj().T)
+    assert np.abs(lep[6:9, 0:3]).max() == 0.0
     total = y.y_total()
     assert total.shape == (45, 45)
     assert np.abs(total[:36, :36] - np.kron(q, np.eye(3))).max() < 1e-13
@@ -170,17 +176,18 @@ def test_sm_triple_claimed_axioms():
                    k_e=_random_complex(rng, (3, 3)))
     t = build_sm_finite(y)
     assert t.dim == 90
+    # every sector block is [[0, Y], [Y^dagger, 0]], so D is Hermitian exactly
+    assert np.array_equal(t.d, t.d.conj().T)
     rep = check_axioms(t)
-    assert max(v for _, v in rep.residual_items()) < 1e-12
-    assert rep.dirac_hermitian_claimed is False
-    # the lepton embedding pairs k_e against conj(k_e), so hermiticity of D
-    # genuinely fails for generic inputs; the residual is report-only
-    assert rep.dirac_hermitian > 1e-3
+    assert rep.dirac_hermitian_claimed is True
+    claimed = dict(rep.residual_items())
+    assert claimed["dirac_hermitian"] == 0.0
+    assert max(claimed.values()) <= 1e-12
 
 
-def test_sm_axioms_task_reports_unclaimed_fluctuated_hermiticity():
-    # D is Hermitian only for k_e = 0, so D + A + JAJ^-1 cannot be either;
-    # the residual is reported as unclaimed and stays out of the verdict
+def test_sm_axioms_task_claims_fluctuated_hermiticity():
+    # D is Hermitian for every Yukawa input, so D + A + JAJ^-1 is too, and
+    # both residuals are claimed and count to the verdict
     k_e = [[0.1, 0, 0], [0, 0.2, 0], [0, 0, 0.3]]
     obj = {"schema": "geodyn-config-v1",
            "chart": {"dimension": 2, "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
@@ -191,23 +198,13 @@ def test_sm_axioms_task_reports_unclaimed_fluctuated_hermiticity():
     assert res.status == "pass"
     assert res.worst_residual == 0.0
     rows = {name: (residual, claimed) for name, residual, claimed in res.rows}
-    assert rows["fluctuated_dirac_hermitian"] == (pytest.approx(0.3, abs=1e-15), False)
+    assert rows["fluctuated_dirac_hermitian"][1] is True
+    assert rows["fluctuated_dirac_hermitian"][0] <= 1e-12
     assert rows["unimodular_trace"][1] is True
-    # D's own Hermiticity residual gets an unclaimed row too
-    assert rows["dirac_hermitian"] == (pytest.approx(0.3, abs=1e-15), False)
+    # every row is claimed, D's own Hermiticity first
     csv_rows = [line.split(",") for line in format_csv(res).splitlines()]
-    row = next(r for r in csv_rows if r[0] == "dirac_hermitian")
-    assert float(row[1]) == pytest.approx(0.3, abs=1e-15) and row[2] == "false"
-
-
-def test_sm_triple_hermitian_for_symmetric_quarks_without_leptons():
-    rng = np.random.default_rng(137)
-    k_u = _random_complex(rng, (3, 3))
-    k_u = 0.5 * (k_u + k_u.T)
-    k_d = _random_complex(rng, (3, 3))
-    k_d = 0.5 * (k_d + k_d.T)
-    y = YukawaData(k_u=k_u, k_d=k_d, k_e=np.zeros((3, 3)))
-    assert check_axioms(build_sm_finite(y)).dirac_hermitian < 1e-14
+    assert csv_rows[1][0] == "dirac_hermitian"
+    assert all(r[2] == "true" for r in csv_rows[1:])
 
 
 def test_triple_validation():
