@@ -185,6 +185,16 @@ def test_sm_triple_claimed_axioms():
     assert max(claimed.values()) <= 1e-12
 
 
+def test_sm_triple_hermitian_for_symmetric_quarks_without_leptons():
+    rng = np.random.default_rng(137)
+    k_u = _random_complex(rng, (3, 3))
+    k_u = 0.5 * (k_u + k_u.T)
+    k_d = _random_complex(rng, (3, 3))
+    k_d = 0.5 * (k_d + k_d.T)
+    y = YukawaData(k_u=k_u, k_d=k_d, k_e=np.zeros((3, 3)))
+    assert check_axioms(build_sm_finite(y)).dirac_hermitian < 1e-14
+
+
 def test_sm_axioms_task_claims_fluctuated_hermiticity():
     # D is Hermitian for every Yukawa input, so D + A + JAJ^-1 is too, and
     # both residuals are claimed and count to the verdict
