@@ -35,7 +35,7 @@ import numpy as np
 from .action import CUTOFF_BUILTINS, CutoffFunction, GridSpec, Region
 from .connection import ConnectionForm, HiggsField, SMGaugeConfig
 from .exprs import compile_expression, default_coordinate_names
-from .fields import ChartField
+from .fields import entry_field
 from .geometry import GeneralizedMetric, Vielbein
 from .library import BUILTIN_FRAMES, diagonal_vielbein
 from .tensors import MAX_DIM, MinkowskiSignature, Point
@@ -188,20 +188,6 @@ def _compiled(diags, sources, shape, coords, path):
     for i, src in enumerate(sources):
         out[i] = _compiled(diags, src, shape[1:], coords, f"{path}[{i}]")
     return out if len(diags) == n else None
-
-
-def _expr_field(compiled) -> ChartField:
-    """ChartField whose entries are the compiled expressions (object dtype);
-    the last axis of every configured field runs over the chart dimension."""
-    shape = compiled.shape
-
-    def func(c):
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(*shape):
-            out[idx] = compiled[idx](c)
-        return out
-
-    return ChartField(dim=shape[-1], shape=shape, func=func)
 
 
 # -- kinds ------------------------------------------------------------------------
@@ -514,7 +500,7 @@ def _parse_frame(diags, frame, chart, signature):
     signature = signature or MinkowskiSignature.euclidean(chart.dim)
     if form == "diagonal":
         return diagonal_vielbein(list(entries[form]), signature)
-    return Vielbein(field=_expr_field(entries[form]), signature=signature)
+    return Vielbein(field=entry_field(entries[form]), signature=signature)
 
 
 _GAUGE_ENTRIES = {
@@ -542,7 +528,7 @@ def _parse_gauge(diags, gauge, chart):
     if couplings is None or chart.coords is None:
         return None
     zero = SMGaugeConfig.zero(chart.dim)
-    fields = {fld: getattr(zero, fld) if entries[fld] is None else _expr_field(entries[fld])
+    fields = {fld: getattr(zero, fld) if entries[fld] is None else entry_field(entries[fld])
               for fld in _COUPLING_OF}
     return _built(diags, "gauge", SMGaugeConfig, **fields, **couplings)
 
@@ -691,7 +677,7 @@ def _reference(diags, path, value, ctx):
     if entries is None or entries["matrix"] is None:  # None too without a chart
         return None
     matrix = entries["matrix"]
-    return GeneralizedMetric(dim=len(matrix), gamma_field=_expr_field(matrix))
+    return GeneralizedMetric(dim=len(matrix), gamma_field=entry_field(matrix))
 
 
 _ORBIT_ENTRIES = {"mass": (_positive, _REQUIRED), "radius": (_positive, _REQUIRED)}

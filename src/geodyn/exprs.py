@@ -20,19 +20,31 @@ coordinate-free subexpression that is not a finite number (``1e999``,
 ``1/0``, ``1e308*1e308``).  The validated tree is compiled once and
 evaluated by Python with no builtins in reach: only the coordinates, the
 functions and pi.
+
+``differentiate`` turns the validated trees of a field's expressions into
+one straight-line Python function from float coordinates to the values and
+the flat gradient, forward mode by source transformation (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3).  Each node
+becomes the float operations that the jets module's first-order rules
+perform on it, in the same order, with ``jets``' math/cmath dispatchers for
+the functions.  So the code gives the bits of order-1 jets at a point, a
+complex intermediate included, in about a tenth of their time.  It skips
+the second derivatives that those rules also form and drop.
 """
 
 from __future__ import annotations
 
 import ast
 import cmath
+import math
 from dataclasses import dataclass
+from typing import Callable
 from types import CodeType
 
 from . import jets as _jets
 
 __all__ = ["ExpressionError", "CompiledExpression", "compile_expression",
-           "FUNCTION_NAMES", "default_coordinate_names"]
+           "differentiate", "FUNCTION_NAMES", "default_coordinate_names"]
 
 
 class ExpressionError(ValueError):
@@ -97,19 +109,22 @@ def compile_expression(source: str, coordinates) -> CompiledExpression:
     clash = set(coords) & (set(FUNCTIONS) | set(CONSTANTS))
     if clash:
         raise ExpressionError(f"coordinate names {sorted(clash)} shadow builtins")
-    # "^" means power; rewriting the token keeps power precedence above "*",
-    # which the host grammar would not give the xor operator
-    rewritten = source.replace("^", "**")
     try:
-        tree = ast.parse(rewritten, mode="eval")
+        tree = _parse(source)
     except SyntaxError as e:
         # a 1-based offset in characters; none means the end of the input
-        line, col = (e.lineno, e.offset - 1) if e.offset else (1, len(rewritten))
+        line, col = (e.lineno, e.offset - 1) if e.offset else (1, len(source.replace("^", "**")))
         raise ExpressionError(f"syntax error at offset {_source_offset(source, line, col)}: "
                               f"{source!r}") from None
     _validate(tree.body, coords, source)
     return CompiledExpression(source=source, coordinates=coords,
                               _code=compile(tree, "<expression>", "eval"))
+
+
+def _parse(source: str) -> ast.Expression:
+    # "^" means power; rewriting the token keeps power precedence above "*",
+    # which the host grammar would not give the xor operator
+    return ast.parse(source.replace("^", "**"), mode="eval")
 
 
 def _source_offset(source: str, line: int, col: int) -> int:
@@ -185,3 +200,158 @@ def _validate(node: ast.AST, coords: tuple, source: str):
     raise ExpressionError(
         f"{type(node).__name__} not part of the expression grammar{_where(node, source)}")
 
+
+# -- order-1 derivative code --------------------------------------------------
+#
+# A node's result is (value, None) for a coordinate-free node, whose value
+# is computed once here as the eval path computes it, or (name, grads) for
+# one that depends on the coordinates: the local holding its value and its
+# n gradient entries (locals, or the literals of a coordinate's unit row).
+
+# the statements that set the value {v} and first derivative {f} of each
+# function at {a}, in the jets module's order
+_DERIVATIVES = {
+    "sin": ("{v} = _sin({a})", "{f} = _cos({a})"),
+    "cos": ("{v} = _cos({a})", "{f} = -_sin({a})"),
+    "tan": ("{v} = _tan({a})", "{f} = 1.0 + {v} * {v}"),
+    "exp": ("{v} = _exp({a})", "{f} = {v}"),
+    "log": ("{v} = _log({a})", "{f} = 1.0 / {a}"),
+    "sqrt": ("{v} = _sqrt({a})", "{f} = 0.5 / {v}"),
+    "sinh": ("{v} = _sinh({a})", "{f} = _cosh({a})"),
+    "cosh": ("{v} = _cosh({a})", "{f} = _sinh({a})"),
+    "tanh": ("{v} = _tanh({a})", "{f} = 1.0 - {v} * {v}"),
+    "arctan": ("{f} = 1.0 / (1.0 + {a} * {a})", "{v} = _atan({a})"),
+}
+
+class _Writer:
+    """The statements and the globals of one generated function."""
+
+    def __init__(self):
+        self.lines = []
+        self.names = {"__builtins__": {}, "_mlog": math.log,
+                      **{f"_{fn}": getattr(_jets, f"_{fn}") for fn in
+                         ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh",
+                          "tanh", "atan")}}
+
+    def let(self, expr: str) -> str:
+        name = f"_t{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def const(self, value) -> str:
+        name = f"_k{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def scaled(self, f: str, grads: list) -> list:
+        # the jets' chain rule: f1 times each gradient entry
+        return [self.let(f"{f} * {g}") for g in grads]
+
+    def call(self, fn: str, a: str, grads: list) -> tuple:
+        v, f = f"_t{len(self.lines)}v", f"_t{len(self.lines)}f"
+        self.lines += [line.format(v=v, f=f, a=a) for line in _DERIVATIVES[fn]]
+        return v, self.scaled(f, grads)
+
+    def neg(self, a: str, grads: list) -> tuple:
+        return self.let(f"-{a}"), [self.let(f"-{g}") for g in grads]
+
+    def add(self, a, ga, b, gb) -> tuple:
+        if ga is None:  # c + A is A + c
+            a, ga, b, gb = b, gb, a, ga
+        if gb is None:
+            return self.let(f"{a} + {b}"), ga
+        return self.let(f"{a} + {b}"), [self.let(f"{x} + {y}") for x, y in zip(ga, gb)]
+
+    def sub(self, a, ga, b, gb) -> tuple:
+        if ga is None:
+            return self.let(f"{a} - {b}"), [self.let(f"-{y}") for y in gb]
+        if gb is None:  # A - c is A + (-c)
+            return self.let(f"{a} + (-{b})"), ga
+        return self.add(a, ga, *self.neg(b, gb))
+
+    def mul(self, a, ga, b, gb) -> tuple:
+        if ga is None:  # c * A is A * c
+            a, ga, b, gb = b, gb, a, ga
+        if gb is None:
+            return self.let(f"{a} * {b}"), [self.let(f"{x} * {b}") for x in ga]
+        return self.let(f"{a} * {b}"), [self.let(f"{x} * {b} + {a} * {y}")
+                                        for x, y in zip(ga, gb)]
+
+    def div(self, a, ga, b, gb) -> tuple:
+        if ga is None:  # c / A: value c/v, derivative -c/(v*v)
+            v = self.let(f"{a} / {b}")
+            return v, self.scaled(self.let(f"-{a} / ({b} * {b})"), gb)
+        if gb is None:  # A / c is A * (1.0 / c)
+            inv = self.let(f"1.0 / {b}")
+            return self.let(f"{a} * {inv}"), [self.let(f"{x} * {inv}") for x in ga]
+        v = self.let(f"{a} / {b}")
+        return v, [self.let(f"({x} - {v} * {y}) / {b}") for x, y in zip(ga, gb)]
+
+    def pow(self, a, ga, b, gb, k) -> tuple:
+        """A ** B; k is the value of a constant exponent B."""
+        if ga is None:  # c ** A is exp(A * log(c))
+            lc = self.let(f"_mlog({a})")
+            return self.call("exp", *self.mul(b, gb, lc, None))
+        if gb is not None:  # A ** B is exp(B * log(A))
+            return self.call("exp", *self.mul(b, gb, *self.call("log", a, ga)))
+        if k == 0:
+            # jets give 0j where a gradient entry is complex, but then so is
+            # the value, which makes the stacked gradient complex anyway
+            return self.let(f"{a} ** 0"), ["0.0"] * len(ga)
+        if k == 1:
+            return a, ga
+        v = self.let(f"{a} ** {b}")
+        return v, self.scaled(self.let(f"{b} * {a} ** ({b} - 1)"), ga)
+
+    def node(self, node: ast.AST, index: dict) -> tuple:
+        """(value, None) or (name, grads) of a validated node; index maps the
+        coordinate names to their positions."""
+        if isinstance(node, ast.Constant):
+            return node.value, None
+        if isinstance(node, ast.Name):
+            if node.id not in index:
+                return CONSTANTS[node.id], None
+            i = index[node.id]
+            return f"_x{i}", ["1.0" if j == i else "0.0" for j in range(len(index))]
+        if isinstance(node, ast.UnaryOp):
+            a, ga = self.node(node.operand, index)
+            if ga is None:
+                return _UNARYOPS[type(node.op)](a), None
+            return (a, ga) if isinstance(node.op, ast.UAdd) else self.neg(a, ga)
+        if isinstance(node, ast.Call):
+            fn = node.func.id
+            a, ga = self.node(node.args[0], index)
+            return (FUNCTIONS[fn](a), None) if ga is None else self.call(fn, a, ga)
+        op = type(node.op)
+        (a, ga), (b, gb) = self.node(node.left, index), self.node(node.right, index)
+        if ga is None and gb is None:
+            return _BINOPS[op](a, b), None
+        k = b
+        a, b = (self.const(a) if ga is None else a), (self.const(b) if gb is None else b)
+        if op is ast.Pow:
+            return self.pow(a, ga, b, gb, k)
+        return {ast.Add: self.add, ast.Sub: self.sub, ast.Mult: self.mul,
+                ast.Div: self.div}[op](a, ga, b, gb)
+
+
+def differentiate(exprs) -> Callable:
+    """The order-1 derivative code of compiled expressions over n coordinates.
+
+    Returns ``f(coords) -> (values, grads)``: the expressions' values as a
+    list, and their gradients as one flat list, expression by expression.
+    Both hold the numbers that order-1 jets at the point give, bit for bit,
+    and an evaluation error is the one that the expressions raise.
+    """
+    n = len(exprs[0].coordinates)
+    w, values, grads = _Writer(), [], []
+    for e in exprs:
+        if len(e.coordinates) != n:
+            raise ExpressionError(f"expressions over {n} and {len(e.coordinates)} coordinates")
+        v, g = w.node(_parse(e.source).body, {c: i for i, c in enumerate(e.coordinates)})
+        values.append(w.const(v) if g is None else v)
+        grads += ["0.0"] * n if g is None else g
+    body = "\n".join(f"    {line}" for line in
+                     ["".join(f"_x{i}, " for i in range(n)) + "= _c", *w.lines,
+                      f"return [{', '.join(values)}], [{', '.join(grads)}]"])
+    exec(compile(f"def _derivatives(_c):\n{body}\n", "<derivative code>", "exec"), w.names)
+    return w.names["_derivatives"]

@@ -4,31 +4,36 @@ A :class:`ChartField` wraps a pure evaluator ``func(coords) -> array`` whose
 scalar arithmetic must go through :mod:`geodyn.jets` functions so the same
 code path serves plain floats (values, finite differences) and jets (exact
 derivatives).  ``ChartField.jets`` returns the value and its coordinate
-derivatives as plain arrays, derivative indices trailing.  At a Point the
-evaluator runs on point jets (tuple gradients of Python floats) for order 1
-and on numpy-gradient jets for order 2.  It also takes an (N, dim) block,
-evaluated in one pass on block jets, and then puts the point axis first in
-its results.  ``_point_jets`` reads an order-1 result at one point into
-flat values and gradient rows; ``ChartField.jets`` stacks them into arrays
-and the diagonal geodesic stage reads them as floats.  ``fd_jets(field, p,
+derivatives as plain arrays, derivative indices trailing.  It also takes an
+(N, dim) block, evaluated in one pass on block jets, and then puts the point
+axis first in its results.
+
+``entry_field`` builds a field from an array of entry evaluators.  When
+every entry is a compiled expression the field is expression-built: at a
+Point, order 1 runs the derivative code that :func:`geodyn.exprs.differentiate`
+generates from the expressions on the field's first such call
+(``point_code``), and the diagonal geodesic stage reads that code's lists
+directly.  Every other evaluation, and order 1 of a field built from
+closures, runs the evaluator on numpy-gradient jets.  ``fd_jets(field, p,
 order)`` gives the same arrays at a Point from central differences, the
-independent oracle for the jet route, with relative steps FD_STEP for first
-and FD_STEP2 for second derivatives.
+independent oracle for the jet routes, with relative steps FD_STEP for
+first and FD_STEP2 for second derivatives.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import jets
+from .exprs import CompiledExpression, differentiate
 from .jets import Jet
 from .tensors import Point
 
-__all__ = ["ChartField", "scalar_field", "constant_field", "fd_jets"]
+__all__ = ["ChartField", "entry_field", "scalar_field", "constant_field", "fd_jets"]
 
 FD_STEP = 1e-5
 FD_STEP2 = 1e-4
@@ -44,44 +49,13 @@ def _collapse_numeric(arr: np.ndarray) -> np.ndarray:
     return np.array([v.real for v in flat], dtype=float).reshape(arr.shape)
 
 
-def _point_jets(obj, shape, n):
-    """Flat values and gradient rows of an order-1 evaluator result at a point.
-
-    A point jet gives its value and tuple gradient, a constant its value and
-    a zero row.  A flat list of the field's size is read as it is; any other
-    result is flattened by numpy, so a wrong entry count raises ValueError.
-    """
-    entries = obj
-    if type(obj) is not list or len(obj) != math.prod(shape):
-        entries = np.asarray(obj, dtype=object).reshape(shape).ravel().tolist()
-    vals, rows, zero = [], [], (0.0,) * n
-    for e in entries:
-        if isinstance(e, Jet):
-            vals.append(e.val)
-            rows.append(e.grad)
-        elif entries is obj and isinstance(e, (list, tuple, np.ndarray)):
-            return _point_jets(np.asarray(obj, dtype=object), shape, n)  # nested
-        else:
-            vals.append(e)
-            rows.append(zero)
-    return vals, rows
-
-
 def _collect(obj, shape, n, order, pts=()):
     """Split an evaluator result (jets and/or numbers) into value/grad/hess arrays.
 
-    At order 1 at a point the values and gradient rows of ``_point_jets``
-    are stacked.  Otherwise ``pts == (N,)`` marks block jets, whose
-    constants broadcast over the points, and only the jet entries'
-    derivatives are written, by index, into zero arrays.
+    ``pts == (N,)`` marks block jets, whose constants broadcast over the
+    points.  Only the jet entries' derivatives are written, by index, into
+    zero arrays.
     """
-    if order == 1 and not pts:
-        vals, rows = _point_jets(obj, shape, n)
-        val, d1 = np.array(vals), np.array(rows)
-        # numpy makes either stack complex if one entry is; then both are
-        dtype = complex if "c" in (val.dtype.kind, d1.dtype.kind) else float
-        return (val.astype(dtype, copy=False).reshape(shape),
-                d1.astype(dtype, copy=False).reshape(shape + (n,)), None)
     entries = np.asarray(obj, dtype=object).reshape(shape).ravel().tolist()
     idx, found = [], []
     for i, e in enumerate(entries):
@@ -124,14 +98,24 @@ class ChartField:
     func : callable
         ``func(coords)`` with coords a tuple of scalars or jets; must return
         a nested structure of matching shape built from smooth operations.
+    expressions : tuple, optional
+        The compiled expressions of an expression-built field, one per
+        entry in C order, which ``func`` evaluates.
     """
 
     dim: int
     shape: tuple
     func: Callable
+    expressions: tuple | None = None
 
     def __post_init__(self):
         self.shape = tuple(self.shape)
+
+    @cached_property
+    def point_code(self):
+        """The generated order-1 code of an expression-built field, from
+        float coordinates to (values, flat gradient); None for closures."""
+        return None if self.expressions is None else differentiate(self.expressions)
 
     # -- evaluation -------------------------------------------------------
 
@@ -159,6 +143,13 @@ class ChartField:
         if isinstance(p, Point):
             if p.dim != self.dim:
                 raise ValueError(f"point dimension {p.dim} != field dimension {self.dim}")
+            if order == 1 and self.expressions is not None:
+                vals, grads = self.point_code(p.coords)
+                val, d1 = np.array(vals), np.array(grads)
+                # numpy makes either list complex if one entry is; then both are
+                dtype = complex if "c" in (val.dtype.kind, d1.dtype.kind) else float
+                return (val.astype(dtype, copy=False).reshape(self.shape),
+                        d1.astype(dtype, copy=False).reshape(self.shape + (self.dim,)), None)
             return _collect(self.func(jets.variables(p.coords, order=order)),
                             self.shape, self.dim, order)
         block = np.asarray(p, dtype=float)
@@ -218,6 +209,26 @@ def fd_jets(field: ChartField, p: Point, order: int):
         d1 = d1.real
         d2 = None if d2 is None else d2.real
     return np.asarray(f0), d1, d2
+
+
+def entry_field(entries) -> ChartField:
+    """ChartField whose entries are the callables in an array (or list) of
+    the field's shape, each evaluated on the coordinates.  Compiled
+    expressions make it expression-built, over their coordinates; the chart
+    dimension of closures is the length of the last axis."""
+    entries = np.asarray(entries, dtype=object)
+    shape, flat = entries.shape, tuple(entries.ravel().tolist())
+
+    def func(c):
+        out = np.empty(len(flat), dtype=object)
+        for i, f in enumerate(flat):
+            out[i] = f(c)
+        return out.reshape(shape)
+
+    if all(isinstance(f, CompiledExpression) for f in flat):
+        return ChartField(dim=len(flat[0].coordinates), shape=shape, func=func,
+                          expressions=flat)
+    return ChartField(dim=shape[-1], shape=shape, func=func)
 
 
 def scalar_field(dim: int, func: Callable) -> ChartField:

@@ -4,34 +4,31 @@ Classical fixed-step RK4 on the first-order system (x, v) with
 a^m = -Gamma^m_ab v^a v^b, the state held as lists of floats.  A stage is
 one order-1 jet pass, then the Christoffel symbols from the metric's
 inverse.  On a diagonal frame (every library frame and every ``diagonal``
-config frame) a stage runs on Python floats alone: the frame's evaluator on
-point jets, whose values and tuple gradients (``fields._point_jets``) become
-gamma_m = eta_m e_m^2 and its gradient with no array in between, then the
-guard, 1/gamma_m and the Christoffel terms a diagonal metric can make
-nonzero.  Any other frame, and a metric given as a gamma field, takes the
-general stage (``checked_inverse``, einsum); both give the same trajectory
-bit for bit.  A step costs four stages: the pass at the accepted point gives
-its velocity norm and the next k1.  On the Schwarzschild frame a step takes
-103-116 us of CPU on a 2-vCPU x86-64 Linux VM (134-145 us when each pass
-went through ``ChartField.jets``), so 1e4 steps take ~1.1 s.
+config frame) a stage runs on Python floats alone: the frame's generated
+order-1 code (``ChartField.point_code``) gives the values and the flat
+gradient as lists, which become gamma_m = eta_m e_m^2 and its gradient with
+no array in between, then the guard, 1/gamma_m and the Christoffel terms a
+diagonal metric can make nonzero.  Any other frame, and a metric given as a
+gamma field, takes the general stage (``checked_inverse``, einsum); both
+give the same trajectory bit for bit.  A step costs four stages: the pass
+at the accepted point gives its velocity norm and the next k1.  On the
+Schwarzschild frame, timed with timeit on a shared 2-vCPU x86-64 Linux VM
+whose speed drifts, a metric pass takes 7-11 us (1.4-2.6 us of it in the
+generated code, where the frame's evaluator on jets took 16-26 us), one
+``accel`` 10-17 us and the ``norm`` 4-8 us.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from . import jets
-from .fields import _point_jets
 from .geometry import GeneralizedMetric, Vielbein, _christoffel_from
 from .tensors import SINGULAR_REL, Point, _singular, checked_inverse
 
 __all__ = ["Trajectory", "integrate_geodesic", "velocity_norm"]
-
-_FLOAT = {float}
 
 
 @dataclass
@@ -80,11 +77,13 @@ def _general_stage(g: GeneralizedMetric) -> tuple:
 def _diagonal_stage(frame: Vielbein) -> tuple:
     """(metric_jets, accel, norm) for a diagonal frame, in Python floats.
 
-    A metric pass checks the stage point, runs the frame's evaluator on
-    point jets and reads the entries into the float lists gamma_m and
-    d_r gamma_m, with ChartField.jets's checks and messages: a complex value
-    or gradient stops the stage, and ints and numpy scalars become floats as
-    its stacking makes them.
+    A metric pass checks the stage point, runs the frame's generated order-1
+    code (a frame built from closures: its ChartField.jets arrays as lists)
+    and reads the entries into the float lists gamma_m and d_r gamma_m, with
+    ChartField.jets's checks and messages: a complex value or gradient stops
+    the stage, and an int value (a constant entry) counts as its float, as
+    in that method's arrays: the signs are floats, so every product with it
+    converts it first.
 
     The guard is checked_inverse's rule on a diagonal matrix.  Of the general
     stage's sum only the n(3n-2) terms a diagonal metric can make nonzero are
@@ -92,8 +91,12 @@ def _diagonal_stage(frame: Vielbein) -> tuple:
     exact zeros in place, then 0.5 (g^mm t) v^a v^b summed over (a, b) in
     einsum's C order.  The rest add exact zeros to a finite result.
     """
-    func, shape, n = frame.field.func, frame.field.shape, frame.dim
-    signs = frame.signature.signs
+    n, signs = frame.dim, [float(s) for s in frame.signature.signs]
+    evaluate = frame.field.point_code
+    if evaluate is None:
+        def evaluate(xc: list) -> tuple:
+            e, de, _ = frame.field.jets(Point(tuple(xc)), order=1)
+            return e.tolist(), de.ravel().tolist()
     # per m: (a, b) and t's three d_r g_la, dgm[l * n + r] or the zero dgm[-1]
     def at(l, a, r):
         return l * n + r if l == a else n * n
@@ -104,17 +107,17 @@ def _diagonal_stage(frame: Vielbein) -> tuple:
     def metric_jets(xc: list) -> tuple:
         if not all(map(math.isfinite, xc)):
             raise ValueError(f"non-finite coordinates: {tuple(xc)}")
-        vals, rows = _point_jets(func(jets.variables(xc, order=1)), shape, n)
-        nums = [*vals, *chain.from_iterable(rows)]
-        if set(map(type, nums)) != _FLOAT:
-            # math.isfinite would take a numpy complex64 for its real part
-            if any(map(np.iscomplexobj, nums)):
-                raise ValueError(f"complex metric value at {tuple(xc)}")
-            vals, rows = [float(x) for x in vals], [[float(y) for y in r] for r in rows]
-        gm = [x * s * x + 0.0 for x, s in zip(vals, signs)]
-        dgm = [2.0 * (x * s * y) for x, s, row in zip(vals, signs, rows) for y in row]
+        vals, grads = evaluate(xc)
+        es = [x * s for x, s in zip(vals, signs)]
+        gm = [e * x + 0.0 for e, x in zip(es, vals)]
+        dgm = [2.0 * (e * y) for e, y in zip([e for e in es for _ in range(n)], grads)]
+        try:
+            # every entry is tested, so a complex value or gradient raises
+            finite = all([*map(math.isfinite, gm), *map(math.isfinite, dgm)])
+        except TypeError:
+            raise ValueError(f"complex metric value at {tuple(xc)}") from None
         # a float overflow gives inf without an error, so this test reports it
-        if not all(map(math.isfinite, gm + dgm)):
+        if not finite:
             raise ValueError(f"non-finite metric value at {tuple(xc)}")
         return gm, dgm + [0.0]
 

@@ -10,10 +10,9 @@ A block jet carries a trailing axis over N points (``val (N,)``, ``grad
 (n, N)``, ``hess (n, n, N)``); with that axis last the same arithmetic
 serves it, using numpy ufuncs where scalar jets call ``math``/``cmath``.
 
-A point jet (order 1 at one point) holds a tuple gradient of Python numbers
-and applies Jet's rules to it entry by entry, in the same order, so a real
-gradient has the numpy one's bits.  Its complex products and quotients
-follow Python, which can differ from numpy in the last bit.
+At one point, order 1 of an expression-built field does not use jets: it
+runs the straight-line float code that :func:`geodyn.exprs.differentiate`
+generates from these rules, which gives the same bits.
 
 Only smooth operations are provided.  ``abs`` is deliberately absent.
 """
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,8 +50,7 @@ class Jet:
     """Truncated Taylor expansion (value, gradient, optional Hessian).
 
     ``hess is None`` marks a first-order jet, whose second-order bookkeeping
-    is skipped.  ``grad`` and ``hess`` are numpy arrays, stored as given; a
-    point jet's ``grad`` is a tuple of Python numbers and its ``hess`` None.
+    is skipped.  ``grad`` and ``hess`` are numpy arrays, stored as given.
     """
 
     __slots__ = ("val", "grad", "hess")
@@ -158,80 +155,14 @@ class Jet:
         return Jet(f0, g, h)
 
 
-class _PointJet(Jet):
-    """Order-1 jet at one point: Jet's rules on a tuple gradient, entry by entry."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return _point(self.val + other.val,
-                          tuple([a + b for a, b in zip(self.grad, other.grad)]))
-        return _point(self.val + other, self.grad)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)  # x - y is x + (-y) to the bit
-
-    def __rsub__(self, other):
-        return _point(other - self.val, tuple([-a for a in self.grad]))
-
-    def __neg__(self):
-        return _point(-self.val, tuple([-a for a in self.grad]))
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            sv, ov = self.val, other.val
-            return _point(sv * ov, tuple([a * ov + sv * b
-                                          for a, b in zip(self.grad, other.grad)]))
-        return _point(self.val * other, tuple([a * other for a in self.grad]))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            ov = other.val
-            v = self.val / ov
-            return _point(v, tuple([(a - v * b) / ov for a, b in zip(self.grad, other.grad)]))
-        inv = 1.0 / other
-        return _point(self.val * inv, tuple([a * inv for a in self.grad]))
-
-    def __pow__(self, k):
-        if k == 0:
-            return _point(self.val ** 0, tuple([0j if isinstance(a, complex) else 0.0
-                                                for a in self.grad]))
-        return Jet.__pow__(self, k)
-
-    def conjugate(self):
-        return _point(self.val.conjugate(), tuple([a.conjugate() for a in self.grad]))
-
-    def _chain(self, f0, f1, f2):
-        return _point(f0, tuple([f1 * a for a in self.grad]))
-
-
-def _point(val, grad):
-    # _PointJet(val, grad) without the __init__ call, for the inner loops
-    j = object.__new__(_PointJet)
-    j.val, j.grad, j.hess = val, grad, None
-    return j
-
-
 def _outer(a, b):
     # np.outer for scalar jets; keeps a trailing point axis for block jets
     return a[:, None] * b[None, :]
 
 
-@lru_cache(maxsize=None)
-def _unit_rows(n: int) -> tuple:
-    return tuple(map(tuple, _identity(n).tolist()))
-
-
 def variables(coords, order: int = 2) -> tuple:
-    """Seed one jet per coordinate: a number (a point jet at order 1) or an (N,) array."""
+    """Seed one jet per coordinate: a number or an (N,) array."""
     n = len(coords)
-    if order == 1 and not isinstance(coords[0], np.ndarray):
-        return tuple([_point(xi, row) for xi, row in zip(coords, _unit_rows(n))])
     eye, pts = _identity(n), ()
     if isinstance(coords[0], np.ndarray):
         pts = coords[0].shape

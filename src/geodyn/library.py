@@ -1,13 +1,17 @@
 """Builtin vielbeins for common charts.
 
-Each factory returns a :class:`~geodyn.geometry.Vielbein`; the registry at
-the bottom maps builtin names (as used in configs and the CLI) to factories
-and their keyword parameters.
+Each factory returns a diagonal :class:`~geodyn.geometry.Vielbein` whose
+entries are expressions over the coordinates x0, x1, ..., with its
+parameters written in as ``repr`` literals, so a builtin frame is
+expression-built like a configured one.  The registry at the bottom maps
+builtin names (as used in configs and the CLI) to factories and their
+keyword parameters.
 """
 
 from __future__ import annotations
 
-from .fields import ChartField
+from .exprs import compile_expression, default_coordinate_names
+from .fields import entry_field
 from .geometry import Vielbein
 from .tensors import MAX_DIM, MinkowskiSignature
 
@@ -23,7 +27,8 @@ __all__ = [
 
 
 def diagonal_vielbein(entries, signature: MinkowskiSignature) -> Vielbein:
-    """Vielbein with E = diag(entries(x)); each entry is a callable of the coords.
+    """Vielbein with E = diag(entries(x)); each entry is a callable of the
+    coords, a compiled expression or the source of one over x0, x1, ....
 
     The frame is stored as its diagonal: a shape-(n,) field whose evaluator
     returns the n entries, which the geodesic stage reads directly and
@@ -32,12 +37,10 @@ def diagonal_vielbein(entries, signature: MinkowskiSignature) -> Vielbein:
     n = signature.dim
     if len(entries) != n:
         raise ValueError(f"need {n} diagonal entries, got {len(entries)}")
-    entries = tuple(entries)
-
-    def func(coords):
-        return [f(coords) for f in entries]
-
-    return Vielbein(field=ChartField(dim=n, shape=(n,), func=func), signature=signature)
+    names = default_coordinate_names(n)
+    return Vielbein(field=entry_field([compile_expression(e, names) if isinstance(e, str) else e
+                                       for e in entries]),
+                    signature=signature)
 
 
 def flat(dim: int = 4, signature: str = "lorentzian") -> Vielbein:
@@ -50,49 +53,38 @@ def flat(dim: int = 4, signature: str = "lorentzian") -> Vielbein:
         sig = MinkowskiSignature.euclidean(dim)
     else:
         raise ValueError(f"unknown signature {signature!r}")
-    return diagonal_vielbein([lambda c: 1.0] * dim, sig)
+    return diagonal_vielbein(["1.0"] * dim, sig)
 
 
 def polar() -> Vielbein:
     """Plane in polar coordinates (r, phi): E = diag(1, r)."""
-    return diagonal_vielbein([lambda c: 1.0, lambda c: c[0]],
-                             MinkowskiSignature.euclidean(2))
+    return diagonal_vielbein(["1.0", "x0"], MinkowskiSignature.euclidean(2))
 
 
 def sphere2(radius: float = 1.0) -> Vielbein:
     """Round 2-sphere of the given radius, coordinates (theta, phi)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    from .jets import sin
-    return diagonal_vielbein(
-        [lambda c: radius, lambda c: radius * sin(c[0])],
-        MinkowskiSignature.euclidean(2))
+    r = repr(float(radius))
+    return diagonal_vielbein([r, f"{r} * sin(x0)"], MinkowskiSignature.euclidean(2))
 
 
 def schwarzschild(mass: float = 1.0) -> Vielbein:
     """Static orthonormal frame outside r = 2m, coordinates (t, r, theta, phi)."""
     if mass <= 0:
         raise ValueError("mass must be positive")
-    from .jets import sin, sqrt
-
-    def func(c):
-        # sqrt(1 - 2m/r) once for the t and r entries
-        f = sqrt(1.0 - 2.0 * mass / c[1])
-        return [f, 1.0 / f, c[1], c[1] * sin(c[2])]
-
-    return Vielbein(field=ChartField(dim=4, shape=(4,), func=func),
-                    signature=MinkowskiSignature.lorentzian(4))
+    f = f"sqrt(1.0 - 2.0 * {float(mass)!r} / x1)"
+    return diagonal_vielbein([f, f"1.0 / {f}", "x1", "x1 * sin(x2)"],
+                             MinkowskiSignature.lorentzian(4))
 
 
 def sphere2_cross_flat2(radius: float = 1.0) -> Vielbein:
     """S^2(radius) x R^2, coordinates (theta, phi, x, y), Euclidean frame."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    from .jets import sin
-    return diagonal_vielbein(
-        [lambda c: radius, lambda c: radius * sin(c[0]),
-         lambda c: 1.0, lambda c: 1.0],
-        MinkowskiSignature.euclidean(4))
+    r = repr(float(radius))
+    return diagonal_vielbein([r, f"{r} * sin(x0)", "1.0", "1.0"],
+                             MinkowskiSignature.euclidean(4))
 
 
 BUILTIN_FRAMES = {

@@ -218,7 +218,7 @@ def _run_axioms(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     worst = _worst(*(v for _, v in report.residual_items()))
     summary = {"label": t.label, "dim": t.dim,
                "first_order_claimed": t.first_order_claimed}
-    if not t.first_order_claimed:
+    if not t.first_order_claimed and report.first_order is not None:
         summary["first_order_unclaimed_residual"] = report.first_order
     if task["fluctuations"] and t.k is not None:
         dim_omega, basis = fluctuation_space(t)

@@ -102,9 +102,9 @@ def test_custom_config_runs_from_file(tmp_path, capsys):
     assert len(body.splitlines()) == 3
 
 
-def test_unclaimed_first_order_without_real_structure_runs(tmp_path, capsys):
-    # no J means no first-order residual at all; leaving first_order unclaimed
-    # must not add a row for the residual that was never measured
+def _no_j_config(tmp_path):
+    # an inline triple with no J, so no first-order residual is measured,
+    # and first order left unclaimed
     obj = {
         "schema": SCHEMA_VERSION,
         "chart": {"dimension": 2, "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
@@ -116,13 +116,29 @@ def test_unclaimed_first_order_without_real_structure_runs(tmp_path, capsys):
     }
     cfg = tmp_path / "no-j.json"
     cfg.write_text(json.dumps(obj), encoding="utf-8")
+    return cfg
+
+
+def test_unclaimed_first_order_without_real_structure_runs(tmp_path, capsys):
+    # no J means no first-order residual at all; leaving first_order unclaimed
+    # must not add a row for the residual that was never measured
     out_dir = tmp_path / "out"
-    code, _, err = _run(["run", str(cfg), "--out", str(out_dir)], capsys)
+    code, _, err = _run(["run", str(_no_j_config(tmp_path)), "--out", str(out_dir)], capsys)
     assert code == 0 and "Traceback" not in err
     rows = [line.split(",") for line in
             (out_dir / "00-axioms.csv").read_text(encoding="utf-8").splitlines()]
     assert rows == [["axiom", "residual", "claimed"],
                     ["dirac_hermitian", "0", "true"]]
+
+
+def test_unmeasured_first_order_residual_is_not_reported(tmp_path, capsys):
+    # nor a summary entry for it: report.txt holds no None
+    out_dir = tmp_path / "out"
+    code, _, _ = _run(["run", str(_no_j_config(tmp_path)), "--out", str(out_dir)], capsys)
+    assert code == 0
+    report = (out_dir / "report.txt").read_text(encoding="utf-8")
+    assert "first_order_claimed" in report
+    assert "None" not in report and "first_order_unclaimed_residual" not in report
 
 
 def _geodesic_config(tmp_path, diagonal, start):

@@ -144,10 +144,10 @@ def _bits(value):
 _COORDS = ("x", "y", "z")
 _POINT = (0.7, 3.1, 1.2)
 _BLOCK = np.array([[0.7, 3.1, 1.2], [0.4, 0.9, 2.5], [1.6, 0.2, 0.3]])
-# plain floats, order-1 point jets, order-2 jets and jets over a 3-point block
+# plain floats, order-1 jets, order-2 jets and jets over a 3-point block
 _ROUTES = {
     "float": _POINT,
-    "point-jet": variables(_POINT, order=1),
+    "order-1": variables(_POINT, order=1),
     "order-2": variables(_POINT, order=2),
     "block": variables(tuple(_BLOCK.T), order=2),
 }

@@ -2,19 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from geodyn.exprs import FUNCTION_NAMES, compile_expression
-from geodyn.fields import ChartField, _collect, constant_field, fd_jets, scalar_field
+from geodyn.exprs import FUNCTION_NAMES, ExpressionError, compile_expression
+from geodyn.fields import (ChartField, _collect, constant_field, entry_field, fd_jets,
+                           scalar_field)
 from geodyn.jets import Jet, cosh, exp, sin, variables
 from geodyn.library import BUILTIN_FRAMES
 from geodyn.tensors import Point
 
 
 def _times_i(jet):
-    """jet with its gradient times 1j, of the jet's own kind: a point jet's
-    tuple gradient or a numpy one."""
-    g = jet.grad
-    return type(jet)(jet.val, tuple(1j * d for d in g) if isinstance(g, tuple) else 1j * g)
+    """An order-1 jet with the gradient of jet times 1j."""
+    return Jet(jet.val, 1j * jet.grad)
 
 
 def test_scalar_closed_form_derivatives():
@@ -201,8 +202,9 @@ def _rank1_cases():
 
 @pytest.mark.parametrize("name, field", list(_rank1_cases()))
 def test_rank1_point_jets_match_collect(name, field):
-    # order 1 at a Point runs on point jets, whose gradients are tuples;
-    # the stacking oracle builds the same arrays from those tuples
+    # order 1 at a Point runs the generated code of an expression-built field
+    # (the builtin frames) and numpy jets otherwise; the stacking oracle
+    # builds the same arrays from numpy jets
     p = (0.7, 3.1, 1.2, 0.4)[:field.dim]
     got = field.jets(Point(p), order=1)
     ref = _oracle_collect(field.func(variables(p, order=1)), field.shape, field.dim, 1)
@@ -229,8 +231,7 @@ EXPRESSIONS = (
 
 
 def _expression_field(sources):
-    exprs = [compile_expression(src, ("x", "y", "z")) for src in sources]
-    return ChartField(dim=3, shape=(len(exprs),), func=lambda c: [e(c) for e in exprs])
+    return entry_field([compile_expression(src, ("x", "y", "z")) for src in sources])
 
 
 def _point_route_cases():
@@ -239,7 +240,7 @@ def _point_route_cases():
     yield "expressions", _expression_field(EXPRESSIONS)
     yield "complex-value", _expression_field(["(x - 1)^0.5", "x*y"])
     # at (0.7, 3.1, 1.2) both roots are imaginary, so these multiply and
-    # divide complex point jets by complex point jets
+    # divide complex intermediates by complex ones
     yield from COMPLEX_BY_COMPLEX.items()
 
 
@@ -250,8 +251,8 @@ COMPLEX_BY_COMPLEX = {
         ["(x - 1)^0.5 / (y - 4)^0.5", "(y - 4)^0.5 / ((x - 1)^0.5 * z)"]),
 }
 
-# CPython's complex product and quotient and numpy's may differ in the last
-# bit, and a derivative of a product or quotient sums a few such roundings:
+# CPython's complex product and quotient (in the generated code) and numpy's
+# (on jets) may differ in the last bit, and a derivative of a product or quotient sums a few such roundings:
 # each entry agrees within this many ulps of the larger of the two moduli
 # (a part that cancels to ~1e-33 next to a real part ~1 may differ in all bits)
 COMPLEX_ULPS = 4
@@ -259,10 +260,11 @@ COMPLEX_ULPS = 4
 
 @pytest.mark.parametrize("name, field", list(_point_route_cases()))
 def test_point_jets_match_the_order2_route(name, field):
-    # order 1 at a Point runs on float point jets; order 2 keeps numpy
-    # gradients, and its value and first derivative must be the same bits
-    # except for complex products and quotients, which follow CPython
+    # order 1 at a Point runs the generated float code; order 2 runs the
+    # expressions on numpy jets, and its value and first derivative must be
+    # the same bits except for complex products and quotients
     p = Point((0.7, 3.1, 1.2, 0.4)[:field.dim])
+    assert field.expressions is not None, name
     got = field.jets(p, order=1)
     want = field.jets(p, order=2)
     assert got[2] is None
@@ -275,3 +277,65 @@ def test_point_jets_match_the_order2_route(name, field):
             continue
         ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
         assert (np.abs(a - b) <= COMPLEX_ULPS * ulp).all(), (name, a - b, ulp)
+
+
+@pytest.mark.parametrize("source", ["sqrt(x - 5)", "1/(x - x)", "exp(1000*x)"])
+def test_generated_code_raises_as_the_eval_path(source):
+    # a domain error, a division by zero and an overflow: the generated
+    # code raises what evaluating the expression raises, on floats and jets
+    field = _expression_field(["x*y", source])
+    p = Point((3.1, 0.7, 1.2))
+    for route in (lambda: field.func(p.coords), lambda: field.jets(p, order=2)):
+        with pytest.raises((ArithmeticError, ValueError)) as want:
+            route()
+        with pytest.raises(type(want.value)) as got:
+            field.jets(p, order=1)
+        assert str(got.value) == str(want.value), source
+
+
+def _grammar_expressions():
+    """Random sources of the expression grammar over x, y and z."""
+    leaves = st.sampled_from(["x", "y", "z", "2", "0.5", "3.0", "pi"])
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(st.sampled_from(FUNCTION_NAMES), sub).map(lambda t: f"{t[0]}({t[1]})"),
+            sub.map(lambda a: f"(-{a})"),
+            st.tuples(sub, st.sampled_from(["0", "1", "2", "0.5", "-1", "3"]))
+            .map(lambda t: f"{t[0]}^{t[1]}"),
+            st.tuples(sub, sub).map(lambda t: f"{t[0]}^{t[1]}"))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(_grammar_expressions(), min_size=1, max_size=3),
+       st.sampled_from([(0.7, 3.1, 1.2), (1.3, 0.4, 2.2), (0.2, 1.9, 0.8)]))
+def test_generated_code_matches_jets_and_finite_differences(sources, coords):
+    # wherever the order-2 route gives a real result, the generated code gives
+    # its value and gradient bits; where the generated code raises, so does
+    # the order-2 route, which also forms second derivatives
+    try:
+        field, p = _expression_field(sources), Point(coords)
+    except ExpressionError:  # a constant part that is not a finite number
+        assume(False)
+    try:
+        got = field.jets(p, order=1)
+    except (ArithmeticError, ValueError):
+        with pytest.raises((ArithmeticError, ValueError)):
+            field.jets(p, order=2)
+        return
+    try:
+        with np.errstate(all="ignore"):
+            want = field.jets(p, order=2)
+    except (ArithmeticError, ValueError):
+        assume(False)
+    assume(want[0].dtype == float)
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and a.shape == b.shape, sources
+        assert a.tobytes() == b.tobytes(), sources
+    scale = max(np.abs(a).max() for a in want)
+    assume(scale < 1e3)
+    _, fd1, _ = fd_jets(field, p, 1)
+    assert (np.abs(got[1] - fd1) <= 1e-5 * (1.0 + np.abs(fd1))).all(), (sources, got[1], fd1)

@@ -1,11 +1,12 @@
 """Geodesic integrator behavior on known solutions."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from geodyn.fields import ChartField
+from geodyn.fields import ChartField, entry_field
 from geodyn.geodesics import Trajectory, _diagonal_stage, integrate_geodesic, velocity_norm
 from geodyn.geometry import Vielbein
 from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, polar, schwarzschild, sphere2
@@ -149,25 +150,25 @@ def test_singular_stop_is_pinned():
 
 
 def test_four_metric_passes_per_step(monkeypatch):
-    # a pass runs the frame's evaluator once, on point jets, and reads its
-    # entries directly: ChartField.jets is not called at all
-    jets_calls, orders = [], []
+    # a pass runs the frame's generated order-1 code once and reads its
+    # lists directly: ChartField.jets is not called at all
+    jets_calls, passes = [], []
     monkeypatch.setattr(ChartField, "jets",
                         lambda self, p, order=2: jets_calls.append(order))
     frame = schwarzschild(mass=1.0)
-    func = frame.field.func
+    code = frame.field.point_code
 
     def counted(coords):
-        orders.append(1 if coords[0].hess is None else 2)
-        return func(coords)
+        passes.append(len(coords))
+        return code(coords)
 
-    frame.field.func = counted
+    frame.field.point_code = counted
     steps = 25
     traj = integrate_geodesic(frame.metric(), (0.0, 6.0, np.pi / 2, 0.0),
                               (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764),
                               t_max=0.25, steps=steps)
     assert traj.status == "ok"
-    assert orders == [1] * (4 * steps + 1)
+    assert passes == [4] * (4 * steps + 1)
     assert jets_calls == []
 
 
@@ -364,6 +365,28 @@ def test_diagonal_pass_matches_the_chart_field_route(name):
             metric_jets(xc)
         assert str(got.value) == str(want.value), name
         assert str(want.value).startswith("complex metric value at ("), name
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _PASS_CASES if n.startswith("route-")))
+def test_diagonal_pass_of_expression_windows_matches_the_chart_field_route(name):
+    # frames of n consecutive expressions of an expression-built field run
+    # the generated code in both routes; the pass reads its lists as floats
+    field = _PASS_CASES[name]
+    n, k = field.dim, field.shape[0]
+    for start in range(0, k, n):
+        window = entry_field([field.expressions[(start + j) % k] for j in range(n)])
+        frame = Vielbein(window, MinkowskiSignature.lorentzian(n))
+        metric_jets, xc = _diagonal_stage(frame)[0], [0.7, 3.1, 1.2][:n]
+        try:
+            want = _jets_route_pass(window, frame.signature.signs, xc)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                metric_jets(xc)
+            assert "complex" in name
+            continue
+        got = metric_jets(xc)
+        assert [list(map(float.hex, part)) for part in got] == \
+            [list(map(float.hex, part)) for part in want], name
 
 
 @pytest.mark.parametrize("x0, v0, at", [((1.0, 0.0), (1e308, 0.0), "(inf, 0.0)"),
