@@ -29,7 +29,8 @@ becomes the float operations that the jets module's first-order rules
 perform on it, in the same order, with ``jets``' math/cmath dispatchers for
 the functions.  So the code gives the bits of order-1 jets at a point, a
 complex intermediate included, in about a tenth of their time.  It skips
-the second derivatives that those rules also form and drop.
+the second derivatives that those rules also form and drop, and computes a
+subexpression that the field's entries share once.
 """
 
 from __future__ import annotations
@@ -223,33 +224,45 @@ _DERIVATIVES = {
     "arctan": ("{f} = 1.0 / (1.0 + {a} * {a})", "{v} = _atan({a})"),
 }
 
+
 class _Writer:
-    """The statements and the globals of one generated function."""
+    """The statements and the globals of one generated function.
+
+    A statement or a constant that was written before is not written again:
+    its local is reused, which gives the same bits, so a subexpression that
+    the entries share is computed once."""
 
     def __init__(self):
-        self.lines = []
+        self.lines, self.seen = [], {}
         self.names = {"__builtins__": {}, "_mlog": math.log,
                       **{f"_{fn}": getattr(_jets, f"_{fn}") for fn in
                          ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh",
                           "tanh", "atan")}}
 
     def let(self, expr: str) -> str:
-        name = f"_t{len(self.lines)}"
-        self.lines.append(f"{name} = {expr}")
-        return name
+        if expr not in self.seen:
+            self.seen[expr] = f"_t{len(self.lines)}"
+            self.lines.append(f"{self.seen[expr]} = {expr}")
+        return self.seen[expr]
 
     def const(self, value) -> str:
-        name = f"_k{len(self.names)}"
-        self.names[name] = value
-        return name
+        # repr tells -0.0 from 0.0 and 1 from 1.0
+        key = (type(value), repr(value))
+        if key not in self.seen:
+            self.seen[key] = f"_k{len(self.names)}"
+            self.names[self.seen[key]] = value
+        return self.seen[key]
 
     def scaled(self, f: str, grads: list) -> list:
         # the jets' chain rule: f1 times each gradient entry
         return [self.let(f"{f} * {g}") for g in grads]
 
     def call(self, fn: str, a: str, grads: list) -> tuple:
-        v, f = f"_t{len(self.lines)}v", f"_t{len(self.lines)}f"
-        self.lines += [line.format(v=v, f=f, a=a) for line in _DERIVATIVES[fn]]
+        if (fn, a) not in self.seen:
+            v, f = f"_t{len(self.lines)}v", f"_t{len(self.lines)}f"
+            self.lines += [line.format(v=v, f=f, a=a) for line in _DERIVATIVES[fn]]
+            self.seen[fn, a] = v, f
+        v, f = self.seen[fn, a]
         return v, self.scaled(f, grads)
 
     def neg(self, a: str, grads: list) -> tuple:

@@ -13,7 +13,7 @@ gamma field, takes the general stage (``checked_inverse``, einsum); both
 give the same trajectory bit for bit.  A step costs four stages: the pass
 at the accepted point gives its velocity norm and the next k1.  On the
 Schwarzschild frame, timed with timeit on a shared 2-vCPU x86-64 Linux VM
-whose speed drifts, a metric pass takes 7-11 us (1.4-2.6 us of it in the
+whose speed drifts, a metric pass takes 7-11 us (1.1-1.8 us of it in the
 generated code, where the frame's evaluator on jets took 16-26 us), one
 ``accel`` 10-17 us and the ``norm`` 4-8 us.
 """

@@ -1,5 +1,7 @@
 """Field evaluation and derivative-route agreement."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from geodyn.exprs import FUNCTION_NAMES, ExpressionError, compile_expression
 from geodyn.fields import (ChartField, _collect, constant_field, entry_field, fd_jets,
                            scalar_field)
+from geodyn import jets
 from geodyn.jets import Jet, cosh, exp, sin, variables
 from geodyn.library import BUILTIN_FRAMES
 from geodyn.tensors import Point
@@ -291,6 +294,16 @@ def test_generated_code_raises_as_the_eval_path(source):
         with pytest.raises(type(want.value)) as got:
             field.jets(p, order=1)
         assert str(got.value) == str(want.value), source
+
+
+def test_generated_code_computes_a_shared_subexpression_once(monkeypatch):
+    # the Schwarzschild entries f and 1/f share f = sqrt(1 - 2m/r)
+    calls = []
+    monkeypatch.setattr(jets, "_sqrt", lambda v: calls.append(v) or math.sqrt(v))
+    frame = BUILTIN_FRAMES["schwarzschild"][0]()
+    val, _, _ = frame.field.jets(Point((0.0, 6.0, 1.2, 0.3)), order=1)
+    assert calls == [1.0 - 2.0 / 6.0]
+    assert val[1] == 1.0 / val[0]
 
 
 def _grammar_expressions():
