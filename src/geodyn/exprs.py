@@ -101,6 +101,13 @@ class CompiledExpression:
                 f"{len(coords)} coordinates")
         return eval(self._code, _GLOBALS, dict(zip(self.coordinates, coords)))
 
+    @property
+    def variables(self) -> tuple:
+        """The coordinates whose names occur in the expression, in chart
+        order.  Along any other coordinate the derivative code's gradient
+        entry is formed from zeros alone, so it is +-0 or NaN."""
+        return tuple(c for c in self.coordinates if c in self._code.co_names)
+
 
 def compile_expression(source: str, coordinates) -> CompiledExpression:
     """Parse and validate; raises ExpressionError with a character offset."""

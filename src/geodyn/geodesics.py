@@ -4,18 +4,20 @@ Classical fixed-step RK4 on the first-order system (x, v) with
 a^m = -Gamma^m_ab v^a v^b, the state held as lists of floats.  A stage is
 one order-1 jet pass, then the Christoffel symbols from the metric's
 inverse.  On a diagonal frame (every library frame and every ``diagonal``
-config frame) a stage runs on Python floats alone: the frame's generated
-order-1 code (``ChartField.point_code``) gives the values and the flat
-gradient as lists, which become gamma_m = eta_m e_m^2 and its gradient with
-no array in between, then the guard, 1/gamma_m and the Christoffel terms a
-diagonal metric can make nonzero.  Any other frame, and a metric given as a
-gamma field, takes the general stage (``checked_inverse``, einsum); both
-give the same trajectory bit for bit.  A step costs four stages: the pass
-at the accepted point gives its velocity norm and the next k1.  On the
-Schwarzschild frame, timed with timeit on a shared 2-vCPU x86-64 Linux VM
-whose speed drifts, a metric pass takes 7-11 us (1.1-1.8 us of it in the
-generated code, where the frame's evaluator on jets took 16-26 us), one
-``accel`` 10-17 us and the ``norm`` 4-8 us.
+config frame) a stage is straight-line float code generated for the frame
+once per run: the pass turns the lists of the frame's generated order-1
+code (``ChartField.point_code``) into gamma_m = eta_m e_m^2 and its
+gradient with no array in between, and ``accel`` guards, forms 1/gamma_m
+and sums only the Christoffel terms that the frame can make nonzero.  Any
+other frame, and a metric given as a gamma field, takes the general stage
+(``checked_inverse``, einsum); both give the same trajectory bit for bit.
+A step costs four stages: the pass at the accepted point gives its
+velocity norm and the next k1.  On the Schwarzschild frame, timed with
+timeit on a shared 2-vCPU x86-64 Linux VM whose speed drifts, a metric pass
+takes 2.3-4.5 us (1-1.7 us of it in the generated order-1 code), one
+``accel`` 1.9-4.2 us and the numpy ``norm`` 4.3-9 us; the list
+comprehensions and the loop over all 40 terms that the generated code
+replaced took 6.3-12 us and 7.2-13.6 us, timed in the same minutes.
 """
 
 from __future__ import annotations
@@ -74,72 +76,115 @@ def _general_stage(g: GeneralizedMetric) -> tuple:
     return metric_jets, accel, norm
 
 
+def _stage_source(frame: Vielbein) -> str:
+    """The source of a diagonal frame's ``metric_jets`` and ``accel``, which
+    _diagonal_stage describes; it reads the frame's ``_evaluate`` code and the
+    ``_isfinite``, ``_singular`` and ``_SINGULAR_REL`` names from its globals."""
+    n, exprs = frame.dim, frame.field.expressions
+    # live[l * n + r]: d_r gamma_l can be nonzero, as far as the entry's names tell
+    live = ([True] * (n * n) if exprs is None
+            else [c in e.variables for e in exprs for c in e.coordinates])
+
+    def join(fmt: str, ks, sep: str = ", ") -> str:
+        return sep.join(fmt.format(k) for k in ks)
+
+    g, h = [f"_g{m}" for m in range(n)], [f"_h{k}" for k in range(n * n)]
+    lines = [
+        "def metric_jets(_c):",
+        f"    if not ({join('_isfinite(_c[{}])', range(n), ' and ')}):",
+        '        raise ValueError(f"non-finite coordinates: {tuple(_c)}")',
+        f"    ({join('_v{}', range(n))},), ({join('_y{}', range(n * n))},) = _evaluate(_c)",
+        *[f"    _e{m} = _v{m} * {float(s)!r}" for m, s in enumerate(frame.signature.signs)],
+        *[f"    _g{m} = _e{m} * _v{m} + 0.0" for m in range(n)],
+        *[f"    _h{k} = 2.0 * (_e{k // n} * _y{k})" for k in range(n * n)],
+        "    try:",
+        "        # a complex entry makes the sum complex, an inf or NaN one NaN",
+        f"        _ok = _isfinite({join('0.0 * {}', g + h, ' + ')})",
+        "    except TypeError:",
+        '        raise ValueError(f"complex metric value at {tuple(_c)}") from None',
+        "    if not _ok:",
+        '        raise ValueError(f"non-finite metric value at {tuple(_c)}")',
+        f"    return [{', '.join(g)}], [{', '.join(h)}, 0.0]",
+        "",
+        "def accel(_gj, _vc):",
+        f"    ({', '.join(g)},), _dgm = _gj",
+        f"    _s = max(1e-300, {join('abs(_g{})', range(n))})",
+        f"    _p = {join('(_g{} / _s)', range(n), ' * ')}",
+        "    if abs(_p) <= _SINGULAR_REL:",
+        f"        raise _singular(_p + 0.0, {n})",
+        f"    ({join('_u{}', range(n))},) = _vc",
+        *[f"    _i{m} = 1.0 / _g{m}" for m in range(n)],
+    ]
+    sums, read = [], set()
+    for m in range(n):
+        terms = []
+        for a in range(n):
+            for b in range(n):
+                # the slots of d_b g_ma, d_a g_mb and d_m g_ab; None for an off-diagonal g
+                slots = (m * n + b if m == a else None, m * n + a if m == b else None,
+                         a * n + m if a == b else None)
+                if not any(k is not None and live[k] for k in slots):
+                    continue
+                i, j, k = ("0.0" if k is None else f"_d{k}" for k in slots)
+                read.update(k for k in slots if k is not None)
+                terms.append(f"(0.5 * (_i{m} * (({i} + {j}) - {k}))) * _u{a} * _u{b}")
+        sums.append(f"    _a{m} = {' + '.join(['0.0', *terms])}")
+    guarded = [f"_{x}{m}" for x in "iua" for m in range(n)]
+    lines += [f"    _d{k} = _dgm[{k}]" for k in sorted(read)] + sums + [
+        f"    if not ({join('_isfinite({})', guarded, ' and ')}):",
+        '        raise ArithmeticError("non-finite acceleration")',
+        f"    return [{join('-_a{}', range(n))}]",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _diagonal_stage(frame: Vielbein) -> tuple:
     """(metric_jets, accel, norm) for a diagonal frame, in Python floats.
 
+    ``metric_jets`` and ``accel`` are straight-line code that _stage_source
+    writes for the frame, once per integrate_geodesic call (1-2 ms to
+    compile), with the float operations of a loop over the entries and of
+    the Christoffel sum, in the same order.
+
     A metric pass checks the stage point, runs the frame's generated order-1
     code (a frame built from closures: its ChartField.jets arrays as lists)
-    and reads the entries into the float lists gamma_m and d_r gamma_m, with
-    ChartField.jets's checks and messages: a complex value or gradient stops
-    the stage, and an int value (a constant entry) counts as its float, as
-    in that method's arrays: the signs are floats, so every product with it
-    converts it first.
+    and forms gamma_m = (e_m eta_m) e_m + 0.0 and every slot
+    d_r gamma_m = 2.0 (e_m eta_m d_r e_m), with ChartField.jets's checks and
+    messages: a complex value or gradient stops the stage, before a
+    non-finite one does, and an int value (a constant entry) counts as its
+    float, since the signs are floats.
 
-    The guard is checked_inverse's rule on a diagonal matrix.  Of the general
-    stage's sum only the n(3n-2) terms a diagonal metric can make nonzero are
-    formed, with its operations: t = (d_b g_ma + d_a g_mb) - d_m g_ab with
-    exact zeros in place, then 0.5 (g^mm t) v^a v^b summed over (a, b) in
-    einsum's C order.  The rest add exact zeros to a finite result.
+    ``accel`` guards with checked_inverse's rule on a diagonal matrix.  Of
+    the general stage's sum it forms the terms that a diagonal metric can
+    make nonzero, with its operations:
+    t = (d_b g_ma + d_a g_mb) - d_m g_ab with exact zeros for the
+    off-diagonal g, then 0.5 (g^mm t) v^a v^b, added to 0.0 over (a, b) in
+    einsum's C order.  A term is also dropped when each of its three slots
+    is structurally zero: d_r gamma_l where coordinate r does not occur in
+    entry l (CompiledExpression.variables; every slot of a closure-built
+    frame is kept).  The chain rule is linear in the unit-row entries, so
+    such a slot is +-0 or NaN, and the pass rejects NaN.  With 1/g_mm and
+    the velocity finite the dropped term is then +-0, and adding +-0 to a
+    running sum that starts at 0.0 (and so never reaches -0.0) leaves its
+    bits unchanged, so the result is the dense sum's.  Where 1/g_mm or a velocity component v^a is not
+    finite, the dense sum's (m, m) term, or each row's (a, a) term, is inf
+    or NaN, and ``accel`` raises the error that sum ends in.  Schwarzschild
+    forms 13 of the 40 terms, a flat frame none.
     """
-    n, signs = frame.dim, [float(s) for s in frame.signature.signs]
     evaluate = frame.field.point_code
     if evaluate is None:
         def evaluate(xc: list) -> tuple:
             e, de, _ = frame.field.jets(Point(tuple(xc)), order=1)
             return e.tolist(), de.ravel().tolist()
-    # per m: (a, b) and t's three d_r g_la, dgm[l * n + r] or the zero dgm[-1]
-    def at(l, a, r):
-        return l * n + r if l == a else n * n
-    terms = [[(a, b, at(m, a, b), at(m, b, a), at(a, b, m))
-              for a in range(n) for b in range(n) if m in (a, b) or a == b]
-             for m in range(n)]
-
-    def metric_jets(xc: list) -> tuple:
-        if not all(map(math.isfinite, xc)):
-            raise ValueError(f"non-finite coordinates: {tuple(xc)}")
-        vals, grads = evaluate(xc)
-        es = [x * s for x, s in zip(vals, signs)]
-        gm = [e * x + 0.0 for e, x in zip(es, vals)]
-        dgm = [2.0 * (e * y) for e, y in zip([e for e in es for _ in range(n)], grads)]
-        try:
-            # every entry is tested, so a complex value or gradient raises
-            finite = all([*map(math.isfinite, gm), *map(math.isfinite, dgm)])
-        except TypeError:
-            raise ValueError(f"complex metric value at {tuple(xc)}") from None
-        # a float overflow gives inf without an error, so this test reports it
-        if not finite:
-            raise ValueError(f"non-finite metric value at {tuple(xc)}")
-        return gm, dgm + [0.0]
-
-    def accel(gj: tuple, vc: list) -> list:
-        gm, dgm = gj
-        scale = max(1e-300, *map(abs, gm))
-        scaled = math.prod([d / scale for d in gm])
-        if abs(scaled) <= SINGULAR_REL:
-            raise _singular(scaled + 0.0, n)
-        out = []
-        for gmm, row in zip(gm, terms):
-            ginv, acc = 1.0 / gmm, 0.0
-            for a, b, i, j, k in row:
-                acc += (0.5 * (ginv * ((dgm[i] + dgm[j]) - dgm[k]))) * vc[a] * vc[b]
-            out.append(-acc)
-        return _finite(out)
+    names = {"_evaluate": evaluate, "_isfinite": math.isfinite,
+             "_singular": _singular, "_SINGULAR_REL": SINGULAR_REL}
+    exec(compile(_stage_source(frame), "<diagonal stage>", "exec"), names)
 
     def norm(gj: tuple, vc: list) -> float:
         vc = np.array(vc)
         return float(vc @ np.diag(gj[0]) @ vc)
 
-    return metric_jets, accel, norm
+    return names["metric_jets"], names["accel"], norm
 
 
 def integrate_geodesic(g: GeneralizedMetric, x0, v0, t_max: float,

@@ -15,6 +15,7 @@ from geodyn.exprs import (
     FUNCTION_NAMES,
     compile_expression,
     default_coordinate_names,
+    differentiate,
 )
 from geodyn.fields import scalar_field
 from geodyn.jets import Jet, variables
@@ -151,6 +152,18 @@ _ROUTES = {
     "order-2": variables(_POINT, order=2),
     "block": variables(tuple(_BLOCK.T), order=2),
 }
+
+
+@pytest.mark.parametrize("source", EXPRESSIONS + ["1 + 0*y", "x*0 + pi", "sin(z)^0"])
+def test_variables_are_the_coordinates_that_occur(source):
+    # along any other coordinate the derivative code's gradient entry is zero
+    e = compile_expression(source, _COORDS)
+    tree = ast.parse(source.replace("^", "**"), mode="eval")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert e.variables == tuple(c for c in _COORDS if c in names)
+    grads = differentiate([e])(list(_POINT))[1]
+    assert [d for c, d in zip(_COORDS, grads) if c not in e.variables] == \
+        [0.0] * (len(_COORDS) - len(e.variables))
 
 
 @pytest.mark.parametrize("source", EXPRESSIONS + ["+x", "x^2^0.5"])

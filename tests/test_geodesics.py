@@ -1,18 +1,28 @@
 """Geodesic integrator behavior on known solutions."""
 
+import importlib.util
+import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from geodyn import geodesics
+from geodyn.config import build_scenario
+from geodyn.exprs import compile_expression
 from geodyn.fields import ChartField, entry_field
-from geodyn.geodesics import Trajectory, _diagonal_stage, integrate_geodesic, velocity_norm
+from geodyn.geodesics import (Trajectory, _diagonal_stage, _general_stage, _stage_source,
+                              integrate_geodesic, velocity_norm)
 from geodyn.geometry import Vielbein
-from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, polar, schwarzschild, sphere2
-from geodyn.tensors import MinkowskiSignature, Point
+from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, flat, polar, schwarzschild, sphere2
+from geodyn.scenarios import builtin_config
+from geodyn.tensors import SINGULAR_REL, MinkowskiSignature, Point, _singular
 from test_fields import _point_route_cases, _rank1_cases
 from test_geometry import diagonal_frames, matrix_twin
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_equator_is_a_great_circle():
@@ -403,3 +413,207 @@ def test_non_finite_stage_point_stops_the_run(x0, v0, at):
     assert fast.message == f"non-finite coordinates: {at}"
     assert len(fast.ts) == 1
     assert _bits(fast) == _bits(general)
+
+
+# -- the generated diagonal stage against the dense loops it replaced ---------
+
+
+def _dense_stage(frame):
+    """The diagonal stage's former (metric_jets, accel): list comprehensions
+    over the entries, then a loop over all n(3n-2) Christoffel terms that a
+    diagonal metric can make nonzero, in einsum's C order."""
+    n, signs = frame.dim, [float(s) for s in frame.signature.signs]
+    evaluate = frame.field.point_code
+    if evaluate is None:
+        def evaluate(xc):
+            e, de, _ = frame.field.jets(Point(tuple(xc)), order=1)
+            return e.tolist(), de.ravel().tolist()
+
+    # per m: (a, b) and t's three d_r g_la, dgm[l * n + r] or the zero dgm[-1]
+    def at(l, a, r):
+        return l * n + r if l == a else n * n
+    terms = [[(a, b, at(m, a, b), at(m, b, a), at(a, b, m))
+              for a in range(n) for b in range(n) if m in (a, b) or a == b]
+             for m in range(n)]
+
+    def metric_jets(xc):
+        if not all(map(math.isfinite, xc)):
+            raise ValueError(f"non-finite coordinates: {tuple(xc)}")
+        vals, grads = evaluate(xc)
+        es = [x * s for x, s in zip(vals, signs)]
+        gm = [e * x + 0.0 for e, x in zip(es, vals)]
+        dgm = [2.0 * (e * y) for e, y in zip([e for e in es for _ in range(n)], grads)]
+        try:
+            finite = all([*map(math.isfinite, gm), *map(math.isfinite, dgm)])
+        except TypeError:
+            raise ValueError(f"complex metric value at {tuple(xc)}") from None
+        if not finite:
+            raise ValueError(f"non-finite metric value at {tuple(xc)}")
+        return gm, dgm + [0.0]
+
+    def accel(gj, vc):
+        gm, dgm = gj
+        scale = max(1e-300, *map(abs, gm))
+        scaled = math.prod([d / scale for d in gm])
+        if abs(scaled) <= SINGULAR_REL:
+            raise _singular(scaled + 0.0, n)
+        out = []
+        for gmm, row in zip(gm, terms):
+            ginv, acc = 1.0 / gmm, 0.0
+            for a, b, i, j, k in row:
+                acc += (0.5 * (ginv * ((dgm[i] + dgm[j]) - dgm[k]))) * vc[a] * vc[b]
+            out.append(-acc)
+        if not all(map(math.isfinite, out)):
+            raise ArithmeticError("non-finite acceleration")
+        return out
+
+    return metric_jets, accel
+
+
+def _outcome(fn, *args):
+    """The float bits of fn's lists, or the type and message of its error."""
+    try:
+        got = fn(*args)
+    except (ArithmeticError, ValueError) as e:  # what integrate_geodesic stops on
+        return type(e), str(e)
+    parts = got if isinstance(got, tuple) else (got,)
+    assert all(type(x) is float for part in parts for x in part)
+    return [[x.hex() for x in part] for part in parts]
+
+
+def _gauge_sm_frame():
+    # the expression-valued diagonal frame of the benchmark's gauge-sm workload
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = workloads.generate("gauge-sm", 0)
+    coords = config["chart"]["coordinates"]
+    return diagonal_vielbein([compile_expression(e, coords) for e in config["frame"]["diagonal"]],
+                             MinkowskiSignature.lorentzian(4))
+
+
+def _oracle_frames():
+    frames = {name: make() for name, (make, _) in BUILTIN_FRAMES.items()}
+    frames["gauge-sm"] = _gauge_sm_frame()
+    lorentzian = MinkowskiSignature.lorentzian(4)
+    # each entry depends on every coordinate, so all 40 terms are formed
+    frames["every-coordinate"] = diagonal_vielbein(
+        [f"{k} + 0.3*sin(x0 + {k}*x1 - x2*x3)" for k in (2, 3, 4, 5)], lorentzian)
+    # an int and a float constant, and a root that turns complex
+    frames["constant-entries"] = diagonal_vielbein(["1", "x0 * x3", "2.5", "(x1 + x2^2 - 1)^0.5"],
+                                                   lorentzian)
+    frames["closures"] = diagonal_vielbein(
+        [lambda c: 2.0 + c[1] * c[1], lambda c: 1.0, lambda c: c[0] * c[2] + 3.0,
+         lambda c: (c[1] + 1.0) ** 0.5], lorentzian)
+    return frames
+
+
+def _states(n, seed):
+    """Stage points and velocities drawn from seed, with zeros, signed zeros,
+    large and non-finite components among them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(40):
+        x = rng.uniform(-3.0, 3.0, n)
+        if k % 3 == 0:
+            x[0] = abs(x[0]) + 2.0  # a Schwarzschild-like r in the first slots
+            x[1] = abs(x[1]) + 2.0
+        v = rng.normal(size=n) * rng.choice([1.0, 1e100, 1e170], p=[0.8, 0.1, 0.1])
+        v[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+        out.append((x.tolist(), v.tolist()))
+    out += [([0.5] * n, [1.0] + [math.inf] + [0.0] * (n - 2)),
+            ([0.5] * n, [math.nan] + [0.0] * (n - 1)),
+            ([0.0] * n, [1.0] * n),
+            ([math.nan] + [1.0] * (n - 1), [1.0] * n)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_frames()))
+def test_generated_stage_matches_the_dense_loops(name):
+    # the same floats bit for bit, and the same error type and message
+    frame = _oracle_frames()[name]
+    metric_jets, accel, _ = _diagonal_stage(frame)
+    dense_jets, dense_accel = _dense_stage(frame)
+    outcomes = set()
+    for seed in range(3):
+        for x, v in _states(frame.dim, seed):
+            want = _outcome(dense_jets, x)
+            assert _outcome(metric_jets, x) == want, (name, x)
+            if isinstance(want, tuple):
+                outcomes.add(want[0])
+                continue
+            gj = dense_jets(x)
+            want = _outcome(dense_accel, gj, v)
+            assert _outcome(accel, gj, v) == want, (name, x, v)
+            outcomes.add(want[0] if isinstance(want, tuple) else "ok")
+    assert "ok" in outcomes and ArithmeticError in outcomes
+
+
+@pytest.mark.parametrize("entries, message", [
+    # a finite value whose gradient overflows
+    (["1 + 1e10*sin(1e300*x0)", "1.0"], "non-finite metric value at (0.5, 1.0)"),
+    # a complex value is reported before a later entry's overflow
+    (["(x0 - 1)^0.5", "1e200*x1"], "complex metric value at (0.5, 1.0)"),
+])
+def test_generated_pass_reports_what_the_dense_pass_reports(entries, message):
+    frame = diagonal_vielbein(entries, MinkowskiSignature.euclidean(2))
+    want = _outcome(_dense_stage(frame)[0], [0.5, 1.0])
+    assert want == (ValueError, message)
+    assert _outcome(_diagonal_stage(frame)[0], [0.5, 1.0]) == want
+
+
+def _terms(frame):
+    return _stage_source(frame).count("0.5 * (")
+
+
+def test_accel_forms_only_the_terms_the_frame_can_make_nonzero():
+    assert _terms(schwarzschild(mass=1.0)) == 13
+    assert _terms(flat()) == 0
+    assert _terms(_oracle_frames()["every-coordinate"]) == 40
+    # a closure's names are not known, so every slot stays
+    assert _terms(_frame_2d(lambda c: 1.0)) == 2 * (3 * 2 - 2)
+    # the analysis reads names, not values: 0*x0 keeps d_0 gamma_0
+    kept = diagonal_vielbein(["1 + 0*x0", "1.0"], MinkowskiSignature.euclidean(2))
+    assert _terms(kept) == 1 and "(_d0 + _d0) - _d0" in _stage_source(kept)
+
+
+def test_building_a_scenario_generates_no_stage_code(monkeypatch):
+    sources = []
+
+    def counted(frame):
+        sources.append(frame)
+        return _stage_source(frame)
+
+    monkeypatch.setattr(geodesics, "_stage_source", counted)
+    scenario = build_scenario(builtin_config("schwarzschild-geodesic"))
+    assert sources == []
+    traj = integrate_geodesic(scenario.frame.metric(), (0.0, 6.0, np.pi / 2, 0.0),
+                              (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764), t_max=0.1, steps=2)
+    assert traj.status == "ok" and sources == [scenario.frame]
+
+
+def test_inverse_overflow_in_a_row_without_terms_stops_the_run():
+    # 1/g_00 = 1/1e-310 overflows, but every term of row 0 is structurally
+    # zero; the dense sum's inf * 0 made it NaN, and the guard keeps the stop
+    frame = diagonal_vielbein(["1e-155", "1e-150*(1 + x1)"], MinkowskiSignature.euclidean(2))
+    assert "_i0 *" not in _stage_source(frame)
+    x0, v0 = (0.0, 1.0), (1.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = integrate_geodesic(frame.metric(), x0, v0, t_max=1.0, steps=10)
+        general = integrate_geodesic(matrix_twin(frame).metric(), x0, v0, t_max=1.0, steps=10)
+    assert fast.status == "singular" and fast.message == "non-finite acceleration"
+    assert _bits(fast) == _bits(general)
+
+
+def test_accel_without_terms_rejects_a_non_finite_velocity():
+    frame = flat()
+    assert _terms(frame) == 0
+    x, v = [0.0, 1.0, -2.0, 0.5], [1.0, 0.0, math.inf, 0.0]
+    stages = [_diagonal_stage(frame)[:2], _general_stage(matrix_twin(frame).metric())[:2],
+              _dense_stage(frame)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy's inf * 0 in the general stage
+        for metric_jets, accel in stages:
+            with pytest.raises(ArithmeticError, match="^non-finite acceleration$"):
+                accel(metric_jets(x), v)
