@@ -769,17 +769,21 @@ def _parse_tasks(diags, tasks, chart, has):
         given = {key: value for key, value in task.items() if key != "type"}
         task = {"type": ttype, **_entries(diags, path, given, _TASK_ENTRIES[ttype],
                                           chart, unknown)}
-        diags.extend(Diagnostic(path, message) for message in _needs(task, has))
+        diags.extend(Diagnostic(path, message) for message in _needs(task, has, chart.dim))
         built.append(task)
     return built
 
 
-def _needs(task, has):
+def _needs(task, has, dim):
     """The message of each section rule the task breaks; has is the set of
-    the config's sections."""
+    the config's sections, dim the chart dimension (None if it failed)."""
     ttype, sm = task["type"], {"gauge", "higgs"}
     if ttype == "action" and "cutoff" not in has:
         yield "action task needs a cutoff section"
+    if (ttype == "action" and task["form"] == "spectral" and task["aa_mode"] == "metric"
+            and dim is not None and dim % 2):
+        # sigma^2 comes from the Clifford algebra of the signature
+        yield f"metric mode needs an even chart dimension, got {dim}"
     if ttype == "action" and task["aa_mode"] == "blocks" and not sm <= has:
         yield "blocks mode needs gauge and higgs sections"
     if ttype == "trace-oracle" and "gauge" not in has:

@@ -12,8 +12,7 @@ axis first in its results.
 every entry is a compiled expression the field is expression-built: at a
 Point, order 1 runs the derivative code that :func:`geodyn.exprs.differentiate`
 generates from the expressions on the field's first such call
-(``point_code``), and the diagonal geodesic stage reads that code's lists
-directly.  Every other evaluation, and order 1 of a field built from
+(``point_code``).  Every other evaluation, and order 1 of a field built from
 closures, runs the evaluator on numpy-gradient jets.  ``fd_jets(field, p,
 order)`` gives the same arrays at a Point from central differences, the
 independent oracle for the jet routes, with relative steps FD_STEP for

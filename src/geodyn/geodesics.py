@@ -3,14 +3,15 @@
 Classical fixed-step RK4 on the first-order system (x, v) with
 a^m = -Gamma^m_ab v^a v^b, the state held as lists of floats.  A stage is
 one order-1 jet pass, then the Christoffel symbols from the metric's
-inverse.  On a diagonal frame (every library frame and every ``diagonal``
-config frame) a stage is straight-line float code generated for the frame
-once per run: the pass turns the lists of the frame's generated order-1
-code (``ChartField.point_code``) into gamma_m = eta_m e_m^2 and its
-gradient with no array in between, and ``accel`` guards, forms 1/gamma_m
-and sums only the Christoffel terms that the frame can make nonzero.  Any
-other frame, and a metric given as a gamma field, takes the general stage
-(``checked_inverse``, einsum); both give the same trajectory bit for bit.
+inverse.  On a frame of expressions that are zero off the diagonal (every
+library frame, every ``diagonal`` config frame and a ``matrix`` one written
+so) a stage is straight-line float code generated once per run: the pass
+turns the lists of the diagonal's order-1 code into gamma_m = eta_m e_m^2
+and its gradient with no array in between, and ``accel`` guards, forms
+1/gamma_m and sums only the Christoffel terms that the frame can make
+nonzero.  Any other frame, and a metric given as a gamma field, takes the
+general stage (``checked_inverse``, einsum); both give the same trajectory
+bit for bit.
 A step costs four stages: the pass at the accepted point gives its
 velocity norm and the next k1.  On the Schwarzschild frame, timed with
 timeit on a shared 2-vCPU x86-64 Linux VM whose speed drifts, a metric pass
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exprs import differentiate
 from .geometry import GeneralizedMetric, Vielbein, _christoffel_from
 from .tensors import SINGULAR_REL, Point, _singular, checked_inverse
 
@@ -76,14 +78,30 @@ def _general_stage(g: GeneralizedMetric) -> tuple:
     return metric_jets, accel, norm
 
 
-def _stage_source(frame: Vielbein) -> str:
-    """The source of a diagonal frame's ``metric_jets`` and ``accel``, which
-    _diagonal_stage describes; it reads the frame's ``_evaluate`` code and the
+def _diagonal(frame: Vielbein | None) -> tuple | None:
+    """The diagonal expressions of an expression-built frame whose every
+    off-diagonal entry is a structural zero, else None.  A structural zero
+    is free of coordinates and its value is a real int or float equal to 0:
+    0, 0.0 and -0.0, but not a complex zero such as 0*(-1)^0.5."""
+    exprs = None if frame is None else frame.field.expressions
+    if exprs is None:
+        return None
+    n = frame.dim
+    for k, e in enumerate(exprs):
+        if k % (n + 1) and (e.variables or type(z := e((0.0,) * n)) not in (int, float)
+                            or z != 0):
+            return None
+    return exprs[::n + 1]
+
+
+def _stage_source(diagonal: tuple, signs: tuple) -> str:
+    """The source of ``metric_jets`` and ``accel`` for a frame with these
+    diagonal expressions and signature signs, which _diagonal_stage
+    describes; it reads the ``_evaluate`` code of the expressions and the
     ``_isfinite``, ``_singular`` and ``_SINGULAR_REL`` names from its globals."""
-    n, exprs = frame.dim, frame.field.expressions
+    n = len(diagonal)
     # live[l * n + r]: d_r gamma_l can be nonzero, as far as the entry's names tell
-    live = ([True] * (n * n) if exprs is None
-            else [c in e.variables for e in exprs for c in e.coordinates])
+    live = [c in e.variables for e in diagonal for c in e.coordinates]
 
     def join(fmt: str, ks, sep: str = ", ") -> str:
         return sep.join(fmt.format(k) for k in ks)
@@ -94,7 +112,7 @@ def _stage_source(frame: Vielbein) -> str:
         f"    if not ({join('_isfinite(_c[{}])', range(n), ' and ')}):",
         '        raise ValueError(f"non-finite coordinates: {tuple(_c)}")',
         f"    ({join('_v{}', range(n))},), ({join('_y{}', range(n * n))},) = _evaluate(_c)",
-        *[f"    _e{m} = _v{m} * {float(s)!r}" for m, s in enumerate(frame.signature.signs)],
+        *[f"    _e{m} = _v{m} * {float(s)!r}" for m, s in enumerate(signs)],
         *[f"    _g{m} = _e{m} * _v{m} + 0.0" for m in range(n)],
         *[f"    _h{k} = 2.0 * (_e{k // n} * _y{k})" for k in range(n * n)],
         "    try:",
@@ -138,18 +156,18 @@ def _stage_source(frame: Vielbein) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _diagonal_stage(frame: Vielbein) -> tuple:
-    """(metric_jets, accel, norm) for a diagonal frame, in Python floats.
+def _diagonal_stage(diagonal: tuple, signs: tuple) -> tuple:
+    """(metric_jets, accel, norm) for a frame with these diagonal expressions
+    (_diagonal) and signature signs, in Python floats.
 
     ``metric_jets`` and ``accel`` are straight-line code that _stage_source
     writes for the frame, once per integrate_geodesic call (1-2 ms to
     compile), with the float operations of a loop over the entries and of
     the Christoffel sum, in the same order.
 
-    A metric pass checks the stage point, runs the frame's generated order-1
-    code (a frame built from closures: its ChartField.jets arrays as lists)
-    and forms gamma_m = (e_m eta_m) e_m + 0.0 and every slot
-    d_r gamma_m = 2.0 (e_m eta_m d_r e_m), with ChartField.jets's checks and
+    A metric pass checks the stage point, runs the diagonal's order-1 code
+    (exprs.differentiate) and forms gamma_m = (e_m eta_m) e_m + 0.0 and every
+    slot d_r gamma_m = 2.0 (e_m eta_m d_r e_m), with ChartField.jets's checks and
     messages: a complex value or gradient stops the stage, before a
     non-finite one does, and an int value (a constant entry) counts as its
     float, since the signs are floats.
@@ -161,24 +179,19 @@ def _diagonal_stage(frame: Vielbein) -> tuple:
     off-diagonal g, then 0.5 (g^mm t) v^a v^b, added to 0.0 over (a, b) in
     einsum's C order.  A term is also dropped when each of its three slots
     is structurally zero: d_r gamma_l where coordinate r does not occur in
-    entry l (CompiledExpression.variables; every slot of a closure-built
-    frame is kept).  The chain rule is linear in the unit-row entries, so
-    such a slot is +-0 or NaN, and the pass rejects NaN.  With 1/g_mm and
-    the velocity finite the dropped term is then +-0, and adding +-0 to a
-    running sum that starts at 0.0 (and so never reaches -0.0) leaves its
-    bits unchanged, so the result is the dense sum's.  Where 1/g_mm or a velocity component v^a is not
-    finite, the dense sum's (m, m) term, or each row's (a, a) term, is inf
-    or NaN, and ``accel`` raises the error that sum ends in.  Schwarzschild
-    forms 13 of the 40 terms, a flat frame none.
+    entry l (CompiledExpression.variables).  The chain rule is linear in the
+    unit-row entries, so such a slot is +-0 or NaN, and the pass rejects
+    NaN.  With 1/g_mm and the velocity finite the dropped term is then +-0,
+    and adding +-0 to a running sum that starts at 0.0 (and so never reaches
+    -0.0) leaves its bits unchanged, so the result is the dense sum's.  Where
+    1/g_mm or a velocity component v^a is not finite, the dense sum's (m, m)
+    term, or each row's (a, a) term, is inf or NaN, and ``accel`` raises the
+    error that sum ends in.  Schwarzschild forms 13 of the 40 terms, a flat
+    frame none.
     """
-    evaluate = frame.field.point_code
-    if evaluate is None:
-        def evaluate(xc: list) -> tuple:
-            e, de, _ = frame.field.jets(Point(tuple(xc)), order=1)
-            return e.tolist(), de.ravel().tolist()
-    names = {"_evaluate": evaluate, "_isfinite": math.isfinite,
+    names = {"_evaluate": differentiate(diagonal), "_isfinite": math.isfinite,
              "_singular": _singular, "_SINGULAR_REL": SINGULAR_REL}
-    exec(compile(_stage_source(frame), "<diagonal stage>", "exec"), names)
+    exec(compile(_stage_source(diagonal, signs), "<diagonal stage>", "exec"), names)
 
     def norm(gj: tuple, vc: list) -> float:
         vc = np.array(vc)
@@ -206,11 +219,11 @@ def integrate_geodesic(g: GeneralizedMetric, x0, v0, t_max: float,
         raise ValueError(f"state vectors must have shape ({dim},)")
     x, v = x.tolist(), v.tolist()
 
-    frame = g.vielbein
-    if frame is not None and frame.diagonal:
-        metric_jets, accel, norm = _diagonal_stage(frame)
-    else:
+    diagonal = _diagonal(g.vielbein)
+    if diagonal is None:
         metric_jets, accel, norm = _general_stage(g)
+    else:
+        metric_jets, accel, norm = _diagonal_stage(diagonal, g.vielbein.signature.signs)
 
     h = t_max / steps
     half, sixth = 0.5 * h, h / 6.0

@@ -62,9 +62,9 @@ class VolumeElement:
 class Vielbein:
     """Frame field E^a_m together with the flat frame metric eta.
 
-    A field of shape (n,) is a diagonal frame, E = diag(field), stored as
-    its n entries; ``value`` and ``jets`` hand out the full (..., n, n)
-    matrices either way.
+    The field holds the n x n entries over an n-dimensional chart; a
+    diagonal frame holds zeros off its diagonal (library.diagonal_vielbein),
+    which the geodesic stage finds in its expressions.
     """
 
     field: ChartField
@@ -72,30 +72,20 @@ class Vielbein:
 
     def __post_init__(self):
         n = self.signature.dim
-        if self.field.shape not in ((n,), (n, n)):
-            raise ValueError(f"vielbein field shape {self.field.shape} is neither "
-                             f"({n},) nor ({n}, {n})")
+        if self.field.shape != (n, n) or self.field.dim != n:
+            raise ValueError(f"vielbein field of shape {self.field.shape} over {self.field.dim} "
+                             f"coordinates, expected ({n}, {n}) over {n}")
 
     @property
     def dim(self) -> int:
         return self.signature.dim
 
-    @property
-    def diagonal(self) -> bool:
-        return self.field.shape == (self.dim,)
-
     def value(self, p: Point) -> np.ndarray:
-        e = self.field.raw(p.coords)
-        if self.diagonal:
-            # object entries, so a complex one fails the float conversion
-            e = _on_diagonal(np.asarray(e, dtype=object), 0)
-        return np.asarray(e, dtype=float)
+        # a complex entry of an object array (entry_field) fails the float conversion
+        return np.asarray(self.field.raw(p.coords), dtype=float)
 
     def jets(self, p, order: int = 2):
-        res = self.field.jets(p, order=order)
-        if not self.diagonal:
-            return res
-        return tuple(None if a is None else _on_diagonal(a, k) for k, a in enumerate(res))
+        return self.field.jets(p, order=order)
 
     def metric(self) -> "GeneralizedMetric":
         return GeneralizedMetric(dim=self.dim, vielbein=self)
@@ -197,16 +187,6 @@ class GeneralizedMetric:
         riem, ricci, scalar = _riemann_from(ginv, gam, dgam)
         return CurvatureTensors(point=p, riemann=riem, ricci=ricci, scalar=scalar,
                                 gamma=g, gamma_inv=ginv)
-
-
-def _on_diagonal(d: np.ndarray, k: int) -> np.ndarray:
-    """The (..., n, n, <k derivative axes>) array whose diagonal holds the
-    entries d[..., m, <k axes>] of a diagonal frame, with zeros elsewhere."""
-    lead, n = d.ndim - k - 1, d.shape[-k - 1]
-    full = np.zeros(d.shape[:lead] + (n, n) + d.shape[lead + 1:], d.dtype)
-    i = np.arange(n)
-    full[(Ellipsis, i, i) + (slice(None),) * k] = d
-    return full
 
 
 def _unbatched(x):

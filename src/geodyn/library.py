@@ -1,16 +1,16 @@
 """Builtin vielbeins for common charts.
 
-Each factory returns a diagonal :class:`~geodyn.geometry.Vielbein` whose
-entries are expressions over the coordinates x0, x1, ..., with its
-parameters written in as ``repr`` literals, so a builtin frame is
-expression-built like a configured one.  The registry at the bottom maps
-builtin names (as used in configs and the CLI) to factories and their
-keyword parameters.
+Each factory returns a diagonal :class:`~geodyn.geometry.Vielbein`: its
+n x n entries are expressions over the coordinates x0, x1, ..., the
+diagonal ones with the parameters written in as ``repr`` literals and the
+constant 0.0 elsewhere, so a builtin frame is expression-built like a
+configured one.  The registry at the bottom maps builtin names (as used in
+configs and the CLI) to factories and their keyword parameters.
 """
 
 from __future__ import annotations
 
-from .exprs import compile_expression, default_coordinate_names
+from .exprs import CompiledExpression, compile_expression, default_coordinate_names
 from .fields import entry_field
 from .geometry import Vielbein
 from .tensors import MAX_DIM, MinkowskiSignature
@@ -27,19 +27,18 @@ __all__ = [
 
 
 def diagonal_vielbein(entries, signature: MinkowskiSignature) -> Vielbein:
-    """Vielbein with E = diag(entries(x)); each entry is a callable of the
-    coords, a compiled expression or the source of one over x0, x1, ....
-
-    The frame is stored as its diagonal: a shape-(n,) field whose evaluator
-    returns the n entries, which the geodesic stage reads directly and
-    ``Vielbein.value``/``jets`` expand to the n x n matrix.
-    """
+    """Vielbein with E = diag(entries(x)); each entry is a compiled
+    expression or the source of one over x0, x1, ....  The field holds the
+    n x n entries, with the constant 0.0, compiled over the same
+    coordinates, off the diagonal."""
     n = signature.dim
     if len(entries) != n:
         raise ValueError(f"need {n} diagonal entries, got {len(entries)}")
-    names = default_coordinate_names(n)
-    return Vielbein(field=entry_field([compile_expression(e, names) if isinstance(e, str) else e
-                                       for e in entries]),
+    diag = [e if isinstance(e, CompiledExpression)
+            else compile_expression(e, default_coordinate_names(n)) for e in entries]
+    zero = compile_expression("0.0", diag[0].coordinates)
+    return Vielbein(field=entry_field([[diag[a] if a == m else zero for m in range(n)]
+                                       for a in range(n)]),
                     signature=signature)
 
 

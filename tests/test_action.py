@@ -36,7 +36,6 @@ from geodyn.connection import (
 )
 from geodyn.fields import ChartField, constant_field, scalar_field
 from geodyn.geometry import GeneralizedMetric, Vielbein, riemann_square
-from geodyn.jets import sin
 from geodyn.library import diagonal_vielbein, flat, sphere2
 from geodyn.scenarios import builtin_config, run_scenario
 from geodyn.tensors import MinkowskiSignature, Point
@@ -428,9 +427,8 @@ def test_fd_variation_makes_one_density_call_with_the_loops_bits():
 
 def _bumpy_torus_frame():
     # ds^2 = dx^2 + g(x)^2 dy^2 on the unit torus; curved but fully periodic
-    return diagonal_vielbein(
-        [lambda c: 1.0, lambda c: 1.0 + 0.2 * sin(2.0 * PI * c[0])],
-        MinkowskiSignature.euclidean(2))
+    return diagonal_vielbein(["1.0", "1.0 + 0.2 * sin(2.0 * pi * x0)"],
+                             MinkowskiSignature.euclidean(2))
 
 
 def test_riemannian_limit_flat_torus_keeps_only_the_volume_term():

@@ -339,6 +339,21 @@ def _flat2_limit_check(gamma_tolerance):
                        "gamma_tolerance": gamma_tolerance}]}
 
 
+def _odd_action(dim, sm=False, **task):
+    """An action task on a flat Euclidean chart of dimension dim, with gauge
+    and Higgs sections if sm."""
+    obj = {"schema": SCHEMA_VERSION,
+           "chart": {"dimension": dim, "signature": "euclidean",
+                     "box": {"lo": [0.0] * dim, "hi": [1.0] * dim}, "grid": [3] * dim},
+           "frame": {"builtin": "flat", "parameters": {"dim": dim, "signature": "euclidean"}},
+           "cutoff": {"builtin": "exponential"},
+           "tasks": [{"type": "action", **task}]}
+    if sm:
+        obj["gauge"] = {"couplings": {"g1": 0.5}, "b": ["x0"] + ["0"] * (dim - 1)}
+        obj["higgs"] = {"x": "0.1*x0", "y": "0"}
+    return obj
+
+
 # each of these once passed validate and then crashed or misran `geodyn run`
 # (chart-dimension-a-boolean crashed validate itself)
 BUILD_ERRORS = {
@@ -463,6 +478,9 @@ BUILD_ERRORS = {
     "diagonal-entry-true": (
         lambda: {**builtin_config("sphere2"), "frame": {"diagonal": ["True", "sin(theta)"]}},
         "frame.diagonal[0]"),
+    # sigma^2 of metric mode needs the Clifford algebra of an even dimension
+    "metric-action-on-dimension-1": (lambda: _odd_action(1), "tasks[0]"),
+    "metric-action-on-dimension-3": (lambda: _odd_action(3), "tasks[0]"),
     "chart-dimension-a-boolean": (
         lambda: {"schema": SCHEMA_VERSION,
                  "chart": {"dimension": True, "box": {"lo": [0.0], "hi": [1.0]}},
@@ -491,6 +509,23 @@ def test_constructor_errors_are_diagnostics(case, tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"{path}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_odd_dimension_metric_action_is_a_diagnostic():
+    for dim in (1, 3):
+        diags = validate_config(_odd_action(dim))
+        assert [(d.path, d.message) for d in diags] == [
+            ("tasks[0]", f"metric mode needs an even chart dimension, got {dim}")]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("task", [{"form": "riemannian-limit"},
+                                  {"form": "riemannian-limit", "sm": True},
+                                  {"aa_mode": "blocks", "sm": True}])
+def test_other_action_forms_run_on_odd_dimensions(dim, task):
+    obj = _odd_action(dim, **task)
+    assert validate_config(obj) == []
+    assert [r.status for r in run_scenario(obj).results] == ["pass"]
 
 
 def test_the_wrong_orbit_and_metric_fail_at_positive_tolerances():

@@ -187,6 +187,10 @@ def test_collect_matches_the_stacking_oracle(name, field, order):
 
 
 def _rank1_cases():
+    # the builtin frames' diagonal expressions, then rank-1 closures
+    for name in sorted(BUILTIN_FRAMES):
+        frame = BUILTIN_FRAMES[name][0]()
+        yield name, entry_field(frame.field.expressions[::frame.dim + 1])
     yield from ((name, f) for name, f in _collect_cases() if len(f.shape) == 1)
     yield "ints-and-constants", ChartField(dim=2, shape=(3,), func=lambda c: [1, c[0], 0.5])
     yield "numpy-entries", ChartField(dim=2, shape=(2,),
@@ -303,7 +307,7 @@ def test_generated_code_computes_a_shared_subexpression_once(monkeypatch):
     frame = BUILTIN_FRAMES["schwarzschild"][0]()
     val, _, _ = frame.field.jets(Point((0.0, 6.0, 1.2, 0.3)), order=1)
     assert calls == [1.0 - 2.0 / 6.0]
-    assert val[1] == 1.0 / val[0]
+    assert val[1, 1] == 1.0 / val[0, 0]
 
 
 def _grammar_expressions():

@@ -11,11 +11,10 @@ import pytest
 
 from geodyn import geodesics
 from geodyn.config import build_scenario
-from geodyn.exprs import compile_expression
+from geodyn.exprs import compile_expression, differentiate
 from geodyn.fields import ChartField, entry_field
-from geodyn.geodesics import (Trajectory, _diagonal_stage, _general_stage, _stage_source,
-                              integrate_geodesic, velocity_norm)
-from geodyn.geometry import Vielbein
+from geodyn.geodesics import (Trajectory, _diagonal, _diagonal_stage, _general_stage,
+                              _stage_source, integrate_geodesic, velocity_norm)
 from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, flat, polar, schwarzschild, sphere2
 from geodyn.scenarios import builtin_config
 from geodyn.tensors import SINGULAR_REL, MinkowskiSignature, Point, _singular
@@ -23,6 +22,15 @@ from test_fields import _point_route_cases, _rank1_cases
 from test_geometry import diagonal_frames, matrix_twin
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _stage(frame):
+    """The diagonal stage of a frame whose diagonal _diagonal finds."""
+    return _diagonal_stage(_diagonal(frame), frame.signature.signs)
+
+
+def _source(frame):
+    return _stage_source(_diagonal(frame), frame.signature.signs)
 
 
 def test_equator_is_a_great_circle():
@@ -160,19 +168,23 @@ def test_singular_stop_is_pinned():
 
 
 def test_four_metric_passes_per_step(monkeypatch):
-    # a pass runs the frame's generated order-1 code once and reads its
-    # lists directly: ChartField.jets is not called at all
+    # a pass runs the generated order-1 code of the frame's diagonal once
+    # and reads its lists directly: ChartField.jets is not called at all
     jets_calls, passes = [], []
     monkeypatch.setattr(ChartField, "jets",
                         lambda self, p, order=2: jets_calls.append(order))
+
+    def counted_code(exprs):
+        code = differentiate(exprs)
+
+        def counted(coords):
+            passes.append(len(coords))
+            return code(coords)
+
+        return counted
+
+    monkeypatch.setattr(geodesics, "differentiate", counted_code)
     frame = schwarzschild(mass=1.0)
-    code = frame.field.point_code
-
-    def counted(coords):
-        passes.append(len(coords))
-        return code(coords)
-
-    frame.field.point_code = counted
     steps = 25
     traj = integrate_geodesic(frame.metric(), (0.0, 6.0, np.pi / 2, 0.0),
                               (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764),
@@ -204,11 +216,11 @@ def test_no_determinant_call_inside_the_loop(monkeypatch):
 
 
 def _frame_2d(f0):
-    return diagonal_vielbein([f0, lambda c: 1.0], MinkowskiSignature.euclidean(2))
+    return diagonal_vielbein([f0, "1.0"], MinkowskiSignature.euclidean(2))
 
 
 def test_arithmetic_error_at_the_start_stops_the_run():
-    g = _frame_2d(lambda c: 1.0 / c[0]).metric()
+    g = _frame_2d("1.0 / x0").metric()
     traj = integrate_geodesic(g, (0.0, 0.0), (1.0, 0.0), t_max=0.1, steps=10)
     assert traj.status == "singular"
     assert "division by zero" in traj.message
@@ -218,7 +230,7 @@ def test_arithmetic_error_at_the_start_stops_the_run():
 def test_arithmetic_error_inside_the_run_stops_it():
     # a flat metric whose frame still divides by x: with h = 1/8 the straight
     # line from x = 1/2 is exact and its fourth step's last stage hits x = 0
-    g = _frame_2d(lambda c: 1.0 + 0.0 * (1.0 / c[0])).metric()
+    g = _frame_2d("1.0 + 0.0 * (1.0 / x0)").metric()
     traj = integrate_geodesic(g, (0.5, 0.0), (-1.0, 0.0), t_max=1.0, steps=8)
     assert traj.status == "singular"
     assert "division by zero" in traj.message
@@ -226,7 +238,7 @@ def test_arithmetic_error_inside_the_run_stops_it():
 
 
 def test_complex_frame_value_stops_the_run():
-    g = _frame_2d(lambda c: c[0] ** 0.5).metric()
+    g = _frame_2d("x0^0.5").metric()
     traj = integrate_geodesic(g, (-0.5, 0.0), (0.1, 0.0), t_max=0.1, steps=10)
     assert traj.status == "singular"
     assert traj.message == "complex metric value at (-0.5, 0.0)"
@@ -279,15 +291,14 @@ def test_diagonal_stage_matches_the_general_stage(name):
     assert fast.status == ("singular" if name == "polar" else "ok")
 
 
-def _big(c):
-    return 1e150 * (1.0 + c[0] * c[0])
+_BIG = "1e150 * (1.0 + x0 * x0)"
 
 
 @pytest.mark.parametrize("entries, x0, v0", [
-    ((lambda c: 1e200 * c[0], lambda c: 1.0), (1.0, 0.0), (1.0, 0.0)),  # e^2 overflows
-    ((lambda c: 1e308 * c[0] * c[0], lambda c: 1.0), (0.5, 0.0), (1.0, 0.0)),  # e finite
-    ((lambda c: 1e308 * c[0] * c[0], lambda c: 1.0), (1.0, 0.0), (1.0, 0.0)),  # grad e not
-    ((_big, _big), (0.0, 0.0), (10.0, 0.0)),  # a later stage overflows
+    (("1e200 * x0", "1.0"), (1.0, 0.0), (1.0, 0.0)),  # e^2 overflows
+    (("1e308 * x0 * x0", "1.0"), (0.5, 0.0), (1.0, 0.0)),  # e finite
+    (("1e308 * x0 * x0", "1.0"), (1.0, 0.0), (1.0, 0.0)),  # grad e not
+    ((_BIG, _BIG), (0.0, 0.0), (10.0, 0.0)),  # a later stage overflows
 ])
 def test_overflowing_diagonal_metric_stops_the_run_without_a_warning(entries, x0, v0):
     frame = diagonal_vielbein(list(entries), MinkowskiSignature.euclidean(2))
@@ -305,7 +316,7 @@ def test_overflowing_acceleration_stops_both_stages_alike():
     # the metric and its derivatives are finite, but (p + p) - p in the
     # Christoffel symbols overflows, where the general stage's zero terms
     # turn inf into NaN and the diagonal stage's would not
-    frame = diagonal_vielbein([lambda c: 0.9e154 * c[0]] * 3, MinkowskiSignature.euclidean(3))
+    frame = diagonal_vielbein(["0.9e154 * x0"] * 3, MinkowskiSignature.euclidean(3))
     x0, v0 = (1.0, 0.0, 0.0), (1.0, 0.5, 0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -313,6 +324,80 @@ def test_overflowing_acceleration_stops_both_stages_alike():
         general = integrate_geodesic(matrix_twin(frame).metric(), x0, v0, t_max=1.0, steps=10)
     assert fast.status == "singular" and fast.message == "non-finite acceleration"
     assert _bits(fast) == _bits(general)
+
+
+# -- the stage chosen from the frame's entries ---------------------------------
+
+
+SCHWARZSCHILD_DIAGONAL = ["sqrt(1.0 - 2.0 * 1.0 / r)", "1.0 / sqrt(1.0 - 2.0 * 1.0 / r)",
+                          "r", "r * sin(theta)"]
+ORBIT_STARTS = [STARTS["schwarzschild"], ALL_TERMS["schwarzschild-off-equator"][1]]
+
+
+def _matrix_frame(off):
+    """The schwarzschild-geodesic config's frame written as a matrix frame
+    with the source off in every off-diagonal entry."""
+    config = builtin_config("schwarzschild-geodesic")
+    config["frame"] = {"matrix": [[SCHWARZSCHILD_DIAGONAL[a] if a == m else off
+                                   for m in range(4)] for a in range(4)]}
+    return build_scenario(config).frame
+
+
+def _picked_and_general(monkeypatch, frame, start):
+    """(trajectory, whether integrate_geodesic generated the diagonal stage
+    for it, the general stage's trajectory on the same frame)."""
+    x0, v0, t_max, steps = start
+    sources = []
+
+    def counted(diagonal, signs):
+        sources.append(diagonal)
+        return _stage_source(diagonal, signs)
+
+    with monkeypatch.context() as m:
+        m.setattr(geodesics, "_stage_source", counted)
+        picked = integrate_geodesic(frame.metric(), x0, v0, t_max=t_max, steps=steps)
+    with monkeypatch.context() as m:
+        m.setattr(geodesics, "_diagonal", lambda frame: None)
+        general = integrate_geodesic(frame.metric(), x0, v0, t_max=t_max, steps=steps)
+    return picked, sources != [], general
+
+
+@pytest.mark.parametrize("off", ["0", "0.0", "-0.0"])
+@pytest.mark.parametrize("start", ORBIT_STARTS)
+def test_matrix_frame_with_zeros_off_the_diagonal_takes_the_generated_stage(monkeypatch, off,
+                                                                             start):
+    frame = _matrix_frame(off)
+    assert [e.source for e in _diagonal(frame)] == SCHWARZSCHILD_DIAGONAL
+    picked, generated, general = _picked_and_general(monkeypatch, frame, start)
+    assert generated and picked.status == "ok"
+    # the same bytes as the general stage, zero signs included, and as the library frame
+    assert _bits(picked) == _bits(general)
+    x0, v0, t_max, steps = start
+    library = integrate_geodesic(schwarzschild(mass=1.0).metric(), x0, v0,
+                                 t_max=t_max, steps=steps)
+    assert _bits(picked) == _bits(library)
+
+
+@pytest.mark.parametrize("off", ["0*r", "0.1", "0*(-1)^0.5"])
+def test_matrix_frame_with_other_entries_off_the_diagonal_takes_the_general_stage(monkeypatch,
+                                                                                  off):
+    # 0*r names a coordinate, 0.1 is not zero, and 0*(-1)^0.5 is a complex zero
+    frame = _matrix_frame(off)
+    assert _diagonal(frame) is None
+    picked, generated, general = _picked_and_general(monkeypatch, frame, ORBIT_STARTS[1])
+    assert not generated and _bits(picked) == _bits(general)
+    if off == "0*(-1)^0.5":
+        assert picked.status == "singular"
+        assert picked.message == "complex metric value at (0.0, 7.0, 1.1, 0.3)"
+    else:
+        assert picked.status == "ok"
+
+
+def test_closure_built_matrix_frame_takes_the_general_stage(monkeypatch):
+    frame = matrix_twin(schwarzschild(mass=1.0))
+    assert _diagonal(frame) is None
+    picked, generated, general = _picked_and_general(monkeypatch, frame, ORBIT_STARTS[1])
+    assert not generated and picked.status == "ok" and _bits(picked) == _bits(general)
 
 
 # -- one metric pass of the diagonal stage against the ChartField.jets route --
@@ -333,44 +418,41 @@ def _jets_route_pass(field, signs, xc):
     return gm, dgm + [0.0]
 
 
-def _diagonal_windows(field):
-    """Diagonal frames of a rank-1 field: the field itself if it has one entry
-    per coordinate, else frames of n consecutive entries (cyclically) that
-    between them hold every entry."""
+def _windows(field):
+    """The expression lists of the diagonal frames of an expression-built
+    rank-1 field: the field's own if it has one entry per coordinate, else n
+    consecutive entries (cyclically) that between them hold every entry."""
     n, k = field.dim, field.shape[0]
-    if k == n:
-        yield field
-        return
     for start in range(0, k, n):
-        window = [(start + j) % k for j in range(n)]
-        yield ChartField(dim=n, shape=(n,),
-                         func=lambda c, w=window: [field.func(c)[i] for i in w])
+        yield [field.expressions[(start + j) % k] for j in range(n)]
 
 
 # the builtin frames are in both lists; they run once, as rank1 cases
-_PASS_CASES = {**{f"rank1-{name}": field for name, field in _rank1_cases()},
+_PASS_CASES = {**{f"rank1-{name}": field for name, field in _rank1_cases()
+                  if field.expressions is not None},
                **{f"route-{name}": field for name, field in _point_route_cases()
                   if name not in BUILTIN_FRAMES}}
 
 
 @pytest.mark.parametrize("name", sorted(_PASS_CASES))
 def test_diagonal_pass_matches_the_chart_field_route(name):
-    # int and constant entries, numpy object-array returns and every
-    # expression function give the same floats; complex values, complex
-    # gradients and numpy complex scalars the same complex-value error
-    for field in _diagonal_windows(_PASS_CASES[name]):
-        n = field.dim
-        frame = Vielbein(field, MinkowskiSignature.lorentzian(n))
-        metric_jets = _diagonal_stage(frame)[0]
+    # against the expressions evaluated by a closure on numpy jets: int and
+    # constant entries and every expression function give the same floats;
+    # complex values and gradients the same complex-value error
+    for window in _windows(_PASS_CASES[name]):
+        n = len(window)
+        frame = diagonal_vielbein(window, MinkowskiSignature.lorentzian(n))
+        closure = ChartField(dim=n, shape=(n,), func=lambda c, w=window: [e(c) for e in w])
+        metric_jets = _stage(frame)[0]
         xc = [0.7, 3.1, 1.2, 0.4][:n]
         if "complex" not in name:
-            got, want = metric_jets(xc), _jets_route_pass(field, frame.signature.signs, xc)
+            got, want = metric_jets(xc), _jets_route_pass(closure, frame.signature.signs, xc)
             assert all(type(x) is float for part in got for x in part), name
             assert [list(map(float.hex, part)) for part in got] == \
                 [list(map(float.hex, part)) for part in want], name
             continue
         with pytest.raises(ValueError) as want:
-            _jets_route_pass(field, frame.signature.signs, xc)
+            _jets_route_pass(closure, frame.signature.signs, xc)
         with pytest.raises(ValueError) as got:
             metric_jets(xc)
         assert str(got.value) == str(want.value), name
@@ -381,14 +463,12 @@ def test_diagonal_pass_matches_the_chart_field_route(name):
 def test_diagonal_pass_of_expression_windows_matches_the_chart_field_route(name):
     # frames of n consecutive expressions of an expression-built field run
     # the generated code in both routes; the pass reads its lists as floats
-    field = _PASS_CASES[name]
-    n, k = field.dim, field.shape[0]
-    for start in range(0, k, n):
-        window = entry_field([field.expressions[(start + j) % k] for j in range(n)])
-        frame = Vielbein(window, MinkowskiSignature.lorentzian(n))
-        metric_jets, xc = _diagonal_stage(frame)[0], [0.7, 3.1, 1.2][:n]
+    for window in _windows(_PASS_CASES[name]):
+        n = len(window)
+        frame = diagonal_vielbein(window, MinkowskiSignature.lorentzian(n))
+        metric_jets, xc = _stage(frame)[0], [0.7, 3.1, 1.2][:n]
         try:
-            want = _jets_route_pass(window, frame.signature.signs, xc)
+            want = _jets_route_pass(entry_field(window), frame.signature.signs, xc)
         except ValueError as e:
             with pytest.raises(ValueError, match=re.escape(str(e))):
                 metric_jets(xc)
@@ -403,7 +483,7 @@ def test_diagonal_pass_of_expression_windows_matches_the_chart_field_route(name)
                                         ((-1.0, 2.0), (-1e308, 1e308), "(-inf, inf)")])
 def test_non_finite_stage_point_stops_the_run(x0, v0, at):
     # the start is finite, but the second stage's point x + (h/2) v is not
-    frame = _frame_2d(lambda c: 1.0)
+    frame = _frame_2d("1.0")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fast = integrate_geodesic(frame.metric(), x0, v0, t_max=10.0, steps=1)
@@ -423,11 +503,7 @@ def _dense_stage(frame):
     over the entries, then a loop over all n(3n-2) Christoffel terms that a
     diagonal metric can make nonzero, in einsum's C order."""
     n, signs = frame.dim, [float(s) for s in frame.signature.signs]
-    evaluate = frame.field.point_code
-    if evaluate is None:
-        def evaluate(xc):
-            e, de, _ = frame.field.jets(Point(tuple(xc)), order=1)
-            return e.tolist(), de.ravel().tolist()
+    evaluate = differentiate(frame.field.expressions[::n + 1])
 
     # per m: (a, b) and t's three d_r g_la, dgm[l * n + r] or the zero dgm[-1]
     def at(l, a, r):
@@ -502,9 +578,6 @@ def _oracle_frames():
     # an int and a float constant, and a root that turns complex
     frames["constant-entries"] = diagonal_vielbein(["1", "x0 * x3", "2.5", "(x1 + x2^2 - 1)^0.5"],
                                                    lorentzian)
-    frames["closures"] = diagonal_vielbein(
-        [lambda c: 2.0 + c[1] * c[1], lambda c: 1.0, lambda c: c[0] * c[2] + 3.0,
-         lambda c: (c[1] + 1.0) ** 0.5], lorentzian)
     return frames
 
 
@@ -532,7 +605,7 @@ def _states(n, seed):
 def test_generated_stage_matches_the_dense_loops(name):
     # the same floats bit for bit, and the same error type and message
     frame = _oracle_frames()[name]
-    metric_jets, accel, _ = _diagonal_stage(frame)
+    metric_jets, accel, _ = _stage(frame)
     dense_jets, dense_accel = _dense_stage(frame)
     outcomes = set()
     for seed in range(3):
@@ -559,44 +632,42 @@ def test_generated_pass_reports_what_the_dense_pass_reports(entries, message):
     frame = diagonal_vielbein(entries, MinkowskiSignature.euclidean(2))
     want = _outcome(_dense_stage(frame)[0], [0.5, 1.0])
     assert want == (ValueError, message)
-    assert _outcome(_diagonal_stage(frame)[0], [0.5, 1.0]) == want
+    assert _outcome(_stage(frame)[0], [0.5, 1.0]) == want
 
 
 def _terms(frame):
-    return _stage_source(frame).count("0.5 * (")
+    return _source(frame).count("0.5 * (")
 
 
 def test_accel_forms_only_the_terms_the_frame_can_make_nonzero():
     assert _terms(schwarzschild(mass=1.0)) == 13
     assert _terms(flat()) == 0
     assert _terms(_oracle_frames()["every-coordinate"]) == 40
-    # a closure's names are not known, so every slot stays
-    assert _terms(_frame_2d(lambda c: 1.0)) == 2 * (3 * 2 - 2)
     # the analysis reads names, not values: 0*x0 keeps d_0 gamma_0
     kept = diagonal_vielbein(["1 + 0*x0", "1.0"], MinkowskiSignature.euclidean(2))
-    assert _terms(kept) == 1 and "(_d0 + _d0) - _d0" in _stage_source(kept)
+    assert _terms(kept) == 1 and "(_d0 + _d0) - _d0" in _source(kept)
 
 
 def test_building_a_scenario_generates_no_stage_code(monkeypatch):
     sources = []
 
-    def counted(frame):
-        sources.append(frame)
-        return _stage_source(frame)
+    def counted(diagonal, signs):
+        sources.append(diagonal)
+        return _stage_source(diagonal, signs)
 
     monkeypatch.setattr(geodesics, "_stage_source", counted)
     scenario = build_scenario(builtin_config("schwarzschild-geodesic"))
     assert sources == []
     traj = integrate_geodesic(scenario.frame.metric(), (0.0, 6.0, np.pi / 2, 0.0),
                               (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764), t_max=0.1, steps=2)
-    assert traj.status == "ok" and sources == [scenario.frame]
+    assert traj.status == "ok" and sources == [scenario.frame.field.expressions[::5]]
 
 
 def test_inverse_overflow_in_a_row_without_terms_stops_the_run():
     # 1/g_00 = 1/1e-310 overflows, but every term of row 0 is structurally
     # zero; the dense sum's inf * 0 made it NaN, and the guard keeps the stop
     frame = diagonal_vielbein(["1e-155", "1e-150*(1 + x1)"], MinkowskiSignature.euclidean(2))
-    assert "_i0 *" not in _stage_source(frame)
+    assert "_i0 *" not in _source(frame)
     x0, v0 = (0.0, 1.0), (1.0, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -610,7 +681,7 @@ def test_accel_without_terms_rejects_a_non_finite_velocity():
     frame = flat()
     assert _terms(frame) == 0
     x, v = [0.0, 1.0, -2.0, 0.5], [1.0, 0.0, math.inf, 0.0]
-    stages = [_diagonal_stage(frame)[:2], _general_stage(matrix_twin(frame).metric())[:2],
+    stages = [_stage(frame)[:2], _general_stage(matrix_twin(frame).metric())[:2],
               _dense_stage(frame)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # numpy's inf * 0 in the general stage

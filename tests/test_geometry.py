@@ -1,10 +1,13 @@
 """Curvature pipeline, frame connection, and Clifford algebra checks."""
 
+import re
+
 import numpy as np
 import pytest
 
 from geodyn.config import build_scenario
-from geodyn.fields import ChartField, fd_jets
+from geodyn.exprs import compile_expression
+from geodyn.fields import ChartField, entry_field, fd_jets
 from geodyn.geometry import (
     CompatibilityResidual,
     GeneralizedMetric,
@@ -18,7 +21,7 @@ from geodyn.geometry import (
     spin_connection,
 )
 from geodyn.jets import cos, sin
-from geodyn.library import BUILTIN_FRAMES, flat, polar, schwarzschild, sphere2
+from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, flat, polar, schwarzschild, sphere2
 from geodyn.tensors import MinkowskiSignature, Point
 
 
@@ -323,21 +326,23 @@ def test_sigma_matrices_are_built_once_per_signature_and_read_only():
     assert np.array_equal(sig, fresh)
 
 
-# -- diagonal frames: stored as n entries, expanded to the n x n matrix -------
+# -- diagonal frames: n x n expressions, zero off the diagonal ---------------
 
 
 def matrix_twin(frame: Vielbein) -> Vielbein:
-    """The same frame as an n x n field with its entries on the diagonal of an
-    object matrix, which is how diagonal frames were once stored."""
-    n, field = frame.dim, frame.field
+    """The same frame as a closure: its diagonal expressions on the diagonal
+    of an object matrix of int zeros.  It takes every route that a
+    closure-built frame takes, the geodesic's general stage included."""
+    n = frame.dim
+    diagonal = frame.field.expressions[::n + 1]
 
     def func(c):
         out = np.zeros((n, n), dtype=object)
-        for i, entry in enumerate(field.func(c)):
-            out[i, i] = entry
+        for i, entry in enumerate(diagonal):
+            out[i, i] = entry(c)
         return out
 
-    return Vielbein(ChartField(dim=field.dim, shape=(n, n), func=func), frame.signature)
+    return Vielbein(ChartField(dim=n, shape=(n, n), func=func), frame.signature)
 
 
 def diagonal_frames() -> dict:
@@ -362,10 +367,12 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("name", sorted(diagonal_frames()))
 def test_diagonal_frame_expands_to_the_object_matrix_evaluation(name):
     frame = diagonal_frames()[name]
-    assert frame.diagonal and frame.field.shape == (frame.dim,)
+    n = frame.dim
+    assert frame.field.shape == (n, n) and frame.field.expressions is not None
+    assert {frame.field.expressions[k].source for k in range(n * n) if k % (n + 1)} == {"0.0"}
     twin = matrix_twin(frame)
-    assert not twin.diagonal
-    p = (0.7, 3.1, 1.2, 0.4)[:frame.dim]
+    assert twin.field.expressions is None
+    p = (0.7, 3.1, 1.2, 0.4)[:n]
     block = np.array([p, tuple(x + 0.01 for x in p), tuple(x - 0.02 for x in p)])
     assert _same_bits(frame.value(Point(p)), twin.value(Point(p)))
     for where in (Point(p), block):
@@ -375,15 +382,26 @@ def test_diagonal_frame_expands_to_the_object_matrix_evaluation(name):
 
 
 def test_diagonal_frame_value_rejects_a_complex_entry_as_the_matrix_did():
-    frame = Vielbein(ChartField(dim=2, shape=(2,), func=lambda c: [1.0, 2.0j]),
-                     MinkowskiSignature.euclidean(2))
+    frame = diagonal_vielbein(["1.0", "2.0 * (-1)^0.5"], MinkowskiSignature.euclidean(2))
     for e in (frame, matrix_twin(frame)):
         with pytest.raises(TypeError):
             e.value(Point((0.1, 0.2)))
 
 
 def test_vielbein_field_must_be_the_diagonal_or_the_matrix():
+    # the field is the n x n matrix, a diagonal frame included: n entries
+    # (the former diagonal storage) are rejected like any other shape
     sig = MinkowskiSignature.euclidean(2)
-    for shape in ((3,), (2, 3), (2, 2, 2)):
-        with pytest.raises(ValueError, match="vielbein field shape"):
+    for shape in ((2,), (3,), (2, 3), (2, 2, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"vielbein field of shape {shape}")):
             Vielbein(ChartField(dim=2, shape=shape, func=lambda c: 0), sig)
+
+
+def test_vielbein_field_must_be_over_the_signature_dimension():
+    # 4 x 4 entries over 3 coordinates once built, and a geodesic on the
+    # frame then ended in an IndexError from the stage's source
+    names = ("x0", "x1", "x2")
+    field = entry_field([[compile_expression("1.0" if a == m else "0.0", names)
+                          for m in range(4)] for a in range(4)])
+    with pytest.raises(ValueError, match=r"over 3 coordinates, expected \(4, 4\) over 4"):
+        Vielbein(field, MinkowskiSignature.euclidean(4))

@@ -13,9 +13,16 @@ from geodyn.tensors import MinkowskiSignature, Point
 
 
 def _closure_frame(entries, signature):
+    """The frame whose diagonal entries are the closures, in an object matrix."""
     n = signature.dim
-    return Vielbein(ChartField(dim=n, shape=(n,), func=lambda c: [f(c) for f in entries]),
-                    signature)
+
+    def func(c):
+        out = np.zeros((n, n), dtype=object)
+        for i, f in enumerate(entries):
+            out[i, i] = f(c)
+        return out
+
+    return Vielbein(ChartField(dim=n, shape=(n, n), func=func), signature)
 
 
 def _flat(dim=4, signature="lorentzian"):
@@ -34,11 +41,11 @@ def _sphere2(radius=1.0):
 
 
 def _schwarzschild(mass=1.0):
-    def func(c):
-        f = sqrt(1.0 - 2.0 * mass / c[1])
-        return [f, 1.0 / f, c[1], c[1] * sin(c[2])]
+    def f(c):
+        return sqrt(1.0 - 2.0 * mass / c[1])
 
-    return Vielbein(ChartField(dim=4, shape=(4,), func=func), MinkowskiSignature.lorentzian(4))
+    return _closure_frame([f, lambda c: 1.0 / f(c), lambda c: c[1], lambda c: c[1] * sin(c[2])],
+                          MinkowskiSignature.lorentzian(4))
 
 
 def _sphere2_cross_flat2(radius=1.0):
