@@ -25,12 +25,13 @@ functions and pi.
 one straight-line Python function from float coordinates to the values and
 the flat gradient, forward mode by source transformation (Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3).  Each node
-becomes the float operations that the jets module's first-order rules
-perform on it, in the same order, with ``jets``' math/cmath dispatchers for
-the functions.  So the code gives the bits of order-1 jets at a point, a
-complex intermediate included, in about a tenth of their time.  It skips
-the second derivatives that those rules also form and drop, and computes a
-subexpression that the field's entries share once.
+becomes the float operations that order-1 jets perform on it, in the same
+order: a function call becomes the value and derivative statements of its
+rule in ``jets.RULES``, the table the jet functions are written from, with
+``jets``' math/cmath dispatchers.  So the code gives the bits of order-1
+jets at a point, a complex intermediate included, and raises where they
+raise, in about a tenth of their time.  It computes a subexpression that
+the field's entries share once.
 """
 
 from __future__ import annotations
@@ -52,18 +53,7 @@ class ExpressionError(ValueError):
     """Malformed or out-of-grammar expression, with offset info when known."""
 
 
-FUNCTIONS = {
-    "sin": _jets.sin,
-    "cos": _jets.cos,
-    "tan": _jets.tan,
-    "exp": _jets.exp,
-    "log": _jets.log,
-    "sqrt": _jets.sqrt,
-    "sinh": _jets.sinh,
-    "cosh": _jets.cosh,
-    "tanh": _jets.tanh,
-    "arctan": _jets.arctan,
-}
+FUNCTIONS = {name: getattr(_jets, name) for name in _jets.RULES}
 FUNCTION_NAMES = tuple(sorted(FUNCTIONS))
 
 CONSTANTS = {"pi": _jets.PI}
@@ -216,22 +206,6 @@ def _validate(node: ast.AST, coords: tuple, source: str):
 # one that depends on the coordinates: the local holding its value and its
 # n gradient entries (locals, or the literals of a coordinate's unit row).
 
-# the statements that set the value {v} and first derivative {f} of each
-# function at {a}, in the jets module's order
-_DERIVATIVES = {
-    "sin": ("{v} = _sin({a})", "{f} = _cos({a})"),
-    "cos": ("{v} = _cos({a})", "{f} = -_sin({a})"),
-    "tan": ("{v} = _tan({a})", "{f} = 1.0 + {v} * {v}"),
-    "exp": ("{v} = _exp({a})", "{f} = {v}"),
-    "log": ("{v} = _log({a})", "{f} = 1.0 / {a}"),
-    "sqrt": ("{v} = _sqrt({a})", "{f} = 0.5 / {v}"),
-    "sinh": ("{v} = _sinh({a})", "{f} = _cosh({a})"),
-    "cosh": ("{v} = _cosh({a})", "{f} = _sinh({a})"),
-    "tanh": ("{v} = _tanh({a})", "{f} = 1.0 - {v} * {v}"),
-    "arctan": ("{f} = 1.0 / (1.0 + {a} * {a})", "{v} = _atan({a})"),
-}
-
-
 class _Writer:
     """The statements and the globals of one generated function.
 
@@ -242,9 +216,7 @@ class _Writer:
     def __init__(self):
         self.lines, self.seen = [], {}
         self.names = {"__builtins__": {}, "_mlog": math.log,
-                      **{f"_{fn}": getattr(_jets, f"_{fn}") for fn in
-                         ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh",
-                          "tanh", "atan")}}
+                      **{f"_{fn}": getattr(_jets, f"_{fn}") for fn in _jets.RULES}}
 
     def let(self, expr: str) -> str:
         if expr not in self.seen:
@@ -267,7 +239,8 @@ class _Writer:
     def call(self, fn: str, a: str, grads: list) -> tuple:
         if (fn, a) not in self.seen:
             v, f = f"_t{len(self.lines)}v", f"_t{len(self.lines)}f"
-            self.lines += [line.format(v=v, f=f, a=a) for line in _DERIVATIVES[fn]]
+            _, _, first, second, _ = _jets.RULES[fn]
+            self.lines += [line.format(v=v, f=f, a=a) for line in (first, second)]
             self.seen[fn, a] = v, f
         v, f = self.seen[fn, a]
         return v, self.scaled(f, grads)

@@ -8,15 +8,15 @@ derivatives as plain arrays, derivative indices trailing.  It also takes an
 (N, dim) block, evaluated in one pass on block jets, and then puts the point
 axis first in its results.
 
-``entry_field`` builds a field from an array of entry evaluators.  When
-every entry is a compiled expression the field is expression-built: at a
-Point, order 1 runs the derivative code that :func:`geodyn.exprs.differentiate`
-generates from the expressions on the field's first such call
-(``point_code``).  Every other evaluation, and order 1 of a field built from
-closures, runs the evaluator on numpy-gradient jets.  ``fd_jets(field, p,
-order)`` gives the same arrays at a Point from central differences, the
-independent oracle for the jet routes, with relative steps FD_STEP for
-first and FD_STEP2 for second derivatives.
+``entry_field`` builds an expression-built field from an array of compiled
+expressions: at a Point, order 1 runs the derivative code that
+:func:`geodyn.exprs.differentiate` generates from the expressions on the
+field's first such call (``point_code``).  Every other evaluation, and order
+1 of a field built from a closure, runs the evaluator on numpy-gradient jets,
+which form no second derivative at order 1, so both routes raise alike.
+``fd_jets(field, p, order)`` gives the same arrays at a Point from central
+differences, the independent oracle for the jet routes, with relative steps
+FD_STEP for first and FD_STEP2 for second derivatives.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .exprs import CompiledExpression, differentiate
+from .exprs import differentiate
 from .jets import Jet
 from .tensors import Point
 
@@ -211,10 +211,9 @@ def fd_jets(field: ChartField, p: Point, order: int):
 
 
 def entry_field(entries) -> ChartField:
-    """ChartField whose entries are the callables in an array (or list) of
-    the field's shape, each evaluated on the coordinates.  Compiled
-    expressions make it expression-built, over their coordinates; the chart
-    dimension of closures is the length of the last axis."""
+    """The expression-built ChartField whose entries are the compiled
+    expressions in an array (or list) of the field's shape, over their
+    coordinates."""
     entries = np.asarray(entries, dtype=object)
     shape, flat = entries.shape, tuple(entries.ravel().tolist())
 
@@ -224,10 +223,7 @@ def entry_field(entries) -> ChartField:
             out[i] = f(c)
         return out.reshape(shape)
 
-    if all(isinstance(f, CompiledExpression) for f in flat):
-        return ChartField(dim=len(flat[0].coordinates), shape=shape, func=func,
-                          expressions=flat)
-    return ChartField(dim=shape[-1], shape=shape, func=func)
+    return ChartField(dim=len(flat[0].coordinates), shape=shape, func=func, expressions=flat)
 
 
 def scalar_field(dim: int, func: Callable) -> ChartField:

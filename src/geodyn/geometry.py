@@ -143,8 +143,11 @@ class GeneralizedMetric:
                  gamma_field: ChartField | None = None):
         if (vielbein is None) == (gamma_field is None):
             raise ValueError("provide exactly one of vielbein or gamma_field")
-        if gamma_field is not None and gamma_field.shape != (dim, dim):
-            raise ValueError("gamma field must be square rank 2")
+        source = vielbein.field if gamma_field is None else gamma_field
+        if source.shape != (dim, dim) or source.dim != dim:
+            raise ValueError(f"{'vielbein' if gamma_field is None else 'gamma'} field of shape "
+                             f"{source.shape} over {source.dim} coordinates, expected "
+                             f"({dim}, {dim}) over {dim}")
         self.dim = dim
         self.vielbein = vielbein
         self.gamma_field = gamma_field

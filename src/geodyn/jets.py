@@ -10,9 +10,12 @@ A block jet carries a trailing axis over N points (``val (N,)``, ``grad
 (n, N)``, ``hess (n, n, N)``); with that axis last the same arithmetic
 serves it, using numpy ufuncs where scalar jets call ``math``/``cmath``.
 
-At one point, order 1 of an expression-built field does not use jets: it
-runs the straight-line float code that :func:`geodyn.exprs.differentiate`
-generates from these rules, which gives the same bits.
+The functions sin ... arctan are written at import from ``RULES``, which
+states each one's value and first and second derivatives once.  At one
+point, order 1 of an expression-built field does not use jets: it runs the
+straight-line float code that :func:`geodyn.exprs.differentiate` writes
+from the same rules, which gives the same bits.  An order-1 jet forms no
+second derivative, so both raise where the first-order operations fail.
 
 Only smooth operations are provided.  ``abs`` is deliberately absent.
 """
@@ -26,19 +29,30 @@ import numpy as np
 
 from .tensors import _identity
 
+# The elemental rules of the expression language's functions, each stated
+# once: name -> (math/cmath name, ufunc, the two statements that set the
+# value {v} and the first derivative {f} at {a}, in evaluation order, and the
+# second derivative there).  The jet functions below and the order-1 code of
+# geodyn.exprs.differentiate are both written from them, so they perform the
+# same operations; _name is the dispatcher of the function itself.
+RULES = {
+    "sin": ("sin", np.sin, "{v} = _sin({a})", "{f} = _cos({a})", "-{v}"),
+    "cos": ("cos", np.cos, "{v} = _cos({a})", "{f} = -_sin({a})", "-{v}"),
+    "tan": ("tan", np.tan, "{v} = _tan({a})", "{f} = 1.0 + {v} * {v}", "2.0 * {v} * {f}"),
+    "exp": ("exp", np.exp, "{v} = _exp({a})", "{f} = {v}", "{v}"),
+    "log": ("log", np.log, "{v} = _log({a})", "{f} = 1.0 / {a}", "-1.0 / ({a} * {a})"),
+    "sqrt": ("sqrt", np.sqrt, "{v} = _sqrt({a})", "{f} = 0.5 / {v}", "-0.25 / ({v} * {a})"),
+    "sinh": ("sinh", np.sinh, "{v} = _sinh({a})", "{f} = _cosh({a})", "{v}"),
+    "cosh": ("cosh", np.cosh, "{v} = _cosh({a})", "{f} = _sinh({a})", "{v}"),
+    "tanh": ("tanh", np.tanh, "{v} = _tanh({a})", "{f} = 1.0 - {v} * {v}", "-2.0 * {v} * {f}"),
+    "arctan": ("atan", np.arctan, "{f} = 1.0 / (1.0 + {a} * {a})", "{v} = _arctan({a})",
+               "-2.0 * {a} * {f} * {f}"),
+}
+
 __all__ = [
     "Jet",
     "variables",
-    "sin",
-    "cos",
-    "tan",
-    "exp",
-    "log",
-    "sqrt",
-    "sinh",
-    "cosh",
-    "tanh",
-    "arctan",
+    *RULES,
     "conjugate",
     "PI",
 ]
@@ -120,7 +134,7 @@ class Jet:
 
     def __rtruediv__(self, other):
         v = self.val
-        return self._chain(other / v, -other / (v * v), 2.0 * other / (v * v * v))
+        return self._chain(other / v, -other / (v * v), lambda: 2.0 * other / (v * v * v))
 
     def __pow__(self, k):
         if isinstance(k, Jet):
@@ -131,7 +145,7 @@ class Jet:
         if k == 1:
             return self
         v = self.val
-        return self._chain(v ** k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2))
+        return self._chain(v ** k, k * v ** (k - 1), lambda: k * (k - 1) * v ** (k - 2))
 
     def __rpow__(self, base):
         return exp(self * math.log(base))
@@ -147,12 +161,13 @@ class Jet:
         return Jet(np.conjugate(self.val), np.conjugate(self.grad), h)
 
     def _chain(self, f0, f1, f2):
-        """Compose an outer scalar function with derivatives f1, f2 at val."""
-        g = f1 * self.grad
-        h = None
-        if self.hess is not None:
-            h = f1 * self.hess + f2 * _outer(self.grad, self.grad)
-        return Jet(f0, g, h)
+        """Compose an outer scalar function with value f0 and derivative f1
+        at val; f2() gives its second derivative, called only for a jet that
+        carries a Hessian."""
+        if self.hess is None:
+            return Jet(f0, f1 * self.grad)
+        d2 = f2()
+        return Jet(f0, f1 * self.grad, f1 * self.hess + d2 * _outer(self.grad, self.grad))
 
 
 def _outer(a, b):
@@ -171,13 +186,6 @@ def variables(coords, order: int = 2) -> tuple:
                  for i, xi in enumerate(coords))
 
 
-def _dispatch(x, fn, f0f1f2):
-    if isinstance(x, Jet):
-        f0, f1, f2 = f0f1f2(x.val)
-        return x._chain(f0, f1, f2)
-    return fn(x)
-
-
 def _c(fn, ufunc):
     """Evaluate a math/cmath function on a scalar, or its ufunc on an array."""
     real, cplx = getattr(math, fn), getattr(cmath, fn)
@@ -191,67 +199,20 @@ def _c(fn, ufunc):
     return apply
 
 
-_sin, _cos, _tan = _c("sin", np.sin), _c("cos", np.cos), _c("tan", np.tan)
-_exp, _log, _sqrt = _c("exp", np.exp), _c("log", np.log), _c("sqrt", np.sqrt)
-_sinh, _cosh, _tanh = _c("sinh", np.sinh), _c("cosh", np.cosh), _c("tanh", np.tanh)
-_atan = _c("atan", np.arctan)
+globals().update({f"_{name}": _c(fn, ufunc) for name, (fn, ufunc, *_) in RULES.items()})
 
-
-def sin(x):
-    return _dispatch(x, _sin, lambda v: (_sin(v), _cos(v), -_sin(v)))
-
-
-def cos(x):
-    return _dispatch(x, _cos, lambda v: (_cos(v), -_sin(v), -_cos(v)))
-
-
-def tan(x):
-    def derivs(v):
-        t = _tan(v)
-        s = 1.0 + t * t
-        return (t, s, 2.0 * t * s)
-    return _dispatch(x, _tan, derivs)
-
-
-def exp(x):
-    def derivs(v):
-        e = _exp(v)
-        return (e, e, e)
-    return _dispatch(x, _exp, derivs)
-
-
-def log(x):
-    return _dispatch(x, _log, lambda v: (_log(v), 1.0 / v, -1.0 / (v * v)))
-
-
-def sqrt(x):
-    def derivs(v):
-        s = _sqrt(v)
-        return (s, 0.5 / s, -0.25 / (s * v))
-    return _dispatch(x, _sqrt, derivs)
-
-
-def sinh(x):
-    return _dispatch(x, _sinh, lambda v: (_sinh(v), _cosh(v), _sinh(v)))
-
-
-def cosh(x):
-    return _dispatch(x, _cosh, lambda v: (_cosh(v), _sinh(v), _cosh(v)))
-
-
-def tanh(x):
-    def derivs(v):
-        t = _tanh(v)
-        s = 1.0 - t * t
-        return (t, s, -2.0 * t * s)
-    return _dispatch(x, _tanh, derivs)
-
-
-def arctan(x):
-    def derivs(v):
-        d = 1.0 / (1.0 + v * v)
-        return (_atan(v), d, -2.0 * v * d * d)
-    return _dispatch(x, _atan, derivs)
+# each function applies its dispatcher to a number and the chain rule to a
+# jet, whose locals v, f and a fill the rule's slots
+exec(compile("".join(f"""
+def {name}(x):
+    if not isinstance(x, Jet):
+        return _{name}(x)
+    a = x.val
+    {first}
+    {second}
+    return x._chain(v, f, lambda: {f2})
+""".format(v="v", f="f", a="a") for name, (_, _, first, second, f2) in RULES.items()),
+             "<jet functions>", "exec"), globals())
 
 
 def conjugate(x):

@@ -17,6 +17,7 @@ from geodyn.exprs import (
     default_coordinate_names,
     differentiate,
 )
+from geodyn import jets
 from geodyn.fields import scalar_field
 from geodyn.jets import Jet, variables
 from geodyn.tensors import Point
@@ -37,6 +38,22 @@ def test_functions_and_pi():
     e = compile_expression("sin(pi/2) + cos(0) + sqrt(4)", ("x",))
     assert abs(e((0.0,)) - 4.0) < 1e-14
     assert set(FUNCTION_NAMES) >= {"sin", "cos", "exp", "log", "arctan"}
+
+
+def test_every_list_of_the_functions_is_the_rules_table():
+    # a rule added to jets.RULES reaches the language, the public jet
+    # functions, their dispatchers and the derivative code's globals
+    names = set(jets.RULES)
+    assert set(FUNCTIONS) == set(FUNCTION_NAMES) == names
+    assert set(jets.__all__) - {"Jet", "variables", "conjugate", "PI"} == names
+    assert all(FUNCTIONS[n] is getattr(jets, n) and getattr(jets, n).__name__ == n
+               for n in names)
+    dispatchers = {n for n, f in vars(jets).items()
+                   if getattr(f, "__qualname__", "") == "_c.<locals>.apply"}
+    assert dispatchers == {f"_{n}" for n in names}
+    code = differentiate([compile_expression("x", ("x",))])
+    assert set(code.__globals__) - {"__builtins__", "_mlog", "_derivatives"} == dispatchers
+    assert all(code.__globals__[d] is getattr(jets, d) for d in dispatchers)
 
 
 def test_free_names_and_arity_check():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geodyn.exprs import FUNCTION_NAMES, ExpressionError, compile_expression
+from geodyn.exprs import FUNCTION_NAMES, ExpressionError, compile_expression, differentiate
 from geodyn.fields import (ChartField, _collect, constant_field, entry_field, fd_jets,
                            scalar_field)
 from geodyn import jets
@@ -298,6 +298,25 @@ def test_generated_code_raises_as_the_eval_path(source):
         with pytest.raises(type(want.value)) as got:
             field.jets(p, order=1)
         assert str(got.value) == str(want.value), source
+
+
+@pytest.mark.parametrize("source", ["(x-x)^1.5", "log(x*1e-170)", "1/(x*1e-110)",
+                                    "sqrt(x*1e-300)"])
+def test_order1_jets_form_no_second_derivative(source):
+    # each second-derivative factor at x = 0.7 divides by an underflowed
+    # zero; order 1 forms none, so a closure-built field's jets give the
+    # generated code's value and gradient at a Point and on a block, and
+    # only order 2 raises at a Point
+    expr = compile_expression(source, ("x",))
+    field = ChartField(dim=1, shape=(), func=expr)
+    vals, grads = differentiate([expr])([0.7])
+    want = [np.array(vals[0]).tobytes(), np.array(grads).tobytes()]
+    val, d1, d2 = field.jets(Point((0.7,)), order=1)
+    assert [val.tobytes(), d1.tobytes()] == want and d2 is None
+    val, d1, _ = field.jets(np.array([[0.7]]), order=1)
+    assert [val.tobytes(), d1.tobytes()] == want
+    with pytest.raises(ZeroDivisionError):
+        field.jets(Point((0.7,)), order=2)
 
 
 def test_generated_code_computes_a_shared_subexpression_once(monkeypatch):

@@ -166,6 +166,19 @@ def test_generalized_metric_requires_one_backing():
         GeneralizedMetric(2, vielbein=e, gamma_field=e.field)
 
 
+def test_generalized_metric_rejects_a_source_of_another_dimension():
+    # a 4-dim frame under a 3-dim metric once ended in an IndexError in the
+    # geodesic stage; now construction names the mismatch
+    with pytest.raises(ValueError, match=r"vielbein field of shape \(4, 4\) over 4 "
+                                         r"coordinates, expected \(3, 3\) over 3"):
+        GeneralizedMetric(3, vielbein=flat(4))
+    names = ("x", "y", "z")
+    off_chart = entry_field([[compile_expression("1.0" if a == m else "0.0", names)
+                              for m in range(2)] for a in range(2)])
+    with pytest.raises(ValueError, match=r"gamma field of shape \(2, 2\) over 3 "):
+        GeneralizedMetric(2, gamma_field=off_chart)
+
+
 def test_metric_field_route_matches_vielbein_route():
     e = sphere2()
 
