@@ -21,24 +21,19 @@ coordinate-free subexpression that is not a finite number (``1e999``,
 evaluated by Python with no builtins in reach: only the coordinates, the
 functions and pi.
 
-``differentiate`` turns the validated trees of a field's expressions into
-one straight-line Python function from float coordinates to the values and
-the flat gradient, forward mode by source transformation (Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3).  Each node
-becomes the float operations that order-1 jets perform on it, in the same
-order: a function call becomes the value and derivative statements of its
-rule in ``jets.RULES``, the table the jet functions are written from, with
-``jets``' math/cmath dispatchers.  So the code gives the bits of order-1
-jets at a point, a complex intermediate included, and raises where they
-raise, in about a tenth of their time.  It computes a subexpression that
-the field's entries share once.
+``differentiate`` turns a field's expressions into one straight-line Python
+function from float coordinates to the values and the flat gradient: the
+code that ``jets.derivative_code`` records while the expressions run once
+on order-1 jets.  So it performs exactly the float operations of order-1
+jets at a point, a complex intermediate included, gives their bits and
+raises where they raise, in about a tenth of their time.  It computes a
+subexpression that the field's entries share once.
 """
 
 from __future__ import annotations
 
 import ast
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable
 from types import CodeType
@@ -199,134 +194,6 @@ def _validate(node: ast.AST, coords: tuple, source: str):
         f"{type(node).__name__} not part of the expression grammar{_where(node, source)}")
 
 
-# -- order-1 derivative code --------------------------------------------------
-#
-# A node's result is (value, None) for a coordinate-free node, whose value
-# is computed once here as the eval path computes it, or (name, grads) for
-# one that depends on the coordinates: the local holding its value and its
-# n gradient entries (locals, or the literals of a coordinate's unit row).
-
-class _Writer:
-    """The statements and the globals of one generated function.
-
-    A statement or a constant that was written before is not written again:
-    its local is reused, which gives the same bits, so a subexpression that
-    the entries share is computed once."""
-
-    def __init__(self):
-        self.lines, self.seen = [], {}
-        self.names = {"__builtins__": {}, "_mlog": math.log,
-                      **{f"_{fn}": getattr(_jets, f"_{fn}") for fn in _jets.RULES}}
-
-    def let(self, expr: str) -> str:
-        if expr not in self.seen:
-            self.seen[expr] = f"_t{len(self.lines)}"
-            self.lines.append(f"{self.seen[expr]} = {expr}")
-        return self.seen[expr]
-
-    def const(self, value) -> str:
-        # repr tells -0.0 from 0.0 and 1 from 1.0
-        key = (type(value), repr(value))
-        if key not in self.seen:
-            self.seen[key] = f"_k{len(self.names)}"
-            self.names[self.seen[key]] = value
-        return self.seen[key]
-
-    def scaled(self, f: str, grads: list) -> list:
-        # the jets' chain rule: f1 times each gradient entry
-        return [self.let(f"{f} * {g}") for g in grads]
-
-    def call(self, fn: str, a: str, grads: list) -> tuple:
-        if (fn, a) not in self.seen:
-            v, f = f"_t{len(self.lines)}v", f"_t{len(self.lines)}f"
-            _, _, first, second, _ = _jets.RULES[fn]
-            self.lines += [line.format(v=v, f=f, a=a) for line in (first, second)]
-            self.seen[fn, a] = v, f
-        v, f = self.seen[fn, a]
-        return v, self.scaled(f, grads)
-
-    def neg(self, a: str, grads: list) -> tuple:
-        return self.let(f"-{a}"), [self.let(f"-{g}") for g in grads]
-
-    def add(self, a, ga, b, gb) -> tuple:
-        if ga is None:  # c + A is A + c
-            a, ga, b, gb = b, gb, a, ga
-        if gb is None:
-            return self.let(f"{a} + {b}"), ga
-        return self.let(f"{a} + {b}"), [self.let(f"{x} + {y}") for x, y in zip(ga, gb)]
-
-    def sub(self, a, ga, b, gb) -> tuple:
-        if ga is None:
-            return self.let(f"{a} - {b}"), [self.let(f"-{y}") for y in gb]
-        if gb is None:  # A - c is A + (-c)
-            return self.let(f"{a} + (-{b})"), ga
-        return self.add(a, ga, *self.neg(b, gb))
-
-    def mul(self, a, ga, b, gb) -> tuple:
-        if ga is None:  # c * A is A * c
-            a, ga, b, gb = b, gb, a, ga
-        if gb is None:
-            return self.let(f"{a} * {b}"), [self.let(f"{x} * {b}") for x in ga]
-        return self.let(f"{a} * {b}"), [self.let(f"{x} * {b} + {a} * {y}")
-                                        for x, y in zip(ga, gb)]
-
-    def div(self, a, ga, b, gb) -> tuple:
-        if ga is None:  # c / A: value c/v, derivative -c/(v*v)
-            v = self.let(f"{a} / {b}")
-            return v, self.scaled(self.let(f"-{a} / ({b} * {b})"), gb)
-        if gb is None:  # A / c is A * (1.0 / c)
-            inv = self.let(f"1.0 / {b}")
-            return self.let(f"{a} * {inv}"), [self.let(f"{x} * {inv}") for x in ga]
-        v = self.let(f"{a} / {b}")
-        return v, [self.let(f"({x} - {v} * {y}) / {b}") for x, y in zip(ga, gb)]
-
-    def pow(self, a, ga, b, gb, k) -> tuple:
-        """A ** B; k is the value of a constant exponent B."""
-        if ga is None:  # c ** A is exp(A * log(c))
-            lc = self.let(f"_mlog({a})")
-            return self.call("exp", *self.mul(b, gb, lc, None))
-        if gb is not None:  # A ** B is exp(B * log(A))
-            return self.call("exp", *self.mul(b, gb, *self.call("log", a, ga)))
-        if k == 0:
-            # jets give 0j where a gradient entry is complex, but then so is
-            # the value, which makes the stacked gradient complex anyway
-            return self.let(f"{a} ** 0"), ["0.0"] * len(ga)
-        if k == 1:
-            return a, ga
-        v = self.let(f"{a} ** {b}")
-        return v, self.scaled(self.let(f"{b} * {a} ** ({b} - 1)"), ga)
-
-    def node(self, node: ast.AST, index: dict) -> tuple:
-        """(value, None) or (name, grads) of a validated node; index maps the
-        coordinate names to their positions."""
-        if isinstance(node, ast.Constant):
-            return node.value, None
-        if isinstance(node, ast.Name):
-            if node.id not in index:
-                return CONSTANTS[node.id], None
-            i = index[node.id]
-            return f"_x{i}", ["1.0" if j == i else "0.0" for j in range(len(index))]
-        if isinstance(node, ast.UnaryOp):
-            a, ga = self.node(node.operand, index)
-            if ga is None:
-                return _UNARYOPS[type(node.op)](a), None
-            return (a, ga) if isinstance(node.op, ast.UAdd) else self.neg(a, ga)
-        if isinstance(node, ast.Call):
-            fn = node.func.id
-            a, ga = self.node(node.args[0], index)
-            return (FUNCTIONS[fn](a), None) if ga is None else self.call(fn, a, ga)
-        op = type(node.op)
-        (a, ga), (b, gb) = self.node(node.left, index), self.node(node.right, index)
-        if ga is None and gb is None:
-            return _BINOPS[op](a, b), None
-        k = b
-        a, b = (self.const(a) if ga is None else a), (self.const(b) if gb is None else b)
-        if op is ast.Pow:
-            return self.pow(a, ga, b, gb, k)
-        return {ast.Add: self.add, ast.Sub: self.sub, ast.Mult: self.mul,
-                ast.Div: self.div}[op](a, ga, b, gb)
-
-
 def differentiate(exprs) -> Callable:
     """The order-1 derivative code of compiled expressions over n coordinates.
 
@@ -336,15 +203,7 @@ def differentiate(exprs) -> Callable:
     and an evaluation error is the one that the expressions raise.
     """
     n = len(exprs[0].coordinates)
-    w, values, grads = _Writer(), [], []
     for e in exprs:
         if len(e.coordinates) != n:
             raise ExpressionError(f"expressions over {n} and {len(e.coordinates)} coordinates")
-        v, g = w.node(_parse(e.source).body, {c: i for i, c in enumerate(e.coordinates)})
-        values.append(w.const(v) if g is None else v)
-        grads += ["0.0"] * n if g is None else g
-    body = "\n".join(f"    {line}" for line in
-                     ["".join(f"_x{i}, " for i in range(n)) + "= _c", *w.lines,
-                      f"return [{', '.join(values)}], [{', '.join(grads)}]"])
-    exec(compile(f"def _derivatives(_c):\n{body}\n", "<derivative code>", "exec"), w.names)
-    return w.names["_derivatives"]
+    return _jets.derivative_code(lambda xs: [e(xs) for e in exprs], n)

@@ -10,10 +10,11 @@ axis first in its results.
 
 ``entry_field`` builds an expression-built field from an array of compiled
 expressions: at a Point, order 1 runs the derivative code that
-:func:`geodyn.exprs.differentiate` generates from the expressions on the
-field's first such call (``point_code``).  Every other evaluation, and order
-1 of a field built from a closure, runs the evaluator on numpy-gradient jets,
-which form no second derivative at order 1, so both routes raise alike.
+:func:`geodyn.exprs.differentiate` records from the expressions' order-1
+jets on the field's first such call (``point_code``).  Every other
+evaluation, and order 1 of a field built from a closure, runs the evaluator
+on numpy-gradient jets, which form no second derivative at order 1, so both
+routes raise alike.
 ``fd_jets(field, p, order)`` gives the same arrays at a Point from central
 differences, the independent oracle for the jet routes, with relative steps
 FD_STEP for first and FD_STEP2 for second derivatives.

@@ -12,10 +12,15 @@ serves it, using numpy ufuncs where scalar jets call ``math``/``cmath``.
 
 The functions sin ... arctan are written at import from ``RULES``, which
 states each one's value and first and second derivatives once.  At one
-point, order 1 of an expression-built field does not use jets: it runs the
-straight-line float code that :func:`geodyn.exprs.differentiate` writes
-from the same rules, which gives the same bits.  An order-1 jet forms no
-second derivative, so both raise where the first-order operations fail.
+point, order 1 of an expression-built field runs straight-line float code
+instead (:func:`geodyn.exprs.differentiate`), which :func:`derivative_code`
+records by running the expressions once on order-1 jets whose numbers are
+:class:`Recorded`: each operation on such a number writes one statement
+(forward mode by operator overloading, recorded; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3 and 6).  So the code
+performs exactly the operations of order-1 jets, gives their bits and
+raises where they raise, in about a tenth of their time.  An order-1 jet
+forms no second derivative.
 
 Only smooth operations are provided.  ``abs`` is deliberately absent.
 """
@@ -24,6 +29,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from numbers import Number
+from typing import Callable
 
 import numpy as np
 
@@ -32,9 +39,8 @@ from .tensors import _identity
 # The elemental rules of the expression language's functions, each stated
 # once: name -> (math/cmath name, ufunc, the two statements that set the
 # value {v} and the first derivative {f} at {a}, in evaluation order, and the
-# second derivative there).  The jet functions below and the order-1 code of
-# geodyn.exprs.differentiate are both written from them, so they perform the
-# same operations; _name is the dispatcher of the function itself.
+# second derivative there).  The jet functions below are written from them;
+# _name is the dispatcher of the function itself.
 RULES = {
     "sin": ("sin", np.sin, "{v} = _sin({a})", "{f} = _cos({a})", "-{v}"),
     "cos": ("cos", np.cos, "{v} = _cos({a})", "{f} = -_sin({a})", "-{v}"),
@@ -140,7 +146,7 @@ class Jet:
         if isinstance(k, Jet):
             return exp(k * log(self))
         if k == 0:
-            return Jet(self.val ** 0, np.zeros_like(self.grad),
+            return Jet(self.val ** 0, np.full_like(self.grad, 0.0),
                        None if self.hess is None else np.zeros_like(self.hess))
         if k == 1:
             return self
@@ -148,7 +154,7 @@ class Jet:
         return self._chain(v ** k, k * v ** (k - 1), lambda: k * (k - 1) * v ** (k - 2))
 
     def __rpow__(self, base):
-        return exp(self * math.log(base))
+        return exp(self * _log(base))
 
     def __float__(self):
         raise TypeError("Jet cannot be silently demoted to float; use .val")
@@ -186,8 +192,9 @@ def variables(coords, order: int = 2) -> tuple:
                  for i, xi in enumerate(coords))
 
 
-def _c(fn, ufunc):
-    """Evaluate a math/cmath function on a scalar, or its ufunc on an array."""
+def _c(name, fn, ufunc):
+    """Evaluate a math/cmath function on a scalar, or its ufunc on an array;
+    on a Recorded number, write a call of the dispatcher _name itself."""
     real, cplx = getattr(math, fn), getattr(cmath, fn)
 
     def apply(v):
@@ -195,11 +202,13 @@ def _c(fn, ufunc):
             return real(v)
         if isinstance(v, np.ndarray):
             return ufunc(v)
+        if isinstance(v, Recorded):
+            return v.tape.let(f"_{name}({v.name})")
         return cplx(v) if isinstance(v, complex) or np.iscomplexobj(v) else real(v)
     return apply
 
 
-globals().update({f"_{name}": _c(fn, ufunc) for name, (fn, ufunc, *_) in RULES.items()})
+globals().update({f"_{name}": _c(name, fn, ufunc) for name, (fn, ufunc, *_) in RULES.items()})
 
 # each function applies its dispatcher to a number and the chain rule to a
 # jet, whose locals v, f and a fill the rule's slots
@@ -219,3 +228,111 @@ def conjugate(x):
     if isinstance(x, Jet):
         return x.conjugate()
     return np.conjugate(x)
+
+
+# -- recorded order-1 code ------------------------------------------------
+
+
+def _recorded(op):
+    """The operator op on a Recorded number, and its reflected form."""
+    def forward(self, other):
+        if not isinstance(other, (Recorded, Number)):
+            return NotImplemented  # an array applies op entry by entry
+        return self.tape.let(f"{self.name} {op} {self.tape.ref(other)}")
+
+    def reflected(self, other):
+        if not isinstance(other, Number):
+            return NotImplemented
+        return self.tape.let(f"{self.tape.ref(other)} {op} {self.name}")
+    return forward, reflected
+
+
+class Recorded:
+    """A number of the code that a Tape records: the name of its local.
+
+    Each arithmetic operation on it writes one statement and returns the
+    local of the result; the dispatchers _sin ... _arctan write a call of
+    themselves.  Numbers that are not recorded, the constants and the
+    unit-row entries, are computed as they are.
+    """
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape, name: str):
+        self.tape, self.name = tape, name
+
+    __add__, __radd__ = _recorded("+")
+    __sub__, __rsub__ = _recorded("-")
+    __mul__, __rmul__ = _recorded("*")
+    __truediv__, __rtruediv__ = _recorded("/")
+    __pow__, __rpow__ = _recorded("**")
+
+    def __neg__(self):
+        return self.tape.let(f"-{self.name}")
+
+    def __pos__(self):
+        return self.tape.let(f"+{self.name}")
+
+
+class Tape:
+    """The statements of one recorded function, and the globals they read:
+    the dispatchers and the constants.
+
+    A statement or a constant that was written before is not written again:
+    its name is reused, which gives the same bits, so a subexpression that
+    several outputs share is computed once.
+    """
+
+    def __init__(self):
+        self.lines, self.seen = [], {}
+        self.names = {"__builtins__": {}, **{f"_{name}": globals()[f"_{name}"] for name in RULES}}
+
+    def let(self, expr: str) -> Recorded:
+        if expr not in self.seen:
+            self.seen[expr] = Recorded(self, f"_t{len(self.lines)}")
+            self.lines.append(f"{self.seen[expr].name} = {expr}")
+        return self.seen[expr]
+
+    def ref(self, x) -> str:
+        """The name of a number in the code: its local, or a constant's."""
+        if isinstance(x, Recorded):
+            return x.name
+        if isinstance(x, np.generic):
+            x = x.item()
+        # repr tells -0.0 from 0.0 and 1 from 1.0
+        key = (type(x), repr(x))
+        if key not in self.seen:
+            self.seen[key] = f"_k{len(self.names)}"
+            self.names[self.seen[key]] = x
+        return self.seen[key]
+
+
+def derivative_code(fn: Callable, n: int) -> Callable:
+    """The recorded order-1 code of fn, a function from n coordinates to a
+    list of numbers and jets.
+
+    Returns ``f(coords) -> (values, grads)``: fn's values at float
+    coordinates as a list, and their gradients as one flat list, output by
+    output, computed by the float operations that order-1 jets perform
+    there.  An ArithmeticError or ValueError that fn raises while recording
+    comes from operations on constants alone, so it is the same at every
+    point: the code raises it where it happened, after the errors of the
+    operations before it.
+    """
+    tape = Tape()
+    xs = [Jet(Recorded(tape, f"_x{i}"), row.astype(object)) for i, row in enumerate(_identity(n))]
+    try:
+        # Python's float operations on the unit rows' entries set the flags
+        # that numpy's object loops turn into warnings
+        with np.errstate(all="ignore"):
+            out = fn(xs)
+    except (ArithmeticError, ValueError) as e:
+        tape.lines.append(f"raise {tape.ref(type(e))}(*{tape.ref(e.args)})")
+    else:
+        out = [y if isinstance(y, Jet) else Jet(y, [0.0] * n) for y in out]
+        tape.lines.append(f"return [{', '.join(tape.ref(y.val) for y in out)}], "
+                          f"[{', '.join(tape.ref(g) for y in out for g in y.grad)}]")
+    body = "\n".join(f"    {line}" for line in
+                     ["".join(f"_x{i}, " for i in range(n)) + "= _c", *tape.lines])
+    exec(compile(f"def _derivatives(_c):\n{body}\n", "<derivative code>", "exec"), tape.names)
+    return tape.names["_derivatives"]

@@ -156,7 +156,9 @@ def _geodesic_config(tmp_path, diagonal, start):
 
 def test_geodesic_failures_are_task_failures_not_tracebacks(tmp_path, capsys):
     cases = [(["1/x0", "1"], [0.0, 0.0], "message: float division by zero"),
-             (["x0^0.5", "1"], [-0.5, 0.0], "message: complex metric value at (-0.5, 0.0)")]
+             (["x0^0.5", "1"], [-0.5, 0.0], "message: complex metric value at (-0.5, 0.0)"),
+             (["((-1)^0.5)^x0", "1"], [0.55, 0.55],
+              "message: complex metric value at (0.55, 0.55)")]
     for diagonal, start, reason in cases:
         out_dir = tmp_path / "out"
         code, out, _ = _run(["run", _geodesic_config(tmp_path, diagonal, start),
@@ -201,6 +203,8 @@ def test_evaluation_errors_are_task_failures_not_tracebacks(tmp_path, capsys):
          "00-curvature-at-points.csv", "message: complex metric value at (-0.5, 0.3)"),
         (_curvature_config(tmp_path, "reciprocal", ["1/x0", "1"], [0.0, 0.3]),
          "00-curvature-at-points.csv", "message: float division by zero"),
+        (_curvature_config(tmp_path, "complex-base", ["((-1)^0.5)^x0", "1"], [-0.5, 0.3]),
+         "00-curvature-at-points.csv", "message: complex metric value at (-0.5, 0.3)"),
         (_reference_config(tmp_path, "complex-reference", "sin(theta)^2 + (0 - 1)^0.5"),
          "02-limit-check.csv", "message: complex metric value at (0.7, 0.3)"),
         # a NaN metric entry used to pass the singularity guard unnoticed

@@ -52,7 +52,8 @@ def test_every_list_of_the_functions_is_the_rules_table():
                    if getattr(f, "__qualname__", "") == "_c.<locals>.apply"}
     assert dispatchers == {f"_{n}" for n in names}
     code = differentiate([compile_expression("x", ("x",))])
-    assert set(code.__globals__) - {"__builtins__", "_mlog", "_derivatives"} == dispatchers
+    names = {n for n in code.__globals__ if not n.startswith("_k")}
+    assert names - {"__builtins__", "_derivatives"} == dispatchers
     assert all(code.__globals__[d] is getattr(jets, d) for d in dispatchers)
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from geodyn.exprs import FUNCTION_NAMES, ExpressionError, compile_expression, differentiate
 from geodyn.fields import (ChartField, _collect, constant_field, entry_field, fd_jets,
                            scalar_field)
-from geodyn import jets
 from geodyn.jets import Jet, cosh, exp, sin, variables
 from geodyn.library import BUILTIN_FRAMES
 from geodyn.tensors import Point
@@ -234,7 +233,7 @@ EXPRESSIONS = (
     [f"{fn}(0.3*x + 0.1*y*z)" for fn in FUNCTION_NAMES]
     + ["-x", "1 - x", "x/y", "2/(x*y)", "x^0", "x^1", "x^y", "2^x", "3*x^2 - 2*y + 1",
        "y - z/4", "2*pi", "7", "(x*y)^0.5 + sqrt(z)/(1 + y^2)",
-       "(x + y)/(x*y + z)", "(x*y - z)^2/(1 + x*z) - exp(-y*z)"])
+       "(x + y)/(x*y + z)", "(x*y - z)^2/(1 + x*z) - exp(-y*z)", "-(sin(y)^0)"])
 
 
 def _expression_field(sources):
@@ -246,6 +245,10 @@ def _point_route_cases():
         yield name, BUILTIN_FRAMES[name][0]().field
     yield "expressions", _expression_field(EXPRESSIONS)
     yield "complex-value", _expression_field(["(x - 1)^0.5", "x*y"])
+    # a complex constant base; and a complex minus a real jet, whose zero
+    # imaginary gradient entry keeps its sign
+    yield "complex-base", _expression_field(["((0 - 1)^0.5)^x", "x*y"])
+    yield "complex-minus-real", _expression_field(["(x - 1)^2.5 - y", "x*y"])
     # at (0.7, 3.1, 1.2) both roots are imaginary, so these multiply and
     # divide complex intermediates by complex ones
     yield from COMPLEX_BY_COMPLEX.items()
@@ -286,10 +289,12 @@ def test_point_jets_match_the_order2_route(name, field):
         assert (np.abs(a - b) <= COMPLEX_ULPS * ulp).all(), (name, a - b, ulp)
 
 
-@pytest.mark.parametrize("source", ["sqrt(x - 5)", "1/(x - x)", "exp(1000*x)"])
+@pytest.mark.parametrize("source", ["sqrt(x - 5)", "1/(x - x)", "exp(1000*x)", "x/0",
+                                    "sqrt(x - 5) + x/0"])
 def test_generated_code_raises_as_the_eval_path(source):
     # a domain error, a division by zero and an overflow: the generated
-    # code raises what evaluating the expression raises, on floats and jets
+    # code raises what evaluating the expression raises, on floats and jets;
+    # an error on constants alone (x/0) comes after the ones before it
     field = _expression_field(["x*y", source])
     p = Point((3.1, 0.7, 1.2))
     for route in (lambda: field.func(p.coords), lambda: field.jets(p, order=2)):
@@ -322,8 +327,9 @@ def test_order1_jets_form_no_second_derivative(source):
 def test_generated_code_computes_a_shared_subexpression_once(monkeypatch):
     # the Schwarzschild entries f and 1/f share f = sqrt(1 - 2m/r)
     calls = []
-    monkeypatch.setattr(jets, "_sqrt", lambda v: calls.append(v) or math.sqrt(v))
     frame = BUILTIN_FRAMES["schwarzschild"][0]()
+    monkeypatch.setitem(frame.field.point_code.__globals__, "_sqrt",
+                        lambda v: calls.append(v) or math.sqrt(v))
     val, _, _ = frame.field.jets(Point((0.0, 6.0, 1.2, 0.3)), order=1)
     assert calls == [1.0 - 2.0 / 6.0]
     assert val[1, 1] == 1.0 / val[0, 0]
