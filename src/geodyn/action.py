@@ -42,7 +42,7 @@ from .connection import (
 )
 from .fields import ChartField
 from .geometry import GeneralizedMetric, Vielbein, ricci_square, riemann_square, sigma_squared
-from .tensors import Point, checked_det
+from .tensors import Point
 
 __all__ = [
     "CutoffFunction",
@@ -347,8 +347,9 @@ def heat_kernel_coefficients(data: HeatKernelData, region: Region,
         else:
             ct = data.metric.curvature(block)
             aa = sig_sq * ct.riemann_squared()
-        # the curvature pass's gamma gives the volume; no second jet pass
-        vol = np.sqrt(np.abs(checked_det(ct.gamma)))
+        # the curvature pass's guarded determinant gives the volume; no
+        # second jet pass or guard
+        vol = ct.volume()
         if data.e_term is not None:
             e_val, e_lap = _laplacian_of_scalar(data.metric, data.e_term, block)
         else:
@@ -663,7 +664,7 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
 
     def density(block):
         ct = curvature(connection, block) if connection is not None else gm.curvature(block)
-        vol = np.sqrt(np.abs(checked_det(ct.gamma)))
+        vol = ct.volume()
         gauge = higgs = 0.0
         if connection is not None:
             norm = sm_lagrangian_normalized(ct, f0=m.m0, f4=m.m4,

@@ -263,8 +263,12 @@ class CurvatureForm(CurvatureTensors):
 
     def square_scalar(self, two_form: np.ndarray) -> complex:
         """tr(F_mn F^mn) for a matrix two-form stored [m, n, i, j]."""
-        up = np.einsum("...nb,...mbij->...mnij", self.gamma_inv,
-                       np.einsum("...ma,...abij->...mbij", self.gamma_inv, two_form))
+        ginv = self.gamma_inv
+        n = ginv.shape[-1]
+        # raise m on the rows (b, i, j), then n on the rows (i, j) of each m
+        up = (ginv @ two_form.reshape(two_form.shape[:-4] + (n, -1))).reshape(
+            two_form.shape[:-4] + (n, n, -1))
+        up = (ginv[..., None, :, :] @ up).reshape(two_form.shape)
         return _unbatched(np.einsum("...mnij,...mnji->...", two_form, up))
 
     def component_square(self, comp: np.ndarray) -> float:
@@ -284,8 +288,8 @@ class CurvatureForm(CurvatureTensors):
 def field_strength_square(comp: np.ndarray, ginv: np.ndarray):
     """sum_a F^a_mn F^{a mn} of components [..., a, m, n] raised by ginv,
     batched as geometry.riemann_square."""
-    up = np.einsum("...nb,...cmb->...cmn", ginv,
-                   np.einsum("...ma,...cab->...cmb", ginv, comp))
+    g = ginv[..., None, :, :]
+    up = g @ comp @ g.swapaxes(-1, -2)
     return _unbatched(np.real(np.einsum("...cmn,...cmn->...", comp, up)))
 
 

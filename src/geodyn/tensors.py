@@ -22,6 +22,7 @@ __all__ = [
     "MinkowskiSignature",
     "SingularMetricError",
     "checked_inverse",
+    "checked_inverse_and_det",
     "checked_det",
 ]
 
@@ -174,6 +175,13 @@ def checked_inverse(m: np.ndarray) -> np.ndarray:
     diagonal frame's geodesic stage applies the same rule to its metric's
     diagonal without forming the matrix (geodesics.py).
     """
+    return checked_inverse_and_det(m)[0]
+
+
+def checked_inverse_and_det(m: np.ndarray):
+    """(checked_inverse(m), det(m)) under one guard, so a caller that needs
+    both guards once; the determinant is None where it leaves the float
+    range, which checked_det raises on."""
     m = np.asarray(m)
-    _guard(m)
-    return np.linalg.inv(m)
+    det = _guard(m)
+    return np.linalg.inv(m), det

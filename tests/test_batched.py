@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import geodyn.action as action
+import geodyn.tensors as tensors
 from geodyn.action import (GridSpec, HeatKernelData, Region, exponential_cutoff,
                            heat_kernel_coefficients, integrate_scalar, moments,
                            riemannian_limit_action)
@@ -16,9 +17,9 @@ from geodyn.fields import ChartField
 from geodyn.geometry import GeneralizedMetric, sigma_squared
 from geodyn.jets import (arctan, cos, cosh, exp, log, sin, sinh, sqrt, tan, tanh,
                          variables)
-from geodyn.library import BUILTIN_FRAMES, flat, polar, schwarzschild
+from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, flat, polar, schwarzschild
 from geodyn.scenarios import builtin_config, run_scenario
-from geodyn.tensors import Point, SingularMetricError
+from geodyn.tensors import MinkowskiSignature, Point, SingularMetricError
 from test_connection import _antisymmetry, _random_higgs, _random_sm
 
 
@@ -231,6 +232,14 @@ def _check_curvature_rows(monkeypatch, shape, subset):
     assert len(seen) == blocks
 
 
+def _metric_mode_run(which, frame, region, grid):
+    if which == "heat-kernel":
+        heat_kernel_coefficients(HeatKernelData(metric=frame.metric(), aa_mode="metric"),
+                                 region, grid)
+    else:
+        riemannian_limit_action(frame, region, grid, moments(exponential_cutoff()))
+
+
 def _check_jet_orders(monkeypatch, which, shape, subset):
     orders = []
     original = ChartField.jets
@@ -240,13 +249,8 @@ def _check_jet_orders(monkeypatch, which, shape, subset):
         return original(self, p, order=order)
 
     monkeypatch.setattr(ChartField, "jets", counted)
-    frame = schwarzschild()
     grid = GridSpec(shape)
-    if which == "heat-kernel":
-        heat_kernel_coefficients(HeatKernelData(metric=frame.metric(), aa_mode="metric"),
-                                 SCHWARZSCHILD_BOX, grid)
-    else:
-        riemannian_limit_action(frame, SCHWARZSCHILD_BOX, grid, moments(exponential_cutoff()))
+    _metric_mode_run(which, schwarzschild(), SCHWARZSCHILD_BOX, grid)
     # the volume comes from the curvature pass's gamma: no order-1 pass
     assert orders == [2] * _evaluated_rows(grid, subset)[1]
 
@@ -258,6 +262,34 @@ def test_riemannian_limit_evaluates_each_grid_point_once(monkeypatch):
 @pytest.mark.parametrize("which", ["heat-kernel", "riemannian-limit"])
 def test_metric_mode_densities_make_one_jet_pass_per_block(which, monkeypatch):
     _check_jet_orders(monkeypatch, which, SUBSET_GRID, subset=True)
+
+
+@pytest.mark.parametrize("which", ["heat-kernel", "riemannian-limit"])
+def test_metric_mode_densities_guard_each_block_once(which, monkeypatch):
+    # the volume reuses the determinant of the curvature pass's guarded
+    # inverse: one singularity guard per block, not a second on its gamma
+    calls = []
+    original = tensors._guard
+
+    def counted(m):
+        calls.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(tensors, "_guard", counted)
+    grid = GridSpec(SUBSET_GRID)
+    _metric_mode_run(which, schwarzschild(), SCHWARZSCHILD_BOX, grid)
+    rows, blocks = _evaluated_rows(grid, subset=True)
+    assert len(calls) == blocks
+    assert sum(shape[0] for shape in calls) == len(rows)
+
+
+@pytest.mark.parametrize("which", ["heat-kernel", "riemannian-limit"])
+def test_metric_mode_volume_outside_the_float_range_is_an_arithmetic_error(which):
+    # a frame of 1e80 gives det gamma = -1e640: the guard passes it (it is
+    # scale-free) and the volume raises as checked_det does
+    frame = diagonal_vielbein(["1e80"] * 4, MinkowskiSignature.lorentzian(4))
+    with pytest.raises(ArithmeticError, match="^determinant outside the float range$"):
+        _metric_mode_run(which, frame, UNIT_BOX, GridSpec((2, 2, 2, 2)))
 
 
 @pytest.mark.parametrize("which", ["points", "heat-kernel", "riemannian-limit"])

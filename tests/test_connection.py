@@ -1,5 +1,7 @@
 """Gauge-sector assembly, curvature routes, and trace identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -398,3 +400,44 @@ def test_shared_squares_are_the_curvature_methods(where):
         one = square(tensor, gi)
         np.testing.assert_allclose(square(tensor, stack), [one, 2.0 ** power * one],
                                    rtol=1e-14, atol=0.0)
+
+
+def _einsum_field_strength_square(comp, ginv):
+    up = np.einsum("...nb,...cmb->...cmn", ginv,
+                   np.einsum("...ma,...cab->...cmb", ginv, comp))
+    return np.real(np.einsum("...cmn,...cmn->...", comp, up))
+
+
+def _einsum_square_scalar(ginv, two_form):
+    up = np.einsum("...nb,...mbij->...mnij", ginv,
+                   np.einsum("...ma,...abij->...mbij", ginv, two_form))
+    return np.einsum("...mnij,...mnji->...", two_form, up)
+
+
+@pytest.mark.parametrize("batch", [(), (64,)], ids=["point", "block"])
+def test_gauge_squares_match_their_einsum_forms(batch):
+    # the matmul raises against the contractions they replaced, on dense
+    # inverse metrics; the worst relative deviation measured over 3 x 400
+    # such draws is 7.0e-16
+    rng = np.random.default_rng(17 + len(batch))
+    conn = ConnectionForm(sphere2_cross_flat2(), _random_sm(rng), _random_higgs(rng))
+    where = rng.uniform(0.5, 1.5, size=batch + (4,))
+    f = curvature(conn, Point(tuple(where)) if not batch else where)
+    # not symmetric, so that every index's place counts
+    a = np.eye(4) + 0.2 * rng.standard_normal(batch + (4, 4))
+    ginv = a @ a.swapaxes(-1, -2) + 0.1 * rng.standard_normal(batch + (4, 4))
+    f = dataclasses.replace(f, gamma_inv=ginv)
+
+    def close(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    for comp in (f.b_components, f.w_f, f.g_f):
+        close(field_strength_square(comp, ginv), _einsum_field_strength_square(comp, ginv))
+    # one component form against a stack of inverses, as the field equations'
+    # finite differences raise it
+    comp = f.w_f if not batch else f.w_f[0]
+    stack = (ginv if not batch else ginv[0]) + 1e-3 * rng.standard_normal((2, 3, 4, 4))
+    close(field_strength_square(comp, stack), _einsum_field_strength_square(comp, stack))
+    for form in (f.lam_f[..., None, None], f.q_f, f.v_f, f.gauge_full):
+        close(f.square_scalar(form), _einsum_square_scalar(ginv, form))

@@ -10,12 +10,17 @@ from geodyn.exprs import compile_expression
 from geodyn.fields import ChartField, entry_field, fd_jets
 from geodyn.geometry import (
     CompatibilityResidual,
+    CurvatureTensors,
     GeneralizedMetric,
     Vielbein,
+    _christoffel_jets,
+    _metric_jets,
+    _riemann_from,
     compatibility_residual,
     dirac_matrices,
     flat_gamma_matrices,
     frame_geometry,
+    riemann_square,
     sigma_matrices,
     sigma_squared,
     spin_connection,
@@ -150,7 +155,7 @@ def test_ricci_simplified_matches_full_pipeline_in_unit_volume():
 
     g = GeneralizedMetric(2, gamma_field=ChartField(dim=2, shape=(2, 2), func=func))
     p = Point((0.4, -0.8))
-    _, _, gam, dgam = g.christoffel_with_derivative(p)
+    _, _, gam, dgam, _ = g.christoffel_with_derivative(p)
     # with Gamma^b_ba = 0, R_mn = d_a Gamma^a_mn - Gamma^b_ma Gamma^a_nb
     assert np.abs(np.einsum("bba->a", gam)).max() < 1e-10
     simplified = np.einsum("amna->mn", dgam) - np.einsum("bma,anb->mn", gam, gam)
@@ -418,3 +423,117 @@ def test_vielbein_field_must_be_over_the_signature_dimension():
                           for m in range(4)] for a in range(4)])
     with pytest.raises(ValueError, match=r"over 3 coordinates, expected \(4, 4\) over 4"):
         Vielbein(field, MinkowskiSignature.euclidean(4))
+
+
+# -- the einsum contractions of the order-2 pass, as the oracle of its matmuls --
+
+
+def _einsum_metric_jets(e, de, dde, eta):
+    e_eta = e.swapaxes(-1, -2) @ eta
+    half = np.einsum("...am,...anr->...mnr", e_eta.swapaxes(-1, -2), de)
+    dd = np.einsum("...mb,...bnrs->...mnrs", e_eta, dde)
+    cross = np.einsum("...ams,...anr->...mnrs", de, np.einsum("ab,...bnr->...anr", eta, de))
+    return (e_eta @ e, half + half.swapaxes(-3, -2),
+            dd.swapaxes(-4, -3) + cross.swapaxes(-2, -1) + cross + dd)
+
+
+def _einsum_christoffel_jets(ginv, dg, ddg):
+    sym = dg + dg.swapaxes(-1, -2) - dg.swapaxes(-3, -1).swapaxes(-2, -1)
+    ssym = ddg + ddg.swapaxes(-3, -2) - ddg.swapaxes(-4, -2).swapaxes(-3, -2)
+    dginv = -np.einsum("...mbr,...bn->...mnr",
+                       np.einsum("...ma,...abr->...mbr", ginv, dg), ginv)
+    return 0.5 * (np.einsum("...mlr,...lab->...mabr", dginv, sym)
+                  + np.einsum("...ml,...labr->...mabr", ginv, ssym))
+
+
+def _einsum_riemann_from(ginv, gam, dgam):
+    gg = np.einsum("...rns,...slm->...rnlm", gam, gam)
+    riem = (np.einsum("...rlmn->...rmnl", dgam) - np.einsum("...rnml->...rmnl", dgam)
+            + np.einsum("...rnlm->...rmnl", gg) - np.einsum("...rlnm->...rmnl", gg))
+    ricci = np.einsum("...rmrl->...ml", riem)
+    return riem, ricci, np.einsum("...ml,...ml->...", ginv, ricci)
+
+
+def _einsum_riemann_down(gamma, riem):
+    return np.einsum("...rs,...smnl->...rmnl", gamma, riem)
+
+
+def _einsum_riemann_square(rd, ginv):
+    ru = np.einsum("...mnop,...dp->...mnod", rd, ginv)
+    ru = np.einsum("...mnod,...co->...mncd", ru, ginv)
+    ru = np.einsum("...mncd,...bn->...mbcd", ru, ginv)
+    ru = np.einsum("...mbcd,...am->...abcd", ru, ginv)
+    return np.einsum("...abcd,...abcd->...", rd, ru)
+
+
+def _dense_frame_jets(rng, batch, n):
+    """Random dense frame jets: E = I + 0.2 noise, dde symmetric in (r, s)."""
+    e = np.eye(n) + 0.2 * rng.standard_normal(batch + (n, n))
+    de = rng.standard_normal(batch + (n, n, n))
+    dde = rng.standard_normal(batch + (n, n, n, n))
+    return e, de, dde + dde.swapaxes(-1, -2)
+
+
+# Deviation from the einsum forms, relative to the largest entry, worst over
+# 6 x 1200 such draws (half of them 64-point blocks): 5.4e-15 for the plain
+# contractions (metric jets, dGamma, R_rmnl); 4.6e-13 for Riemann and Ricci
+# and 1.2e-11 for the scalar and R.R, which add terms of both signs that can
+# nearly cancel.  An index out of place moves them by order 1.
+PRODUCT_RTOL, CANCELLING_RTOL = 1e-13, 1e-9
+
+
+def _assert_close(got, want, rtol=PRODUCT_RTOL):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = max(float(np.abs(want).max()), 1e-300)
+    assert float(np.abs(got - want).max()) <= rtol * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
+@pytest.mark.parametrize("batch", [(), (64,)], ids=["point", "block"])
+def test_order2_contractions_match_their_einsum_forms(n, signature, batch):
+    rng = np.random.default_rng(100 * n + len(batch) + (signature == "lorentzian"))
+    eta = getattr(MinkowskiSignature, signature)(n).matrix
+    for _ in range(5):
+        e, de, dde = _dense_frame_jets(rng, batch, n)
+        g, dg, ddg = _metric_jets(e, de, dde, eta)
+        ref = _einsum_metric_jets(e, de, dde, eta)
+        assert np.array_equal(g, ref[0])  # the one product both forms share
+        _assert_close(dg, ref[1])
+        _assert_close(ddg, ref[2])
+        # each later stage is fed the reference's own inputs
+        g, dg, ddg = ref
+        g_out, ginv, gam, dgam, det = _christoffel_jets(g, dg, ddg)
+        assert g_out is g
+        assert np.array_equal(ginv, np.linalg.inv(g))
+        assert np.array_equal(det, np.linalg.det(g))
+        _assert_close(dgam, _einsum_christoffel_jets(ginv, dg, ddg))
+        ref = _einsum_riemann_from(ginv, gam, dgam)
+        for got, want in zip(_riemann_from(ginv, gam, dgam), ref):
+            _assert_close(got, want, CANCELLING_RTOL)
+        ct = CurvatureTensors(point=None, riemann=ref[0], ricci=ref[1], scalar=ref[2],
+                              gamma=g, gamma_inv=ginv, det=det)
+        rd = ct.riemann_down()
+        _assert_close(rd, _einsum_riemann_down(g, ref[0]))
+        rd = _einsum_riemann_down(g, ref[0])
+        _assert_close(riemann_square(rd, ginv), _einsum_riemann_square(rd, ginv),
+                      CANCELLING_RTOL)
+        # and arrays without the symmetries of Gamma, gamma and Riemann, so
+        # that every index's place counts
+        gam_d, dgam_d = rng.standard_normal(gam.shape), rng.standard_normal(dgam.shape)
+        for got, want in zip(_riemann_from(ginv, gam_d, dgam_d),
+                             _einsum_riemann_from(ginv, gam_d, dgam_d)):
+            _assert_close(got, want, CANCELLING_RTOL)
+        g_d, dense = rng.standard_normal(g.shape), rng.standard_normal(rd.shape)
+        ct_d = CurvatureTensors(point=None, riemann=dense, ricci=None, scalar=None,
+                                gamma=g_d, gamma_inv=ginv, det=None)
+        _assert_close(ct_d.riemann_down(), _einsum_riemann_down(g_d, dense))
+        _assert_close(riemann_square(dense, ginv), _einsum_riemann_square(dense, ginv),
+                      CANCELLING_RTOL)
+        # one covariant tensor against a stack of inverses, as the field
+        # equations' finite differences raise it
+        single, g0 = (rd, ginv) if not batch else (rd[0], ginv[0])
+        stack = g0 + 1e-3 * rng.standard_normal((2, 3, n, n))
+        _assert_close(riemann_square(single, stack), _einsum_riemann_square(single, stack),
+                      CANCELLING_RTOL)

@@ -3,7 +3,7 @@ import pytest
 
 from geodyn.library import schwarzschild
 from geodyn.tensors import (MinkowskiSignature, Point, SingularMetricError,
-                            checked_det, checked_inverse)
+                            checked_det, checked_inverse, checked_inverse_and_det)
 
 
 def test_point_is_hashable_and_ordered():
@@ -132,6 +132,11 @@ def test_guard_is_scale_free_up_to_the_float_range():
             assert np.allclose(inv @ m, np.eye(4), rtol=0.0, atol=1e-12)
         with pytest.raises(ArithmeticError, match="determinant outside the float range"):
             checked_det(m)
+        inv, det = checked_inverse_and_det(m)
+        assert det is None and np.array_equal(inv, checked_inverse(m))
+    pair = np.stack([healthy, 2.0 * healthy])
+    inv, det = checked_inverse_and_det(pair)
+    assert np.array_equal(inv, checked_inverse(pair)) and np.array_equal(det, checked_det(pair))
 
 
 def test_nan_and_inf_entries_are_rejected_with_a_reason():
