@@ -2,14 +2,8 @@
 triples, and cutoff-expansion action evaluation on coordinate charts."""
 
 from .tensors import MinkowskiSignature, Point, SingularMetricError
-from .fields import ChartField, constant_field, scalar_field
-from .geometry import (
-    GeneralizedMetric,
-    Vielbein,
-    compatibility_residual,
-    dirac_matrices,
-    spin_connection,
-)
+from .fields import ChartField
+from .geometry import GeneralizedMetric, Vielbein
 from .geodesics import Trajectory, integrate_geodesic
 from .connection import (
     ConnectionForm,
@@ -42,7 +36,6 @@ from .action import (
     moments,
     riemannian_limit_action,
     spectral_action,
-    unification_scale,
 )
 from .scenarios import BUILTIN_SCENARIOS, RunReport, builtin_config, run_scenario
 
@@ -50,9 +43,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MinkowskiSignature", "Point", "SingularMetricError",
-    "ChartField", "constant_field", "scalar_field",
+    "ChartField",
     "GeneralizedMetric", "Vielbein",
-    "compatibility_residual", "dirac_matrices", "spin_connection",
     "Trajectory", "integrate_geodesic",
     "ConnectionForm", "HiggsField", "SMGaugeConfig",
     "curvature", "curvature_squared",
@@ -62,7 +54,7 @@ __all__ = [
     "ActionReport", "CutoffFunction", "GridSpec", "HeatKernelData",
     "Moments", "Region", "field_equation_residual",
     "heat_kernel_coefficients", "moments",
-    "riemannian_limit_action", "spectral_action", "unification_scale",
+    "riemannian_limit_action", "spectral_action",
     "BUILTIN_SCENARIOS", "RunReport", "builtin_config", "run_scenario",
     "__version__",
 ]

@@ -64,7 +64,6 @@ __all__ = [
     "spectral_action",
     "field_equation_residual",
     "riemannian_limit_action",
-    "unification_scale",
 ]
 
 # -- cutoff functions and moments ----------------------------------------------
@@ -713,10 +712,3 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
               "ricci_riemann_sq": e_ric2 + e_riem2}
     return ActionReport(terms=terms, total=total, constants=consts_out,
                         quadrature={"errors": errors, **meta})
-
-
-def unification_scale(m: Moments, c: float = 1.0) -> float:
-    """Energy scale from matching the Einstein-Hilbert coefficient: 4 pi c^4 / M2."""
-    if m.m2 == 0:
-        raise ValueError("the zeroth moment must be nonzero")
-    return 4.0 * np.pi * c ** 4 / m.m2

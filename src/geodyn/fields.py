@@ -33,7 +33,7 @@ from .exprs import differentiate
 from .jets import Jet
 from .tensors import Point
 
-__all__ = ["ChartField", "entry_field", "scalar_field", "constant_field", "fd_jets"]
+__all__ = ["ChartField", "entry_field", "fd_jets"]
 
 FD_STEP = 1e-5
 FD_STEP2 = 1e-4
@@ -225,12 +225,3 @@ def entry_field(entries) -> ChartField:
         return out.reshape(shape)
 
     return ChartField(dim=len(flat[0].coordinates), shape=shape, func=func, expressions=flat)
-
-
-def scalar_field(dim: int, func: Callable) -> ChartField:
-    return ChartField(dim=dim, shape=(), func=lambda c: func(*c))
-
-
-def constant_field(dim: int, value) -> ChartField:
-    arr = np.asarray(value)
-    return ChartField(dim=dim, shape=arr.shape, func=lambda c: arr)

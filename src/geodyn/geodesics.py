@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprs import differentiate
-from .geometry import GeneralizedMetric, Vielbein, _christoffel_from
+from .geometry import GeneralizedMetric, Vielbein, _christoffel_from, _symmetrized_dg
 from .tensors import SINGULAR_REL, Point, _singular, checked_inverse
 
 __all__ = ["Trajectory", "integrate_geodesic", "velocity_norm"]
@@ -68,7 +68,7 @@ def _general_stage(g: GeneralizedMetric) -> tuple:
         return g.gamma_jets(Point(tuple(xc)), order=1)
 
     def accel(gj: tuple, vc: list) -> list:
-        gam = _christoffel_from(checked_inverse(gj[0]), gj[1])
+        gam = _christoffel_from(checked_inverse(gj[0]), _symmetrized_dg(gj[1]))
         return _finite((-np.einsum("mab,a,b->m", gam, vc, vc)).tolist())
 
     def norm(gj: tuple, vc: list) -> float:

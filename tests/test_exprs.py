@@ -18,7 +18,7 @@ from geodyn.exprs import (
     differentiate,
 )
 from geodyn import jets
-from geodyn.fields import scalar_field
+from geodyn.fields import ChartField
 from geodyn.jets import Jet, variables
 from geodyn.tensors import Point
 from test_fields import EXPRESSIONS
@@ -66,7 +66,7 @@ def test_free_names_and_arity_check():
 
 def test_compiled_expressions_differentiate_through_jets():
     e = compile_expression("exp(2*x) * sin(y)", ("x", "y"))
-    f = scalar_field(2, lambda x, y: e((x, y)))
+    f = ChartField(dim=2, shape=(), func=e)
     p = Point((0.3, 0.7))
     _, grad, _ = f.jets(p, order=1)
     ex = np.exp(0.6)

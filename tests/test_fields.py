@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geodyn.exprs import FUNCTION_NAMES, ExpressionError, compile_expression, differentiate
-from geodyn.fields import (ChartField, _collect, constant_field, entry_field, fd_jets,
-                           scalar_field)
+from geodyn.fields import ChartField, _collect, entry_field, fd_jets
 from geodyn.jets import Jet, cosh, exp, sin, variables
 from geodyn.library import BUILTIN_FRAMES
 from geodyn.tensors import Point
@@ -22,7 +21,7 @@ def _times_i(jet):
 
 def test_scalar_closed_form_derivatives():
     # f = exp(x) sin(y): both derivative orders against hand formulas
-    f = scalar_field(2, lambda x, y: exp(x) * sin(y))
+    f = ChartField(dim=2, shape=(), func=lambda c: exp(c[0]) * sin(c[1]))
     p = Point((0.3, 1.1))
     val, d1, d2 = f.jets(p, order=2)
     ex, sy, cy = np.exp(0.3), np.sin(1.1), np.cos(1.1)
@@ -56,13 +55,14 @@ def test_dual_and_fd_routes_agree():
 
 
 def test_second_derivative_symmetry():
-    f = scalar_field(3, lambda x, y, z: sin(x * y) * cosh(z) + x ** 3 * z)
+    f = ChartField(dim=3, shape=(),
+                   func=lambda c: sin(c[0] * c[1]) * cosh(c[2]) + c[0] ** 3 * c[2])
     _, _, d2 = f.jets(Point((0.4, -0.2, 0.7)), order=2)
     assert np.max(np.abs(d2 - d2.transpose(1, 0))) < 1e-12
 
 
 def test_constant_field_has_zero_derivative():
-    f = constant_field(3, np.diag([1.0, 2.0, 3.0]))
+    f = ChartField(dim=3, shape=(3, 3), func=lambda c: np.diag([1.0, 2.0, 3.0]))
     _, d1, d2 = f.jets(Point((0.1, 0.2, 0.3)), order=2)
     assert np.allclose(d1, 0.0)
     assert np.allclose(d2, 0.0)
@@ -83,13 +83,13 @@ def test_shape_mismatch_rejected():
 
 
 def test_nonfinite_value_rejected():
-    f = scalar_field(1, lambda x: 1.0 / x)
+    f = ChartField(dim=1, shape=(), func=lambda c: 1.0 / c[0])
     with pytest.raises(ValueError, match="non-finite"):
         f.jets(np.array([[0.0]]), order=1)
 
 
 def test_point_dim_mismatch_rejected():
-    f = scalar_field(2, lambda x, y: x + y)
+    f = ChartField(dim=2, shape=(), func=lambda c: c[0] + c[1])
     with pytest.raises(ValueError):
         f.jets(Point((1.0,)), order=1)
 

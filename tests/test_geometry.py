@@ -9,24 +9,19 @@ from geodyn.config import build_scenario
 from geodyn.exprs import compile_expression
 from geodyn.fields import ChartField, entry_field, fd_jets
 from geodyn.geometry import (
-    CompatibilityResidual,
     CurvatureTensors,
     GeneralizedMetric,
     Vielbein,
     _christoffel_jets,
     _metric_jets,
     _riemann_from,
-    compatibility_residual,
-    dirac_matrices,
     flat_gamma_matrices,
     frame_geometry,
     riemann_square,
-    sigma_matrices,
     sigma_squared,
-    spin_connection,
 )
 from geodyn.jets import cos, sin
-from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, flat, polar, schwarzschild, sphere2
+from geodyn.library import BUILTIN_FRAMES, flat, polar, schwarzschild, sphere2
 from geodyn.tensors import MinkowskiSignature, Point
 
 
@@ -271,24 +266,23 @@ def test_flat_gamma_clifford_relation():
                 assert np.abs(anti - 2.0 * eta[a, b] * np.eye(s)).max() < 1e-13
 
 
-def test_curved_dirac_matrices_close_doubled_relation():
-    d = dirac_matrices(sphere2(), Point((0.9, 0.2)))
-    anti = (np.einsum("mij,njk->mnik", d.gammas, d.gammas)
-            + np.einsum("nij,mjk->mnik", d.gammas, d.gammas))
-    metric = np.einsum("mn,ik->mnik", d.gamma_metric, np.eye(d.gammas.shape[-1]))
-    assert np.abs(anti - 2.0 * metric).max() < 1e-12
-    assert np.abs(anti - metric).max() > 0.5  # dropping the factor 2 is not the relation
-
-
 def test_spin_connection_sphere_value_and_residuals():
     e = sphere2()
+    eta = e.signature.matrix
     for theta in (0.5, 1.1, 2.0):
-        sc = spin_connection(e, Point((theta, 0.7)))
-        assert sc.tetrad_residual < 1e-12
-        assert sc.antisymmetry_residual < 1e-12
+        p = Point((theta, 0.7))
+        fg = frame_geometry(e, p)
+        omega = fg.omega
+        # tetrad postulate: d_n E^a_m - Gamma^l_mn E^a_l + omega^a_{b n} E^b_m = 0
+        _, de, _ = e.jets(p, order=1)
+        cov = de - np.einsum("lmn,al->amn", fg.christoffel, fg.e)
+        mixed = np.einsum("abm,bc->acm", omega, eta)
+        tet = cov + np.einsum("acn,cm->amn", mixed, fg.e)
+        assert np.abs(tet).max() < 1e-12
+        assert np.abs(omega + np.einsum("abm->bam", omega)).max() < 1e-12
         # only nonzero component: omega^{01}_phi = -cos(theta)
-        assert abs(sc.omega[0, 1, 1] + np.cos(theta)) < 1e-12
-        assert abs(sc.omega[0, 1, 0]) < 1e-13
+        assert abs(omega[0, 1, 1] + np.cos(theta)) < 1e-12
+        assert abs(omega[0, 1, 0]) < 1e-13
 
 
 def test_frame_curvature_matches_riemann():
@@ -302,46 +296,6 @@ def test_frame_curvature_matches_riemann():
     assert np.abs(fg.frame_curvature - expected).max() < 1e-10
     # antisymmetric in the two-form pair (m, n) by construction, bit for bit
     assert np.array_equal(fg.frame_curvature, -fg.frame_curvature.swapaxes(-1, -2))
-
-
-def _induced_connection_field(e):
-    n = e.dim
-    s = sigma_matrices(e.signature).shape[-1]
-
-    def func(coords):
-        return spin_connection(e, Point(tuple(float(c) for c in coords))).matrix
-
-    return ChartField(dim=n, shape=(n, s, s), func=func)
-
-
-def test_compatibility_residual_vanishes_for_induced_connection():
-    e = sphere2()
-    a_field = _induced_connection_field(e)
-    res = compatibility_residual(e, a_field, Point((1.2, 0.5)))
-    assert isinstance(res, CompatibilityResidual)
-    assert np.abs(res.tetrad).max() < 1e-10
-    assert res.projection_defect < 1e-10
-
-
-def test_compatibility_residual_detects_wrong_connection():
-    e = sphere2()
-    a_field = _induced_connection_field(e)
-    doubled = ChartField(dim=2, shape=a_field.shape,
-                         func=lambda c: 2.0 * np.asarray(a_field.func(c)))
-    res = compatibility_residual(e, doubled, Point((1.2, 0.5)))
-    assert np.abs(res.tetrad).max() > 1e-3
-
-
-def test_sigma_matrices_are_built_once_per_signature_and_read_only():
-    sig = sigma_matrices(MinkowskiSignature.lorentzian(4))
-    assert sigma_matrices(MinkowskiSignature.lorentzian(4)) is sig
-    assert sigma_matrices(MinkowskiSignature.euclidean(4)) is not sig
-    assert not sig.flags.writeable
-    with pytest.raises(ValueError):
-        sig[0, 1, 0, 0] = 1.0
-    # the cached array holds exactly what a fresh build gives
-    fresh = sigma_matrices.__wrapped__(MinkowskiSignature.lorentzian(4))
-    assert np.array_equal(sig, fresh)
 
 
 # -- diagonal frames: n x n expressions, zero off the diagonal ---------------
@@ -392,18 +346,10 @@ def test_diagonal_frame_expands_to_the_object_matrix_evaluation(name):
     assert twin.field.expressions is None
     p = (0.7, 3.1, 1.2, 0.4)[:n]
     block = np.array([p, tuple(x + 0.01 for x in p), tuple(x - 0.02 for x in p)])
-    assert _same_bits(frame.value(Point(p)), twin.value(Point(p)))
     for where in (Point(p), block):
         for order in (1, 2):
             got, want = frame.jets(where, order=order), twin.jets(where, order=order)
             assert all(_same_bits(a, b) for a, b in zip(got, want)), (where, order)
-
-
-def test_diagonal_frame_value_rejects_a_complex_entry_as_the_matrix_did():
-    frame = diagonal_vielbein(["1.0", "2.0 * (-1)^0.5"], MinkowskiSignature.euclidean(2))
-    for e in (frame, matrix_twin(frame)):
-        with pytest.raises(TypeError):
-            e.value(Point((0.1, 0.2)))
 
 
 def test_vielbein_field_must_be_the_diagonal_or_the_matrix():

@@ -89,7 +89,6 @@ def test_expression_frame_matches_its_closure_in_bits(name):
     # r = 3.1 lies outside r = 2m for both masses
     p = Point((0.7, 3.1, 1.2, 0.4)[:frame.dim])
     block = p.array() + np.random.default_rng(5).uniform(-0.3, 0.3, size=(64, frame.dim))
-    assert _same_bits(frame.value(p), closure.value(p))
     for where, order in ((p, 1), (p, 2), (block, 2)):
         got, want = frame.field.jets(where, order=order), closure.field.jets(where, order=order)
         assert all(_same_bits(a, b) for a, b in zip(got, want)), (name, order)
