@@ -20,6 +20,17 @@ geometry, the gauge fields and the Higgs field each run as one vectorised
 jet pass per block.
 The weighted sum then runs over the whole grid in index order, so a fixed
 grid always reproduces identical bits.
+
+The densities that read the metric's own curvature pass (the Riemannian limit
+without a connection, the heat kernel in metric mode) share it: the volume,
+R, Ric.Ric, R.R and gamma^-1 of a block (4 + n^2 floats a point, not the
+curvature tensors) are memoised on the metric's Vielbein, keyed by the
+block's coordinates, and live as long as that frame, which a scenario run
+builds afresh.  A sweep adds its passes to the memo only once it succeeded,
+so a failed one leaves nothing.  A connection's pass builds the same numbers
+and is not shared.  The quadrature meta counts the blocks a sweep passed
+itself and those it read, so a run's report charges each pass to the first
+task that made it.
 """
 
 from __future__ import annotations
@@ -259,6 +270,53 @@ def _integrate_many(density, region: Region, grid: GridSpec) -> tuple:
     return fine, err, meta, vals
 
 
+def _invariants(ct) -> tuple:
+    """(sqrt|det gamma|, R, Ric.Ric, R.R, gamma^-1) of a curvature pass over a
+    block: all that the action densities read of it."""
+    return ct.volume(), ct.scalar, ct.ricci_squared(), ct.riemann_squared(), ct.gamma_inv
+
+
+class _Passes:
+    """The curvature passes of one quadrature, and how many it made itself.
+
+    invariants(block) is the _invariants of metric's pass over the block:
+    read from its vielbein's memo where an earlier quadrature of that frame
+    passed the same block, else passed here.  integrate adds this sweep's
+    passes to the memo only once the whole sweep succeeded, so a failed sweep
+    leaves nothing behind, and puts "blocks_passed" and "blocks_read" in the
+    meta.  A density that passes a connection's curvature instead counts
+    those passes as its own.
+    """
+
+    def __init__(self, metric: GeneralizedMetric):
+        self.metric = metric
+        # a metric given by its gamma field has no frame to keep passes on
+        self.memo = {} if metric.vielbein is None else metric.vielbein.invariants
+        self.fresh = {}
+        self.blocks = self.read = 0
+
+    def invariants(self, block: np.ndarray) -> tuple:
+        key = block.tobytes()
+        if key in self.memo:
+            self.read += 1
+            return self.memo[key]
+        self.fresh[key] = _invariants(self.metric.curvature(block))
+        # later quadratures of the frame are handed these same arrays
+        for array in self.fresh[key]:
+            array.flags.writeable = False
+        return self.fresh[key]
+
+    def integrate(self, density, region: Region, grid: GridSpec) -> tuple:
+        def counted(block):
+            self.blocks += 1
+            return density(block)
+
+        fine, err, meta, vals = _integrate_many(counted, region, grid)
+        self.memo.update(self.fresh)
+        meta.update(blocks_passed=self.blocks - self.read, blocks_read=self.read)
+        return fine, err, meta, vals
+
+
 def integrate_scalar(fn, region: Region, grid: GridSpec) -> tuple:
     """(value, error_estimate, meta) of a per-point ``fn(coords) -> float``."""
     fine, err, meta, _ = _integrate_many(
@@ -338,17 +396,18 @@ def heat_kernel_coefficients(data: HeatKernelData, region: Region,
     a4 = (1/192 pi^2) int (6 E^2 + 2 lap E + AA) vol.
     """
     sig_sq = data.sigma_sq() if data.aa_mode == "metric" else None
+    passes = _Passes(data.metric)
 
     def density(block):
+        # the curvature pass's guarded determinant gives the volume; no
+        # second jet pass or guard
         if data.aa_mode == "blocks":
             ct = curvature(data.connection, block)
             aa = curvature_squared(ct).total
+            vol = ct.volume()
         else:
-            ct = data.metric.curvature(block)
-            aa = sig_sq * ct.riemann_squared()
-        # the curvature pass's guarded determinant gives the volume; no
-        # second jet pass or guard
-        vol = ct.volume()
+            vol, _, _, riem_sq, _ = passes.invariants(block)
+            aa = sig_sq * riem_sq
         if data.e_term is not None:
             e_val, e_lap = _laplacian_of_scalar(data.metric, data.e_term, block)
         else:
@@ -356,7 +415,7 @@ def heat_kernel_coefficients(data: HeatKernelData, region: Region,
         return np.stack([vol, e_val * vol,
                          (6.0 * e_val ** 2 + 2.0 * e_lap + aa) * vol], axis=-1)
 
-    fine, err, meta, _ = _integrate_many(density, region, grid)
+    fine, err, meta, _ = passes.integrate(density, region, grid)
     a0 = fine[0] / (16.0 * PI2)
     a2 = fine[1] / (16.0 * PI2)
     a4 = fine[2] / (192.0 * PI2)
@@ -645,8 +704,9 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
     eta0 * int lap R, zeta0 * int R^2 and -beta0 * int (Ricci^2 + Riemann^2).
     A connection, if given, must be built on frame (else ValueError): its one
     curvature pass per block gives the volume and curvature terms, as frame's
-    own would, and the gauge and Higgs sectors.  Comparing a frame with a
-    reference metric is the limit-check task's job.
+    own would, and the gauge and Higgs sectors; without one, the frame's
+    metric passes are shared with its other quadratures (module docstring).
+    Comparing a frame with a reference metric is the limit-check task's job.
     """
     _check_frame(frame, connection)
     gm = frame.metric()
@@ -661,30 +721,33 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
     delta0 = dconsts["delta0"]
     eh_coeff = m.m2 * m.lam_sq / (64.0 * PI2)
 
+    passes = _Passes(gm)
+
     def density(block):
-        ct = curvature(connection, block) if connection is not None else gm.curvature(block)
-        vol = ct.volume()
         gauge = higgs = 0.0
-        if connection is not None:
+        if connection is None:
+            vol, scalar, ricci_sq, riem_sq, ginv = passes.invariants(block)
+        else:
+            ct = curvature(connection, block)
+            vol, scalar, ricci_sq, riem_sq, ginv = _invariants(ct)
             norm = sm_lagrangian_normalized(ct, f0=m.m0, f4=m.m4,
                                             lam_sq=m.lam_sq, n_r=n_r, n_h=n_h)
             gauge = norm.terms["gauge_b"] + norm.terms["gauge_w"] + norm.terms["gauge_g"]
             higgs = norm.terms["higgs_kinetic"] + norm.terms["higgs_potential"]
-        scalar = ct.scalar
         # the last columns carry the grids of the total-derivative term
         return np.column_stack([
             vol,
             scalar * vol,
             scalar ** 2 * vol,
-            ct.ricci_squared() * vol,
-            ct.riemann_squared() * vol,
+            ricci_sq * vol,
+            riem_sq * vol,
             gauge * vol,
             higgs * vol,
             scalar,
-            ct.gamma_inv.reshape(len(block), -1),
+            ginv.reshape(len(block), -1),
         ])
 
-    fine, err, meta, vals = _integrate_many(density, region, grid)
+    fine, err, meta, vals = passes.integrate(density, region, grid)
     vol_i, r_i, r2_i, ric2_i, riem2_i, gauge_i, higgs_i = fine[:7]
     e_vol, e_r, e_r2, e_ric2, e_riem2, e_gauge, e_higgs = err[:7].tolist()
 

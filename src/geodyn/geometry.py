@@ -24,6 +24,7 @@ Index layout conventions used throughout:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,15 @@ class Vielbein:
     The field holds the n x n entries over an n-dimensional chart; a
     diagonal frame holds zeros off its diagonal (library.diagonal_vielbein),
     which the geodesic stage finds in its expressions.
+
+    invariants is the action densities' memo of this frame's metric passes
+    over quadrature blocks (action._Passes); it lives as long as the frame.
     """
 
     field: ChartField
     signature: MinkowskiSignature
+    invariants: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         n = self.signature.dim

@@ -168,7 +168,11 @@ def _run_action(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
             m, coeffs, sigma_sq=data.sigma_sq() if data.aa_mode == "metric" else None,
             alpha=scn.connection.alpha if scn.connection else None,
             higgs_c=scn.connection.higgs.c if scn.connection else None)
+    # how many grid blocks this task passed itself and how many it read from
+    # an earlier task's pass over the same frame
     summary = {"total": rep.total, **rep.constants,
+               "curvature_blocks_passed": rep.quadrature["blocks_passed"],
+               "curvature_blocks_read": rep.quadrature["blocks_read"],
                **{f"quadrature_error_{term}": err
                   for term, err in rep.quadrature["errors"].items()}}
     # beyond expect_only, the verdict rests on run_scenario's finite-row check

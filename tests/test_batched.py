@@ -18,7 +18,7 @@ from geodyn.geometry import GeneralizedMetric, sigma_squared
 from geodyn.jets import (arctan, cos, cosh, exp, log, sin, sinh, sqrt, tan, tanh,
                          variables)
 from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, flat, polar, schwarzschild
-from geodyn.scenarios import builtin_config, run_scenario
+from geodyn.scenarios import builtin_config, format_csv, run_scenario
 from geodyn.tensors import MinkowskiSignature, Point, SingularMetricError
 from test_connection import _antisymmetry, _random_higgs, _random_sm
 
@@ -298,6 +298,122 @@ def test_coarse_grid_off_the_fine_grid_is_evaluated_again(which, monkeypatch):
         _check_curvature_rows(monkeypatch, OFF_GRID, subset=False)
     else:
         _check_jet_orders(monkeypatch, which, OFF_GRID, subset=False)
+
+
+# -- metric passes shared by the action tasks of one run ---------------------
+
+SPECTRAL_METRIC = {"type": "action", "form": "spectral", "aa_mode": "metric"}
+SPECTRAL_BLOCKS = {**SPECTRAL_METRIC, "aa_mode": "blocks"}
+METRIC_TASKS = ({"type": "action", "form": "riemannian-limit"}, SPECTRAL_METRIC)
+# a zero gauge field and Higgs field: the scenario gets a connection
+ZERO_SM = {"gauge": {"b": ["0"] * 4, "couplings": {"g1": 1.0}},
+           "higgs": {"x": "0", "y": "0"}}
+
+
+def _action_config(shape, tasks, frame=None, box=SCHWARZSCHILD_BOX, **sections):
+    return {"schema": "geodyn-config-v1",
+            "chart": {"dimension": 4, "signature": "lorentzian",
+                      "coordinates": ["t", "r", "theta", "phi"],
+                      "box": {"lo": list(box.lo), "hi": list(box.hi)},
+                      "grid": list(shape), "periodic": list(box.periodic)},
+            "frame": frame or {"builtin": "schwarzschild"},
+            "cutoff": {"builtin": "exponential"},
+            "tasks": list(tasks), **sections}
+
+
+def _blocks_record(results):
+    return [(r.summary["curvature_blocks_passed"], r.summary["curvature_blocks_read"])
+            for r in results]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("shape", [SUBSET_GRID, OFF_GRID])
+def test_metric_pass_tasks_of_one_run_write_the_bytes_of_each_alone(shape, first):
+    tasks = [METRIC_TASKS[first], METRIC_TASKS[1 - first]]
+    both = run_scenario(_action_config(shape, tasks)).results
+    alone = [run_scenario(_action_config(shape, [task])).results[0] for task in tasks]
+    assert [r.status for r in both] == ["pass", "pass"]
+    assert [format_csv(r) for r in both] == [format_csv(r) for r in alone]
+    # the report charges every pass to the first task
+    blocks = _evaluated_rows(GridSpec(shape), subset=shape == SUBSET_GRID)[1]
+    assert _blocks_record(both) == [(blocks, 0), (0, blocks)]
+    assert _blocks_record(alone) == [(blocks, 0), (blocks, 0)]
+
+
+@pytest.mark.parametrize("sm", [False, True])
+def test_metric_pass_tasks_of_one_run_pass_each_block_once(sm, monkeypatch):
+    metric_rows, connection_passes = [], []
+    original, original_connection = GeneralizedMetric.curvature, action.curvature
+
+    def counting(self, p):
+        metric_rows.append(np.array(p, dtype=float).reshape(-1, 4))
+        return original(self, p)
+
+    def counting_connection(a, p):
+        connection_passes.append(len(p))
+        return original_connection(a, p)
+
+    monkeypatch.setattr(GeneralizedMetric, "curvature", counting)
+    monkeypatch.setattr(action, "curvature", counting_connection)
+    # with a connection the limit form takes the connection's pass, so the
+    # metric-pass pair is two spectral tasks around a blocks-mode one
+    tasks = ([SPECTRAL_METRIC, SPECTRAL_BLOCKS, SPECTRAL_METRIC] if sm
+             else list(METRIC_TASKS))
+    obj = _action_config(OFF_GRID, tasks, **(ZERO_SM if sm else {}))
+    rows, blocks = _evaluated_rows(GridSpec(OFF_GRID), subset=False)
+    for _ in range(2):
+        # each run passes again: nothing is kept from the one before
+        metric_rows.clear()
+        connection_passes.clear()
+        results = run_scenario(obj).results
+        assert [r.status for r in results] == ["pass"] * len(tasks)
+        if sm:
+            # the blocks-mode task's connection pass runs its own metric pass
+            assert np.array_equal(np.concatenate(metric_rows), np.concatenate([rows, rows]))
+            assert (len(connection_passes), sum(connection_passes)) == (blocks, len(rows))
+            assert _blocks_record(results) == [(blocks, 0), (blocks, 0), (0, blocks)]
+        else:
+            assert np.array_equal(np.concatenate(metric_rows), rows)
+            assert connection_passes == []
+            assert _blocks_record(results) == [(blocks, 0), (0, blocks)]
+
+
+# a Schwarzschild box down to r = 2m fails in its first block; a frame that
+# degenerates at t = 1 fails in block 4 of SUBSET_GRID, after four good ones
+SINGULAR_CASES = {
+    "horizon": (None, Region(lo=(0.0, 2.0, 0.6, 0.0), hi=(1.0, 5.0, 2.5, 1.0))),
+    "late-block": ({"diagonal": ["1 - t", "1", "r", "r"]}, SCHWARZSCHILD_BOX),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGULAR_CASES))
+def test_failed_metric_pass_leaves_nothing_for_the_next_task(case, monkeypatch):
+    frame, box = SINGULAR_CASES[case]
+    calls = []
+    original = GeneralizedMetric.curvature
+
+    def counting(self, p):
+        calls.append(len(p))
+        return original(self, p)
+
+    monkeypatch.setattr(GeneralizedMetric, "curvature", counting)
+    alone, alone_calls = [], []
+    for task in METRIC_TASKS:
+        calls.clear()
+        alone.append(run_scenario(_action_config(SUBSET_GRID, [task], frame, box)).results[0])
+        alone_calls.append(list(calls))
+    calls.clear()
+    both = run_scenario(_action_config(SUBSET_GRID, METRIC_TASKS, frame, box)).results
+    assert [r.status for r in both] == ["fail", "fail"]
+    assert [r.summary for r in both] == [r.summary for r in alone]
+    assert all(r.rows == [] for r in both)
+    # the second task passes every block up to the failing one itself again
+    assert calls == alone_calls[0] + alone_calls[1]
+    assert len(alone_calls[0]) == (1 if case == "horizon" else 5)
+    scn = build_scenario(_action_config(SUBSET_GRID, METRIC_TASKS, frame, box))
+    with pytest.raises((ArithmeticError, ValueError)):
+        riemannian_limit_action(scn.frame, scn.region, scn.grid, moments(scn.cutoff))
+    assert scn.frame.invariants == {}
 
 
 # -- gauge path --------------------------------------------------------------
