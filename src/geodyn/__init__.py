@@ -26,7 +26,6 @@ from .triples import (
 )
 from .action import (
     ActionReport,
-    CutoffFunction,
     GridSpec,
     HeatKernelData,
     Moments,
@@ -51,7 +50,7 @@ __all__ = [
     "gauge_square_report", "sm_lagrangian_normalized",
     "FiniteTriple", "YukawaData", "build_sm_finite", "check_axioms",
     "fluctuate", "inner_fluctuations", "lepton_triple", "two_point_triple",
-    "ActionReport", "CutoffFunction", "GridSpec", "HeatKernelData",
+    "ActionReport", "GridSpec", "HeatKernelData",
     "Moments", "Region", "field_equation_residual",
     "heat_kernel_coefficients", "moments",
     "riemannian_limit_action", "spectral_action",

@@ -26,8 +26,8 @@ without a connection, the heat kernel in metric mode) share it: the volume,
 R, Ric.Ric, R.R and gamma^-1 of a block (4 + n^2 floats a point, not the
 curvature tensors) are memoised on the metric's Vielbein, keyed by the
 block's coordinates, and live as long as that frame, which a scenario run
-builds afresh.  A sweep adds its passes to the memo only once it succeeded,
-so a failed one leaves nothing.  A connection's pass builds the same numbers
+builds afresh.  Each pass enters the memo as it returns, so a failed sweep
+leaves the blocks it finished.  A connection's pass builds the same numbers
 and is not shared.  The quadrature meta counts the blocks a sweep passed
 itself and those it read, so a run's report charges each pass to the first
 task that made it.
@@ -56,7 +56,6 @@ from .geometry import GeneralizedMetric, Vielbein, ricci_square, riemann_square,
 from .tensors import Point
 
 __all__ = [
-    "CutoffFunction",
     "Moments",
     "Region",
     "GridSpec",
@@ -81,48 +80,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CutoffFunction:
-    """A nonnegative cutoff profile f on [0, inf) as the truncated action
-    reads it: its value f0 = f(0), its exact moments m4_m2 = (int u f du,
-    int f du) over [0, inf), and the energy scale L^2."""
-
-    f0: float
-    m4_m2: tuple
-    lam_sq: float = 1.0
-
-    def __post_init__(self):
-        if self.lam_sq <= 0:
-            raise ValueError("energy scale must be positive")
-
-
-def exponential_cutoff(lam_sq: float = 1.0) -> CutoffFunction:
-    """f(u) = exp(-u)."""
-    return CutoffFunction(f0=1.0, m4_m2=(1.0, 1.0), lam_sq=lam_sq)
-
-
-def sharp_cutoff(lam_sq: float = 1.0) -> CutoffFunction:
-    """f(u) = 1 for u <= 1, else 0."""
-    return CutoffFunction(f0=1.0, m4_m2=(0.5, 1.0), lam_sq=lam_sq)
-
-
-def gaussian_cutoff(lam_sq: float = 1.0) -> CutoffFunction:
-    """f(u) = exp(-u^2)."""
-    return CutoffFunction(f0=1.0, m4_m2=(0.5, float(np.sqrt(np.pi)) / 2.0), lam_sq=lam_sq)
-
-
-CUTOFF_BUILTINS = {
-    "exponential": exponential_cutoff,
-    "sharp-cutoff": sharp_cutoff,
-    "gaussian": gaussian_cutoff,
-}
-
-
-@dataclass(frozen=True)
 class Moments:
-    """The three cutoff moments used by the truncated action.
-
-    m4 multiplies L^4 a0, m2 multiplies L^2 a2, m0 multiplies a4.
-    """
+    """A nonnegative cutoff profile f on [0, inf) as the truncated action reads
+    it: m4 = int u f du multiplies L^4 a0, m2 = int f du multiplies L^2 a2 and
+    m0 = f(0) multiplies a4, with lam_sq the energy scale L^2."""
 
     m4: float
     m2: float
@@ -132,12 +93,45 @@ class Moments:
     def __post_init__(self):
         vals = (self.m4, self.m2, self.m0, self.lam_sq)
         if not all(np.isfinite(v) for v in vals):
-            raise ValueError("moments must be finite")
+            raise ValueError("a moment is not finite: M4 = {}, M2 = {}, M0 = {}, "
+                             "L^2 = {}".format(*vals))
+        if self.lam_sq <= 0:
+            raise ValueError("energy scale must be positive")
 
 
-def moments(f: CutoffFunction) -> Moments:
-    """First moment, zeroth moment and value at zero of the cutoff."""
-    return Moments(*f.m4_m2, m0=f.f0, lam_sq=f.lam_sq)
+def exponential_cutoff(lam_sq: float = 1.0) -> Moments:
+    """f(u) = exp(-u)."""
+    return Moments(m4=1.0, m2=1.0, m0=1.0, lam_sq=lam_sq)
+
+
+def sharp_cutoff(lam_sq: float = 1.0) -> Moments:
+    """f(u) = 1 for u <= 1, else 0."""
+    return Moments(m4=0.5, m2=1.0, m0=1.0, lam_sq=lam_sq)
+
+
+def gaussian_cutoff(lam_sq: float = 1.0) -> Moments:
+    """f(u) = exp(-u^2)."""
+    return Moments(m4=0.5, m2=float(np.sqrt(np.pi)) / 2.0, m0=1.0, lam_sq=lam_sq)
+
+
+CUTOFF_BUILTINS = {
+    "exponential": exponential_cutoff,
+    "sharp-cutoff": sharp_cutoff,
+    "gaussian": gaussian_cutoff,
+}
+
+
+def moments(u: tuple, f: tuple, lam_sq: float = 1.0) -> Moments:
+    """The exact Moments of the piecewise-linear profile on the knots (u, f):
+    f[0] on [0, u[0]), linear between knots, 0 past u[-1], for u increasing
+    from u[0] >= 0.  ValueError where a moment leaves the float range."""
+    knots = list(zip((0.0,) + u, f[:1] + f))
+    m4 = m2 = 0.0
+    for (u0, f0), (u1, f1) in zip(knots, knots[1:]):
+        m4 += (u1 - u0) * (u0 * (2 * f0 + f1) + u1 * (f0 + 2 * f1)) / 6
+        m2 += (u1 - u0) * (f0 + f1) / 2
+    # f(0) is the value right of 0, so of the last knot at u = 0 if any
+    return Moments(m4=m4, m2=m2, m0=float(np.interp(0.0, u, f)), lam_sq=lam_sq)
 
 
 # -- region quadrature ----------------------------------------------------------
@@ -279,32 +273,30 @@ def _invariants(ct) -> tuple:
 class _Passes:
     """The curvature passes of one quadrature, and how many it made itself.
 
-    invariants(block) is the _invariants of metric's pass over the block:
-    read from its vielbein's memo where an earlier quadrature of that frame
-    passed the same block, else passed here.  integrate adds this sweep's
-    passes to the memo only once the whole sweep succeeded, so a failed sweep
-    leaves nothing behind, and puts "blocks_passed" and "blocks_read" in the
-    meta.  A density that passes a connection's curvature instead counts
-    those passes as its own.
+    invariants(block) is the _invariants of the frame metric's pass over the
+    block: read from its vielbein's memo, else passed here and memoised as it
+    returns, so every entry is a finished pass and a block whose pass raised
+    has none.  integrate puts "blocks_passed" and "blocks_read" in the meta.
+    A density that passes a connection's curvature instead counts those
+    passes as its own.
     """
 
     def __init__(self, metric: GeneralizedMetric):
         self.metric = metric
-        # a metric given by its gamma field has no frame to keep passes on
-        self.memo = {} if metric.vielbein is None else metric.vielbein.invariants
-        self.fresh = {}
+        self.memo = metric.vielbein.invariants
         self.blocks = self.read = 0
 
     def invariants(self, block: np.ndarray) -> tuple:
         key = block.tobytes()
         if key in self.memo:
             self.read += 1
-            return self.memo[key]
-        self.fresh[key] = _invariants(self.metric.curvature(block))
-        # later quadratures of the frame are handed these same arrays
-        for array in self.fresh[key]:
-            array.flags.writeable = False
-        return self.fresh[key]
+        else:
+            passed = _invariants(self.metric.curvature(block))
+            # later quadratures of the frame are handed these same arrays
+            for array in passed:
+                array.flags.writeable = False
+            self.memo[key] = passed
+        return self.memo[key]
 
     def integrate(self, density, region: Region, grid: GridSpec) -> tuple:
         def counted(block):
@@ -312,7 +304,6 @@ class _Passes:
             return density(block)
 
         fine, err, meta, vals = _integrate_many(counted, region, grid)
-        self.memo.update(self.fresh)
         meta.update(blocks_passed=self.blocks - self.read, blocks_read=self.read)
         return fine, err, meta, vals
 

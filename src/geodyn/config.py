@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action import CUTOFF_BUILTINS, CutoffFunction, GridSpec, Region
+from .action import CUTOFF_BUILTINS, GridSpec, Moments, Region, moments
 from .connection import ConnectionForm, HiggsField, SMGaugeConfig
 from .exprs import compile_expression, default_coordinate_names
 from .fields import entry_field
@@ -106,7 +106,7 @@ class Scenario:
     frame: Vielbein
     connection: ConnectionForm | None
     triple: FiniteTriple | None
-    cutoff: CutoffFunction | None
+    cutoff: Moments | None
     constants: dict
     tasks: list
 
@@ -631,7 +631,7 @@ def _parse_cutoff(diags, cut):
 
 
 def _table_cutoff(diags, table, lam_sq):
-    """The CutoffFunction of the piecewise-linear table, or None."""
+    """The Moments of the piecewise-linear table, or None."""
     if not len(table["u"]) == len(table["f"]) >= 2:
         diags.append(Diagnostic("cutoff.table",
                                 "needs u and f number lists of equal length >= 2"))
@@ -643,18 +643,11 @@ def _table_cutoff(diags, table, lam_sq):
     if min(f) < 0:
         diags.append(Diagnostic("cutoff.table.f", "must be nonnegative, as a cutoff profile is"))
         return None
-    # f[0] on [0, u[0]), linear between knots, 0 past u[-1]: exact segment sums
-    knots = list(zip((0.0,) + u, f[:1] + f))
-    m4 = m2 = 0.0
-    for (u0, f0), (u1, f1) in zip(knots, knots[1:]):
-        m4 += (u1 - u0) * (u0 * (2 * f0 + f1) + u1 * (f0 + 2 * f1)) / 6
-        m2 += (u1 - u0) * (f0 + f1) / 2
-    if not (math.isfinite(m4) and math.isfinite(m2)):
-        diags.append(Diagnostic("cutoff.table", f"moments M4 = {m4}, M2 = {m2} "
-                                                "are not finite floats"))
+    try:
+        return moments(u, f, lam_sq)
+    except ValueError as e:  # a moment past the float range
+        diags.append(Diagnostic("cutoff.table", str(e)))
         return None
-    # f(0) is the value right of 0, so of the last knot at u = 0 if any
-    return CutoffFunction(f0=float(np.interp(0.0, u, f)), m4_m2=(m4, m2), lam_sq=lam_sq)
 
 
 # -- task entries and constants ----------------------------------------------------
@@ -677,7 +670,7 @@ def _reference(diags, path, value, ctx):
     if entries is None or entries["matrix"] is None:  # None too without a chart
         return None
     matrix = entries["matrix"]
-    return GeneralizedMetric(dim=len(matrix), gamma_field=entry_field(matrix))
+    return GeneralizedMetric(entry_field(matrix))
 
 
 _ORBIT_ENTRIES = {"mass": (_positive, _REQUIRED), "radius": (_positive, _REQUIRED)}

@@ -664,13 +664,5 @@ def sm_lagrangian_normalized(f: CurvatureForm, f0: float, f4: float = 0.0,
     n_w_sq = f0 * g2 ** 2 / (192.0 * PI2)
     n_g_sq = f0 * g3 ** 2 / (64.0 * PI2)
     consts.update(n_b_sq=n_b_sq, n_w_sq=n_w_sq, n_g_sq=n_g_sq)
-    out = LagrangianBreakdown(point=f.point, terms=terms, total=_total(terms),
-                              constants=consts)
-    # consistency with the unnormalized breakdown under the substitution map
-    rp = ReparamConstants(n_r=n_r, n_b=float(np.sqrt(n_b_sq)),
-                          n_w=float(np.sqrt(n_w_sq)), n_g=float(np.sqrt(n_g_sq)),
-                          n_h=n_h)
-    base = curvature_squared(f, rp)
-    expected = f0 / (192.0 * PI2) * base.total + consts["tau0"]
-    consts["substitution_residual"] = abs(out.total - expected)
-    return out
+    return LagrangianBreakdown(point=f.point, terms=terms, total=_total(terms),
+                               constants=consts)

@@ -85,9 +85,10 @@ def _collect(obj, shape, n, order, pts=()):
     return val, d1, (d2[0] if d2 else None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChartField:
-    """Array-valued field on an n-dimensional chart.
+    """Array-valued field on an n-dimensional chart; frozen, so its cached
+    ``point_code`` stays its own.
 
     Parameters
     ----------
@@ -109,7 +110,7 @@ class ChartField:
     expressions: tuple | None = None
 
     def __post_init__(self):
-        self.shape = tuple(self.shape)
+        object.__setattr__(self, "shape", tuple(self.shape))
 
     @cached_property
     def point_code(self):

@@ -50,9 +50,10 @@ class Trajectory:
         return float(np.abs(self.norms - self.norms[0]).max())
 
 
-def velocity_norm(g: GeneralizedMetric, x: np.ndarray, v: np.ndarray) -> float:
-    gam = g.value(Point(tuple(x)))
-    return float(v @ gam @ v)
+def velocity_norm(gamma: np.ndarray, v) -> float:
+    """gamma_mn v^m v^n, the one formula of both stages."""
+    v = np.array(v)
+    return float(v @ gamma @ v)
 
 
 def _finite(accel: list) -> list:
@@ -72,8 +73,7 @@ def _general_stage(g: GeneralizedMetric) -> tuple:
         return _finite((-np.einsum("mab,a,b->m", gam, vc, vc)).tolist())
 
     def norm(gj: tuple, vc: list) -> float:
-        vc = np.array(vc)
-        return float(vc @ gj[0] @ vc)
+        return velocity_norm(gj[0], vc)
 
     return metric_jets, accel, norm
 
@@ -194,8 +194,7 @@ def _diagonal_stage(diagonal: tuple, signs: tuple) -> tuple:
     exec(compile(_stage_source(diagonal, signs), "<diagonal stage>", "exec"), names)
 
     def norm(gj: tuple, vc: list) -> float:
-        vc = np.array(vc)
-        return float(vc @ np.diag(gj[0]) @ vc)
+        return velocity_norm(np.diag(gj[0]), vc)
 
     return names["metric_jets"], names["accel"], norm
 

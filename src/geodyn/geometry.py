@@ -57,7 +57,7 @@ class VolumeElement:
     det: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vielbein:
     """Frame field E^a_m together with the flat frame metric eta.
 
@@ -66,7 +66,8 @@ class Vielbein:
     which the geodesic stage finds in its expressions.
 
     invariants is the action densities' memo of this frame's metric passes
-    over quadrature blocks (action._Passes); it lives as long as the frame.
+    over quadrature blocks (action._Passes); frame and field are frozen, so
+    it stays this frame's for as long as the frame lives.
     """
 
     field: ChartField
@@ -88,7 +89,7 @@ class Vielbein:
         return self.field.jets(p, order=order)
 
     def metric(self) -> "GeneralizedMetric":
-        return GeneralizedMetric(dim=self.dim, vielbein=self)
+        return GeneralizedMetric(self)
 
 
 @dataclass(frozen=True)
@@ -157,20 +158,18 @@ def ricci_square(ricci: np.ndarray, ginv: np.ndarray):
 
 
 class GeneralizedMetric:
-    """Symmetric rank-2 metric, backed by a vielbein or a direct field."""
+    """Symmetric rank-2 metric from one source: a vielbein, or a gamma field
+    of n x n entries over n coordinates.  Its dimension is the source's."""
 
-    def __init__(self, dim: int, vielbein: Vielbein | None = None,
-                 gamma_field: ChartField | None = None):
-        if (vielbein is None) == (gamma_field is None):
-            raise ValueError("provide exactly one of vielbein or gamma_field")
-        source = vielbein.field if gamma_field is None else gamma_field
-        if source.shape != (dim, dim) or source.dim != dim:
-            raise ValueError(f"{'vielbein' if gamma_field is None else 'gamma'} field of shape "
-                             f"{source.shape} over {source.dim} coordinates, expected "
-                             f"({dim}, {dim}) over {dim}")
-        self.dim = dim
-        self.vielbein = vielbein
-        self.gamma_field = gamma_field
+    def __init__(self, source: Vielbein | ChartField):
+        n = self.dim = source.dim
+        if isinstance(source, Vielbein):
+            self.vielbein, self.gamma_field = source, None
+        elif source.shape == (n, n):
+            self.vielbein, self.gamma_field = None, source
+        else:
+            raise ValueError(f"gamma field of shape {source.shape} over {n} coordinates, "
+                             f"expected ({n}, {n}) over {n}")
 
     # -- raw jets ---------------------------------------------------------
 
@@ -387,11 +386,10 @@ def frame_geometry(e: Vielbein, p) -> FrameGeometry:
                          frame_curvature=frame_curv)
 
 
-def frame_curvature_check(e: Vielbein, p: Point) -> float:
-    """Max |frame curvature - Riemann tensor pushed to frame indices| at p:
-    the frame connection's route to the curvature against the metric's."""
-    fg = frame_geometry(e, p)
-    eup = fg.e_inv @ e.signature.matrix
+def frame_curvature_check(fg: FrameGeometry, signature: MinkowskiSignature) -> float:
+    """Max |frame curvature - Riemann tensor pushed to frame indices| of fg, a
+    frame of this signature: its connection's route against the metric's."""
+    eup = fg.e_inv @ signature.matrix
     rf_ref = np.einsum("ar,sb,rsmn->abmn", fg.e, eup, fg.riemann)
     return float(np.abs(fg.frame_curvature - rf_ref).max())
 

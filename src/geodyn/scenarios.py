@@ -20,11 +20,11 @@ import numpy as np
 
 from .action import (FieldEquationInput, HeatKernelData,
                      field_equation_residual, heat_kernel_coefficients,
-                     moments, riemannian_limit_action, spectral_action)
+                     riemannian_limit_action, spectral_action)
 from .config import Scenario, build_scenario
 from .connection import curvature, gauge_square_report
 from .geodesics import integrate_geodesic
-from .geometry import frame_curvature_check
+from .geometry import frame_curvature_check, frame_geometry
 from .tensors import MAX_DIM
 from .triples import (check_axioms, fluctuate, fluctuation_space, hermitian_part,
                       inner_fluctuations, unimodular_projection)
@@ -154,7 +154,7 @@ def _run_geodesic(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
 
 
 def _run_action(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
-    m = moments(scn.cutoff)
+    m = scn.cutoff
     consts = scn.constants
     if task["form"] == "riemannian-limit":
         rep = riemannian_limit_action(
@@ -249,17 +249,16 @@ def _run_axioms(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
 
 
 def _run_limit_check(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
-    gm = scn.frame.metric()
     gamma_tol = task["gamma_tolerance"]
     ref = task["reference"]
     rows, worst, gamma_worst = [], 0.0, 0.0
     for p in task["points"]:
-        spin_route = frame_curvature_check(scn.frame, p)
+        fg = frame_geometry(scn.frame, p)
+        spin_route = frame_curvature_check(fg, scn.frame.signature)
         g_res, r_res = 0.0, 0.0
         if ref is not None:
-            g_res = float(np.abs(gm.value(p) - ref.value(p)).max())
-            r_res = float(np.abs(gm.curvature(p).riemann
-                                 - ref.curvature(p).riemann).max())
+            g_res = float(np.abs(fg.gamma - ref.value(p)).max())
+            r_res = float(np.abs(fg.riemann - ref.curvature(p).riemann).max())
         worst = _worst(worst, spin_route, r_res)
         gamma_worst = _worst(gamma_worst, g_res)
         rows.append(tuple(p.coords) + (g_res, r_res, spin_route))

@@ -1,5 +1,6 @@
 """Block evaluation: one vectorised jet pass over N points against the per-point path."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import geodyn.action as action
 import geodyn.tensors as tensors
 from geodyn.action import (GridSpec, HeatKernelData, Region, exponential_cutoff,
-                           heat_kernel_coefficients, integrate_scalar, moments,
+                           heat_kernel_coefficients, integrate_scalar,
                            riemannian_limit_action)
 from geodyn.config import build_scenario
 from geodyn.connection import (ConnectionForm, curvature, curvature_squared,
@@ -20,7 +21,7 @@ from geodyn.jets import (arctan, cos, cosh, exp, log, sin, sinh, sqrt, tan, tanh
 from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, flat, polar, schwarzschild
 from geodyn.scenarios import builtin_config, format_csv, run_scenario
 from geodyn.tensors import MinkowskiSignature, Point, SingularMetricError
-from test_connection import _antisymmetry, _random_higgs, _random_sm
+from test_connection import _antisymmetry, _random_higgs, _random_sm, _substitution_residual
 
 
 def _assert_rel(a, b, rtol):
@@ -195,7 +196,7 @@ def test_quadrature_box_reaching_the_horizon_raises(r_lo):
         heat_kernel_coefficients(HeatKernelData(metric=g, aa_mode="metric"), region, grid)
     with pytest.raises((ValueError, SingularMetricError)):
         riemannian_limit_action(schwarzschild(), region, grid,
-                                moments(exponential_cutoff()))
+                                exponential_cutoff())
 
 
 SCHWARZSCHILD_BOX = Region(lo=(0.0, 4.0, 0.6, 0.0), hi=(1.0, 9.0, 2.5, 2 * math.pi),
@@ -226,7 +227,7 @@ def _check_curvature_rows(monkeypatch, shape, subset):
     monkeypatch.setattr(GeneralizedMetric, "curvature", counting)
     grid = GridSpec(shape)
     riemannian_limit_action(schwarzschild(), SCHWARZSCHILD_BOX, grid,
-                            moments(exponential_cutoff()))
+                            exponential_cutoff())
     rows, blocks = _evaluated_rows(grid, subset)
     assert np.array_equal(np.concatenate(seen), rows)
     assert len(seen) == blocks
@@ -237,7 +238,7 @@ def _metric_mode_run(which, frame, region, grid):
         heat_kernel_coefficients(HeatKernelData(metric=frame.metric(), aa_mode="metric"),
                                  region, grid)
     else:
-        riemannian_limit_action(frame, region, grid, moments(exponential_cutoff()))
+        riemannian_limit_action(frame, region, grid, exponential_cutoff())
 
 
 def _check_jet_orders(monkeypatch, which, shape, subset):
@@ -387,7 +388,7 @@ SINGULAR_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SINGULAR_CASES))
-def test_failed_metric_pass_leaves_nothing_for_the_next_task(case, monkeypatch):
+def test_failed_metric_pass_leaves_the_finished_blocks_for_the_next_task(case, monkeypatch):
     frame, box = SINGULAR_CASES[case]
     calls = []
     original = GeneralizedMetric.curvature
@@ -407,13 +408,35 @@ def test_failed_metric_pass_leaves_nothing_for_the_next_task(case, monkeypatch):
     assert [r.status for r in both] == ["fail", "fail"]
     assert [r.summary for r in both] == [r.summary for r in alone]
     assert all(r.rows == [] for r in both)
-    # the second task passes every block up to the failing one itself again
-    assert calls == alone_calls[0] + alone_calls[1]
+    # the second task reads the blocks the first finished and passes only
+    # the failing one itself
     assert len(alone_calls[0]) == (1 if case == "horizon" else 5)
+    assert calls == alone_calls[0] + alone_calls[1][-1:]
     scn = build_scenario(_action_config(SUBSET_GRID, METRIC_TASKS, frame, box))
     with pytest.raises((ArithmeticError, ValueError)):
-        riemannian_limit_action(scn.frame, scn.region, scn.grid, moments(scn.cutoff))
-    assert scn.frame.invariants == {}
+        riemannian_limit_action(scn.frame, scn.region, scn.grid, scn.cutoff)
+    assert len(scn.frame.invariants) == len(alone_calls[0]) - 1
+
+
+def test_a_frame_is_frozen_under_its_memo():
+    # the memo is keyed by block coordinates alone, so a frame whose field
+    # could be swapped would hand back the old field's passes (a4 = 0.018565
+    # again, where mass 1.5 gives 0.041771)
+    region, grid = Region((0, 4, 0.6, 0), (1, 9, 2.5, 6.28)), GridSpec((2, 3, 3, 3))
+
+    def a4(frame):
+        data = HeatKernelData(metric=frame.metric(), aa_mode="metric")
+        return heat_kernel_coefficients(data, region, grid).a4
+
+    f = schwarzschild(1.0)
+    before = a4(f)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.field = schwarzschild(1.5).field
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.field.func = schwarzschild(1.5).field.func
+    assert a4(f) == before
+    assert abs(before - 0.018565) < 1e-6
+    assert abs(a4(schwarzschild(1.5)) - 0.041771) < 1e-6
 
 
 # -- gauge path --------------------------------------------------------------
@@ -451,7 +474,7 @@ def _curvature_scalars(f):
            "q_square": f.square_scalar(f.q_f),
            "curvature_squared": curvature_squared(f).total,
            "sm_lagrangian": norm.total,
-           "substitution_residual": norm.constants["substitution_residual"]}
+           "substitution_residual": _substitution_residual(f, norm, 2.0, n_r=1.2, n_h=0.8)}
     out.update({f"term {k}": v for k, v in norm.terms.items()})
     return out
 
@@ -486,7 +509,7 @@ def test_block_connection_curvature_matches_point_loop(name):
 def test_blocks_densities_match_per_point_quadrature():
     conn = _sm_connection(GAUGE_SM_FRAME)
     grid = GridSpec((2, 3, 5, 4))
-    m = moments(exponential_cutoff())
+    m = exponential_cutoff()
 
     def at(c):
         f = curvature(conn, Point(c))
@@ -533,14 +556,14 @@ def test_blocks_density_makes_five_jet_passes_per_block(which, monkeypatch):
                                                 connection=conn), UNIT_BOX, grid)
     else:
         riemannian_limit_action(conn.vielbein, UNIT_BOX, grid,
-                                moments(exponential_cutoff()), connection=conn)
+                                exponential_cutoff(), connection=conn)
     # one curvature(connection, block) pass: frame; B, W, G; Higgs
     assert orders == [2, 1, 1, 1, 1] * 4
 
 
 def test_limit_gravity_terms_are_the_frames_own_with_a_connection():
     conn = _sm_connection(GAUGE_SM_FRAME)
-    args = (conn.vielbein, UNIT_BOX, GridSpec((3, 3, 3, 3)), moments(exponential_cutoff()))
+    args = (conn.vielbein, UNIT_BOX, GridSpec((3, 3, 3, 3)), exponential_cutoff())
     with_conn = riemannian_limit_action(*args, connection=conn)
     alone = riemannian_limit_action(*args)
     gravity = ("delta0_volume", "einstein_hilbert", "ricci_sq", "lap_scalar", "scalar_sq",

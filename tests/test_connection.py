@@ -28,7 +28,7 @@ from geodyn.connection import (
     transform_potential,
 )
 from geodyn.fields import ChartField, fd_jets
-from geodyn.geometry import frame_curvature_check, ricci_square, riemann_square
+from geodyn.geometry import frame_curvature_check, frame_geometry, ricci_square, riemann_square
 from geodyn.jets import cos, sin
 from geodyn.library import flat, sphere2_cross_flat2
 from geodyn.tensors import Point
@@ -120,7 +120,8 @@ def test_curvature_internal_consistency_checks():
         f = curvature(form, p)
         assert _antisymmetry(f) < 1e-11
         assert gauge_route_check(form, p) < 1e-10
-        assert frame_curvature_check(form.vielbein, p) < 1e-10
+        fg = frame_geometry(form.vielbein, p)
+        assert frame_curvature_check(fg, form.vielbein.signature) < 1e-10
 
 
 def test_constant_abelian_potential_is_flat():
@@ -328,6 +329,18 @@ def test_gauge_square_report_identities():
         assert abs(rep.s_lambda - 0.8 ** 2 / 8.0 * rep.b_sq) < 1e-12 * scale
 
 
+def _substitution_residual(f, norm, f0, n_r=1.0, n_h=1.0):
+    """|total - (f0/192 pi^2) curvature_squared(f, rp).total - tau0| of a
+    normalized Lagrangian, with rp the reparametrization constants it
+    reports: the normalized form is the unnormalized one under that map."""
+    c = norm.constants
+    rp = ReparamConstants(n_r=n_r, n_b=float(np.sqrt(c["n_b_sq"])),
+                          n_w=float(np.sqrt(c["n_w_sq"])), n_g=float(np.sqrt(c["n_g_sq"])),
+                          n_h=n_h)
+    expected = f0 / (192.0 * np.pi ** 2) * curvature_squared(f, rp).total + c["tau0"]
+    return np.abs(norm.total - expected)
+
+
 def test_normalized_lagrangian_constants_and_substitution():
     rng = np.random.default_rng(83)
     form = ConnectionForm(flat(4), _random_sm(rng), _random_higgs(rng))
@@ -346,7 +359,7 @@ def test_normalized_lagrangian_constants_and_substitution():
                - (12.0 * f4 * lam_sq ** 2 + f0 * lam0) / (192.0 * pi2)) < 1e-15
     # canonical gauge normalization: exactly -1/4 of each component square
     assert abs(out.terms["gauge_w"] + 0.25 * f.component_square(f.w_f)) < 1e-12
-    assert out.constants["substitution_residual"] < 1e-10
+    assert _substitution_residual(f, out, f0, n_r=1.2, n_h=0.9) < 1e-10
 
 
 def test_validation_of_inputs():

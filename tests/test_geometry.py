@@ -71,7 +71,7 @@ def test_christoffel_matches_finite_difference_route():
     rng = np.random.default_rng(31)
     for _ in range(4):
         field = _random_metric_field(rng, 3)
-        g = GeneralizedMetric(3, gamma_field=field)
+        g = GeneralizedMetric(field)
         p = Point(tuple(rng.uniform(-1.0, 1.0, size=3)))
         gam = g.christoffel(p).values
         gv = field.numeric(p.coords)
@@ -110,7 +110,7 @@ def test_riemann_identities_random_metric():
     rng = np.random.default_rng(37)
     for _ in range(3):
         field = _random_metric_field(rng, 3)
-        g = GeneralizedMetric(3, gamma_field=field)
+        g = GeneralizedMetric(field)
         p = Point(tuple(rng.uniform(-1.0, 1.0, size=3)))
         cur = g.curvature(p)
         riem = cur.riemann
@@ -148,7 +148,7 @@ def test_ricci_simplified_matches_full_pipeline_in_unit_volume():
         out[0, 1] = out[1, 0] = 0.0
         return out
 
-    g = GeneralizedMetric(2, gamma_field=ChartField(dim=2, shape=(2, 2), func=func))
+    g = GeneralizedMetric(ChartField(dim=2, shape=(2, 2), func=func))
     p = Point((0.4, -0.8))
     _, _, gam, dgam, _ = g.christoffel_with_derivative(p)
     # with Gamma^b_ba = 0, R_mn = d_a Gamma^a_mn - Gamma^b_ma Gamma^a_nb
@@ -158,25 +158,15 @@ def test_ricci_simplified_matches_full_pipeline_in_unit_volume():
     assert np.abs(simplified - full).max() < 1e-10
 
 
-def test_generalized_metric_requires_one_backing():
-    with pytest.raises(ValueError):
-        GeneralizedMetric(2)
-    e = sphere2()
-    with pytest.raises(ValueError):
-        GeneralizedMetric(2, vielbein=e, gamma_field=e.field)
-
-
 def test_generalized_metric_rejects_a_source_of_another_dimension():
-    # a 4-dim frame under a 3-dim metric once ended in an IndexError in the
-    # geodesic stage; now construction names the mismatch
-    with pytest.raises(ValueError, match=r"vielbein field of shape \(4, 4\) over 4 "
-                                         r"coordinates, expected \(3, 3\) over 3"):
-        GeneralizedMetric(3, vielbein=flat(4))
+    # the metric takes its dimension from its source, so only a gamma field
+    # that is not n x n over its n coordinates can disagree with itself
     names = ("x", "y", "z")
     off_chart = entry_field([[compile_expression("1.0" if a == m else "0.0", names)
                               for m in range(2)] for a in range(2)])
-    with pytest.raises(ValueError, match=r"gamma field of shape \(2, 2\) over 3 "):
-        GeneralizedMetric(2, gamma_field=off_chart)
+    with pytest.raises(ValueError, match=r"gamma field of shape \(2, 2\) over 3 "
+                                         r"coordinates, expected \(3, 3\) over 3"):
+        GeneralizedMetric(off_chart)
 
 
 def test_metric_field_route_matches_vielbein_route():
@@ -189,7 +179,7 @@ def test_metric_field_route_matches_vielbein_route():
         out[0, 1] = out[1, 0] = 0.0
         return out
 
-    g2 = GeneralizedMetric(2, gamma_field=ChartField(dim=2, shape=(2, 2), func=func))
+    g2 = GeneralizedMetric(ChartField(dim=2, shape=(2, 2), func=func))
     g1 = e.metric()
     for theta in (0.5, 1.2, 2.6):
         p = Point((theta, 1.0))
@@ -208,7 +198,7 @@ def test_complex_metric_values_are_errors_on_every_route():
     e = Vielbein(field, MinkowskiSignature.euclidean(2))
     message = r"complex metric value at \(-0\.5, 0\.3\)"
     for p in (Point((-0.5, 0.3)), np.array([[0.5, 0.3], [-0.5, 0.3]])):
-        for g in (e.metric(), GeneralizedMetric(2, gamma_field=field)):
+        for g in (e.metric(), GeneralizedMetric(field)):
             with pytest.raises(ValueError, match=message):
                 g.curvature(p)
         with pytest.raises(ValueError, match=message):
