@@ -27,7 +27,6 @@ from .triples import (
 from .action import (
     ActionReport,
     GridSpec,
-    HeatKernelData,
     Moments,
     Region,
     field_equation_residual,
@@ -50,7 +49,7 @@ __all__ = [
     "gauge_square_report", "sm_lagrangian_normalized",
     "FiniteTriple", "YukawaData", "build_sm_finite", "check_axioms",
     "fluctuate", "inner_fluctuations", "lepton_triple", "two_point_triple",
-    "ActionReport", "GridSpec", "HeatKernelData",
+    "ActionReport", "GridSpec",
     "Moments", "Region", "field_equation_residual",
     "heat_kernel_coefficients", "moments",
     "riemannian_limit_action", "spectral_action",

@@ -21,8 +21,11 @@ jet pass per block.
 The weighted sum then runs over the whole grid in index order, so a fixed
 grid always reproduces identical bits.
 
-The densities that read the metric's own curvature pass (the Riemannian limit
-without a connection, the heat kernel in metric mode) share it: the volume,
+Each action function takes one source, and its mode follows from the
+source's type: a frame (or, for the field equations, a metric) gives the
+metric form, a ConnectionForm, which carries its frame, the connection's.
+The densities that read the frame metric's own curvature pass (the
+Riemannian limit and the heat kernel of a frame) share it: the volume,
 R, Ric.Ric, R.R and gamma^-1 of a block (4 + n^2 floats a point, not the
 curvature tensors) are memoised on the metric's Vielbein, keyed by the
 block's coordinates, and live as long as that frame, which a scenario run
@@ -43,7 +46,6 @@ from .connection import (
     PI2,
     ConnectionForm,
     CurvatureForm,
-    ReparamConstants,
     curvature,
     curvature_squared,
     field_strength_square,
@@ -59,7 +61,6 @@ __all__ = [
     "Moments",
     "Region",
     "GridSpec",
-    "HeatKernelData",
     "HeatKernelCoefficients",
     "ActionReport",
     "FieldEquationInput",
@@ -68,6 +69,7 @@ __all__ = [
     "sharp_cutoff",
     "gaussian_cutoff",
     "CUTOFF_BUILTINS",
+    "ACTION_TERMS",
     "moments",
     "integrate_scalar",
     "heat_kernel_coefficients",
@@ -318,49 +320,15 @@ def integrate_scalar(fn, region: Region, grid: GridSpec) -> tuple:
 # -- heat kernel coefficients ----------------------------------------------------
 
 
-def _check_frame(frame: Vielbein | None, connection: ConnectionForm | None) -> None:
-    """ValueError unless a connection, if given, is built on frame."""
-    if connection is not None and frame is not connection.vielbein:
-        raise ValueError("the metric must come from the connection's vielbein")
-
-
-@dataclass
-class HeatKernelData:
-    """What the squared operator is made of on the sampled region.
-
-    aa_mode picks how the curvature-squared scalar is formed: "blocks" squares
-    the assembled connection blockwise (gravity, gauge, Higgs, with unit
-    reparametrization constants), "metric" uses sigma^2 times the squared
-    Riemann tensor of the generalized metric, which is the form the compact
-    universal action assumes; sigma^2 = n(n-1) follows from the signature of
-    metric's vielbein.  A connection must be built on that vielbein (else
-    ValueError); in blocks mode its curvature pass gives the volume and
-    metric serves only the E term.
-    """
-
-    metric: GeneralizedMetric
-    connection: ConnectionForm | None = None
-    e_term: ChartField | None = None
-    aa_mode: str = "blocks"
-
-    def __post_init__(self):
-        if self.aa_mode not in ("blocks", "metric"):
-            raise ValueError("aa_mode must be 'blocks' or 'metric'")
-        if self.aa_mode == "blocks" and self.connection is None:
-            raise ValueError("blocks mode needs an assembled connection")
-        _check_frame(self.metric.vielbein, self.connection)
-
-    def sigma_sq(self) -> float:
-        if self.metric.vielbein is None:
-            raise ValueError("sigma^2 needs a vielbein to take the signature from")
-        return sigma_squared(self.metric.vielbein.signature)[0]
-
-
 @dataclass
 class HeatKernelCoefficients:
+    """a0, a2, a4 with their quadrature errors; sigma_sq is the sigma^2 that
+    a4 used, None when a connection's blocks gave its curvature square."""
+
     a0: float
     a2: float
     a4: float
+    sigma_sq: float | None
     errors: dict
     meta: dict
 
@@ -379,28 +347,38 @@ def _laplacian_of_scalar(metric: GeneralizedMetric, f: ChartField, block: np.nda
     return val, lap
 
 
-def heat_kernel_coefficients(data: HeatKernelData, region: Region,
-                             grid: GridSpec) -> HeatKernelCoefficients:
+def heat_kernel_coefficients(source: Vielbein | ConnectionForm, region: Region,
+                             grid: GridSpec, e_term: ChartField | None = None
+                             ) -> HeatKernelCoefficients:
     """a0, a2, a4 integrated over the region.
 
     a0 = (1/16 pi^2) int vol; a2 = (1/16 pi^2) int E vol;
     a4 = (1/192 pi^2) int (6 E^2 + 2 lap E + AA) vol.
+
+    A frame gives AA = sigma^2 R.R, the form the compact universal action
+    assumes, with sigma^2 = n(n-1) from its signature and R.R from its
+    metric's shared pass.  A connection gives AA as its assembled curvature
+    squared blockwise (gravity, gauge, Higgs, with unit reparametrization
+    constants), and its own curvature pass gives the volume.  E, if given,
+    is a scalar field, its Laplacian taken with the frame's metric.
     """
-    sig_sq = data.sigma_sq() if data.aa_mode == "metric" else None
-    passes = _Passes(data.metric)
+    connection = source if isinstance(source, ConnectionForm) else None
+    frame = source.vielbein if connection is not None else source
+    sig_sq = sigma_squared(frame.signature)[0] if connection is None else None
+    passes = _Passes(frame.metric())
 
     def density(block):
         # the curvature pass's guarded determinant gives the volume; no
         # second jet pass or guard
-        if data.aa_mode == "blocks":
-            ct = curvature(data.connection, block)
+        if connection is not None:
+            ct = curvature(connection, block)
             aa = curvature_squared(ct).total
             vol = ct.volume()
         else:
             vol, _, _, riem_sq, _ = passes.invariants(block)
             aa = sig_sq * riem_sq
-        if data.e_term is not None:
-            e_val, e_lap = _laplacian_of_scalar(data.metric, data.e_term, block)
+        if e_term is not None:
+            e_val, e_lap = _laplacian_of_scalar(passes.metric, e_term, block)
         else:
             e_val, e_lap = 0.0, 0.0
         return np.stack([vol, e_val * vol,
@@ -412,7 +390,8 @@ def heat_kernel_coefficients(data: HeatKernelData, region: Region,
     a4 = fine[2] / (192.0 * PI2)
     errors = {"a0": err[0] / (16.0 * PI2), "a2": err[1] / (16.0 * PI2),
               "a4": err[2] / (192.0 * PI2)}
-    return HeatKernelCoefficients(a0=a0, a2=a2, a4=a4, errors=errors, meta=meta)
+    return HeatKernelCoefficients(a0=a0, a2=a2, a4=a4, sigma_sq=sig_sq, errors=errors,
+                                  meta=meta)
 
 
 # -- assembled action -------------------------------------------------------------
@@ -433,19 +412,29 @@ class ActionReport:
     quadrature: dict = field(default_factory=dict)
 
 
+# the terms of each action form's report, keyed by the form's config name, in
+# the order the report sums them
+ACTION_TERMS = {
+    "spectral": ("a0_volume", "a2_endomorphism", "a4_curvature"),
+    "riemannian-limit": ("delta0_volume", "einstein_hilbert", "ricci_sq", "gauge_sector",
+                         "higgs_sector", "lap_scalar", "scalar_sq", "ricci_riemann_sq"),
+}
+
+
 def derived_constants(m: Moments, sigma_sq: float | None = None,
-                      alpha: float | None = None, higgs_c: float | None = None,
-                      reparam: ReparamConstants | None = None) -> dict:
+                      connection: ConnectionForm | None = None,
+                      n_r: float = 1.0, n_h: float = 1.0) -> dict:
     """Every named constant of the action, mapped onto the three moments.
 
     The normalized-form constants (tau0, alpha0, mu0, kappa_sq, z, lambda0,
-    delta0) are connection.sm_constants; alpha and higgs_c are the
-    connection's Higgs scale and vacuum constant, and without them lambda0 is
-    0 and kappa_sq and z are absent.  kappa0 needs sigma_sq; like mu0 it is
-    inf when the cutoff vanishes at zero.
+    delta0) are connection.sm_constants, read with the connection's Higgs
+    scale alpha and vacuum constant c; without a connection lambda0 is 0 and
+    kappa_sq and z are absent.  kappa0 needs sigma_sq; like mu0 it is inf
+    when the cutoff vanishes at zero.
     """
-    rp = reparam or ReparamConstants()
-    out = sm_constants(m.m0, m.m4, m.lam_sq, rp.n_r, rp.n_h, alpha, higgs_c)
+    alpha, higgs_c = ((connection.alpha, connection.higgs.c) if connection is not None
+                      else (None, None))
+    out = sm_constants(m.m0, m.m4, m.lam_sq, n_r, n_h, alpha, higgs_c)
     out.update(beta0=m.m0 / (2880.0 * PI2), eta0=m.m0 / (480.0 * PI2),
                zeta0=m.m0 / (1152.0 * PI2))
     if sigma_sq:
@@ -454,22 +443,24 @@ def derived_constants(m: Moments, sigma_sq: float | None = None,
 
 
 def spectral_action(m: Moments, coeffs: HeatKernelCoefficients,
-                    sigma_sq: float | None = None, alpha: float | None = None,
-                    higgs_c: float | None = None) -> ActionReport:
-    """Three-term truncated action M4 L^4 a0 + M2 L^2 a2 + M0 a4."""
+                    connection: ConnectionForm | None = None) -> ActionReport:
+    """Three-term truncated action M4 L^4 a0 + M2 L^2 a2 + M0 a4.
+
+    Its constants are read with the sigma^2 of coeffs and, if given, the
+    connection's Higgs block.
+    """
     lam_sq = m.lam_sq
-    terms = {
-        "a0_volume": (m.m4 * lam_sq ** 2, coeffs.a0, m.m4 * lam_sq ** 2 * coeffs.a0),
-        "a2_endomorphism": (m.m2 * lam_sq, coeffs.a2, m.m2 * lam_sq * coeffs.a2),
-        "a4_curvature": (m.m0, coeffs.a4, m.m0 * coeffs.a4),
-    }
+    # (coefficient, integral, quadrature error) of each term
+    parts = ((m.m4 * lam_sq ** 2, coeffs.a0, coeffs.errors["a0"]),
+             (m.m2 * lam_sq, coeffs.a2, coeffs.errors["a2"]),
+             (m.m0, coeffs.a4, coeffs.errors["a4"]))
+    names = ACTION_TERMS["spectral"]
+    terms = {name: (c, i, c * i) for name, (c, i, _) in zip(names, parts)}
+    errors = {name: e for name, (_, _, e) in zip(names, parts)}
     total = float(sum(v[2] for v in terms.values()))
-    consts = derived_constants(m, sigma_sq=sigma_sq, alpha=alpha, higgs_c=higgs_c)
+    consts = derived_constants(m, sigma_sq=coeffs.sigma_sq, connection=connection)
     return ActionReport(terms=terms, total=total, constants=consts,
-                        quadrature={"errors": {
-                            "a0_volume": coeffs.errors["a0"],
-                            "a2_endomorphism": coeffs.errors["a2"],
-                            "a4_curvature": coeffs.errors["a4"]}, **coeffs.meta})
+                        quadrature={"errors": errors, **coeffs.meta})
 
 
 # -- field equations ---------------------------------------------------------------
@@ -477,23 +468,19 @@ def spectral_action(m: Moments, coeffs: HeatKernelCoefficients,
 
 @dataclass
 class FieldEquationInput:
-    """Geometry, optional SM sector, stress tensor and constants at a point.
+    """Geometry, stress tensor and constants at a point.
 
-    With a connection, metric must be the metric of the connection's own
-    vielbein, so one curvature pass serves both sectors.
+    source is a metric, or a connection, whose curvature pass also gives the
+    SM sector, so one pass serves both sectors.
     """
 
-    metric: GeneralizedMetric
-    connection: ConnectionForm | None = None
+    source: GeneralizedMetric | ConnectionForm
     stress: ChartField | None = None     # covariant T_mn
     kappa0: float = 1.0
     tau0: float = 0.0
     f0: float = 1.0
     n_r: float = 1.0
     n_h: float = 1.0
-
-    def __post_init__(self):
-        _check_frame(self.metric.vielbein, self.connection)
 
 
 @dataclass
@@ -560,11 +547,12 @@ def field_equation_residual(inp: FieldEquationInput, p: Point) -> FieldEquationR
     the algebraic part of the variation the displayed equations contain; the
     derivative-of-curvature terms are outside its scope by construction.  Its
     densities are the curvature objects' own squares (riemann_square and the
-    connection's) taken with the perturbed inverse metric.  With a
-    connection, one curvature(connection, p) pass serves both sectors.
+    connection's) taken with the perturbed inverse metric.  A connection
+    source adds the SM sector; its one curvature(connection, p) pass serves
+    both sectors.
     """
-    ct = (curvature(inp.connection, p) if inp.connection is not None
-          else inp.metric.curvature(p))
+    sm_form = isinstance(inp.source, ConnectionForm)
+    ct = curvature(inp.source, p) if sm_form else inp.source.curvature(p)
     gamma, ginv = ct.gamma, ct.gamma_inv
     n = gamma.shape[0]
     rd = ct.riemann_down()           # R_{mu nu rho la}, all covariant
@@ -592,7 +580,7 @@ def field_equation_residual(inp: FieldEquationInput, p: Point) -> FieldEquationR
     }
 
     sym = float(np.abs(lhs_display - lhs_display.T).max())
-    sm = _sm_field_equation(inp, ct, t_mn) if inp.connection is not None else None
+    sm = _sm_field_equation(inp, ct, t_mn) if sm_form else None
     return FieldEquationResidual(
         point=p,
         lhs_display=lhs_display,
@@ -685,26 +673,23 @@ def _divergence_integral(scalar_grid: np.ndarray, vol_grid: np.ndarray,
     return float(np.sum(w * div))
 
 
-def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
-                            m: Moments, connection: ConnectionForm | None = None,
-                            n_r: float = 1.0, n_h: float = 1.0) -> ActionReport:
+def riemannian_limit_action(source: Vielbein | ConnectionForm, region: Region,
+                            grid: GridSpec, m: Moments, n_r: float = 1.0,
+                            n_h: float = 1.0) -> ActionReport:
     """The expanded action when the connection is the Riemannian one.
 
     Terms: delta0 volume, Einstein-Hilbert with coefficient M2 L^2 / 64 pi^2,
     the SM sector in canonical normalization, the total-derivative term
     eta0 * int lap R, zeta0 * int R^2 and -beta0 * int (Ricci^2 + Riemann^2).
-    A connection, if given, must be built on frame (else ValueError): its one
-    curvature pass per block gives the volume and curvature terms, as frame's
-    own would, and the gauge and Higgs sectors; without one, the frame's
-    metric passes are shared with its other quadratures (module docstring).
+    A frame source leaves the gauge and Higgs sectors zero, and its metric
+    passes are shared with its other quadratures (module docstring).  A
+    connection's one curvature pass per block gives the volume and curvature
+    terms, as its frame's own would, and the gauge and Higgs sectors.
     Comparing a frame with a reference metric is the limit-check task's job.
     """
-    _check_frame(frame, connection)
-    gm = frame.metric()
-    alpha, higgs_c = ((connection.alpha, connection.higgs.c) if connection is not None
-                      else (None, None))
-    dconsts = derived_constants(m, alpha=alpha, higgs_c=higgs_c,
-                                reparam=ReparamConstants(n_r=n_r, n_h=n_h))
+    connection = source if isinstance(source, ConnectionForm) else None
+    frame = source.vielbein if connection is not None else source
+    dconsts = derived_constants(m, connection=connection, n_r=n_r, n_h=n_h)
     alpha0 = dconsts["alpha0"]
     beta0 = dconsts["beta0"]
     eta0 = dconsts["eta0"]
@@ -712,7 +697,7 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
     delta0 = dconsts["delta0"]
     eh_coeff = m.m2 * m.lam_sq / (64.0 * PI2)
 
-    passes = _Passes(gm)
+    passes = _Passes(frame.metric())
 
     def density(block):
         gauge = higgs = 0.0
@@ -747,22 +732,17 @@ def riemannian_limit_action(frame: Vielbein, region: Region, grid: GridSpec,
         vals[:, 7].reshape(shape), vals[:, 0].reshape(shape),
         vals[:, 8:].reshape(shape + (region.dim, region.dim)), region, grid)
 
-    terms = {
-        "delta0_volume": (delta0, vol_i, delta0 * vol_i),
-        "einstein_hilbert": (eh_coeff, r_i, eh_coeff * r_i),
-        "ricci_sq": (alpha0, ric2_i, alpha0 * ric2_i),
-        "gauge_sector": (1.0, gauge_i, gauge_i),
-        "higgs_sector": (1.0, higgs_i, higgs_i),
-        "lap_scalar": (eta0, lap_r_integral, eta0 * lap_r_integral),
-        "scalar_sq": (zeta0, r2_i, zeta0 * r2_i),
-        "ricci_riemann_sq": (-beta0, ric2_i + riem2_i, -beta0 * (ric2_i + riem2_i)),
-    }
+    # (coefficient, integral, quadrature error) of each term; lap_scalar's
+    # integral comes from grid finite differences, with no estimate
+    parts = ((delta0, vol_i, e_vol), (eh_coeff, r_i, e_r), (alpha0, ric2_i, e_ric2),
+             (1.0, gauge_i, e_gauge), (1.0, higgs_i, e_higgs),
+             (eta0, lap_r_integral, None), (zeta0, r2_i, e_r2),
+             (-beta0, ric2_i + riem2_i, e_ric2 + e_riem2))
+    names = ACTION_TERMS["riemannian-limit"]
+    terms = {name: (c, i, c * i) for name, (c, i, _) in zip(names, parts)}
+    errors = {name: e for name, (_, _, e) in zip(names, parts) if e is not None}
     total = float(sum(v[2] for v in terms.values()))
     consts_out = {"beta0": beta0, "eta0": eta0, "zeta0": zeta0,
                   "delta0": delta0, "alpha0": alpha0, "eh_coeff": eh_coeff}
-    # lap_scalar's integral comes from grid finite differences, with no estimate
-    errors = {"delta0_volume": e_vol, "einstein_hilbert": e_r, "ricci_sq": e_ric2,
-              "gauge_sector": e_gauge, "higgs_sector": e_higgs, "scalar_sq": e_r2,
-              "ricci_riemann_sq": e_ric2 + e_riem2}
     return ActionReport(terms=terms, total=total, constants=consts_out,
                         quadrature={"errors": errors, **meta})

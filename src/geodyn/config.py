@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action import CUTOFF_BUILTINS, GridSpec, Moments, Region, moments
+from .action import ACTION_TERMS, CUTOFF_BUILTINS, GridSpec, Moments, Region, moments
 from .connection import ConnectionForm, HiggsField, SMGaugeConfig
 from .exprs import compile_expression, default_coordinate_names
 from .fields import entry_field
@@ -707,7 +707,7 @@ _TASK_ENTRIES = {
     },
     "action": {
         "tolerance": (_number, 1e-10),
-        "form": (_choice("spectral", "riemannian-limit"), "spectral"),
+        "form": (_choice(*ACTION_TERMS), "spectral"),
         "aa_mode": (_choice("metric", "blocks"), "metric"),
         "expect_only": (_text, None),  # the name of the one term expected nonzero
     },
@@ -779,6 +779,11 @@ def _needs(task, has, dim):
         yield f"metric mode needs an even chart dimension, got {dim}"
     if ttype == "action" and task["aa_mode"] == "blocks" and not sm <= has:
         yield "blocks mode needs gauge and higgs sections"
+    if ttype == "action" and None not in (task["form"], task["expect_only"]):
+        terms = ACTION_TERMS[task["form"]]
+        if task["expect_only"] not in terms:
+            yield (f"expect_only {task['expect_only']!r} names no {task['form']} term; "
+                   f"its terms: {', '.join(terms)}")
     if ttype == "trace-oracle" and "gauge" not in has:
         yield "trace-oracle task needs a gauge section"
     if ttype == "field-equations" and task["sm"] and not sm <= has:

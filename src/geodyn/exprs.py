@@ -104,14 +104,18 @@ def compile_expression(source: str, coordinates) -> CompiledExpression:
         raise ExpressionError(f"coordinate names {sorted(clash)} shadow builtins")
     try:
         tree = _parse(source)
+        _validate(tree.body, coords, source)
+        code = compile(tree, "<expression>", "eval")
     except SyntaxError as e:
         # a 1-based offset in characters; none means the end of the input
         line, col = (e.lineno, e.offset - 1) if e.offset else (1, len(source.replace("^", "**")))
         raise ExpressionError(f"syntax error at offset {_source_offset(source, line, col)}: "
                               f"{source!r}") from None
-    _validate(tree.body, coords, source)
-    return CompiledExpression(source=source, coordinates=coords,
-                              _code=compile(tree, "<expression>", "eval"))
+    except (RecursionError, MemoryError):
+        # the host parser, the validator and the compiler all recurse on the
+        # nesting depth; past their limits the expression is rejected whole
+        raise ExpressionError(f"expression nests too deeply ({len(source)} characters)") from None
+    return CompiledExpression(source=source, coordinates=coords, _code=code)
 
 
 def _parse(source: str) -> ast.Expression:

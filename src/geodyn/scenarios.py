@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import (FieldEquationInput, HeatKernelData,
-                     field_equation_residual, heat_kernel_coefficients,
-                     riemannian_limit_action, spectral_action)
+from .action import (FieldEquationInput, field_equation_residual,
+                     heat_kernel_coefficients, riemannian_limit_action, spectral_action)
 from .config import Scenario, build_scenario
 from .connection import curvature, gauge_square_report
 from .geodesics import integrate_geodesic
@@ -158,16 +157,13 @@ def _run_action(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     consts = scn.constants
     if task["form"] == "riemannian-limit":
         rep = riemannian_limit_action(
-            scn.frame, scn.region, scn.grid, m, connection=scn.connection,
+            scn.connection or scn.frame, scn.region, scn.grid, m,
             n_r=consts["n_r"], n_h=consts["n_h"])
     else:
-        data = HeatKernelData(metric=scn.frame.metric(),
-                              connection=scn.connection, aa_mode=task["aa_mode"])
-        coeffs = heat_kernel_coefficients(data, scn.region, scn.grid)
-        rep = spectral_action(
-            m, coeffs, sigma_sq=data.sigma_sq() if data.aa_mode == "metric" else None,
-            alpha=scn.connection.alpha if scn.connection else None,
-            higgs_c=scn.connection.higgs.c if scn.connection else None)
+        # aa_mode picks the source: the connection's blocks or the frame's metric
+        source = scn.connection if task["aa_mode"] == "blocks" else scn.frame
+        coeffs = heat_kernel_coefficients(source, scn.region, scn.grid)
+        rep = spectral_action(m, coeffs, connection=scn.connection)
     # how many grid blocks this task passed itself and how many it read from
     # an earlier task's pass over the same frame
     summary = {"total": rep.total, **rep.constants,
@@ -189,8 +185,7 @@ def _run_action(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
 def _run_field_equations(scn: Scenario, task: dict, rng: np.random.Generator) -> dict:
     consts = scn.constants
     inp = FieldEquationInput(
-        metric=scn.frame.metric(),
-        connection=scn.connection if task["sm"] else None,
+        scn.connection if task["sm"] else scn.frame.metric(),
         kappa0=task["kappa0"], tau0=task["tau0"],
         f0=consts["f0"], n_r=consts["n_r"], n_h=consts["n_h"])
     rows, worst = [], 0.0
@@ -257,8 +252,9 @@ def _run_limit_check(scn: Scenario, task: dict, rng: np.random.Generator) -> dic
         spin_route = frame_curvature_check(fg, scn.frame.signature)
         g_res, r_res = 0.0, 0.0
         if ref is not None:
-            g_res = float(np.abs(fg.gamma - ref.value(p)).max())
-            r_res = float(np.abs(fg.riemann - ref.curvature(p).riemann).max())
+            rc = ref.curvature(p)
+            g_res = float(np.abs(fg.gamma - rc.gamma).max())
+            r_res = float(np.abs(fg.riemann - rc.riemann).max())
         worst = _worst(worst, spin_route, r_res)
         gamma_worst = _worst(gamma_worst, g_res)
         rows.append(tuple(p.coords) + (g_res, r_res, spin_route))

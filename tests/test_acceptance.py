@@ -13,7 +13,6 @@ import numpy as np
 from geodyn.action import (
     FieldEquationInput,
     GridSpec,
-    HeatKernelData,
     Region,
     exponential_cutoff,
     field_equation_residual,
@@ -347,27 +346,20 @@ def test_criterion_08_spectral_action():
         assert abs(m.m2 - 1.0) < 1e-10
         assert abs(m.m0 - 1.0) < 1e-10
 
-        g = flat(4).metric()
         region = Region(lo=(0.0,) * 4, hi=(1.0,) * 4)
         grid = GridSpec((4,) * 4)
         lam_sq = 2.0
-        empty = heat_kernel_coefficients(HeatKernelData(metric=g, aa_mode="metric"),
-                                         region, grid)
-        total = spectral_action(exponential_cutoff(lam_sq=lam_sq),
-                                empty, sigma_sq=12.0).total
+        empty = heat_kernel_coefficients(flat(4), region, grid)
+        total = spectral_action(exponential_cutoff(lam_sq=lam_sq), empty).total
         assert abs(total - lam_sq ** 2 / (16.0 * PI ** 2)) < 1e-14
 
         # homogeneity degrees (4, 2, 0) in the scale
         e0 = 0.7
         coeffs = heat_kernel_coefficients(
-            HeatKernelData(metric=g, aa_mode="metric",
-                           e_term=ChartField(dim=4, shape=(), func=lambda c: e0)),
-            region, grid)
+            flat(4), region, grid, e_term=ChartField(dim=4, shape=(), func=lambda c: e0))
         assert abs(coeffs.a4 - 6.0 * e0 ** 2 / (192.0 * PI ** 2)) < 1e-8
-        r1 = spectral_action(exponential_cutoff(lam_sq=1.0),
-                             coeffs, sigma_sq=12.0)
-        r2 = spectral_action(exponential_cutoff(lam_sq=2.0),
-                             coeffs, sigma_sq=12.0)
+        r1 = spectral_action(exponential_cutoff(lam_sq=1.0), coeffs)
+        r2 = spectral_action(exponential_cutoff(lam_sq=2.0), coeffs)
         assert r2.terms["a0_volume"][2] == 4.0 * r1.terms["a0_volume"][2]
         assert r2.terms["a2_endomorphism"][2] == 2.0 * r1.terms["a2_endomorphism"][2]
         assert r2.terms["a4_curvature"][2] == r1.terms["a4_curvature"][2]
@@ -404,7 +396,7 @@ def test_criterion_09_field_equation_variation():
             return out
 
         bumpy = GeneralizedMetric(ChartField(dim=dim, shape=(dim, dim), func=gfun))
-        out = field_equation_residual(FieldEquationInput(metric=bumpy),
+        out = field_equation_residual(FieldEquationInput(bumpy),
                                       Point((0.3, -0.2)))
         rep = out.fd_report
         assert rep["rr_frozen_vol"] < 1e-6
@@ -413,12 +405,12 @@ def test_criterion_09_field_equation_variation():
 
         conn = _random_sm_connection(rng)
         sm_out = field_equation_residual(
-            FieldEquationInput(metric=conn.vielbein.metric(), connection=conn, f0=5.0),
+            FieldEquationInput(conn, f0=5.0),
             Point((0.2, -0.3, 0.4, 0.1)))
         assert sm_out.sm["fd_vs_algebraic"] < 1e-6
 
         zero = field_equation_residual(
-            FieldEquationInput(metric=flat(4).metric(), tau0=0.0),
+            FieldEquationInput(flat(4).metric(), tau0=0.0),
             Point((0.1, 0.2, 0.3, 0.4)))
         assert np.abs(zero.residual_display).max() == 0.0
         assert np.abs(zero.residual_variational).max() == 0.0

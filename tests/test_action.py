@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from geodyn import action
+from geodyn import action, scenarios
 from geodyn.action import (
     FieldEquationInput,
     GridSpec,
-    HeatKernelData,
     Moments,
     Region,
     derived_constants,
@@ -25,7 +24,6 @@ from geodyn.config import build_scenario
 from geodyn.connection import (
     ConnectionForm,
     HiggsField,
-    ReparamConstants,
     SMGaugeConfig,
     curvature,
     curvature_squared,
@@ -156,27 +154,23 @@ def test_batched_integral_equals_per_point_integral():
 
 
 def test_flat_box_heat_kernel_closed_forms():
-    g = flat(4).metric()
+    frame = flat(4)
     region = Region(lo=(0.0,) * 4, hi=(1.0,) * 4)
     grid = GridSpec((5,) * 4)
-    data = HeatKernelData(metric=g, aa_mode="metric")
-    out = heat_kernel_coefficients(data, region, grid)
+    out = heat_kernel_coefficients(frame, region, grid)
     assert abs(out.a0 - 1.0 / (16.0 * PI ** 2)) < 1e-15
     assert abs(out.a2) < 1e-15
     assert abs(out.a4) < 1e-15
 
     e0 = 0.7
-    data_e = HeatKernelData(metric=g, aa_mode="metric",
-                            e_term=ChartField(dim=4, shape=(), func=lambda c: e0))
-    out_e = heat_kernel_coefficients(data_e, region, grid)
+    out_e = heat_kernel_coefficients(frame, region, grid,
+                                     e_term=ChartField(dim=4, shape=(), func=lambda c: e0))
     assert abs(out_e.a2 - e0 / (16.0 * PI ** 2)) < 1e-15
     assert abs(out_e.a4 - 6.0 * e0 ** 2 / (192.0 * PI ** 2)) < 1e-15
 
 
 def test_sphere_heat_kernel_ratio_and_volume():
-    g = sphere2().metric()
-    data = HeatKernelData(metric=g, aa_mode="metric")
-    out = heat_kernel_coefficients(data, SPHERE_REGION, GridSpec((81, 16)))
+    out = heat_kernel_coefficients(sphere2(), SPHERE_REGION, GridSpec((81, 16)))
     assert abs(out.a0 - SPHERE_VOL / (16.0 * PI ** 2)) < 1e-3 * out.a0
     # sigma^2 = 2 in dimension 2 and the unit-sphere Riemann square is 4,
     # so the a4 density is exactly 8 and the ratio is grid-independent
@@ -198,9 +192,7 @@ def test_blocks_mode_constant_abelian_field_strength():
                        g1=g1)
     conn = ConnectionForm(flat(4), sm, HiggsField.zero(4, c=0.0))
     region = Region(lo=(0.0,) * 4, hi=(1.0,) * 4)
-    out = heat_kernel_coefficients(HeatKernelData(metric=conn.vielbein.metric(),
-                                                  connection=conn),
-                                   region, GridSpec((4,) * 4))
+    out = heat_kernel_coefficients(conn, region, GridSpec((4,) * 4))
     # lorentzian raising: B_mn B^mn = -2 f01^2, so AA = +(3/2) g1^2 f01^2
     aa = 1.5 * g1 ** 2 * f01 ** 2
     assert abs(out.a4 - aa / (192.0 * PI ** 2)) < 1e-15
@@ -209,18 +201,17 @@ def test_blocks_mode_constant_abelian_field_strength():
 
 
 def test_spectral_action_flat_total_and_scaling():
-    g = flat(4).metric()
     region = Region(lo=(0.0,) * 4, hi=(1.0,) * 4)
     grid = GridSpec((4,) * 4)
-    coeffs = heat_kernel_coefficients(HeatKernelData(metric=g, aa_mode="metric"),
-                                      region, grid)
+    coeffs = heat_kernel_coefficients(flat(4), region, grid)
+    assert coeffs.sigma_sq == 12.0
     m = exponential_cutoff(lam_sq=2.0)
-    report = spectral_action(m, coeffs, sigma_sq=12.0)
+    report = spectral_action(m, coeffs)
     assert abs(report.total - 4.0 / (16.0 * PI ** 2)) < 1e-15
 
     # term homogeneity in the energy scale: powers 2, 1, 0 in lam_sq
     m2x = exponential_cutoff(lam_sq=4.0)
-    r2 = spectral_action(m2x, coeffs, sigma_sq=12.0)
+    r2 = spectral_action(m2x, coeffs)
     assert abs(r2.terms["a0_volume"][2] - 4.0 * report.terms["a0_volume"][2]) < 1e-15
     assert r2.terms["a2_endomorphism"][0] == 2.0 * report.terms["a2_endomorphism"][0]
     assert r2.terms["a4_curvature"][0] == report.terms["a4_curvature"][0]
@@ -229,10 +220,9 @@ def test_spectral_action_flat_total_and_scaling():
 def test_universal_form_matches_three_term_total_on_sphere():
     g = sphere2().metric()
     grid = GridSpec((41, 12))
-    coeffs = heat_kernel_coefficients(HeatKernelData(metric=g, aa_mode="metric"),
-                                      SPHERE_REGION, grid)
+    coeffs = heat_kernel_coefficients(sphere2(), SPHERE_REGION, grid)
     m = exponential_cutoff(lam_sq=1.7)
-    report = spectral_action(m, coeffs, sigma_sq=2.0)
+    report = spectral_action(m, coeffs)
     vol_i, _, _ = integrate_scalar(
         lambda c: g.volume_element(Point(c)).value, SPHERE_REGION, grid)
     rr_i, _, _ = integrate_scalar(
@@ -242,6 +232,7 @@ def test_universal_form_matches_three_term_total_on_sphere():
     # the compact form tau0 * vol + int R.R / (2 kappa0), constants from the table
     consts = derived_constants(m, sigma_sq=2.0)
     assert abs(consts["kappa0"] - 96.0 * PI ** 2 / (2.0 * m.m0)) < 1e-12
+    assert report.constants == consts
     compact = consts["tau0"] * vol_i + rr_i / (2.0 * consts["kappa0"])
     assert abs(compact - report.total) < 1e-14 * max(1.0, abs(report.total))
 
@@ -277,8 +268,7 @@ def test_derived_constants_and_the_sm_normalization_share_one_table():
     f0, f4, lam_sq, n_r, n_h = 7.0, 0.3, 2.0, 1.2, 0.9
     conn = _random_sm_setup(np.random.default_rng(139))
     table = derived_constants(Moments(m4=f4, m2=1.0, m0=f0, lam_sq=lam_sq),
-                              alpha=conn.alpha, higgs_c=conn.higgs.c,
-                              reparam=ReparamConstants(n_r=n_r, n_h=n_h))
+                              connection=conn, n_r=n_r, n_h=n_h)
     norm = sm_lagrangian_normalized(curvature(conn, Point((0.2, -0.3, 0.4, 0.1))), f0=f0,
                                     f4=f4, lam_sq=lam_sq, n_r=n_r, n_h=n_h).constants
     shared = set(table) & set(norm)
@@ -290,13 +280,13 @@ def test_derived_constants_and_the_sm_normalization_share_one_table():
 def test_flat_field_equation_is_exact():
     g = flat(4).metric()
     p = Point((0.1, 0.2, 0.3, 0.4))
-    out = field_equation_residual(FieldEquationInput(metric=g, kappa0=2.0), p)
+    out = field_equation_residual(FieldEquationInput(g, kappa0=2.0), p)
     assert np.abs(out.residual_display).max() == 0.0
     assert np.abs(out.residual_variational).max() == 0.0
     assert out.symmetry_residual == 0.0
 
     out_tau = field_equation_residual(
-        FieldEquationInput(metric=g, kappa0=2.0, tau0=0.3), p)
+        FieldEquationInput(g, kappa0=2.0, tau0=0.3), p)
     gamma = g.value(p)
     assert np.abs(out_tau.residual_display - 2.0 * 0.3 * gamma).max() < 1e-15
 
@@ -304,7 +294,7 @@ def test_flat_field_equation_is_exact():
 def test_sphere_field_equation_fd_oracle():
     g = sphere2().metric()
     p = Point((1.1, 0.4))
-    out = field_equation_residual(FieldEquationInput(metric=g), p)
+    out = field_equation_residual(FieldEquationInput(g), p)
     gamma = g.value(p)
     # unit sphere: 4 R_mu.. R_nu.. = 8 gamma and R.R = 4
     assert np.abs(out.lhs_display - 10.0 * gamma).max() < 1e-12
@@ -354,25 +344,16 @@ def _random_sm_setup(rng):
 def test_sm_field_equation_matches_its_fd_oracle():
     rng = np.random.default_rng(139)
     conn = _random_sm_setup(rng)
-    g = conn.vielbein.metric()
     p = Point((0.2, -0.3, 0.4, 0.1))
-    out = field_equation_residual(
-        FieldEquationInput(metric=g, connection=conn, f0=7.0), p)
+    out = field_equation_residual(FieldEquationInput(conn, f0=7.0), p)
     assert out.sm is not None
     assert out.sm["fd_vs_algebraic"] < 1e-9
     assert out.sm["symmetry_residual"] < 1e-12
     # supplying exactly 2 * lhs as the stress closes the equation
     lhs = out.sm["lhs"]
     stress = ChartField(dim=4, shape=(4, 4), func=lambda c: 2.0 * lhs)
-    closed = field_equation_residual(
-        FieldEquationInput(metric=g, connection=conn, stress=stress, f0=7.0), p)
+    closed = field_equation_residual(FieldEquationInput(conn, stress=stress, f0=7.0), p)
     assert np.abs(closed.sm["residual"]).max() < 1e-12
-
-
-def test_field_equation_input_rejects_a_metric_of_another_frame():
-    conn = _random_sm_setup(np.random.default_rng(139))
-    with pytest.raises(ValueError, match="connection's vielbein"):
-        FieldEquationInput(metric=flat(4).metric(), connection=conn)
 
 
 def test_sm_field_equation_point_makes_one_frame_pass(monkeypatch):
@@ -385,23 +366,11 @@ def test_sm_field_equation_point_makes_one_frame_pass(monkeypatch):
 
     monkeypatch.setattr(GeneralizedMetric, "curvature", counting)
     conn = _random_sm_setup(np.random.default_rng(139))
-    out = field_equation_residual(
-        FieldEquationInput(metric=conn.vielbein.metric(), connection=conn, f0=7.0),
-        Point((0.2, -0.3, 0.4, 0.1)))
+    out = field_equation_residual(FieldEquationInput(conn, f0=7.0),
+                                  Point((0.2, -0.3, 0.4, 0.1)))
     assert out.sm is not None
     # one pass serves the gravity part and the SM part
     assert len(calls) == 1
-
-
-def test_action_inputs_reject_a_connection_of_another_frame():
-    conn = _random_sm_setup(np.random.default_rng(139))
-    other = flat(4)
-    for aa_mode in ("blocks", "metric"):
-        with pytest.raises(ValueError, match="connection's vielbein"):
-            HeatKernelData(metric=other.metric(), connection=conn, aa_mode=aa_mode)
-    with pytest.raises(ValueError, match="connection's vielbein"):
-        riemannian_limit_action(other, Region(lo=(0.0,) * 4, hi=(1.0,) * 4), GridSpec((2,) * 4),
-                                exponential_cutoff(), connection=conn)
 
 
 def test_fd_variation_makes_one_density_call_with_the_loops_bits():
@@ -463,6 +432,7 @@ def test_action_reports_carry_each_terms_quadrature_error():
     fine = riemannian_limit_action(sphere2(), SPHERE_REGION, grid, m)
     coarse = riemannian_limit_action(sphere2(), SPHERE_REGION, grid.coarser(), m)
     errors = fine.quadrature["errors"]
+    assert tuple(fine.terms) == action.ACTION_TERMS["riemannian-limit"]
     assert set(errors) == set(fine.terms) - {"lap_scalar"}
     for term in ("delta0_volume", "einstein_hilbert", "ricci_sq", "scalar_sq"):
         expected = abs(fine.terms[term][1] - coarse.terms[term][1]) / 3.0
@@ -473,60 +443,89 @@ def test_action_reports_carry_each_terms_quadrature_error():
                    - coarse.terms["ricci_riemann_sq"][1]) / 3.0
     assert errors["ricci_riemann_sq"] >= combined * (1.0 - 1e-10)
 
-    coeffs = heat_kernel_coefficients(HeatKernelData(metric=sphere2().metric(),
-                                                     aa_mode="metric"),
-                                      SPHERE_REGION, grid)
-    report = spectral_action(m, coeffs, sigma_sq=2.0)
+    coeffs = heat_kernel_coefficients(sphere2(), SPHERE_REGION, grid)
+    report = spectral_action(m, coeffs)
+    assert tuple(report.terms) == action.ACTION_TERMS["spectral"]
     assert report.quadrature["errors"] == {
         "a0_volume": coeffs.errors["a0"], "a2_endomorphism": coeffs.errors["a2"],
         "a4_curvature": coeffs.errors["a4"]}
 
 
-# a patch of the unit S^4 in hyperspherical coordinates; S^4 is homogeneous,
-# so every density is constant and a box integral over the box volume is the
-# density itself, which scales to the whole sphere by Vol(S^4) / box volume
-S4_CONFIG = {
-    "schema": "geodyn-config-v1",
-    "chart": {"dimension": 4, "signature": "euclidean",
-              "coordinates": ["chi", "th", "ph", "psi"],
-              "box": {"lo": [0.6, 0.7, 0.8, 0.0], "hi": [2.4, 2.3, 2.2, 2.0 * PI]},
-              "grid": [9, 9, 9, 8], "periodic": [False, False, False, True]},
-    "frame": {"diagonal": ["1", "sin(chi)", "sin(chi)*sin(th)",
-                           "sin(chi)*sin(th)*sin(ph)"]},
-    "cutoff": {"builtin": "exponential", "scale_sq": 1.0},
-    "tasks": [{"type": "action", "form": "riemannian-limit"},
-              {"type": "action", "form": "spectral", "aa_mode": "metric"}],
+def _homogeneous(chart, frame):
+    """A config of both action forms over a box of a homogeneous space."""
+    return {"schema": "geodyn-config-v1", "chart": chart, "frame": frame,
+            "cutoff": {"builtin": "exponential", "scale_sq": 1.0},
+            "tasks": [{"type": "action", "form": "riemannian-limit"},
+                      {"type": "action", "form": "spectral", "aa_mode": "metric"}]}
+
+
+# boxes of three homogeneous spaces, so every density is constant and a box
+# integral over the box volume is the density itself, which scales to the
+# whole space by its volume over the box volume: the unit S^4 in
+# hyperspherical coordinates, S^2 x S^2 over (a, t1, b, t2) and S^2 times the
+# unit flat torus; each case gives the config, the whole volume, the per-volume
+# (R, R^2, Ric^2, Ric^2 + Riem^2), and the (L^4, L^2, L^0) of riemannian-limit
+# and of metric-mode spectral (a0, a2, a4) over the whole space
+HOMOGENEOUS_SPACES = {
+    "s4": (_homogeneous(
+        {"dimension": 4, "signature": "euclidean", "coordinates": ["chi", "th", "ph", "psi"],
+         "box": {"lo": [0.6, 0.7, 0.8, 0.0], "hi": [2.4, 2.3, 2.2, 2.0 * PI]},
+         "grid": [9, 9, 9, 8], "periodic": [False, False, False, True]},
+        {"diagonal": ["1", "sin(chi)", "sin(chi)*sin(th)", "sin(chi)*sin(th)*sin(ph)"]}),
+        8.0 * PI ** 2 / 3.0, (12.0, 144.0, 36.0, 60.0),
+        (1.0 / 6.0, 0.5, 7.0 / 9.0), (1.0 / 6.0, 0.0, 4.0)),
+    "s2xs2": (_homogeneous(
+        {"dimension": 4, "signature": "euclidean", "coordinates": ["a", "t1", "b", "t2"],
+         "box": {"lo": [0.0, 0.7, 0.0, 0.7], "hi": [2.0 * PI, 2.4, 2.0 * PI, 2.4]},
+         "grid": [8, 13, 8, 13], "periodic": [True, False, True, False]},
+        {"diagonal": ["sin(t1)", "1", "sin(t2)", "1"]}),
+        16.0 * PI ** 2, (4.0, 16.0, 4.0, 12.0),
+        (1.0, 1.0, 22.0 / 45.0), (1.0, 0.0, 8.0)),
+    "s2xt2": (_homogeneous(
+        {"dimension": 4, "coordinates": ["th", "ph", "x", "y"],
+         "box": {"lo": [0.7, 0.0, 0.0, 0.0], "hi": [2.4, 2.0 * PI, 1.0, 1.0]},
+         "grid": [9, 8, 3, 3], "periodic": [False, True, True, True]},
+        {"builtin": "sphere2-cross-flat2"}),
+        4.0 * PI, (2.0, 4.0, 2.0, 6.0),
+        (1.0 / (4.0 * PI), 1.0 / (8.0 * PI), 17.0 / (360.0 * PI)),
+        (1.0 / (4.0 * PI), 0.0, 1.0 / PI)),
 }
 
 
-def test_action_orders_on_the_whole_unit_four_sphere():
-    """The two action forms on S^4, order by order, with no fitted constant.
+@pytest.mark.parametrize("space", sorted(HOMOGENEOUS_SPACES))
+def test_action_orders_on_whole_homogeneous_spaces(space):
+    """The two action forms on S^4, S^2 x S^2 and S^2 x T^2, order by order,
+    with no fitted constant.
 
-    Per unit volume the unit S^4 has R = 12, R^2 = 144, Ric^2 = 36 and
-    Riem^2 = 24.  Over Vol(S^4) = 8 pi^2/3, with the exponential cutoff at
-    L^2 = 1, the engine gives these (L^4, L^2, L^0) coefficients:
-    ``riemannian-limit`` (1/6, 1/2, 7/9) and metric-mode ``spectral``
-    (a0, a2, a4) = (1/6, 0, 4).  The Dirac operator's exact heat trace on S^4
-    (eigenvalues +-k for k >= 2 with multiplicity (4/3)(k^3 - k)) gives
-    (2/3, -2/3, 11/90).  Which operator the limit recovers, and so whether
-    this gap is a convention or an error, is open (ROADMAP.md, exact-spectrum
-    oracles); the test pins the engine's numbers, not the Dirac ones.
+    Per unit volume the unit S^4 has Riem^2 = 24, S^2 x S^2 has 8 and
+    S^2 x T^2 has 4, so the three spaces pin int R^2, int Ric^2 and
+    int Riem^2 separately, which one space cannot do.  The engine's
+    (L^4, L^2, L^0) coefficients, with the exponential cutoff at L^2 = 1,
+    are pinned.  The Dirac operator's exact heat traces give, with the torus
+    of unit area: S^4 (2/3, -2/3, 11/90), from the eigenvalues +-k for k >= 2
+    with multiplicity (4/3)(k^3 - k); S^2 x S^2 (4, -4/3, -1/45) and
+    S^2 x T^2 (1/pi, -1/(6 pi), -1/(60 pi)), from the S^2 trace
+    2/t - 1/3 - t/30 + O(t^2).  Which operator the limit recovers, and so
+    whether these gaps are conventions or errors, is open (ROADMAP.md,
+    exact-spectrum oracles); the test pins the engine's numbers, not the
+    Dirac ones.
     """
+    config, volume, densities, want_limit, want_spectral = HOMOGENEOUS_SPACES[space]
     limit, spectral = (
-        {row[0]: row[1:] for row in r.rows} for r in run_scenario(S4_CONFIG).results)
+        {row[0]: row[1:] for row in r.rows} for r in run_scenario(config).results)
     box = limit["delta0_volume"][1]
-    per_volume = {"einstein_hilbert": 12.0, "scalar_sq": 144.0, "ricci_sq": 36.0,
-                  "ricci_riemann_sq": 60.0}
-    for term, want in per_volume.items():
+    per_volume = zip(("einstein_hilbert", "scalar_sq", "ricci_sq", "ricci_riemann_sq"),
+                     densities)
+    for term, want in per_volume:
         assert abs(limit[term][1] / box - want) <= 1e-12 * want, term
-    scale = 8.0 * PI ** 2 / 3.0 / box
+    scale = volume / box
     lam4, lam2 = limit["delta0_volume"][2], limit["einstein_hilbert"][2]
     lam0 = sum(value for term, (_, _, value) in limit.items()
                if term not in ("delta0_volume", "einstein_hilbert"))
     got = {"limit": (lam4 * scale, lam2 * scale, lam0 * scale),
            "spectral": tuple(spectral[term][2] * scale
                              for term in ("a0_volume", "a2_endomorphism", "a4_curvature"))}
-    want = {"limit": (1.0 / 6.0, 0.5, 7.0 / 9.0), "spectral": (1.0 / 6.0, 0.0, 4.0)}
+    want = {"limit": want_limit, "spectral": want_spectral}
     for form in got:
         for g, w in zip(got[form], want[form]):
             assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), form
@@ -565,6 +564,26 @@ def test_riemannian_limit_reference_checks():
     assert ok.status == "pass"
     assert max(row[2] for row in ok.rows) < 1e-12
     assert max(row[3] for row in ok.rows) < 1e-8
+
+
+def test_limit_check_makes_one_reference_pass_per_point(monkeypatch):
+    # one curvature pass of the reference gives both its gamma and Riemann
+    obj = builtin_config("sphere2")
+    obj["tasks"] = obj["tasks"][2:]
+    scn = build_scenario(obj)
+    ref = scn.tasks[0]["reference"].gamma_field
+    orders = []
+    original = ChartField.jets
+
+    def counted(self, p, order=2):
+        if self is ref:
+            orders.append(order)
+        return original(self, p, order=order)
+
+    monkeypatch.setattr(ChartField, "jets", counted)
+    out = scenarios._run_limit_check(scn, scn.tasks[0], np.random.default_rng(0))
+    assert len(out["rows"]) == 3 and out["worst"] < 1e-8
+    assert orders == [2, 2, 2]
 
 
 def test_unification_scale_closes_the_einstein_hilbert_match():

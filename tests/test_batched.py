@@ -8,9 +8,8 @@ import pytest
 
 import geodyn.action as action
 import geodyn.tensors as tensors
-from geodyn.action import (GridSpec, HeatKernelData, Region, exponential_cutoff,
-                           heat_kernel_coefficients, integrate_scalar,
-                           riemannian_limit_action)
+from geodyn.action import (GridSpec, Region, exponential_cutoff, heat_kernel_coefficients,
+                           integrate_scalar, riemannian_limit_action)
 from geodyn.config import build_scenario
 from geodyn.connection import (ConnectionForm, curvature, curvature_squared,
                                sm_lagrangian_normalized)
@@ -172,7 +171,7 @@ def test_heat_kernel_block_density_matches_per_point_quadrature():
                     periodic=(False, False, False, True))
     grid = GridSpec((2, 5, 5, 4))
     sig_sq = sigma_squared(frame.signature)[0]
-    out = heat_kernel_coefficients(HeatKernelData(metric=g, aa_mode="metric"), region, grid)
+    out = heat_kernel_coefficients(frame, region, grid)
 
     def aa(c):
         p = Point(c)
@@ -189,11 +188,10 @@ def test_heat_kernel_block_density_matches_per_point_quadrature():
 
 @pytest.mark.parametrize("r_lo", [1.5, 2.0])
 def test_quadrature_box_reaching_the_horizon_raises(r_lo):
-    g = schwarzschild().metric()
     region = Region(lo=(0.0, r_lo, 0.6, 0.0), hi=(1.0, 5.0, 2.5, 1.0))
     grid = GridSpec((2, 5, 3, 3))
     with pytest.raises((ValueError, SingularMetricError), match=r"at \(0\.0, [12]\.[05]"):
-        heat_kernel_coefficients(HeatKernelData(metric=g, aa_mode="metric"), region, grid)
+        heat_kernel_coefficients(schwarzschild(), region, grid)
     with pytest.raises((ValueError, SingularMetricError)):
         riemannian_limit_action(schwarzschild(), region, grid,
                                 exponential_cutoff())
@@ -235,8 +233,7 @@ def _check_curvature_rows(monkeypatch, shape, subset):
 
 def _metric_mode_run(which, frame, region, grid):
     if which == "heat-kernel":
-        heat_kernel_coefficients(HeatKernelData(metric=frame.metric(), aa_mode="metric"),
-                                 region, grid)
+        heat_kernel_coefficients(frame, region, grid)
     else:
         riemannian_limit_action(frame, region, grid, exponential_cutoff())
 
@@ -425,8 +422,7 @@ def test_a_frame_is_frozen_under_its_memo():
     region, grid = Region((0, 4, 0.6, 0), (1, 9, 2.5, 6.28)), GridSpec((2, 3, 3, 3))
 
     def a4(frame):
-        data = HeatKernelData(metric=frame.metric(), aa_mode="metric")
-        return heat_kernel_coefficients(data, region, grid).a4
+        return heat_kernel_coefficients(frame, region, grid).a4
 
     f = schwarzschild(1.0)
     before = a4(f)
@@ -526,12 +522,11 @@ def test_blocks_densities_match_per_point_quadrature():
             return sum(norm.terms[k] for k in names) * vol
         return density
 
-    out = heat_kernel_coefficients(HeatKernelData(metric=conn.vielbein.metric(),
-                                                  connection=conn), UNIT_BOX, grid)
+    out = heat_kernel_coefficients(conn, UNIT_BOX, grid)
     a4, a4_err, _ = integrate_scalar(aa, UNIT_BOX, grid)
     _assert_rel(out.a4, a4 / (192.0 * math.pi ** 2), 1e-13)
     _assert_rel(out.errors["a4"], a4_err / (192.0 * math.pi ** 2), 1e-13)
-    rep = riemannian_limit_action(conn.vielbein, UNIT_BOX, grid, m, connection=conn)
+    rep = riemannian_limit_action(conn, UNIT_BOX, grid, m)
     for term, names in (("gauge_sector", ("gauge_b", "gauge_w", "gauge_g")),
                         ("higgs_sector", ("higgs_kinetic", "higgs_potential"))):
         want, _, _ = integrate_scalar(sector(names), UNIT_BOX, grid)
@@ -552,20 +547,18 @@ def test_blocks_density_makes_five_jet_passes_per_block(which, monkeypatch):
     # the coarse (2, 2, 3, 3) grid is a subset: four fine blocks and no more
     grid = GridSpec((3, 3, 5, 5))
     if which == "heat-kernel":
-        heat_kernel_coefficients(HeatKernelData(metric=conn.vielbein.metric(),
-                                                connection=conn), UNIT_BOX, grid)
+        heat_kernel_coefficients(conn, UNIT_BOX, grid)
     else:
-        riemannian_limit_action(conn.vielbein, UNIT_BOX, grid,
-                                exponential_cutoff(), connection=conn)
+        riemannian_limit_action(conn, UNIT_BOX, grid, exponential_cutoff())
     # one curvature(connection, block) pass: frame; B, W, G; Higgs
     assert orders == [2, 1, 1, 1, 1] * 4
 
 
 def test_limit_gravity_terms_are_the_frames_own_with_a_connection():
     conn = _sm_connection(GAUGE_SM_FRAME)
-    args = (conn.vielbein, UNIT_BOX, GridSpec((3, 3, 3, 3)), exponential_cutoff())
-    with_conn = riemannian_limit_action(*args, connection=conn)
-    alone = riemannian_limit_action(*args)
+    args = (UNIT_BOX, GridSpec((3, 3, 3, 3)), exponential_cutoff())
+    with_conn = riemannian_limit_action(conn, *args)
+    alone = riemannian_limit_action(conn.vielbein, *args)
     gravity = ("delta0_volume", "einstein_hilbert", "ricci_sq", "lap_scalar", "scalar_sq",
                "ricci_riemann_sq")
     # the connection's curvature pass gives the frame's integrals bit for bit;

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from geodyn.action import ACTION_TERMS
 from geodyn.cli import main
 from geodyn.config import (
     MAX_GEODESIC_STEPS,
@@ -518,6 +519,32 @@ def test_odd_dimension_metric_action_is_a_diagnostic():
             ("tasks[0]", f"metric mode needs an even chart dimension, got {dim}")]
 
 
+@pytest.mark.parametrize("term", ["delta0_volum", "a0_volume"])
+def test_expect_only_that_names_no_term_of_the_form_is_a_diagnostic(term):
+    # each once validated clean, then failed the task with no message
+    obj = builtin_config("flat-empty")
+    obj["tasks"][1]["expect_only"] = term
+    terms = ", ".join(ACTION_TERMS["riemannian-limit"])
+    assert [(d.path, d.message) for d in validate_config(obj)] == [
+        ("tasks[1]", f"expect_only {term!r} names no riemannian-limit term; its terms: {terms}")]
+    obj["tasks"][1]["form"] = "spectral"
+    want = [] if term == "a0_volume" else ["tasks[1]"]
+    assert [d.path for d in validate_config(obj)] == want
+
+
+@pytest.mark.parametrize("entry", ["1" + "+x0" * 990, "-" * 5000 + "x0", "x0" + "**x0" * 3000])
+def test_too_deeply_nested_expression_is_a_diagnostic(entry, tmp_path, capsys):
+    # each once ended validate in a RecursionError or MemoryError traceback
+    obj = builtin_config("flat-empty")
+    obj["frame"] = {"diagonal": [entry, "1", "1", "1"]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().out.startswith("frame.diagonal[0]: expression nests too deeply")
+    obj["frame"]["diagonal"][0] = "1" + "+x0" * 600
+    assert validate_config(obj) == []
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("task", [{"form": "riemannian-limit"},
                                   {"form": "riemannian-limit", "sm": True},
@@ -589,12 +616,18 @@ def test_every_task_entry_and_constant_has_its_default():
     assert all(type(v) is float for v in scn.tasks[1]["start"] + scn.tasks[1]["velocity"])
 
 
+def _perfbench(name):
+    """The benchmark's module perfbench/<name>.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_workload_configs_validate():
     # the benchmark's configs must never become diagnostics
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench("workloads")
     bad = {}
     for name, (_, variants) in workloads.WORKLOADS.items():
         for size in workloads.SIZES:
@@ -603,6 +636,27 @@ def test_benchmark_workload_configs_validate():
                 if diags:
                     bad[f"{name}/{seed}/{size}"] = [str(d) for d in diags]
     assert bad == {}
+
+
+def test_tiny_benchmark_workloads_pass_the_benchmarks_output_checks(tmp_path, capsys):
+    # every tiny variant, run as the benchmark runs it, passes and matches its
+    # recorded references
+    workloads, checks = _perfbench("workloads"), _perfbench("checks")
+    references = json.loads((Path(checks.__file__).parent / "references.json").read_text())
+    failures = {}
+    for name, (_, variants) in workloads.WORKLOADS.items():
+        for seed in range(variants):
+            config = workloads.write_config(name, seed, "tiny", str(tmp_path))
+            out = tmp_path / f"{name}-{seed}"
+            code = main(["run", config, "--out", str(out), "--seed", str(seed)])
+            run = {"error": None, "tasks": checks.read_outputs(str(out))}
+            n_tasks = len(workloads.generate(name, seed, "tiny")["tasks"])
+            reasons = checks.task_failures([run], references[name]["tiny"][str(seed)], n_tasks)
+            if code != 0 or reasons != [[]]:
+                failures[f"{name}/{seed}"] = (code, reasons)
+    capsys.readouterr()
+    assert len(references) == len(workloads.WORKLOADS) == 3
+    assert failures == {}
 
 
 def test_grid_override_below_two_is_a_diagnostic(tmp_path, capsys):
