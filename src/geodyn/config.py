@@ -63,9 +63,10 @@ SCHEMA_VERSION = "geodyn-config-v1"
 # dimensions; the builtins and benchmark workloads use at most 2 187.
 MAX_GRID_POINTS = 10 ** 6
 
-# integrate_geodesic keeps every step's state, about 0.5 kB a step in four
-# dimensions (a traced 2 000-step Schwarzschild run), so 0.5 GB and minutes
-# of stepping at 10^6 steps; the builtins and workloads take at most 10 000.
+# integrate_geodesic keeps every step's state, about 0.27 kB a step in four
+# dimensions (the RSS growth of a 100 000-step Schwarzschild run), so 0.27 GB
+# and tens of seconds of stepping at 10^6 steps; the builtins and workloads
+# take at most 10 000.
 MAX_GEODESIC_STEPS = 10 ** 6
 
 

@@ -1,29 +1,33 @@
 """Geodesic integration for generalized metrics.
 
-Classical fixed-step RK4 on the first-order system (x, v) with
-a^m = -Gamma^m_ab v^a v^b, the state held as lists of floats.  A stage is
-one order-1 jet pass, then the Christoffel symbols from the metric's
-inverse.  On a frame of expressions that are zero off the diagonal (every
-library frame, every ``diagonal`` config frame and a ``matrix`` one written
-so) a stage is straight-line float code generated once per run: the pass
-turns the lists of the diagonal's order-1 code into gamma_m = eta_m e_m^2
-and its gradient with no array in between, and ``accel`` guards, forms
-1/gamma_m and sums only the Christoffel terms that the frame can make
-nonzero.  Any other frame, and a metric given as a gamma field, takes the
-general stage (``checked_inverse``, einsum); both give the same trajectory
-bit for bit.
-A step costs four stages: the pass at the accepted point gives its
-velocity norm and the next k1.  On the Schwarzschild frame, timed with
-timeit on a shared 2-vCPU x86-64 Linux VM whose speed drifts, a metric pass
-takes 2.3-4.5 us (1-1.7 us of it in the generated order-1 code), one
-``accel`` 1.9-4.2 us and the numpy ``norm`` 4.3-9 us; the list
-comprehensions and the loop over all 40 terms that the generated code
-replaced took 6.3-12 us and 7.2-13.6 us, timed in the same minutes.
+Classical fixed-step RK4 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.1)
+on the first-order system (x, v) with a^m = -Gamma^m_ab v^a v^b.  The whole
+loop is Python source generated once per run (``_loop_source``): position,
+velocity and k1-k4 stay float locals from one step to the next, and each
+accepted state, and the metric there, goes to an array('d') buffer.  A
+stage is one order-1 metric pass, then the Christoffel symbols from the
+metric's inverse.  On a frame of expressions that are zero off the diagonal
+(every library frame, every ``diagonal`` config frame and a ``matrix`` one
+written so) the loop inlines straight-line float code in each stage: the
+pass turns the lists of the diagonal's order-1 code into
+gamma_m = eta_m e_m^2 and its gradient with no array in between, and the
+acceleration guards, forms 1/gamma_m and sums only the Christoffel terms
+that the frame can make nonzero.  Any other frame, and a metric given as a
+gamma field, takes the general stage (``checked_inverse``, einsum), whose
+two functions the same loop calls; both give the same trajectory bit for
+bit.
+A step costs four passes: the pass at the accepted point gives the next k1
+and the metric for that point's velocity norm, and one ``velocity_norm``
+call after the loop forms every norm by batched matmul.  On the
+Schwarzschild frame a step takes 16-19 us, and writing and compiling the
+loop 4-8 ms a run (10 000 steps on a shared 2-vCPU x86-64 Linux VM whose
+speed drifts).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,32 +54,82 @@ class Trajectory:
         return float(np.abs(self.norms - self.norms[0]).max())
 
 
-def velocity_norm(gamma: np.ndarray, v) -> float:
-    """gamma_mn v^m v^n, the one formula of both stages."""
-    v = np.array(v)
-    return float(v @ gamma @ v)
+def velocity_norm(gamma, v) -> np.ndarray:
+    """gamma_mn v^m v^n over the last axes, by one pair of np.matmul calls
+    for a whole stack of samples: gamma of shape (..., n, n), or (..., n)
+    for the diagonal of a diagonal metric, and v of shape (..., n).  Each
+    sample gets the bits of its own ``v @ gamma @ v``, a diagonal those of
+    ``v @ np.diag(gamma) @ v``."""
+    gamma, v = np.asarray(gamma, dtype=float), np.asarray(v, dtype=float)
+    if gamma.shape == v.shape:  # a diagonal: the matrix np.diag builds, zeros and all
+        n = v.shape[-1]
+        full = np.zeros(v.shape + (n,))
+        full[..., range(n), range(n)] = gamma
+        gamma = full
+    return (v[..., None, :] @ gamma @ v[..., :, None])[..., 0, 0]
 
 
-def _finite(accel: list) -> list:
-    # past an overflow the two stages differ: the general one's zero terms give NaN
-    if not all(map(math.isfinite, accel)):
-        raise ArithmeticError("non-finite acceleration")
-    return accel
+def _loop_source(n: int, metric_pass, accel, sample: str) -> str:
+    """The source of ``run(xs, vs, gs, h, steps)``: classical RK4 from the
+    state in the array('d') buffers xs and vs, which appends each accepted
+    state to them and the metric at the accepted point to gs, with every
+    number a float local from one step to the next.
+
+    A stage's code comes from the emitters: ``metric_pass(c)`` gives the
+    lines of a metric pass at the coordinates named c, ``accel(u, out)``
+    those that set the names out to the acceleration from the last pass's
+    metric and the velocity named u, and ``sample`` is the line that appends
+    that metric to gs.  A stop raises ArithmeticError or ValueError, a
+    non-finite state ArithmeticError("non-finite state"); the samples
+    accepted before it stay in the buffers."""
+    def names(prefix: str) -> list:
+        return [f"{prefix}{m}" for m in range(n)]
+
+    def step(out: list, base: list, scale: str, by: list) -> list:
+        return [f"{o} = {b} + {scale} * {d}" for o, b, d in zip(out, base, by)]
+
+    x, v, c = names("x"), names("v"), names("_c")
+    kx, kv = {1: v}, {1: names("k1v")}  # k1x = v
+    body = accel(v, kv[1])
+    for j, scale in ((2, "half"), (3, "half"), (4, "h")):
+        kx[j], kv[j] = names(f"k{j}x"), names(f"k{j}v")
+        body += (step(kx[j], v, scale, kv[j - 1]) + step(c, x, scale, kx[j - 1])
+                 + metric_pass(c) + accel(kx[j], kv[j]))
+    # every x from the old v, then v
+    body += [f"{y} = {y} + sixth * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
+             for ys, k in ((x, kx), (v, kv)) for y, k1, k2, k3, k4 in zip(ys, *k.values())]
+    body += [f"if not ({' and '.join(f'_isfinite({y})' for y in x + v)}):",
+             '    raise ArithmeticError("non-finite state")',
+             *metric_pass(x), sample, f"xs.extend(({', '.join(x)},))",
+             f"vs.extend(({', '.join(v)},))"]
+    lines = ["def run(xs, vs, gs, h, steps):",
+             "    half, sixth = 0.5 * h, h / 6.0",
+             f"    ({', '.join(x)},), ({', '.join(v)},) = xs, vs",
+             *[f"    {line}" for line in metric_pass(x) + [sample]],
+             "    for _ in range(steps):",
+             *[f"        {line}" for line in body]]
+    return "\n".join(lines) + "\n"
 
 
 def _general_stage(g: GeneralizedMetric) -> tuple:
-    """(metric_jets, accel, norm) on the metric's gamma jets and checked_inverse."""
-    def metric_jets(xc: list) -> tuple:
+    """(scope, metric_pass, accel, sample) for _loop_source: a loop whose
+    stages call ``_metric_jets``, the metric's gamma jets, and ``_accel``,
+    which inverts gamma with checked_inverse and contracts by einsum."""
+    def metric_jets(xc) -> tuple:
         return g.gamma_jets(Point(tuple(xc)), order=1)
 
-    def accel(gj: tuple, vc: list) -> list:
+    def accel(gj: tuple, vc) -> list:
         gam = _christoffel_from(checked_inverse(gj[0]), _symmetrized_dg(gj[1]))
-        return _finite((-np.einsum("mab,a,b->m", gam, vc, vc)).tolist())
+        out = (-np.einsum("mab,a,b->m", gam, vc, vc)).tolist()
+        # past an overflow the two stages differ: the general one's zero terms give NaN
+        if not all(map(math.isfinite, out)):
+            raise ArithmeticError("non-finite acceleration")
+        return out
 
-    def norm(gj: tuple, vc: list) -> float:
-        return velocity_norm(gj[0], vc)
-
-    return metric_jets, accel, norm
+    return ({"_metric_jets": metric_jets, "_accel": accel, "_isfinite": math.isfinite},
+            lambda c: [f"_gj = _metric_jets(({', '.join(c)},))"],
+            lambda u, out: [f"({', '.join(out)},) = _accel(_gj, [{', '.join(u)}])"],
+            "gs.extend(_gj[0].flat)")
 
 
 def _diagonal(frame: Vielbein | None) -> tuple | None:
@@ -94,76 +148,13 @@ def _diagonal(frame: Vielbein | None) -> tuple | None:
     return exprs[::n + 1]
 
 
-def _stage_source(diagonal: tuple, signs: tuple) -> str:
-    """The source of ``metric_jets`` and ``accel`` for a frame with these
-    diagonal expressions and signature signs, which _diagonal_stage
-    describes; it reads the ``_evaluate`` code of the expressions and the
-    ``_isfinite``, ``_singular`` and ``_SINGULAR_REL`` names from its globals."""
-    n = len(diagonal)
-    # live[l * n + r]: d_r gamma_l can be nonzero, as far as the entry's names tell
-    live = [c in e.variables for e in diagonal for c in e.coordinates]
-
-    def join(fmt: str, ks, sep: str = ", ") -> str:
-        return sep.join(fmt.format(k) for k in ks)
-
-    g, h = [f"_g{m}" for m in range(n)], [f"_h{k}" for k in range(n * n)]
-    lines = [
-        "def metric_jets(_c):",
-        f"    if not ({join('_isfinite(_c[{}])', range(n), ' and ')}):",
-        '        raise ValueError(f"non-finite coordinates: {tuple(_c)}")',
-        f"    ({join('_v{}', range(n))},), ({join('_y{}', range(n * n))},) = _evaluate(_c)",
-        *[f"    _e{m} = _v{m} * {float(s)!r}" for m, s in enumerate(signs)],
-        *[f"    _g{m} = _e{m} * _v{m} + 0.0" for m in range(n)],
-        *[f"    _h{k} = 2.0 * (_e{k // n} * _y{k})" for k in range(n * n)],
-        "    try:",
-        "        # a complex entry makes the sum complex, an inf or NaN one NaN",
-        f"        _ok = _isfinite({join('0.0 * {}', g + h, ' + ')})",
-        "    except TypeError:",
-        '        raise ValueError(f"complex metric value at {tuple(_c)}") from None',
-        "    if not _ok:",
-        '        raise ValueError(f"non-finite metric value at {tuple(_c)}")',
-        f"    return [{', '.join(g)}], [{', '.join(h)}, 0.0]",
-        "",
-        "def accel(_gj, _vc):",
-        f"    ({', '.join(g)},), _dgm = _gj",
-        f"    _s = max(1e-300, {join('abs(_g{})', range(n))})",
-        f"    _p = {join('(_g{} / _s)', range(n), ' * ')}",
-        "    if abs(_p) <= _SINGULAR_REL:",
-        f"        raise _singular(_p + 0.0, {n})",
-        f"    ({join('_u{}', range(n))},) = _vc",
-        *[f"    _i{m} = 1.0 / _g{m}" for m in range(n)],
-    ]
-    sums, read = [], set()
-    for m in range(n):
-        terms = []
-        for a in range(n):
-            for b in range(n):
-                # the slots of d_b g_ma, d_a g_mb and d_m g_ab; None for an off-diagonal g
-                slots = (m * n + b if m == a else None, m * n + a if m == b else None,
-                         a * n + m if a == b else None)
-                if not any(k is not None and live[k] for k in slots):
-                    continue
-                i, j, k = ("0.0" if k is None else f"_d{k}" for k in slots)
-                read.update(k for k in slots if k is not None)
-                terms.append(f"(0.5 * (_i{m} * (({i} + {j}) - {k}))) * _u{a} * _u{b}")
-        sums.append(f"    _a{m} = {' + '.join(['0.0', *terms])}")
-    guarded = [f"_{x}{m}" for x in "iua" for m in range(n)]
-    lines += [f"    _d{k} = _dgm[{k}]" for k in sorted(read)] + sums + [
-        f"    if not ({join('_isfinite({})', guarded, ' and ')}):",
-        '        raise ArithmeticError("non-finite acceleration")',
-        f"    return [{join('-_a{}', range(n))}]",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _diagonal_stage(diagonal: tuple, signs: tuple) -> tuple:
-    """(metric_jets, accel, norm) for a frame with these diagonal expressions
-    (_diagonal) and signature signs, in Python floats.
-
-    ``metric_jets`` and ``accel`` are straight-line code that _stage_source
-    writes for the frame, once per integrate_geodesic call (1-2 ms to
-    compile), with the float operations of a loop over the entries and of
-    the Christoffel sum, in the same order.
+    """(scope, metric_pass, accel, sample) for _loop_source, for a frame
+    with these diagonal expressions (_diagonal) and signature signs: the
+    straight-line float code that the loop inlines in each stage, with the
+    float operations of a loop over the entries and of the Christoffel sum,
+    in the same order.  A pass sets the locals _g{m} = gamma_m and
+    _h{m n + r} = d_r gamma_m, which ``accel`` reads.
 
     A metric pass checks the stage point, runs the diagonal's order-1 code
     (exprs.differentiate) and forms gamma_m = (e_m eta_m) e_m + 0.0 and every
@@ -189,14 +180,65 @@ def _diagonal_stage(diagonal: tuple, signs: tuple) -> tuple:
     error that sum ends in.  Schwarzschild forms 13 of the 40 terms, a flat
     frame none.
     """
-    names = {"_evaluate": differentiate(diagonal), "_isfinite": math.isfinite,
+    n = len(diagonal)
+    # live[l * n + r]: d_r gamma_l can be nonzero, as far as the entry's names tell
+    live = [c in e.variables for e in diagonal for c in e.coordinates]
+
+    def join(fmt: str, ks, sep: str = ", ") -> str:
+        return sep.join(fmt.format(k) for k in ks)
+
+    g, h = [f"_g{m}" for m in range(n)], [f"_h{k}" for k in range(n * n)]
+
+    def metric_pass(c: list) -> list:
+        at = f"({', '.join(c)},)"
+        return [
+            f"if not ({join('_isfinite({})', c, ' and ')}):",
+            f'    raise ValueError(f"non-finite coordinates: {{{at}}}")',
+            f"({join('_v{}', range(n))},), ({join('_y{}', range(n * n))},) = _evaluate({at})",
+            *[f"_e{m} = _v{m} * {float(s)!r}" for m, s in enumerate(signs)],
+            *[f"_g{m} = _e{m} * _v{m} + 0.0" for m in range(n)],
+            *[f"_h{k} = 2.0 * (_e{k // n} * _y{k})" for k in range(n * n)],
+            "try:",
+            "    # a complex entry makes the sum complex, an inf or NaN one NaN",
+            f"    _ok = _isfinite({join('0.0 * {}', g + h, ' + ')})",
+            "except TypeError:",
+            f'    raise ValueError(f"complex metric value at {{{at}}}") from None',
+            "if not _ok:",
+            f'    raise ValueError(f"non-finite metric value at {{{at}}}")',
+        ]
+
+    # per m, the terms that the frame can make nonzero: the slots of d_b g_ma,
+    # d_a g_mb and d_m g_ab ("0.0" for an off-diagonal g), then a and b
+    rows = []
+    for m in range(n):
+        rows.append([])
+        for a in range(n):
+            for b in range(n):
+                slots = (m * n + b if m == a else None, m * n + a if m == b else None,
+                         a * n + m if a == b else None)
+                if any(k is not None and live[k] for k in slots):
+                    rows[m].append((*("0.0" if k is None else h[k] for k in slots), a, b))
+
+    def accel(u: list, out: list) -> list:
+        sums = [" + ".join([f"_a{m} = 0.0", *(f"(0.5 * (_i{m} * (({i} + {j}) - {k})))"
+                                               f" * {u[a]} * {u[b]}" for i, j, k, a, b in row)])
+                for m, row in enumerate(rows)]
+        guarded = [f"_i{m}" for m in range(n)] + u + [f"_a{m}" for m in range(n)]
+        return [
+            f"_s = max(1e-300, {join('abs(_g{})', range(n))})",
+            f"_p = {join('(_g{} / _s)', range(n), ' * ')}",
+            "if abs(_p) <= _SINGULAR_REL:",
+            f"    raise _singular(_p + 0.0, {n})",
+            *[f"_i{m} = 1.0 / _g{m}" for m in range(n)],
+            *sums,
+            f"if not ({join('_isfinite({})', guarded, ' and ')}):",
+            '    raise ArithmeticError("non-finite acceleration")',
+            *[f"{o} = -_a{m}" for m, o in enumerate(out)],
+        ]
+
+    scope = {"_evaluate": differentiate(diagonal), "_isfinite": math.isfinite,
              "_singular": _singular, "_SINGULAR_REL": SINGULAR_REL}
-    exec(compile(_stage_source(diagonal, signs), "<diagonal stage>", "exec"), names)
-
-    def norm(gj: tuple, vc: list) -> float:
-        return velocity_norm(np.diag(gj[0]), vc)
-
-    return names["metric_jets"], names["accel"], norm
+    return scope, metric_pass, accel, f"gs.extend(({', '.join(g)},))"
 
 
 def integrate_geodesic(g: GeneralizedMetric, x0, v0, t_max: float,
@@ -216,47 +258,25 @@ def integrate_geodesic(g: GeneralizedMetric, x0, v0, t_max: float,
     dim = g.dim
     if x.shape != (dim,) or v.shape != (dim,):
         raise ValueError(f"state vectors must have shape ({dim},)")
-    x, v = x.tolist(), v.tolist()
-
     diagonal = _diagonal(g.vielbein)
-    if diagonal is None:
-        metric_jets, accel, norm = _general_stage(g)
-    else:
-        metric_jets, accel, norm = _diagonal_stage(diagonal, g.vielbein.signature.signs)
-
+    scope, *emitters = (_general_stage(g) if diagonal is None
+                        else _diagonal_stage(diagonal, g.vielbein.signature.signs))
+    exec(compile(_loop_source(dim, *emitters), "<geodesic loop>", "exec"), scope)
     h = t_max / steps
-    half, sixth = 0.5 * h, h / 6.0
-
-    ts, xs, vs, norms = [0.0], x[:], v[:], [math.nan]  # xs, vs flat, sample by sample
+    xs, vs, gs = array("d", x.tolist()), array("d", v.tolist()), array("d")
     status, message = "ok", ""
     # a stage reports a non-finite point or metric and the loop a non-finite
     # state, so numpy's overflow warnings along the way would only repeat that
     with np.errstate(all="ignore"):
         try:
-            here = metric_jets(x)  # gamma jets at the last accepted point
-            norms[0] = norm(here, v)
-            for k in range(steps):
-                k1x, k1v = v, accel(here, v)
-                k2x = [a + half * b for a, b in zip(v, k1v)]
-                k2v = accel(metric_jets([a + half * b for a, b in zip(x, k1x)]), k2x)
-                k3x = [a + half * b for a, b in zip(v, k2v)]
-                k3v = accel(metric_jets([a + half * b for a, b in zip(x, k2x)]), k3x)
-                k4x = [a + h * b for a, b in zip(v, k3v)]
-                k4v = accel(metric_jets([a + h * b for a, b in zip(x, k3x)]), k4x)
-                x = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
-                     for y, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)]
-                v = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
-                     for y, a, b, c, d in zip(v, k1v, k2v, k3v, k4v)]
-                if not all(map(math.isfinite, x + v)):
-                    status, message = "singular", "non-finite state"
-                    break
-                here = metric_jets(x)
-                norms.append(norm(here, v))
-                ts.append((k + 1) * h)
-                xs += x
-                vs += v
+            scope["run"](xs, vs, gs, h, steps)
         except (ArithmeticError, ValueError) as exc:  # SingularMetricError included
             status, message = "singular", str(exc)
-    return Trajectory(ts=np.array(ts), xs=np.reshape(xs, (-1, dim)), vs=np.reshape(vs, (-1, dim)),
-                      norms=np.array(norms), status=status, message=message,
+        xs, vs = np.frombuffer(xs).reshape(-1, dim), np.frombuffer(vs).reshape(-1, dim)
+        gammas = np.frombuffer(gs).reshape((-1, dim) if diagonal else (-1, dim, dim))
+        # every norm in one call; the start's is NaN when its own pass failed
+        norms = velocity_norm(gammas, vs) if len(gammas) else np.array([math.nan])
+    ts = np.arange(len(xs)) * h
+    ts[0] = 0.0  # also where h is negative or not finite
+    return Trajectory(ts=ts, xs=xs, vs=vs, norms=norms, status=status, message=message,
                       meta={"steps_requested": steps, "step_size": h})

@@ -1,5 +1,6 @@
 """Geodesic integrator behavior on known solutions."""
 
+import hashlib
 import importlib.util
 import math
 import re
@@ -14,9 +15,9 @@ from geodyn.config import build_scenario
 from geodyn.exprs import compile_expression, differentiate
 from geodyn.fields import ChartField, entry_field
 from geodyn.geodesics import (Trajectory, _diagonal, _diagonal_stage, _general_stage,
-                              _stage_source, integrate_geodesic, velocity_norm)
+                              _loop_source, integrate_geodesic, velocity_norm)
 from geodyn.library import BUILTIN_FRAMES, diagonal_vielbein, flat, polar, schwarzschild, sphere2
-from geodyn.scenarios import builtin_config
+from geodyn.scenarios import builtin_config, format_csv, run_scenario
 from geodyn.tensors import SINGULAR_REL, MinkowskiSignature, Point, _singular
 from test_fields import _point_route_cases, _rank1_cases
 from test_geometry import diagonal_frames, matrix_twin
@@ -24,13 +25,32 @@ from test_geometry import diagonal_frames, matrix_twin
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def _stage(frame):
+def _emitters(frame):
     """The diagonal stage of a frame whose diagonal _diagonal finds."""
     return _diagonal_stage(_diagonal(frame), frame.signature.signs)
 
 
+def _stage(frame):
+    """(metric_jets, accel): the metric pass and the acceleration that the
+    loop inlines in each stage, as functions of a point and of (the pass's
+    lists, a velocity), from the diagonal stage's emitters."""
+    n = frame.dim
+    scope, metric_pass, accel, _ = _emitters(frame)
+    c, u, out = ([f"{p}{m}" for m in range(n)] for p in ("_c", "_u", "_o"))
+    g, h = ", ".join(f"_g{m}" for m in range(n)), ", ".join(f"_h{k}" for k in range(n * n))
+    lines = ["def metric_jets(_c):", f"    ({', '.join(c)},) = _c",
+             *[f"    {line}" for line in metric_pass(c)],
+             f"    return [{g}], [{h}, 0.0]",
+             "def accel(_gj, _vc):", f"    ({g},), ({h}, _) = _gj", f"    ({', '.join(u)},) = _vc",
+             *[f"    {line}" for line in accel(u, out)],
+             f"    return [{', '.join(out)}]"]
+    exec(compile("\n".join(lines), "<diagonal stage>", "exec"), scope)
+    return scope["metric_jets"], scope["accel"]
+
+
 def _source(frame):
-    return _stage_source(_diagonal(frame), frame.signature.signs)
+    """The generated loop of a diagonal frame."""
+    return _loop_source(frame.dim, *_emitters(frame)[1:])
 
 
 def test_equator_is_a_great_circle():
@@ -170,12 +190,10 @@ def test_singular_stop_is_pinned():
     assert len(traj.ts) == 100
 
 
-def test_four_metric_passes_per_step(monkeypatch):
-    # a pass runs the generated order-1 code of the frame's diagonal once
-    # and reads its lists directly: ChartField.jets is not called at all
-    jets_calls, passes = [], []
-    monkeypatch.setattr(ChartField, "jets",
-                        lambda self, p, order=2: jets_calls.append(order))
+def _counted_passes(monkeypatch) -> list:
+    """The list to which each later diagonal metric pass appends its
+    number of coordinates."""
+    passes = []
 
     def counted_code(exprs):
         code = differentiate(exprs)
@@ -187,6 +205,16 @@ def test_four_metric_passes_per_step(monkeypatch):
         return counted
 
     monkeypatch.setattr(geodesics, "differentiate", counted_code)
+    return passes
+
+
+def test_four_metric_passes_per_step(monkeypatch):
+    # a pass runs the generated order-1 code of the frame's diagonal once
+    # and reads its lists directly: ChartField.jets is not called at all
+    jets_calls = []
+    monkeypatch.setattr(ChartField, "jets",
+                        lambda self, p, order=2: jets_calls.append(order))
+    passes = _counted_passes(monkeypatch)
     frame = schwarzschild(mass=1.0)
     steps = 25
     traj = integrate_geodesic(frame.metric(), (0.0, 6.0, np.pi / 2, 0.0),
@@ -329,6 +357,116 @@ def test_overflowing_acceleration_stops_both_stages_alike():
     assert _bits(fast) == _bits(general)
 
 
+def _eccentric_start(steps):
+    """A bound Schwarzschild orbit (m = 1) from r0 = 12 at rest in r with
+    L = 0.9 L_circ, so that r runs over [5.64, 12], for tau = 400: unlike the
+    circular orbit, which is linear in tau, every stage and the step's
+    combination change its bits."""
+    r0 = 12.0
+    ang = 0.9 * math.sqrt(r0 * r0 / (r0 - 3.0))
+    return ((0.0, r0, np.pi / 2, 0.0),
+            (math.sqrt((1.0 + (ang / r0) ** 2) / (1.0 - 2.0 / r0)), 0.0, 0.0, ang / r0 ** 2),
+            400.0, steps)
+
+
+def test_eccentric_orbit_matches_the_general_stage(monkeypatch):
+    start = _eccentric_start(2000)
+    fast, generated, general = _picked_and_general(monkeypatch, schwarzschild(mass=1.0), start)
+    assert generated and fast.status == "ok"
+    assert fast.xs[:, 1].min() < 5.7 and fast.norm_drift < 1e-9
+    assert _bits(fast) == _bits(general)
+
+
+def _list_loop(frame, x0, v0, t_max, steps):
+    """The _bits of the loop that the generated one replaced: RK4 over
+    lists of floats on the stage's pass and acceleration as functions, with
+    a per-point numpy norm at each accepted point."""
+    metric_jets, accel = _stage(frame)
+    h = t_max / steps
+    half, sixth = 0.5 * h, h / 6.0
+    x, v = [float(a) for a in x0], [float(a) for a in v0]
+    ts, xs, vs, norms = [0.0], x[:], v[:], [math.nan]
+    status, message = "ok", ""
+    with np.errstate(all="ignore"):
+        try:
+            here = metric_jets(x)
+            norms[0] = float(np.array(v) @ np.diag(here[0]) @ np.array(v))
+            for k in range(steps):
+                k1x, k1v = v, accel(here, v)
+                k2x = [a + half * b for a, b in zip(v, k1v)]
+                k2v = accel(metric_jets([a + half * b for a, b in zip(x, k1x)]), k2x)
+                k3x = [a + half * b for a, b in zip(v, k2v)]
+                k3v = accel(metric_jets([a + half * b for a, b in zip(x, k2x)]), k3x)
+                k4x = [a + h * b for a, b in zip(v, k3v)]
+                k4v = accel(metric_jets([a + h * b for a, b in zip(x, k3x)]), k4x)
+                x = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
+                     for y, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)]
+                v = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
+                     for y, a, b, c, d in zip(v, k1v, k2v, k3v, k4v)]
+                if not all(map(math.isfinite, x + v)):
+                    status, message = "singular", "non-finite state"
+                    break
+                here = metric_jets(x)
+                norms.append(float(np.array(v) @ np.diag(here[0]) @ np.array(v)))
+                ts.append((k + 1) * h)
+                xs += x
+                vs += v
+        except (ArithmeticError, ValueError) as exc:
+            status, message = "singular", str(exc)
+    return (status, message, np.array(ts).tobytes(), np.array(xs).tobytes(),
+            np.array(vs).tobytes(), np.array(norms).tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(STARTS) + sorted(ALL_TERMS) + ["eccentric"])
+def test_generated_loop_matches_the_list_loop(name):
+    # the same bits as the list loop it replaced, on the same stage code
+    if name == "eccentric":
+        frame_name, start = "schwarzschild", _eccentric_start(500)
+    else:
+        frame_name, start = ALL_TERMS.get(name, (name, STARTS.get(name)))
+    frame = diagonal_frames()[frame_name]
+    x0, v0, t_max, steps = start
+    traj = integrate_geodesic(frame.metric(), x0, v0, t_max=t_max, steps=steps)
+    assert _bits(traj) == _list_loop(frame, x0, v0, t_max, steps)
+
+
+def _singular_at(c):
+    """diag(exp(x0), x0 - c): from v = (1, 0) x0 moves alone, with
+    a^0 = -(v^0)^2, and the metric is singular where x0 = c."""
+    return diagonal_vielbein(["exp(x0)", f"x0 - {c!r}"], MinkowskiSignature.euclidean(2))
+
+
+# x0 at the stage points of the first step from x0 = 0 with v0 = 1 and h = 1/2
+FIRST_STEP = {1: 0.0, 2: 0.25, 3: 0.1875, 4: 0.4296875}
+
+
+@pytest.mark.parametrize("stop", ["stage-1", "stage-2", "stage-3", "stage-4",
+                                  "stage-1-of-step-2", "non-finite-state"])
+def test_a_stop_in_every_stage_matches_the_general_stage(monkeypatch, stop):
+    # the loop inlines each stage's guard and pass: each copy stops the run
+    # with the general stage's status, message and samples, after the metric
+    # passes that come before it
+    x0, v0, t_max, steps = (0.0, 0.0), (1.0, 0.0), 1.0, 2
+    if stop == "non-finite-state":
+        # flat: each stage point is finite, x + (h/6)(v + 2 v + 2 v + v) is not
+        frame, v0, t_max = _frame_2d("1.0"), (1e308, 0.0), 1e-3
+        message, samples, passes_before = "non-finite state", 1, 4
+    elif stop == "stage-1-of-step-2":
+        accepted = integrate_geodesic(_singular_at(5.0).metric(), x0, v0, t_max=0.5, steps=1)
+        frame = _singular_at(float(accepted.xs[1, 0]))
+        message, samples, passes_before = "determinant", 2, 5
+    else:
+        stage = int(stop[-1])
+        frame = _singular_at(FIRST_STEP[stage])
+        message, samples, passes_before = "determinant", 1, stage
+    passes = _counted_passes(monkeypatch)
+    fast = integrate_geodesic(frame.metric(), x0, v0, t_max=t_max, steps=steps)
+    assert fast.status == "singular" and fast.message.startswith(message)
+    assert len(fast.ts) == samples and len(passes) == passes_before
+    general = integrate_geodesic(matrix_twin(frame).metric(), x0, v0, t_max=t_max, steps=steps)
+    assert _bits(fast) == _bits(general)
+
+
 # -- the stage chosen from the frame's entries ---------------------------------
 
 
@@ -354,10 +492,10 @@ def _picked_and_general(monkeypatch, frame, start):
 
     def counted(diagonal, signs):
         sources.append(diagonal)
-        return _stage_source(diagonal, signs)
+        return _diagonal_stage(diagonal, signs)
 
     with monkeypatch.context() as m:
-        m.setattr(geodesics, "_stage_source", counted)
+        m.setattr(geodesics, "_diagonal_stage", counted)
         picked = integrate_geodesic(frame.metric(), x0, v0, t_max=t_max, steps=steps)
     with monkeypatch.context() as m:
         m.setattr(geodesics, "_diagonal", lambda frame: None)
@@ -608,7 +746,7 @@ def _states(n, seed):
 def test_generated_stage_matches_the_dense_loops(name):
     # the same floats bit for bit, and the same error type and message
     frame = _oracle_frames()[name]
-    metric_jets, accel, _ = _stage(frame)
+    metric_jets, accel = _stage(frame)
     dense_jets, dense_accel = _dense_stage(frame)
     outcomes = set()
     for seed in range(3):
@@ -638,8 +776,16 @@ def test_generated_pass_reports_what_the_dense_pass_reports(entries, message):
     assert _outcome(_stage(frame)[0], [0.5, 1.0]) == want
 
 
+def _accel_source(frame):
+    n = frame.dim
+    return "\n".join(_emitters(frame)[2]([f"u{m}" for m in range(n)], [f"o{m}" for m in range(n)]))
+
+
 def _terms(frame):
-    return _source(frame).count("0.5 * (")
+    # the terms of one acceleration, which the loop inlines in each of its four stages
+    terms = _accel_source(frame).count("0.5 * (")
+    assert _source(frame).count("0.5 * (") == 4 * terms
+    return terms
 
 
 def test_accel_forms_only_the_terms_the_frame_can_make_nonzero():
@@ -648,7 +794,7 @@ def test_accel_forms_only_the_terms_the_frame_can_make_nonzero():
     assert _terms(_oracle_frames()["every-coordinate"]) == 40
     # the analysis reads names, not values: 0*x0 keeps d_0 gamma_0
     kept = diagonal_vielbein(["1 + 0*x0", "1.0"], MinkowskiSignature.euclidean(2))
-    assert _terms(kept) == 1 and "(_d0 + _d0) - _d0" in _source(kept)
+    assert _terms(kept) == 1 and "(_h0 + _h0) - _h0" in _accel_source(kept)
 
 
 def test_building_a_scenario_generates_no_stage_code(monkeypatch):
@@ -656,9 +802,9 @@ def test_building_a_scenario_generates_no_stage_code(monkeypatch):
 
     def counted(diagonal, signs):
         sources.append(diagonal)
-        return _stage_source(diagonal, signs)
+        return _diagonal_stage(diagonal, signs)
 
-    monkeypatch.setattr(geodesics, "_stage_source", counted)
+    monkeypatch.setattr(geodesics, "_diagonal_stage", counted)
     scenario = build_scenario(builtin_config("schwarzschild-geodesic"))
     assert sources == []
     traj = integrate_geodesic(scenario.frame.metric(), (0.0, 6.0, np.pi / 2, 0.0),
@@ -684,10 +830,63 @@ def test_accel_without_terms_rejects_a_non_finite_velocity():
     frame = flat()
     assert _terms(frame) == 0
     x, v = [0.0, 1.0, -2.0, 0.5], [1.0, 0.0, math.inf, 0.0]
-    stages = [_stage(frame)[:2], _general_stage(matrix_twin(frame).metric())[:2],
-              _dense_stage(frame)]
+    general = _general_stage(matrix_twin(frame).metric())[0]
+    stages = [_stage(frame), (general["_metric_jets"], general["_accel"]), _dense_stage(frame)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # numpy's inf * 0 in the general stage
         for metric_jets, accel in stages:
             with pytest.raises(ArithmeticError, match="^non-finite acceleration$"):
                 accel(metric_jets(x), v)
+
+
+# -- the norms of a run, formed in one batched call ------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_velocity_norm_matches_each_point(n):
+    # each sample of the stack gets the bits of its own v @ gamma @ v, signed
+    # zeros included, and a diagonal those of v @ np.diag(gamma) @ v
+    rng = np.random.default_rng(n)
+    k = 400
+    vs = rng.normal(size=(k, n)) * rng.choice([1.0, 1e-3, 1e4], size=(k, 1))
+    dense, diagonal = rng.normal(size=(k, n, n)), rng.normal(size=(k, n))
+    for a in (vs, dense, diagonal):
+        zeros = rng.random(a.shape) < 0.25
+        a[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    vs[:20] = rng.choice([0.0, -0.0], size=(20, n))
+    for gammas, matrices in ((dense, dense), (diagonal, [np.diag(d) for d in diagonal])):
+        want = np.array([v @ gamma @ v for v, gamma in zip(vs, matrices)])
+        got = velocity_norm(gammas, vs)
+        assert got.shape == (k,) and got.tobytes() == want.tobytes()
+        assert velocity_norm(gammas[:1], vs[:1]).tobytes() == want[:1].tobytes()
+
+
+def test_one_norm_call_per_run(monkeypatch):
+    calls = []
+
+    def counted(gamma, v):
+        calls.append(np.shape(v))
+        return velocity_norm(gamma, v)
+
+    monkeypatch.setattr(geodesics, "velocity_norm", counted)
+    traj = integrate_geodesic(schwarzschild(mass=1.0).metric(), (0.0, 6.0, np.pi / 2, 0.0),
+                              (np.sqrt(2.0), 0.0, 0.0, 0.09622504486493764), t_max=1.0, steps=50)
+    assert traj.status == "ok" and calls == [(51, 4)]
+
+
+# SHA-256 of the geodesic CSV of these builtins at --seed 1, which holds the
+# integrator's bits.  To re-record after a change that is meant to move them:
+# python -m geodyn.cli run NAME --seed 1 --out DIR; sha256sum DIR/01-geodesic.csv
+GEODESIC_CSV_SHA256 = {
+    "schwarzschild-geodesic": "e012c646834246b534b6cc7400ab9248f34fe1a54a3a400ea038132b83ad8a58",
+    "sphere2": "859bfe2175223be1301d1faedab671c85063cecb3440e2f42a49886fe322a11b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEODESIC_CSV_SHA256))
+def test_geodesic_csv_bytes_are_pinned(name):
+    report = run_scenario(builtin_config(name), name=name, seed=1)
+    [result] = [r for r in report.results if r.task_type == "geodesic"]
+    assert result.csv_name == "01-geodesic.csv"
+    digest = hashlib.sha256(format_csv(result).encode("utf-8")).hexdigest()
+    assert digest == GEODESIC_CSV_SHA256[name]
