@@ -23,11 +23,12 @@ functions and pi.
 
 ``differentiate`` turns a field's expressions into one straight-line Python
 function from float coordinates to the values and the flat gradient: the
-code that ``jets.derivative_code`` records while the expressions run once
-on order-1 jets.  So it performs exactly the float operations of order-1
-jets at a point, a complex intermediate included, gives their bits and
-raises where they raise, in about a tenth of their time.  It computes a
-subexpression that the field's entries share once.
+code that ``derivative_code`` records while the expressions run once on
+order-1 jets, and whose statements the geodesic loop inlines.  So it
+performs exactly the float operations of order-1 jets at a point, a
+complex intermediate included, gives their bits and raises where they
+raise, in about a tenth of their time.  It computes a subexpression that
+the field's entries share once.
 """
 
 from __future__ import annotations
@@ -198,16 +199,22 @@ def _validate(node: ast.AST, coords: tuple, source: str):
         f"{type(node).__name__} not part of the expression grammar{_where(node, source)}")
 
 
+def derivative_code(exprs) -> _jets.DerivativeCode:
+    """The recorded order-1 code of compiled expressions over n coordinates
+    (jets.DerivativeCode), output by output."""
+    n = len(exprs[0].coordinates)
+    for e in exprs:
+        if len(e.coordinates) != n:
+            raise ExpressionError(f"expressions over {n} and {len(e.coordinates)} coordinates")
+    return _jets.derivative_code(lambda xs: [e(xs) for e in exprs], n)
+
+
 def differentiate(exprs) -> Callable:
-    """The order-1 derivative code of compiled expressions over n coordinates.
+    """The order-1 derivative code of compiled expressions as a function.
 
     Returns ``f(coords) -> (values, grads)``: the expressions' values as a
     list, and their gradients as one flat list, expression by expression.
     Both hold the numbers that order-1 jets at the point give, bit for bit,
     and an evaluation error is the one that the expressions raise.
     """
-    n = len(exprs[0].coordinates)
-    for e in exprs:
-        if len(e.coordinates) != n:
-            raise ExpressionError(f"expressions over {n} and {len(e.coordinates)} coordinates")
-    return _jets.derivative_code(lambda xs: [e(xs) for e in exprs], n)
+    return derivative_code(exprs).function()

@@ -20,7 +20,9 @@ records by running the expressions once on order-1 jets whose numbers are
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3 and 6).  So the code
 performs exactly the operations of order-1 jets, gives their bits and
 raises where they raise, in about a tenth of their time.  An order-1 jet
-forms no second derivative.
+forms no second derivative.  Code with no ``**`` and no complex constant
+holds real numbers only, and there each dispatcher is its math function,
+which the code then calls directly.
 
 Only smooth operations are provided.  ``abs`` is deliberately absent.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from numbers import Number
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -285,7 +287,7 @@ class Tape:
 
     def __init__(self):
         self.lines, self.seen = [], {}
-        self.names = {"__builtins__": {}, **{f"_{name}": globals()[f"_{name}"] for name in RULES}}
+        self.names = {f"_{name}": globals()[f"_{name}"] for name in RULES}
 
     def let(self, expr: str) -> Recorded:
         if expr not in self.seen:
@@ -307,17 +309,42 @@ class Tape:
         return self.seen[key]
 
 
-def derivative_code(fn: Callable, n: int) -> Callable:
+class DerivativeCode(NamedTuple):
+    """The order-1 code that derivative_code records: statements over the
+    coordinates, the locals _x0 ... _x{n-1}, that read the globals in names
+    (the dispatchers and the constants), and the name in that code of each
+    output's value and of each entry of the flat gradient, output by output.
+    Where the recorded function raised, the last statement raises it and
+    values and grads are None."""
+
+    n: int
+    lines: tuple
+    names: dict
+    values: tuple | None
+    grads: tuple | None
+
+    def function(self) -> Callable:
+        """``f(coords) -> (values, grads)``: the values at float coordinates
+        as a list, and the gradients as one flat list."""
+        end = [] if self.values is None else [
+            f"return [{', '.join(self.values)}], [{', '.join(self.grads)}]"]
+        body = "\n".join(f"    {line}" for line in
+                         ["".join(f"_x{i}, " for i in range(self.n)) + "= _c", *self.lines, *end])
+        scope = {"__builtins__": {}, **self.names}
+        exec(compile(f"def _derivatives(_c):\n{body}\n", "<derivative code>", "exec"), scope)
+        return scope["_derivatives"]
+
+
+def derivative_code(fn: Callable, n: int) -> DerivativeCode:
     """The recorded order-1 code of fn, a function from n coordinates to a
     list of numbers and jets.
 
-    Returns ``f(coords) -> (values, grads)``: fn's values at float
-    coordinates as a list, and their gradients as one flat list, output by
-    output, computed by the float operations that order-1 jets perform
-    there.  An ArithmeticError or ValueError that fn raises while recording
-    comes from operations on constants alone, so it is the same at every
-    point: the code raises it where it happened, after the errors of the
-    operations before it.
+    The code computes fn's values at float coordinates and their gradients
+    by the float operations that order-1 jets perform there.  An
+    ArithmeticError or ValueError that fn raises while recording comes from
+    operations on constants alone, so it is the same at every point: the
+    code raises it where it happened, after the errors of the operations
+    before it.
     """
     tape = Tape()
     xs = [Jet(Recorded(tape, f"_x{i}"), row.astype(object)) for i, row in enumerate(_identity(n))]
@@ -328,11 +355,13 @@ def derivative_code(fn: Callable, n: int) -> Callable:
             out = fn(xs)
     except (ArithmeticError, ValueError) as e:
         tape.lines.append(f"raise {tape.ref(type(e))}(*{tape.ref(e.args)})")
-    else:
-        out = [y if isinstance(y, Jet) else Jet(y, [0.0] * n) for y in out]
-        tape.lines.append(f"return [{', '.join(tape.ref(y.val) for y in out)}], "
-                          f"[{', '.join(tape.ref(g) for y in out for g in y.grad)}]")
-    body = "\n".join(f"    {line}" for line in
-                     ["".join(f"_x{i}, " for i in range(n)) + "= _c", *tape.lines])
-    exec(compile(f"def _derivatives(_c):\n{body}\n", "<derivative code>", "exec"), tape.names)
-    return tape.names["_derivatives"]
+        return DerivativeCode(n, tuple(tape.lines), tape.names, None, None)
+    out = [y if isinstance(y, Jet) else Jet(y, [0.0] * n) for y in out]
+    code = DerivativeCode(n, tuple(tape.lines), tape.names, tuple(tape.ref(y.val) for y in out),
+                          tuple(tape.ref(g) for y in out for g in y.grad))
+    # with no ** and no complex constant every number of the code is real,
+    # and on a real number each dispatcher is its math function
+    if not any(" ** " in line for line in tape.lines) and \
+            not any(isinstance(k, complex) for k in tape.names.values()):
+        tape.names.update({f"_{name}": getattr(math, real) for name, (real, *_) in RULES.items()})
+    return code

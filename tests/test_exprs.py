@@ -1,6 +1,7 @@
 """Expression grammar: acceptance, rejection with offsets, jet evaluation."""
 
 import ast
+import math
 
 import numpy as np
 import pytest
@@ -51,10 +52,29 @@ def test_every_list_of_the_functions_is_the_rules_table():
     dispatchers = {n for n, f in vars(jets).items()
                    if getattr(f, "__qualname__", "") == "_c.<locals>.apply"}
     assert dispatchers == {f"_{n}" for n in names}
-    code = differentiate([compile_expression("x", ("x",))])
+    code = differentiate([compile_expression("x^0.5", ("x",))])
     names = {n for n in code.__globals__ if not n.startswith("_k")}
     assert names - {"__builtins__", "_derivatives"} == dispatchers
     assert all(code.__globals__[d] is getattr(jets, d) for d in dispatchers)
+
+
+@pytest.mark.parametrize("source, real", [
+    ("sin(x) * sqrt(y) + 2.5 / x", True),
+    ("x^2", False),  # a power may turn a float complex
+    ("sqrt(x + 0 * (-1)^0.5)", False),  # a complex constant
+])
+def test_real_derivative_code_calls_the_math_functions(source, real):
+    # on a real number each dispatcher is its math function, so code whose
+    # every number is real calls math directly, and other code the dispatchers
+    code = differentiate([compile_expression(source, ("x", "y"))])
+    for name, (fn, *_) in jets.RULES.items():
+        want = getattr(math, fn) if real else getattr(jets, f"_{name}")
+        assert code.__globals__[f"_{name}"] is want
+    # and gives the bits of order-1 jets, complex ones included
+    for point in ([0.7, 3.1], [-0.7, 3.1]):
+        jet = compile_expression(source, ("x", "y"))(variables(point, order=1))
+        vals, grads = code(point)
+        assert _bits([vals[0], *grads]) == _bits([jet.val, *jet.grad]), point
 
 
 def test_free_names_and_arity_check():

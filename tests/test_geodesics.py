@@ -12,7 +12,7 @@ import pytest
 
 from geodyn import geodesics
 from geodyn.config import build_scenario
-from geodyn.exprs import compile_expression, differentiate
+from geodyn.exprs import compile_expression, derivative_code, differentiate
 from geodyn.fields import ChartField, entry_field
 from geodyn.geodesics import (Trajectory, _diagonal, _diagonal_stage, _general_stage,
                               _loop_source, integrate_geodesic, velocity_norm)
@@ -33,14 +33,21 @@ def _emitters(frame):
 def _stage(frame):
     """(metric_jets, accel): the metric pass and the acceleration that the
     loop inlines in each stage, as functions of a point and of (the pass's
-    lists, a velocity), from the diagonal stage's emitters."""
+    lists, a velocity), from the diagonal stage's emitters.  The pass does
+    not form the dead slots; metric_jets forms them as the dense pass did,
+    from the gradient of the derivative code that the pass runs."""
     n = frame.dim
     scope, metric_pass, accel, _ = _emitters(frame)
     c, u, out = ([f"{p}{m}" for m in range(n)] for p in ("_c", "_u", "_o"))
+    pass_lines = metric_pass(c)
+    formed = {line.split(" = ")[0] for line in pass_lines}
+    grads = derivative_code(_diagonal(frame)).grads
+    slots = [f"_h{k}" if grads is None or f"_h{k}" in formed
+             else f"2.0 * (_e{k // n} * {grads[k]})" for k in range(n * n)]
     g, h = ", ".join(f"_g{m}" for m in range(n)), ", ".join(f"_h{k}" for k in range(n * n))
     lines = ["def metric_jets(_c):", f"    ({', '.join(c)},) = _c",
-             *[f"    {line}" for line in metric_pass(c)],
-             f"    return [{g}], [{h}, 0.0]",
+             *[f"    {line}" for line in pass_lines],
+             f"    return [{g}], [{', '.join(slots)}, 0.0]",
              "def accel(_gj, _vc):", f"    ({g},), ({h}, _) = _gj", f"    ({', '.join(u)},) = _vc",
              *[f"    {line}" for line in accel(u, out)],
              f"    return [{', '.join(out)}]"]
@@ -192,25 +199,23 @@ def test_singular_stop_is_pinned():
 
 def _counted_passes(monkeypatch) -> list:
     """The list to which each later diagonal metric pass appends its
-    number of coordinates."""
+    number of coordinates: the diagonal stage, with a line that appends it
+    put in front of each pass that the loop inlines."""
     passes = []
 
-    def counted_code(exprs):
-        code = differentiate(exprs)
+    def counted_stage(diagonal, signs):
+        scope, metric_pass, accel, sample = _diagonal_stage(diagonal, signs)
+        scope["_passes"] = passes
+        return (scope, lambda c, checked=False: [f"_passes.append({len(c)})",
+                                                 *metric_pass(c, checked)], accel, sample)
 
-        def counted(coords):
-            passes.append(len(coords))
-            return code(coords)
-
-        return counted
-
-    monkeypatch.setattr(geodesics, "differentiate", counted_code)
+    monkeypatch.setattr(geodesics, "_diagonal_stage", counted_stage)
     return passes
 
 
 def test_four_metric_passes_per_step(monkeypatch):
-    # a pass runs the generated order-1 code of the frame's diagonal once
-    # and reads its lists directly: ChartField.jets is not called at all
+    # a pass runs the inlined order-1 code of the frame's diagonal once:
+    # ChartField.jets is not called at all
     jets_calls = []
     monkeypatch.setattr(ChartField, "jets",
                         lambda self, p, order=2: jets_calls.append(order))
@@ -748,6 +753,9 @@ def test_generated_stage_matches_the_dense_loops(name):
     frame = _oracle_frames()[name]
     metric_jets, accel = _stage(frame)
     dense_jets, dense_accel = _dense_stage(frame)
+    # the slots that the pass does not form, which a finite pass makes +-0
+    dead = [k for k, (e, c) in enumerate((e, c) for e in _diagonal(frame) for c in e.coordinates)
+            if c not in e.variables]
     outcomes = set()
     for seed in range(3):
         for x, v in _states(frame.dim, seed):
@@ -757,6 +765,7 @@ def test_generated_stage_matches_the_dense_loops(name):
                 outcomes.add(want[0])
                 continue
             gj = dense_jets(x)
+            assert all(gj[1][k] == 0.0 for k in dead), (name, x)
             want = _outcome(dense_accel, gj, v)
             assert _outcome(accel, gj, v) == want, (name, x, v)
             outcomes.add(want[0] if isinstance(want, tuple) else "ok")
@@ -795,6 +804,20 @@ def test_accel_forms_only_the_terms_the_frame_can_make_nonzero():
     # the analysis reads names, not values: 0*x0 keeps d_0 gamma_0
     kept = diagonal_vielbein(["1 + 0*x0", "1.0"], MinkowskiSignature.euclidean(2))
     assert _terms(kept) == 1 and "(_h0 + _h0) - _h0" in _accel_source(kept)
+
+
+def test_schwarzschild_loop_inlines_the_pass_and_forms_the_live_slots():
+    # no call of a derivative function: each pass inlines the recorded code
+    source = _source(schwarzschild(mass=1.0))
+    assert "_evaluate(" not in source and source.count("_t8 = _sqrt(_t5)") == 5
+    # 5 of the 16 slots d_r gamma_l are live, and each pass forms those alone
+    formed = re.findall(r"^ *(_h\d+) = ", source, re.M)
+    assert sorted(set(formed)) == ["_h1", "_h13", "_h14", "_h5", "_h9"]
+    assert len(formed) == 5 * 5
+    # the off-diagonal zeros are folded, and the accepted point, which the
+    # non-finite state check has just checked, is not checked again
+    assert "+ 0.0)" not in source and "(0.0 +" not in source
+    assert source.count("non-finite coordinates") == 4
 
 
 def test_building_a_scenario_generates_no_stage_code(monkeypatch):
@@ -861,6 +884,25 @@ def test_batched_velocity_norm_matches_each_point(n):
         assert velocity_norm(gammas[:1], vs[:1]).tobytes() == want[:1].tobytes()
 
 
+def test_sliced_velocity_norm_matches_the_unsliced_call(monkeypatch):
+    # each slice of _NORM_SLICE samples is one matmul; across the slices'
+    # boundaries the bits are those of one call over the whole stack, signed
+    # zeros included, and a NaN start norm stays where it was
+    rng = np.random.default_rng(7)
+    k, n = 2 * geodesics._NORM_SLICE + 5, 4
+    vs, diagonal = rng.normal(size=(k, n)), rng.normal(size=(k, n))
+    dense = rng.normal(size=(k, n, n))
+    for a in (vs, dense, diagonal):
+        zeros = rng.random(a.shape) < 0.25
+        a[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    dense[0, 1, 1] = diagonal[0, 1] = math.nan
+    sliced = [velocity_norm(gammas, vs) for gammas in (dense, diagonal)]
+    monkeypatch.setattr(geodesics, "_NORM_SLICE", k)
+    for gammas, got in zip((dense, diagonal), sliced):
+        want = velocity_norm(gammas, vs)
+        assert math.isnan(got[0]) and got.shape == (k,) and got.tobytes() == want.tobytes()
+
+
 def test_one_norm_call_per_run(monkeypatch):
     calls = []
 
@@ -890,3 +932,23 @@ def test_geodesic_csv_bytes_are_pinned(name):
     assert result.csv_name == "01-geodesic.csv"
     digest = hashlib.sha256(format_csv(result).encode("utf-8")).hexdigest()
     assert digest == GEODESIC_CSV_SHA256[name]
+
+
+def test_two_geodesic_tasks_on_one_frame_compile_the_loop_once(monkeypatch):
+    # the frame keeps its compiled loop, and each task gets the CSV it gets alone
+    sizes = []
+
+    def counted(n, *emitters):
+        sizes.append(n)
+        return _loop_source(n, *emitters)
+
+    monkeypatch.setattr(geodesics, "_loop_source", counted)
+    config = builtin_config("schwarzschild-geodesic")
+    task = {**config["tasks"][1], "steps": 200}
+    config["tasks"] = [task, {**task, "steps": 100, "step_size": 0.02}]
+    report = run_scenario(config, name="two-geodesics", seed=1)
+    assert sizes == [4]
+    for task, result in zip(config["tasks"], report.results):
+        [alone] = run_scenario({**config, "tasks": [task]}, name="one-geodesic", seed=1).results
+        assert result.summary["status"] == "ok" and format_csv(result) == format_csv(alone)
+    assert sizes == [4] * 3
