@@ -2,29 +2,28 @@
 
 Classical fixed-step RK4 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.1)
 on the first-order system (x, v) with a^m = -Gamma^m_ab v^a v^b.  The whole
-loop is Python source generated and compiled once per frame, which keeps it
-(``Vielbein.geodesic_loops``): position, velocity and k1-k4 stay float
-locals from one step to the next, and each accepted state, and the metric
-there, goes to an array('d') buffer.  A stage is one order-1 metric pass,
-then the Christoffel symbols from the metric's inverse.  On a frame of
-expressions that are zero off the diagonal (every library frame, every
-``diagonal`` config frame and a ``matrix`` one written so) the loop inlines
-straight-line float code in each stage: the pass runs the statements of
-the diagonal's recorded order-1 code and forms gamma_m = eta_m e_m^2 and
-the slots of its gradient that the frame can make nonzero, and the
-acceleration guards, forms 1/gamma_m and sums only the Christoffel terms
-that can be nonzero, with the exact zeros of the off-diagonal metric
-folded (``_diagonal_stage`` gives the argument for each).  Any other frame,
-and a metric given as a gamma field, takes the general stage
-(``checked_inverse``, einsum), whose two functions the same loop calls;
-both give the same trajectory bit for bit.
+loop is Python source generated and compiled on each call: position,
+velocity and k1-k4 stay float locals from one step to the next, and each
+accepted state, and the metric there, goes to an array('d') buffer.  A
+stage is one order-1 metric pass, then the Christoffel symbols from the
+metric's inverse.  On a frame of expressions that are zero off the
+diagonal (every library frame, every ``diagonal`` config frame and a
+``matrix`` one written so) the loop inlines straight-line float code in
+each stage: the pass runs the statements of the diagonal's recorded
+order-1 code and forms gamma_m = eta_m e_m^2 and the slots of its gradient
+that the frame can make nonzero, and the acceleration guards, forms
+1/gamma_m and sums only the Christoffel terms that can be nonzero, with
+the exact zeros of the off-diagonal metric folded (``_diagonal_stage``
+gives the argument for each).  Any other frame, and a metric given as a
+gamma field, takes the general stage (``checked_inverse``, einsum), whose
+two functions the same loop calls; both give the same trajectory bit for
+bit.
 A step costs four passes: the pass at the accepted point gives the next k1
 and the metric for that point's velocity norm, and one ``velocity_norm``
 call after the loop forms every norm by batched matmul.  On the
-Schwarzschild frame a step takes 11-13 us (16-19 us with a call of the
-derivative code in each pass), and writing and compiling the loop about
-4 ms, once per frame (10 000 steps on a shared 2-vCPU x86-64 Linux VM whose
-speed drifts).
+Schwarzschild frame a step takes 11-13 us, and writing and compiling the
+loop about 4 ms on every call (10 000 steps on a shared 2-vCPU x86-64
+Linux VM whose speed drifts).
 """
 
 from __future__ import annotations
@@ -293,14 +292,9 @@ def integrate_geodesic(g: GeneralizedMetric, x0, v0, t_max: float,
     if x.shape != (dim,) or v.shape != (dim,):
         raise ValueError(f"state vectors must have shape ({dim},)")
     diagonal = _diagonal(g.vielbein)
-    stage = "general" if diagonal is None else "diagonal"
-    # a frame keeps its compiled loop of each stage; a gamma field's is compiled each run
-    loops = {} if g.vielbein is None else g.vielbein.geodesic_loops
-    if stage not in loops:
-        scope, *emitters = (_general_stage(g) if diagonal is None
-                            else _diagonal_stage(diagonal, g.vielbein.signature.signs))
-        exec(compile(_loop_source(dim, *emitters), "<geodesic loop>", "exec"), scope)
-        loops[stage] = scope["run"]
+    scope, *emitters = (_general_stage(g) if diagonal is None
+                        else _diagonal_stage(diagonal, g.vielbein.signature.signs))
+    exec(compile(_loop_source(dim, *emitters), "<geodesic loop>", "exec"), scope)
     h = t_max / steps
     xs, vs, gs = array("d", x.tolist()), array("d", v.tolist()), array("d")
     status, message = "ok", ""
@@ -308,7 +302,7 @@ def integrate_geodesic(g: GeneralizedMetric, x0, v0, t_max: float,
     # state, so numpy's overflow warnings along the way would only repeat that
     with np.errstate(all="ignore"):
         try:
-            loops[stage](xs, vs, gs, h, steps)
+            scope["run"](xs, vs, gs, h, steps)
         except (ArithmeticError, ValueError) as exc:  # SingularMetricError included
             status, message = "singular", str(exc)
         xs, vs = np.frombuffer(xs).reshape(-1, dim), np.frombuffer(vs).reshape(-1, dim)

@@ -66,18 +66,14 @@ class Vielbein:
     which the geodesic stage finds in its expressions.
 
     invariants is the action densities' memo of this frame's metric passes
-    over quadrature blocks (action._Passes), and geodesic_loops holds the
-    compiled RK4 loop of each geodesic stage on this frame
-    (geodesics.integrate_geodesic); frame and field are frozen, so both stay
-    this frame's for as long as the frame lives.
+    over quadrature blocks (action._Passes); frame and field are frozen, so
+    it stays this frame's for as long as the frame lives.
     """
 
     field: ChartField
     signature: MinkowskiSignature
     invariants: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                          compare=False)
-    geodesic_loops: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
-                                             compare=False)
 
     def __post_init__(self):
         n = self.signature.dim

@@ -357,11 +357,11 @@ def derivative_code(fn: Callable, n: int) -> DerivativeCode:
         tape.lines.append(f"raise {tape.ref(type(e))}(*{tape.ref(e.args)})")
         return DerivativeCode(n, tuple(tape.lines), tape.names, None, None)
     out = [y if isinstance(y, Jet) else Jet(y, [0.0] * n) for y in out]
-    code = DerivativeCode(n, tuple(tape.lines), tape.names, tuple(tape.ref(y.val) for y in out),
-                          tuple(tape.ref(g) for y in out for g in y.grad))
+    values = tuple(tape.ref(y.val) for y in out)
+    grads = tuple(tape.ref(g) for y in out for g in y.grad)
     # with no ** and no complex constant every number of the code is real,
     # and on a real number each dispatcher is its math function
     if not any(" ** " in line for line in tape.lines) and \
             not any(isinstance(k, complex) for k in tape.names.values()):
         tape.names.update({f"_{name}": getattr(math, real) for name, (real, *_) in RULES.items()})
-    return code
+    return DerivativeCode(n, tuple(tape.lines), tape.names, values, grads)

@@ -932,23 +932,3 @@ def test_geodesic_csv_bytes_are_pinned(name):
     assert result.csv_name == "01-geodesic.csv"
     digest = hashlib.sha256(format_csv(result).encode("utf-8")).hexdigest()
     assert digest == GEODESIC_CSV_SHA256[name]
-
-
-def test_two_geodesic_tasks_on_one_frame_compile_the_loop_once(monkeypatch):
-    # the frame keeps its compiled loop, and each task gets the CSV it gets alone
-    sizes = []
-
-    def counted(n, *emitters):
-        sizes.append(n)
-        return _loop_source(n, *emitters)
-
-    monkeypatch.setattr(geodesics, "_loop_source", counted)
-    config = builtin_config("schwarzschild-geodesic")
-    task = {**config["tasks"][1], "steps": 200}
-    config["tasks"] = [task, {**task, "steps": 100, "step_size": 0.02}]
-    report = run_scenario(config, name="two-geodesics", seed=1)
-    assert sizes == [4]
-    for task, result in zip(config["tasks"], report.results):
-        [alone] = run_scenario({**config, "tasks": [task]}, name="one-geodesic", seed=1).results
-        assert result.summary["status"] == "ok" and format_csv(result) == format_csv(alone)
-    assert sizes == [4] * 3
