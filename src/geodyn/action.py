@@ -38,7 +38,7 @@ task that made it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .connection import (
 )
 from .fields import ChartField
 from .geometry import GeneralizedMetric, Vielbein, ricci_square, riemann_square, sigma_squared
+from .records import record
 from .tensors import Point
 
 __all__ = [
@@ -81,7 +82,7 @@ __all__ = [
 # -- cutoff functions and moments ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Moments:
     """A nonnegative cutoff profile f on [0, inf) as the truncated action reads
     it: m4 = int u f du multiplies L^4 a0, m2 = int f du multiplies L^2 a2 and
@@ -139,7 +140,7 @@ def moments(u: tuple, f: tuple, lam_sq: float = 1.0) -> Moments:
 # -- region quadrature ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Region:
     """A coordinate box, with optional periodic identification per axis."""
 
@@ -166,7 +167,7 @@ class Region:
         return len(self.lo)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GridSpec:
     """Points per axis; at least 2 everywhere."""
 
@@ -320,7 +321,7 @@ def integrate_scalar(fn, region: Region, grid: GridSpec) -> tuple:
 # -- heat kernel coefficients ----------------------------------------------------
 
 
-@dataclass
+@record
 class HeatKernelCoefficients:
     """a0, a2, a4 with their quadrature errors; sigma_sq is the sigma^2 that
     a4 used, None when a connection's blocks gave its curvature square."""
@@ -397,7 +398,7 @@ def heat_kernel_coefficients(source: Vielbein | ConnectionForm, region: Region,
 # -- assembled action -------------------------------------------------------------
 
 
-@dataclass
+@record
 class ActionReport:
     """Per-term breakdown of an assembled action.
 
@@ -466,7 +467,7 @@ def spectral_action(m: Moments, coeffs: HeatKernelCoefficients,
 # -- field equations ---------------------------------------------------------------
 
 
-@dataclass
+@record
 class FieldEquationInput:
     """Geometry, stress tensor and constants at a point.
 
@@ -483,7 +484,7 @@ class FieldEquationInput:
     n_h: float = 1.0
 
 
-@dataclass
+@record
 class FieldEquationResidual:
     point: Point
     lhs_display: np.ndarray

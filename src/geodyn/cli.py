@@ -34,11 +34,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a scenario and write artifacts")
     run_p.add_argument("config", help="config file path or builtin scenario name")
-    run_p.add_argument("--out", default=".", metavar="DIR",
+    run_p.add_argument("--out", type=_out_dir, default=".", metavar="DIR",
                        help="output directory (default: current directory)")
     run_p.add_argument("--grid", type=int, default=None, metavar="N",
                        help="override grid resolution on every axis")
-    run_p.add_argument("--seed", type=int, default=0, metavar="S",
+    run_p.add_argument("--seed", type=_seed, default=0, metavar="S",
                        help="seed for randomized oracle checks (default 0)")
 
     val_p = sub.add_parser("validate", help="check a config, print diagnostics")
@@ -46,6 +46,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-builtins", help="list scenarios, frames, cutoffs, triples")
     return parser
+
+
+def _out_dir(path: str) -> str:
+    """--out, rejected before the run when its nearest existing ancestor (or
+    itself) is not a directory, so the CSVs could not be written there."""
+    existing = path
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing) or "."
+    if not os.path.isdir(existing):
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return path
+
+
+def _seed(text: str) -> int:
+    """--seed: numpy seeds its generators from non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def _resolve_config(arg: str):

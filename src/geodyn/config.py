@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +37,7 @@ from .exprs import compile_expression, default_coordinate_names
 from .fields import entry_field
 from .geometry import GeneralizedMetric, Vielbein
 from .library import BUILTIN_FRAMES, diagonal_vielbein
+from .records import record
 from .tensors import MAX_DIM, MinkowskiSignature, Point
 from .triples import (FiniteTriple, YukawaData, build_sm_finite,
                       lepton_triple, two_point_triple)
@@ -70,7 +70,7 @@ MAX_GRID_POINTS = 10 ** 6
 MAX_GEODESIC_STEPS = 10 ** 6
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     path: str
     message: str
@@ -88,7 +88,7 @@ class ConfigError(ValueError):
                          + "\n".join(str(d) for d in self.diagnostics))
 
 
-@dataclass
+@record
 class Scenario:
     """Runtime objects built from a valid configuration.
 
@@ -119,12 +119,17 @@ def load_config(path: str):
             text = fh.read()
     except OSError as e:
         return None, [Diagnostic("<file>", f"cannot read {path}: {e}")]
+    except UnicodeDecodeError as e:
+        return None, [Diagnostic("<file>", f"cannot read {path}: not UTF-8 text "
+                                           f"({e.reason} at byte {e.start})")]
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         return None, [Diagnostic("<file>",
                                  f"JSON parse error at line {e.lineno}, "
                                  f"column {e.colno}: {e.msg}")]
+    except RecursionError:
+        return None, [Diagnostic("<file>", "JSON nested too deeply to parse")]
     return obj, []
 
 

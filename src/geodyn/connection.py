@@ -34,13 +34,14 @@ size N_SPINOR = 4 of the gravity block's spinor leg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 
 import numpy as np
 
 from .fields import ChartField
 from .geometry import CurvatureTensors, Vielbein, _unbatched
+from .records import record
 from .tensors import Point
 
 __all__ = [
@@ -109,7 +110,7 @@ _EPS3[0, 1, 2] = _EPS3[1, 2, 0] = _EPS3[2, 0, 1] = 1.0
 _EPS3[0, 2, 1] = _EPS3[2, 1, 0] = _EPS3[1, 0, 2] = -1.0
 
 
-@dataclass
+@record
 class SMGaugeConfig:
     """Component gauge potentials B_m, W^a_m, G^a_m with their couplings."""
 
@@ -160,7 +161,7 @@ def _gauge_blocks(b, w, g, g1, g2, g3) -> dict:
     return {"lam": lam, "q": q, "v": v, "full": full}
 
 
-@dataclass
+@record
 class HiggsField:
     """Quaternion-valued Higgs, stored as the 2x2 matrix [[x, y], [-y*, x*]]."""
 
@@ -204,7 +205,7 @@ ETA = 2.0          # <chi, chi> = Tr(chi^dagger chi) for chi = sigma_1
 N_SPINOR = 4       # identity-factor size of the gravity block's spinor leg
 
 
-@dataclass
+@record
 class ConnectionForm:
     """Generalized covariant derivative: gravity + gauge + Higgs blocks,
     with alpha the scale of the Higgs block."""
@@ -225,7 +226,7 @@ class ConnectionForm:
 # -- curvature ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CurvatureForm(CurvatureTensors):
     """F = dA + A^A at a point as its square reads it: the metric curvature
     of the vielbein (the CurvatureTensors fields), the component field
@@ -455,7 +456,7 @@ def higgs_covariant_derivative(sm: SMGaugeConfig, higgs: HiggsField,
 # -- squared curvature and its reparametrizations -----------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReparamConstants:
     """The five reparametrization constants of the squared-curvature action."""
 
@@ -471,7 +472,7 @@ class ReparamConstants:
                 raise ValueError(f"reparametrization constant {name} must be nonzero")
 
 
-@dataclass
+@record
 class LagrangianBreakdown:
     """Named scalar terms of a Lagrangian density at a point, or (N,) arrays
     of them over a coordinate block, with the constants that scale them."""
@@ -524,7 +525,7 @@ def curvature_squared(f: CurvatureForm,
 # -- trace oracle over the U(1) + SU(2) + U(3) block ---------------------------
 
 
-@dataclass
+@record
 class GaugeTraceReport:
     """Brute-force traces of the gauge curvature blocks and the identities
     they do or do not satisfy."""

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import ast
 import cmath
-from dataclasses import dataclass
 from typing import Callable
 from types import CodeType
 
 from . import jets as _jets
+from .records import record
 
 __all__ = ["ExpressionError", "CompiledExpression", "compile_expression",
            "differentiate", "FUNCTION_NAMES", "default_coordinate_names"]
@@ -72,7 +72,7 @@ def default_coordinate_names(dim: int) -> tuple:
     return tuple(f"x{i}" for i in range(dim))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompiledExpression:
     """A validated expression bound to an ordered coordinate name tuple."""
 

@@ -22,7 +22,6 @@ FD_STEP for first and FD_STEP2 for second derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -31,6 +30,7 @@ import numpy as np
 from . import jets
 from .exprs import differentiate
 from .jets import Jet
+from .records import record
 from .tensors import Point
 
 __all__ = ["ChartField", "entry_field", "fd_jets"]
@@ -85,7 +85,7 @@ def _collect(obj, shape, n, order, pts=()):
     return val, d1, (d2[0] if d2 else None)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChartField:
     """Array-valued field on an n-dimensional chart; frozen, so its cached
     ``point_code`` stays its own.

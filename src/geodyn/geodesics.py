@@ -30,19 +30,20 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import product
 
 import numpy as np
 
 from .exprs import derivative_code
 from .geometry import GeneralizedMetric, Vielbein, _christoffel_from, _symmetrized_dg
+from .records import record
 from .tensors import SINGULAR_REL, Point, _singular, checked_inverse
 
 __all__ = ["Trajectory", "integrate_geodesic", "velocity_norm"]
 
 
-@dataclass
+@record
 class Trajectory:
     ts: np.ndarray
     xs: np.ndarray              # shape (len(ts), dim)

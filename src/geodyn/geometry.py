@@ -25,11 +25,11 @@ Index layout conventions used throughout:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ChartField
+from .records import record
 from .tensors import (MinkowskiSignature, Point, checked_det, checked_inverse,
                       checked_inverse_and_det)
 
@@ -50,14 +50,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VolumeElement:
     value: float
     mode: str  # "euclidean" (det > 0) or "lorentzian" (det < 0)
     det: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Vielbein:
     """Frame field E^a_m together with the flat frame metric eta.
 
@@ -92,7 +92,7 @@ class Vielbein:
         return GeneralizedMetric(self)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChristoffelSymbols:
     point: Point
     values: np.ndarray  # Gamma[m, a, b]
@@ -100,7 +100,7 @@ class ChristoffelSymbols:
     gamma_inv: np.ndarray
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CurvatureTensors:
     point: Point
     riemann: np.ndarray  # R[r, m, n, l], antisymmetric in (n, l)
@@ -336,7 +336,7 @@ def _spin_connection_arrays(e_val, de, gam, eta):
     return einv, eup, einv_de, deinv, deup, u, omega
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FrameGeometry:
     """Everything derivable from one order-2 jet pass over a vielbein."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .config import Scenario, build_scenario
 from .connection import curvature, gauge_square_report
 from .geodesics import integrate_geodesic
 from .geometry import frame_curvature_check, frame_geometry
+from .records import record
 from .tensors import MAX_DIM
 from .triples import (check_axioms, fluctuate, fluctuation_space, hermitian_part,
                       inner_fluctuations, unimodular_projection)
@@ -32,7 +33,7 @@ __all__ = ["TaskResult", "RunReport", "BUILTIN_SCENARIOS", "builtin_config",
            "run_scenario", "format_csv"]
 
 
-@dataclass
+@record
 class TaskResult:
     index: int
     task_type: str
@@ -49,7 +50,7 @@ class TaskResult:
         return f"{self.index:02d}-{self.task_type}.csv"
 
 
-@dataclass
+@record
 class RunReport:
     name: str
     seed: int

@@ -10,10 +10,11 @@ determinant and inverse of a metric or frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .records import record
 
 MAX_DIM = 8
 
@@ -31,7 +32,7 @@ class SingularMetricError(ArithmeticError):
     """Matrix determinant fell below the singularity threshold."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Point:
     """A chart point: an ordered tuple of real coordinates."""
 
@@ -61,7 +62,7 @@ class Point:
         return Point(tuple(c))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MinkowskiSignature:
     """Diagonal frame metric eta with entries +-1."""
 

@@ -11,9 +11,9 @@ J M J^-1 = K conj(M) K^dagger, independent of eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
+
+from .records import record
 
 __all__ = [
     "FiniteTriple",
@@ -38,7 +38,7 @@ def _as_matrix(m, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteTriple:
     """Algebra generators, Dirac matrix, grading and real structure."""
 
@@ -79,7 +79,7 @@ class FiniteTriple:
         return self.k @ np.conj(m) @ self.k.conj().T
 
 
-@dataclass
+@record
 class AxiomReport:
     """Residuals of the defining identities; None marks absent structure."""
 
@@ -216,7 +216,7 @@ def fluctuate(t: FiniteTriple, a: np.ndarray) -> FiniteTriple:
     if t.k is None:
         raise ValueError("fluctuation needs a real structure J")
     mat = hermitian_part(a)
-    return replace(t, d=t.d + mat + t.conjugate_by_j(mat))
+    return t.replace(d=t.d + mat + t.conjugate_by_j(mat))
 
 
 def unimodular_projection(a: np.ndarray) -> np.ndarray:
@@ -295,7 +295,7 @@ E_DOWN = np.array([0.0, 1.0], dtype=complex)            # doublet slot hit by k^
 E_UP = np.array([1.0, 0.0], dtype=complex)              # i sigma_2 applied to E_DOWN
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class YukawaData:
     """Yukawa matrices in generation space and their assembled blocks.
 

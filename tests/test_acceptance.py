@@ -6,7 +6,6 @@ line (run pytest with -s to see the lines, or execute this file directly).
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -298,7 +297,7 @@ def test_criterion_06_triple_axioms():
         lepton = check_axioms(lepton_triple(k_e=k_e))
         assert max(v for _, v in lepton.residual_items()) < 1e-12
 
-        broken = replace(t, d=t.d + np.diag([m, 0.0]))
+        broken = t.replace(d=t.d + np.diag([m, 0.0]))
         res = check_axioms(broken).grading_anticommutes_dirac
         assert abs(res - 2.0 * abs(m)) < 1e-12
 

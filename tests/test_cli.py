@@ -6,6 +6,8 @@ import subprocess
 import sys
 import warnings
 
+import pytest
+
 import geodyn
 from geodyn.cli import main
 from geodyn.config import SCHEMA_VERSION
@@ -68,6 +70,46 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
     code, _, err = _run(["run", str(tmp_path / "none.json"),
                          "--out", str(tmp_path)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("case, problem", [
+    ("not-utf8", "<file>: cannot read"),
+    ("deep-json", "<file>: JSON nested too deeply"),
+    ("out-is-a-file", "argument --out: "),
+    ("negative-seed", "argument --seed: expected a non-negative integer"),
+])
+def test_run_rejects_bad_input_before_any_task(tmp_path, case, problem):
+    # each ends in a diagnostic or usage error with exit 2, in a fresh
+    # process so a traceback would show on stderr, and no task writes a CSV
+    out_dir = tmp_path / "out"
+    config, extra = "flat-empty", []
+    if case == "not-utf8":
+        config = tmp_path / "bad.json"
+        config.write_bytes(b"\xff\xfe{")
+    elif case == "deep-json":
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000, encoding="utf-8")
+    elif case == "out-is-a-file":
+        out_dir = tmp_path / "report.txt"
+        out_dir.write_text("", encoding="utf-8")
+    else:
+        extra = ["--seed", "-1"]
+    src = os.path.dirname(os.path.dirname(geodyn.__file__))
+    done = subprocess.run([sys.executable, "-m", "geodyn.cli", "run", str(config),
+                           "--out", str(out_dir), *extra], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert problem in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not any(path.suffix == ".csv" for path in tmp_path.rglob("*"))
+
+
+def test_run_takes_a_seed_beyond_64_bits(tmp_path, capsys):
+    code, _, _ = _run(["run", "flat-empty", "--seed", "99999999999999999999999",
+                       "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert any(name.endswith(".csv") for name in os.listdir(tmp_path))
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Gauge-sector assembly, curvature routes, and trace identities."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -439,7 +437,7 @@ def test_gauge_squares_match_their_einsum_forms(batch):
     # not symmetric, so that every index's place counts
     a = np.eye(4) + 0.2 * rng.standard_normal(batch + (4, 4))
     ginv = a @ a.swapaxes(-1, -2) + 0.1 * rng.standard_normal(batch + (4, 4))
-    f = dataclasses.replace(f, gamma_inv=ginv)
+    f = f.replace(gamma_inv=ginv)
 
     def close(got, want):
         assert np.shape(got) == np.shape(want)

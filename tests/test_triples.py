@@ -1,7 +1,5 @@
 """Finite triple axioms, fluctuations, and the Yukawa-sector assembly."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -43,7 +41,7 @@ def test_two_point_with_complex_mass():
 
 def test_broken_grading_is_reported_with_exact_magnitude():
     t = two_point_triple(m=1.0)
-    broken = replace(t, d=t.d + np.diag([0.5, 0.0]))
+    broken = t.replace(d=t.d + np.diag([0.5, 0.0]))
     rep = check_axioms(broken)
     # gamma D + D gamma picks up twice the diagonal entry
     assert abs(rep.grading_anticommutes_dirac - 1.0) < 1e-14
@@ -94,7 +92,7 @@ def test_fluctuate_keeps_dirac_hermitian_with_projection():
     rep = check_axioms(flucted)
     assert rep.dirac_hermitian < 1e-12
     # without the projection D + A + JAJ^-1 is not Hermitian
-    raw = replace(t, d=t.d + fl + t.conjugate_by_j(fl))
+    raw = t.replace(d=t.d + fl + t.conjugate_by_j(fl))
     assert check_axioms(raw).dirac_hermitian > 1e-3
 
 
