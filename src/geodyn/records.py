@@ -12,8 +12,8 @@ per-instance ``default_factory``, or ``init``, ``repr`` or ``compare`` False.
 It replaces ``dataclasses.dataclass``, which writes and compiles the source
 of these methods for each class it decorates.  On the package's 31 records
 that took a median 0.6-0.8 ms per frozen class and 0.5 ms per mutable one,
-17-26 ms per import on a shared 2-vCPU VM, about a fifth of ``geodyn run``'s
-set-up.  Here every record shares the functions below, which read the field
+17-26 ms per import on a shared 2-vCPU VM, where all of ``geodyn run``'s
+set-up took about 80 ms.  Here every record shares the functions below, which read the field
 table kept on its class, so declaring one compiles nothing;
 ``tests/test_records.py`` keeps it so.
 """
