@@ -185,20 +185,29 @@ def fluctuation_space(t: FiniteTriple):
     """Span of {a_i [D, b_j]} over the generator list.
 
     Returns (dimension, orthonormal basis) with basis rows the vectorized
-    span elements from an SVD of the generator sweep.
+    span elements from an SVD of the generator sweep, the (k^2, n^2) matrix
+    whose row i k + j is a_i [D, b_j].  Each [D, b_j] is formed once.  The
+    SVD sees only the sweep's support, its columns with a nonzero entry: a
+    zero column adds no singular value and every right singular vector
+    vanishes on it, so the dimension and the span are those of the whole
+    sweep, and the basis rows are exactly 0 off the support.  A non-finite
+    sweep raises ArithmeticError.
     """
-    rows = []
-    for a in t.algebra_generators:
-        for b in t.algebra_generators:
-            rows.append((a @ (t.d @ b - b @ t.d)).ravel())
-    if not rows:
-        return 0, np.zeros((0, t.dim * t.dim), dtype=complex)
-    mat = np.array(rows)
-    if not np.abs(mat).max():
-        return 0, np.zeros((0, t.dim * t.dim), dtype=complex)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    n = t.dim
+    gens = np.array(t.algebra_generators, dtype=complex).reshape(-1, n, n)
+    comm = t.d @ gens - gens @ t.d
+    sweep = (gens[:, None] @ comm).reshape(-1, n * n)
+    support = np.flatnonzero(sweep.any(axis=0))
+    cols = sweep[:, support]
+    if not np.isfinite(cols).all():
+        raise ArithmeticError("the a_i [D, b_j] sweep is not finite")
+    if not support.size:
+        return 0, np.zeros((0, n * n), dtype=complex)
+    _, s, vh = np.linalg.svd(cols, full_matrices=False)
     keep = s > SPAN_RCOND * s[0]
-    return int(keep.sum()), vh[keep]
+    basis = np.zeros((int(keep.sum()), n * n), dtype=complex)
+    basis[:, support] = vh[keep]
+    return len(basis), basis
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

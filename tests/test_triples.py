@@ -5,6 +5,7 @@ import pytest
 
 from geodyn.scenarios import format_csv, run_scenario
 from geodyn.triples import (
+    SPAN_RCOND,
     FiniteTriple,
     YukawaData,
     build_sm_finite,
@@ -71,6 +72,108 @@ def test_fluctuation_space_of_two_point_is_two_dimensional():
     assert distance_from_span(a) < 1e-12
     # diagonal matrices are not inner fluctuations here
     assert distance_from_span(np.diag([1.0, 0.0])) > 0.9
+
+
+def _sweep(t):
+    """The (k^2, n^2) matrix whose row i k + j is a_i [D, b_j], pair by pair."""
+    return np.array([(a @ (t.d @ b - b @ t.d)).ravel()
+                     for a in t.algebra_generators
+                     for b in t.algebra_generators]).reshape(-1, t.dim * t.dim)
+
+
+def _full_width_span(t):
+    """The reference: one SVD over every column of the sweep."""
+    sweep = _sweep(t)
+    if not np.abs(sweep).max(initial=0.0):
+        return 0, np.zeros((0, t.dim * t.dim), dtype=complex)
+    _, s, vh = np.linalg.svd(sweep, full_matrices=False)
+    keep = s > SPAN_RCOND * s[0]
+    return int(keep.sum()), vh[keep]
+
+
+def _projector_distance(b1, b2):
+    """Frobenius norm of b1^H b1 - b2^H b2, which bounds its largest entry.
+
+    With P = b^H b, P1 - P2 = P1 (I - P2) - (I - P1) P2 splits into two
+    orthogonal terms, and |P1 (I - P2)| = |b1 - (b1 b2^H) b2| because b1^H
+    is an isometry; the n^2 x n^2 projectors are never formed.
+    """
+    return np.hypot(np.linalg.norm(b1 - (b1 @ b2.conj().T) @ b2),
+                    np.linalg.norm(b2 - (b2 @ b1.conj().T) @ b1))
+
+
+def _dense_triple():
+    # 9 sweep rows in C^16, so the span is a proper subspace
+    rng = np.random.default_rng(139)
+    d = _random_complex(rng, (4, 4))
+    return FiniteTriple(dim=4, d=d + d.conj().T,
+                        algebra_generators=[_random_complex(rng, (4, 4))
+                                            for _ in range(3)])
+
+
+_SM_DEFAULT = YukawaData(k_u=np.eye(3), k_d=np.eye(3), k_e=np.zeros((3, 3)))
+_SPAN_CASES = {
+    "two-point": (lambda: two_point_triple(m=1.3), 2),
+    "lepton": (lambda: lepton_triple(
+        k_e=_random_complex(np.random.default_rng(149), (3, 3))), None),
+    "sm-default": (lambda: build_sm_finite(_SM_DEFAULT), 2),
+    "sm-k_e": (lambda: build_sm_finite(
+        _SM_DEFAULT.replace(k_e=np.diag([0.1, 0.2, 0.3]))), 4),
+    "dense": (_dense_triple, 9),
+    "zero-sweep": (lambda: FiniteTriple(
+        dim=2, d=np.eye(2), algebra_generators=(np.diag([1.0, 0.0]),)), 0),
+    "no-generators": (lambda: FiniteTriple(
+        dim=2, d=np.array([[0.0, 1.0], [1.0, 0.0]]), algebra_generators=()), 0),
+}
+
+
+@pytest.mark.parametrize("case", _SPAN_CASES)
+def test_fluctuation_space_matches_full_width_svd(case):
+    build, expected_dim = _SPAN_CASES[case]
+    t = build()
+    dim, basis = fluctuation_space(t)
+    ref_dim, ref_basis = _full_width_span(t)
+    assert dim == ref_dim == len(basis)
+    if expected_dim is not None:
+        assert dim == expected_dim
+    assert basis.shape == (dim, t.dim * t.dim)
+    assert _projector_distance(basis, ref_basis) <= 1e-12
+    assert np.abs(basis @ basis.conj().T - np.eye(dim)).max(initial=0.0) <= 1e-12
+    off_support = ~_sweep(t).any(axis=0)
+    assert not basis[:, off_support].any()
+    if case == "dense":
+        assert not off_support.any()
+
+
+def test_fluctuation_space_decomposes_only_the_support(monkeypatch):
+    # the default SM sweep is 25 x 8100 with 36 nonzero columns
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    dim, _ = fluctuation_space(build_sm_finite(_SM_DEFAULT))
+    assert dim == 2
+    assert shapes == [(25, 36)]
+
+
+def test_non_finite_sweep_fails_its_task_with_a_reason():
+    huge = 1e300
+    obj = {"schema": "geodyn-config-v1",
+           "chart": {"dimension": 2, "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
+           "frame": {"builtin": "flat", "parameters": {"dim": 2}},
+           "finite_triple": {"dim": 2, "dirac": [[0, huge], [huge, 0]],
+                             "generators": [[[huge, 0], [0, 0]], [[0, 0], [0, 1]]],
+                             "real_structure": [[0, 1], [1, 0]]},
+           "tasks": [{"type": "axioms", "fluctuations": True}]}
+    res = run_scenario(obj).results[0]
+    assert res.status == "fail"
+    assert res.worst_residual == np.inf
+    assert res.summary["message"] == "the a_i [D, b_j] sweep is not finite"
+    assert res.rows == []
 
 
 def test_inner_fluctuations_requires_pairs_and_is_linear():
@@ -209,6 +312,10 @@ def test_sm_axioms_task_claims_fluctuated_hermiticity():
     assert rows["fluctuated_dirac_hermitian"][1] is True
     assert rows["fluctuated_dirac_hermitian"][0] <= 1e-12
     assert rows["unimodular_trace"][1] is True
+    # a nonzero lepton Yukawa leaves every residual exactly 0 and widens the
+    # fluctuation space from 2 to 4 dimensions
+    assert all(residual == 0.0 for residual, _ in rows.values())
+    assert res.summary["omega1_dimension"] == 4
     # every row is claimed, D's own Hermiticity first
     csv_rows = [line.split(",") for line in format_csv(res).splitlines()]
     assert csv_rows[1][0] == "dirac_hermitian"
