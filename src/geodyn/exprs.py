@@ -28,7 +28,9 @@ order-1 jets, and whose statements the geodesic loop inlines.  So it
 performs exactly the float operations of order-1 jets at a point, a
 complex intermediate included, gives their bits and raises where they
 raise, in about a tenth of their time.  It computes a subexpression that
-the field's entries share once.
+the field's entries share once.  ``derivative_code(exprs, 2)`` records the
+order-2 code the same way, which blocks of points run on numpy columns
+(geodyn.fields).
 """
 
 from __future__ import annotations
@@ -199,14 +201,14 @@ def _validate(node: ast.AST, coords: tuple, source: str):
         f"{type(node).__name__} not part of the expression grammar{_where(node, source)}")
 
 
-def derivative_code(exprs) -> _jets.DerivativeCode:
-    """The recorded order-1 code of compiled expressions over n coordinates
-    (jets.DerivativeCode), output by output."""
+def derivative_code(exprs, order: int = 1) -> _jets.DerivativeCode:
+    """The recorded order-1 or order-2 code of compiled expressions over n
+    coordinates (jets.DerivativeCode), output by output."""
     n = len(exprs[0].coordinates)
     for e in exprs:
         if len(e.coordinates) != n:
             raise ExpressionError(f"expressions over {n} and {len(e.coordinates)} coordinates")
-    return _jets.derivative_code(lambda xs: [e(xs) for e in exprs], n)
+    return _jets.derivative_code(lambda xs: [e(xs) for e in exprs], n, order)
 
 
 def differentiate(exprs) -> Callable:

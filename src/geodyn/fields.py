@@ -5,16 +5,22 @@ scalar arithmetic must go through :mod:`geodyn.jets` functions so the same
 code path serves plain floats (values, finite differences) and jets (exact
 derivatives).  ``ChartField.jets`` returns the value and its coordinate
 derivatives as plain arrays, derivative indices trailing.  It also takes an
-(N, dim) block, evaluated in one pass on block jets, and then puts the point
-axis first in its results.
+(N, dim) block, and then puts the point axis first in its results.
 
 ``entry_field`` builds an expression-built field from an array of compiled
-expressions: at a Point, order 1 runs the derivative code that
-:func:`geodyn.exprs.differentiate` records from the expressions' order-1
-jets on the field's first such call (``point_code``).  Every other
-evaluation, and order 1 of a field built from a closure, runs the evaluator
-on numpy-gradient jets, which form no second derivative at order 1, so both
-routes raise alike.
+expressions.  Such a field runs straight-line code that
+:func:`geodyn.jets.derivative_code` records from the expressions' jets on
+the field's first call of each kind, and keeps: at a Point, order 1 runs
+float code (``point_code``); on a block, orders 1 and 2 run numpy code on
+the block's coordinate columns (``block_code``), which stacks the outputs
+it computes once, next to one row per distinct constant (zero
+derivatives, most of a Hessian), and gathers each part from the stack.
+The code performs the jets' operations, so it gives their bits and raises
+where they raise.
+Order 2 at a Point, a block of a field whose code holds a complex constant,
+and every evaluation of a field built from a closure run the evaluator on
+numpy-gradient jets (``_collect``), which form no second derivative at
+order 1, so every route raises alike.
 ``fd_jets(field, p, order)`` gives the same arrays at a Point from central
 differences, the independent oracle for the jet routes, with relative steps
 FD_STEP for first and FD_STEP2 for second derivatives.
@@ -28,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .exprs import differentiate
+from .exprs import derivative_code, differentiate
 from .jets import Jet
 from .records import record
 from .tensors import Point
@@ -85,10 +91,57 @@ def _collect(obj, shape, n, order, pts=()):
     return val, d1, (d2[0] if d2 else None)
 
 
+def _block_code(exprs: tuple, shape: tuple, order: int) -> Callable | None:
+    """``f(block) -> ((val, d1, d2), finite)`` of an expression-built field
+    on an (N, dim) block: the expressions' recorded code of this order
+    (exprs.derivative_code) run on the block's columns, which performs the
+    operations of block jets, gives their bits and raises where they raise.
+    ``finite`` marks the points at which every output is finite.
+
+    The outputs that the code computes are stacked once, one row each, and
+    each constant is one more row; each part gathers its slots' rows, point
+    axis first.  An order-2 part is contiguous, since the curvature pass
+    multiplies it by batched matmul; an order-1 part keeps the point axis
+    innermost, as block jets do, since the gauge fields' parts go into sums
+    of transposed views (measured on the action-quadrature and gauge-sm
+    workloads, where the other layout of each was slower).
+
+    None where the code holds a complex constant: Python and numpy round a
+    product of two complex numbers differently, so the constants that the
+    recording folds would not be block jets' bits.
+    """
+    code = derivative_code(exprs, order)
+    if code.complex_constants:
+        return None
+    run, slots = code.block_function(), code.slots
+    live = list(dict.fromkeys(s for s in slots if s not in code.names))
+    consts = list(dict.fromkeys(s for s in slots if s in code.names))
+    column = np.array([code.names[k] for k in consts], dtype=float)[:, None]
+    constant_finite = np.isfinite(column).all()
+    where = {s: i for i, s in enumerate(live + consts)}
+    n, size = len(exprs[0].coordinates), len(exprs)
+    bounds = np.cumsum([0] + [size * n ** k for k in range(order + 1)])
+    parts = [(np.array([where[s] for s in slots[a:b]], dtype=np.intp), shape + (n,) * k)
+             for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+    def evaluate(block):
+        table = np.empty((len(where), len(block)))
+        outs = run(tuple(block.T))
+        if outs:
+            table[:len(live)] = outs
+        table[len(live):] = column
+        res = [table.T.take(index, axis=1).reshape(block.shape[:1] + tail) if order == 2 else
+               np.moveaxis(table.take(index, axis=0).reshape(tail + block.shape[:1]), -1, 0)
+               for index, tail in parts]
+        return (*res, *[None] * (2 - order)), np.isfinite(table[:len(live)]).all(axis=0) & \
+            constant_finite
+    return evaluate
+
+
 @record(frozen=True)
 class ChartField:
     """Array-valued field on an n-dimensional chart; frozen, so its cached
-    ``point_code`` stays its own.
+    ``point_code`` and ``block_code`` stay its own.
 
     Parameters
     ----------
@@ -117,6 +170,12 @@ class ChartField:
         """The generated order-1 code of an expression-built field, from
         float coordinates to (values, flat gradient); None for closures."""
         return None if self.expressions is None else differentiate(self.expressions)
+
+    @cached_property
+    def block_code(self) -> dict:
+        """order -> the block evaluator of an expression-built field
+        (_block_code), recorded on its first block at that order."""
+        return {}
 
     # -- evaluation -------------------------------------------------------
 
@@ -156,13 +215,19 @@ class ChartField:
         block = np.asarray(p, dtype=float)
         if block.shape[1:] != (self.dim,):
             raise ValueError(f"coordinate block of shape {block.shape}, expected (N, {self.dim})")
+        if self.expressions is not None and order not in self.block_code:
+            self.block_code[order] = _block_code(self.expressions, self.shape, order)
+        evaluate = None if self.expressions is None else self.block_code[order]
         # NaN and inf are reported by point below instead of as numpy warnings
         with np.errstate(all="ignore"):
-            res = _collect(self.func(jets.variables(tuple(block.T), order=order)),
-                           self.shape, self.dim, order, pts=block.shape[:1])
-        ok = np.isfinite(block).all(axis=1)
-        for a in res[:order + 1]:
-            ok &= np.isfinite(a).reshape(len(block), -1).all(axis=1)
+            if evaluate is None:
+                res = _collect(self.func(jets.variables(tuple(block.T), order=order)),
+                               self.shape, self.dim, order, pts=block.shape[:1])
+                ok = np.logical_and.reduce([np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+                                            for a in res[:order + 1]])
+            else:
+                res, ok = evaluate(block)
+        ok &= np.isfinite(block).all(axis=1)
         if not ok.all():
             raise ValueError("non-finite coordinates or field value at "
                              f"{tuple(block[np.argmin(ok)].tolist())}")

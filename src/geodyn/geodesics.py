@@ -270,7 +270,7 @@ def _diagonal_stage(diagonal: tuple, signs: tuple) -> tuple:
             *[f"{o} = -_a{m}" for m, o in enumerate(out)],
         ]
 
-    scope = {**code.names, "_isfinite": math.isfinite, "_singular": _singular,
+    scope = {**code.scope(), "_isfinite": math.isfinite, "_singular": _singular,
              "_SINGULAR_REL": SINGULAR_REL}
     return scope, metric_pass, accel, f"gs.extend(({', '.join(g)},))"
 
@@ -295,6 +295,8 @@ def integrate_geodesic(g: GeneralizedMetric, x0, v0, t_max: float,
     diagonal = _diagonal(g.vielbein)
     scope, *emitters = (_general_stage(g) if diagonal is None
                         else _diagonal_stage(diagonal, g.vielbein.signature.signs))
+    # a warning raised in the loop is filed under this module
+    scope["__name__"] = __name__
     exec(compile(_loop_source(dim, *emitters), "<geodesic loop>", "exec"), scope)
     h = t_max / steps
     xs, vs, gs = array("d", x.tolist()), array("d", v.tolist()), array("d")

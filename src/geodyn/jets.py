@@ -11,18 +11,24 @@ A block jet carries a trailing axis over N points (``val (N,)``, ``grad
 serves it, using numpy ufuncs where scalar jets call ``math``/``cmath``.
 
 The functions sin ... arctan are written at import from ``RULES``, which
-states each one's value and first and second derivatives once.  At one
-point, order 1 of an expression-built field runs straight-line float code
-instead (:func:`geodyn.exprs.differentiate`), which :func:`derivative_code`
-records by running the expressions once on order-1 jets whose numbers are
-:class:`Recorded`: each operation on such a number writes one statement
-(forward mode by operator overloading, recorded; Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3 and 6).  So the code
-performs exactly the operations of order-1 jets, gives their bits and
-raises where they raise, in about a tenth of their time.  An order-1 jet
-forms no second derivative.  Code with no ``**`` and no complex constant
-holds real numbers only, and there each dispatcher is its math function,
-which the code then calls directly.
+states each one's value and first and second derivatives once.  An
+expression-built field runs straight-line code in place of jets at one
+point at order 1 (:func:`geodyn.exprs.differentiate`) and on a block of
+points at orders 1 and 2 (:mod:`geodyn.fields`).  :func:`derivative_code`
+records it by running the expressions once on jets of that order whose
+numbers are :class:`Recorded`: each operation on such a number writes one
+statement (forward mode by operator overloading, recorded; Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3 and 6), and
+an operation on constants alone, such as the zero Hessian of the order-2
+seeds, is done while recording.  So the code performs exactly the
+operations of the jets, gives their bits and raises where they raise, in a
+fraction of their time; on columns, where Python folds products of
+complex constants that numpy rounds otherwise, only if no constant is
+complex.  An order-1 jet forms no second derivative.  At float
+coordinates, code with no ``**`` and no complex constant holds real numbers
+only, and there each dispatcher is its math function, which the code then
+calls directly; on (N,) columns the code calls the dispatchers, which apply
+the ufuncs.
 
 Only smooth operations are provided.  ``abs`` is deliberately absent.
 """
@@ -32,10 +38,11 @@ from __future__ import annotations
 import cmath
 import math
 from numbers import Number
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
+from .records import record
 from .tensors import _identity
 
 # The elemental rules of the expression language's functions, each stated
@@ -149,7 +156,7 @@ class Jet:
             return exp(k * log(self))
         if k == 0:
             return Jet(self.val ** 0, np.full_like(self.grad, 0.0),
-                       None if self.hess is None else np.zeros_like(self.hess))
+                       None if self.hess is None else np.full_like(self.hess, 0.0))
         if k == 1:
             return self
         v = self.val
@@ -309,45 +316,87 @@ class Tape:
         return self.seen[key]
 
 
-class DerivativeCode(NamedTuple):
-    """The order-1 code that derivative_code records: statements over the
+@record(frozen=True)
+class DerivativeCode:
+    """The code that derivative_code records: statements over the
     coordinates, the locals _x0 ... _x{n-1}, that read the globals in names
     (the dispatchers and the constants), and the name in that code of each
-    output's value and of each entry of the flat gradient, output by output.
-    Where the recorded function raised, the last statement raises it and
-    values and grads are None."""
+    output's value, of each entry of the flat gradient, output by output,
+    and at order 2 of each entry of the flat Hessian (n x n per output,
+    row-major), None at order 1.  Where the recorded function raised, the
+    last statement raises it and values, grads and hessians are None."""
 
     n: int
     lines: tuple
     names: dict
     values: tuple | None
     grads: tuple | None
+    hessians: tuple | None = None
+
+    def scope(self, block: bool = False) -> dict:
+        """The globals of the code: names, and ``__name__``, which files a
+        warning that the code raises under this module.  On float
+        coordinates, code with no ``**`` and no complex constant holds real
+        numbers only, and there each dispatcher is its math function, which
+        the code then calls directly; on a block of (N,) columns it calls
+        the dispatchers, which apply the ufuncs as block jets do."""
+        names = self.names
+        if not block and not self.complex_constants and \
+                not any(" ** " in line for line in self.lines):
+            names = {**names, **{f"_{name}": getattr(math, real)
+                                 for name, (real, *_) in RULES.items()}}
+        return {"__name__": __name__, **names}
 
     def function(self) -> Callable:
         """``f(coords) -> (values, grads)``: the values at float coordinates
         as a list, and the gradients as one flat list."""
-        end = [] if self.values is None else [
-            f"return [{', '.join(self.values)}], [{', '.join(self.grads)}]"]
-        body = "\n".join(f"    {line}" for line in
-                         ["".join(f"_x{i}, " for i in range(self.n)) + "= _c", *self.lines, *end])
-        scope = {"__builtins__": {}, **self.names}
+        return self._compile(self.scope(), f"[{', '.join(self.values or ())}], "
+                                           f"[{', '.join(self.grads or ())}]")
+
+    def block_function(self) -> Callable:
+        """``f(columns) -> list``: at (N,) columns of coordinates, the arrays
+        of the outputs that the code computes (the names in ``slots`` that
+        are not constants), each once, in the order of their first slot."""
+        live = dict.fromkeys(s for s in self.slots if s not in self.names)
+        return self._compile(self.scope(block=True), f"[{', '.join(live)}]")
+
+    @property
+    def complex_constants(self) -> bool:
+        """Whether a constant of the code is complex."""
+        return any(isinstance(k, complex) for k in self.names.values())
+
+    @property
+    def slots(self) -> tuple:
+        """Every output number's name: the values, the grads, then the
+        Hessians; empty where the code raises."""
+        return (self.values or ()) + (self.grads or ()) + (self.hessians or ())
+
+    def _compile(self, scope: dict, returned: str) -> Callable:
+        # where the last statement raises, the return is never reached
+        body = "\n".join(f"    {line}" for line in [
+            "".join(f"_x{i}, " for i in range(self.n)) + "= _c", *self.lines,
+            f"return {returned}"])
+        scope = {"__builtins__": {}, **scope}
         exec(compile(f"def _derivatives(_c):\n{body}\n", "<derivative code>", "exec"), scope)
         return scope["_derivatives"]
 
 
-def derivative_code(fn: Callable, n: int) -> DerivativeCode:
-    """The recorded order-1 code of fn, a function from n coordinates to a
-    list of numbers and jets.
+def derivative_code(fn: Callable, n: int, order: int = 1) -> DerivativeCode:
+    """The recorded order-1 or order-2 code of fn, a function from n
+    coordinates to a list of numbers and jets.
 
-    The code computes fn's values at float coordinates and their gradients
-    by the float operations that order-1 jets perform there.  An
-    ArithmeticError or ValueError that fn raises while recording comes from
-    operations on constants alone, so it is the same at every point: the
-    code raises it where it happened, after the errors of the operations
-    before it.
+    The code computes fn's values and their derivatives, at float
+    coordinates or on (N,) columns, by the operations that jets of that
+    order perform there: at order 2 the seed jets carry a zero Hessian, so
+    the Hessian's operations are recorded too.  An ArithmeticError or
+    ValueError that fn raises while recording comes from operations on
+    constants alone, so it is the same at every point: the code raises it
+    where it happened, after the errors of the operations before it.
     """
     tape = Tape()
-    xs = [Jet(Recorded(tape, f"_x{i}"), row.astype(object)) for i, row in enumerate(_identity(n))]
+    xs = [Jet(Recorded(tape, f"_x{i}"), row.astype(object),
+              np.zeros((n, n)).astype(object) if order == 2 else None)
+          for i, row in enumerate(_identity(n))]
     try:
         # Python's float operations on the unit rows' entries set the flags
         # that numpy's object loops turn into warnings
@@ -356,12 +405,9 @@ def derivative_code(fn: Callable, n: int) -> DerivativeCode:
     except (ArithmeticError, ValueError) as e:
         tape.lines.append(f"raise {tape.ref(type(e))}(*{tape.ref(e.args)})")
         return DerivativeCode(n, tuple(tape.lines), tape.names, None, None)
-    out = [y if isinstance(y, Jet) else Jet(y, [0.0] * n) for y in out]
+    out = [y if isinstance(y, Jet) else Jet(y, [0.0] * n, [[0.0] * n] * n) for y in out]
     values = tuple(tape.ref(y.val) for y in out)
     grads = tuple(tape.ref(g) for y in out for g in y.grad)
-    # with no ** and no complex constant every number of the code is real,
-    # and on a real number each dispatcher is its math function
-    if not any(" ** " in line for line in tape.lines) and \
-            not any(isinstance(k, complex) for k in tape.names.values()):
-        tape.names.update({f"_{name}": getattr(math, real) for name, (real, *_) in RULES.items()})
-    return DerivativeCode(n, tuple(tape.lines), tape.names, values, grads)
+    hessians = None if order == 1 else tuple(tape.ref(h) for y in out for row in y.hess
+                                             for h in row)
+    return DerivativeCode(n, tuple(tape.lines), tape.names, values, grads, hessians)

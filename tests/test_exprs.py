@@ -2,6 +2,7 @@
 
 import ast
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from geodyn.exprs import (
     FUNCTION_NAMES,
     compile_expression,
     default_coordinate_names,
+    derivative_code,
     differentiate,
 )
 from geodyn import jets
@@ -54,7 +56,8 @@ def test_every_list_of_the_functions_is_the_rules_table():
     assert dispatchers == {f"_{n}" for n in names}
     code = differentiate([compile_expression("x^0.5", ("x",))])
     names = {n for n in code.__globals__ if not n.startswith("_k")}
-    assert names - {"__builtins__", "_derivatives"} == dispatchers
+    assert names - {"__builtins__", "__name__", "_derivatives"} == dispatchers
+    assert code.__globals__["__name__"] == "geodyn.jets"
     assert all(code.__globals__[d] is getattr(jets, d) for d in dispatchers)
 
 
@@ -75,6 +78,18 @@ def test_real_derivative_code_calls_the_math_functions(source, real):
         jet = compile_expression(source, ("x", "y"))(variables(point, order=1))
         vals, grads = code(point)
         assert _bits([vals[0], *grads]) == _bits([jet.val, *jet.grad]), point
+
+
+def test_a_warning_of_generated_code_is_an_error_under_the_geodyn_filter():
+    # the code's globals name its module, so the tier-1 filter
+    # error::RuntimeWarning:geodyn (pyproject.toml) covers what numpy warns
+    # there: the point code on an array coordinate, and the block code
+    exprs = [compile_expression("x^0.5", ("x",))]
+    for code in (differentiate(exprs), derivative_code(exprs, 2).block_function()):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", category=RuntimeWarning, module="geodyn")
+            with np.errstate(all="warn"), pytest.raises(RuntimeWarning, match="invalid value"):
+                code(np.array([-1.0]))
 
 
 def test_free_names_and_arity_check():

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geodyn.exprs import FUNCTION_NAMES, ExpressionError, compile_expression, differentiate
+from geodyn.action import GridSpec, Region, heat_kernel_coefficients
+from geodyn.config import build_scenario
+from geodyn.exprs import (FUNCTION_NAMES, ExpressionError, compile_expression, derivative_code,
+                          differentiate)
 from geodyn.fields import ChartField, _collect, entry_field, fd_jets
 from geodyn.jets import Jet, cosh, exp, sin, variables
-from geodyn.library import BUILTIN_FRAMES
+from geodyn.library import BUILTIN_FRAMES, schwarzschild
+from geodyn.scenarios import builtin_config
 from geodyn.tensors import Point
 
 
@@ -335,9 +339,10 @@ def test_generated_code_computes_a_shared_subexpression_once(monkeypatch):
     assert val[1, 1] == 1.0 / val[0, 0]
 
 
-def _grammar_expressions():
-    """Random sources of the expression grammar over x, y and z."""
-    leaves = st.sampled_from(["x", "y", "z", "2", "0.5", "3.0", "pi"])
+def _grammar_expressions(constants=()):
+    """Random sources of the expression grammar over x, y and z, with these
+    constants among the leaves."""
+    leaves = st.sampled_from(["x", "y", "z", "2", "0.5", "3.0", "pi", *constants])
 
     def extend(sub):
         return st.one_of(
@@ -381,3 +386,155 @@ def test_generated_code_matches_jets_and_finite_differences(sources, coords):
     assume(scale < 1e3)
     _, fd1, _ = fd_jets(field, p, 1)
     assert (np.abs(got[1] - fd1) <= 1e-5 * (1.0 + np.abs(fd1))).all(), (sources, got[1], fd1)
+
+
+# -- the block route of expression-built fields -------------------------------
+
+
+def _jet_route(field):
+    """The field as a closure: its blocks run the evaluator on block jets,
+    the oracle of the recorded block code."""
+    return ChartField(dim=field.dim, shape=field.shape, func=field.func)
+
+
+def _outcome(field, block, order):
+    """Each part's dtype, shape and bytes, or the error's type and message."""
+    try:
+        res = field.jets(block, order=order)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    assert res[2] is None if order == 1 else res[2] is not None
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in res]
+
+
+def _gauge_sm():
+    """The builtin sm-trace-check scenario with the expression frame of the
+    gauge-sm benchmark workload."""
+    obj = builtin_config("sm-trace-check")
+    obj["frame"] = {"diagonal": ["1 + 0.1*x", "1 + 0.1*t*y", "1 + 0.1*z^2", "1 + 0.1*x*y"]}
+    return build_scenario(obj)
+
+
+def _block_route_cases():
+    for name in sorted(BUILTIN_FRAMES):
+        yield name, BUILTIN_FRAMES[name][0]().field
+    scenario = _gauge_sm()
+    sm = scenario.connection.sm
+    yield from {"gauge-sm-frame": scenario.frame.field, "B": sm.b, "W": sm.w, "G": sm.g}.items()
+    yield "expressions", _expression_field(EXPRESSIONS)
+    # complex constants: a base, factors of a product, a quotient and a sum
+    yield "complex-base", _expression_field(["((0 - 1)^0.5)^x", "x*y"])
+    yield "complex-constants", _expression_field(
+        ["((0 - 2)^0.5 * x) * ((0 - 3)^0.3 * y)", "x / (0 - 5)^0.7 - z * (0 - 0.4)^1.5",
+         "(0 - 2)^0.5 * x * (0 - 3)^0.3 * y * (0 - 7)^0.1 * z"])
+    yield "complex-constants-only", _expression_field(["7", "(0 - 1)^0.5"])
+    yield "int-zeros", _expression_field(["x*y", "0", "0*x", "z^2"])
+    yield "constants-only", _expression_field(["7", "2*pi", "0", "-3.5"])
+
+
+BLOCK = np.array([(0.7, 3.1, 1.2, 0.4), (0.71, 3.11, 1.21, 0.41), (0.68, 3.08, 1.18, 0.38),
+                  (0.2, 2.5, 0.9, 0.8)])
+
+
+@pytest.mark.parametrize("name, field", list(_block_route_cases()))
+@pytest.mark.parametrize("order", [1, 2])
+def test_block_code_matches_the_jet_route(name, field, order):
+    # an expression-built field's blocks run its recorded code: every part
+    # has the dtype, shape and bytes of block jets; order-2 parts are
+    # contiguous and order-1 parts have block jets' strides; code with a
+    # complex constant keeps block jets
+    assert field.expressions is not None, name
+    block = BLOCK[:, :field.dim]
+    got = _outcome(field, block, order)
+    assert got == _outcome(_jet_route(field), block, order), name
+    assert isinstance(got, list), got
+    assert (field.block_code[order] is None) == name.startswith("complex"), name
+    if field.block_code[order] is not None:
+        parts = field.jets(block, order=order)[:order + 1]
+        if order == 2:
+            assert all(a.flags.c_contiguous for a in parts), name
+        else:
+            jet_parts = _jet_route(field).jets(block, order=order)[:2]
+            assert [a.strides for a in parts] == [a.strides for a in jet_parts], name
+
+
+GOOD, NAN, INF = (0.7, 3.1, 1.2), (0.69, 3.1, 1.2), (0.7, 3.0, 1.2)
+
+
+@pytest.mark.parametrize("sources, block, error", [
+    # NaN at the second point, inf at the third: the first is named
+    (["x*y", "sqrt(x - 0.695)"], [GOOD, NAN, INF], NAN),
+    (["x*y", "1/(y - 3.0)"], [GOOD, INF, NAN], INF),
+    # a complex value is NaN on a block
+    (["(x - 1)^0.5", "x"], [GOOD, NAN], GOOD),
+    # non-finite coordinates
+    (["x*y", "z"], [GOOD, (0.69, 3.1, math.inf)], (0.69, 3.1, math.inf)),
+    # a constant derivative that is not finite, next to finite values,
+    # fails every point
+    (["x*1e300*1e300", "y"], [(1e-300, 3.1, 1.2), (2e-300, 3.1, 1.2)], (1e-300, 3.1, 1.2)),
+    # the recorded code raises what the operations on constants raise
+    (["x*y", "x/0"], [GOOD], "float division by zero"),
+    (["x*y", "sqrt(x - 5) + x/0"], [GOOD, NAN], "float division by zero"),
+    (["x*y", "(0 - 2)^x"], [GOOD], "math domain error"),
+])
+@pytest.mark.parametrize("order", [1, 2])
+def test_block_code_raises_as_the_jet_route(sources, block, error, order):
+    field = _expression_field(sources)
+    got = _outcome(field, np.array(block), order)
+    assert got == _outcome(_jet_route(field), np.array(block), order)
+    if isinstance(error, tuple):
+        error = f"non-finite coordinates or field value at {error}"
+    assert got[1] == error, got
+
+
+@pytest.mark.parametrize("sources, dtype", [(["x*y", "sin(z)", "0"], float),
+                                           (["x*y", "sin(z)", "(0 - 1)^0.5 * x"], complex)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_empty_block_gives_empty_parts_on_both_routes(sources, dtype, order):
+    field = _expression_field(sources)
+    for route in (field, _jet_route(field)):
+        res = route.jets(np.empty((0, 3)), order=order)
+        assert [None if a is None else (a.shape, a.dtype) for a in res] == [
+            ((0, 3), dtype), ((0, 3, 3), dtype), ((0, 3, 3, 3), dtype) if order == 2 else None]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(_grammar_expressions(constants=["(0 - 2)^0.5", "(0 - 0.3)^1.5"]),
+                min_size=1, max_size=3),
+       st.sampled_from([(0.7, 3.1, 1.2), (1.3, 0.4, 2.2), (0.2, 1.9, 0.8)]))
+def test_block_code_matches_the_jet_route_on_random_expressions(sources, coords):
+    # the recorded code of either order gives the bits, the error and the
+    # failing point of block jets; with a complex constant blocks keep jets
+    try:
+        field = _expression_field(sources)
+    except ExpressionError:  # a constant part that is not a finite number
+        assume(False)
+    block = np.array(coords) + np.array([[0.0], [0.25], [-0.125]])
+    for order in (1, 2):
+        assert _outcome(field, block, order) == _outcome(_jet_route(field), block, order), \
+            (sources, order)
+
+
+def test_order2_code_computes_the_schwarzschild_root_once():
+    # the entries f and 1/f share f = sqrt(1 - 2m/r): one statement computes it
+    code = derivative_code(schwarzschild(1.0).field.expressions, 2)
+    assert sum("_sqrt(" in line for line in code.lines) == 1
+
+
+def test_quadrature_records_each_field_and_order_once(monkeypatch):
+    # 35 blocks of a connection's curvature: the frame's order-2 code and
+    # the gauge fields' order-1 code are each recorded on the first block
+    recorded = []
+
+    def counting(exprs, order=1):
+        recorded.append((exprs, order))
+        return derivative_code(exprs, order)
+
+    monkeypatch.setattr("geodyn.fields.derivative_code", counting)
+    scenario = _gauge_sm()
+    region = Region(lo=(0.0,) * 4, hi=(1.0,) * 4)
+    report = heat_kernel_coefficients(scenario.connection, region, GridSpec((3, 9, 9, 9)))
+    assert report.meta["blocks_passed"] == 35
+    sm = scenario.connection.sm
+    assert recorded == [(scenario.frame.field.expressions, 2)] + [
+        (f.expressions, 1) for f in (sm.b, sm.w, sm.g)]

@@ -122,11 +122,10 @@ def test_record_init_repr_eq_and_replace():
 def test_importing_the_engine_compiles_no_code_per_class():
     # compile audit events while `import geodyn.cli` runs, numpy already
     # imported; the import system compiling a module's .py file (when no
-    # up-to-date .pyc exists) is not counted.  The 11 that remain:
+    # up-to-date .pyc exists) is not counted.  The 5 that remain:
     # - 1: jets.RULES' ten dispatchers, compiled at once as "<jet functions>";
-    # - 6: the jets.DerivativeCode NamedTuple, its __new__ and the five string
-    #   annotations typing turns into ForwardRefs;
-    # - 4: the config._Context NamedTuple, its __new__ and three annotations.
+    # - 4: the config._Context NamedTuple, its __new__ and the three string
+    #   annotations typing turns into ForwardRefs.
     # dataclasses.dataclass compiled 144 more, one per method it wrote.
     script = ("import sys, numpy\n"
               "names = []\n"
@@ -137,4 +136,4 @@ def test_importing_the_engine_compiles_no_code_per_class():
     src = os.path.dirname(os.path.dirname(geodyn.__file__))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert int(done.stdout) <= 11
+    assert int(done.stdout) <= 5
